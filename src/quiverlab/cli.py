@@ -45,6 +45,7 @@ from .resolution import (
 )
 from .scalgebra import cartan_matrix
 from .serre import (
+    MIN_GROWTH_STEPS,
     canonical_verdict,
     coxeter_necessary_check,
     entropy_line,
@@ -54,7 +55,6 @@ from .serre import (
 from .trivext import trivial_extension
 
 TRACE_TOL = 1e-9
-MIN_FIT_STEPS = 12
 
 
 class Report:
@@ -269,7 +269,7 @@ def cmd_entropy(args) -> Report:
     profile = cyclotomic_profile(phi)
 
     warnings: list[str] = []
-    if args.iterations >= MIN_FIT_STEPS:
+    if args.iterations >= MIN_GROWTH_STEPS:
         growth = growth_degree(
             phi, vector(sum(cartan.column(j)) for j in range(cartan.cols)),
             steps=args.iterations,
@@ -277,7 +277,7 @@ def cmd_entropy(args) -> Report:
     else:
         growth = None
         warnings.append(
-            f"growth fit skipped: needs at least {MIN_FIT_STEPS} iterations"
+            f"growth fit skipped: needs at least {MIN_GROWTH_STEPS} iterations"
         )
 
     if profile.is_cyclotomic:

@@ -2,31 +2,28 @@
 
 Modules over a structure-constant algebra are dense rational matrix
 representations.  Resolutions iterate projective covers and exact syzygy
-computations; for basic algebras whose radical is spanned by the
-non-idempotent basis elements the syzygies are tracked sparsely, which keeps
-the large trivial-extension runs tractable.
+computations, one simple module after another, with the Jacobson radical
+computed once per algebra and shared by every resolution.  When the basis is
+adapted to the radical (rad(A) is spanned by the non-idempotent basis
+elements) the sparse engine tracks syzygies in flat coordinates, which keeps
+the large trivial-extension runs tractable; the dense engine resolves any
+other basic algebra and serves the tests as the oracle for the sparse one.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fitting import fit_line
+from .fitting import EXPONENTIAL_SLOPE_THRESHOLD, LOGLOG_RESIDUAL_THRESHOLD, fit_line
 from .ratmat import RatMatrix, VecSpan, as_fraction
 from .scalgebra import SCAlgebra
 
 TRUNCATION_REASONS = ("steps-exhausted", "dimension-cap", "resolution-terminated")
 
-LOGLOG_RESIDUAL_THRESHOLD = 0.15
-EXPONENTIAL_SLOPE_THRESHOLD = 0.05
 MIN_TRACE_LENGTH = 12
-
-THREADS_ENV_VAR = "QUIVERLAB_THREADS"
 
 
 @dataclass(frozen=True)
@@ -189,13 +186,15 @@ def _densify(element: dict, length: int) -> list[Fraction]:
     return out
 
 
-def simple_modules(a: SCAlgebra) -> list[RepModule]:
+def simple_modules(a: SCAlgebra, rad=None) -> list[RepModule]:
     """One-dimensional simple module at each vertex, in vertex order.
 
     Requires the semisimple quotient to be a product of copies of the field;
-    the idempotents together with the radical must then form a basis.
+    the idempotents together with the radical must then form a basis.  A
+    radical basis already computed for `a` may be passed as `rad`.
     """
-    rad = jacobson_radical(a)
+    if rad is None:
+        rad = jacobson_radical(a)
     if len(rad) + len(a.idempotents) != a.dim:
         raise ValueError("algebra is not basic")
     columns = [_unit_vector(e, a.dim) for e in a.idempotents]
@@ -276,6 +275,7 @@ def _top_lift(a: SCAlgebra, module: RepModule, rad) -> list[tuple]:
 
 
 def _cover_data(a: SCAlgebra, module: RepModule, rad):
+    """Cover matrix (one column per basis element of P) and P's summand vertices."""
     gens = _top_lift(a, module, rad)
     verts = [v for v, _ in gens]
     by_vertex = _source_coords(a)
@@ -285,7 +285,7 @@ def _cover_data(a: SCAlgebra, module: RepModule, rad):
         for m in by_vertex[pos[v]]:
             cols.append(module.actions[m].apply(gen))
     cover = RatMatrix.from_columns(cols) if cols else RatMatrix([])
-    return _projective_sum(a, verts), cover, verts
+    return cover, verts
 
 
 def _radical_span_dense(a: SCAlgebra, rad, verts: list) -> VecSpan:
@@ -323,7 +323,8 @@ def projective_cover(a: SCAlgebra, module: RepModule, rad=None):
         return zero_module(a), RatMatrix([])
     if rad is None:
         rad = jacobson_radical(a)
-    proj, matrix, verts = _cover_data(a, module, rad)
+    matrix, verts = _cover_data(a, module, rad)
+    proj = _projective_sum(a, verts)
     kernel = matrix.kernel_basis()
     if len(kernel) != proj.dim - module.dim:
         raise RuntimeError("projective cover is not surjective")
@@ -335,19 +336,28 @@ def projective_cover(a: SCAlgebra, module: RepModule, rad=None):
 
 
 def _kernel_submodule(a: SCAlgebra, ambient: RepModule, kernel) -> RepModule:
-    """The syzygy as an abstract module on the kernel basis."""
-    basis_matrix = RatMatrix.from_columns(kernel)
+    """The syzygy as an abstract module on the kernel basis.
+
+    `kernel_basis` gives each vector a 1 at its own free column, where the
+    other vectors vanish, so coordinates are read off those unit rows; the
+    identity basis * coords == action * basis is then checked exactly.
+    """
+    basis = RatMatrix.from_columns(kernel)
+    k = len(kernel)
+    unit_rows: dict[int, int] = {}
+    for r, row in enumerate(basis.entries()):
+        support = [j for j, c in enumerate(row) if c]
+        if len(support) == 1 and row[support[0]] == 1:
+            unit_rows.setdefault(support[0], r)
+    rows = [unit_rows[j] for j in range(k)]
     actions = []
     for b in range(a.dim):
-        cols = []
-        for vec in kernel:
-            image = ambient.actions[b].apply(vec)
-            sol = basis_matrix.solve(image)
-            if sol is None:
-                raise RuntimeError("syzygy is not closed under the algebra action")
-            cols.append(sol)
-        actions.append(RatMatrix.from_columns(cols))
-    return RepModule(a, len(kernel), tuple(actions))
+        image = ambient.actions[b] * basis
+        coords = RatMatrix([image.row(r) for r in rows])
+        if basis * coords != image:
+            raise RuntimeError("syzygy is not closed under the algebra action")
+        actions.append(coords)
+    return RepModule(a, k, tuple(actions))
 
 
 class _TrackedEchelon:
@@ -519,12 +529,13 @@ def _radical_is_arrow_span(a: SCAlgebra, rad) -> bool:
 
 
 def minimal_resolution(
-    a: SCAlgebra, module: RepModule, steps: int = 40, dim_cap: int = 100000
+    a: SCAlgebra, module: RepModule, steps: int = 40, dim_cap: int = 100000, rad=None
 ) -> ResolutionTrace:
     """Betti numbers of a minimal projective resolution of the module.
 
     Stops after `steps` covers, when a syzygy dimension would exceed
-    `dim_cap`, or when a syzygy vanishes; the trace records which.
+    `dim_cap`, or when a syzygy vanishes; the trace records which.  A radical
+    basis already computed for `a` may be passed as `rad`.
     """
     if module.algebra is not a:
         raise ValueError("module is defined over a different algebra")
@@ -534,7 +545,8 @@ def minimal_resolution(
         raise ValueError("dimension cap must be positive")
     if module.dim == 0:
         return ResolutionTrace((0,), "resolution-terminated")
-    rad = jacobson_radical(a)
+    if rad is None:
+        rad = jacobson_radical(a)
     if _radical_is_arrow_span(a, rad):
         return _sparse_resolution(a, module, steps, dim_cap, rad)
     return _dense_resolution(a, module, steps, dim_cap, rad)
@@ -555,27 +567,14 @@ def _flatten_kernel(a: SCAlgebra, verts: list, kernel) -> list[dict]:
 
 
 def _sparse_resolution(a, module, steps, dim_cap, rad) -> ResolutionTrace:
+    """Flat-coordinate resolution; only the first cover, of `module`, is dense."""
     engine = _FlatResolver(a)
-    first, cover, verts = _cover_data(a, module, rad)
-    betti = [first.dim]
-    syzygy = first.dim - module.dim
-    if syzygy == 0:
-        return ResolutionTrace((*betti, 0), "resolution-terminated")
-    if len(betti) >= steps:
-        return ResolutionTrace(tuple(betti), "steps-exhausted")
-    if syzygy > dim_cap:
-        return ResolutionTrace(tuple(betti), "dimension-cap")
-    dense_kernel = cover.kernel_basis()
-    if len(dense_kernel) != syzygy:
-        raise RuntimeError("syzygy dimension mismatch")
-    kernel = _flatten_kernel(a, verts, dense_kernel)
-    for vec in kernel:
-        if not engine.in_radical(vec):
-            raise RuntimeError("resolution step is not minimal")
-    covered = syzygy
+    cover, verts = _cover_data(a, module, rad)
+    betti: list[int] = []
+    dim = cover.cols
+    covered = module.dim
+    gens = None
     while True:
-        gens = engine.top_generators(kernel)
-        dim = sum(engine.proj_dim[v] for v, _ in gens)
         betti.append(dim)
         syzygy = dim - covered
         if syzygy == 0:
@@ -584,12 +583,17 @@ def _sparse_resolution(a, module, steps, dim_cap, rad) -> ResolutionTrace:
             return ResolutionTrace(tuple(betti), "steps-exhausted")
         if syzygy > dim_cap:
             return ResolutionTrace(tuple(betti), "dimension-cap")
-        kernel = engine.kernel_of_cover(gens)
+        if gens is None:
+            kernel = _flatten_kernel(a, verts, cover.kernel_basis())
+        else:
+            kernel = engine.kernel_of_cover(gens)
         if len(kernel) != syzygy:
             raise RuntimeError("syzygy dimension mismatch")
         for vec in kernel:
             if not engine.in_radical(vec):
                 raise RuntimeError("resolution step is not minimal")
+        gens = engine.top_generators(kernel)
+        dim = sum(engine.proj_dim[v] for v, _ in gens)
         covered = syzygy
 
 
@@ -598,7 +602,8 @@ def _dense_resolution(a, module, steps, dim_cap, rad) -> ResolutionTrace:
     current = module
     covered = module.dim
     while True:
-        ambient, cover, verts = _cover_data(a, current, rad)
+        cover, verts = _cover_data(a, current, rad)
+        ambient = _projective_sum(a, verts)
         betti.append(ambient.dim)
         kernel = cover.kernel_basis()
         if len(kernel) != ambient.dim - covered:
@@ -662,32 +667,18 @@ def complexity_estimate(
     )
 
 
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def resolve_simple_modules(
     a: SCAlgebra, steps: int = 40, dim_cap: int = 100000
 ) -> list[ResolutionTrace]:
     """Resolution trace of every simple module, in vertex order.
 
-    Distinct simples resolve independently, so QUIVERLAB_THREADS > 1 runs
-    them in a thread pool; the returned order stays deterministic.
+    The radical is computed once and shared by all the resolutions.
     """
-    simples = simple_modules(a)
-
-    def resolve(module: RepModule) -> ResolutionTrace:
-        return minimal_resolution(a, module, steps, dim_cap)
-
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(resolve, simples))
-    return [resolve(module) for module in simples]
+    rad = jacobson_radical(a)
+    return [
+        minimal_resolution(a, module, steps, dim_cap, rad)
+        for module in simple_modules(a, rad)
+    ]
 
 
 def combine_estimates(estimates) -> ComplexityEstimate:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .builders import CanonicalSpec
 from .cyclo import cyclotomic_profile, spectral_radius
-from .fitting import fit_line
+from .fitting import EXPONENTIAL_SLOPE_THRESHOLD, LOGLOG_RESIDUAL_THRESHOLD, fit_line
 from .quiver import (
     Quiver,
     cartan_path_algebra,
@@ -385,8 +385,6 @@ class GrowthEstimate:
         return out
 
 
-GROWTH_RESIDUAL_THRESHOLD = 0.15
-GROWTH_SLOPE_THRESHOLD = 0.05
 MIN_GROWTH_STEPS = 12
 
 
@@ -417,9 +415,9 @@ def growth_degree(phi: RatMatrix, v, steps: int = 60) -> GrowthEstimate:
     poly_slope, _, poly_residual = fit_line([math.log(k) for k in ks], logs)
     exp_slope, _, exp_residual = fit_line([float(k) for k in ks], logs)
     degree = max(0, round(poly_slope))
-    if poly_residual < GROWTH_RESIDUAL_THRESHOLD:
+    if poly_residual < LOGLOG_RESIDUAL_THRESHOLD:
         return GrowthEstimate.polynomial(degree)
-    if exp_slope > GROWTH_SLOPE_THRESHOLD:
+    if exp_slope > EXPONENTIAL_SLOPE_THRESHOLD:
         return GrowthEstimate.exponential()
     if poly_residual <= exp_residual:
         return GrowthEstimate.polynomial(degree)

@@ -17,10 +17,12 @@ from fractions import Fraction
 import pytest
 
 from quiverlab import (
+    BasisElement,
     ComplexityEstimate,
     RatMatrix,
     RepModule,
     ResolutionTrace,
+    SCAlgebra,
     combine_estimates,
     complexity_estimate,
     global_complexity_estimate,
@@ -182,6 +184,41 @@ def test_dense_and_sparse_engines_agree():
 def test_sparse_dispatch_applies_to_extensions():
     ta = trivial_extension(path_algebra(path_quiver(2)))
     assert res_mod._radical_is_arrow_span(ta, jacobson_radical(ta))
+
+
+def dual_numbers_on_unadapted_basis():
+    """k[x]/(x^2) on the basis {e, b = e + x}, whose radical is spanned by b - e."""
+    return SCAlgebra(
+        ("v",),
+        (BasisElement("e", "v", "v"), BasisElement("b", "v", "v")),
+        (0,),
+        {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: -1, 1: 2}},
+    )
+
+
+def test_dense_fallback_through_dispatch():
+    a = dual_numbers_on_unadapted_basis()
+    a.verify()
+    assert not res_mod._radical_is_arrow_span(a, jacobson_radical(a))
+    (simple,) = simple_modules(a)
+    trace = minimal_resolution(a, simple, steps=6)
+    assert trace.betti == (2,) * 6
+    assert trace.truncated_by == "steps-exhausted"
+    assert res_mod.resolve_simple_modules(a, steps=6) == [trace]
+
+
+def test_resolve_simple_modules_computes_one_radical(monkeypatch):
+    calls = []
+    radical = res_mod.jacobson_radical
+
+    def counting(a):
+        calls.append(a)
+        return radical(a)
+
+    monkeypatch.setattr(res_mod, "jacobson_radical", counting)
+    ta = trivial_extension(path_algebra(path_quiver(3)))
+    res_mod.resolve_simple_modules(ta, steps=10)
+    assert len(calls) == 1
 
 
 # --- input validation -----------------------------------------------------
