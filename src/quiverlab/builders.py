@@ -18,38 +18,40 @@ def _path_label(arrows: tuple[Arrow, ...]) -> str:
     return "".join(a.id for a in reversed(arrows))
 
 
-def path_algebra(q: Quiver) -> SCAlgebra:
-    """Path algebra of an acyclic quiver; basis = all paths."""
-    if has_oriented_cycle(q):
-        raise ValueError("quiver has an oriented cycle; its path algebra is infinite-dimensional")
-    by_source: dict[str, list[Arrow]] = {v: [] for v in q.vertices}
-    for a in q.arrows:
-        by_source[a.source].append(a)
+def _monomial_algebra(q: Quiver, relations: set[tuple[str, str]]) -> SCAlgebra:
+    """Basis = paths of q with no relation (first, second) as a subpath.
+
+    The caller guarantees that there are finitely many such paths.
+    """
+    allowed = {a.id: [b for b in q.arrows
+                      if b.source == a.target and (a.id, b.id) not in relations]
+               for a in q.arrows}
     # paths as (source vertex, arrows in application order), grown by length
     paths: list[tuple[str, tuple[Arrow, ...]]] = [(v, ()) for v in q.vertices]
-    level = paths[:]
+    level = [(a.source, (a,)) for a in q.arrows]
     while level:
-        nxt = []
-        for source, arrows in level:
-            end = arrows[-1].target if arrows else source
-            for a in by_source[end]:
-                nxt.append((source, arrows + (a,)))
-        paths.extend(nxt)
-        level = nxt
+        paths.extend(level)
+        level = [(source, chain + (b,)) for source, chain in level
+                 for b in allowed[chain[-1].id]]
     basis = []
-    for source, arrows in paths:
-        target = arrows[-1].target if arrows else source
-        label = _path_label(arrows) if arrows else f"e{source}"
-        degree = sum(a.degree for a in arrows)
-        basis.append(BasisElement(label, source, target, degree))
-    index = {arrows: k for k, (_, arrows) in enumerate(paths) if arrows}
-    trivial = {source: k for k, (source, arrows) in enumerate(paths) if not arrows}
+    index: dict[tuple[Arrow, ...], int] = {}
+    trivial: dict[str, int] = {}
+    for k, (source, chain) in enumerate(paths):
+        if chain:
+            basis.append(BasisElement(_path_label(chain), source, chain[-1].target,
+                                      sum(a.degree for a in chain)))
+            index[chain] = k
+        else:
+            basis.append(BasisElement(f"e{source}", source, source, 0))
+            trivial[source] = k
     mult: dict[tuple[int, int], dict[int, Fraction]] = {}
     one = Fraction(1)
     for j, (src_y, ay) in enumerate(paths):
         end_y = ay[-1].target if ay else src_y
         for i, (src_x, ax) in enumerate(paths):
             if src_x != end_y:
+                continue
+            if ay and ax and (ay[-1].id, ax[0].id) in relations:
                 continue
             combined = ay + ax
             k = index[combined] if combined else trivial[src_y]
@@ -58,6 +60,13 @@ def path_algebra(q: Quiver) -> SCAlgebra:
                         tuple(trivial[v] for v in q.vertices), mult)
     algebra.verify()
     return algebra
+
+
+def path_algebra(q: Quiver) -> SCAlgebra:
+    """Path algebra of an acyclic quiver; basis = all paths."""
+    if has_oriented_cycle(q):
+        raise ValueError("quiver has an oriented cycle; its path algebra is infinite-dimensional")
+    return _monomial_algebra(q, set())
 
 
 @dataclass(frozen=True)
@@ -103,55 +112,16 @@ class GentlePresentation:
 def gentle_algebra(pres: GentlePresentation) -> SCAlgebra:
     """Gentle algebra; basis = paths avoiding every relation."""
     q = pres.quiver
-    arrows = {a.id: a for a in q.arrows}
     rel = set(pres.relations)
-    allowed = {a.id: [b for b in q.arrows
-                      if b.source == a.target and (a.id, b.id) not in rel]
-               for a in q.arrows}
     # the continuation graph must be acyclic, else relation-free paths
     # grow without bound
-    comp = Quiver(tuple(arrows) or ("?",),
-                  tuple(Arrow(f"{a}->{b.id}", a, b.id) for a, bs in allowed.items() for b in bs))
+    comp = Quiver(tuple(a.id for a in q.arrows) or ("?",),
+                  tuple(Arrow(f"{a.id}->{b.id}", a.id, b.id)
+                        for a in q.arrows for b in q.arrows
+                        if b.source == a.target and (a.id, b.id) not in rel))
     if has_oriented_cycle(comp):
         raise ValueError("presentation is infinite-dimensional: some cycle avoids every relation")
-    paths: list[tuple[str, tuple[Arrow, ...]]] = [(v, ()) for v in q.vertices]
-    level = [(a.source, (a,)) for a in q.arrows]
-    paths.extend(level)
-    while level:
-        nxt = []
-        for source, chain in level:
-            for b in allowed[chain[-1].id]:
-                nxt.append((source, chain + (b,)))
-        paths.extend(nxt)
-        level = nxt
-    basis = []
-    index: dict[tuple[str, ...], int] = {}
-    trivial: dict[str, int] = {}
-    for k, (source, chain) in enumerate(paths):
-        if chain:
-            target = chain[-1].target
-            basis.append(BasisElement(_path_label(chain), source, target,
-                                      sum(a.degree for a in chain)))
-            index[tuple(a.id for a in chain)] = k
-        else:
-            basis.append(BasisElement(f"e{source}", source, source, 0))
-            trivial[source] = k
-    mult: dict[tuple[int, int], dict[int, Fraction]] = {}
-    one = Fraction(1)
-    for j, (src_y, ay) in enumerate(paths):
-        end_y = ay[-1].target if ay else src_y
-        for i, (src_x, ax) in enumerate(paths):
-            if src_x != end_y:
-                continue
-            if ay and ax and (ay[-1].id, ax[0].id) in rel:
-                continue
-            combined = tuple(a.id for a in ay + ax)
-            k = index[combined] if combined else trivial[src_y]
-            mult[(i, j)] = {k: one}
-    algebra = SCAlgebra(q.vertices, tuple(basis),
-                        tuple(trivial[v] for v in q.vertices), mult)
-    algebra.verify()
-    return algebra
+    return _monomial_algebra(q, rel)
 
 
 def parse_gentle(document: str) -> GentlePresentation:

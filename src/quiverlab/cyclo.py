@@ -173,6 +173,9 @@ def _cauchy_bound(p: IntPolynomial) -> Fraction:
 
 def _largest_real_root(p: IntPolynomial, tol: float) -> float:
     """Largest nonnegative real root found by sign bisection, else 0."""
+    if p.leading < 0:
+        # the scan below expects p > 0 beyond its largest root
+        p = -p
     bound = _cauchy_bound(p)
     # grid scan for a sign change; even-multiplicity roots are left to the
     # power-iteration fallback

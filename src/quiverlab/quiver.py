@@ -138,17 +138,20 @@ def tits_matrix(q: Quiver) -> RatMatrix:
     return RatMatrix(entries)
 
 
-def _is_psd(sym: RatMatrix) -> bool:
-    """Exact positive-semidefiniteness by Schur-complement elimination."""
+def _definiteness(sym: RatMatrix) -> str:
+    """Positive "definite", "semidefinite" or "indefinite", decided by
+    exact Schur-complement elimination."""
     work = [list(row) for row in sym.entries()]
     active = list(range(sym.rows))
     while active:
         if any(work[i][i] < 0 for i in active):
-            return False
+            return "indefinite"
         pivot = next((i for i in active if work[i][i] > 0), None)
         if pivot is None:
             # zero diagonal throughout: PSD iff the whole block vanishes
-            return all(work[i][j] == 0 for i in active for j in active)
+            if all(work[i][j] == 0 for i in active for j in active):
+                return "semidefinite"
+            return "indefinite"
         d = work[pivot][pivot]
         active.remove(pivot)
         for i in active:
@@ -157,7 +160,7 @@ def _is_psd(sym: RatMatrix) -> bool:
                 for j in active:
                     if work[pivot][j]:
                         work[i][j] -= f * work[pivot][j]
-    return True
+    return "definite"
 
 
 def _primitive_radical(kernel: list[list[Fraction]]) -> tuple[int, ...]:
@@ -184,9 +187,10 @@ def classify_quiver(q: Quiver) -> QuiverType:
     if not q.is_connected:
         raise ValueError("classification requires a connected quiver")
     m = tits_matrix(q)
-    if all(m.leading_minor(k).det() > 0 for k in range(1, m.rows + 1)):
+    kind = _definiteness(m)
+    if kind == "definite":
         return QuiverType("finite")
-    if _is_psd(m):
+    if kind == "semidefinite":
         radical = _primitive_radical([list(v) for v in m.kernel_basis()])
         return QuiverType("affine", radical)
     return QuiverType("indefinite")

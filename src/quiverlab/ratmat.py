@@ -250,20 +250,10 @@ class RatMatrix:
         if not self.is_square:
             raise ValueError("inverse requires a square matrix")
         n = self.rows
-        work = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-                for i, row in enumerate(self._rows)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if work[r][col]), None)
-            if pivot is None:
-                raise ValueError("matrix is singular")
-            work[col], work[pivot] = work[pivot], work[col]
-            inv = 1 / work[col][col]
-            work[col] = [x * inv for x in work[col]]
-            for r in range(n):
-                if r != col and work[r][col]:
-                    f = work[r][col]
-                    work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-        return RatMatrix([row[n:] for row in work])
+        reduced, pivots = self.hstack(RatMatrix.identity(n)).rref()
+        if pivots[:n] != tuple(range(n)):
+            raise ValueError("matrix is singular")
+        return RatMatrix(row[n:] for row in reduced.entries())
 
     def solve(self, rhs: Sequence) -> Vector | None:
         """One solution of self * x = rhs, or None if inconsistent."""

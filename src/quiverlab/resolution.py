@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fitting import EXPONENTIAL_SLOPE_THRESHOLD, LOGLOG_RESIDUAL_THRESHOLD, fit_line
-from .ratmat import RatMatrix, VecSpan, as_fraction
+from .ratmat import RatMatrix, VecSpan
 from .scalgebra import SCAlgebra
 
 TRUNCATION_REASONS = ("steps-exhausted", "dimension-cap", "resolution-terminated")
@@ -623,13 +623,11 @@ def _dense_resolution(a, module, steps, dim_cap, rad) -> ResolutionTrace:
         covered = syzygy
 
 
-def complexity_estimate(
-    trace: ResolutionTrace, window: Fraction = Fraction(1, 2)
-) -> ComplexityEstimate:
+def complexity_estimate(trace: ResolutionTrace) -> ComplexityEstimate:
     """Growth class of a Betti trace: degree k means dim P_n = O(n^(k-1)).
 
     A terminated resolution has degree 0 and a bounded tail degree 1;
-    otherwise the trailing window is fitted on log-log axes for a polynomial
+    otherwise the trailing half is fitted on log-log axes for a polynomial
     degree and on semilog axes for exponential growth.  A capped trace is
     screened for exponential growth first, since truncation is itself
     evidence the dimensions were exploding.
@@ -641,10 +639,7 @@ def complexity_estimate(
         raise ValueError(
             f"trace too short: need {MIN_TRACE_LENGTH} entries or termination"
         )
-    w = as_fraction(window)
-    if not 0 < w <= 1:
-        raise ValueError("window must lie in (0, 1]")
-    count = max(2, int(len(betti) * w))
+    count = max(2, len(betti) // 2)
     start = max(1, len(betti) - count)
     tail = betti[start:]
     if max(tail) <= max(betti[:start]):

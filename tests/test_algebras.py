@@ -11,6 +11,7 @@ import pytest
 
 from quiverlab import (
     CanonicalSpec,
+    GentlePresentation,
     RatMatrix,
     canonical_algebra,
     cartan_matrix,
@@ -97,6 +98,24 @@ def test_gentle_relation_must_name_arrows():
     doc = GENTLE_TWO_LOOP_DOC.replace('"b1", "b1"', '"zz", "b1"')
     with pytest.raises(ValueError):
         gentle_algebra(parse_gentle(doc))
+
+
+def _by_label(alg):
+    """Basis, idempotents and products of alg, all named by basis label."""
+    label = [b.label for b in alg.basis]
+    basis = {b.label: (b.source, b.target, b.degree) for b in alg.basis}
+    idempotents = [label[e] for e in alg.idempotents]
+    products = {
+        (label[i], label[j]): {label[k]: c for k, c in row.items()}
+        for (i, j), row in alg.mult.items()
+    }
+    return basis, idempotents, products
+
+
+@pytest.mark.parametrize("quiver", [path_quiver(3), multi_kronecker(2)], ids=["A3", "kron2"])
+def test_gentle_without_relations_is_path_algebra(quiver):
+    gentle = gentle_algebra(GentlePresentation(quiver, ()))
+    assert _by_label(gentle) == _by_label(path_algebra(quiver))
 
 
 def test_canonical_spec_validation():

@@ -3,6 +3,7 @@ exit codes, and the error paths for malformed or out-of-scope input.
 """
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -24,6 +25,14 @@ KRONECKER3_DOC = json.dumps(
     {
         "vertices": [1, 2],
         "arrows": [{"id": f"a{i}", "from": 1, "to": 2} for i in range(3)],
+    }
+)
+
+WILD3_DOC = json.dumps(
+    {
+        "vertices": [1, 2, 3],
+        "arrows": [{"id": f"a{i}", "from": 1, "to": 2} for i in range(3)]
+        + [{"id": "b", "from": 2, "to": 3}],
     }
 )
 
@@ -224,6 +233,16 @@ def test_entropy_positive_is_tolerance_bounded(tmp_path, capsys):
     assert abs(h0["value"] - 1.9248473) < 1e-4
     assert h0["tol"] == 1e-4
     assert doc["result"]["growth"] == {"kind": "exponential"}
+
+
+def test_entropy_odd_size_wild_quiver(tmp_path, capsys):
+    # Coxeter polynomial x^3 - 7x^2 - 7x + 1 = (x + 1)(x^2 - 8x + 1)
+    path = write(tmp_path, "wild3.json", WILD3_DOC)
+    code, out, _ = run(capsys, "entropy", path, "--json")
+    assert code == 0
+    h0 = json.loads(out)["result"]["h0"]
+    assert h0["exact"] is False
+    assert abs(h0["value"] - math.log(4 + math.sqrt(15))) < 1e-4
 
 
 def test_entropy_few_iterations_skips_growth(tmp_path, capsys):

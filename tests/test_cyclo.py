@@ -108,3 +108,12 @@ def test_spectral_radius_golden_like_value():
 def test_spectral_radius_diagonal():
     m = RatMatrix([[Fraction(5, 2), 0], [0, -3]])
     assert abs(spectral_radius(m, tol=1e-9) - 3.0) < 1e-6
+    # odd degree: p(-x) has leading coefficient -1 and its root 3 carries the radius
+    m = RatMatrix([[Fraction(5, 2), 0, 0], [0, -3, 0], [0, 0, 1]])
+    assert abs(spectral_radius(m, tol=1e-9) - 3.0) < 1e-6
+
+
+def test_spectral_radius_odd_degree_dominant_complex_pair():
+    # (x - 1)(x^2 + 4): the radius 2 comes from the pair +-2i
+    p = IntPolynomial([-1, 1]) * IntPolynomial([4, 0, 1])
+    assert abs(spectral_radius(companion_matrix(p), tol=1e-9) - 2.0) < 1e-6
