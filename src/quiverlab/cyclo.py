@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .intpoly import IntPolynomial, cyclotomic_factorization
-from .ratmat import RatMatrix, as_fraction
+from .ratmat import RatMatrix, TrackedEchelon, as_fraction
 
 
 def _hessenberg(m: RatMatrix) -> list[list[Fraction]]:
@@ -70,7 +70,11 @@ def char_poly(m: RatMatrix) -> IntPolynomial:
 
 
 def min_poly(m: RatMatrix) -> IntPolynomial:
-    """Minimal polynomial via Krylov chains started at each basis vector."""
+    """Minimal polynomial as the lcm of the local ones along Krylov chains.
+
+    The chain of e_start inserts M^k e_start as {k: 1}; the first relation
+    that comes back is the local minimal polynomial of e_start.
+    """
     if not m.is_square:
         raise ValueError("minimal polynomial requires a square matrix")
     n = m.rows
@@ -78,38 +82,18 @@ def min_poly(m: RatMatrix) -> IntPolynomial:
         return IntPolynomial.one()
     result = IntPolynomial.one()
     for start in range(n):
-        # echelon over the Krylov chain; aux tracks the combination as a polynomial
-        pivots: dict[int, tuple[list[Fraction], IntPolynomial]] = {}
+        chain = TrackedEchelon()
         vec = [Fraction(0)] * n
         vec[start] = Fraction(1)
-        aux = IntPolynomial.one()
         for power in range(n + 1):
-            work = list(vec)
-            combo = aux
-            for j in sorted(pivots):
-                if work[j]:
-                    f = work[j]
-                    pvec, paux = pivots[j]
-                    for k in range(n):
-                        if pvec[k]:
-                            work[k] -= f * pvec[k]
-                    combo = combo - f * paux
-            lead = next((j for j, v in enumerate(work) if v), None)
-            if lead is None:
-                result = result.lcm(combo.monic())
+            relation = chain.insert({k: v for k, v in enumerate(vec) if v}, {power: 1})
+            if relation is not None:
+                result = result.lcm(IntPolynomial(relation.get(k, 0) for k in range(power + 1)))
                 break
-            inv = 1 / work[lead]
-            pivots[lead] = ([v * inv for v in work], inv * combo)
-            vec = _mat_apply(m, vec)
-            aux = aux * IntPolynomial.x()
+            vec = m.apply(vec)
         if result.degree == n:
             break
     return result
-
-
-def _mat_apply(m: RatMatrix, vec: list[Fraction]) -> list[Fraction]:
-    rows = m.entries()
-    return [sum((c * v for c, v in zip(row, vec) if c), Fraction(0)) for row in rows]
 
 
 def companion_matrix(p: IntPolynomial) -> RatMatrix:

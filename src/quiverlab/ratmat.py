@@ -2,10 +2,12 @@
 
 Everything that feeds a decision elsewhere in the package (definiteness,
 kernels, matrix identities) goes through this module, so there is no
-floating point anywhere below.
+floating point anywhere below.  VecSpan and TrackedEchelon grow echelon
+bases of dense and of sparse vectors.
 """
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -318,3 +320,86 @@ class VecSpan:
 
     def basis(self) -> list[Vector]:
         return [tuple(self._pivots[j]) for j in sorted(self._pivots)]
+
+
+class TrackedEchelon:
+    """Sparse echelon basis that can report how an inserted vector reduced.
+
+    Vectors and expressions are sparse dicts.  The expression, usually a
+    unit dict naming the input, is reduced alongside its vector, so a vector
+    that vanishes yields the exact relation among the inputs.  Rows are
+    scaled to pivot entry 1, preferring an entry already +1 or -1.
+
+    Pivot rows are stored in insertion order and never re-reduced; a row may
+    therefore still contain pivots younger than itself, so reduction always
+    eliminates the oldest pivot present, which only introduces younger ones.
+    """
+
+    __slots__ = ("pivots", "_clock")
+
+    def __init__(self):
+        self.pivots: dict[int, tuple] = {}
+        self._clock = 0
+
+    def insert(self, vec: dict, expr: dict):
+        """Reduce vec; return the expression if it vanished, else keep it.
+
+        Consumes both arguments: vec and expr are mutated in place and may
+        be stored as a pivot row, so callers pass fresh dicts.
+        """
+        pivots = self.pivots
+        heap = [(pivots[c][0], c) for c in vec if c in pivots]
+        heapq.heapify(heap)
+        while heap:
+            _, c = heapq.heappop(heap)
+            val = vec.get(c)
+            if not val:
+                continue
+            _, pvec, pexpr = pivots[c]
+            for k, pv in pvec.items():
+                present = k in vec
+                s = vec.get(k, 0) - val * pv
+                if s:
+                    vec[k] = s
+                    if not present and k in pivots:
+                        heapq.heappush(heap, (pivots[k][0], k))
+                else:
+                    vec.pop(k, None)
+            for k, pv in pexpr.items():
+                s = expr.get(k, 0) - val * pv
+                if s:
+                    expr[k] = s
+                else:
+                    expr.pop(k, None)
+        if not vec:
+            return expr
+        for pivot, v in vec.items():
+            if v == 1 or v == -1:
+                break
+        else:
+            pivot = next(iter(vec))
+        lead = vec[pivot]
+        if lead == -1:
+            vec = {k: -v for k, v in vec.items()}
+            expr = {k: -v for k, v in expr.items()}
+        elif lead != 1:
+            inv = Fraction(1) / lead
+            vec = {k: plain(v * inv) for k, v in vec.items()}
+            expr = {k: plain(v * inv) for k, v in expr.items()}
+        self.pivots[pivot] = (self._clock, vec, expr)
+        self._clock += 1
+        return None
+
+    def add(self, vec: dict) -> bool:
+        """Insert without tracking; True when vec enlarged the span."""
+        return self.insert(vec, {}) is None
+
+    def rows(self) -> list[dict]:
+        """The stored pivot rows, in insertion order; they span the inserts."""
+        return [vec for _, vec, _ in self.pivots.values()]
+
+
+def plain(value):
+    if isinstance(value, Fraction) and value.denominator == 1:
+        return int(value)
+    return value

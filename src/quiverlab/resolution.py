@@ -12,13 +12,12 @@ other basic algebra and serves the tests as the oracle for the sparse one.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .fitting import EXPONENTIAL_SLOPE_THRESHOLD, LOGLOG_RESIDUAL_THRESHOLD, fit_line
-from .ratmat import RatMatrix, VecSpan
+from .ratmat import RatMatrix, TrackedEchelon, VecSpan, plain
 from .scalgebra import SCAlgebra
 
 TRUNCATION_REASONS = ("steps-exhausted", "dimension-cap", "resolution-terminated")
@@ -130,60 +129,48 @@ def jacobson_radical(a: SCAlgebra) -> list[tuple[Fraction, ...]]:
     """Basis of the radical via the characteristic-zero trace-form criterion.
 
     x is radical exactly when trace of left multiplication by b*x vanishes
-    for every basis element b.  The candidate is verified to be a nilpotent
-    two-sided ideal before it is returned.
+    for every basis element b.  Gram columns that depend on earlier ones
+    return the RREF kernel basis, one vector per free column.  The candidate
+    is verified to be a nilpotent two-sided ideal before it is returned.
     """
     d = a.dim
     mult_trace = [Fraction(0)] * d
-    for m in range(d):
-        total = Fraction(0)
-        for k in range(d):
-            row = a.mult.get((m, k))
-            if row:
-                total += row.get(k, Fraction(0))
-        mult_trace[m] = total
-    gram = []
-    for i in range(d):
-        row = [Fraction(0)] * d
-        for j in range(d):
-            prod = a.mult.get((i, j))
-            if prod:
-                row[j] = sum((c * mult_trace[m] for m, c in prod.items()), Fraction(0))
-        gram.append(row)
-    basis = [tuple(v) for v in RatMatrix(gram).kernel_basis()]
+    for (m, k), row in a.mult.items():
+        mult_trace[m] += row.get(k, 0)
+    columns: list[dict] = [{} for _ in range(d)]
+    for (i, j), prod in a.mult.items():
+        value = sum((c * mult_trace[m] for m, c in prod.items()), Fraction(0))
+        if value:
+            columns[j][i] = value
+    echelon = TrackedEchelon()
+    relations = [echelon.insert(column, {j: 1}) for j, column in enumerate(columns)]
+    basis = [tuple(Fraction(r.get(k, 0)) for k in range(d)) for r in relations if r is not None]
     _verify_nilpotent_ideal(a, basis)
     return basis
 
 
 def _verify_nilpotent_ideal(a: SCAlgebra, basis: list[tuple[Fraction, ...]]) -> None:
     d = a.dim
-    span = VecSpan(d)
-    for vec in basis:
-        span.add(vec)
     sparse = [{k: v for k, v in enumerate(vec) if v} for vec in basis]
+    span = TrackedEchelon()
+    for x in sparse:
+        span.add(dict(x))
     for x in sparse:
         for i in range(d):
             unit = {i: Fraction(1)}
             for prod in (a.multiply(unit, x), a.multiply(x, unit)):
-                if not span.contains(_densify(prod, d)):
+                if span.add(prod):
                     raise RuntimeError("radical candidate is not a two-sided ideal")
     power = sparse
     for _ in range(d + 1):
         if not power:
             return
-        nxt = VecSpan(d)
+        nxt = TrackedEchelon()
         for x in power:
             for y in sparse:
-                nxt.add(_densify(a.multiply(x, y), d))
-        power = [{k: v for k, v in enumerate(vec) if v} for vec in nxt.basis()]
+                nxt.add(a.multiply(x, y))
+        power = nxt.rows()
     raise RuntimeError("radical candidate is not nilpotent")
-
-
-def _densify(element: dict, length: int) -> list[Fraction]:
-    out = [Fraction(0)] * length
-    for k, c in element.items():
-        out[k] = c
-    return out
 
 
 def simple_modules(a: SCAlgebra, rad=None) -> list[RepModule]:
@@ -360,78 +347,6 @@ def _kernel_submodule(a: SCAlgebra, ambient: RepModule, kernel) -> RepModule:
     return RepModule(a, k, tuple(actions))
 
 
-class _TrackedEchelon:
-    """Sparse echelon basis that can report how an inserted vector reduced.
-
-    Pivot rows are stored in insertion order and never re-reduced; a row may
-    therefore still contain pivots younger than itself, so reduction always
-    eliminates the oldest pivot present, which only introduces younger ones.
-    """
-
-    __slots__ = ("pivots", "_clock")
-
-    def __init__(self):
-        self.pivots: dict[int, tuple] = {}
-        self._clock = 0
-
-    def insert(self, vec: dict, expr: dict):
-        """Reduce vec; return the expression if it vanished, else keep it."""
-        pivots = self.pivots
-        heap = [(pivots[c][0], c) for c in vec if c in pivots]
-        heapq.heapify(heap)
-        while heap:
-            _, c = heapq.heappop(heap)
-            val = vec.get(c)
-            if not val:
-                continue
-            _, pvec, pexpr = pivots[c]
-            for k, pv in pvec.items():
-                present = k in vec
-                s = vec.get(k, 0) - val * pv
-                if s:
-                    vec[k] = s
-                    if not present and k in pivots:
-                        heapq.heappush(heap, (pivots[k][0], k))
-                else:
-                    vec.pop(k, None)
-            for k, pv in pexpr.items():
-                s = expr.get(k, 0) - val * pv
-                if s:
-                    expr[k] = s
-                else:
-                    expr.pop(k, None)
-        if not vec:
-            return expr
-        pivot = None
-        for c, v in vec.items():
-            if v == 1 or v == -1:
-                pivot = c
-                break
-        if pivot is None:
-            pivot = next(iter(vec))
-        lead = vec[pivot]
-        if lead == -1:
-            vec = {k: -v for k, v in vec.items()}
-            expr = {k: -v for k, v in expr.items()}
-        elif lead != 1:
-            inv = Fraction(1) / lead
-            vec = {k: _plain(v * inv) for k, v in vec.items()}
-            expr = {k: _plain(v * inv) for k, v in expr.items()}
-        self.pivots[pivot] = (self._clock, vec, expr)
-        self._clock += 1
-        return None
-
-    def add(self, vec: dict) -> bool:
-        """Insert without tracking; True when vec enlarged the span."""
-        return self.insert(vec, {}) is None
-
-
-def _plain(value):
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return int(value)
-    return value
-
-
 class _FlatResolver:
     """Sparse syzygy engine over flat coordinates copy*dim + basis_index.
 
@@ -451,7 +366,7 @@ class _FlatResolver:
         self.non_idem = [m for m in range(d) if m not in self.idem]
         act: list[dict] = [{} for _ in range(d)]
         for (i, j), row in a.mult.items():
-            act[i][j] = tuple((k, _plain(c)) for k, c in row.items())
+            act[i][j] = tuple((k, plain(c)) for k, c in row.items())
         self.act = act
 
     def apply(self, b: int, vec: dict) -> dict:
@@ -486,7 +401,7 @@ class _FlatResolver:
         local basis element m of copy i to b_m * gens[i].  Images split by
         target vertex, so each vertex keeps its own echelon.
         """
-        echelons = [_TrackedEchelon() for _ in self.proj_dim]
+        echelons = [TrackedEchelon() for _ in self.proj_dim]
         target_pos = self.target_pos
         kernel: list[dict] = []
         d = self.dim
@@ -503,7 +418,7 @@ class _FlatResolver:
         """Vertex-tagged minimal generators of the span of kernel vectors."""
         d = self.dim
         target_pos = self.target_pos
-        spans = [_TrackedEchelon() for _ in self.proj_dim]
+        spans = [TrackedEchelon() for _ in self.proj_dim]
         for vec in kernel:
             for b in self.non_idem:
                 image = self.apply(b, vec)
@@ -562,7 +477,7 @@ def _flatten_kernel(a: SCAlgebra, verts: list, kernel) -> list[dict]:
         coord_map.extend(base + m for m in by_vertex[pos[v]])
     out = []
     for vec in kernel:
-        out.append({coord_map[i]: _plain(c) for i, c in enumerate(vec) if c})
+        out.append({coord_map[i]: plain(c) for i, c in enumerate(vec) if c})
     return out
 
 

@@ -52,6 +52,11 @@ def test_min_poly_divides_and_annihilates():
     assert min_poly(RatMatrix.identity(3)) == IntPolynomial([-1, 1])
     jordan = RatMatrix([[1, 1], [0, 1]])
     assert min_poly(jordan) == IntPolynomial([1, -2, 1])
+    # degree below n: the lcm across start vectors is what assembles these
+    diagonal = RatMatrix([[2, 0, 0], [0, 2, 0], [0, 0, 3]])
+    assert min_poly(diagonal) == IntPolynomial([6, -5, 1])
+    mixed = RatMatrix([[1, 1, 0], [0, 1, 0], [0, 0, -1]])
+    assert min_poly(mixed) == IntPolynomial([1, -1, -1, 1])
 
 
 def test_profile_periodic_case():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from quiverlab.ratmat import RatMatrix, VecSpan, as_fraction, l1_norm, vector
+from quiverlab.ratmat import RatMatrix, TrackedEchelon, VecSpan, as_fraction, l1_norm, vector
 
 
 def mat(rows):
@@ -129,3 +129,29 @@ def test_vecspan_rank_and_membership():
     assert span.rank == 2
     assert span.contains(vector([1, 0, -1]))
     assert not span.contains(vector([0, 0, 1]))
+
+
+def test_tracked_echelon_reports_relations():
+    echelon = TrackedEchelon()
+    assert echelon.insert({0: 2, 1: 4}, {"u": 1}) is None
+    assert echelon.insert({1: 3, 2: -1}, {"v": 1}) is None
+    # w = u/2 + v, so the exact relation w - u/2 - v comes back
+    relation = echelon.insert({0: 1, 1: 5, 2: -1}, {"w": 1})
+    assert relation == {"w": 1, "u": Fraction(-1, 2), "v": -1}
+    assert echelon.add({0: 3, 1: 6}) is False
+    assert echelon.add({2: 5}) is True
+    assert len(echelon.pivots) == 3
+
+
+def test_tracked_echelon_normalizes_pivots():
+    echelon = TrackedEchelon()
+    echelon.insert({0: 3, 1: -1}, {"u": 1})
+    echelon.insert({0: Fraction(4), 2: 2}, {"v": 1})
+    rows = echelon.rows()
+    # a -1 entry is preferred as pivot and flipped to +1, keeping ints
+    assert rows[0] == {0: -3, 1: 1}
+    assert echelon.pivots[1][2] == {"u": -1}
+    # with no unit entry the first coordinate is scaled to 1
+    assert rows[1] == {0: 1, 2: Fraction(1, 2)}
+    assert type(rows[1][0]) is int
+    assert echelon.pivots[0][2] == {"v": Fraction(1, 4)}

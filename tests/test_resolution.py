@@ -18,11 +18,13 @@ import pytest
 
 from quiverlab import (
     BasisElement,
+    CanonicalSpec,
     ComplexityEstimate,
     RatMatrix,
     RepModule,
     ResolutionTrace,
     SCAlgebra,
+    canonical_algebra,
     combine_estimates,
     complexity_estimate,
     global_complexity_estimate,
@@ -181,9 +183,34 @@ def test_dense_and_sparse_engines_agree():
             assert sparse == dense
 
 
-def test_sparse_dispatch_applies_to_extensions():
-    ta = trivial_extension(path_algebra(path_quiver(2)))
-    assert res_mod._radical_is_arrow_span(ta, jacobson_radical(ta))
+def canonical_237():
+    return canonical_algebra(CanonicalSpec((2, 3, 7), (1,)))
+
+
+BUILDERS = {
+    "A2": lambda: path_algebra(path_quiver(2)),
+    "A3": lambda: path_algebra(path_quiver(3)),
+    "kron3": lambda: path_algebra(multi_kronecker(3)),
+    "gentle": gentle_two_loop,
+    "canonical-237": canonical_237,
+}
+DISPATCH_CASES = [("A2", True)] + [
+    (name, extend)
+    for name in ("A3", "kron3", "gentle", "canonical-237")
+    for extend in (False, True)
+]
+
+
+@pytest.mark.parametrize(
+    "name, extend",
+    DISPATCH_CASES,
+    ids=[f"{name}-{'trivext' if extend else 'base'}" for name, extend in DISPATCH_CASES],
+)
+def test_sparse_dispatch_applies_to_extensions(name, extend):
+    a = BUILDERS[name]()
+    if extend:
+        a = trivial_extension(a)
+    assert res_mod._radical_is_arrow_span(a, jacobson_radical(a))
 
 
 def dual_numbers_on_unadapted_basis():
@@ -205,6 +232,51 @@ def test_dense_fallback_through_dispatch():
     assert trace.betti == (2,) * 6
     assert trace.truncated_by == "steps-exhausted"
     assert res_mod.resolve_simple_modules(a, steps=6) == [trace]
+
+
+def rebased_gentle_two_loop():
+    """gentle_two_loop() with its basis element b1 replaced by e1 + b1."""
+    a = gentle_two_loop()
+    e1, b1 = a.index_of("e1"), a.index_of("b1")
+
+    def expand(k):
+        return {e1: Fraction(1), b1: Fraction(1)} if k == b1 else {k: Fraction(1)}
+
+    def rewrite(element):
+        out = dict(element)
+        if out.get(b1):
+            out[e1] = out.get(e1, 0) - out[b1]
+        return out
+
+    mult = {
+        (i, j): rewrite(a.multiply(expand(i), expand(j)))
+        for i in range(a.dim)
+        for j in range(a.dim)
+    }
+    return SCAlgebra(a.vertices, a.basis, a.idempotents, mult)
+
+
+def test_two_vertex_basis_not_adapted_to_radical():
+    a = rebased_gentle_two_loop()
+    a.verify()
+    rad = jacobson_radical(a)
+    assert len(rad) == 6
+    assert not res_mod._radical_is_arrow_span(a, rad)
+    traces = res_mod.resolve_simple_modules(a, steps=6)
+    assert [t.betti for t in traces] == [(2,) * 6, (6, 8, 6, 6, 6, 6)]
+    assert traces == res_mod.resolve_simple_modules(gentle_two_loop(), steps=6)
+
+
+def test_radical_check_refuses_a_one_sided_candidate():
+    a = path_algebra(path_quiver(2))
+    e1 = tuple(Fraction(int(k == a.idempotents[0])) for k in range(a.dim))
+    with pytest.raises(RuntimeError, match="not a two-sided ideal"):
+        res_mod._verify_nilpotent_ideal(a, [e1])
+
+
+def test_radical_check_refuses_a_non_nilpotent_candidate():
+    with pytest.raises(RuntimeError, match="not nilpotent"):
+        res_mod._verify_nilpotent_ideal(point_algebra(), [(Fraction(1),)])
 
 
 def test_resolve_simple_modules_computes_one_radical(monkeypatch):
