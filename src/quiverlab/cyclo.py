@@ -73,7 +73,10 @@ def min_poly(m: RatMatrix) -> IntPolynomial:
     """Minimal polynomial as the lcm of the local ones along Krylov chains.
 
     The chain of e_start inserts M^k e_start as {k: 1}; the first relation
-    that comes back is the local minimal polynomial of e_start.
+    that comes back is the local minimal polynomial of e_start.  A second
+    echelon spans every Krylov vector so far.  That span is M-invariant and
+    annihilated by the lcm found so far, so a unit vector inside it adds
+    nothing and is skipped, and the search ends once the span is everything.
     """
     if not m.is_square:
         raise ValueError("minimal polynomial requires a square matrix")
@@ -81,7 +84,12 @@ def min_poly(m: RatMatrix) -> IntPolynomial:
     if n == 0:
         return IntPolynomial.one()
     result = IntPolynomial.one()
+    span = TrackedEchelon()
     for start in range(n):
+        if len(span.pivots) == n:
+            break
+        if not span.add({start: Fraction(1)}):
+            continue
         chain = TrackedEchelon()
         vec = [Fraction(0)] * n
         vec[start] = Fraction(1)
@@ -93,6 +101,8 @@ def min_poly(m: RatMatrix) -> IntPolynomial:
             vec = m.apply(vec)
         if result.degree == n:
             break
+        for row in chain.rows():
+            span.add(dict(row))
     return result
 
 
@@ -139,12 +149,14 @@ def cyclotomic_profile(m: RatMatrix) -> CycloProfile:
     big_l = math.lcm(*(d for d, _ in orders))
     n_wit = big_l // math.gcd(big_l, 2)
     l_wit = max(mult for _, mult in orders)
-    power = m ** (2 * n_wit)
+    # 2 n_wit is L for even L and 2L for odd L, so one power of M serves both
+    power_l = m ** big_l
+    power = power_l if big_l % 2 == 0 else power_l * power_l
     shifted = power - RatMatrix.identity(m.rows)
     if not (shifted ** l_wit).is_zero():
         raise RuntimeError("witness verification failed; inconsistent exact arithmetic")
     period = big_l if periodic else None
-    if periodic and not (m ** big_l).is_identity():
+    if periodic and not power_l.is_identity():
         raise RuntimeError("period verification failed; inconsistent exact arithmetic")
     return CycloProfile(True, orders, periodic, period, (n_wit, l_wit))
 

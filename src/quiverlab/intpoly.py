@@ -214,18 +214,40 @@ def euler_phi(n: int) -> int:
     return result
 
 
+def _exact_quotient(num: list[int], den: tuple[int, ...]) -> list[int] | None:
+    """num / den in integers for a monic den, or None if it leaves a remainder."""
+    dd = len(den) - 1
+    rem = list(num)
+    quotient = [0] * max(len(rem) - dd, 0)
+    for i in range(len(rem) - dd - 1, -1, -1):
+        coeff = rem[i + dd]
+        if coeff:
+            quotient[i] = coeff
+            for j in range(dd):
+                if den[j]:
+                    rem[i + j] -= coeff * den[j]
+    if any(rem[:dd]):
+        return None
+    return quotient
+
+
+@functools.lru_cache(maxsize=None)
+def _cyclotomic_coeffs(d: int) -> tuple[int, ...]:
+    """Integer coefficients of Phi_d, by exact division of x^d - 1."""
+    numerator = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            numerator = _exact_quotient(numerator, _cyclotomic_coeffs(e))
+            assert numerator is not None
+    return tuple(numerator)
+
+
 @functools.lru_cache(maxsize=None)
 def cyclotomic_poly(d: int) -> IntPolynomial:
     """d-th cyclotomic polynomial, by exact division of x^d - 1."""
     if d < 1:
         raise ValueError("cyclotomic index must be >= 1")
-    numerator = IntPolynomial((-1,) + (0,) * (d - 1) + (1,))
-    for e in range(1, d):
-        if d % e == 0:
-            quotient, rem = divmod(numerator, cyclotomic_poly(e))
-            assert rem.is_zero
-            numerator = quotient
-    return numerator
+    return IntPolynomial(_cyclotomic_coeffs(d))
 
 
 def cyclotomic_factorization(p: IntPolynomial) -> tuple[tuple[int, int], ...] | None:
@@ -233,30 +255,32 @@ def cyclotomic_factorization(p: IntPolynomial) -> tuple[tuple[int, int], ...] | 
 
     Returns ((d, multiplicity), ...) sorted by d when p is exactly such a
     product. Trial-divides by Phi_d for every d whose totient can still fit.
+    p is monic and integral and so is every Phi_d, so the division runs in
+    Python integers.
     """
     if p.is_zero or not p.is_monic:
         raise ValueError("cyclotomic factorization expects a monic polynomial")
     if not p.is_integral:
         return None
-    remaining = p
+    remaining = [int(c) for c in p.coeffs]
     found: list[tuple[int, int]] = []
-    n = p.degree
-    # phi(d) >= sqrt(d/2), so phi(d) <= n forces d <= 2n^2
-    for d in range(1, 2 * n * n + 2):
-        if remaining.degree == 0:
-            break
-        if euler_phi(d) > remaining.degree:
+    d = 0
+    while len(remaining) > 1:
+        d += 1
+        degree = len(remaining) - 1
+        # phi(d) >= sqrt(d/2), so phi(d) <= degree forces d <= 2 degree^2
+        if d > 2 * degree * degree:
+            return None
+        if euler_phi(d) > degree:
             continue
-        phi_d = cyclotomic_poly(d)
+        phi_d = _cyclotomic_coeffs(d)
         mult = 0
         while True:
-            quotient, rem = divmod(remaining, phi_d)
-            if not rem.is_zero:
+            quotient = _exact_quotient(remaining, phi_d)
+            if quotient is None:
                 break
             remaining = quotient
             mult += 1
         if mult:
             found.append((d, mult))
-    if remaining.degree != 0:
-        return None
     return tuple(found)

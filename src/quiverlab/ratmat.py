@@ -221,12 +221,20 @@ class RatMatrix:
             if pivot is None:
                 continue
             work[r], work[pivot] = work[pivot], work[r]
-            inv = 1 / work[r][col]
-            work[r] = [x * inv for x in work[r]]
+            prow = work[r]
+            # rows from r on vanish left of col, so the update touches only
+            # the pivot row's nonzero columns from col on
+            support = [k for k in range(col, ncols) if prow[k]]
+            inv = 1 / prow[col]
+            if inv != 1:
+                for k in support:
+                    prow[k] *= inv
             for i in range(nrows):
-                if i != r and work[i][col]:
-                    f = work[i][col]
-                    work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+                row = work[i]
+                f = row[col]
+                if f and i != r:
+                    for k in support:
+                        row[k] -= f * prow[k]
             pivots.append(col)
             r += 1
         return RatMatrix(work), tuple(pivots)

@@ -139,13 +139,15 @@ class SCAlgebra:
                 if bk.degree != bi.degree + bj.degree:
                     raise ValueError(
                         f"product {bi.label!r}*{bj.label!r} breaks degree additivity")
+        # a triple can only fail where b_i*b_j or b_j*b_k is nonzero
+        right_of: list[list[int]] = [[] for _ in range(dim)]
+        for j, k in sorted(self.mult):
+            right_of[j].append(k)
         for i in range(dim):
             for j in range(dim):
                 ij = self.mult.get((i, j))
-                for k in range(dim):
+                for k in range(dim) if ij else right_of[j]:
                     jk = self.mult.get((j, k))
-                    if not ij and not jk:
-                        continue
                     left = self.multiply(ij or {}, {k: one})
                     right = self.multiply({i: one}, jk or {})
                     if left != right:

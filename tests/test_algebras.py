@@ -195,3 +195,25 @@ def test_scalgebra_rejects_bad_table():
     }
     with pytest.raises(ValueError, match="unit law"):
         SCAlgebra(verts, basis, (0,), mult).verify()
+
+
+@pytest.mark.parametrize("extra, triple", [
+    # x*w = w, yet x*x = 0: the first failing triple has b_i*b_j = 0
+    ({(2, 2): {3: 1}, (1, 3): {3: 1}}, "('x', 'x', 'w')"),
+    # w*x = w, yet y*x = 0: the first failing triple has b_j*b_k = 0
+    ({(2, 2): {3: 1}, (3, 1): {3: 1}}, "('y', 'y', 'x')"),
+])
+def test_scalgebra_reports_first_non_associative_triple(extra, triple):
+    verts = ("v",)
+    basis = (
+        BasisElement("e", "v", "v"),
+        BasisElement("x", "v", "v"),
+        BasisElement("y", "v", "v", 1),
+        BasisElement("w", "v", "v", 2),
+    )
+    mult = {(0, k): {k: 1} for k in range(4)}
+    mult.update({(k, 0): {k: 1} for k in range(4)})
+    mult.update(extra)
+    with pytest.raises(ValueError) as err:
+        SCAlgebra(verts, basis, (0,), mult).verify()
+    assert str(err.value) == f"associativity fails on {triple}"

@@ -5,6 +5,7 @@ Profiles are frozen from hand computations: the A2 Coxeter matrix has order
 three; the Kronecker one is unipotent with nilpotency degree two.
 """
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,9 @@ from quiverlab.cyclo import (
     spectral_radius,
 )
 from quiverlab.intpoly import IntPolynomial
-from quiverlab.ratmat import RatMatrix
+from quiverlab.quiver import cartan_path_algebra, coxeter_matrix
+from quiverlab.ratmat import RatMatrix, VecSpan
+from conftest import star_quiver
 
 
 PHI_A2 = RatMatrix([[0, -1], [1, -1]])
@@ -57,6 +60,91 @@ def test_min_poly_divides_and_annihilates():
     assert min_poly(diagonal) == IntPolynomial([6, -5, 1])
     mixed = RatMatrix([[1, 1, 0], [0, 1, 0], [0, 0, -1]])
     assert min_poly(mixed) == IntPolynomial([1, -1, -1, 1])
+
+
+def _unit(n, s):
+    return tuple(Fraction(int(k == s)) for k in range(n))
+
+
+def _min_poly_reference(m):
+    """lcm over every unit vector e_s of the first relation on e_s, M e_s, ..."""
+    n = m.rows
+    result = IntPolynomial.one()
+    for s in range(n):
+        chain = [_unit(n, s)]
+        span = VecSpan(n)
+        while span.add(chain[-1]):
+            chain.append(m.apply(chain[-1]))
+        coeffs = RatMatrix.from_columns(chain[:-1]).solve(chain[-1])
+        local = IntPolynomial([-c for c in coeffs] + [1])
+        result = result.lcm(local)
+    return result
+
+
+def _random_matrix(rng, n):
+    return RatMatrix(
+        [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.7 else 0
+          for _ in range(n)] for _ in range(n)])
+
+
+def _conjugated_repeated_blocks(rng, n):
+    """U diag(B, B, C) U^-1 for a unimodular U, so deg min_poly < n."""
+    b = rng.randint(1, n // 2)
+    block = _random_matrix(rng, b)
+    rest = _random_matrix(rng, n - 2 * b)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for off, blk in ((0, block), (b, block), (2 * b, rest)):
+        for i in range(blk.rows):
+            for j in range(blk.cols):
+                rows[off + i][off + j] = blk[i, j]
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        s = rng.choice((1, -1))
+        u[i] = [a + s * c for a, c in zip(u[i], u[j])]
+    u = RatMatrix(u)
+    return u * RatMatrix(rows) * u.inverse()
+
+
+def test_min_poly_matches_every_chain_reference():
+    rng = random.Random(20261018)
+    low_degree = 0
+    for trial in range(200):
+        n = rng.randint(1, 7)
+        if trial % 2 and n > 1:
+            m = _conjugated_repeated_blocks(rng, n)
+        else:
+            m = _random_matrix(rng, n)
+        expected = _min_poly_reference(m)
+        assert min_poly(m) == expected
+        low_degree += expected.degree < n
+    # the repeated blocks must really exercise the skipped chains
+    assert low_degree >= 60
+    # Phi(D4): a later unit vector falls outside the first chain's span
+    phi = coxeter_matrix(cartan_path_algebra(star_quiver((1, 1, 1))))
+    first = VecSpan(4)
+    vec = _unit(4, 0)
+    while first.add(vec):
+        vec = phi.apply(vec)
+    assert not all(first.contains(_unit(4, s)) for s in range(1, 4))
+    # Coxeter polynomial (x + 1)(x^3 + 1), minimal polynomial Phi_2 Phi_6
+    assert min_poly(phi) == _min_poly_reference(phi) == IntPolynomial([1, 0, 0, 1])
+
+
+def test_min_poly_stops_once_its_chains_span(monkeypatch):
+    # Phi(D40) has a minimal polynomial of degree n - 1, so one chain never
+    # settles it; a run over all n unit-vector chains makes 1559 products
+    phi = coxeter_matrix(cartan_path_algebra(star_quiver((1, 1, 37))))
+    calls = []
+    apply = RatMatrix.apply
+
+    def counted(self, vec):
+        calls.append(1)
+        return apply(self, vec)
+
+    monkeypatch.setattr(RatMatrix, "apply", counted)
+    assert min_poly(phi).degree == phi.rows - 1
+    assert len(calls) <= 4 * phi.rows
 
 
 def test_profile_periodic_case():

@@ -125,6 +125,14 @@ def test_cyclotomic_factorization_tables():
     assert cyclotomic_factorization(poly(1, 1, 1) * poly(-1, 1)) == ((1, 1), (3, 1))
     assert cyclotomic_factorization(poly(1, -7, 1)) is None
     assert cyclotomic_factorization(poly(2, 1)) is None
+    phi1, phi2, phi6 = poly(-1, 1), poly(1, 1), poly(1, -1, 1)
+    assert cyclotomic_factorization(phi1 ** 2 * phi2 * phi6 ** 3) == ((1, 2), (2, 1), (6, 3))
+    # Coxeter polynomial of A60: 1 + x + ... + x^60 = Phi_61
+    assert cyclotomic_factorization(poly(*[1] * 61)) == ((61, 1),)
+    lehmer = poly(1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
+    assert cyclotomic_factorization(lehmer) is None
+    with pytest.raises(ValueError):
+        cyclotomic_factorization(poly(1, 2))
 
 
 def test_eval_matrix_on_companion_block():

@@ -101,6 +101,10 @@ def test_inverse_and_solve():
     sol = m.solve(vector([3, 2]))
     assert m.apply(sol) == vector([3, 2])
     assert mat([[1, 2], [2, 4]]).solve(vector([1, 0])) is None
+    # I - N of A12 (N[i+1][i] = 1) inverts to the path counts, ones on and below the diagonal
+    n = 12
+    unitriangular = mat([[int(i == j) - int(i == j + 1) for j in range(n)] for i in range(n)])
+    assert unitriangular.inverse() == mat([[int(i >= j) for j in range(n)] for i in range(n)])
 
 
 def test_singular_inverse_raises():
