@@ -2,8 +2,8 @@
 
 Everything that feeds a decision elsewhere in the package (definiteness,
 kernels, matrix identities) goes through this module, so there is no
-floating point anywhere below.  VecSpan and TrackedEchelon grow echelon
-bases of dense and of sparse vectors.
+floating point anywhere below.  TrackedEchelon grows an echelon basis of
+sparse vectors.
 """
 from __future__ import annotations
 
@@ -287,47 +287,6 @@ class RatMatrix:
     def _check_same_shape(self, other: "RatMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
-
-
-class VecSpan:
-    """Growing echelon basis for a set of dense rational vectors."""
-
-    def __init__(self, length: int):
-        self.length = length
-        self._pivots: dict[int, list[Fraction]] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self._pivots)
-
-    def reduce(self, vec: Sequence) -> list[Fraction]:
-        out = [as_fraction(v) for v in vec]
-        if len(out) != self.length:
-            raise ValueError("vector length mismatch")
-        for j in sorted(self._pivots):
-            if out[j]:
-                f = out[j]
-                pivot_vec = self._pivots[j]
-                for k in range(self.length):
-                    if pivot_vec[k]:
-                        out[k] -= f * pivot_vec[k]
-        return out
-
-    def add(self, vec: Sequence) -> bool:
-        """Insert vec; True when it enlarges the span."""
-        reduced = self.reduce(vec)
-        lead = next((j for j, v in enumerate(reduced) if v), None)
-        if lead is None:
-            return False
-        inv = 1 / reduced[lead]
-        self._pivots[lead] = [v * inv for v in reduced]
-        return True
-
-    def contains(self, vec: Sequence) -> bool:
-        return all(not v for v in self.reduce(vec))
-
-    def basis(self) -> list[Vector]:
-        return [tuple(self._pivots[j]) for j in sorted(self._pivots)]
 
 
 class TrackedEchelon:

@@ -3,11 +3,10 @@
 Modules over a structure-constant algebra are dense rational matrix
 representations.  Resolutions iterate projective covers and exact syzygy
 computations, one simple module after another, with the Jacobson radical
-computed once per algebra and shared by every resolution.  When the basis is
-adapted to the radical (rad(A) is spanned by the non-idempotent basis
-elements) the sparse engine tracks syzygies in flat coordinates, which keeps
-the large trivial-extension runs tractable; the dense engine resolves any
-other basic algebra and serves the tests as the oracle for the sparse one.
+computed once per algebra and shared by every resolution.  One sparse engine
+tracks syzygies in flat coordinates; it needs a basis adapted to the radical
+(rad(A) spanned by the non-idempotent basis elements), so any other basic
+algebra is first rewritten on such a basis together with the module.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fitting import EXPONENTIAL_SLOPE_THRESHOLD, LOGLOG_RESIDUAL_THRESHOLD, fit_line
-from .ratmat import RatMatrix, TrackedEchelon, VecSpan, plain
+from .ratmat import RatMatrix, TrackedEchelon, plain
 from .scalgebra import SCAlgebra
 
 TRUNCATION_REASONS = ("steps-exhausted", "dimension-cap", "resolution-terminated")
@@ -203,6 +202,10 @@ def _unit_vector(index: int, length: int) -> list[Fraction]:
     return vec
 
 
+def _sparse(vec) -> dict:
+    return {k: c for k, c in enumerate(vec) if c}
+
+
 def _source_coords(a: SCAlgebra) -> list[list[int]]:
     pos = {v: p for p, v in enumerate(a.vertices)}
     out: list[list[int]] = [[] for _ in a.vertices]
@@ -239,7 +242,7 @@ def _projective_sum(a: SCAlgebra, verts: list) -> RepModule:
 
 def _top_lift(a: SCAlgebra, module: RepModule, rad) -> list[tuple]:
     """Vertex-tagged vectors lifting a basis of module / rad*module."""
-    covered = VecSpan(module.dim)
+    covered = TrackedEchelon()
     for r in rad:
         action = None
         for m, c in enumerate(r):
@@ -248,15 +251,15 @@ def _top_lift(a: SCAlgebra, module: RepModule, rad) -> list[tuple]:
                 action = term if action is None else action + term
         if action is not None:
             for col in action.columns():
-                covered.add(col)
+                covered.add(_sparse(col))
     gens = []
     for p, v in enumerate(a.vertices):
         act = module.actions[a.idempotents[p]]
         for k in range(module.dim):
             col = act.column(k)
-            if covered.add(col):
+            if covered.add(_sparse(col)):
                 gens.append((v, col))
-    if covered.rank != module.dim:
+    if len(covered.pivots) != module.dim:
         raise RuntimeError("projective cover lifting failed")
     return gens
 
@@ -275,23 +278,17 @@ def _cover_data(a: SCAlgebra, module: RepModule, rad):
     return cover, verts
 
 
-def _radical_span_dense(a: SCAlgebra, rad, verts: list) -> VecSpan:
+def _radical_span(a: SCAlgebra, rad, verts: list) -> TrackedEchelon:
     """Span of rad*P inside the flat coordinates of a projective sum."""
     by_vertex = _source_coords(a)
     pos = {v: p for p, v in enumerate(a.vertices)}
-    blocks = [by_vertex[pos[v]] for v in verts]
-    total = sum(len(block) for block in blocks)
-    span = VecSpan(total)
+    span = TrackedEchelon()
     offset = 0
-    for block in blocks:
+    for v in verts:
+        block = by_vertex[pos[v]]
         for r in rad:
-            vec = [Fraction(0)] * total
-            hit = False
-            for i, m in enumerate(block):
-                if r[m]:
-                    vec[offset + i] = r[m]
-                    hit = True
-            if hit:
+            vec = {offset + i: r[m] for i, m in enumerate(block) if r[m]}
+            if vec:
                 span.add(vec)
         offset += len(block)
     return span
@@ -315,36 +312,11 @@ def projective_cover(a: SCAlgebra, module: RepModule, rad=None):
     kernel = matrix.kernel_basis()
     if len(kernel) != proj.dim - module.dim:
         raise RuntimeError("projective cover is not surjective")
-    rad_span = _radical_span_dense(a, rad, verts)
+    rad_span = _radical_span(a, rad, verts)
     for vec in kernel:
-        if not rad_span.contains(vec):
+        if rad_span.add(_sparse(vec)):
             raise RuntimeError("cover kernel escapes the radical")
     return proj, matrix
-
-
-def _kernel_submodule(a: SCAlgebra, ambient: RepModule, kernel) -> RepModule:
-    """The syzygy as an abstract module on the kernel basis.
-
-    `kernel_basis` gives each vector a 1 at its own free column, where the
-    other vectors vanish, so coordinates are read off those unit rows; the
-    identity basis * coords == action * basis is then checked exactly.
-    """
-    basis = RatMatrix.from_columns(kernel)
-    k = len(kernel)
-    unit_rows: dict[int, int] = {}
-    for r, row in enumerate(basis.entries()):
-        support = [j for j, c in enumerate(row) if c]
-        if len(support) == 1 and row[support[0]] == 1:
-            unit_rows.setdefault(support[0], r)
-    rows = [unit_rows[j] for j in range(k)]
-    actions = []
-    for b in range(a.dim):
-        image = ambient.actions[b] * basis
-        coords = RatMatrix([image.row(r) for r in rows])
-        if basis * coords != image:
-            raise RuntimeError("syzygy is not closed under the algebra action")
-        actions.append(coords)
-    return RepModule(a, k, tuple(actions))
 
 
 class _FlatResolver:
@@ -443,6 +415,51 @@ def _radical_is_arrow_span(a: SCAlgebra, rad) -> bool:
     return all(not vec[m] for vec in rad for m in idem)
 
 
+def _rebase_to_radical(a: SCAlgebra, module: RepModule, rad):
+    """The algebra, module and radical on the basis b' = b - sum_v S_v(b) e_v.
+
+    S_v(b) is the scalar by which b acts on the simple at vertex v, so every
+    non-idempotent b' acts as zero on every simple and lies in the radical.
+    Labels, endpoints and idempotents are kept; Betti numbers do not depend
+    on the basis.
+    """
+    idem = set(a.idempotents)
+    scalars = [
+        (e, [act[0, 0] for act in simple.actions])
+        for e, simple in zip(a.idempotents, simple_modules(a, rad))
+    ]
+
+    def expand(k: int) -> dict:
+        """b'_k on the old basis."""
+        out = {k: Fraction(1)}
+        if k not in idem:
+            for e, scalar in scalars:
+                if scalar[k]:
+                    out[e] = -scalar[k]
+        return out
+
+    def rewrite(x: dict) -> dict:
+        """Old coordinates to new: e_v takes S_v(x), the others are kept."""
+        out = {k: c for k, c in x.items() if k not in idem}
+        for e, scalar in scalars:
+            out[e] = sum((c * scalar[k] for k, c in x.items()), Fraction(0))
+        return out
+
+    basis = [expand(k) for k in range(a.dim)]
+    mult = {
+        (i, j): rewrite(a.multiply(basis[i], basis[j]))
+        for i in range(a.dim)
+        for j in range(a.dim)
+    }
+    rebased = SCAlgebra(a.vertices, a.basis, a.idempotents, mult)
+    actions = []
+    for x in basis:
+        terms = [module.actions[m].scale(c) for m, c in x.items()]
+        actions.append(sum(terms[1:], terms[0]))
+    rad = [_unit_vector(m, a.dim) for m in range(a.dim) if m not in idem]
+    return rebased, RepModule(rebased, module.dim, tuple(actions)), rad
+
+
 def minimal_resolution(
     a: SCAlgebra, module: RepModule, steps: int = 40, dim_cap: int = 100000, rad=None
 ) -> ResolutionTrace:
@@ -462,9 +479,9 @@ def minimal_resolution(
         return ResolutionTrace((0,), "resolution-terminated")
     if rad is None:
         rad = jacobson_radical(a)
-    if _radical_is_arrow_span(a, rad):
-        return _sparse_resolution(a, module, steps, dim_cap, rad)
-    return _dense_resolution(a, module, steps, dim_cap, rad)
+    if not _radical_is_arrow_span(a, rad):
+        a, module, rad = _rebase_to_radical(a, module, rad)
+    return _sparse_resolution(a, module, steps, dim_cap, rad)
 
 
 def _flatten_kernel(a: SCAlgebra, verts: list, kernel) -> list[dict]:
@@ -509,32 +526,6 @@ def _sparse_resolution(a, module, steps, dim_cap, rad) -> ResolutionTrace:
                 raise RuntimeError("resolution step is not minimal")
         gens = engine.top_generators(kernel)
         dim = sum(engine.proj_dim[v] for v, _ in gens)
-        covered = syzygy
-
-
-def _dense_resolution(a, module, steps, dim_cap, rad) -> ResolutionTrace:
-    betti: list[int] = []
-    current = module
-    covered = module.dim
-    while True:
-        cover, verts = _cover_data(a, current, rad)
-        ambient = _projective_sum(a, verts)
-        betti.append(ambient.dim)
-        kernel = cover.kernel_basis()
-        if len(kernel) != ambient.dim - covered:
-            raise RuntimeError("syzygy dimension mismatch")
-        rad_span = _radical_span_dense(a, rad, verts)
-        for vec in kernel:
-            if not rad_span.contains(vec):
-                raise RuntimeError("resolution step is not minimal")
-        syzygy = len(kernel)
-        if syzygy == 0:
-            return ResolutionTrace((*betti, 0), "resolution-terminated")
-        if len(betti) >= steps:
-            return ResolutionTrace(tuple(betti), "steps-exhausted")
-        if syzygy > dim_cap:
-            return ResolutionTrace(tuple(betti), "dimension-cap")
-        current = _kernel_submodule(a, ambient, kernel)
         covered = syzygy
 
 

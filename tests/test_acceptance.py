@@ -33,8 +33,16 @@ from quiverlab import (
 )
 from quiverlab.fitting import fit_line
 
-import test_properties as props
-from conftest import gentle_two_loop, multi_kronecker, path_quiver, star_quiver
+from conftest import (
+    builder_outputs,
+    check_cayley_hamilton_on_random_rational_matrices,
+    check_profile_is_a_conjugation_invariant,
+    gentle_two_loop,
+    multi_kronecker,
+    path_quiver,
+    star_quiver,
+    walk_and_check_minimality,
+)
 
 
 @contextmanager
@@ -213,14 +221,14 @@ def test_criterion_8_complexity_trichotomy(capsys):
 def test_criterion_9_property_suites(capsys):
     with report_line(capsys, "criterion 9 (property suites)"):
         # associativity of every builder output
-        for _, algebra in props.builder_outputs():
+        for _, algebra in builder_outputs():
             algebra.verify()
 
         # Cayley-Hamilton on 200 random 4x4 rational matrices
-        props.test_cayley_hamilton_on_random_rational_matrices()
+        check_cayley_hamilton_on_random_rational_matrices()
 
         # profile invariance under 100 random unimodular conjugations
-        props.test_profile_is_a_conjugation_invariant()
+        check_profile_is_a_conjugation_invariant()
 
         # minimality ker within rad*P: the resolution engine checks this at
         # every step it takes (criterion 8 above completed, so every one of
@@ -228,8 +236,8 @@ def test_criterion_9_property_suites(capsys):
         # algebras, full depth for the small ones
         for n in (2, 3):
             ta = trivial_extension(path_algebra(path_quiver(n)))
-            assert props.walk_and_check_minimality(ta, steps=40) == 40 * n
+            assert walk_and_check_minimality(ta, steps=40) == 40 * n
         ta = trivial_extension(path_algebra(multi_kronecker(2)))
-        assert props.walk_and_check_minimality(ta, steps=8) == 16
+        assert walk_and_check_minimality(ta, steps=8) == 16
         ta = trivial_extension(path_algebra(multi_kronecker(3)))
-        assert props.walk_and_check_minimality(ta, steps=3) == 6
+        assert walk_and_check_minimality(ta, steps=3) == 6

@@ -19,7 +19,7 @@ from quiverlab.cyclo import (
 )
 from quiverlab.intpoly import IntPolynomial
 from quiverlab.quiver import cartan_path_algebra, coxeter_matrix
-from quiverlab.ratmat import RatMatrix, VecSpan
+from quiverlab.ratmat import RatMatrix
 from conftest import star_quiver
 
 
@@ -66,15 +66,20 @@ def _unit(n, s):
     return tuple(Fraction(int(k == s)) for k in range(n))
 
 
+def _chain(m, vec):
+    """vec, M vec, ... up to the first vector in the span of the earlier ones."""
+    chain = [vec]
+    while RatMatrix.from_columns(chain).rank() == len(chain):
+        chain.append(m.apply(chain[-1]))
+    return chain
+
+
 def _min_poly_reference(m):
     """lcm over every unit vector e_s of the first relation on e_s, M e_s, ..."""
     n = m.rows
     result = IntPolynomial.one()
     for s in range(n):
-        chain = [_unit(n, s)]
-        span = VecSpan(n)
-        while span.add(chain[-1]):
-            chain.append(m.apply(chain[-1]))
+        chain = _chain(m, _unit(n, s))
         coeffs = RatMatrix.from_columns(chain[:-1]).solve(chain[-1])
         local = IntPolynomial([-c for c in coeffs] + [1])
         result = result.lcm(local)
@@ -122,11 +127,8 @@ def test_min_poly_matches_every_chain_reference():
     assert low_degree >= 60
     # Phi(D4): a later unit vector falls outside the first chain's span
     phi = coxeter_matrix(cartan_path_algebra(star_quiver((1, 1, 1))))
-    first = VecSpan(4)
-    vec = _unit(4, 0)
-    while first.add(vec):
-        vec = phi.apply(vec)
-    assert not all(first.contains(_unit(4, s)) for s in range(1, 4))
+    first = RatMatrix.from_columns(_chain(phi, _unit(4, 0))[:-1])
+    assert not all(first.solve(_unit(4, s)) is not None for s in range(1, 4))
     # Coxeter polynomial (x + 1)(x^3 + 1), minimal polynomial Phi_2 Phi_6
     assert min_poly(phi) == _min_poly_reference(phi) == IntPolynomial([1, 0, 0, 1])
 

@@ -6,22 +6,15 @@ covers are minimal in the kernel sense when the resolution is re-derived
 from scratch with independent linear algebra.
 """
 import random
-from fractions import Fraction
 
 import pytest
 
 from quiverlab import (
-    CanonicalSpec,
     IntPolynomial,
-    RatMatrix,
-    RepModule,
-    canonical_algebra,
     cartan_path_algebra,
-    char_poly,
     classify_quiver,
     companion_matrix,
     coxeter_matrix,
-    cyclotomic_poly,
     cyclotomic_profile,
     growth_degree,
     jacobson_radical,
@@ -32,25 +25,21 @@ from quiverlab import (
     trivial_extension,
     vector,
 )
-from quiverlab.ratmat import VecSpan
 
-from conftest import gentle_two_loop, multi_kronecker, path_quiver, star_quiver
+from conftest import (
+    builder_outputs,
+    check_cayley_hamilton_on_random_rational_matrices,
+    check_profile_is_a_conjugation_invariant,
+    multi_kronecker,
+    path_quiver,
+    random_unimodular,
+    star_quiver,
+    submodule_on_kernel,
+    walk_and_check_minimality,
+)
 
 
 # --- associativity of every builder output ------------------------------------
-
-def builder_outputs():
-    yield "path-A4", path_algebra(path_quiver(4))
-    yield "path-kronecker", path_algebra(multi_kronecker(2))
-    yield "path-3kronecker", path_algebra(multi_kronecker(3))
-    yield "path-star", path_algebra(star_quiver((1, 2, 2)))
-    yield "gentle", gentle_two_loop()
-    yield "canonical-222", canonical_algebra(CanonicalSpec((2, 2, 2), (Fraction(1),)))
-    yield "canonical-235", canonical_algebra(CanonicalSpec((2, 3, 5), (Fraction(1),)))
-    yield "trivext-A2", trivial_extension(path_algebra(path_quiver(2)))
-    yield "trivext-kronecker", trivial_extension(path_algebra(multi_kronecker(2)))
-    yield "trivext-gentle", trivial_extension(gentle_two_loop())
-
 
 @pytest.mark.parametrize(
     "algebra", [a for _, a in builder_outputs()], ids=[n for n, _ in builder_outputs()]
@@ -62,53 +51,13 @@ def test_builder_tables_satisfy_all_algebra_laws(algebra):
 # --- Cayley-Hamilton on random rational matrices --------------------------------
 
 def test_cayley_hamilton_on_random_rational_matrices():
-    rng = random.Random(20260816)
-    zero = RatMatrix.zeros(4, 4)
-    for _ in range(200):
-        m = RatMatrix(
-            [
-                [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)]
-                for _ in range(4)
-            ]
-        )
-        assert char_poly(m).eval_matrix(m) == zero
+    check_cayley_hamilton_on_random_rational_matrices()
 
 
 # --- conjugation invariance of the cyclotomic profile ------------------------------
 
-def random_unimodular(rng: random.Random, n: int) -> RatMatrix:
-    """Product of integer shears and swaps; determinant is +-1."""
-    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for _ in range(6):
-        i, j = rng.sample(range(n), 2)
-        if rng.random() < 0.25:
-            rows[i], rows[j] = rows[j], rows[i]
-        else:
-            f = Fraction(rng.randint(-2, 2))
-            for c in range(n):
-                rows[i][c] += f * rows[j][c]
-    return RatMatrix(rows)
-
-
-CYCLOTOMIC_BLOCKS = [
-    cyclotomic_poly(1) * cyclotomic_poly(2),
-    cyclotomic_poly(3),
-    cyclotomic_poly(4) * cyclotomic_poly(1),
-    cyclotomic_poly(6) * cyclotomic_poly(2),
-    cyclotomic_poly(1) * cyclotomic_poly(1),
-    cyclotomic_poly(2) * cyclotomic_poly(2) * cyclotomic_poly(1),
-]
-
-
 def test_profile_is_a_conjugation_invariant():
-    rng = random.Random(0xC0C0)
-    for i in range(100):
-        block = CYCLOTOMIC_BLOCKS[i % len(CYCLOTOMIC_BLOCKS)]
-        m = companion_matrix(block)
-        base = cyclotomic_profile(m)
-        assert base.is_cyclotomic
-        u = random_unimodular(rng, m.rows)
-        assert cyclotomic_profile(u * m * u.inverse()) == base
+    check_profile_is_a_conjugation_invariant()
 
 
 def test_non_cyclotomic_profile_survives_conjugation():
@@ -122,74 +71,6 @@ def test_non_cyclotomic_profile_survives_conjugation():
 
 
 # --- minimality of projective covers, re-derived from scratch ------------------------
-
-def radical_action_span(module: RepModule, rad) -> VecSpan:
-    """Span of rad * module computed through the module's action matrices."""
-    span = VecSpan(module.dim)
-    for element in rad:
-        action = None
-        for m, c in enumerate(element):
-            if c:
-                term = module.actions[m].scale(c)
-                action = term if action is None else action + term
-        if action is not None:
-            for col in action.columns():
-                span.add(list(col))
-    return span
-
-
-def submodule_on_kernel(a, ambient: RepModule, kernel) -> RepModule:
-    """Restrict the ambient action to the span of the kernel vectors.
-
-    Coordinates are read off rows where the kernel basis is a unit vector
-    (the echelon structure guarantees such rows); the product identity
-    basis * coords == action * basis is then checked outright, so a wrong
-    row choice cannot slip through.
-    """
-    basis = RatMatrix.from_columns(kernel)
-    k = len(kernel)
-    unit_rows = []
-    for idx in range(k):
-        row = next(
-            r
-            for r in range(basis.rows)
-            if basis[r, idx] == 1
-            and all(basis[r, j] == 0 for j in range(k) if j != idx)
-        )
-        unit_rows.append(row)
-    actions = []
-    for b in range(a.dim):
-        image = ambient.actions[b] * basis
-        coords = RatMatrix([[image[r, j] for j in range(k)] for r in unit_rows])
-        if basis * coords != image:
-            raise AssertionError("kernel is not closed under the algebra action")
-        actions.append(coords)
-    return RepModule(a, k, tuple(actions))
-
-
-def walk_and_check_minimality(a, steps: int) -> int:
-    """Resolve every simple for `steps` covers, asserting ker within rad*P.
-
-    Returns the number of cover steps checked.
-    """
-    rad = jacobson_radical(a)
-    checked = 0
-    for simple in simple_modules(a):
-        current = simple
-        for _ in range(steps):
-            if current.dim == 0:
-                break
-            proj, cover = projective_cover(a, current, rad)
-            kernel = cover.kernel_basis()
-            rad_span = radical_action_span(proj, rad)
-            for vec in kernel:
-                assert rad_span.contains(list(vec))
-            checked += 1
-            if not kernel:
-                break
-            current = submodule_on_kernel(a, proj, kernel)
-    return checked
-
 
 def test_minimality_trivial_extension_a2_a3_full_depth():
     for n in (2, 3):

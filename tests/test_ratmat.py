@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from quiverlab.ratmat import RatMatrix, TrackedEchelon, VecSpan, as_fraction, l1_norm, vector
+from quiverlab.ratmat import RatMatrix, TrackedEchelon, as_fraction, l1_norm, vector
 
 
 def mat(rows):
@@ -123,16 +123,6 @@ def test_from_columns_round_trip():
     m = RatMatrix.from_columns([vector([1, 3]), vector([2, 4])])
     assert m == mat([[1, 2], [3, 4]])
     assert list(m.columns()) == [vector([1, 3]), vector([2, 4])]
-
-
-def test_vecspan_rank_and_membership():
-    span = VecSpan(3)
-    assert span.add(vector([1, 1, 0]))
-    assert span.add(vector([0, 1, 1]))
-    assert not span.add(vector([1, 2, 1]))
-    assert span.rank == 2
-    assert span.contains(vector([1, 0, -1]))
-    assert not span.contains(vector([0, 0, 1]))
 
 
 def test_tracked_echelon_reports_relations():

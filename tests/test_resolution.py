@@ -38,7 +38,7 @@ from quiverlab import (
     zero_module,
 )
 from quiverlab import resolution as res_mod
-from conftest import gentle_two_loop, multi_kronecker, path_quiver
+from conftest import dense_trace, gentle_two_loop, multi_kronecker, path_quiver
 
 
 def point_algebra():
@@ -96,6 +96,16 @@ def test_projective_cover_surjective():
     for s in simple_modules(a):
         p, matrix = projective_cover(a, s)
         assert matrix.rank() == s.dim
+
+
+def test_projective_cover_refuses_a_kernel_outside_the_radical():
+    # with an empty radical every basis vector of P is a top generator, so
+    # the cover is not minimal and its kernel escapes rad*P = 0
+    a = path_algebra(path_quiver(2))
+    p, _ = projective_cover(a, simple_modules(a)[0])
+    assert p.dim == 2
+    with pytest.raises(RuntimeError, match="cover kernel escapes the radical"):
+        projective_cover(a, p, rad=[])
 
 
 def test_zero_module_resolution():
@@ -177,10 +187,8 @@ def test_dense_and_sparse_engines_agree():
     ]:
         ta = trivial_extension(base)
         rad = jacobson_radical(ta)
-        for s in simple_modules(ta):
-            sparse = res_mod._sparse_resolution(ta, s, 8, 100000, rad)
-            dense = res_mod._dense_resolution(ta, s, 8, 100000, rad)
-            assert sparse == dense
+        for s in simple_modules(ta, rad):
+            assert minimal_resolution(ta, s, 8, rad=rad) == dense_trace(ta, s, 8, rad)
 
 
 def canonical_237():
@@ -265,6 +273,31 @@ def test_two_vertex_basis_not_adapted_to_radical():
     traces = res_mod.resolve_simple_modules(a, steps=6)
     assert [t.betti for t in traces] == [(2,) * 6, (6, 8, 6, 6, 6, 6)]
     assert traces == res_mod.resolve_simple_modules(gentle_two_loop(), steps=6)
+
+
+UNADAPTED = [
+    (dual_numbers_on_unadapted_basis, lambda: trivial_extension(point_algebra())),
+    (rebased_gentle_two_loop, gentle_two_loop),
+]
+
+
+@pytest.mark.parametrize("build, adapted", UNADAPTED, ids=["dual-numbers", "gentle"])
+def test_rebased_resolutions_match_the_dense_oracle(build, adapted):
+    # the rebase recovers the adapted table and moves each module onto it;
+    # projectives as well as simples, so the module transport is exercised
+    a = build()
+    rad = jacobson_radical(a)
+    assert not res_mod._radical_is_arrow_span(a, rad)
+    table = adapted().mult
+    for s in simple_modules(a, rad):
+        p, _ = projective_cover(a, s, rad)
+        assert p.dim > 1
+        for module in (s, p):
+            rebased, moved, _ = res_mod._rebase_to_radical(a, module, rad)
+            assert rebased.mult == table
+            moved.validate()
+            expected = dense_trace(a, module, 6, rad)
+            assert minimal_resolution(a, module, steps=6, rad=rad) == expected
 
 
 def test_radical_check_refuses_a_one_sided_candidate():
