@@ -6,7 +6,9 @@ computations, one simple module after another, with the Jacobson radical
 computed once per algebra and shared by every resolution.  One sparse engine
 tracks syzygies in flat coordinates; it needs a basis adapted to the radical
 (rad(A) spanned by the non-idempotent basis elements), so any other basic
-algebra is first rewritten on such a basis together with the module.
+algebra is first rewritten on such a basis together with the module.  The
+top of each syzygy is found from the images of the arrows alone, a basis of
+rad/rad^2 chosen among the basis elements.
 """
 
 from __future__ import annotations
@@ -323,7 +325,10 @@ class _FlatResolver:
     """Sparse syzygy engine over flat coordinates copy*dim + basis_index.
 
     Valid only when rad(A) is spanned by the non-idempotent basis elements,
-    so that minimality and tops reduce to coordinate support checks.
+    so that minimality and tops reduce to coordinate support checks.  Tops
+    apply only the arrows, non-idempotent basis elements that form a basis
+    of rad/rad^2: a syzygy K is a submodule and rad is spanned by products
+    of arrows, so rad*K is the sum of arrow*K.
     """
 
     def __init__(self, a: SCAlgebra):
@@ -334,32 +339,42 @@ class _FlatResolver:
         self.target_pos = [pos[b.target] for b in a.basis]
         self.src_coords = _source_coords(a)
         self.proj_dim = [len(block) for block in self.src_coords]
-        self.idem = set(a.idempotents)
-        self.non_idem = [m for m in range(d) if m not in self.idem]
-        act: list[dict] = [{} for _ in range(d)]
+        idem = self.idem = set(a.idempotents)
+        rad2 = TrackedEchelon()
+        left: list[list] = [[] for _ in range(d)]
         for (i, j), row in a.mult.items():
-            act[i][j] = tuple((k, plain(c)) for k, c in row.items())
-        self.act = act
+            if row:
+                left[j].append((i, tuple((k, plain(c)) for k, c in row.items())))
+                if i not in idem and j not in idem:
+                    rad2.add(dict(row))
+        self.arrows = [m for m in range(d) if m not in idem and rad2.add({m: 1})]
+        arrows = set(self.arrows)
+        self.left = left
+        self.arrow_left = [[(b, row) for b, row in pairs if b in arrows] for pairs in left]
 
-    def apply(self, b: int, vec: dict) -> dict:
-        """Left action of basis element b on a flat sparse vector."""
-        table = self.act[b]
+    def images(self, vec: dict, table: list) -> dict:
+        """{b: b*vec} for the elements b of table, in one pass over vec.
+
+        table[m] lists (b, row of b*b_m) for the nonzero products; zero
+        images are left out.
+        """
         d = self.dim
         out: dict = {}
         for coord, val in vec.items():
             m = coord % d
-            row = table.get(m)
-            if not row:
-                continue
             base = coord - m
-            for k, coeff in row:
-                key = base + k
-                s = out.get(key, 0) + coeff * val
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return out
+            for b, row in table[m]:
+                image = out.get(b)
+                if image is None:
+                    image = out[b] = {}
+                for k, coeff in row:
+                    key = base + k
+                    s = image.get(key, 0) + coeff * val
+                    if s:
+                        image[key] = s
+                    else:
+                        del image[key]
+        return {b: image for b, image in out.items() if image}
 
     def in_radical(self, vec: dict) -> bool:
         d = self.dim
@@ -371,7 +386,8 @@ class _FlatResolver:
 
         gens are (vertex position, flat vector) pairs; the cover sends the
         local basis element m of copy i to b_m * gens[i].  Images split by
-        target vertex, so each vertex keeps its own echelon.
+        target vertex, so each vertex keeps its own echelon; zero images
+        are inserted too, as they give kernel relations.
         """
         echelons = [TrackedEchelon() for _ in self.proj_dim]
         target_pos = self.target_pos
@@ -379,9 +395,9 @@ class _FlatResolver:
         d = self.dim
         for copy, (v, gen) in enumerate(gens):
             base = copy * d
+            imgs = self.images(gen, self.left)
             for m in self.src_coords[v]:
-                image = self.apply(m, gen)
-                relation = echelons[target_pos[m]].insert(image, {base + m: 1})
+                relation = echelons[target_pos[m]].insert(imgs.get(m, {}), {base + m: 1})
                 if relation is not None:
                     kernel.append(relation)
         return kernel
@@ -392,10 +408,8 @@ class _FlatResolver:
         target_pos = self.target_pos
         spans = [TrackedEchelon() for _ in self.proj_dim]
         for vec in kernel:
-            for b in self.non_idem:
-                image = self.apply(b, vec)
-                if image:
-                    spans[target_pos[b]].add(image)
+            for b, image in self.images(vec, self.arrow_left).items():
+                spans[target_pos[b]].add(image)
         gens: list[tuple[int, dict]] = []
         for vec in kernel:
             parts: dict[int, dict] = {}

@@ -38,6 +38,7 @@ from quiverlab import (
     zero_module,
 )
 from quiverlab import resolution as res_mod
+from quiverlab.ratmat import TrackedEchelon
 from conftest import dense_trace, gentle_two_loop, multi_kronecker, path_quiver
 
 
@@ -179,25 +180,33 @@ def test_trivial_extension_kronecker3_exponential(growth_suite):
         assert complexity_estimate(trace).kind == "infinite"
 
 
-def test_dense_and_sparse_engines_agree():
-    for base in [
-        path_algebra(path_quiver(2)),
-        path_algebra(multi_kronecker(2)),
-        gentle_two_loop(),
-    ]:
-        ta = trivial_extension(base)
-        rad = jacobson_radical(ta)
-        for s in simple_modules(ta, rad):
-            assert minimal_resolution(ta, s, 8, rad=rad) == dense_trace(ta, s, 8, rad)
-
-
 def canonical_237():
     return canonical_algebra(CanonicalSpec((2, 3, 7), (1,)))
+
+
+def test_dense_and_sparse_engines_agree():
+    algebras = [
+        trivial_extension(base)
+        for base in [
+            path_algebra(path_quiver(2)),
+            path_algebra(multi_kronecker(2)),
+            gentle_two_loop(),
+        ]
+    ]
+    # canonical (2,3,7) has non-monomial relations, so its arrows are not
+    # just the length-1 paths
+    for base in [path_algebra(path_quiver(3)), canonical_237()]:
+        algebras += [base, trivial_extension(base)]
+    for a in algebras:
+        rad = jacobson_radical(a)
+        for s in simple_modules(a, rad):
+            assert minimal_resolution(a, s, 8, rad=rad) == dense_trace(a, s, 8, rad)
 
 
 BUILDERS = {
     "A2": lambda: path_algebra(path_quiver(2)),
     "A3": lambda: path_algebra(path_quiver(3)),
+    "kron2": lambda: path_algebra(multi_kronecker(2)),
     "kron3": lambda: path_algebra(multi_kronecker(3)),
     "gentle": gentle_two_loop,
     "canonical-237": canonical_237,
@@ -219,6 +228,51 @@ def test_sparse_dispatch_applies_to_extensions(name, extend):
     if extend:
         a = trivial_extension(a)
     assert res_mod._radical_is_arrow_span(a, jacobson_radical(a))
+
+
+ARROW_CASES = [(name, extend) for name in BUILDERS for extend in (False, True)]
+ARROW_LABELS = {
+    ("kron2", True): ["a0", "a1", "a0^*", "a1^*"],
+    ("gentle", True): ["b1", "b2", "a", "b1ab2^*"],
+}
+ARROW_COUNTS = {("canonical-237", False): 12}
+
+
+@pytest.mark.parametrize(
+    "name, extend",
+    ARROW_CASES,
+    ids=[f"{name}-{'trivext' if extend else 'base'}" for name, extend in ARROW_CASES],
+)
+def test_arrows_generate_the_radical(name, extend):
+    a = BUILDERS[name]()
+    if extend:
+        a = trivial_extension(a)
+    arrows = res_mod._FlatResolver(a).arrows
+    rad = [{k: c for k, c in enumerate(vec) if c} for vec in jacobson_radical(a)]
+    rad2 = TrackedEchelon()
+    for x in rad:
+        for y in rad:
+            rad2.add(a.multiply(x, y))
+    assert len(arrows) == len(rad) - len(rad2.pivots)
+    # left multiplication by arrows, closed from the arrows, reaches all of rad
+    span = TrackedEchelon()
+    frontier = [{m: Fraction(1)} for m in arrows]
+    for vec in frontier:
+        span.add(dict(vec))
+    while frontier:
+        vec = frontier.pop()
+        for m in arrows:
+            prod = a.multiply({m: Fraction(1)}, vec)
+            if prod and span.add(dict(prod)):
+                frontier.append(prod)
+    idem = set(a.idempotents)
+    for m in range(a.dim):
+        if m not in idem:
+            assert not span.add({m: Fraction(1)})
+    if (name, extend) in ARROW_LABELS:
+        assert [a.basis[m].label for m in arrows] == ARROW_LABELS[name, extend]
+    if (name, extend) in ARROW_COUNTS:
+        assert len(arrows) == ARROW_COUNTS[name, extend]
 
 
 def dual_numbers_on_unadapted_basis():
