@@ -37,7 +37,7 @@ from .quiver import (
     has_oriented_cycle,
     parse_quiver,
 )
-from .ratmat import RatMatrix, vector
+from .ratmat import RatMatrix
 from .resolution import (
     combine_estimates,
     complexity_estimate,
@@ -49,8 +49,8 @@ from .serre import (
     canonical_verdict,
     coxeter_necessary_check,
     entropy_line,
+    entropy_orbit,
     growth_degree,
-    hereditary_entropy,
 )
 from .trivext import trivial_extension
 
@@ -263,27 +263,19 @@ def cmd_entropy(args) -> Report:
             "quiver has an oriented cycle, so the entropy iteration does not "
             "apply; the classify command still accepts cyclic quivers"
         )
-    h0, trace = hereditary_entropy(q, iterations=args.iterations, tol=args.tol)
-    cartan = cartan_path_algebra(q)
-    phi = coxeter_matrix(cartan)
-    profile = cyclotomic_profile(phi)
+    h0, trace, phi, cogenerator = entropy_orbit(q, args.iterations, args.tol)
 
     warnings: list[str] = []
     if args.iterations >= MIN_GROWTH_STEPS:
-        growth = growth_degree(
-            phi, vector(sum(cartan.column(j)) for j in range(cartan.cols)),
-            steps=args.iterations,
-        ).to_json_dict()
+        growth = growth_degree(phi, cogenerator, steps=args.iterations).to_json_dict()
     else:
         growth = None
         warnings.append(
             f"growth fit skipped: needs at least {MIN_GROWTH_STEPS} iterations"
         )
 
-    if profile.is_cyclotomic:
-        h0_field = exact_rational(0)
-    else:
-        h0_field = approximate(h0, args.tol)
+    # exact: spectral_radius returns exactly 1.0 for a cyclotomic Coxeter polynomial
+    h0_field = exact_rational(0) if h0 == 0.0 else approximate(h0, args.tol)
     result = {
         "h0": h0_field,
         "iterations": exact(args.iterations),

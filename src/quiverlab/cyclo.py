@@ -6,12 +6,13 @@ and powers of the matrix are unipotent up to a bounded nilpotency degree.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .intpoly import IntPolynomial, cyclotomic_factorization
-from .ratmat import RatMatrix, TrackedEchelon, as_fraction
+from .ratmat import RatMatrix, TrackedEchelon, vector
 
 
 def _hessenberg(m: RatMatrix) -> list[list[Fraction]]:
@@ -69,20 +70,33 @@ def char_poly(m: RatMatrix) -> IntPolynomial:
     return polys[n]
 
 
+def krylov_chain(m: RatMatrix, v) -> tuple[IntPolynomial, TrackedEchelon]:
+    """Local minimal polynomial of v under M, with the echelon of its chain.
+
+    The chain inserts M^k v as {k: 1}; the first relation that comes back
+    is the monic polynomial of least degree that annihilates v.  The
+    echelon's rows span v, Mv, ... up to the power before that relation.
+    """
+    chain = TrackedEchelon()
+    vec = vector(v)
+    for power in itertools.count():
+        relation = chain.insert({k: x for k, x in enumerate(vec) if x}, {power: 1})
+        if relation is not None:
+            return IntPolynomial(relation.get(k, 0) for k in range(power + 1)), chain
+        vec = m.apply(vec)
+
+
 def min_poly(m: RatMatrix) -> IntPolynomial:
     """Minimal polynomial as the lcm of the local ones along Krylov chains.
 
-    The chain of e_start inserts M^k e_start as {k: 1}; the first relation
-    that comes back is the local minimal polynomial of e_start.  A second
-    echelon spans every Krylov vector so far.  That span is M-invariant and
-    annihilated by the lcm found so far, so a unit vector inside it adds
-    nothing and is skipped, and the search ends once the span is everything.
+    A second echelon spans every Krylov vector so far.  That span is
+    M-invariant and annihilated by the lcm found so far, so a unit vector
+    inside it adds nothing and is skipped, and the search ends once the
+    span is everything.
     """
     if not m.is_square:
         raise ValueError("minimal polynomial requires a square matrix")
     n = m.rows
-    if n == 0:
-        return IntPolynomial.one()
     result = IntPolynomial.one()
     span = TrackedEchelon()
     for start in range(n):
@@ -90,15 +104,8 @@ def min_poly(m: RatMatrix) -> IntPolynomial:
             break
         if not span.add({start: Fraction(1)}):
             continue
-        chain = TrackedEchelon()
-        vec = [Fraction(0)] * n
-        vec[start] = Fraction(1)
-        for power in range(n + 1):
-            relation = chain.insert({k: v for k, v in enumerate(vec) if v}, {power: 1})
-            if relation is not None:
-                result = result.lcm(IntPolynomial(relation.get(k, 0) for k in range(power + 1)))
-                break
-            vec = m.apply(vec)
+        local, chain = krylov_chain(m, [1 if k == start else 0 for k in range(n)])
+        result = result.lcm(local)
         if result.degree == n:
             break
         for row in chain.rows():
@@ -228,8 +235,8 @@ def spectral_radius(m: RatMatrix, tol: float = 1e-6) -> float:
     """
     if not m.is_square:
         raise ValueError("spectral radius requires a square matrix")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tolerance must be finite and positive")
     p = char_poly(m)
     # strip zero eigenvalues; they never carry the radius unless all are zero
     coeffs = list(p.coeffs)

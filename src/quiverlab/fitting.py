@@ -1,9 +1,9 @@
 """Least-squares line fits for growth classification."""
 from __future__ import annotations
 
-# Shared by the Betti-trace and Coxeter-iterate growth classifiers: a log-log
-# fit whose largest residual stays below the first reads as polynomial growth,
-# a semilog slope above the second as exponential growth.
+# Used by the Betti-trace classifier only (Coxeter-iterate growth is decided
+# exactly): a log-log fit whose largest residual stays below the first reads
+# as polynomial growth, a semilog slope above the second as exponential growth.
 LOGLOG_RESIDUAL_THRESHOLD = 0.15
 EXPONENTIAL_SLOPE_THRESHOLD = 0.05
 

@@ -574,7 +574,8 @@ def complexity_estimate(trace: ResolutionTrace) -> ComplexityEstimate:
     if trace.truncated_by == "dimension-cap" and exploding:
         return ComplexityEstimate.infinite()
     if poly_residual < LOGLOG_RESIDUAL_THRESHOLD:
-        return ComplexityEstimate.finite(round(poly_slope) + 1)
+        # a resolution that does not terminate has complexity at least 1
+        return ComplexityEstimate.finite(max(1, round(poly_slope) + 1))
     if exploding:
         return ComplexityEstimate.infinite()
     return ComplexityEstimate.inconclusive(

@@ -3,8 +3,8 @@
 Three independent routes to a verdict: the weight-based delta rule for
 canonical algebras, the quiver-type rule for graded path algebras, and an
 exact necessary condition on the Coxeter matrix.  Entropy helpers turn a
-verdict into its predicted entropy line and measure the growth of dimension
-vectors under Coxeter iteration directly.
+verdict into its predicted entropy line, follow the Coxeter orbit of the
+cogenerator, and decide orbit growth exactly from a local minimal polynomial.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .builders import CanonicalSpec
-from .cyclo import cyclotomic_profile, spectral_radius
-from .fitting import EXPONENTIAL_SLOPE_THRESHOLD, LOGLOG_RESIDUAL_THRESHOLD, fit_line
+from .cyclo import cyclotomic_profile, krylov_chain, spectral_radius
+from .intpoly import IntPolynomial, cyclotomic_factorization
 from .quiver import (
     Quiver,
     cartan_path_algebra,
@@ -344,23 +344,34 @@ def hereditary_entropy(
     vector of the injective cogenerator (the column sums of the Cartan
     matrix); the iteration is exact and only the logarithms are floats.
     """
+    h0, trace, _, _ = entropy_orbit(q, iterations, tol)
+    return h0, trace
+
+
+def entropy_orbit(
+    q: Quiver, iterations: int, tol: float
+) -> tuple[float, list[float], RatMatrix, tuple[Fraction, ...]]:
+    """hereditary_entropy's (h0, trace) with the Coxeter matrix and the
+    cogenerator vector behind them; h0 is exactly 0.0 when spectral_radius
+    finds the Coxeter polynomial cyclotomic."""
     if iterations < 1:
         raise ValueError("iterations must be positive")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tolerance must be finite and positive")
     if not q.is_connected:
         raise ValueError("entropy needs a connected quiver")
     cartan = cartan_path_algebra(q)
     phi = coxeter_matrix(cartan)
     h0 = math.log(spectral_radius(phi, tol))
-    vec = vector(
+    cogenerator = vector(
         sum(cartan.column(j)) for j in range(cartan.cols)
     )
+    vec = cogenerator
     trace = []
     for k in range(1, iterations + 1):
         vec = phi.apply(vec)
         trace.append(_log_fraction(l1_norm(vec)) / k)
-    return h0, trace
+    return h0, trace, phi, cogenerator
 
 
 @dataclass(frozen=True)
@@ -391,34 +402,20 @@ MIN_GROWTH_STEPS = 12
 def growth_degree(phi: RatMatrix, v, steps: int = 60) -> GrowthEstimate:
     """Polynomial degree or exponential flag for the growth of |phi^k v|.
 
-    Exact iterates are fitted over the trailing half of the run: a bounded
-    tail is degree 0, a clean log-log line gives its rounded slope, a
-    semilog slope flags exponential growth, and a toss-up goes to the
-    better-fitting shape.
+    Decided exactly from the local minimal polynomial of v under an integral
+    phi, which is monic and integral.  Once x^t is stripped, a product of
+    cyclotomic polynomials means polynomial growth of degree (largest
+    multiplicity - 1).  Anything else has a root of modulus above 1, by
+    Kronecker's theorem, so the growth is exponential.  steps must be at
+    least MIN_GROWTH_STEPS; the decision does not depend on it.
     """
     if steps < MIN_GROWTH_STEPS:
         raise ValueError(f"need at least {MIN_GROWTH_STEPS} steps")
-    vec = vector(v)
-    norms = []
-    for _ in range(steps):
-        vec = phi.apply(vec)
-        norms.append(l1_norm(vec))
-    start = steps // 2
-    tail = norms[start - 1 :]
-    head = norms[: start - 1]
-    if max(tail) <= max(head):
-        return GrowthEstimate.polynomial(0)
-    if not all(tail):
-        return GrowthEstimate.polynomial(0)
-    ks = list(range(start, steps + 1))
-    logs = [_log_fraction(norm) for norm in tail]
-    poly_slope, _, poly_residual = fit_line([math.log(k) for k in ks], logs)
-    exp_slope, _, exp_residual = fit_line([float(k) for k in ks], logs)
-    degree = max(0, round(poly_slope))
-    if poly_residual < LOGLOG_RESIDUAL_THRESHOLD:
-        return GrowthEstimate.polynomial(degree)
-    if exp_slope > EXPONENTIAL_SLOPE_THRESHOLD:
+    if any(x.denominator != 1 for row in phi.entries() for x in row):
+        raise ValueError("growth degree needs an integral matrix")
+    local, _ = krylov_chain(phi, v)
+    t = next(k for k, c in enumerate(local.coeffs) if c)
+    orders = cyclotomic_factorization(IntPolynomial(local.coeffs[t:]))
+    if orders is None:
         return GrowthEstimate.exponential()
-    if poly_residual <= exp_residual:
-        return GrowthEstimate.polynomial(degree)
-    return GrowthEstimate.exponential()
+    return GrowthEstimate.polynomial(max((mult for _, mult in orders), default=1) - 1)

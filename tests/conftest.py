@@ -56,6 +56,17 @@ def multi_kronecker(k: int):
     )
 
 
+def wild3_quiver():
+    """Three parallel arrows 1 -> 2 followed by 2 -> 3: wild, odd size."""
+    return quiver_from_data(
+        {
+            "vertices": [1, 2, 3],
+            "arrows": [{"id": f"a{i}", "from": 1, "to": 2} for i in range(3)]
+            + [{"id": "b", "from": 2, "to": 3}],
+        }
+    )
+
+
 def star_quiver(arm_lengths, center_last: bool = False):
     """Star-shaped tree: each arm is a chain of the given edge count.
 

@@ -245,6 +245,29 @@ def test_entropy_odd_size_wild_quiver(tmp_path, capsys):
     assert abs(h0["value"] - math.log(4 + math.sqrt(15))) < 1e-4
 
 
+def test_entropy_long_period_dynkin_is_exactly_bounded(tmp_path, capsys):
+    # Phi(A30) has period 31, longer than half of the 60 iterations
+    doc = {
+        "vertices": list(range(1, 31)),
+        "arrows": [{"id": f"a{i}", "from": i, "to": i + 1} for i in range(1, 30)],
+    }
+    path = write(tmp_path, "a30.json", json.dumps(doc))
+    code, out, _ = run(capsys, "entropy", path, "--json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["h0"] == {"exact": True, "value": "0"}
+    assert result["growth"] == {"kind": "polynomial", "degree": 0}
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_entropy_refuses_a_non_finite_tolerance(tmp_path, capsys, tol):
+    path = write(tmp_path, "kron3.json", KRONECKER3_DOC)
+    code, out, err = run(capsys, "entropy", path, "--tol", tol, "--json")
+    assert code == 1
+    assert out == ""
+    assert "tolerance must be finite and positive" in err
+
+
 def test_entropy_few_iterations_skips_growth(tmp_path, capsys):
     path = write(tmp_path, "kron.json", KRONECKER_DOC)
     code, out, _ = run(capsys, "entropy", path, "--iterations", "5", "--json")

@@ -208,6 +208,12 @@ def test_spectral_radius_diagonal():
     assert abs(spectral_radius(m, tol=1e-9) - 3.0) < 1e-6
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0])
+def test_spectral_radius_refuses_a_bad_tolerance(tol):
+    with pytest.raises(ValueError):
+        spectral_radius(PHI_KRONECKER3, tol=tol)
+
+
 def test_spectral_radius_odd_degree_dominant_complex_pair():
     # (x - 1)(x^2 + 4): the radius 2 comes from the pair +-2i
     p = IntPolynomial([-1, 1]) * IntPolynomial([4, 0, 1])

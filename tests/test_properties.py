@@ -17,6 +17,7 @@ from quiverlab import (
     coxeter_matrix,
     cyclotomic_profile,
     growth_degree,
+    hereditary_entropy,
     jacobson_radical,
     path_algebra,
     projective_cover,
@@ -36,6 +37,7 @@ from conftest import (
     star_quiver,
     submodule_on_kernel,
     walk_and_check_minimality,
+    wild3_quiver,
 )
 
 
@@ -129,6 +131,23 @@ def test_polynomial_growth_degree_bounded_by_nilpotency():
             estimate = growth_degree(phi, vector(v), steps=40)
             assert estimate.kind == "polynomial"
             assert estimate.degree <= bound
+
+
+def test_exact_zero_entropy_is_the_cyclotomic_decision():
+    # the entropy report prints h0 = 0 exactly when hereditary_entropy returns
+    # 0.0, in place of a cyclotomic profile of the Coxeter matrix
+    quivers = [path_quiver(n) for n in range(2, 13)]
+    quivers += [star_quiver((1, 1, n - 3)) for n in range(4, 9)]
+    quivers += [star_quiver((1, 2, n - 4)) for n in range(6, 9)]
+    quivers += [multi_kronecker(k) for k in range(2, 5)]
+    quivers += [wild3_quiver(), star_quiver((1, 2, 6))]
+    decisions = set()
+    for q in quivers:
+        h0, _ = hereditary_entropy(q)
+        cyclotomic = cyclotomic_profile(coxeter_matrix(cartan_path_algebra(q))).is_cyclotomic
+        assert (h0 == 0.0) == cyclotomic
+        decisions.add(cyclotomic)
+    assert decisions == {True, False}
 
 
 # --- classification ignores arrow orientation -------------------------------------------

@@ -442,6 +442,15 @@ def test_estimate_constant_is_finite_one():
     assert complexity_estimate(exhausted([3] * 12)) == ComplexityEstimate.finite(1)
 
 
+@pytest.mark.parametrize(
+    "betti",
+    [(1,) * 6 + (60, 40, 30, 24, 20, 17), (2,) * 6 + (12, 9, 7, 6, 5, 5)],
+)
+def test_estimate_decaying_tail_is_at_least_finite_one(betti):
+    # a resolution that does not terminate has complexity at least 1
+    assert complexity_estimate(exhausted(betti)) == ComplexityEstimate.finite(1)
+
+
 def test_estimate_bounded_oscillation_is_finite_one():
     betti = [9, 5, 7, 5, 7, 5, 7, 5, 7, 5, 7, 5, 7, 5]
     assert complexity_estimate(exhausted(betti)) == ComplexityEstimate.finite(1)

@@ -4,6 +4,7 @@ Frozen numbers: lcm/delta arithmetic for the weight tables is elementary;
 the 3-arrow Kronecker spectral radius is (7 + sqrt(45))/2.
 """
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from quiverlab import (
     cartan_path_algebra,
     coxeter_matrix,
     coxeter_necessary_check,
+    cyclotomic_profile,
     entropy_line,
     graded_path_verdict,
     growth_degree,
@@ -27,7 +29,7 @@ from quiverlab import (
     verify_k_shadow,
 )
 from quiverlab.serre import SerreVerdict
-from conftest import multi_kronecker, path_quiver, star_quiver
+from conftest import multi_kronecker, path_quiver, star_quiver, wild3_quiver
 
 
 PHI_A2 = RatMatrix([[0, -1], [1, -1]])
@@ -311,3 +313,59 @@ def test_growth_degree_expanding_is_exponential():
 def test_growth_degree_needs_enough_steps():
     with pytest.raises(ValueError):
         growth_degree(PHI_A2, vector([1, 0]), steps=11)
+
+
+def cogenerator_orbit(q):
+    """Coxeter matrix of q and the dimension vector of its injective cogenerator."""
+    cartan = cartan_path_algebra(q)
+    return coxeter_matrix(cartan), vector(sum(cartan.column(j)) for j in range(cartan.cols))
+
+
+@pytest.mark.parametrize("n", [30, 60])
+def test_growth_degree_long_period_dynkin_is_bounded(n):
+    # Phi(A_n) has period n + 1, longer than half of a 60-step orbit
+    phi, v = cogenerator_orbit(path_quiver(n))
+    est = growth_degree(phi, v, steps=60)
+    assert (est.kind, est.degree) == ("polynomial", 0)
+
+
+def test_growth_degree_affine_is_at_most_linear():
+    # (phi^(2n) - 1)^2 = 0 for affine E6, so the orbit of v is bounded exactly
+    # when phi^(2n) fixes v, and grows linearly otherwise
+    rng = random.Random(2024)
+    phi, _ = cogenerator_orbit(star_quiver((2, 2, 2)))
+    n, l = cyclotomic_profile(phi).witness
+    assert l == 2
+    shift = phi ** (2 * n) - RatMatrix.identity(phi.rows)
+    degrees = set()
+    for _ in range(20):
+        v = vector(rng.randint(-5, 5) for _ in range(phi.rows))
+        est = growth_degree(phi, v)
+        assert est.kind == "polynomial"
+        assert est.degree == (1 if any(shift.apply(v)) else 0)
+        degrees.add(est.degree)
+    assert degrees == {0, 1}
+
+
+def test_growth_degree_wild_is_exponential():
+    for q in (wild3_quiver(), star_quiver((1, 2, 6))):
+        phi, v = cogenerator_orbit(q)
+        assert growth_degree(phi, v).kind == "exponential"
+
+
+def test_growth_degree_strips_the_nilpotent_part():
+    # the local minimal polynomial of v is x^2 (x - 1)^2
+    phi = RatMatrix([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
+    est = growth_degree(phi, vector([0, 1, 0, 1]))
+    assert (est.kind, est.degree) == ("polynomial", 1)
+
+
+def test_growth_degree_refuses_a_non_integral_matrix():
+    with pytest.raises(ValueError):
+        growth_degree(RatMatrix([[Fraction(1, 2), 0], [0, 1]]), vector([1, 0]))
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_hereditary_entropy_refuses_a_non_finite_tolerance(tol):
+    with pytest.raises(ValueError):
+        hereditary_entropy(multi_kronecker(3), tol=tol)
