@@ -271,7 +271,7 @@ def cmd_entropy(args) -> Report:
     else:
         growth = None
         warnings.append(
-            f"growth fit skipped: needs at least {MIN_GROWTH_STEPS} iterations"
+            f"exact growth verdict skipped below {MIN_GROWTH_STEPS} iterations"
         )
 
     # exact: spectral_radius returns exactly 1.0 for a cyclotomic Coxeter polynomial

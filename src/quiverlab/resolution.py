@@ -8,7 +8,10 @@ tracks syzygies in flat coordinates; it needs a basis adapted to the radical
 (rad(A) spanned by the non-idempotent basis elements), so any other basic
 algebra is first rewritten on such a basis together with the module.  The
 top of each syzygy is found from the images of the arrows alone, a basis of
-rad/rad^2 chosen among the basis elements.
+rad/rad^2 chosen among the basis elements.  Syzygy bases come in lead form:
+each vector sits at one vertex and has its own largest coordinate, its lead.
+Since rad*K lies in K, the leads of rad*K are leads of K, and the vectors of
+K whose leads are not leads of rad*K generate K minimally.
 """
 
 from __future__ import annotations
@@ -328,7 +331,9 @@ class _FlatResolver:
     so that minimality and tops reduce to coordinate support checks.  Tops
     apply only the arrows, non-idempotent basis elements that form a basis
     of rad/rad^2: a syzygy K is a submodule and rad is spanned by products
-    of arrows, so rad*K is the sum of arrow*K.
+    of arrows, so rad*K is the sum of arrow*K.  Kernel relations keep the
+    lead form that check_kernel guards, so a top costs one reduction of the
+    arrow images by their leads and one lookup per kernel vector.
     """
 
     def __init__(self, a: SCAlgebra):
@@ -376,10 +381,30 @@ class _FlatResolver:
                         del image[key]
         return {b: image for b, image in out.items() if image}
 
-    def in_radical(self, vec: dict) -> bool:
+    def check_kernel(self, kernel: list[dict], syzygy: int) -> None:
+        """Refuse a syzygy basis that is not minimal or not in lead form.
+
+        Lead form: each vector sits at the target vertex of its largest
+        coordinate, its lead, and no two vectors share a lead.
+        """
+        if len(kernel) != syzygy:
+            raise RuntimeError("syzygy dimension mismatch")
         d = self.dim
         idem = self.idem
-        return all(coord % d not in idem for coord in vec)
+        target_pos = self.target_pos
+        leads = set()
+        for vec in kernel:
+            lead = max(vec)
+            if lead in leads:
+                raise RuntimeError("two syzygy relations share a leading coordinate")
+            leads.add(lead)
+            v = target_pos[lead % d]
+            for coord in vec:
+                m = coord % d
+                if m in idem:
+                    raise RuntimeError("resolution step is not minimal")
+                if target_pos[m] != v:
+                    raise RuntimeError("syzygy relation spans two vertices")
 
     def kernel_of_cover(self, gens: list[tuple[int, dict]]) -> list[dict]:
         """Kernel basis of the cover of the module generated by gens.
@@ -387,7 +412,9 @@ class _FlatResolver:
         gens are (vertex position, flat vector) pairs; the cover sends the
         local basis element m of copy i to b_m * gens[i].  Images split by
         target vertex, so each vertex keeps its own echelon; zero images
-        are inserted too, as they give kernel relations.
+        are inserted too, as they give kernel relations.  Inserts run in
+        increasing flat coordinate, so each relation sits at one vertex and
+        its lead is the coordinate whose insert produced it.
         """
         echelons = [TrackedEchelon() for _ in self.proj_dim]
         target_pos = self.target_pos
@@ -403,23 +430,53 @@ class _FlatResolver:
         return kernel
 
     def top_generators(self, kernel: list[dict]) -> list[tuple[int, dict]]:
-        """Vertex-tagged minimal generators of the span of kernel vectors."""
+        """Vertex-tagged minimal generators of the span K of kernel vectors.
+
+        kernel must be in lead form (see check_kernel).  rad*K lies in K,
+        so the leads of rad*K are leads of kernel vectors; the vectors whose
+        lead is not one of them span a complement of rad*K, a minimal set of
+        generators.  Arrow images stay vertex-homogeneous, so one lead-keyed
+        reduction serves every vertex.
+        """
+        rows: dict = {}
+        for vec in kernel:
+            for image in self.images(vec, self.arrow_left).values():
+                _lead_insert(rows, image)
         d = self.dim
         target_pos = self.target_pos
-        spans = [TrackedEchelon() for _ in self.proj_dim]
+        gens = []
         for vec in kernel:
-            for b, image in self.images(vec, self.arrow_left).items():
-                spans[target_pos[b]].add(image)
-        gens: list[tuple[int, dict]] = []
-        for vec in kernel:
-            parts: dict[int, dict] = {}
-            for coord, val in vec.items():
-                parts.setdefault(target_pos[coord % d], {})[coord] = val
-            for v in sorted(parts):
-                part = parts[v]
-                if spans[v].add(dict(part)):
-                    gens.append((v, part))
+            lead = max(vec)
+            if lead not in rows:
+                gens.append((target_pos[lead % d], vec))
+        if len(gens) + len(rows) != len(kernel):
+            raise RuntimeError("arrow images leave the syzygy")
         return gens
+
+
+def _lead_insert(rows: dict, vec: dict) -> None:
+    """Reduce vec by the rows keyed by their largest coordinate; keep a rest.
+
+    Consumes vec.  Rows are scaled to lead entry 1 and never re-reduced:
+    reduction clears only the current lead of vec, until vec vanishes or
+    its lead is new.
+    """
+    while vec:
+        lead = max(vec)
+        val = vec[lead]
+        row = rows.get(lead)
+        if row is None:
+            if val != 1:
+                inv = Fraction(1) / val
+                vec = {k: plain(v * inv) for k, v in vec.items()}
+            rows[lead] = vec
+            return
+        for k, pv in row.items():
+            s = vec.get(k, 0) - val * pv
+            if s:
+                vec[k] = s
+            else:
+                del vec[k]
 
 
 def _radical_is_arrow_span(a: SCAlgebra, rad) -> bool:
@@ -499,7 +556,13 @@ def minimal_resolution(
 
 
 def _flatten_kernel(a: SCAlgebra, verts: list, kernel) -> list[dict]:
-    """Dense kernel vectors of a cover, rewritten in flat sparse coordinates."""
+    """Dense kernel vectors of a cover, rewritten in flat sparse coordinates.
+
+    The RREF basis is already in lead form: the vector of free column f is 1
+    at f and otherwise lives on earlier pivot columns, and a module's cover
+    matrix is row equivalent to one made of vertex blocks, whose RREF keeps
+    the blocks apart.
+    """
     by_vertex = _source_coords(a)
     pos = {v: p for p, v in enumerate(a.vertices)}
     coord_map: list[int] = []
@@ -533,11 +596,7 @@ def _sparse_resolution(a, module, steps, dim_cap, rad) -> ResolutionTrace:
             kernel = _flatten_kernel(a, verts, cover.kernel_basis())
         else:
             kernel = engine.kernel_of_cover(gens)
-        if len(kernel) != syzygy:
-            raise RuntimeError("syzygy dimension mismatch")
-        for vec in kernel:
-            if not engine.in_radical(vec):
-                raise RuntimeError("resolution step is not minimal")
+        engine.check_kernel(kernel, syzygy)
         gens = engine.top_generators(kernel)
         dim = sum(engine.proj_dim[v] for v, _ in gens)
         covered = syzygy

@@ -274,7 +274,7 @@ def test_entropy_few_iterations_skips_growth(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["result"]["growth"] is None
-    assert any("growth fit skipped" in w for w in doc["warnings"])
+    assert any("exact growth verdict skipped" in w for w in doc["warnings"])
 
 
 def test_entropy_cyclic_fails_with_hint(tmp_path, capsys):

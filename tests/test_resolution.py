@@ -39,7 +39,13 @@ from quiverlab import (
 )
 from quiverlab import resolution as res_mod
 from quiverlab.ratmat import TrackedEchelon
-from conftest import dense_trace, gentle_two_loop, multi_kronecker, path_quiver
+from conftest import (
+    dense_trace,
+    gentle_two_loop,
+    multi_kronecker,
+    path_quiver,
+    submodule_on_kernel,
+)
 
 
 def point_algebra():
@@ -273,6 +279,117 @@ def test_arrows_generate_the_radical(name, extend):
         assert [a.basis[m].label for m in arrows] == ARROW_LABELS[name, extend]
     if (name, extend) in ARROW_COUNTS:
         assert len(arrows) == ARROW_COUNTS[name, extend]
+
+
+@pytest.mark.parametrize(
+    "name, extend",
+    ARROW_CASES,
+    ids=[f"{name}-{'trivext' if extend else 'base'}" for name, extend in ARROW_CASES],
+)
+def test_syzygy_relations_are_in_lead_form(name, extend):
+    a = BUILDERS[name]()
+    if extend:
+        a = trivial_extension(a)
+    rad = jacobson_radical(a)
+    assert res_mod._radical_is_arrow_span(a, rad)
+    engine = res_mod._FlatResolver(a)
+    d, target_pos = engine.dim, engine.target_pos
+    steps = 0
+    for simple in simple_modules(a, rad):
+        cover, verts = res_mod._cover_data(a, simple, rad)
+        kernel = res_mod._flatten_kernel(a, verts, cover.kernel_basis())
+        for _ in range(6):
+            # the two facts the tops rest on: every relation sits at one
+            # vertex, and no two relations share a largest flat coordinate
+            leads = [max(vec) for vec in kernel]
+            assert len(set(leads)) == len(leads)
+            for vec in kernel:
+                assert len({target_pos[coord % d] for coord in vec}) == 1
+            if not kernel:
+                break
+            kernel = engine.kernel_of_cover(engine.top_generators(kernel))
+            steps += 1
+    assert steps > 0
+
+
+def test_check_kernel_refusals():
+    engine = res_mod._FlatResolver(trivial_extension(path_algebra(multi_kronecker(2))))
+    by_target: dict = {}
+    for m in range(engine.dim):
+        if m not in engine.idem:
+            by_target.setdefault(engine.target_pos[m], []).append(m)
+    (m1, m2, *_), (n1, *_) = by_target.values()
+    idem = min(engine.idem)
+    cases = [
+        ([{m1: 1}], 2, "syzygy dimension mismatch"),
+        ([{idem: 1}], 1, "resolution step is not minimal"),
+        ([{m1: 1, n1: 1}], 1, "syzygy relation spans two vertices"),
+        ([{m1: 1, m2: 1}, {m2: 1}], 2, "two syzygy relations share a leading coordinate"),
+    ]
+    for kernel, syzygy, message in cases:
+        with pytest.raises(RuntimeError, match=message):
+            engine.check_kernel(kernel, syzygy)
+    engine.check_kernel([{m1: 1, m2: 1}, {m1: 1}, {n1: 2}], 3)
+
+
+def test_top_refuses_a_span_that_is_not_a_submodule():
+    # one arrow alone spans no submodule of P: an arrow takes it to a new lead
+    engine = res_mod._FlatResolver(trivial_extension(path_algebra(path_quiver(2))))
+    m = next(m for m in engine.arrows if engine.images({m: 1}, engine.arrow_left))
+    with pytest.raises(RuntimeError, match="arrow images leave the syzygy"):
+        engine.top_generators([{m: 1}])
+
+
+def mixed_basis_syzygy(a, rad):
+    """The first syzygy of the first simple, on a basis that mixes two vertices.
+
+    Its basis vector j is replaced by u_j + u_0, where u_0 and u_j sit at
+    different vertices.
+    """
+    simple = simple_modules(a, rad)[0]
+    proj, cover = projective_cover(a, simple, rad)
+    omega = submodule_on_kernel(a, proj, cover.kernel_basis())
+    n = omega.dim
+    vertex = [next(p for p, e in enumerate(a.idempotents) if omega.actions[e][k, k]) for k in range(n)]
+    j = next(k for k in range(n) if vertex[k] != vertex[0])
+    shear = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+    unshear = [list(row) for row in shear]
+    shear[0][j], unshear[0][j] = Fraction(1), Fraction(-1)
+    t, t_inv = RatMatrix(shear), RatMatrix(unshear)
+    moved = RepModule(a, n, tuple(t_inv * act * t for act in omega.actions))
+    return omega, moved
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: trivial_extension(path_algebra(multi_kronecker(2))),
+        lambda: trivial_extension(gentle_two_loop()),
+        lambda: trivial_extension(canonical_237()),
+    ],
+    ids=["kron2", "gentle", "canonical-237"],
+)
+def test_first_cover_of_a_mixed_basis_module(build):
+    # the cover matrix of the moved module is an invertible row operation
+    # away from the original one, so its RREF kernel basis is the same and
+    # already in lead form: the first step needs no rewriting
+    a = build()
+    rad = jacobson_radical(a)
+    omega, moved = mixed_basis_syzygy(a, rad)
+    spread = [
+        k
+        for k in range(moved.dim)
+        if sum(1 for e in a.idempotents if any(moved.actions[e].column(k))) > 1
+    ]
+    assert spread
+    engine = res_mod._FlatResolver(a)
+    cover, verts = res_mod._cover_data(a, moved, rad)
+    kernel = res_mod._flatten_kernel(a, verts, cover.kernel_basis())
+    assert kernel
+    engine.check_kernel(kernel, cover.cols - moved.dim)
+    trace = minimal_resolution(a, moved, steps=6, rad=rad)
+    assert trace == dense_trace(a, moved, 6, rad)
+    assert trace == minimal_resolution(a, omega, steps=6, rad=rad)
 
 
 def dual_numbers_on_unadapted_basis():
