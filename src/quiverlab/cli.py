@@ -29,7 +29,7 @@ from .builders import (
     parse_gentle,
     path_algebra,
 )
-from .cyclo import char_poly, cyclotomic_profile
+from .cyclo import cyclotomic_profile
 from .quiver import (
     cartan_path_algebra,
     classify_quiver,
@@ -50,7 +50,7 @@ from .serre import (
     coxeter_necessary_check,
     entropy_line,
     entropy_orbit,
-    growth_degree,
+    orbit_growth,
 )
 from .trivext import trivial_extension
 
@@ -154,8 +154,9 @@ def cmd_classify(args) -> Report:
         phi = coxeter_matrix(cartan)
         result["cartan_matrix"] = exact(_matrix_json(cartan))
         result["coxeter_matrix"] = exact(_matrix_json(phi))
-        result["char_poly"] = _poly_json(char_poly(phi))
-        result["cyclotomic_profile"] = _profile_json(cyclotomic_profile(phi))
+        profile = cyclotomic_profile(phi)
+        result["char_poly"] = _poly_json(profile.char_poly)
+        result["cyclotomic_profile"] = _profile_json(profile)
     return Report("classify", digest, result, warnings)
 
 
@@ -263,11 +264,11 @@ def cmd_entropy(args) -> Report:
             "quiver has an oriented cycle, so the entropy iteration does not "
             "apply; the classify command still accepts cyclic quivers"
         )
-    h0, trace, phi, cogenerator = entropy_orbit(q, args.iterations, args.tol)
+    h0, trace, phi, orbit = entropy_orbit(q, args.iterations, args.tol)
 
     warnings: list[str] = []
     if args.iterations >= MIN_GROWTH_STEPS:
-        growth = growth_degree(phi, cogenerator, steps=args.iterations).to_json_dict()
+        growth = orbit_growth(phi, orbit).to_json_dict()
     else:
         growth = None
         warnings.append(

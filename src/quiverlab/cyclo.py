@@ -8,14 +8,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .intpoly import IntPolynomial, cyclotomic_factorization
-from .ratmat import RatMatrix, TrackedEchelon, vector
+from .ratmat import RatMatrix, TrackedEchelon, plain
 
 
-def _hessenberg(m: RatMatrix) -> list[list[Fraction]]:
+def _hessenberg(m: RatMatrix) -> list[list[int | Fraction]]:
     """Similarity-reduce to upper Hessenberg form with exact row/column ops."""
     n = m.rows
     h = [list(row) for row in m.entries()]
@@ -27,9 +29,9 @@ def _hessenberg(m: RatMatrix) -> list[list[Fraction]]:
             h[col + 1], h[pivot] = h[pivot], h[col + 1]
             for r in range(n):
                 h[r][col + 1], h[r][pivot] = h[r][pivot], h[r][col + 1]
-        inv = 1 / h[col + 1][col]
+        inv = Fraction(1) / h[col + 1][col]
         for r in range(col + 2, n):
-            f = h[r][col] * inv
+            f = plain(h[r][col] * inv)
             if f:
                 row_r, row_p = h[r], h[col + 1]
                 for c in range(n):
@@ -58,7 +60,7 @@ def char_poly(m: RatMatrix) -> IntPolynomial:
     polys = [IntPolynomial.one()]
     for k in range(1, n + 1):
         p = (x - IntPolynomial((h[k - 1][k - 1],))) * polys[k - 1]
-        prod = Fraction(1)
+        prod = 1
         for back in range(1, k):
             prod *= h[k - back][k - back - 1]
             if not prod:
@@ -70,20 +72,21 @@ def char_poly(m: RatMatrix) -> IntPolynomial:
     return polys[n]
 
 
-def krylov_chain(m: RatMatrix, v) -> tuple[IntPolynomial, TrackedEchelon]:
+def krylov_chain(m: RatMatrix, orbit: Sequence) -> tuple[IntPolynomial, TrackedEchelon]:
     """Local minimal polynomial of v under M, with the echelon of its chain.
 
-    The chain inserts M^k v as {k: 1}; the first relation that comes back
-    is the monic polynomial of least degree that annihilates v.  The
-    echelon's rows span v, Mv, ... up to the power before that relation.
+    orbit holds the exact vectors v, Mv, ..., M^j v for some j >= 0; M is
+    applied only past the last one.  The chain inserts M^k v as {k: 1}; the
+    first relation that comes back is the monic polynomial of least degree
+    that annihilates v.  The echelon's rows span v, Mv, ... up to the power
+    before that relation.
     """
     chain = TrackedEchelon()
-    vec = vector(v)
     for power in itertools.count():
+        vec = orbit[power] if power < len(orbit) else m.apply(vec)
         relation = chain.insert({k: x for k, x in enumerate(vec) if x}, {power: 1})
         if relation is not None:
             return IntPolynomial(relation.get(k, 0) for k in range(power + 1)), chain
-        vec = m.apply(vec)
 
 
 def min_poly(m: RatMatrix) -> IntPolynomial:
@@ -102,9 +105,9 @@ def min_poly(m: RatMatrix) -> IntPolynomial:
     for start in range(n):
         if len(span.pivots) == n:
             break
-        if not span.add({start: Fraction(1)}):
+        if not span.add({start: 1}):
             continue
-        local, chain = krylov_chain(m, [1 if k == start else 0 for k in range(n)])
+        local, chain = krylov_chain(m, [[1 if k == start else 0 for k in range(n)]])
         result = result.lcm(local)
         if result.degree == n:
             break
@@ -118,9 +121,9 @@ def companion_matrix(p: IntPolynomial) -> RatMatrix:
     if p.is_zero or not p.is_monic or p.degree < 1:
         raise ValueError("companion matrix needs a monic polynomial of degree >= 1")
     n = p.degree
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for i in range(1, n):
-        rows[i][i - 1] = Fraction(1)
+        rows[i][i - 1] = 1
     for i in range(n):
         rows[i][n - 1] = -p.coeffs[i]
     return RatMatrix(rows)
@@ -131,7 +134,8 @@ class CycloProfile:
     """Cyclotomicity report for a square invertible matrix.
 
     orders lists (d, multiplicity in the minimal polynomial); witness is the
-    minimal pair (n, l) with (M^(2n) - I)^l = 0, checked by exact arithmetic.
+    minimal pair (n, l) with (M^(2n) - I)^l = 0, checked by exact arithmetic;
+    char_poly is the characteristic polynomial the profile was decided from.
     """
 
     is_cyclotomic: bool
@@ -139,6 +143,7 @@ class CycloProfile:
     periodic: bool
     period: int | None
     witness: tuple[int, int] | None
+    char_poly: IntPolynomial
 
 
 def cyclotomic_profile(m: RatMatrix) -> CycloProfile:
@@ -147,7 +152,7 @@ def cyclotomic_profile(m: RatMatrix) -> CycloProfile:
     cp = char_poly(m)
     if not cp.constant:
         raise ValueError("cyclotomic profile requires an invertible matrix")
-    not_cyclotomic = CycloProfile(False, (), False, None, None)
+    not_cyclotomic = CycloProfile(False, (), False, None, None, cp)
     if not cp.is_integral or cyclotomic_factorization(cp) is None:
         return not_cyclotomic
     orders = cyclotomic_factorization(min_poly(m))
@@ -165,7 +170,7 @@ def cyclotomic_profile(m: RatMatrix) -> CycloProfile:
     period = big_l if periodic else None
     if periodic and not power_l.is_identity():
         raise RuntimeError("period verification failed; inconsistent exact arithmetic")
-    return CycloProfile(True, orders, periodic, period, (n_wit, l_wit))
+    return CycloProfile(True, orders, periodic, period, (n_wit, l_wit), cp)
 
 
 def _cauchy_bound(p: IntPolynomial) -> Fraction:
@@ -204,7 +209,6 @@ def _largest_real_root(p: IntPolynomial, tol: float) -> float:
 
 def _power_radius(p: IntPolynomial) -> float:
     """Spectral radius of the companion matrix by normalized squaring."""
-    n = p.degree
     comp = [[float(x) for x in row] for row in companion_matrix(p).entries()]
     log_scale = 0.0
     for _ in range(60):
@@ -214,10 +218,8 @@ def _power_radius(p: IntPolynomial) -> float:
         inv = 1.0 / norm
         comp = [[x * inv for x in row] for row in comp]
         log_scale = 2.0 * (log_scale + math.log(norm))
-        comp = [
-            [sum(comp[i][k] * comp[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
+        cols = list(zip(*comp))
+        comp = [[sum(map(operator.mul, row, col)) for col in cols] for row in comp]
     norm = max(abs(x) for row in comp for x in row)
     if norm == 0.0:
         return 0.0

@@ -125,9 +125,9 @@ def tits_matrix(q: Quiver) -> RatMatrix:
     """
     index = q.vertex_index()
     n = len(q.vertices)
-    entries = [[Fraction(0)] * n for _ in range(n)]
+    entries = [[0] * n for _ in range(n)]
     for i in range(n):
-        entries[i][i] = Fraction(2)
+        entries[i][i] = 2
     for a in q.arrows:
         i, j = index[a.source], index[a.target]
         if i == j:
@@ -156,14 +156,14 @@ def _definiteness(sym: RatMatrix) -> str:
         active.remove(pivot)
         for i in active:
             if work[i][pivot]:
-                f = work[i][pivot] / d
+                f = Fraction(work[i][pivot], d)
                 for j in active:
                     if work[pivot][j]:
                         work[i][j] -= f * work[pivot][j]
     return "definite"
 
 
-def _primitive_radical(kernel: list[list[Fraction]]) -> tuple[int, ...]:
+def _primitive_radical(kernel: list[list[int | Fraction]]) -> tuple[int, ...]:
     if len(kernel) != 1:
         raise RuntimeError("affine Tits kernel is not one-dimensional")
     vec = kernel[0]
@@ -225,7 +225,7 @@ def cartan_path_algebra(q: Quiver) -> RatMatrix:
         raise ValueError("quiver has an oriented cycle; its path algebra is infinite-dimensional")
     index = q.vertex_index()
     n = len(q.vertices)
-    steps = [[Fraction(0)] * n for _ in range(n)]
+    steps = [[0] * n for _ in range(n)]
     for a in q.arrows:
         steps[index[a.target]][index[a.source]] += 1
     # paths = I + N + N^2 + ... = (I - N)^{-1} for nilpotent N

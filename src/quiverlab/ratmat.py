@@ -2,8 +2,10 @@
 
 Everything that feeds a decision elsewhere in the package (definiteness,
 kernels, matrix identities) goes through this module, so there is no
-floating point anywhere below.  TrackedEchelon grows an echelon basis of
-sparse vectors.
+floating point anywhere below.  Entries are kept in their plain exact form,
+an int when integral and a Fraction otherwise, so integral matrices such as
+Cartan and Coxeter matrices multiply in int arithmetic.  TrackedEchelon
+grows an echelon basis of sparse vectors.
 """
 from __future__ import annotations
 
@@ -11,7 +13,17 @@ import heapq
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Vector = tuple[Fraction, ...]
+Vector = tuple[int | Fraction, ...]
+"""Exact vector: each entry an int when integral, else a Fraction."""
+
+
+def plain(value) -> int | Fraction:
+    """value as an exact number: an int when integral, else a Fraction."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 def as_fraction(value) -> Fraction:
@@ -21,23 +33,26 @@ def as_fraction(value) -> Fraction:
 
 
 def vector(values: Iterable) -> Vector:
-    return tuple(as_fraction(v) for v in values)
+    return tuple(map(plain, values))
 
 
-def l1_norm(vec: Sequence[Fraction]) -> Fraction:
-    total = Fraction(0)
-    for v in vec:
-        total += v if v >= 0 else -v
-    return total
+def l1_norm(vec: Sequence) -> int | Fraction:
+    return sum(v if v >= 0 else -v for v in vec)
 
 
 class RatMatrix:
-    """Immutable rectangular matrix with Fraction entries."""
+    """Immutable rectangular matrix with exact rational entries.
+
+    Each entry is stored in its plain form: an int when integral, a
+    Fraction only where a denominator appears.  Python keeps int products
+    and sums in ints, so integral matrices stay integral without a separate
+    code path.
+    """
 
     __slots__ = ("_rows",)
 
     def __init__(self, rows: Iterable[Iterable]):
-        data = tuple(tuple(as_fraction(x) for x in row) for row in rows)
+        data = tuple(tuple(map(plain, row)) for row in rows)
         if data:
             width = len(data[0])
             for row in data:
@@ -47,13 +62,11 @@ class RatMatrix:
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
-        one, zero = Fraction(1), Fraction(0)
-        return RatMatrix([[one if i == j else zero for j in range(n)] for i in range(n)])
+        return RatMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "RatMatrix":
-        zero = Fraction(0)
-        return RatMatrix([[zero] * cols for _ in range(rows)])
+        return RatMatrix([[0] * cols for _ in range(rows)])
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence]) -> "RatMatrix":
@@ -84,7 +97,7 @@ class RatMatrix:
     def columns(self) -> list[Vector]:
         return [self.column(j) for j in range(self.cols)]
 
-    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+    def entries(self) -> tuple[Vector, ...]:
         return self._rows
 
     def __getitem__(self, key):
@@ -117,7 +130,7 @@ class RatMatrix:
         return RatMatrix([-x for x in row] for row in self._rows)
 
     def scale(self, c) -> "RatMatrix":
-        c = as_fraction(c)
+        c = plain(c)
         return RatMatrix([c * x for x in row] for row in self._rows)
 
     def __mul__(self, other: "RatMatrix") -> "RatMatrix":
@@ -128,7 +141,7 @@ class RatMatrix:
         ocols = other.cols
         out = []
         for row in self._rows:
-            acc = [Fraction(0)] * ocols
+            acc = [0] * ocols
             for k, coeff in enumerate(row):
                 if coeff:
                     orow = other._rows[k]
@@ -139,10 +152,10 @@ class RatMatrix:
         return RatMatrix(out)
 
     def apply(self, vec: Sequence) -> Vector:
-        vec = vector(vec)
         if len(vec) != self.cols:
             raise ValueError("vector length does not match column count")
-        return tuple(sum((c * v for c, v in zip(row, vec) if c), Fraction(0)) for row in self._rows)
+        support = [(k, plain(v)) for k, v in enumerate(vec) if v]
+        return tuple(plain(sum([row[k] * v for k, v in support])) for row in self._rows)
 
     def __pow__(self, exponent: int) -> "RatMatrix":
         if not self.is_square:
@@ -163,10 +176,10 @@ class RatMatrix:
     def T(self) -> "RatMatrix":
         return RatMatrix(zip(*self._rows)) if self._rows else RatMatrix([])
 
-    def trace(self) -> Fraction:
+    def trace(self) -> int | Fraction:
         if not self.is_square:
             raise ValueError("trace requires a square matrix")
-        return sum((self._rows[i][i] for i in range(self.rows)), Fraction(0))
+        return plain(sum(self._rows[i][i] for i in range(self.rows)))
 
     def is_zero(self) -> bool:
         return all(not x for row in self._rows for x in row)
@@ -187,27 +200,27 @@ class RatMatrix:
         idx = list(range(k))
         return self.submatrix(idx, idx)
 
-    def det(self) -> Fraction:
+    def det(self) -> int | Fraction:
         if not self.is_square:
             raise ValueError("determinant requires a square matrix")
         n = self.rows
         work = [list(row) for row in self._rows]
-        det = Fraction(1)
+        det = 1
         for col in range(n):
             pivot = next((r for r in range(col, n) if work[r][col]), None)
             if pivot is None:
-                return Fraction(0)
+                return 0
             if pivot != col:
                 work[col], work[pivot] = work[pivot], work[col]
                 det = -det
             det *= work[col][col]
-            inv = 1 / work[col][col]
+            inv = Fraction(1) / work[col][col]
             for r in range(col + 1, n):
-                f = work[r][col] * inv
+                f = plain(work[r][col] * inv)
                 if f:
                     for c in range(col, n):
                         work[r][c] -= f * work[col][c]
-        return det
+        return plain(det)
 
     def rref(self) -> tuple["RatMatrix", tuple[int, ...]]:
         work = [list(row) for row in self._rows]
@@ -225,10 +238,10 @@ class RatMatrix:
             # rows from r on vanish left of col, so the update touches only
             # the pivot row's nonzero columns from col on
             support = [k for k in range(col, ncols) if prow[k]]
-            inv = 1 / prow[col]
+            inv = Fraction(1) / prow[col]
             if inv != 1:
                 for k in support:
-                    prow[k] *= inv
+                    prow[k] = plain(prow[k] * inv)
             for i in range(nrows):
                 row = work[i]
                 f = row[col]
@@ -249,8 +262,8 @@ class RatMatrix:
         free = [j for j in range(self.cols) if j not in pivot_set]
         basis = []
         for f in free:
-            vec = [Fraction(0)] * self.cols
-            vec[f] = Fraction(1)
+            vec = [0] * self.cols
+            vec[f] = 1
             for r, p in enumerate(pivots):
                 vec[p] = -reduced[r, f]
             basis.append(tuple(vec))
@@ -274,7 +287,7 @@ class RatMatrix:
         reduced, pivots = augmented.rref()
         if self.cols in pivots:
             return None
-        x = [Fraction(0)] * self.cols
+        x = [0] * self.cols
         for r, p in enumerate(pivots):
             x[p] = reduced[r, self.cols]
         return tuple(x)
@@ -365,8 +378,3 @@ class TrackedEchelon:
         """The stored pivot rows, in insertion order; they span the inserts."""
         return [vec for _, vec, _ in self.pivots.values()]
 
-
-def plain(value):
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return int(value)
-    return value

@@ -23,7 +23,7 @@ from .quiver import (
     coxeter_matrix,
     has_oriented_cycle,
 )
-from .ratmat import RatMatrix, as_fraction, l1_norm, vector
+from .ratmat import RatMatrix, Vector, as_fraction, l1_norm, vector
 
 VERDICT_KINDS = (
     "serre-cyclotomic",
@@ -329,7 +329,7 @@ def entropy_line(verdict: SerreVerdict) -> EntropyLine:
     return EntropyLine(Fraction(verdict.m, verdict.n), verdict.l - 1)
 
 
-def _log_fraction(value: Fraction) -> float:
+def _log_fraction(value: int | Fraction) -> float:
     # math.log on the int parts keeps huge iterates out of float range
     return math.log(value.numerator) - math.log(value.denominator)
 
@@ -350,10 +350,12 @@ def hereditary_entropy(
 
 def entropy_orbit(
     q: Quiver, iterations: int, tol: float
-) -> tuple[float, list[float], RatMatrix, tuple[Fraction, ...]]:
-    """hereditary_entropy's (h0, trace) with the Coxeter matrix and the
-    cogenerator vector behind them; h0 is exactly 0.0 when spectral_radius
-    finds the Coxeter polynomial cyclotomic."""
+) -> tuple[float, list[float], RatMatrix, list[Vector]]:
+    """hereditary_entropy's (h0, trace) with the Coxeter matrix phi and the
+    orbit behind them: the cogenerator vector v and its iterates phi^k v for
+    k = 1..iterations, all in int arithmetic.  orbit_growth continues from
+    this orbit, so each iterate is computed once.  h0 is exactly 0.0 when
+    spectral_radius finds the Coxeter polynomial cyclotomic."""
     if iterations < 1:
         raise ValueError("iterations must be positive")
     if not (math.isfinite(tol) and tol > 0):
@@ -366,12 +368,12 @@ def entropy_orbit(
     cogenerator = vector(
         sum(cartan.column(j)) for j in range(cartan.cols)
     )
-    vec = cogenerator
+    orbit = [cogenerator]
     trace = []
     for k in range(1, iterations + 1):
-        vec = phi.apply(vec)
-        trace.append(_log_fraction(l1_norm(vec)) / k)
-    return h0, trace, phi, cogenerator
+        orbit.append(phi.apply(orbit[-1]))
+        trace.append(_log_fraction(l1_norm(orbit[-1])) / k)
+    return h0, trace, phi, orbit
 
 
 @dataclass(frozen=True)
@@ -413,7 +415,14 @@ def growth_degree(phi: RatMatrix, v, steps: int = 60) -> GrowthEstimate:
         raise ValueError(f"need at least {MIN_GROWTH_STEPS} steps")
     if any(x.denominator != 1 for row in phi.entries() for x in row):
         raise ValueError("growth degree needs an integral matrix")
-    local, _ = krylov_chain(phi, v)
+    return orbit_growth(phi, [vector(v)])
+
+
+def orbit_growth(phi: RatMatrix, orbit: list[Vector]) -> GrowthEstimate:
+    """growth_degree's decision for an integral phi, given the leading
+    iterates v, phi v, ..., phi^j v of the orbit; phi is applied only past
+    the last one."""
+    local, _ = krylov_chain(phi, orbit)
     t = next(k for k, c in enumerate(local.coeffs) if c)
     orders = cyclotomic_factorization(IntPolynomial(local.coeffs[t:]))
     if orders is None:

@@ -7,8 +7,11 @@ import math
 
 import pytest
 
+from quiverlab import cli, cyclo
 from quiverlab.cli import main
-from conftest import GENTLE_TWO_LOOP_DOC
+from quiverlab.quiver import cartan_path_algebra, coxeter_matrix
+from quiverlab.ratmat import RatMatrix
+from conftest import GENTLE_TWO_LOOP_DOC, path_quiver
 
 
 KRONECKER_DOC = json.dumps(
@@ -100,6 +103,33 @@ def test_classify_deterministic_bytes(tmp_path, capsys):
     _, first, _ = run(capsys, "classify", path, "--json")
     _, second, _ = run(capsys, "classify", path, "--json")
     assert first == second
+
+
+def path_doc(n):
+    return json.dumps(
+        {
+            "vertices": list(range(1, n + 1)),
+            "arrows": [{"id": f"a{i}", "from": i, "to": i + 1} for i in range(1, n)],
+        }
+    )
+
+
+def test_classify_computes_one_characteristic_polynomial(tmp_path, capsys, monkeypatch):
+    real = cyclo.char_poly
+    calls = []
+
+    def counted(m):
+        calls.append(m.rows)
+        return real(m)
+
+    monkeypatch.setattr(cyclo, "char_poly", counted)
+    monkeypatch.setattr(cli, "char_poly", counted, raising=False)
+    path = write(tmp_path, "a30.json", path_doc(30))
+    code, out, _ = run(capsys, "classify", path, "--json")
+    assert code == 0
+    assert calls == [30]
+    phi = coxeter_matrix(cartan_path_algebra(path_quiver(30)))
+    assert json.loads(out)["result"]["char_poly"]["text"] == str(real(phi))
 
 
 def test_classify_cyclic_warns_but_succeeds(tmp_path, capsys):
@@ -257,6 +287,23 @@ def test_entropy_long_period_dynkin_is_exactly_bounded(tmp_path, capsys):
     result = json.loads(out)["result"]
     assert result["h0"] == {"exact": True, "value": "0"}
     assert result["growth"] == {"kind": "polynomial", "degree": 0}
+
+
+def test_entropy_walks_the_coxeter_orbit_once(tmp_path, capsys, monkeypatch):
+    # the growth decision reuses the trace's 60 iterates of Phi(A60)
+    calls = []
+    apply = RatMatrix.apply
+
+    def counted(self, vec):
+        calls.append(1)
+        return apply(self, vec)
+
+    monkeypatch.setattr(RatMatrix, "apply", counted)
+    path = write(tmp_path, "a60.json", path_doc(60))
+    code, out, _ = run(capsys, "entropy", path, "--iterations", "60", "--json")
+    assert code == 0
+    assert json.loads(out)["result"]["growth"] == {"kind": "polynomial", "degree": 0}
+    assert len(calls) <= 61
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from quiverlab.cyclo import (
+    _power_radius,
     char_poly,
     companion_matrix,
     cyclotomic_profile,
@@ -20,7 +21,7 @@ from quiverlab.cyclo import (
 from quiverlab.intpoly import IntPolynomial
 from quiverlab.quiver import cartan_path_algebra, coxeter_matrix
 from quiverlab.ratmat import RatMatrix
-from conftest import star_quiver
+from conftest import power_radius_reference, star_quiver
 
 
 PHI_A2 = RatMatrix([[0, -1], [1, -1]])
@@ -218,3 +219,15 @@ def test_spectral_radius_odd_degree_dominant_complex_pair():
     # (x - 1)(x^2 + 4): the radius 2 comes from the pair +-2i
     p = IntPolynomial([-1, 1]) * IntPolynomial([4, 0, 1])
     assert abs(spectral_radius(companion_matrix(p), tol=1e-9) - 2.0) < 1e-6
+
+
+def test_power_radius_is_bit_identical_to_the_triple_loop():
+    rng = random.Random(1012)
+    polys = []
+    for _ in range(200):
+        degree = rng.randint(1, 12)
+        polys.append(IntPolynomial([rng.randint(-9, 9) for _ in range(degree)] + [1]))
+    # T(2,3,31): Coxeter polynomial of degree 34 with a real root just above 1
+    polys.append(char_poly(coxeter_matrix(cartan_path_algebra(star_quiver((1, 2, 30))))))
+    for p in polys:
+        assert _power_radius(p) == power_radius_reference(p), p

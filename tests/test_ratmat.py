@@ -2,11 +2,14 @@
 
 Expected values are hand computations on small matrices.
 """
+import random
 from fractions import Fraction
 
 import pytest
 
+from quiverlab import char_poly, classify_quiver, tits_matrix
 from quiverlab.ratmat import RatMatrix, TrackedEchelon, as_fraction, l1_norm, vector
+from conftest import path_quiver, star_quiver, wild3_quiver
 
 
 def mat(rows):
@@ -149,3 +152,67 @@ def test_tracked_echelon_normalizes_pivots():
     assert rows[1] == {0: 1, 2: Fraction(1, 2)}
     assert type(rows[1][0]) is int
     assert echelon.pivots[0][2] == {"v": Fraction(1, 4)}
+
+
+# --- integral matrices stay in ints ------------------------------------------
+
+
+def _numbers(value):
+    """Every number inside a matrix, a vector or a list of vectors."""
+    if isinstance(value, RatMatrix):
+        value = value.entries()
+    if isinstance(value, (tuple, list)):
+        for x in value:
+            yield from _numbers(x)
+    else:
+        yield value
+
+
+def test_integral_matrices_keep_int_entries_and_never_leak_floats():
+    rng = random.Random(2026)
+    cases = [
+        mat([[2, 1], [1, 3]]),
+        # pivot 3 in both the elimination and the Hessenberg reduction
+        mat([[3, 1, 1], [3, 2, 1], [1, 1, 2]]),
+        tits_matrix(star_quiver((1, 2, 4))),  # E8
+        tits_matrix(wild3_quiver()),
+        mat([[rng.randint(-4, 4) for _ in range(6)] for _ in range(6)]),
+    ]
+    for m in cases:
+        n = m.rows
+        inverse = m.inverse()
+        rhs = vector(range(1, n + 1))
+        results = {
+            "det": m.det(),
+            "rref": m.hstack(m.T).rref()[0],
+            "inverse": inverse,
+            "kernel_basis": m.hstack(m).kernel_basis(),
+            "solve": m.solve(rhs),
+            "apply": m.apply(rhs),
+            "mul": m * m,
+            "mul-inverse": inverse * m,
+            "pow": m ** 3,
+            "pow-negative": m ** -2,
+        }
+        # a float anywhere in the elimination would show as an inexact value
+        assert results["det"] == (-1) ** n * char_poly(m).constant != 0
+        assert char_poly(m).eval_matrix(m).is_zero()
+        assert results["mul-inverse"] == RatMatrix.identity(n)
+        for name, value in results.items():
+            for x in _numbers(value):
+                assert type(x) in (int, Fraction), (name, x)
+                # an integral entry comes back as an int, not Fraction(k, 1)
+                assert x.denominator != 1 or type(x) is int, (name, x)
+        assert all(type(c) in (int, Fraction) for c in char_poly(m).coeffs)
+
+
+def test_classify_verdicts_on_int_tits_forms():
+    assert classify_quiver(path_quiver(8)).kind == "finite"
+    assert classify_quiver(star_quiver((1, 2, 4))).kind == "finite"  # E8
+    affine = classify_quiver(star_quiver((2, 2, 2)))  # affine E6
+    assert (affine.kind, sorted(affine.radical_vector)) == ("affine", [1, 1, 1, 2, 2, 2, 3])
+    # a float Schur complement calls these three finite or indefinite
+    for arms, center_last in (((1, 3, 3), False), ((1, 2, 5), False), ((2, 2, 2), True)):
+        assert classify_quiver(star_quiver(arms, center_last)).kind == "affine"
+    assert classify_quiver(star_quiver((1, 2, 6))).kind == "indefinite"  # T(2,3,7)
+    assert classify_quiver(wild3_quiver()).kind == "indefinite"

@@ -28,7 +28,7 @@ from quiverlab import (
     vector,
     verify_k_shadow,
 )
-from quiverlab.serre import SerreVerdict
+from quiverlab.serre import SerreVerdict, entropy_orbit, orbit_growth
 from conftest import multi_kronecker, path_quiver, star_quiver, wild3_quiver
 
 
@@ -358,6 +358,22 @@ def test_growth_degree_strips_the_nilpotent_part():
     phi = RatMatrix([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
     est = growth_degree(phi, vector([0, 1, 0, 1]))
     assert (est.kind, est.degree) == ("polynomial", 1)
+
+
+@pytest.mark.parametrize("iterations", [1, 12, 60])
+def test_shared_orbit_growth_agrees_with_growth_degree(iterations):
+    # the entropy orbit's iterates seed the Krylov chain; with one iterate the
+    # chain has to continue past it
+    quivers = [path_quiver(n) for n in range(2, 13)]  # A2-A12
+    quivers += [star_quiver((1, 1, n - 3)) for n in range(4, 9)]  # D4-D8
+    quivers += [star_quiver((1, 2, k)) for k in (2, 3, 4)]  # E6-E8
+    quivers += [multi_kronecker(k) for k in (2, 3, 4)]
+    quivers += [wild3_quiver(), star_quiver((1, 2, 6))]  # wild3, T(2,3,7)
+    for q in quivers:
+        _, trace, phi, orbit = entropy_orbit(q, iterations, 1e-4)
+        assert len(orbit) == len(trace) + 1 == iterations + 1
+        assert orbit[-1] == (phi ** iterations).apply(orbit[0])
+        assert orbit_growth(phi, orbit) == growth_degree(phi, orbit[0])
 
 
 def test_growth_degree_refuses_a_non_integral_matrix():
