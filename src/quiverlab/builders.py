@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .quiver import Arrow, Quiver, has_oriented_cycle, quiver_from_data
-from .ratmat import as_fraction
-from .scalgebra import BasisElement, SCAlgebra
+from .ratmat import vector
+from .scalgebra import BasisElement, Element, SCAlgebra
 
 
 def _path_label(arrows: tuple[Arrow, ...]) -> str:
@@ -44,8 +44,7 @@ def _monomial_algebra(q: Quiver, relations: set[tuple[str, str]]) -> SCAlgebra:
         else:
             basis.append(BasisElement(f"e{source}", source, source, 0))
             trivial[source] = k
-    mult: dict[tuple[int, int], dict[int, Fraction]] = {}
-    one = Fraction(1)
+    mult: dict[tuple[int, int], Element] = {}
     for j, (src_y, ay) in enumerate(paths):
         end_y = ay[-1].target if ay else src_y
         for i, (src_x, ax) in enumerate(paths):
@@ -55,7 +54,7 @@ def _monomial_algebra(q: Quiver, relations: set[tuple[str, str]]) -> SCAlgebra:
                 continue
             combined = ay + ax
             k = index[combined] if combined else trivial[src_y]
-            mult[(i, j)] = {k: one}
+            mult[(i, j)] = {k: 1}
     algebra = SCAlgebra(q.vertices, tuple(basis),
                         tuple(trivial[v] for v in q.vertices), mult)
     algebra.verify()
@@ -151,14 +150,14 @@ class CanonicalSpec:
     """
 
     weights: tuple[int, ...]
-    lambdas: tuple[Fraction, ...] = ()
+    lambdas: tuple[int | Fraction, ...] = ()
 
     def __post_init__(self) -> None:
         if len(self.weights) < 2:
             raise ValueError("at least two weights are required")
         if any(not isinstance(p, int) or p < 1 for p in self.weights):
             raise ValueError("weights must be positive integers")
-        object.__setattr__(self, "lambdas", tuple(as_fraction(x) for x in self.lambdas))
+        object.__setattr__(self, "lambdas", vector(self.lambdas))
         if len(self.lambdas) != len(self.weights) - 2:
             raise ValueError("need exactly one lambda per arm beyond the second")
         if any(x == 0 for x in self.lambdas):
@@ -176,7 +175,7 @@ def parse_canonical_spec(document: str) -> CanonicalSpec:
         raise ValueError("canonical spec must be a JSON object with a 'weights' list")
     weights = tuple(data["weights"])
     lambdas = tuple(data.get("lambdas", ()))
-    return CanonicalSpec(weights, tuple(as_fraction(x) for x in lambdas))
+    return CanonicalSpec(weights, lambdas)
 
 
 def canonical_algebra(spec: CanonicalSpec) -> SCAlgebra:
@@ -223,21 +222,20 @@ def canonical_algebra(spec: CanonicalSpec) -> SCAlgebra:
     full_two = len(basis)
     basis.append(BasisElement(seg_label(2, 0, weights[1]), "0", "inf", 0))
 
-    def full_expansion(i: int) -> dict[int, Fraction]:
+    def full_expansion(i: int) -> Element:
         if i == 1:
-            return {full_one: Fraction(1)}
+            return {full_one: 1}
         if i == 2:
-            return {full_two: Fraction(1)}
-        return {full_two: Fraction(1), full_one: -spec.lambdas[i - 3]}
+            return {full_two: 1}
+        return {full_two: 1, full_one: -spec.lambdas[i - 3]}
 
-    mult: dict[tuple[int, int], dict[int, Fraction]] = {}
-    one = Fraction(1)
+    mult: dict[tuple[int, int], Element] = {}
     for v, ev in trivial.items():
-        mult[(ev, ev)] = {ev: one}
+        mult[(ev, ev)] = {ev: 1}
     for k in list(seg_index.values()) + [full_one, full_two]:
         b = basis[k]
-        mult[(trivial[b.target], k)] = {k: one}
-        mult[(k, trivial[b.source])] = {k: one}
+        mult[(trivial[b.target], k)] = {k: 1}
+        mult[(k, trivial[b.source])] = {k: 1}
     for (i, s1, e1), x in seg_index.items():
         for (j, s2, e2), y in seg_index.items():
             if i != j or s1 != e2:
@@ -246,7 +244,7 @@ def canonical_algebra(spec: CanonicalSpec) -> SCAlgebra:
             if (s2, e1) == (0, p):
                 mult[(x, y)] = dict(full_expansion(i))
             else:
-                mult[(x, y)] = {seg_index[(i, s2, e1)]: one}
+                mult[(x, y)] = {seg_index[(i, s2, e1)]: 1}
     algebra = SCAlgebra(tuple(vertices), tuple(basis),
                         tuple(trivial[v] for v in vertices), mult)
     algebra.verify()

@@ -179,7 +179,7 @@ def cmd_canonical(args) -> Report:
     if args.lambdas is not None:
         lambdas = _parse_fraction_list(args.lambdas, "--lambdas")
     else:
-        lambdas = [Fraction(i) for i in range(1, max(len(weights) - 2, 0) + 1)]
+        lambdas = list(range(1, max(len(weights) - 2, 0) + 1))
     spec = CanonicalSpec(tuple(weights), tuple(lambdas))
     payload = json.dumps(
         {"lambdas": [str(x) for x in spec.lambdas], "weights": list(spec.weights)},

@@ -153,7 +153,7 @@ def cyclotomic_profile(m: RatMatrix) -> CycloProfile:
     if not cp.constant:
         raise ValueError("cyclotomic profile requires an invertible matrix")
     not_cyclotomic = CycloProfile(False, (), False, None, None, cp)
-    if not cp.is_integral or cyclotomic_factorization(cp) is None:
+    if cyclotomic_factorization(cp) is None:
         return not_cyclotomic
     orders = cyclotomic_factorization(min_poly(m))
     assert orders is not None
@@ -175,7 +175,7 @@ def cyclotomic_profile(m: RatMatrix) -> CycloProfile:
 
 def _cauchy_bound(p: IntPolynomial) -> Fraction:
     lead = p.leading
-    top = max((abs(c / lead) for c in p.coeffs[:-1]), default=Fraction(0))
+    top = max((abs(Fraction(c, lead)) for c in p.coeffs[:-1]), default=Fraction(0))
     return 1 + top
 
 
@@ -249,7 +249,7 @@ def spectral_radius(m: RatMatrix, tol: float = 1e-6) -> float:
     if not coeffs or len(coeffs) == 1:
         return 0.0
     p = IntPolynomial(coeffs)
-    if p.is_integral and cyclotomic_factorization(p) is not None:
+    if cyclotomic_factorization(p) is not None:
         return 1.0
     best = max(_largest_real_root(p, tol), _largest_real_root(p.reflect(), tol))
     return max(best, _power_radius(p))

@@ -1,8 +1,9 @@
 """Univariate polynomials with exact coefficients, plus cyclotomic machinery.
 
-Coefficients are stored constant term first. They are rational in general;
-polynomials on the cyclotomic decision paths are monic with integer entries
-and `is_integral` distinguishes the two situations.
+Coefficients are stored constant term first, each in the package's plain
+exact form: an int when integral, a Fraction otherwise.  Polynomials on the
+cyclotomic decision paths are monic with integer entries, so their products
+and divisions run in Python ints; `is_integral` tells the two cases apart.
 """
 from __future__ import annotations
 
@@ -10,14 +11,14 @@ import functools
 from fractions import Fraction
 from typing import Iterable
 
-from .ratmat import RatMatrix, as_fraction
+from .ratmat import RatMatrix, plain
 
 
 class IntPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        data = [as_fraction(c) for c in coeffs]
+        data = [plain(c) for c in coeffs]
         while data and not data[-1]:
             data.pop()
         self.coeffs = tuple(data)
@@ -34,10 +35,6 @@ class IntPolynomial:
     def x() -> "IntPolynomial":
         return IntPolynomial((0, 1))
 
-    @staticmethod
-    def monomial(coeff, power: int) -> "IntPolynomial":
-        return IntPolynomial((0,) * power + (coeff,))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -47,14 +44,12 @@ class IntPolynomial:
         return not self.coeffs
 
     @property
-    def leading(self) -> Fraction:
-        if self.is_zero:
-            return Fraction(0)
-        return self.coeffs[-1]
+    def leading(self) -> int | Fraction:
+        return self.coeffs[-1] if self.coeffs else 0
 
     @property
-    def constant(self) -> Fraction:
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+    def constant(self) -> int | Fraction:
+        return self.coeffs[0] if self.coeffs else 0
 
     @property
     def is_monic(self) -> bool:
@@ -62,7 +57,7 @@ class IntPolynomial:
 
     @property
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return all(type(c) is int for c in self.coeffs)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
@@ -89,18 +84,21 @@ class IntPolynomial:
         if isinstance(other, IntPolynomial):
             if self.is_zero or other.is_zero:
                 return IntPolynomial.zero()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
                 if a:
                     for j, b in enumerate(other.coeffs):
                         if b:
                             out[i + j] += a * b
             return IntPolynomial(out)
-        return IntPolynomial(as_fraction(other) * c for c in self.coeffs)
+        other = plain(other)
+        return IntPolynomial(other * c for c in self.coeffs)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "IntPolynomial":
+        if n < 0:
+            raise ValueError("polynomial power needs a nonnegative exponent")
         result = IntPolynomial.one()
         for _ in range(n):
             result = result * self
@@ -110,16 +108,20 @@ class IntPolynomial:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         remainder = list(self.coeffs)
-        divisor = other.coeffs
-        dd = len(divisor) - 1
-        lead_inv = 1 / divisor[-1]
-        quotient = [Fraction(0)] * max(len(remainder) - dd, 0)
+        dd = other.degree
+        # a monic integral divisor keeps an integral dividend in ints
+        lead_inv = plain(Fraction(1) / other.leading)
+        # each step cancels remainder[i + dd] without writing it back;
+        # del below drops those cancelled places
+        lower = [(j, c) for j, c in enumerate(other.coeffs[:-1]) if c]
+        quotient = [0] * max(len(remainder) - dd, 0)
         for i in range(len(remainder) - dd - 1, -1, -1):
             coeff = remainder[i + dd] * lead_inv
             if coeff:
                 quotient[i] = coeff
-                for j, d in enumerate(divisor):
-                    remainder[i + j] -= coeff * d
+                for j, c in lower:
+                    remainder[i + j] -= coeff * c
+        del remainder[dd:]
         return IntPolynomial(quotient), IntPolynomial(remainder)
 
     def __floordiv__(self, other: "IntPolynomial") -> "IntPolynomial":
@@ -128,13 +130,10 @@ class IntPolynomial:
     def __mod__(self, other: "IntPolynomial") -> "IntPolynomial":
         return divmod(self, other)[1]
 
-    def divides(self, other: "IntPolynomial") -> bool:
-        return (other % self).is_zero
-
     def monic(self) -> "IntPolynomial":
         if self.is_zero or self.is_monic:
             return self
-        return (1 / self.leading) * self
+        return (Fraction(1) / self.leading) * self
 
     def gcd(self, other: "IntPolynomial") -> "IntPolynomial":
         a, b = self, other
@@ -214,40 +213,16 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def _exact_quotient(num: list[int], den: tuple[int, ...]) -> list[int] | None:
-    """num / den in integers for a monic den, or None if it leaves a remainder."""
-    dd = len(den) - 1
-    rem = list(num)
-    quotient = [0] * max(len(rem) - dd, 0)
-    for i in range(len(rem) - dd - 1, -1, -1):
-        coeff = rem[i + dd]
-        if coeff:
-            quotient[i] = coeff
-            for j in range(dd):
-                if den[j]:
-                    rem[i + j] -= coeff * den[j]
-    if any(rem[:dd]):
-        return None
-    return quotient
-
-
-@functools.lru_cache(maxsize=None)
-def _cyclotomic_coeffs(d: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_d, by exact division of x^d - 1."""
-    numerator = [-1] + [0] * (d - 1) + [1]
-    for e in range(1, d):
-        if d % e == 0:
-            numerator = _exact_quotient(numerator, _cyclotomic_coeffs(e))
-            assert numerator is not None
-    return tuple(numerator)
-
-
 @functools.lru_cache(maxsize=None)
 def cyclotomic_poly(d: int) -> IntPolynomial:
     """d-th cyclotomic polynomial, by exact division of x^d - 1."""
     if d < 1:
         raise ValueError("cyclotomic index must be >= 1")
-    return IntPolynomial(_cyclotomic_coeffs(d))
+    p = IntPolynomial([-1] + [0] * (d - 1) + [1])
+    for e in range(1, d):
+        if d % e == 0:
+            p = p // cyclotomic_poly(e)
+    return p
 
 
 def cyclotomic_factorization(p: IntPolynomial) -> tuple[tuple[int, int], ...] | None:
@@ -262,24 +237,23 @@ def cyclotomic_factorization(p: IntPolynomial) -> tuple[tuple[int, int], ...] | 
         raise ValueError("cyclotomic factorization expects a monic polynomial")
     if not p.is_integral:
         return None
-    remaining = [int(c) for c in p.coeffs]
     found: list[tuple[int, int]] = []
     d = 0
-    while len(remaining) > 1:
+    while p.degree > 0:
         d += 1
-        degree = len(remaining) - 1
+        degree = p.degree
         # phi(d) >= sqrt(d/2), so phi(d) <= degree forces d <= 2 degree^2
         if d > 2 * degree * degree:
             return None
         if euler_phi(d) > degree:
             continue
-        phi_d = _cyclotomic_coeffs(d)
+        phi_d = cyclotomic_poly(d)
         mult = 0
         while True:
-            quotient = _exact_quotient(remaining, phi_d)
-            if quotient is None:
+            quotient, remainder = divmod(p, phi_d)
+            if not remainder.is_zero:
                 break
-            remaining = quotient
+            p = quotient
             mult += 1
         if mult:
             found.append((d, mult))

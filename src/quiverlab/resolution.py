@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fitting import EXPONENTIAL_SLOPE_THRESHOLD, LOGLOG_RESIDUAL_THRESHOLD, fit_line
-from .ratmat import RatMatrix, TrackedEchelon, plain
+from .ratmat import RatMatrix, TrackedEchelon, Vector, plain, vector
 from .scalgebra import SCAlgebra
 
 TRUNCATION_REASONS = ("steps-exhausted", "dimension-cap", "resolution-terminated")
@@ -129,7 +129,7 @@ class ComplexityEstimate:
         return out
 
 
-def jacobson_radical(a: SCAlgebra) -> list[tuple[Fraction, ...]]:
+def jacobson_radical(a: SCAlgebra) -> list[Vector]:
     """Basis of the radical via the characteristic-zero trace-form criterion.
 
     x is radical exactly when trace of left multiplication by b*x vanishes
@@ -138,22 +138,23 @@ def jacobson_radical(a: SCAlgebra) -> list[tuple[Fraction, ...]]:
     is verified to be a nilpotent two-sided ideal before it is returned.
     """
     d = a.dim
-    mult_trace = [Fraction(0)] * d
+    mult_trace = [0] * d
     for (m, k), row in a.mult.items():
         mult_trace[m] += row.get(k, 0)
     columns: list[dict] = [{} for _ in range(d)]
     for (i, j), prod in a.mult.items():
-        value = sum((c * mult_trace[m] for m, c in prod.items()), Fraction(0))
+        value = sum(c * mult_trace[m] for m, c in prod.items())
         if value:
             columns[j][i] = value
     echelon = TrackedEchelon()
     relations = [echelon.insert(column, {j: 1}) for j, column in enumerate(columns)]
-    basis = [tuple(Fraction(r.get(k, 0)) for k in range(d)) for r in relations if r is not None]
+    # echelon arithmetic may leave Fraction(k, 1); store the plain form
+    basis = [vector(r.get(k, 0) for k in range(d)) for r in relations if r is not None]
     _verify_nilpotent_ideal(a, basis)
     return basis
 
 
-def _verify_nilpotent_ideal(a: SCAlgebra, basis: list[tuple[Fraction, ...]]) -> None:
+def _verify_nilpotent_ideal(a: SCAlgebra, basis: list[Vector]) -> None:
     d = a.dim
     sparse = [{k: v for k, v in enumerate(vec) if v} for vec in basis]
     span = TrackedEchelon()
@@ -161,7 +162,7 @@ def _verify_nilpotent_ideal(a: SCAlgebra, basis: list[tuple[Fraction, ...]]) -> 
         span.add(dict(x))
     for x in sparse:
         for i in range(d):
-            unit = {i: Fraction(1)}
+            unit = {i: 1}
             for prod in (a.multiply(unit, x), a.multiply(x, unit)):
                 if span.add(prod):
                     raise RuntimeError("radical candidate is not a two-sided ideal")
@@ -201,9 +202,9 @@ def simple_modules(a: SCAlgebra, rad=None) -> list[RepModule]:
     return simples
 
 
-def _unit_vector(index: int, length: int) -> list[Fraction]:
-    vec = [Fraction(0)] * length
-    vec[index] = Fraction(1)
+def _unit_vector(index: int, length: int) -> list[int]:
+    vec = [0] * length
+    vec[index] = 1
     return vec
 
 
@@ -232,7 +233,7 @@ def _projective_sum(a: SCAlgebra, verts: list) -> RepModule:
         total += len(block)
     actions = []
     for b in range(a.dim):
-        rows = [[Fraction(0)] * total for _ in range(total)]
+        rows = [[0] * total for _ in range(total)]
         for copy, block in enumerate(blocks):
             base = offsets[copy]
             table = local[copy]
@@ -349,7 +350,7 @@ class _FlatResolver:
         left: list[list] = [[] for _ in range(d)]
         for (i, j), row in a.mult.items():
             if row:
-                left[j].append((i, tuple((k, plain(c)) for k, c in row.items())))
+                left[j].append((i, tuple(row.items())))
                 if i not in idem and j not in idem:
                     rad2.add(dict(row))
         self.arrows = [m for m in range(d) if m not in idem and rad2.add({m: 1})]
@@ -502,7 +503,7 @@ def _rebase_to_radical(a: SCAlgebra, module: RepModule, rad):
 
     def expand(k: int) -> dict:
         """b'_k on the old basis."""
-        out = {k: Fraction(1)}
+        out = {k: 1}
         if k not in idem:
             for e, scalar in scalars:
                 if scalar[k]:
@@ -513,7 +514,7 @@ def _rebase_to_radical(a: SCAlgebra, module: RepModule, rad):
         """Old coordinates to new: e_v takes S_v(x), the others are kept."""
         out = {k: c for k, c in x.items() if k not in idem}
         for e, scalar in scalars:
-            out[e] = sum((c * scalar[k] for k, c in x.items()), Fraction(0))
+            out[e] = sum(c * scalar[k] for k, c in x.items())
         return out
 
     basis = [expand(k) for k in range(a.dim)]
@@ -571,7 +572,7 @@ def _flatten_kernel(a: SCAlgebra, verts: list, kernel) -> list[dict]:
         coord_map.extend(base + m for m in by_vertex[pos[v]])
     out = []
     for vec in kernel:
-        out.append({coord_map[i]: plain(c) for i, c in enumerate(vec) if c})
+        out.append({coord_map[i]: c for i, c in enumerate(vec) if c})
     return out
 
 

@@ -1,9 +1,12 @@
 """Finite-dimensional algebras presented by a labeled basis and a
 multiplication table over the rationals.
 
-Elements are sparse dicts {basis index: coefficient}. The product x*y is
-read right to left: y acts first, so nonzero products require the source
-vertex of x to equal the target vertex of y.
+Elements are sparse dicts {basis index: coefficient}, each coefficient in
+the plain exact form of `ratmat.plain`: an int when integral, a Fraction
+otherwise.  Path, gentle and trivial-extension algebras therefore multiply
+in Python ints.  The product x*y is read right to left: y acts first, so
+nonzero products require the source vertex of x to equal the target vertex
+of y.
 """
 from __future__ import annotations
 
@@ -11,9 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .ratmat import RatMatrix, as_fraction
+from .ratmat import RatMatrix, plain
 
-Element = dict[int, Fraction]
+Element = dict[int, int | Fraction]
+"""Sparse algebra element: basis index to a nonzero plain exact coefficient."""
 
 
 @dataclass(frozen=True)
@@ -58,7 +62,7 @@ class SCAlgebra:
             for k, c in row.items():
                 if not (0 <= k < dim):
                     raise ValueError(f"product of ({i},{j}) hits bad index {k}")
-                f = as_fraction(c)
+                f = plain(c)
                 if f:
                     clean[k] = f
             if clean:
@@ -76,15 +80,15 @@ class SCAlgebra:
         return self._by_label[label]
 
     def element(self, label: str) -> Element:
-        return {self._by_label[label]: Fraction(1)}
+        return {self._by_label[label]: 1}
 
     def unit(self) -> Element:
-        return {e: Fraction(1) for e in self.idempotents}
+        return {e: 1 for e in self.idempotents}
 
     def product(self, i: int, j: int) -> Element:
         return dict(self.mult.get((i, j), ()))
 
-    def multiply(self, x: Mapping[int, Fraction], y: Mapping[int, Fraction]) -> Element:
+    def multiply(self, x: Element, y: Element) -> Element:
         out: Element = {}
         for j, cy in y.items():
             for i, cx in x.items():
@@ -115,16 +119,15 @@ class SCAlgebra:
             b = basis[e]
             if b.source != v or b.target != v or b.degree != 0:
                 raise ValueError(f"idempotent for {v!r} has wrong endpoints or degree")
-        one = Fraction(1)
         for a, ea in zip(self.vertices, self.idempotents):
             for b, eb in zip(self.vertices, self.idempotents):
-                expected = {ea: one} if a == b else {}
+                expected = {ea: 1} if a == b else {}
                 if self.product(ea, eb) != expected:
                     raise ValueError(f"idempotents {a!r}, {b!r} violate orthogonality")
         for k, b in enumerate(basis):
-            if self.product(self.idempotent_index(b.target), k) != {k: one}:
+            if self.product(self.idempotent_index(b.target), k) != {k: 1}:
                 raise ValueError(f"left unit law fails on {b.label!r}")
-            if self.product(k, self.idempotent_index(b.source)) != {k: one}:
+            if self.product(k, self.idempotent_index(b.source)) != {k: 1}:
                 raise ValueError(f"right unit law fails on {b.label!r}")
         for (i, j), row in self.mult.items():
             bi, bj = basis[i], basis[j]
@@ -148,8 +151,8 @@ class SCAlgebra:
                 ij = self.mult.get((i, j))
                 for k in range(dim) if ij else right_of[j]:
                     jk = self.mult.get((j, k))
-                    left = self.multiply(ij or {}, {k: one})
-                    right = self.multiply({i: one}, jk or {})
+                    left = self.multiply(ij or {}, {k: 1})
+                    right = self.multiply({i: 1}, jk or {})
                     if left != right:
                         raise ValueError(
                             f"associativity fails on "
@@ -163,4 +166,4 @@ def cartan_matrix(a: SCAlgebra) -> RatMatrix:
     counts = [[0] * n for _ in range(n)]
     for b in a.basis:
         counts[index[b.target]][index[b.source]] += 1
-    return RatMatrix([[Fraction(x) for x in row] for row in counts])
+    return RatMatrix(counts)

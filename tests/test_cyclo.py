@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from quiverlab.cyclo import (
+    _cauchy_bound,
     _power_radius,
     char_poly,
     companion_matrix,
@@ -199,6 +200,10 @@ def test_spectral_radius_exact_one_for_cyclotomic():
 def test_spectral_radius_golden_like_value():
     rho = spectral_radius(PHI_KRONECKER3, tol=1e-9)
     assert abs(rho - (7 + math.sqrt(45)) / 2) < 1e-6
+    # the bisection grid starts from an exact Cauchy bound, never a float
+    bound = _cauchy_bound(char_poly(PHI_KRONECKER3))  # x^2 - 7x + 1
+    assert type(bound) is Fraction and bound == 8
+    assert _cauchy_bound(IntPolynomial([1, -7, 3])) == Fraction(10, 3)
 
 
 def test_spectral_radius_diagonal():

@@ -54,6 +54,12 @@ def test_arithmetic():
     assert (X ** 3).degree == 3
 
 
+def test_negative_power_raises():
+    assert X ** 0 == ONE
+    with pytest.raises(ValueError):
+        X ** -1
+
+
 def test_divmod_exact_and_remainder():
     p = poly(-1, 0, 0, 1)  # x^3 - 1
     d = poly(-1, 1)
@@ -63,6 +69,10 @@ def test_divmod_exact_and_remainder():
     q, r = divmod(poly(1, 0, 1), poly(0, 1))
     assert q == poly(0, 1)
     assert r == poly(1)
+    # x^2 + 1 = (3x + 1)(x/3 - 1/9) + 10/9: a true division makes exact ninths
+    q, r = divmod(poly(1, 0, 1), poly(1, 3))
+    assert q.coeffs == (Fraction(-1, 9), Fraction(1, 3))
+    assert r.coeffs == (Fraction(10, 9),)
 
 
 def test_gcd_and_lcm():
@@ -84,6 +94,8 @@ def test_derivative_and_evaluate():
 def test_monic_rescales():
     p = poly(2, 0, 2)
     assert p.monic() == poly(1, 0, 1)
+    # leading 3 needs exact thirds; a float would miss 1/3 and 2/3
+    assert poly(1, 2, 3).monic().coeffs == (Fraction(1, 3), Fraction(2, 3), 1)
 
 
 def test_reflect_substitutes_negated_variable():
@@ -107,6 +119,10 @@ def test_cyclotomic_poly_small_indices():
     assert cyclotomic_poly(6) == poly(1, -1, 1)
     assert cyclotomic_poly(12) == poly(1, 0, -1, 0, 1)
     assert cyclotomic_poly(105).degree == euler_phi(105)
+    # the least index whose cyclotomic polynomial has a coefficient off {-1, 0, 1}
+    coeffs = cyclotomic_poly(105).coeffs
+    assert [k for k, c in enumerate(coeffs) if c == -2] == [7, 41]
+    assert all(abs(c) <= 1 for k, c in enumerate(coeffs) if k not in (7, 41))
 
 
 def test_product_over_divisors_recovers_power_minus_one():

@@ -7,9 +7,18 @@ from fractions import Fraction
 
 import pytest
 
-from quiverlab import char_poly, classify_quiver, tits_matrix
+from quiverlab import (
+    IntPolynomial,
+    char_poly,
+    classify_quiver,
+    cyclotomic_poly,
+    jacobson_radical,
+    min_poly,
+    tits_matrix,
+    trivial_extension,
+)
 from quiverlab.ratmat import RatMatrix, TrackedEchelon, as_fraction, l1_norm, vector
-from conftest import path_quiver, star_quiver, wild3_quiver
+from conftest import builder_outputs, path_quiver, star_quiver, wild3_quiver
 
 
 def mat(rows):
@@ -178,10 +187,19 @@ def test_integral_matrices_keep_int_entries_and_never_leak_floats():
         tits_matrix(wild3_quiver()),
         mat([[rng.randint(-4, 4) for _ in range(6)] for _ in range(6)]),
     ]
+    # polynomials and algebras store the same plain form as matrices
+    shared = {"cyclotomic_poly": [cyclotomic_poly(d).coeffs for d in (1, 2, 12, 30, 105)]}
+    for name, a in builder_outputs():
+        extended = [] if name.startswith("trivext") else [(f"T({name})", trivial_extension(a))]
+        for label, alg in [(name, a)] + extended:
+            shared[f"{label} mult"] = [tuple(row.values()) for row in alg.mult.values()]
+            shared[f"{label} radical"] = jacobson_radical(alg)
+    linear = IntPolynomial((1, 3))  # 3x + 1: dividing by it makes thirds
     for m in cases:
         n = m.rows
         inverse = m.inverse()
         rhs = vector(range(1, n + 1))
+        cp, mp = char_poly(m), min_poly(m)
         results = {
             "det": m.det(),
             "rref": m.hstack(m.T).rref()[0],
@@ -193,6 +211,14 @@ def test_integral_matrices_keep_int_entries_and_never_leak_floats():
             "mul-inverse": inverse * m,
             "pow": m ** 3,
             "pow-negative": m ** -2,
+            "char_poly": cp.coeffs,
+            "min_poly": mp.coeffs,
+            "poly-mul": (cp * mp).coeffs,
+            "poly-divmod": [r.coeffs for r in divmod(cp * mp + linear, mp)],
+            "poly-divmod-thirds": [r.coeffs for r in divmod(cp, linear)],
+            "poly-gcd": cp.gcd(mp).coeffs,
+            "poly-lcm": cp.lcm(mp * linear).coeffs,
+            **shared,
         }
         # a float anywhere in the elimination would show as an inexact value
         assert results["det"] == (-1) ** n * char_poly(m).constant != 0
