@@ -196,6 +196,7 @@ class IntPolynomial:
         return f"IntPolynomial({self})"
 
 
+@functools.lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("totient needs n >= 1")

@@ -5,11 +5,14 @@ kernels, matrix identities) goes through this module, so there is no
 floating point anywhere below.  Entries are kept in their plain exact form,
 an int when integral and a Fraction otherwise, so integral matrices such as
 Cartan and Coxeter matrices multiply in int arithmetic.  TrackedEchelon
-grows an echelon basis of sparse vectors.
+is the package's one sparse reduction: the Jacobson radical, the syzygies
+and tops of the resolution engine and the Krylov chains of the minimal
+polynomial all grow an echelon basis of sparse vectors in it, in ints when
+their inputs are integral.
 """
 from __future__ import annotations
 
-import heapq
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -307,68 +310,74 @@ class TrackedEchelon:
 
     Vectors and expressions are sparse dicts.  The expression, usually a
     unit dict naming the input, is reduced alongside its vector, so a vector
-    that vanishes yields the exact relation among the inputs.  Rows are
-    scaled to pivot entry 1, preferring an entry already +1 or -1.
-
-    Pivot rows are stored in insertion order and never re-reduced; a row may
-    therefore still contain pivots younger than itself, so reduction always
-    eliminates the oldest pivot present, which only introduces younger ones.
+    that vanishes yields the exact relation among the inputs.  Each stored
+    row is keyed by its largest coordinate, its lead, and never re-reduced:
+    reducing a vector's lead by the row stored there only brings in smaller
+    coordinates.  Rows are not divided by their lead; between ints a step
+    scales the vector instead, so integral inputs keep int rows.
     """
 
-    __slots__ = ("pivots", "_clock")
+    __slots__ = ("pivots",)
 
     def __init__(self):
-        self.pivots: dict[int, tuple] = {}
-        self._clock = 0
+        self.pivots: dict[int, tuple[dict, dict]] = {}
 
     def insert(self, vec: dict, expr: dict):
         """Reduce vec; return the expression if it vanished, else keep it.
 
-        Consumes both arguments: vec and expr are mutated in place and may
-        be stored as a pivot row, so callers pass fresh dicts.
+        The returned relation has coefficient 1 on the inserted expression
+        and is supported on earlier independent inputs; its values are in
+        plain form.  Consumes both arguments: vec and expr are mutated in
+        place and may be stored as a pivot row, so callers pass fresh dicts.
         """
         pivots = self.pivots
-        heap = [(pivots[c][0], c) for c in vec if c in pivots]
-        heapq.heapify(heap)
-        while heap:
-            _, c = heapq.heappop(heap)
-            val = vec.get(c)
-            if not val:
-                continue
-            _, pvec, pexpr = pivots[c]
+        scale = 1
+        while vec:
+            lead = max(vec)
+            row = pivots.get(lead)
+            if row is None:
+                pivots[lead] = (vec, expr)
+                return None
+            pvec, pexpr = row
+            val, plead = vec[lead], pvec[lead]
+            if plead == 1:
+                c = val
+            elif plead == -1:
+                c = -val
+            elif type(val) is int and type(plead) is int:
+                # vec <- f*vec - c*row with f*val == c*plead
+                g = math.gcd(val, plead)
+                f, c = plead // g, val // g
+                if f < 0:
+                    f, c = -f, -c
+                if f != 1:
+                    scale *= f
+                    for k in vec:
+                        vec[k] *= f
+                    for k in expr:
+                        expr[k] *= f
+            else:
+                c = val / plead
             for k, pv in pvec.items():
-                present = k in vec
-                s = vec.get(k, 0) - val * pv
+                s = vec.get(k, 0) - c * pv
                 if s:
                     vec[k] = s
-                    if not present and k in pivots:
-                        heapq.heappush(heap, (pivots[k][0], k))
                 else:
-                    vec.pop(k, None)
-            for k, pv in pexpr.items():
-                s = expr.get(k, 0) - val * pv
-                if s:
-                    expr[k] = s
-                else:
-                    expr.pop(k, None)
-        if not vec:
-            return expr
-        for pivot, v in vec.items():
-            if v == 1 or v == -1:
-                break
-        else:
-            pivot = next(iter(vec))
-        lead = vec[pivot]
-        if lead == -1:
-            vec = {k: -v for k, v in vec.items()}
-            expr = {k: -v for k, v in expr.items()}
-        elif lead != 1:
-            inv = Fraction(1) / lead
-            vec = {k: plain(v * inv) for k, v in vec.items()}
-            expr = {k: plain(v * inv) for k, v in expr.items()}
-        self.pivots[pivot] = (self._clock, vec, expr)
-        self._clock += 1
-        return None
+                    del vec[k]
+            if pexpr:
+                for k, pv in pexpr.items():
+                    s = expr.get(k, 0) - c * pv
+                    if s:
+                        expr[k] = s
+                    else:
+                        del expr[k]
+        if scale == 1:
+            for v in expr.values():
+                if type(v) is not int:
+                    break
+            else:
+                return expr
+        return {k: plain(Fraction(v, scale)) for k, v in expr.items()}
 
     def add(self, vec: dict) -> bool:
         """Insert without tracking; True when vec enlarged the span."""
@@ -376,5 +385,4 @@ class TrackedEchelon:
 
     def rows(self) -> list[dict]:
         """The stored pivot rows, in insertion order; they span the inserts."""
-        return [vec for _, vec, _ in self.pivots.values()]
-
+        return [vec for vec, _ in self.pivots.values()]

@@ -11,17 +11,18 @@ top of each syzygy is found from the images of the arrows alone, a basis of
 rad/rad^2 chosen among the basis elements.  Syzygy bases come in lead form:
 each vector sits at one vertex and has its own largest coordinate, its lead.
 Since rad*K lies in K, the leads of rad*K are leads of K, and the vectors of
-K whose leads are not leads of rad*K generate K minimally.
+K whose leads are not leads of rad*K generate K minimally.  Every kernel,
+the first one included, comes from the same per-vertex TrackedEchelons;
+the first reads the module's own action on its top generators.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .fitting import EXPONENTIAL_SLOPE_THRESHOLD, LOGLOG_RESIDUAL_THRESHOLD, fit_line
-from .ratmat import RatMatrix, TrackedEchelon, Vector, plain, vector
+from .ratmat import RatMatrix, TrackedEchelon, Vector
 from .scalgebra import SCAlgebra
 
 TRUNCATION_REASONS = ("steps-exhausted", "dimension-cap", "resolution-terminated")
@@ -148,8 +149,7 @@ def jacobson_radical(a: SCAlgebra) -> list[Vector]:
             columns[j][i] = value
     echelon = TrackedEchelon()
     relations = [echelon.insert(column, {j: 1}) for j, column in enumerate(columns)]
-    # echelon arithmetic may leave Fraction(k, 1); store the plain form
-    basis = [vector(r.get(k, 0) for k in range(d)) for r in relations if r is not None]
+    basis = [tuple(r.get(k, 0) for k in range(d)) for r in relations if r is not None]
     _verify_nilpotent_ideal(a, basis)
     return basis
 
@@ -333,8 +333,8 @@ class _FlatResolver:
     apply only the arrows, non-idempotent basis elements that form a basis
     of rad/rad^2: a syzygy K is a submodule and rad is spanned by products
     of arrows, so rad*K is the sum of arrow*K.  Kernel relations keep the
-    lead form that check_kernel guards, so a top costs one reduction of the
-    arrow images by their leads and one lookup per kernel vector.
+    lead form that check_kernel guards, so a top costs one TrackedEchelon
+    of the arrow images and one lookup of each kernel vector's lead in it.
     """
 
     def __init__(self, a: SCAlgebra):
@@ -407,23 +407,37 @@ class _FlatResolver:
                 if target_pos[m] != v:
                     raise RuntimeError("syzygy relation spans two vertices")
 
-    def kernel_of_cover(self, gens: list[tuple[int, dict]]) -> list[dict]:
-        """Kernel basis of the cover of the module generated by gens.
+    def module_images(self, module: RepModule, rad) -> list[tuple[int, dict]]:
+        """(vertex position, {m: b_m * gen}) for the top generators of a module.
 
-        gens are (vertex position, flat vector) pairs; the cover sends the
-        local basis element m of copy i to b_m * gens[i].  Images split by
-        target vertex, so each vertex keeps its own echelon; zero images
-        are inserted too, as they give kernel relations.  Inserts run in
+        The generators lift a basis of module / rad*module; the images are
+        sparse vectors in the module's own coordinates.
+        """
+        pos = {v: p for p, v in enumerate(self.alg.vertices)}
+        out = []
+        for v, gen in _top_lift(self.alg, module, rad):
+            p = pos[v]
+            out.append((p, {m: _sparse(module.actions[m].apply(gen)) for m in self.src_coords[p]}))
+        return out
+
+    def kernel_of_cover(self, covers) -> list[dict]:
+        """Kernel basis of the cover sending copy i's basis element m to b_m * gen_i.
+
+        covers gives, per generator, its vertex position and its images
+        {m: b_m * gen}, in flat coordinates after the first step and in the
+        module's own coordinates at the first.  Images split by target
+        vertex, so each vertex keeps its own echelon; zero images are
+        inserted too, as they give kernel relations.  Inserts run in
         increasing flat coordinate, so each relation sits at one vertex and
-        its lead is the coordinate whose insert produced it.
+        its lead is the coordinate whose insert produced it.  The relation of
+        a dependent image is the RREF kernel vector of its column.
         """
         echelons = [TrackedEchelon() for _ in self.proj_dim]
         target_pos = self.target_pos
         kernel: list[dict] = []
         d = self.dim
-        for copy, (v, gen) in enumerate(gens):
+        for copy, (v, imgs) in enumerate(covers):
             base = copy * d
-            imgs = self.images(gen, self.left)
             for m in self.src_coords[v]:
                 relation = echelons[target_pos[m]].insert(imgs.get(m, {}), {base + m: 1})
                 if relation is not None:
@@ -436,48 +450,23 @@ class _FlatResolver:
         kernel must be in lead form (see check_kernel).  rad*K lies in K,
         so the leads of rad*K are leads of kernel vectors; the vectors whose
         lead is not one of them span a complement of rad*K, a minimal set of
-        generators.  Arrow images stay vertex-homogeneous, so one lead-keyed
-        reduction serves every vertex.
+        generators.  Arrow images stay vertex-homogeneous, so one echelon
+        keyed by leads serves every vertex.
         """
-        rows: dict = {}
+        span = TrackedEchelon()
         for vec in kernel:
             for image in self.images(vec, self.arrow_left).values():
-                _lead_insert(rows, image)
+                span.add(image)
         d = self.dim
         target_pos = self.target_pos
         gens = []
         for vec in kernel:
             lead = max(vec)
-            if lead not in rows:
+            if lead not in span.pivots:
                 gens.append((target_pos[lead % d], vec))
-        if len(gens) + len(rows) != len(kernel):
+        if len(gens) + len(span.pivots) != len(kernel):
             raise RuntimeError("arrow images leave the syzygy")
         return gens
-
-
-def _lead_insert(rows: dict, vec: dict) -> None:
-    """Reduce vec by the rows keyed by their largest coordinate; keep a rest.
-
-    Consumes vec.  Rows are scaled to lead entry 1 and never re-reduced:
-    reduction clears only the current lead of vec, until vec vanishes or
-    its lead is new.
-    """
-    while vec:
-        lead = max(vec)
-        val = vec[lead]
-        row = rows.get(lead)
-        if row is None:
-            if val != 1:
-                inv = Fraction(1) / val
-                vec = {k: plain(v * inv) for k, v in vec.items()}
-            rows[lead] = vec
-            return
-        for k, pv in row.items():
-            s = vec.get(k, 0) - val * pv
-            if s:
-                vec[k] = s
-            else:
-                del vec[k]
 
 
 def _radical_is_arrow_span(a: SCAlgebra, rad) -> bool:
@@ -556,34 +545,13 @@ def minimal_resolution(
     return _sparse_resolution(a, module, steps, dim_cap, rad)
 
 
-def _flatten_kernel(a: SCAlgebra, verts: list, kernel) -> list[dict]:
-    """Dense kernel vectors of a cover, rewritten in flat sparse coordinates.
-
-    The RREF basis is already in lead form: the vector of free column f is 1
-    at f and otherwise lives on earlier pivot columns, and a module's cover
-    matrix is row equivalent to one made of vertex blocks, whose RREF keeps
-    the blocks apart.
-    """
-    by_vertex = _source_coords(a)
-    pos = {v: p for p, v in enumerate(a.vertices)}
-    coord_map: list[int] = []
-    for copy, v in enumerate(verts):
-        base = copy * a.dim
-        coord_map.extend(base + m for m in by_vertex[pos[v]])
-    out = []
-    for vec in kernel:
-        out.append({coord_map[i]: c for i, c in enumerate(vec) if c})
-    return out
-
-
 def _sparse_resolution(a, module, steps, dim_cap, rad) -> ResolutionTrace:
-    """Flat-coordinate resolution; only the first cover, of `module`, is dense."""
+    """Flat-coordinate resolution; the first cover reads the module's actions."""
     engine = _FlatResolver(a)
-    cover, verts = _cover_data(a, module, rad)
+    covers = engine.module_images(module, rad)
     betti: list[int] = []
-    dim = cover.cols
+    dim = sum(engine.proj_dim[v] for v, _ in covers)
     covered = module.dim
-    gens = None
     while True:
         betti.append(dim)
         syzygy = dim - covered
@@ -593,12 +561,10 @@ def _sparse_resolution(a, module, steps, dim_cap, rad) -> ResolutionTrace:
             return ResolutionTrace(tuple(betti), "steps-exhausted")
         if syzygy > dim_cap:
             return ResolutionTrace(tuple(betti), "dimension-cap")
-        if gens is None:
-            kernel = _flatten_kernel(a, verts, cover.kernel_basis())
-        else:
-            kernel = engine.kernel_of_cover(gens)
+        kernel = engine.kernel_of_cover(covers)
         engine.check_kernel(kernel, syzygy)
         gens = engine.top_generators(kernel)
+        covers = ((v, engine.images(gen, engine.left)) for v, gen in gens)
         dim = sum(engine.proj_dim[v] for v, _ in gens)
         covered = syzygy
 

@@ -9,16 +9,22 @@ import pytest
 
 from quiverlab import (
     IntPolynomial,
+    cartan_path_algebra,
     char_poly,
     classify_quiver,
+    coxeter_matrix,
     cyclotomic_poly,
     jacobson_radical,
     min_poly,
+    path_algebra,
+    simple_modules,
     tits_matrix,
     trivial_extension,
 )
+from quiverlab.cyclo import krylov_chain
 from quiverlab.ratmat import RatMatrix, TrackedEchelon, as_fraction, l1_norm, vector
-from conftest import builder_outputs, path_quiver, star_quiver, wild3_quiver
+from quiverlab.resolution import _FlatResolver
+from conftest import builder_outputs, multi_kronecker, path_quiver, star_quiver, wild3_quiver
 
 
 def mat(rows):
@@ -149,18 +155,67 @@ def test_tracked_echelon_reports_relations():
     assert len(echelon.pivots) == 3
 
 
-def test_tracked_echelon_normalizes_pivots():
+def test_tracked_echelon_keys_rows_by_their_lead():
     echelon = TrackedEchelon()
-    echelon.insert({0: 3, 1: -1}, {"u": 1})
-    echelon.insert({0: Fraction(4), 2: 2}, {"v": 1})
-    rows = echelon.rows()
-    # a -1 entry is preferred as pivot and flipped to +1, keeping ints
-    assert rows[0] == {0: -3, 1: 1}
-    assert echelon.pivots[1][2] == {"u": -1}
-    # with no unit entry the first coordinate is scaled to 1
-    assert rows[1] == {0: 1, 2: Fraction(1, 2)}
-    assert type(rows[1][0]) is int
-    assert echelon.pivots[0][2] == {"v": Fraction(1, 4)}
+    assert echelon.insert({0: 3, 1: -1}, {"u": 1}) is None
+    # v's largest coordinate is u's lead, so v is kept reduced, at lead 0
+    assert echelon.insert({0: 4, 1: 2}, {"v": 1}) is None
+    assert list(echelon.pivots) == [1, 0]
+    for lead, (vec, expr) in echelon.pivots.items():
+        assert lead == max(vec)
+    # the lead 10 does not divide 4: the vector is scaled by 5, the row is
+    # not divided, and the relation is divided by 5 once at the end
+    relation = echelon.insert({0: 4}, {"w": 1})
+    assert relation == {"w": 1, "v": Fraction(-2, 5), "u": Fraction(-4, 5)}
+    # integral inputs keep int rows, and an integral relation comes back in ints
+    relation = echelon.insert({0: 15, 1: 5}, {"x": 1})
+    assert relation == {"x": 1, "u": -1, "v": -3}
+    assert echelon.rows() == [{0: 3, 1: -1}, {0: 10}]
+    stored = [x for vec, expr in echelon.pivots.values() for x in [*vec.values(), *expr.values()]]
+    assert all(type(x) is int for x in stored + list(relation.values()))
+    # Fraction inputs reduce by the exact ratio
+    echelon = TrackedEchelon()
+    echelon.insert({0: Fraction(1, 2), 1: Fraction(2, 3)}, {"u": 1})
+    echelon.insert({0: Fraction(3, 4)}, {"v": 1})
+    relation = echelon.insert({0: 1, 1: 2}, {"w": 1})
+    assert relation == {"w": 1, "u": -3, "v": Fraction(2, 3)}
+    assert type(relation["u"]) is int
+
+
+def test_tracked_echelon_relations_are_the_rref_kernel_vectors():
+    # the relation of a dependent column is 1 there and lives on earlier
+    # independent columns, which is the RREF kernel vector of that free column
+    rng = random.Random(1968)
+    for trial in range(80):
+        rational = trial % 2 == 1
+
+        def number():
+            if rational:
+                return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            return rng.randint(-3, 3)
+
+        nrows = rng.randint(1, 6)
+        columns = []
+        for _ in range(rng.randint(1, 8)):
+            roll = rng.random()
+            if columns and roll < 0.4:
+                coeffs = [number() for _ in columns]
+                columns.append([sum(c * col[i] for c, col in zip(coeffs, columns)) for i in range(nrows)])
+            elif roll < 0.5:
+                columns.append([0] * nrows)
+            else:
+                columns.append([number() for _ in range(nrows)])
+        m = RatMatrix.from_columns(columns)
+        echelon = TrackedEchelon()
+        relations = []
+        for j, col in enumerate(m.columns()):
+            relation = echelon.insert({i: x for i, x in enumerate(col) if x}, {j: 1})
+            if relation is not None:
+                relations.append(tuple(relation.get(k, 0) for k in range(m.cols)))
+        assert relations == m.kernel_basis(), (trial, columns)
+        assert len(echelon.pivots) == m.rank()
+        for x in _numbers(relations):
+            assert x.denominator != 1 or type(x) is int, (trial, x)
 
 
 # --- integral matrices stay in ints ------------------------------------------
@@ -194,6 +249,31 @@ def test_integral_matrices_keep_int_entries_and_never_leak_floats():
         for label, alg in [(name, a)] + extended:
             shared[f"{label} mult"] = [tuple(row.values()) for row in alg.mult.values()]
             shared[f"{label} radical"] = jacobson_radical(alg)
+    # the single echelon stays fraction-free on the Krylov chains behind
+    # orbit_growth and on the engine's kernel relations
+    int_only = {}
+    for label, arms in (("D40", (1, 1, 37)), ("T(2,3,31)", (1, 2, 30))):
+        cartan = cartan_path_algebra(star_quiver(arms))
+        cogenerator = vector(sum(cartan.column(j)) for j in range(cartan.cols))
+        local, chain = krylov_chain(coxeter_matrix(cartan), [cogenerator])
+        int_only[f"Krylov chain of Phi({label})"] = [local.coeffs] + [
+            [*vec.values(), *expr.values()] for vec, expr in chain.pivots.values()
+        ]
+    a = trivial_extension(path_algebra(multi_kronecker(3)))
+    rad = jacobson_radical(a)
+    engine = _FlatResolver(a)
+    relations = []
+    for simple in simple_modules(a, rad):
+        kernel = engine.kernel_of_cover(engine.module_images(simple, rad))
+        for _ in range(4):
+            relations += [list(vec.values()) for vec in kernel]
+            gens = engine.top_generators(kernel)
+            kernel = engine.kernel_of_cover((v, engine.images(g, engine.left)) for v, g in gens)
+    int_only["kernel_of_cover relations of T(kron3)"] = relations
+    for name, value in int_only.items():
+        assert value
+        for x in _numbers(value):
+            assert type(x) is int, (name, x)
     linear = IntPolynomial((1, 3))  # 3x + 1: dividing by it makes thirds
     for m in cases:
         n = m.rows

@@ -296,8 +296,7 @@ def test_syzygy_relations_are_in_lead_form(name, extend):
     d, target_pos = engine.dim, engine.target_pos
     steps = 0
     for simple in simple_modules(a, rad):
-        cover, verts = res_mod._cover_data(a, simple, rad)
-        kernel = res_mod._flatten_kernel(a, verts, cover.kernel_basis())
+        kernel = engine.kernel_of_cover(engine.module_images(simple, rad))
         for _ in range(6):
             # the two facts the tops rest on: every relation sits at one
             # vertex, and no two relations share a largest flat coordinate
@@ -307,9 +306,44 @@ def test_syzygy_relations_are_in_lead_form(name, extend):
                 assert len({target_pos[coord % d] for coord in vec}) == 1
             if not kernel:
                 break
-            kernel = engine.kernel_of_cover(engine.top_generators(kernel))
+            gens = engine.top_generators(kernel)
+            kernel = engine.kernel_of_cover((v, engine.images(g, engine.left)) for v, g in gens)
             steps += 1
     assert steps > 0
+
+
+def flat_kernel(a, verts, kernel) -> list[dict]:
+    """Dense kernel vectors of a cover on the projectives at verts, in the
+    engine's flat coordinates copy*dim + basis index."""
+    by_vertex = res_mod._source_coords(a)
+    pos = {v: p for p, v in enumerate(a.vertices)}
+    coord_map = [copy * a.dim + m for copy, v in enumerate(verts) for m in by_vertex[pos[v]]]
+    return [{coord_map[i]: c for i, c in enumerate(vec) if c} for vec in kernel]
+
+
+@pytest.mark.parametrize(
+    "name, extend",
+    ARROW_CASES,
+    ids=[f"{name}-{'trivext' if extend else 'base'}" for name, extend in ARROW_CASES],
+)
+def test_first_kernel_is_the_dense_cover_kernel(name, extend):
+    a = BUILDERS[name]()
+    if extend:
+        a = trivial_extension(a)
+    rad = jacobson_radical(a)
+    engine = res_mod._FlatResolver(a)
+    checked = 0
+    for simple in simple_modules(a, rad):
+        # the simple and its first syzygy, a module of several dimensions
+        proj, cover = projective_cover(a, simple, rad)
+        syzygy = cover.kernel_basis()
+        modules = [simple, submodule_on_kernel(a, proj, syzygy)] if syzygy else [simple]
+        for module in modules:
+            cover, verts = res_mod._cover_data(a, module, rad)
+            kernel = engine.kernel_of_cover(engine.module_images(module, rad))
+            assert kernel == flat_kernel(a, verts, cover.kernel_basis())
+            checked += len(kernel)
+    assert checked
 
 
 def test_check_kernel_refusals():
@@ -370,9 +404,9 @@ def mixed_basis_syzygy(a, rad):
     ids=["kron2", "gentle", "canonical-237"],
 )
 def test_first_cover_of_a_mixed_basis_module(build):
-    # the cover matrix of the moved module is an invertible row operation
-    # away from the original one, so its RREF kernel basis is the same and
-    # already in lead form: the first step needs no rewriting
+    # the moved module's basis vectors spread over two vertices, but its
+    # images are reduced in one echelon per vertex, so the first kernel is
+    # still in lead form
     a = build()
     rad = jacobson_radical(a)
     omega, moved = mixed_basis_syzygy(a, rad)
@@ -383,8 +417,8 @@ def test_first_cover_of_a_mixed_basis_module(build):
     ]
     assert spread
     engine = res_mod._FlatResolver(a)
-    cover, verts = res_mod._cover_data(a, moved, rad)
-    kernel = res_mod._flatten_kernel(a, verts, cover.kernel_basis())
+    cover, _ = res_mod._cover_data(a, moved, rad)
+    kernel = engine.kernel_of_cover(engine.module_images(moved, rad))
     assert kernel
     engine.check_kernel(kernel, cover.cols - moved.dim)
     trace = minimal_resolution(a, moved, steps=6, rad=rad)
