@@ -155,25 +155,42 @@ def jacobson_radical(a: SCAlgebra) -> list[Vector]:
 
 
 def _verify_nilpotent_ideal(a: SCAlgebra, basis: list[Vector]) -> None:
+    """Refuse a candidate basis that is not a nilpotent two-sided ideal.
+
+    Products are formed only where the table can make them nonzero: b_i*x
+    needs some l in x with b_i*b_l in the table, and x*y needs some i in x
+    and l in y with b_i*b_l there.
+    """
     d = a.dim
     sparse = [{k: v for k, v in enumerate(vec) if v} for vec in basis]
+    left_of: list[list[int]] = [[] for _ in range(d)]
+    right_of: list[list[int]] = [[] for _ in range(d)]
+    for i, l in a.mult:
+        left_of[l].append(i)
+        right_of[i].append(l)
+    holders: list[list[int]] = [[] for _ in range(d)]
+    for n, x in enumerate(sparse):
+        for k in x:
+            holders[k].append(n)
     span = TrackedEchelon()
     for x in sparse:
         span.add(dict(x))
     for x in sparse:
-        for i in range(d):
-            unit = {i: 1}
-            for prod in (a.multiply(unit, x), a.multiply(x, unit)):
-                if span.add(prod):
-                    raise RuntimeError("radical candidate is not a two-sided ideal")
+        lefts = sorted({i for l in x for i in left_of[l]})
+        rights = sorted({i for l in x for i in right_of[l]})
+        if any(span.add(a.multiply({i: 1}, x)) for i in lefts) or any(
+            span.add(a.multiply(x, {i: 1})) for i in rights
+        ):
+            raise RuntimeError("radical candidate is not a two-sided ideal")
     power = sparse
     for _ in range(d + 1):
         if not power:
             return
         nxt = TrackedEchelon()
         for x in power:
-            for y in sparse:
-                nxt.add(a.multiply(x, y))
+            partners = {n for i in x for l in right_of[i] for n in holders[l]}
+            for n in sorted(partners):
+                nxt.add(a.multiply(x, sparse[n]))
         power = nxt.rows()
     raise RuntimeError("radical candidate is not nilpotent")
 
@@ -439,7 +456,11 @@ class _FlatResolver:
         for copy, (v, imgs) in enumerate(covers):
             base = copy * d
             for m in self.src_coords[v]:
-                relation = echelons[target_pos[m]].insert(imgs.get(m, {}), {base + m: 1})
+                image = imgs.get(m)
+                if not image:
+                    kernel.append({base + m: 1})
+                    continue
+                relation = echelons[target_pos[m]].insert(image, {base + m: 1})
                 if relation is not None:
                     kernel.append(relation)
         return kernel

@@ -112,6 +112,8 @@ class SCAlgebra:
 
         Covered: idempotent laws, unit, source/target compatibility of the
         table, degree additivity, and associativity on all basis triples.
+        Only the triples where the table lets a side be nonzero are
+        multiplied out, so the cost follows the table, not dim^3.
         """
         basis = self.basis
         dim = len(basis)
@@ -142,21 +144,32 @@ class SCAlgebra:
                 if bk.degree != bi.degree + bj.degree:
                     raise ValueError(
                         f"product {bi.label!r}*{bj.label!r} breaks degree additivity")
-        # a triple can only fail where b_i*b_j or b_j*b_k is nonzero
+        # a triple can only fail where a side can be nonzero: some m in
+        # b_i*b_j has b_m*b_k in the table, or some l in b_j*b_k has b_i*b_l
+        # there; each i's triples go in sorted (j, k) order, so the first
+        # failure is the one a scan of all triples would report
+        mult = self.mult
         right_of: list[list[int]] = [[] for _ in range(dim)]
-        for j, k in sorted(self.mult):
+        producers: list[list[tuple[int, int]]] = [[] for _ in range(dim)]
+        for (j, k), row in mult.items():
             right_of[j].append(k)
+            for l in row:
+                producers[l].append((j, k))
         for i in range(dim):
-            for j in range(dim):
-                ij = self.mult.get((i, j))
-                for k in range(dim) if ij else right_of[j]:
-                    jk = self.mult.get((j, k))
-                    left = self.multiply(ij or {}, {k: 1})
-                    right = self.multiply({i: 1}, jk or {})
-                    if left != right:
-                        raise ValueError(
-                            f"associativity fails on "
-                            f"({basis[i].label!r}, {basis[j].label!r}, {basis[k].label!r})")
+            triples: set[tuple[int, int]] = set()
+            for l in right_of[i]:
+                # (b_i*b_l)*b_k with k to the right of some m in b_i*b_l
+                for m in mult[(i, l)]:
+                    triples.update((l, k) for k in right_of[m])
+                # b_i*(b_j*b_k) with l in b_j*b_k
+                triples.update(producers[l])
+            for j, k in sorted(triples):
+                left = self.multiply(mult.get((i, j), {}), {k: 1})
+                right = self.multiply({i: 1}, mult.get((j, k), {}))
+                if left != right:
+                    raise ValueError(
+                        f"associativity fails on "
+                        f"({basis[i].label!r}, {basis[j].label!r}, {basis[k].label!r})")
 
 
 def cartan_matrix(a: SCAlgebra) -> RatMatrix:

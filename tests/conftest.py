@@ -20,6 +20,7 @@ from quiverlab import (
     RatMatrix,
     RepModule,
     ResolutionTrace,
+    SCAlgebra,
     canonical_algebra,
     char_poly,
     companion_matrix,
@@ -102,6 +103,20 @@ def gentle_two_loop():
     return gentle_algebra(parse_gentle(GENTLE_TWO_LOOP_DOC))
 
 
+def canonical_237():
+    return canonical_algebra(CanonicalSpec((2, 3, 7), (1,)))
+
+
+BUILDERS = {
+    "A2": lambda: path_algebra(path_quiver(2)),
+    "A3": lambda: path_algebra(path_quiver(3)),
+    "kron2": lambda: path_algebra(multi_kronecker(2)),
+    "kron3": lambda: path_algebra(multi_kronecker(3)),
+    "gentle": gentle_two_loop,
+    "canonical-237": canonical_237,
+}
+
+
 @pytest.fixture(scope="session")
 def growth_suite():
     """Resolutions behind the complexity trichotomy, computed once.
@@ -137,6 +152,71 @@ def builder_outputs():
     yield "trivext-A2", trivial_extension(path_algebra(path_quiver(2)))
     yield "trivext-kronecker", trivial_extension(path_algebra(multi_kronecker(2)))
     yield "trivext-gentle", trivial_extension(gentle_two_loop())
+
+
+def count_multiplies(monkeypatch) -> list:
+    """Patch `SCAlgebra.multiply` to log each call; returns the log."""
+    calls = []
+    multiply = SCAlgebra.multiply
+
+    def counting(self, x, y):
+        calls.append((x, y))
+        return multiply(self, x, y)
+
+    monkeypatch.setattr(SCAlgebra, "multiply", counting)
+    return calls
+
+
+# --- the original full-scan verify, the oracle for SCAlgebra.verify -------------
+
+def verify_reference(a) -> None:
+    """`SCAlgebra.verify` as it was before it skipped the triples whose sides
+    are both zero: every later law visits all triples (i, j, k) with b_i*b_j
+    or b_j*b_k nonzero, and every k when b_i*b_j is nonzero.
+    """
+    basis = a.basis
+    dim = len(basis)
+    for v, e in zip(a.vertices, a.idempotents):
+        b = basis[e]
+        if b.source != v or b.target != v or b.degree != 0:
+            raise ValueError(f"idempotent for {v!r} has wrong endpoints or degree")
+    for va, ea in zip(a.vertices, a.idempotents):
+        for vb, eb in zip(a.vertices, a.idempotents):
+            expected = {ea: 1} if va == vb else {}
+            if a.product(ea, eb) != expected:
+                raise ValueError(f"idempotents {va!r}, {vb!r} violate orthogonality")
+    for k, b in enumerate(basis):
+        if a.product(a.idempotent_index(b.target), k) != {k: 1}:
+            raise ValueError(f"left unit law fails on {b.label!r}")
+        if a.product(k, a.idempotent_index(b.source)) != {k: 1}:
+            raise ValueError(f"right unit law fails on {b.label!r}")
+    for (i, j), row in a.mult.items():
+        bi, bj = basis[i], basis[j]
+        if bi.source != bj.target:
+            raise ValueError(
+                f"nonzero product {bi.label!r}*{bj.label!r} of non-composable pair")
+        for k in row:
+            bk = basis[k]
+            if bk.source != bj.source or bk.target != bi.target:
+                raise ValueError(
+                    f"product {bi.label!r}*{bj.label!r} leaves its Hom space")
+            if bk.degree != bi.degree + bj.degree:
+                raise ValueError(
+                    f"product {bi.label!r}*{bj.label!r} breaks degree additivity")
+    right_of: list[list[int]] = [[] for _ in range(dim)]
+    for j, k in sorted(a.mult):
+        right_of[j].append(k)
+    for i in range(dim):
+        for j in range(dim):
+            ij = a.mult.get((i, j))
+            for k in range(dim) if ij else right_of[j]:
+                jk = a.mult.get((j, k))
+                left = a.multiply(ij or {}, {k: 1})
+                right = a.multiply({i: 1}, jk or {})
+                if left != right:
+                    raise ValueError(
+                        f"associativity fails on "
+                        f"({basis[i].label!r}, {basis[j].label!r}, {basis[k].label!r})")
 
 
 # --- Cayley-Hamilton and the cyclotomic profile on random matrices -------------

@@ -5,6 +5,7 @@ gentle algebra has the eight paths e1, e2, b1, b2, a, b1a, ab2, b1ab2; the
 canonical algebra on weights (p_1..p_t) has dimension 2 + sum(p_i - 1) + t
 + (number of full paths shared) counted through its basis.
 """
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,9 +20,18 @@ from quiverlab import (
     parse_canonical_spec,
     parse_gentle,
     path_algebra,
+    trivial_extension,
 )
 from quiverlab.scalgebra import BasisElement, SCAlgebra
-from conftest import GENTLE_TWO_LOOP_DOC, gentle_two_loop, multi_kronecker, path_quiver
+from conftest import (
+    BUILDERS,
+    GENTLE_TWO_LOOP_DOC,
+    count_multiplies,
+    gentle_two_loop,
+    multi_kronecker,
+    path_quiver,
+    verify_reference,
+)
 
 
 def test_path_algebra_dimensions():
@@ -217,3 +227,89 @@ def test_scalgebra_reports_first_non_associative_triple(extra, triple):
     with pytest.raises(ValueError) as err:
         SCAlgebra(verts, basis, (0,), mult).verify()
     assert str(err.value) == f"associativity fails on {triple}"
+
+
+def corrupted_tables(a, rng, count):
+    """`count` copies of a's table, each with one entry corrupted.
+
+    The corruptions cycle through adding a product (a term in the Hom space
+    and degree of a composable pair, so that it can get past the typing
+    laws), changing a coefficient, and dropping a product.
+    """
+    basis = a.basis
+    idem = set(a.idempotents)
+    keys = sorted(a.mult)
+    radical = [m for m in range(a.dim) if m not in idem] or list(range(a.dim))
+    for n in range(count):
+        mult = {key: dict(row) for key, row in a.mult.items()}
+        if n % 3 == 0:
+            i = rng.choice(radical)
+            bi = basis[i]
+            j = rng.choice([j for j, bj in enumerate(basis) if bj.target == bi.source])
+            bj = basis[j]
+            fits = [
+                k for k, bk in enumerate(basis)
+                if bk.source == bj.source and bk.target == bi.target
+                and bk.degree == bi.degree + bj.degree
+            ]
+            k = rng.choice(fits or range(a.dim))
+            row = mult.setdefault((i, j), {})
+            row[k] = row.get(k, 0) + 1 or 1
+        elif n % 3 == 1:
+            row = mult[rng.choice(keys)]
+            k = rng.choice(sorted(row))
+            row[k] = row[k] * rng.choice((2, -1, Fraction(1, 2)))
+        else:
+            del mult[rng.choice(keys)]
+        yield SCAlgebra(a.vertices, a.basis, a.idempotents, mult)
+
+
+def failure(check, a):
+    try:
+        check(a)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+CORRUPTION_CASES = [(name, extend) for name in BUILDERS for extend in (False, True)]
+
+
+@pytest.mark.parametrize(
+    "name, extend",
+    CORRUPTION_CASES,
+    ids=[f"{name}-{'trivext' if extend else 'base'}" for name, extend in CORRUPTION_CASES],
+)
+def test_verify_agrees_with_the_full_scan_on_corrupted_tables(name, extend):
+    a = BUILDERS[name]()
+    if extend:
+        a = trivial_extension(a)
+    rng = random.Random(f"{name}/{extend}")
+    messages = []
+    for corrupted in corrupted_tables(a, rng, 21):
+        expected = failure(verify_reference, corrupted)
+        assert failure(SCAlgebra.verify, corrupted) == expected
+        messages.append(expected)
+    if a.dim >= 12:
+        # the corruptions reach the associativity scan, not only the typing laws
+        assert any(m and m.startswith("associativity fails") for m in messages)
+
+
+def test_verify_multiplies_only_where_a_side_can_be_nonzero(monkeypatch):
+    ta = trivial_extension(path_algebra(path_quiver(12)))
+    mult = ta.mult
+    # over pairs of table entries: (b_i*b_j)*b_k needs b_m*b_k in the table for
+    # some m in b_i*b_j, and b_i*(b_j*b_k) needs b_i*b_l for some l in b_j*b_k
+    live = set()
+    for (i, j), ij in mult.items():
+        for m, k in mult:
+            if m in ij:
+                live.add((i, j, k))
+    for (j, k), jk in mult.items():
+        for i, l in mult:
+            if l in jk:
+                live.add((i, j, k))
+    assert len(live) == 5460
+    calls = count_multiplies(monkeypatch)
+    ta.verify()
+    assert len(calls) <= 2 * len(live)

@@ -241,6 +241,24 @@ def test_trivext_threads_env_is_deterministic(tmp_path, capsys, monkeypatch):
     assert baseline == threaded
 
 
+def test_trivext_wide_path_algebra_is_finite_of_degree_one(tmp_path, capsys):
+    # T(A12) has dimension 156, wider than any trivext input of the benchmark
+    doc = json.dumps(
+        {
+            "vertices": list(range(1, 13)),
+            "arrows": [{"id": f"a{i}", "from": i, "to": i + 1} for i in range(1, 12)],
+        }
+    )
+    code, out, _ = run(capsys, "trivext", write(tmp_path, "a12.json", doc), "--json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["extension_dim"] == {"exact": True, "value": 156}
+    assert len(result["simples"]) == 12
+    for simple in result["simples"]:
+        assert simple["estimate"] == {"kind": "finite", "degree": 1}
+    assert result["global_estimate"] == {"kind": "finite", "degree": 1}
+
+
 # --- entropy ----------------------------------------------------------------------
 
 def test_entropy_zero_is_exact(tmp_path, capsys):

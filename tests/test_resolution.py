@@ -18,13 +18,11 @@ import pytest
 
 from quiverlab import (
     BasisElement,
-    CanonicalSpec,
     ComplexityEstimate,
     RatMatrix,
     RepModule,
     ResolutionTrace,
     SCAlgebra,
-    canonical_algebra,
     combine_estimates,
     complexity_estimate,
     global_complexity_estimate,
@@ -40,6 +38,9 @@ from quiverlab import (
 from quiverlab import resolution as res_mod
 from quiverlab.ratmat import TrackedEchelon
 from conftest import (
+    BUILDERS,
+    canonical_237,
+    count_multiplies,
     dense_trace,
     gentle_two_loop,
     multi_kronecker,
@@ -186,10 +187,6 @@ def test_trivial_extension_kronecker3_exponential(growth_suite):
         assert complexity_estimate(trace).kind == "infinite"
 
 
-def canonical_237():
-    return canonical_algebra(CanonicalSpec((2, 3, 7), (1,)))
-
-
 def test_dense_and_sparse_engines_agree():
     algebras = [
         trivial_extension(base)
@@ -209,14 +206,6 @@ def test_dense_and_sparse_engines_agree():
             assert minimal_resolution(a, s, 8, rad=rad) == dense_trace(a, s, 8, rad)
 
 
-BUILDERS = {
-    "A2": lambda: path_algebra(path_quiver(2)),
-    "A3": lambda: path_algebra(path_quiver(3)),
-    "kron2": lambda: path_algebra(multi_kronecker(2)),
-    "kron3": lambda: path_algebra(multi_kronecker(3)),
-    "gentle": gentle_two_loop,
-    "canonical-237": canonical_237,
-}
 DISPATCH_CASES = [("A2", True)] + [
     (name, extend)
     for name in ("A3", "kron3", "gentle", "canonical-237")
@@ -515,6 +504,54 @@ def test_radical_check_refuses_a_one_sided_candidate():
 def test_radical_check_refuses_a_non_nilpotent_candidate():
     with pytest.raises(RuntimeError, match="not nilpotent"):
         res_mod._verify_nilpotent_ideal(point_algebra(), [(Fraction(1),)])
+
+
+def rebased_gentle_vectors(a, *elements):
+    """Dense vectors on the rebased basis of the given label combinations.
+
+    "b1" names the original arrow b1, which is b1 - e1 on the rebased basis.
+    """
+    out = []
+    for element in elements:
+        vec = [0] * a.dim
+        for label, c in element.items():
+            vec[a.index_of(label)] += c
+            if label == "b1":
+                vec[a.index_of("e1")] -= c
+        out.append(tuple(vec))
+    return out
+
+
+def test_radical_check_refuses_a_one_sided_candidate_of_several_coordinates():
+    # A*b1 is spanned by b1, but b1*a = b1a is not
+    a = rebased_gentle_two_loop()
+    candidate = rebased_gentle_vectors(a, {"b1": 1})
+    assert sum(1 for c in candidate[0] if c) == 2
+    with pytest.raises(RuntimeError, match="not a two-sided ideal"):
+        res_mod._verify_nilpotent_ideal(a, candidate)
+
+
+def test_radical_check_refuses_a_non_nilpotent_candidate_of_several_coordinates():
+    # the paths through vertex 1 form a two-sided ideal that holds e1
+    a = rebased_gentle_two_loop()
+    candidate = rebased_gentle_vectors(
+        a,
+        {"e1": 1, "a": 1},
+        {"b1": 1},
+        {"a": 1, "b1a": 2},
+        {"b1a": 1},
+        {"ab2": 1, "b1ab2": -1},
+        {"b1ab2": 1},
+    )
+    with pytest.raises(RuntimeError, match="not nilpotent"):
+        res_mod._verify_nilpotent_ideal(a, candidate)
+
+
+def test_radical_check_multiplies_where_the_table_allows(monkeypatch):
+    ta = trivial_extension(path_algebra(path_quiver(12)))
+    calls = count_multiplies(monkeypatch)
+    assert len(jacobson_radical(ta)) == ta.dim - 12
+    assert len(calls) <= 8 * len(ta.mult)
 
 
 def test_resolve_simple_modules_computes_one_radical(monkeypatch):
