@@ -3,6 +3,10 @@
 A matrix is called cyclotomic here when its characteristic polynomial is a
 product of cyclotomic polynomials; all eigenvalues are then roots of unity
 and powers of the matrix are unipotent up to a bounded nilpotency degree.
+Both polynomials come from one walk of Krylov blocks on a TrackedEchelon,
+without division for integral matrices: the characteristic polynomial is
+the product of the blocks' polynomials, the minimal polynomial the lcm of
+their start vectors' local ones.
 """
 from __future__ import annotations
 
@@ -14,62 +18,24 @@ from fractions import Fraction
 from typing import Sequence
 
 from .intpoly import IntPolynomial, cyclotomic_factorization
-from .ratmat import RatMatrix, TrackedEchelon, plain
+from .ratmat import RatMatrix, TrackedEchelon
 
 
-def _hessenberg(m: RatMatrix) -> list[list[int | Fraction]]:
-    """Similarity-reduce to upper Hessenberg form with exact row/column ops."""
-    n = m.rows
-    h = [list(row) for row in m.entries()]
-    for col in range(n - 2):
-        pivot = next((r for r in range(col + 1, n) if h[r][col]), None)
-        if pivot is None:
-            continue
-        if pivot != col + 1:
-            h[col + 1], h[pivot] = h[pivot], h[col + 1]
-            for r in range(n):
-                h[r][col + 1], h[r][pivot] = h[r][pivot], h[r][col + 1]
-        inv = Fraction(1) / h[col + 1][col]
-        for r in range(col + 2, n):
-            f = plain(h[r][col] * inv)
-            if f:
-                row_r, row_p = h[r], h[col + 1]
-                for c in range(n):
-                    if row_p[c]:
-                        row_r[c] -= f * row_p[c]
-                # keep the similarity: undo on the right
-                for rr in range(n):
-                    if h[rr][r]:
-                        h[rr][col + 1] += f * h[rr][r]
-    return h
+def _krylov_block(span: TrackedEchelon, m: RatMatrix, given: Sequence, offset: int):
+    """Insert v, Mv, ... into span under the keys offset, offset + 1, ...
 
-
-def char_poly(m: RatMatrix) -> IntPolynomial:
-    """Monic characteristic polynomial det(xI - M).
-
-    Computed from the Hessenberg form via the leading-minor recurrence
-    p_k(x) = (x - h_kk) p_{k-1}(x) - sum_j h_{jk} (prod subdiagonals) p_{j-1}(x).
+    given holds v and any iterates already computed; M is applied only past
+    the last one.  The first relation gives the monic q of least degree
+    with q(M) v in the span before v; returns (v, ..., M^(deg q) v), q.
     """
-    if not m.is_square:
-        raise ValueError("characteristic polynomial requires a square matrix")
-    n = m.rows
-    if n == 0:
-        return IntPolynomial.one()
-    h = _hessenberg(m)
-    x = IntPolynomial.x()
-    polys = [IntPolynomial.one()]
-    for k in range(1, n + 1):
-        p = (x - IntPolynomial((h[k - 1][k - 1],))) * polys[k - 1]
-        prod = 1
-        for back in range(1, k):
-            prod *= h[k - back][k - back - 1]
-            if not prod:
-                break
-            coeff = h[k - 1 - back][k - 1]
-            if coeff:
-                p = p - (coeff * prod) * polys[k - 1 - back]
-        polys.append(p)
-    return polys[n]
+    block = list(given)
+    for power in itertools.count():
+        if power == len(block):
+            block.append(m.apply(block[-1]))
+        relation = span.insert({k: x for k, x in enumerate(block[power]) if x}, {offset + power: 1})
+        if relation is not None:
+            return block[:power + 1], IntPolynomial(
+                relation.get(offset + k, 0) for k in range(power + 1))
 
 
 def krylov_chain(m: RatMatrix, orbit: Sequence) -> tuple[IntPolynomial, TrackedEchelon]:
@@ -82,37 +48,56 @@ def krylov_chain(m: RatMatrix, orbit: Sequence) -> tuple[IntPolynomial, TrackedE
     before that relation.
     """
     chain = TrackedEchelon()
-    for power in itertools.count():
-        vec = orbit[power] if power < len(orbit) else m.apply(vec)
-        relation = chain.insert({k: x for k, x in enumerate(vec) if x}, {power: 1})
-        if relation is not None:
-            return IntPolynomial(relation.get(k, 0) for k in range(power + 1)), chain
+    return _krylov_block(chain, m, orbit, 0)[1], chain
+
+
+def _krylov_blocks(m: RatMatrix, orbit: Sequence = ()):
+    """Yield (block, q) for a Krylov decomposition of the space under M.
+
+    One echelon grows the span W of the blocks so far.  Each start vector v,
+    orbit[0] first and then the unit vectors, that lies outside W opens a
+    block v, ..., M^(deg q) v, where q is the monic polynomial of least
+    degree with q(M) v in W.  W + block is M-invariant, M is block
+    triangular on the Krylov basis, and the q multiply to the
+    characteristic polynomial (Keller-Gehrig 1985).
+    """
+    n = m.rows
+    span = TrackedEchelon()
+    units = ([[1 if k == s else 0 for k in range(n)]] for s in range(n))
+    for given in itertools.chain([orbit] if orbit else [], units):
+        offset = len(span.pivots)
+        if offset == n:
+            return
+        block, q = _krylov_block(span, m, given, offset)
+        if q.degree:
+            yield block, q
+
+
+def char_poly(m: RatMatrix, orbit: Sequence = ()) -> IntPolynomial:
+    """Monic characteristic polynomial det(xI - M), the product of the
+    polynomials of the Krylov blocks; orbit optionally holds v, Mv, ... for
+    the first block to reuse."""
+    if not m.is_square:
+        raise ValueError("characteristic polynomial requires a square matrix")
+    return math.prod((q for _, q in _krylov_blocks(m, orbit)), start=IntPolynomial.one())
 
 
 def min_poly(m: RatMatrix) -> IntPolynomial:
-    """Minimal polynomial as the lcm of the local ones along Krylov chains.
+    """Minimal polynomial as the lcm of the local ones of the Krylov blocks.
 
-    A second echelon spans every Krylov vector so far.  That span is
-    M-invariant and annihilated by the lcm found so far, so a unit vector
-    inside it adds nothing and is skipped, and the search ends once the
-    span is everything.
+    The blocks' Krylov spaces sum to the whole space, so the lcm of the
+    local minimal polynomials of their start vectors annihilates M; it
+    divides the characteristic polynomial, so degree n ends the search.
     """
     if not m.is_square:
         raise ValueError("minimal polynomial requires a square matrix")
     n = m.rows
     result = IntPolynomial.one()
-    span = TrackedEchelon()
-    for start in range(n):
-        if len(span.pivots) == n:
-            break
-        if not span.add({start: 1}):
-            continue
-        local, chain = krylov_chain(m, [[1 if k == start else 0 for k in range(n)]])
-        result = result.lcm(local)
+    for index, (block, q) in enumerate(_krylov_blocks(m)):
+        # the first block starts from W = 0, so its q is already local
+        result = result.lcm(krylov_chain(m, block)[0] if index else q)
         if result.degree == n:
             break
-        for row in chain.rows():
-            span.add(dict(row))
     return result
 
 
@@ -136,6 +121,8 @@ class CycloProfile:
     orders lists (d, multiplicity in the minimal polynomial); witness is the
     minimal pair (n, l) with (M^(2n) - I)^l = 0, checked by exact arithmetic;
     char_poly is the characteristic polynomial the profile was decided from.
+    Both polynomials come from the Krylov blocks of the matrix: char_poly
+    as their product, the minimal polynomial behind orders as an lcm.
     """
 
     is_cyclotomic: bool
@@ -227,19 +214,19 @@ def _power_radius(p: IntPolynomial) -> float:
     return math.exp(exponent)
 
 
-def spectral_radius(m: RatMatrix, tol: float = 1e-6) -> float:
+def spectral_radius(m: RatMatrix, tol: float = 1e-6, orbit: Sequence = ()) -> float:
     """Largest eigenvalue modulus, within tol.
 
     Exactly 1.0 whenever the characteristic polynomial is a product of
     cyclotomic polynomials; otherwise bisection on the real roots of the
     characteristic polynomial with a companion-matrix power fallback for
-    dominant complex pairs.
+    dominant complex pairs.  orbit is passed on to char_poly.
     """
     if not m.is_square:
         raise ValueError("spectral radius requires a square matrix")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tolerance must be finite and positive")
-    p = char_poly(m)
+    p = char_poly(m, orbit)
     # strip zero eigenvalues; they never carry the radius unless all are zero
     coeffs = list(p.coeffs)
     shift = 0

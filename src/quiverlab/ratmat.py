@@ -6,9 +6,9 @@ floating point anywhere below.  Entries are kept in their plain exact form,
 an int when integral and a Fraction otherwise, so integral matrices such as
 Cartan and Coxeter matrices multiply in int arithmetic.  TrackedEchelon
 is the package's one sparse reduction: the Jacobson radical, the syzygies
-and tops of the resolution engine and the Krylov chains of the minimal
-polynomial all grow an echelon basis of sparse vectors in it, in ints when
-their inputs are integral.
+and tops of the resolution engine and the Krylov blocks behind the
+characteristic and minimal polynomials all grow an echelon basis of sparse
+vectors in it, in ints when their inputs are integral.
 """
 from __future__ import annotations
 

@@ -12,7 +12,7 @@ rad/rad^2 chosen among the basis elements.  Syzygy bases come in lead form:
 each vector sits at one vertex and has its own largest coordinate, its lead.
 Since rad*K lies in K, the leads of rad*K are leads of K, and the vectors of
 K whose leads are not leads of rad*K generate K minimally.  Every kernel,
-the first one included, comes from the same per-vertex TrackedEchelons;
+the first one included, comes from one lead-keyed TrackedEchelon per step;
 the first reads the module's own action on its top generators.
 """
 
@@ -442,15 +442,15 @@ class _FlatResolver:
 
         covers gives, per generator, its vertex position and its images
         {m: b_m * gen}, in flat coordinates after the first step and in the
-        module's own coordinates at the first.  Images split by target
-        vertex, so each vertex keeps its own echelon; zero images are
-        inserted too, as they give kernel relations.  Inserts run in
-        increasing flat coordinate, so each relation sits at one vertex and
-        its lead is the coordinate whose insert produced it.  The relation of
-        a dependent image is the RREF kernel vector of its column.
+        module's own coordinates at the first.  Zero images give kernel
+        relations directly; the others go into one echelon keyed by leads.
+        Images at different vertices lie in independent summands, so a
+        relation never takes in another vertex's images and each one sits at
+        one vertex.  Inserts run in increasing flat coordinate, so its lead
+        is the coordinate whose insert produced it.  The relation of a
+        dependent image is the RREF kernel vector of its column.
         """
-        echelons = [TrackedEchelon() for _ in self.proj_dim]
-        target_pos = self.target_pos
+        echelon = TrackedEchelon()
         kernel: list[dict] = []
         d = self.dim
         for copy, (v, imgs) in enumerate(covers):
@@ -460,7 +460,7 @@ class _FlatResolver:
                 if not image:
                     kernel.append({base + m: 1})
                     continue
-                relation = echelons[target_pos[m]].insert(image, {base + m: 1})
+                relation = echelon.insert(image, {base + m: 1})
                 if relation is not None:
                     kernel.append(relation)
         return kernel

@@ -353,9 +353,10 @@ def entropy_orbit(
 ) -> tuple[float, list[float], RatMatrix, list[Vector]]:
     """hereditary_entropy's (h0, trace) with the Coxeter matrix phi and the
     orbit behind them: the cogenerator vector v and its iterates phi^k v for
-    k = 1..iterations, all in int arithmetic.  orbit_growth continues from
-    this orbit, so each iterate is computed once.  h0 is exactly 0.0 when
-    spectral_radius finds the Coxeter polynomial cyclotomic."""
+    k = 1..iterations, all in int arithmetic.  The Coxeter polynomial's
+    first Krylov block and orbit_growth both continue from this orbit, so
+    each iterate is computed once.  h0 is exactly 0.0 when spectral_radius
+    finds the Coxeter polynomial cyclotomic."""
     if iterations < 1:
         raise ValueError("iterations must be positive")
     if not (math.isfinite(tol) and tol > 0):
@@ -364,7 +365,6 @@ def entropy_orbit(
         raise ValueError("entropy needs a connected quiver")
     cartan = cartan_path_algebra(q)
     phi = coxeter_matrix(cartan)
-    h0 = math.log(spectral_radius(phi, tol))
     cogenerator = vector(
         sum(cartan.column(j)) for j in range(cartan.cols)
     )
@@ -373,6 +373,7 @@ def entropy_orbit(
     for k in range(1, iterations + 1):
         orbit.append(phi.apply(orbit[-1]))
         trace.append(_log_fraction(l1_norm(orbit[-1])) / k)
+    h0 = math.log(spectral_radius(phi, tol, orbit))
     return h0, trace, phi, orbit
 
 

@@ -8,10 +8,14 @@ linear algebra, for comparison with `minimal_resolution`.
 """
 from __future__ import annotations
 
+import functools
+import importlib.util
 import json
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +40,23 @@ from quiverlab import (
     simple_modules,
     trivial_extension,
 )
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@functools.cache
+def bench_module(name: str):
+    """bench/<name>.py, loaded read-only: no bytecode is written next to it."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
 
 
 def path_quiver(n: int):

@@ -12,6 +12,7 @@ import pytest
 
 from quiverlab.cyclo import (
     _cauchy_bound,
+    _krylov_blocks,
     _power_radius,
     char_poly,
     companion_matrix,
@@ -149,6 +150,59 @@ def test_min_poly_stops_once_its_chains_span(monkeypatch):
     monkeypatch.setattr(RatMatrix, "apply", counted)
     assert min_poly(phi).degree == phi.rows - 1
     assert len(calls) <= 4 * phi.rows
+
+
+def test_char_poly_applies_the_matrix_once_per_dimension(monkeypatch):
+    # a block of d Krylov vectors costs d products, and the blocks fill the space
+    phi = coxeter_matrix(cartan_path_algebra(star_quiver((1, 1, 37))))
+    calls = []
+    apply = RatMatrix.apply
+
+    def counted(self, vec):
+        calls.append(1)
+        return apply(self, vec)
+
+    monkeypatch.setattr(RatMatrix, "apply", counted)
+    assert char_poly(phi).degree == phi.rows
+    assert len(calls) <= phi.rows
+
+
+def _sparse_int_matrix(rng, n):
+    return RatMatrix(
+        [[rng.randint(-5, 5) if rng.random() < 0.25 else 0 for _ in range(n)]
+         for _ in range(n)])
+
+
+def test_char_poly_matches_determinants():
+    # det(kI - M) at k = 0..n fixes a polynomial of degree n, with no
+    # Krylov vector or echelon in the way
+    rng = random.Random(14014)
+    cases = [RatMatrix([]), RatMatrix([[0]]), RatMatrix([[5]]), RatMatrix([["-2/3"]])]
+    for n in range(1, 9):
+        scalar = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        cases += [RatMatrix.zeros(n, n), RatMatrix.identity(n).scale(scalar)]
+    for trial in range(300):
+        n = rng.randint(1, 8)
+        if trial % 3 == 0:
+            cases.append(_random_matrix(rng, n))
+        elif trial % 3 == 1 and n > 1:
+            cases.append(_conjugated_repeated_blocks(rng, n))
+        else:
+            cases.append(_sparse_int_matrix(rng, n))
+    several_blocks = 0
+    for m in cases:
+        n = m.rows
+        p = char_poly(m)
+        assert (p.degree, p.leading) == (n, 1)
+        for k in range(n + 1):
+            assert p.evaluate(k) == (RatMatrix.identity(n).scale(k) - m).det()
+        # a start inside the span of the earlier blocks opens no block
+        degrees = [q.degree for _, q in _krylov_blocks(m)]
+        assert all(degrees) and sum(degrees) == n
+        several_blocks += len(degrees) > 1
+    # the product over blocks, not one cyclic block, must carry many cases
+    assert len(cases) >= 300
+    assert several_blocks >= 100
 
 
 def test_profile_periodic_case():

@@ -2,6 +2,7 @@
 
 Expected values are hand computations on small matrices.
 """
+import json
 import random
 from fractions import Fraction
 
@@ -21,10 +22,17 @@ from quiverlab import (
     tits_matrix,
     trivial_extension,
 )
-from quiverlab.cyclo import krylov_chain
+from quiverlab.cyclo import _krylov_blocks, krylov_chain
 from quiverlab.ratmat import RatMatrix, TrackedEchelon, as_fraction, l1_norm, vector
 from quiverlab.resolution import _FlatResolver
-from conftest import builder_outputs, multi_kronecker, path_quiver, star_quiver, wild3_quiver
+from conftest import (
+    bench_module,
+    builder_outputs,
+    multi_kronecker,
+    path_quiver,
+    star_quiver,
+    wild3_quiver,
+)
 
 
 def mat(rows):
@@ -259,6 +267,13 @@ def test_integral_matrices_keep_int_entries_and_never_leak_floats():
         int_only[f"Krylov chain of Phi({label})"] = [local.coeffs] + [
             [*vec.values(), *expr.values()] for vec, expr in chain.pivots.values()
         ]
+    # and on the Krylov blocks of the conjugated Phi(D24) that check-coxeter
+    # reads, dense with large entries
+    files, _ = bench_module("workloads").build("spectral", 1401)
+    conjugated = RatMatrix(json.loads(files["phi-D24.json"]))
+    int_only["char_poly of the conjugated Phi(D24)"] = [char_poly(conjugated).coeffs] + [
+        q.coeffs for _, q in _krylov_blocks(conjugated)
+    ]
     a = trivial_extension(path_algebra(multi_kronecker(3)))
     rad = jacobson_radical(a)
     engine = _FlatResolver(a)

@@ -16,6 +16,7 @@ from quiverlab import (
     canonical_verdict,
     cartan_matrix,
     cartan_path_algebra,
+    char_poly,
     coxeter_matrix,
     coxeter_necessary_check,
     cyclotomic_profile,
@@ -374,6 +375,8 @@ def test_shared_orbit_growth_agrees_with_growth_degree(iterations):
         assert len(orbit) == len(trace) + 1 == iterations + 1
         assert orbit[-1] == (phi ** iterations).apply(orbit[0])
         assert orbit_growth(phi, orbit) == growth_degree(phi, orbit[0])
+        # the Coxeter polynomial's first Krylov block starts on the same orbit
+        assert char_poly(phi, orbit) == char_poly(phi)
 
 
 def test_growth_degree_refuses_a_non_integral_matrix():
