@@ -2,23 +2,38 @@
 
 Modules over a structure-constant algebra are dense rational matrix
 representations.  Resolutions iterate projective covers and exact syzygy
-computations, one simple module after another, with the Jacobson radical
-computed once per algebra and shared by every resolution.  One sparse engine
-tracks syzygies in flat coordinates; it needs a basis adapted to the radical
-(rad(A) spanned by the non-idempotent basis elements), so any other basic
-algebra is first rewritten on such a basis together with the module.  The
-top of each syzygy is found from the images of the arrows alone, a basis of
-rad/rad^2 chosen among the basis elements.  Syzygy bases come in lead form:
-each vector sits at one vertex and has its own largest coordinate, its lead.
-Since rad*K lies in K, the leads of rad*K are leads of K, and the vectors of
-K whose leads are not leads of rad*K generate K minimally.  Every kernel,
-the first one included, comes from one lead-keyed TrackedEchelon per step;
-the first reads the module's own action on its top generators.
+computations, with the Jacobson radical computed once per algebra and
+shared by every resolution.
+
+The simples of an algebra resolve on up to all usable cores: w =
+min(simples, cores in the process's affinity mask) processes, simple i on
+worker i mod w, the caller being worker 0 and the others forked children.
+The simples resolve serially when w < 2, when the platform lacks fork or
+sched_getaffinity, or when the process runs more than one thread.  Errors
+are raised in vertex order: the caller sees the error of the lowest vertex
+that failed, as the serial loop would.
+
+One sparse engine tracks syzygies in flat coordinates; it needs a basis
+adapted to the radical (rad(A) spanned by the non-idempotent basis
+elements), so any other basic algebra is first rewritten on such a basis
+together with the module.  The top of each syzygy is found from the images
+of the arrows alone, a basis of rad/rad^2 chosen among the basis elements.
+Syzygy bases come in lead form: each vector sits at one vertex and has its
+own largest coordinate, its lead.  Since rad*K lies in K, the leads of
+rad*K are leads of K, and the vectors of K whose leads are not leads of
+rad*K generate K minimally.  Every kernel, the first one included, comes
+from one lead-keyed TrackedEchelon per step; the first reads the module's
+own action on its top generators.
 """
 
 from __future__ import annotations
 
+import builtins
+import gc
+import marshal
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 from .fitting import EXPONENTIAL_SLOPE_THRESHOLD, LOGLOG_RESIDUAL_THRESHOLD, fit_line
@@ -635,13 +650,113 @@ def resolve_simple_modules(
 ) -> list[ResolutionTrace]:
     """Resolution trace of every simple module, in vertex order.
 
-    The radical is computed once and shared by all the resolutions.
+    The radical and the simples are computed once, in the calling process,
+    and shared by all the resolutions.  These are independent, so they run
+    on w = min(simples, usable cores) processes: simple i is resolved by
+    worker i mod w, the caller being worker 0 and the others forked
+    children that it reaps before returning.  The call runs serially when
+    w < 2, when the platform lacks os.fork or os.sched_getaffinity, or when
+    the process runs more than one thread.  Either way the traces are the
+    same, and a failure raises the error of the lowest vertex that failed,
+    the one the serial loop meets first.
     """
     rad = jacobson_radical(a)
-    return [
-        minimal_resolution(a, module, steps, dim_cap, rad)
-        for module in simple_modules(a, rad)
-    ]
+    simples = simple_modules(a, rad)
+    workers = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
+        workers = min(len(simples), len(os.sched_getaffinity(0)))
+    if workers < 2:
+        shares = [_resolve_share(a, simples, 0, 1, steps, dim_cap, rad)]
+    else:
+        shares = _resolve_forked(a, simples, workers, steps, dim_cap, rad)
+    traces: list = [None] * len(simples)
+    failures = []
+    for first, (done, error) in enumerate(shares):
+        owned = range(first, len(simples), len(shares))
+        for i, trace in zip(owned, done):
+            traces[i] = trace
+        if error is not None:
+            failures.append((owned[len(done)], error))
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return traces
+
+
+def _resolve_share(a, simples, first, stride, steps, dim_cap, rad):
+    """Traces of simples first, first + stride, ... up to the first failure,
+    and that failure or None."""
+    traces = []
+    for module in simples[first::stride]:
+        try:
+            traces.append(minimal_resolution(a, module, steps, dim_cap, rad))
+        except Exception as exc:
+            return traces, exc
+    return traces, None
+
+
+def _resolve_forked(a, simples, workers, steps, dim_cap, rad) -> list:
+    """The share of each worker, worker 0 being this process.
+
+    Each forked worker marshals its share, as (betti, truncated_by) pairs
+    and its error's type name and message, over a pipe and leaves by
+    os._exit, so it neither flushes inherited buffers nor runs exit hooks.
+    gc.freeze keeps the workers' collections from walking, and so copying,
+    the inherited heap.  Every worker is reaped, or killed and reaped,
+    before the call returns or raises.
+    """
+    children: list = []  # (pid, read end of its pipe), worker 1 first
+    gc.freeze()
+    try:
+        for first in range(1, workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    done, error = _resolve_share(a, simples, first, workers, steps, dim_cap, rad)
+                    if error is not None:
+                        error = (type(error).__name__, str(error))
+                    with os.fdopen(write, "wb") as pipe:
+                        marshal.dump(([(t.betti, t.truncated_by) for t in done], error), pipe)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            children.append((pid, os.fdopen(read, "rb")))
+        shares = [_resolve_share(a, simples, 0, workers, steps, dim_cap, rad)]
+        for _, pipe in children:
+            try:
+                done, error = marshal.loads(pipe.read())
+            except (EOFError, ValueError, TypeError):
+                done, error = [], ("RuntimeError", "a resolution worker exited without a result")
+            error = None if error is None else _worker_error(*error)
+            shares.append(([ResolutionTrace(*t) for t in done], error))
+        while children:
+            pid, pipe = children.pop()
+            pipe.close()
+            os.waitpid(pid, 0)
+    finally:
+        if children:  # only after an error: signal stays off every command's start-up
+            import signal
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        gc.unfreeze()
+    return shares
+
+
+def _worker_error(name: str, message: str) -> Exception:
+    """A worker's error as the serial loop raises it, when its type is builtin."""
+    kind = getattr(builtins, name, None)
+    if isinstance(kind, type) and issubclass(kind, Exception):
+        return kind(message)
+    return RuntimeError(f"{name}: {message}")
 
 
 def combine_estimates(estimates) -> ComplexityEstimate:

@@ -12,6 +12,7 @@ import functools
 import importlib.util
 import json
 import math
+import os
 import random
 import sys
 from fractions import Fraction
@@ -43,6 +44,17 @@ from quiverlab import (
 
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_behind():
+    """Fail a test that leaves a child process unreaped, say a resolution worker."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process behind (waitpid gave pid {pid})")
 
 
 @functools.cache

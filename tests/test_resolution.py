@@ -12,6 +12,8 @@ Frozen Betti sequences, worked by hand:
   Fibonacci numbers), at which point the syzygy dimension 167761 passes
   the 100000 cap.
 """
+import os
+import time
 from fractions import Fraction
 
 import pytest
@@ -568,6 +570,79 @@ def test_resolve_simple_modules_computes_one_radical(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "name, extend",
+    ARROW_CASES,
+    ids=[f"{name}-{'trivext' if extend else 'base'}" for name, extend in ARROW_CASES],
+)
+def test_parallel_resolution_equals_serial(name, extend):
+    a = BUILDERS[name]()
+    if extend:
+        a = trivial_extension(a)
+    rad = jacobson_radical(a)
+    serial = [minimal_resolution(a, s, 8, rad=rad) for s in simple_modules(a, rad)]
+    assert res_mod.resolve_simple_modules(a, steps=8) == serial
+
+
+@pytest.mark.parametrize("kind", [RuntimeError, ValueError, ZeroDivisionError])
+@pytest.mark.parametrize("refused", [(0, 1), (1, 2), (2, 3)])
+def test_parallel_resolution_raises_the_lowest_refusal(monkeypatch, refused, kind):
+    ta = trivial_extension(path_algebra(path_quiver(4)))
+    chosen = [ta.vertices[i] for i in refused]
+    check = res_mod._FlatResolver.check_kernel
+
+    def refusing(self, kernel, syzygy):
+        # the first kernel of a simple's resolution lies in the projective at its vertex
+        first = self.alg.basis[min(kernel[0]) % self.dim].source
+        vertex = self.__dict__.setdefault("vertex", first)
+        if vertex in chosen:
+            raise kind(f"refused {vertex}")
+        check(self, kernel, syzygy)
+
+    monkeypatch.setattr(res_mod._FlatResolver, "check_kernel", refusing)
+    # three workers, whatever the host's cores, own simples (0, 3), 1 and 2:
+    # the two refusals of each case come from two processes
+    for cores in ({0, 1, 2}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
+        with pytest.raises(kind) as caught:
+            res_mod.resolve_simple_modules(ta, steps=8)
+        assert type(caught.value) is kind
+        assert str(caught.value) == f"refused {chosen[0]}"
+
+
+def test_a_worker_that_dies_fails_the_call(monkeypatch):
+    ta = trivial_extension(path_algebra(multi_kronecker(2)))
+    caller = os.getpid()
+    check = res_mod._FlatResolver.check_kernel
+
+    def dying(self, kernel, syzygy):
+        if os.getpid() != caller:
+            os._exit(3)
+        check(self, kernel, syzygy)
+
+    monkeypatch.setattr(res_mod._FlatResolver, "check_kernel", dying)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with pytest.raises(RuntimeError, match="worker exited without a result"):
+        res_mod.resolve_simple_modules(ta, steps=8)
+
+
+def test_an_interrupted_caller_kills_its_workers(monkeypatch):
+    ta = trivial_extension(path_algebra(multi_kronecker(2)))
+    caller = os.getpid()
+
+    def stalling(self, kernel, syzygy):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        time.sleep(30)  # outlives the call unless the caller kills it
+
+    monkeypatch.setattr(res_mod._FlatResolver, "check_kernel", stalling)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        res_mod.resolve_simple_modules(ta, steps=8)
+    assert time.monotonic() - start < 10
+
+
 # --- input validation -----------------------------------------------------
 
 def test_resolution_rejects_foreign_module():
@@ -692,3 +767,6 @@ def test_thread_env_does_not_change_results(monkeypatch):
     monkeypatch.setenv("QUIVERLAB_THREADS", "not-a-number")
     fallback = res_mod.resolve_simple_modules(ta, steps=10, dim_cap=100000)
     assert baseline == fallback
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    one_core = res_mod.resolve_simple_modules(ta, steps=10, dim_cap=100000)
+    assert baseline == one_core
