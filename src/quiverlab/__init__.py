@@ -1,132 +1,67 @@
 """Exact linear algebra for quivers: Tits classification, Coxeter
 cyclotomicity, categorical entropy, and resolution growth over trivial
-extensions."""
+extensions.
 
-from .builders import (
-    CanonicalSpec,
-    GentlePresentation,
-    canonical_algebra,
-    gentle_algebra,
-    parse_canonical_spec,
-    parse_gentle,
-    path_algebra,
-)
-from .cyclo import (
-    CycloProfile,
-    char_poly,
-    companion_matrix,
-    cyclotomic_profile,
-    min_poly,
-    spectral_radius,
-)
-from .intpoly import IntPolynomial, cyclotomic_factorization, cyclotomic_poly
-from .quiver import (
-    Arrow,
-    Quiver,
-    QuiverType,
-    cartan_path_algebra,
-    classify_quiver,
-    coxeter_matrix,
-    has_oriented_cycle,
-    parse_quiver,
-    quiver_from_data,
-    tits_matrix,
-)
-from .ratmat import RatMatrix, Vector, as_fraction, l1_norm, vector
-from .resolution import (
-    ComplexityEstimate,
-    RepModule,
-    ResolutionTrace,
-    combine_estimates,
-    complexity_estimate,
-    global_complexity_estimate,
-    jacobson_radical,
-    minimal_resolution,
-    projective_cover,
-    resolve_simple_modules,
-    simple_modules,
-    zero_module,
-)
-from .scalgebra import BasisElement, Element, SCAlgebra, cartan_matrix
-from .serre import (
-    CoxeterReport,
-    EntropyLine,
-    GrowthEstimate,
-    SerreVerdict,
-    canonical_verdict,
-    coxeter_necessary_check,
-    entropy_line,
-    graded_path_verdict,
-    growth_degree,
-    hereditary_entropy,
-    serre_entropy,
-    verify_k_shadow,
-)
-from .trivext import dual_pairing, is_symmetric_form_associative, trivial_extension
+Every public name is re-exported from the submodule that defines it, which
+is imported on the first access to one of its names (PEP 562), so a
+process pays only for the layers it uses.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Arrow",
-    "BasisElement",
-    "CanonicalSpec",
-    "ComplexityEstimate",
-    "CoxeterReport",
-    "CycloProfile",
-    "Element",
-    "EntropyLine",
-    "GentlePresentation",
-    "GrowthEstimate",
-    "IntPolynomial",
-    "Quiver",
-    "QuiverType",
-    "RatMatrix",
-    "RepModule",
-    "ResolutionTrace",
-    "SCAlgebra",
-    "SerreVerdict",
-    "Vector",
-    "as_fraction",
-    "canonical_algebra",
-    "canonical_verdict",
-    "cartan_matrix",
-    "cartan_path_algebra",
-    "char_poly",
-    "classify_quiver",
-    "combine_estimates",
-    "companion_matrix",
-    "complexity_estimate",
-    "coxeter_matrix",
-    "coxeter_necessary_check",
-    "cyclotomic_factorization",
-    "cyclotomic_poly",
-    "cyclotomic_profile",
-    "dual_pairing",
-    "entropy_line",
-    "gentle_algebra",
-    "global_complexity_estimate",
-    "graded_path_verdict",
-    "growth_degree",
-    "has_oriented_cycle",
-    "hereditary_entropy",
-    "is_symmetric_form_associative",
-    "jacobson_radical",
-    "l1_norm",
-    "min_poly",
-    "minimal_resolution",
-    "parse_canonical_spec",
-    "parse_gentle",
-    "parse_quiver",
-    "path_algebra",
-    "projective_cover",
-    "quiver_from_data",
-    "resolve_simple_modules",
-    "serre_entropy",
-    "simple_modules",
-    "spectral_radius",
-    "tits_matrix",
-    "trivial_extension",
-    "vector",
-    "verify_k_shadow",
-    "zero_module",
-]
+# public name -> the submodule that defines it
+_EXPORTS = {
+    **dict.fromkeys(
+        ("CanonicalSpec", "GentlePresentation", "canonical_algebra", "gentle_algebra",
+         "parse_canonical_spec", "parse_gentle", "path_algebra"),
+        "builders",
+    ),
+    **dict.fromkeys(
+        ("CycloProfile", "char_poly", "companion_matrix", "cyclotomic_profile", "min_poly",
+         "spectral_radius"),
+        "cyclo",
+    ),
+    **dict.fromkeys(("IntPolynomial", "cyclotomic_factorization", "cyclotomic_poly"), "intpoly"),
+    **dict.fromkeys(
+        ("Arrow", "Quiver", "QuiverType", "cartan_path_algebra", "classify_quiver",
+         "coxeter_matrix", "has_oriented_cycle", "parse_quiver", "quiver_from_data",
+         "tits_matrix"),
+        "quiver",
+    ),
+    **dict.fromkeys(("RatMatrix", "Vector", "as_fraction", "l1_norm", "vector"), "ratmat"),
+    **dict.fromkeys(
+        ("ComplexityEstimate", "RepModule", "ResolutionTrace", "combine_estimates",
+         "complexity_estimate", "global_complexity_estimate", "jacobson_radical",
+         "minimal_resolution", "projective_cover", "resolve_simple_modules", "simple_modules",
+         "zero_module"),
+        "resolution",
+    ),
+    **dict.fromkeys(("BasisElement", "Element", "SCAlgebra", "cartan_matrix"), "scalgebra"),
+    **dict.fromkeys(
+        ("CoxeterReport", "EntropyLine", "GrowthEstimate", "SerreVerdict", "canonical_verdict",
+         "coxeter_necessary_check", "entropy_line", "graded_path_verdict", "growth_degree",
+         "hereditary_entropy", "serre_entropy", "verify_k_shadow"),
+        "serre",
+    ),
+    **dict.fromkeys(
+        ("dual_pairing", "is_symmetric_form_associative", "trivial_extension"), "trivext"
+    ),
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        submodule = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f"{__name__}.{submodule}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

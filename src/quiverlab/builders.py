@@ -6,11 +6,11 @@ labels concatenate arrow ids right to left, so "ba" is a followed by b.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .quiver import Arrow, Quiver, has_oriented_cycle, quiver_from_data
 from .ratmat import vector
+from .record import Record
 from .scalgebra import BasisElement, Element, SCAlgebra
 
 
@@ -68,8 +68,7 @@ def path_algebra(q: Quiver) -> SCAlgebra:
     return _monomial_algebra(q, set())
 
 
-@dataclass(frozen=True)
-class GentlePresentation:
+class GentlePresentation(Record):
     """Quiver plus length-2 monomial relations (first applied, second applied).
 
     Validates the gentle axioms: at most two arrows in and out of each
@@ -78,7 +77,7 @@ class GentlePresentation:
     """
 
     quiver: Quiver
-    relations: tuple[tuple[str, str], ...] = field(default_factory=tuple)
+    relations: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
         arrows = {a.id: a for a in self.quiver.arrows}
@@ -141,8 +140,7 @@ def parse_gentle(document: str) -> GentlePresentation:
     return GentlePresentation(q, tuple(relations))
 
 
-@dataclass(frozen=True)
-class CanonicalSpec:
+class CanonicalSpec(Record):
     """Weight sequence p_1..p_t with scalars for the arms beyond the second.
 
     The first two arms carry the implicit normalization; lambdas[i] belongs

@@ -12,6 +12,10 @@ envelope: {"exact": true, "value": ...} for integer and rational data
 (rationals rendered as "p/q" strings) and {"exact": false, "value": ...,
 "tol": ...} for tolerance-bounded floats.  Nested domain objects (verdicts,
 resolution traces, check reports) keep their own documented shapes.
+
+Each command imports the layers it uses inside its handler, so one run
+loads and compiles only those; the names are read from their submodules at
+call time.
 """
 from __future__ import annotations
 
@@ -21,38 +25,10 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .builders import (
-    CanonicalSpec,
-    canonical_algebra,
-    gentle_algebra,
-    parse_gentle,
-    path_algebra,
-)
-from .cyclo import cyclotomic_profile
-from .quiver import (
-    cartan_path_algebra,
-    classify_quiver,
-    coxeter_matrix,
-    has_oriented_cycle,
-    parse_quiver,
-)
-from .ratmat import RatMatrix
-from .resolution import (
-    combine_estimates,
-    complexity_estimate,
-    resolve_simple_modules,
-)
-from .scalgebra import cartan_matrix
-from .serre import (
-    MIN_GROWTH_STEPS,
-    canonical_verdict,
-    coxeter_necessary_check,
-    entropy_line,
-    entropy_orbit,
-    orbit_growth,
-)
-from .trivext import trivial_extension
+if TYPE_CHECKING:
+    from .ratmat import RatMatrix
 
 TRACE_TOL = 1e-9
 
@@ -128,6 +104,15 @@ def _profile_json(profile) -> dict:
 
 
 def cmd_classify(args) -> Report:
+    from .cyclo import cyclotomic_profile
+    from .quiver import (
+        cartan_path_algebra,
+        classify_quiver,
+        coxeter_matrix,
+        has_oriented_cycle,
+        parse_quiver,
+    )
+
     document, digest = _read_input(args.file)
     q = parse_quiver(document)
     warnings: list[str] = []
@@ -175,6 +160,11 @@ def _parse_fraction_list(text: str, what: str) -> list[Fraction]:
 
 
 def cmd_canonical(args) -> Report:
+    from .builders import CanonicalSpec, canonical_algebra
+    from .quiver import coxeter_matrix
+    from .scalgebra import cartan_matrix
+    from .serre import canonical_verdict, coxeter_necessary_check, entropy_line
+
     weights = _parse_int_list(args.weights, "--weights")
     if args.lambdas is not None:
         lambdas = _parse_fraction_list(args.lambdas, "--lambdas")
@@ -215,6 +205,11 @@ def cmd_canonical(args) -> Report:
 
 
 def cmd_trivext(args) -> Report:
+    from .builders import gentle_algebra, parse_gentle, path_algebra
+    from .quiver import parse_quiver
+    from .resolution import combine_estimates, complexity_estimate, resolve_simple_modules
+    from .trivext import trivial_extension
+
     document, digest = _read_input(args.file)
     try:
         data = json.loads(document)
@@ -257,6 +252,9 @@ def cmd_trivext(args) -> Report:
 
 
 def cmd_entropy(args) -> Report:
+    from .quiver import has_oriented_cycle, parse_quiver
+    from .serre import MIN_GROWTH_STEPS, entropy_orbit, orbit_growth
+
     document, digest = _read_input(args.file)
     q = parse_quiver(document)
     if has_oriented_cycle(q):
@@ -287,6 +285,8 @@ def cmd_entropy(args) -> Report:
 
 
 def _parse_matrix_file(document: str) -> RatMatrix:
+    from .ratmat import RatMatrix
+
     try:
         data = json.loads(document)
     except json.JSONDecodeError as exc:
@@ -308,6 +308,8 @@ def _parse_matrix_file(document: str) -> RatMatrix:
 
 
 def cmd_check_coxeter(args) -> Report:
+    from .serre import coxeter_necessary_check
+
     document, digest = _read_input(args.file)
     matrix = _parse_matrix_file(document)
     report = coxeter_necessary_check(matrix, l_max=args.l_max, n_max=args.n_max)

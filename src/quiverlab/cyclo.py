@@ -13,12 +13,12 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .intpoly import IntPolynomial, cyclotomic_factorization
 from .ratmat import RatMatrix, TrackedEchelon
+from .record import Record
 
 
 def _krylov_block(span: TrackedEchelon, m: RatMatrix, given: Sequence, offset: int):
@@ -114,8 +114,7 @@ def companion_matrix(p: IntPolynomial) -> RatMatrix:
     return RatMatrix(rows)
 
 
-@dataclass(frozen=True)
-class CycloProfile:
+class CycloProfile(Record):
     """Cyclotomicity report for a square invertible matrix.
 
     orders lists (d, multiplicity in the minimal polynomial); witness is the

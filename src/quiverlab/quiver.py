@@ -4,26 +4,24 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .ratmat import RatMatrix
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(Record):
     id: str
     source: str
     target: str
     degree: int = 0
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(Record):
     """Finite directed multigraph; loops and parallel arrows are allowed."""
 
     vertices: tuple[str, ...]
-    arrows: tuple[Arrow, ...] = field(default_factory=tuple)
+    arrows: tuple[Arrow, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.vertices:
@@ -63,8 +61,7 @@ class Quiver:
         return Quiver(self.vertices, flipped)
 
 
-@dataclass(frozen=True)
-class QuiverType:
+class QuiverType(Record):
     """Trichotomy verdict; radical_vector is present exactly for affine type."""
 
     kind: str

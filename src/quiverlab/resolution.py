@@ -34,10 +34,10 @@ import marshal
 import math
 import os
 import threading
-from dataclasses import dataclass
 
 from .fitting import EXPONENTIAL_SLOPE_THRESHOLD, LOGLOG_RESIDUAL_THRESHOLD, fit_line
 from .ratmat import RatMatrix, TrackedEchelon, Vector
+from .record import Record
 from .scalgebra import SCAlgebra
 
 TRUNCATION_REASONS = ("steps-exhausted", "dimension-cap", "resolution-terminated")
@@ -45,8 +45,7 @@ TRUNCATION_REASONS = ("steps-exhausted", "dimension-cap", "resolution-terminated
 MIN_TRACE_LENGTH = 12
 
 
-@dataclass(frozen=True)
-class RepModule:
+class RepModule(Record):
     """Left module given by one action matrix per algebra basis element."""
 
     algebra: SCAlgebra
@@ -94,8 +93,7 @@ def zero_module(a: SCAlgebra) -> RepModule:
     return RepModule(a, 0, ())
 
 
-@dataclass(frozen=True)
-class ResolutionTrace:
+class ResolutionTrace(Record):
     """Projective dimensions along a resolution plus the reason it stopped."""
 
     betti: tuple[int, ...]
@@ -116,8 +114,7 @@ class ResolutionTrace:
         return {"betti": list(self.betti), "truncated_by": self.truncated_by}
 
 
-@dataclass(frozen=True)
-class ComplexityEstimate:
+class ComplexityEstimate(Record):
     """Verdict on polynomial Betti growth: finite degree, infinite, or unclear."""
 
     kind: str

@@ -10,18 +10,17 @@ of y.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from .ratmat import RatMatrix, plain
+from .record import Record
 
 Element = dict[int, int | Fraction]
 """Sparse algebra element: basis index to a nonzero plain exact coefficient."""
 
 
-@dataclass(frozen=True)
-class BasisElement:
+class BasisElement(Record):
     label: str
     source: str
     target: str

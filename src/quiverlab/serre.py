@@ -10,10 +10,9 @@ cogenerator, and decide orbit growth exactly from a local minimal polynomial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .builders import CanonicalSpec
 from .cyclo import cyclotomic_profile, krylov_chain, spectral_radius
 from .intpoly import IntPolynomial, cyclotomic_factorization
 from .quiver import (
@@ -24,6 +23,10 @@ from .quiver import (
     has_oriented_cycle,
 )
 from .ratmat import RatMatrix, Vector, as_fraction, l1_norm, vector
+from .record import Record
+
+if TYPE_CHECKING:
+    from .builders import CanonicalSpec
 
 VERDICT_KINDS = (
     "serre-cyclotomic",
@@ -33,8 +36,7 @@ VERDICT_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class SerreVerdict:
+class SerreVerdict(Record):
     """Cyclotomicity verdict with the exponents (l, m, n) when known.
 
     A fractionally Calabi-Yau verdict is the l = 1 case and stores that l;
@@ -88,16 +90,14 @@ class SerreVerdict:
         }
 
 
-@dataclass(frozen=True)
-class EntropyLine:
+class EntropyLine(Record):
     """Slope of the entropy line t -> (m/n)t plus the polynomial bound l-1."""
 
     slope: Fraction
     poly_entropy_bound: int
 
 
-@dataclass(frozen=True)
-class CoxeterReport:
+class CoxeterReport(Record):
     """Outcome of the exact necessary condition on a Coxeter matrix.
 
     passed is True when the minimal witness fits the bounds, False when the
@@ -377,8 +377,7 @@ def entropy_orbit(
     return h0, trace, phi, orbit
 
 
-@dataclass(frozen=True)
-class GrowthEstimate:
+class GrowthEstimate(Record):
     """Growth class of an iterated norm sequence."""
 
     kind: str

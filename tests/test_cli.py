@@ -234,12 +234,11 @@ def test_trivext_dimension_cap_warning(tmp_path, capsys):
     )
 
 
-def test_trivext_threads_env_is_deterministic(tmp_path, capsys, monkeypatch):
+def test_trivext_output_is_the_same_forked_and_on_one_core(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "kron.json", KRONECKER_DOC)
     _, baseline, _ = run(capsys, "trivext", path, "--json")
-    monkeypatch.setenv("QUIVERLAB_THREADS", "4")
-    _, threaded, _ = run(capsys, "trivext", path, "--json")
-    assert baseline == threaded
+    _, again, _ = run(capsys, "trivext", path, "--json")
+    assert baseline == again
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     _, one_core, _ = run(capsys, "trivext", path, "--json")
     assert baseline == one_core

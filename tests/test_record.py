@@ -1,0 +1,106 @@
+"""The value classes behave as frozen records: equality and hash by type and
+fields, the documented repr, no assignment, defaults, and validation on
+construction."""
+from fractions import Fraction
+
+import pytest
+
+from quiverlab import (
+    Arrow,
+    BasisElement,
+    CanonicalSpec,
+    ComplexityEstimate,
+    CycloProfile,
+    IntPolynomial,
+    Quiver,
+    QuiverType,
+    ResolutionTrace,
+    SerreVerdict,
+)
+from quiverlab.record import FrozenInstanceError, Record
+
+
+def test_equality_and_hash_follow_type_and_fields():
+    a = QuiverType("affine", (1, 1))
+    b = QuiverType(kind="affine", radical_vector=(1, 1))
+    assert a == b and hash(a) == hash(b) == hash(("affine", (1, 1)))
+    assert a != QuiverType("affine", (1, 2))
+    assert len({a, b, QuiverType("finite")}) == 2
+    # the same fields under another record type are a different value
+    assert Arrow("a", "1", "2") != BasisElement("a", "1", "2")
+    assert Arrow("a", "1", "2") != ("a", "1", "2", 0)
+
+
+def test_reprs_match_the_readme():
+    assert repr(QuiverType("affine", (1, 1))) == "QuiverType(kind='affine', radical_vector=(1, 1))"
+    profile = CycloProfile(True, ((1, 2),), False, None, (1, 2), IntPolynomial([1, -2, 1]))
+    assert repr(profile) == (
+        "CycloProfile(is_cyclotomic=True, orders=((1, 2),), periodic=False, "
+        "period=None, witness=(1, 2), char_poly=IntPolynomial(x^2 - 2x + 1))"
+    )
+    assert repr(ComplexityEstimate.finite(2)) == (
+        "ComplexityEstimate(kind='finite', degree=2, reason=None)"
+    )
+
+
+def test_fields_cannot_be_assigned_or_deleted():
+    verdict = QuiverType("finite")
+    with pytest.raises(FrozenInstanceError):
+        verdict.kind = "affine"
+    with pytest.raises(AttributeError):
+        verdict.extra = 1
+    with pytest.raises(AttributeError):
+        del verdict.kind
+    assert verdict == QuiverType("finite")
+
+
+def test_defaults_and_argument_binding():
+    assert Quiver(("1",)).arrows == ()
+    assert Arrow("a", "1", "2").degree == 0
+    assert ComplexityEstimate("infinite") == ComplexityEstimate("infinite", None, None)
+    with pytest.raises(TypeError, match="missing"):
+        Arrow("a", "1")
+    with pytest.raises(TypeError, match="positional"):
+        QuiverType("finite", None, None)
+    with pytest.raises(TypeError, match="unexpected"):
+        QuiverType("finite", vector=None)
+    with pytest.raises(TypeError, match="multiple"):
+        QuiverType("finite", kind="finite")
+
+
+def test_post_init_normalizes_fields():
+    assert ResolutionTrace([3.0, 2], "steps-exhausted").betti == (3, 2)
+    spec = CanonicalSpec((2, 3, 5), (Fraction(4, 2),))
+    assert spec.lambdas == (2,) and type(spec.lambdas[0]) is int
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ResolutionTrace((), "steps-exhausted"),
+        lambda: ResolutionTrace((1, 2), "no-such-reason"),
+        lambda: QuiverType("wild"),
+        lambda: QuiverType("finite", (1, 1)),
+        lambda: QuiverType("affine"),
+        lambda: CanonicalSpec((2,)),
+        lambda: CanonicalSpec((2, 3, 5), (0,)),
+        lambda: SerreVerdict("bogus-kind"),
+        lambda: SerreVerdict("fractionally-calabi-yau", l=2),
+    ],
+)
+def test_invalid_arguments_raise_value_error(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_a_record_takes_its_fields_from_its_annotations():
+    class Point(Record):
+        x: int
+        y: int = 0
+
+    assert Point._fields == ("x", "y")
+    assert Point(1) == Point(x=1, y=0)
+    assert repr(Point(1, 2)).endswith(".<locals>.Point(x=1, y=2)")
+    match Point(3, 4):
+        case Point(x, y):
+            assert (x, y) == (3, 4)

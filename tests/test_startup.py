@@ -1,0 +1,120 @@
+"""Start-up cost: each command loads only its own layers, and the package
+resolves its public names lazily.
+
+Every command is one short process, so what it imports is paid on every
+run.  The guards run each command in a fresh interpreter and look at the
+modules that appeared in `sys.modules` after the interpreter's own
+start-up.
+"""
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import quiverlab
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+KRONECKER_DOC = json.dumps(
+    {"vertices": [1, 2], "arrows": [{"id": "a", "from": 1, "to": 2},
+                                    {"id": "b", "from": 1, "to": 2}]}
+)
+A2_DOC = json.dumps({"vertices": [1, 2], "arrows": [{"id": "a", "from": 1, "to": 2}]})
+PHI_DOC = '[["-1", "2"], ["-2", "3"]]'
+
+# the modules new after start-up, once `import quiverlab.cli` is done and once
+# `main` has run; the report goes to stdout, the module lists to argv[1]
+RUN_COMMAND = """
+import sys
+before = set(sys.modules)
+import quiverlab.cli
+imported = sorted(set(sys.modules) - before)
+status = quiverlab.cli.main(sys.argv[2:])
+ran = sorted(set(sys.modules) - before)
+import json
+with open(sys.argv[1], "w", encoding="utf-8") as out:
+    json.dump({"status": status, "import": imported, "run": ran}, out)
+"""
+
+# what each command must not load: no spectral command resolves, and only
+# canonical builds an algebra
+NO_RESOLUTION = {"quiverlab.resolution", "quiverlab.trivext"}
+NO_ALGEBRA = NO_RESOLUTION | {"quiverlab.builders", "quiverlab.scalgebra"}
+NO_SPECTRAL = {"quiverlab.serre", "quiverlab.cyclo", "quiverlab.intpoly"}
+
+
+def fresh_python(args: list[str]) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+@pytest.mark.parametrize(
+    "argv, inputs, forbidden",
+    [
+        (["classify", "kron.json"], {"kron.json": KRONECKER_DOC},
+         NO_ALGEBRA | {"quiverlab.serre"}),
+        (["entropy", "kron.json", "--iterations", "12"], {"kron.json": KRONECKER_DOC},
+         NO_ALGEBRA),
+        (["check-coxeter", "phi.json"], {"phi.json": PHI_DOC}, NO_ALGEBRA),
+        (["canonical", "--weights", "2,3,5"], {}, NO_RESOLUTION),
+        (["trivext", "a2.json", "--steps", "12"], {"a2.json": A2_DOC}, NO_SPECTRAL),
+    ],
+    ids=["classify", "entropy", "check-coxeter", "canonical", "trivext"],
+)
+def test_command_loads_only_its_layers(tmp_path, argv, inputs, forbidden):
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    record = tmp_path / "modules.json"
+    argv = [str(tmp_path / a) if a in inputs else a for a in argv]
+    child = fresh_python(["-c", RUN_COMMAND, str(record), *argv, "--json"])
+    assert child.returncode == 0, child.stderr
+    seen = json.loads(record.read_text(encoding="utf-8"))
+    assert seen["status"] == 0
+    assert json.loads(child.stdout)["command"] == argv[0]
+    assert [m for m in seen["import"] if m.startswith("quiverlab")] == ["quiverlab",
+                                                                        "quiverlab.cli"]
+    assert forbidden.isdisjoint(seen["run"])
+    assert "dataclasses" not in seen["run"]
+
+
+def test_every_public_name_is_its_submodules_object():
+    for name, submodule in quiverlab._EXPORTS.items():
+        module = importlib.import_module(f"quiverlab.{submodule}")
+        assert getattr(quiverlab, name) is getattr(module, name), name
+
+
+def test_dir_and_star_import_list_every_public_name():
+    assert set(quiverlab.__all__) <= set(dir(quiverlab))
+    namespace: dict = {}
+    exec("from quiverlab import *", namespace)
+    for name in quiverlab.__all__:
+        assert namespace[name] is getattr(quiverlab, name), name
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        quiverlab.no_such_name  # noqa: B018
+    assert not hasattr(quiverlab, "projective_covers")
+
+
+def test_package_imports_a_submodule_on_first_use():
+    script = """
+import sys
+import quiverlab
+loaded = lambda: sorted(m for m in sys.modules if m.startswith("quiverlab"))
+assert loaded() == ["quiverlab"], loaded()
+assert "SerreVerdict" in dir(quiverlab)
+quiverlab.RatMatrix
+assert loaded() == ["quiverlab", "quiverlab.ratmat"], loaded()
+from quiverlab import serre
+assert serre is sys.modules["quiverlab.serre"]
+assert "quiverlab.resolution" not in sys.modules
+"""
+    child = fresh_python(["-c", script])
+    assert child.returncode == 0, child.stderr
