@@ -238,6 +238,10 @@ def cyclotomic_factorization(p: IntPolynomial) -> tuple[tuple[int, int], ...] | 
         raise ValueError("cyclotomic factorization expects a monic polynomial")
     if not p.is_integral:
         return None
+    # such a product has every root on the unit circle; p(1) < 0 or
+    # (-1)^n p(-1) < 0 puts a real root beyond 1 or -1, before any division
+    if p.evaluate(1) < 0 or (-1) ** p.degree * p.evaluate(-1) < 0:
+        return None
     found: list[tuple[int, int]] = []
     d = 0
     while p.degree > 0:

@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .cyclo import cyclotomic_profile, krylov_chain, spectral_radius
+from .cyclo import cyclotomic_profile, krylov_walk, spectral_radius
 from .intpoly import IntPolynomial, cyclotomic_factorization
 from .quiver import (
     Quiver,
@@ -354,9 +354,10 @@ def entropy_orbit(
     """hereditary_entropy's (h0, trace) with the Coxeter matrix phi and the
     orbit behind them: the cogenerator vector v and its iterates phi^k v for
     k = 1..iterations, all in int arithmetic.  The Coxeter polynomial's
-    first Krylov block and orbit_growth both continue from this orbit, so
-    each iterate is computed once.  h0 is exactly 0.0 when spectral_radius
-    finds the Coxeter polynomial cyclotomic."""
+    first Krylov block continues from this orbit, so each iterate is
+    computed once, and orbit_growth reads that block's polynomial, so the
+    orbit is eliminated once.  h0 is exactly 0.0 when spectral_radius finds
+    the Coxeter polynomial cyclotomic."""
     if iterations < 1:
         raise ValueError("iterations must be positive")
     if not (math.isfinite(tol) and tol > 0):
@@ -421,8 +422,10 @@ def growth_degree(phi: RatMatrix, v, steps: int = 60) -> GrowthEstimate:
 def orbit_growth(phi: RatMatrix, orbit: list[Vector]) -> GrowthEstimate:
     """growth_degree's decision for an integral phi, given the leading
     iterates v, phi v, ..., phi^j v of the orbit; phi is applied only past
-    the last one."""
-    local, _ = krylov_chain(phi, orbit)
+    the last one.  The local minimal polynomial is the first block of the
+    Krylov walk seeded with the orbit, which spectral_radius has already
+    made when it was given the same orbit."""
+    local = krylov_walk(phi, tuple(map(tuple, orbit)))[0][1]
     t = next(k for k, c in enumerate(local.coeffs) if c)
     orders = cyclotomic_factorization(IntPolynomial(local.coeffs[t:]))
     if orders is None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import importlib.util
 import json
-import math
 import os
 import random
 import sys
@@ -300,33 +299,6 @@ def check_profile_is_a_conjugation_invariant():
         assert base.is_cyclotomic
         u = random_unimodular(rng, m.rows)
         assert cyclotomic_profile(u * m * u.inverse()) == base
-
-
-def power_radius_reference(p) -> float:
-    """`cyclo._power_radius` with its original triple-loop squaring.
-
-    The float operations and their order are the ones the faster squaring
-    must reproduce bit for bit.
-    """
-    n = p.degree
-    comp = [[float(x) for x in row] for row in companion_matrix(p).entries()]
-    log_scale = 0.0
-    for _ in range(60):
-        norm = max(abs(x) for row in comp for x in row)
-        if norm == 0.0:
-            return 0.0
-        inv = 1.0 / norm
-        comp = [[x * inv for x in row] for row in comp]
-        log_scale = 2.0 * (log_scale + math.log(norm))
-        comp = [
-            [sum(comp[i][k] * comp[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-    norm = max(abs(x) for row in comp for x in row)
-    if norm == 0.0:
-        return 0.0
-    exponent = (log_scale + math.log(norm)) / (2.0 ** 60)
-    return math.exp(exponent)
 
 
 # --- dense resolution oracle ---------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from quiverlab import cli, cyclo
 from quiverlab.cli import main
 from quiverlab.quiver import cartan_path_algebra, coxeter_matrix
-from quiverlab.ratmat import RatMatrix
+from quiverlab.ratmat import RatMatrix, TrackedEchelon
 from conftest import GENTLE_TWO_LOOP_DOC, bench_module, path_quiver
 
 
@@ -327,22 +327,56 @@ def test_entropy_walks_the_coxeter_orbit_once(tmp_path, capsys, monkeypatch):
     assert len(calls) <= 61
 
 
+@pytest.mark.parametrize("label", ["D40", "T2_3_31"])
+def test_entropy_eliminates_the_coxeter_orbit_once(label, tmp_path, capsys, monkeypatch):
+    # the characteristic polynomial's first Krylov block is the orbit of the
+    # cogenerator, and its polynomial is the one the growth decision reads:
+    # every insert of one walk either enlarges the span or closes a block
+    doc = getattr(bench_module("workloads"), label)
+    path = write(tmp_path, f"{label}.json", json.dumps(doc))
+    cyclo.krylov_walk.cache_clear()
+    enlarged = []
+    insert = TrackedEchelon.insert
+
+    def counted(self, vec, expr):
+        relation = insert(self, vec, expr)
+        enlarged.append(relation is None)
+        return relation
+
+    monkeypatch.setattr(TrackedEchelon, "insert", counted)
+    code, out, _ = run(capsys, "entropy", path, "--json")
+    assert code == 0
+    assert sum(enlarged) == len(doc["vertices"])
+
+
 # sha256 of the --json stdout of each seed-1401 job of the benchmark's
-# spectral workload, as the Hessenberg characteristic polynomial wrote it;
-# a change of route inside cyclo, ratmat or serre must keep every byte
+# spectral workload, as the Hessenberg characteristic polynomial wrote it
+# (entropy:kron3 as the certified radius wrote it: the closed form to 12
+# digits); a change of route inside cyclo, ratmat or serre must keep every byte
 SPECTRAL_STDOUT_SHA256 = {
     "classify:A60": "cf1bc4ec448ef44abd13d36e16c125fb0d4bd0ae360fe55feb1bc11d08fc5c08",
     "classify:D40": "b24534ea8cdc0d58c42f95bde8adbd9d55ff733bd1d6f5364e8fbcfb7009952c",
     "entropy:A60": "1542eb9eb19b8776d527d7c161e9239379bfe9f987ec108468cd2e05c66dd6f9",
     "entropy:D40": "6814d18b68f2a36d5b5200acbfef71cabf6520b0ca125f8f9b3b02b4364ab022",
     "entropy:T2-3-31": "4a91f2aa9a33992ea47617f6b9d853200e59dd0f9fbb580296a04ec8effe6501",
-    "entropy:kron3": "0a76d113a5d98679a7f8c8c159b7cd54dd24628c604a2d0bc289e86f6f1edf8d",
+    "entropy:kron3": "2df026cc22059d9c9d4053d8fd506f4805faa4db9275f02c8d602b8401d28ab2",
     "entropy:E10": "d73b0affbea66913e9103b44f86c414f44dddbc3f439b299cf0548b0a22bd8cf",
     "entropy:wild3": "7946d06aa3be2130fc2a3025e534aae8eab29fbe790ed8e4098bb3c41e31454f",
     "check-coxeter:D24": "2d25c71994b3a3ad6180d471d5d6cbad21982421b0ce378c40631c330c7ccfd1",
     "canonical:2,3,7": "4414c9178a00ceebc845f55b213625d630fc88c17e9a671850af09dc9818a559",
     "canonical:5,6,7": "81bebeeda59973312e4d6550539726401f75770c1ace3e0c242ac99901f3a8e9",
 }
+
+
+def test_entropy_kron3_prints_the_closed_form(tmp_path, capsys):
+    # rho(Phi) = (7 + 3 sqrt 5) / 2; the certified enclosure is far narrower
+    # than the 12 printed digits, whatever the tolerance
+    path = write(tmp_path, "kron3.json", json.dumps(bench_module("workloads").kronecker(3)))
+    closed_form = float(f"{math.log((7 + 3 * math.sqrt(5)) / 2):.12g}")
+    for tol in ("1e-4", "0.5"):
+        code, out, _ = run(capsys, "entropy", path, "--tol", tol, "--json")
+        assert code == 0
+        assert json.loads(out)["result"]["h0"]["value"] == closed_form == 1.92484730024
 
 
 def test_spectral_workload_keeps_its_bytes(tmp_path, capsys, monkeypatch):

@@ -6,6 +6,7 @@ three; the Kronecker one is unipotent with nilpotency degree two.
 """
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -13,17 +14,18 @@ import pytest
 from quiverlab.cyclo import (
     _cauchy_bound,
     _krylov_blocks,
-    _power_radius,
     char_poly,
     companion_matrix,
     cyclotomic_profile,
+    krylov_walk,
     min_poly,
     spectral_radius,
 )
+from quiverlab import cyclo
 from quiverlab.intpoly import IntPolynomial
 from quiverlab.quiver import cartan_path_algebra, coxeter_matrix
 from quiverlab.ratmat import RatMatrix
-from conftest import power_radius_reference, star_quiver
+from conftest import multi_kronecker, random_unimodular, star_quiver
 
 
 PHI_A2 = RatMatrix([[0, -1], [1, -1]])
@@ -140,6 +142,7 @@ def test_min_poly_stops_once_its_chains_span(monkeypatch):
     # Phi(D40) has a minimal polynomial of degree n - 1, so one chain never
     # settles it; a run over all n unit-vector chains makes 1559 products
     phi = coxeter_matrix(cartan_path_algebra(star_quiver((1, 1, 37))))
+    krylov_walk.cache_clear()
     calls = []
     apply = RatMatrix.apply
 
@@ -155,6 +158,7 @@ def test_min_poly_stops_once_its_chains_span(monkeypatch):
 def test_char_poly_applies_the_matrix_once_per_dimension(monkeypatch):
     # a block of d Krylov vectors costs d products, and the blocks fill the space
     phi = coxeter_matrix(cartan_path_algebra(star_quiver((1, 1, 37))))
+    krylov_walk.cache_clear()
     calls = []
     apply = RatMatrix.apply
 
@@ -223,6 +227,26 @@ def test_profile_unipotent_case():
     assert prof.orders == ((1, 2),)
 
 
+def test_profile_walks_the_krylov_blocks_once(monkeypatch):
+    # char_poly's walk of Phi(D24), conjugated, also feeds min_poly
+    rng = random.Random(24)
+    phi = coxeter_matrix(cartan_path_algebra(star_quiver((1, 1, 21))))
+    u = random_unimodular(rng, phi.rows)
+    m = u * phi * u.inverse()
+    krylov_walk.cache_clear()
+    walks = []
+    blocks = cyclo._krylov_blocks
+
+    def counted(*args):
+        walks.append(1)
+        return blocks(*args)
+
+    monkeypatch.setattr(cyclo, "_krylov_blocks", counted)
+    profile = cyclotomic_profile(m)
+    assert walks == [1]
+    assert profile.witness == (23, 1) and profile.char_poly == char_poly(phi)
+
+
 def test_profile_non_cyclotomic():
     prof = cyclotomic_profile(PHI_KRONECKER3)
     assert not prof.is_cyclotomic
@@ -280,13 +304,129 @@ def test_spectral_radius_odd_degree_dominant_complex_pair():
     assert abs(spectral_radius(companion_matrix(p), tol=1e-9) - 2.0) < 1e-6
 
 
-def test_power_radius_is_bit_identical_to_the_triple_loop():
-    rng = random.Random(1012)
-    polys = []
-    for _ in range(200):
-        degree = rng.randint(1, 12)
-        polys.append(IntPolynomial([rng.randint(-9, 9) for _ in range(degree)] + [1]))
-    # T(2,3,31): Coxeter polynomial of degree 34 with a real root just above 1
-    polys.append(char_poly(coxeter_matrix(cartan_path_algebra(star_quiver((1, 2, 30))))))
-    for p in polys:
-        assert _power_radius(p) == power_radius_reference(p), p
+def _linear(r):
+    return IntPolynomial([-r, 1])
+
+
+def _quadratic(b, c):
+    # roots b +- ci, of modulus sqrt(b^2 + c^2)
+    return IntPolynomial([b * b + c * c, -2 * b, 1])
+
+
+def _root_family(rng, kind):
+    """(polynomial, exact squared moduli of its roots) built from factors."""
+    if kind == "linear":
+        roots = [rng.randint(-9, 9) for _ in range(rng.randint(1, 7))]
+        return math.prod(map(_linear, roots), start=IntPolynomial.one()), [r * r for r in roots]
+    if kind == "negative":
+        top = rng.randint(2, 12)
+        roots = [-top] + [rng.randint(1 - top, top - 1) for _ in range(rng.randint(0, 5))]
+        return math.prod(map(_linear, roots), start=IntPolynomial.one()), [r * r for r in roots]
+    if kind == "tie":
+        # a real root and a complex pair on one circle: 3-4-5 and 5-12-13
+        b, c, r = rng.choice([(3, 4, 5), (4, 3, 5), (-3, 4, 5), (5, 12, 13), (-12, 5, 13)])
+        rest = [rng.randint(1 - r, r - 1) for _ in range(rng.randint(0, 3))]
+        p = _linear(rng.choice((r, -r))) * _quadratic(b, c)
+        p = p * math.prod(map(_linear, rest), start=IntPolynomial.one())
+        return p, [r * r] + [x * x for x in rest]
+    # "quadratic": a dominant complex pair over smaller pairs and real roots
+    b, c = rng.randint(-9, 9), rng.randint(1, 9)
+    top = b * b + c * c
+    p, squares = _quadratic(b, c), [top]
+    for _ in range(rng.randint(0, 3)):
+        if rng.random() < 0.5:
+            r = rng.randint(0, math.isqrt(top - 1))
+            p, squares = p * _linear(rng.choice((r, -r))), squares + [r * r]
+        else:
+            b2, c2 = rng.randint(-4, 4), rng.randint(1, 4)
+            if b2 * b2 + c2 * c2 < top:
+                p, squares = p * _quadratic(b2, c2), squares + [b2 * b2 + c2 * c2]
+    return p, squares
+
+
+def _decimal_largest_root(p, lo, hi):
+    """Bisection in 40-digit decimals for the one sign change of p in [lo, hi]."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        lo, hi = Decimal(lo), Decimal(hi)
+        low_sign = p.evaluate(lo) > 0
+        assert (p.evaluate(hi) > 0) != low_sign
+        for _ in range(120):
+            mid = (lo + hi) / 2
+            if (p.evaluate(mid) > 0) == low_sign:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+
+@pytest.mark.parametrize("kind", ["linear", "negative", "quadratic", "tie"])
+def test_spectral_radius_matches_moduli_known_by_construction(kind):
+    rng = random.Random(f"spectral-radius:{kind}")
+    tol = 1e-12
+    for _ in range(40):
+        p, squares = _root_family(rng, kind)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            expected = Decimal(max(squares)).sqrt()
+        rho = spectral_radius(companion_matrix(p), tol=tol)
+        assert abs(Decimal(rho) - expected) <= Decimal(tol), (p, rho)
+
+
+def test_spectral_radius_of_polynomials_in_x_to_a_power():
+    # every root of x^5 - 3 has modulus 3^(1/5), every root of x^4 + 16
+    # modulus 2: one circle carries them all, and p(x) = q(x^k) reduces to q
+    cases = [([-3, 0, 0, 0, 0, 1], 3 ** 0.2), ([16, 0, 0, 0, 1], 2.0),
+             ([5, 0, 0, 0, -3, 0, 0, 0, 1], 5 ** 0.125)]
+    for coeffs, expected in cases:
+        rho = spectral_radius(companion_matrix(IntPolynomial(coeffs)), tol=1e-12)
+        assert abs(rho - expected) <= 1e-12, coeffs
+
+
+def test_spectral_radius_refuses_two_pairs_on_the_top_circle():
+    # (x^2 - 2x + 4)(x^2 + 3x + 4): both pairs have modulus 2, which no
+    # certificate here tells from two nearby moduli
+    p = IntPolynomial([4, -2, 1]) * IntPolynomial([4, 3, 1])
+    with pytest.raises(ArithmeticError):
+        spectral_radius(companion_matrix(p))
+
+
+def test_spectral_radius_of_rational_triangular_matrices():
+    # the eigenvalues are the diagonal, under a unimodular change of basis
+    rng = random.Random(1709)
+    tol = 1e-12
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        diagonal = [Fraction(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(n)]
+        rows = [[diagonal[i] if i == j else
+                 (Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if j > i else 0)
+                 for j in range(n)] for i in range(n)]
+        u = random_unimodular(rng, n) if n > 1 else RatMatrix.identity(1)
+        m = u * RatMatrix(rows) * u.inverse()
+        expected = max(abs(x) for x in diagonal)
+        rho = spectral_radius(m, tol=tol)
+        assert abs(Fraction(rho) - expected) <= tol, (diagonal, rho)
+
+
+@pytest.mark.parametrize("label", ["kron3", "kron4", "kron6", "lehmer", "T2-3-61"])
+def test_spectral_radius_of_coxeter_matrices_to_twelve_digits(label):
+    if label.startswith("kron"):
+        k = int(label[4:])
+        q = multi_kronecker(k)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            trace = k * k - 2  # Coxeter polynomial x^2 - (k^2 - 2) x + 1
+            expected = (trace + Decimal(trace * trace - 4).sqrt()) / 2
+    else:
+        # E10 = T(2,3,7) has Lehmer's polynomial; T(2,3,61) has degree 64
+        q = star_quiver((1, 2, 6) if label == "lehmer" else (1, 2, 60))
+    phi = coxeter_matrix(cartan_path_algebra(q))
+    if not label.startswith("kron"):
+        expected = _decimal_largest_root(char_poly(phi), "1.1", "2")
+    tol = 1e-9
+    rho = spectral_radius(phi, tol=tol)
+    assert abs(Decimal(rho) - expected) <= Decimal(tol)
+    assert f"{rho:.12g}" == f"{expected:.12g}"
+    if label == "lehmer":
+        assert char_poly(phi) == IntPolynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
+        assert f"{rho:.12g}" == "1.17628081826"
