@@ -149,10 +149,6 @@ class IntPolynomial:
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial(i * c for i, c in enumerate(self.coeffs) if i)
 
-    def reflect(self) -> "IntPolynomial":
-        """p(-x)."""
-        return IntPolynomial(c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs))
-
     def evaluate(self, x):
         acc = 0
         for c in reversed(self.coeffs):

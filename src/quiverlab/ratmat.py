@@ -196,13 +196,6 @@ class RatMatrix:
             for j in range(self.cols)
         )
 
-    def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "RatMatrix":
-        return RatMatrix([[self._rows[i][j] for j in cols] for i in rows])
-
-    def leading_minor(self, k: int) -> "RatMatrix":
-        idx = list(range(k))
-        return self.submatrix(idx, idx)
-
     def det(self) -> int | Fraction:
         if not self.is_square:
             raise ValueError("determinant requires a square matrix")

@@ -16,14 +16,17 @@ that failed, as the serial loop would.
 One sparse engine tracks syzygies in flat coordinates; it needs a basis
 adapted to the radical (rad(A) spanned by the non-idempotent basis
 elements), so any other basic algebra is first rewritten on such a basis
-together with the module.  The top of each syzygy is found from the images
-of the arrows alone, a basis of rad/rad^2 chosen among the basis elements.
-Syzygy bases come in lead form: each vector sits at one vertex and has its
-own largest coordinate, its lead.  Since rad*K lies in K, the leads of
-rad*K are leads of K, and the vectors of K whose leads are not leads of
-rad*K generate K minimally.  Every kernel, the first one included, comes
-from one lead-keyed TrackedEchelon per step; the first reads the module's
-own action on its top generators.
+together with the module.  Every top, the input module's included, is
+found from the images of the arrows alone, a basis of rad/rad^2 chosen
+among the basis elements: rad is spanned by products of arrows, so rad*M
+is the sum of the arrows' images of M.  Syzygy bases come in lead form:
+each vector sits at one vertex and has its own largest coordinate, its
+lead.  Since rad*K lies in K, the leads of rad*K are leads of K, and the
+vectors of K whose leads are not leads of rad*K generate K minimally.
+Every kernel, the first one included, comes from one lead-keyed
+TrackedEchelon per step; the first reads the module's own action on its
+top generators.  The dense projective cover, built from action matrices,
+lives only in the test suite, as the oracle the engine is checked against.
 """
 
 from __future__ import annotations
@@ -218,7 +221,7 @@ def simple_modules(a: SCAlgebra, rad=None) -> list[RepModule]:
         rad = jacobson_radical(a)
     if len(rad) + len(a.idempotents) != a.dim:
         raise ValueError("algebra is not basic")
-    columns = [_unit_vector(e, a.dim) for e in a.idempotents]
+    columns = [[int(k == e) for k in range(a.dim)] for e in a.idempotents]
     columns.extend(rad)
     try:
         change = RatMatrix.from_columns(columns).inverse()
@@ -229,12 +232,6 @@ def simple_modules(a: SCAlgebra, rad=None) -> list[RepModule]:
         actions = tuple(RatMatrix([[change[pos, m]]]) for m in range(a.dim))
         simples.append(RepModule(a, 1, actions))
     return simples
-
-
-def _unit_vector(index: int, length: int) -> list[int]:
-    vec = [0] * length
-    vec[index] = 1
-    return vec
 
 
 def _sparse(vec) -> dict:
@@ -249,121 +246,17 @@ def _source_coords(a: SCAlgebra) -> list[list[int]]:
     return out
 
 
-def _projective_sum(a: SCAlgebra, verts: list) -> RepModule:
-    """Direct sum of the projectives generated at the given vertices."""
-    by_vertex = _source_coords(a)
-    pos = {v: p for p, v in enumerate(a.vertices)}
-    blocks = [by_vertex[pos[v]] for v in verts]
-    local = [{m: i for i, m in enumerate(block)} for block in blocks]
-    offsets = []
-    total = 0
-    for block in blocks:
-        offsets.append(total)
-        total += len(block)
-    actions = []
-    for b in range(a.dim):
-        rows = [[0] * total for _ in range(total)]
-        for copy, block in enumerate(blocks):
-            base = offsets[copy]
-            table = local[copy]
-            for col, m in enumerate(block):
-                prod = a.mult.get((b, m))
-                if prod:
-                    for k, c in prod.items():
-                        rows[base + table[k]][base + col] = c
-        actions.append(RatMatrix(rows))
-    return RepModule(a, total, tuple(actions))
-
-
-def _top_lift(a: SCAlgebra, module: RepModule, rad) -> list[tuple]:
-    """Vertex-tagged vectors lifting a basis of module / rad*module."""
-    covered = TrackedEchelon()
-    for r in rad:
-        action = None
-        for m, c in enumerate(r):
-            if c:
-                term = module.actions[m].scale(c)
-                action = term if action is None else action + term
-        if action is not None:
-            for col in action.columns():
-                covered.add(_sparse(col))
-    gens = []
-    for p, v in enumerate(a.vertices):
-        act = module.actions[a.idempotents[p]]
-        for k in range(module.dim):
-            col = act.column(k)
-            if covered.add(_sparse(col)):
-                gens.append((v, col))
-    if len(covered.pivots) != module.dim:
-        raise RuntimeError("projective cover lifting failed")
-    return gens
-
-
-def _cover_data(a: SCAlgebra, module: RepModule, rad):
-    """Cover matrix (one column per basis element of P) and P's summand vertices."""
-    gens = _top_lift(a, module, rad)
-    verts = [v for v, _ in gens]
-    by_vertex = _source_coords(a)
-    pos = {v: p for p, v in enumerate(a.vertices)}
-    cols = []
-    for v, gen in gens:
-        for m in by_vertex[pos[v]]:
-            cols.append(module.actions[m].apply(gen))
-    cover = RatMatrix.from_columns(cols) if cols else RatMatrix([])
-    return cover, verts
-
-
-def _radical_span(a: SCAlgebra, rad, verts: list) -> TrackedEchelon:
-    """Span of rad*P inside the flat coordinates of a projective sum."""
-    by_vertex = _source_coords(a)
-    pos = {v: p for p, v in enumerate(a.vertices)}
-    span = TrackedEchelon()
-    offset = 0
-    for v in verts:
-        block = by_vertex[pos[v]]
-        for r in rad:
-            vec = {offset + i: r[m] for i, m in enumerate(block) if r[m]}
-            if vec:
-                span.add(vec)
-        offset += len(block)
-    return span
-
-
-def projective_cover(a: SCAlgebra, module: RepModule, rad=None):
-    """Projective cover (P, surjection matrix) of a module.
-
-    Columns of the surjection are indexed by the basis of P, rows by the
-    basis of the module.  The kernel is checked to lie inside rad*P, which
-    is what makes the cover minimal.
-    """
-    if module.algebra is not a:
-        raise ValueError("module is defined over a different algebra")
-    if module.dim == 0:
-        return zero_module(a), RatMatrix([])
-    if rad is None:
-        rad = jacobson_radical(a)
-    matrix, verts = _cover_data(a, module, rad)
-    proj = _projective_sum(a, verts)
-    kernel = matrix.kernel_basis()
-    if len(kernel) != proj.dim - module.dim:
-        raise RuntimeError("projective cover is not surjective")
-    rad_span = _radical_span(a, rad, verts)
-    for vec in kernel:
-        if rad_span.add(_sparse(vec)):
-            raise RuntimeError("cover kernel escapes the radical")
-    return proj, matrix
-
-
 class _FlatResolver:
     """Sparse syzygy engine over flat coordinates copy*dim + basis_index.
 
     Valid only when rad(A) is spanned by the non-idempotent basis elements,
     so that minimality and tops reduce to coordinate support checks.  Tops
     apply only the arrows, non-idempotent basis elements that form a basis
-    of rad/rad^2: a syzygy K is a submodule and rad is spanned by products
-    of arrows, so rad*K is the sum of arrow*K.  Kernel relations keep the
-    lead form that check_kernel guards, so a top costs one TrackedEchelon
-    of the arrow images and one lookup of each kernel vector's lead in it.
+    of rad/rad^2: rad is spanned by products of arrows, so rad*M is the sum
+    of arrow*M, for the input module and for every syzygy.  Kernel
+    relations keep the lead form that check_kernel guards, so a syzygy's
+    top costs one TrackedEchelon of the arrow images and one lookup of
+    each kernel vector's lead in it.
     """
 
     def __init__(self, a: SCAlgebra):
@@ -436,17 +329,29 @@ class _FlatResolver:
                 if target_pos[m] != v:
                     raise RuntimeError("syzygy relation spans two vertices")
 
-    def module_images(self, module: RepModule, rad) -> list[tuple[int, dict]]:
+    def module_images(self, module: RepModule) -> list[tuple[int, dict]]:
         """(vertex position, {m: b_m * gen}) for the top generators of a module.
 
-        The generators lift a basis of module / rad*module; the images are
-        sparse vectors in the module's own coordinates.
+        rad*module is the sum of the arrows' images of the module, spanned
+        by the columns of their actions.  The generators are the columns of
+        the idempotents' actions that enlarge that span, vertex by vertex, so
+        they lift a basis of module / rad*module; the images are sparse
+        vectors in the module's own coordinates.
         """
-        pos = {v: p for p, v in enumerate(self.alg.vertices)}
+        covered = TrackedEchelon()
+        for b in self.arrows:
+            for col in module.actions[b].columns():
+                covered.add(_sparse(col))
         out = []
-        for v, gen in _top_lift(self.alg, module, rad):
-            p = pos[v]
-            out.append((p, {m: _sparse(module.actions[m].apply(gen)) for m in self.src_coords[p]}))
+        for p, e in enumerate(self.alg.idempotents):
+            act = module.actions[e]
+            for k in range(module.dim):
+                gen = act.column(k)
+                if covered.add(_sparse(gen)):
+                    images = {m: _sparse(module.actions[m].apply(gen)) for m in self.src_coords[p]}
+                    out.append((p, images))
+        if len(covered.pivots) != module.dim:
+            raise RuntimeError("projective cover lifting failed")
         return out
 
     def kernel_of_cover(self, covers) -> list[dict]:
@@ -510,7 +415,7 @@ def _radical_is_arrow_span(a: SCAlgebra, rad) -> bool:
 
 
 def _rebase_to_radical(a: SCAlgebra, module: RepModule, rad):
-    """The algebra, module and radical on the basis b' = b - sum_v S_v(b) e_v.
+    """The algebra and module on the basis b' = b - sum_v S_v(b) e_v.
 
     S_v(b) is the scalar by which b acts on the simple at vertex v, so every
     non-idempotent b' acts as zero on every simple and lies in the radical.
@@ -550,8 +455,7 @@ def _rebase_to_radical(a: SCAlgebra, module: RepModule, rad):
     for x in basis:
         terms = [module.actions[m].scale(c) for m, c in x.items()]
         actions.append(sum(terms[1:], terms[0]))
-    rad = [_unit_vector(m, a.dim) for m in range(a.dim) if m not in idem]
-    return rebased, RepModule(rebased, module.dim, tuple(actions)), rad
+    return rebased, RepModule(rebased, module.dim, tuple(actions))
 
 
 def minimal_resolution(
@@ -574,14 +478,14 @@ def minimal_resolution(
     if rad is None:
         rad = jacobson_radical(a)
     if not _radical_is_arrow_span(a, rad):
-        a, module, rad = _rebase_to_radical(a, module, rad)
-    return _sparse_resolution(a, module, steps, dim_cap, rad)
+        a, module = _rebase_to_radical(a, module, rad)
+    return _sparse_resolution(a, module, steps, dim_cap)
 
 
-def _sparse_resolution(a, module, steps, dim_cap, rad) -> ResolutionTrace:
+def _sparse_resolution(a, module, steps, dim_cap) -> ResolutionTrace:
     """Flat-coordinate resolution; the first cover reads the module's actions."""
     engine = _FlatResolver(a)
-    covers = engine.module_images(module, rad)
+    covers = engine.module_images(module)
     betti: list[int] = []
     dim = sum(engine.proj_dim[v] for v, _ in covers)
     covered = module.dim

@@ -148,18 +148,16 @@ def canonical_verdict(spec: CanonicalSpec) -> tuple[int, int, SerreVerdict]:
     return delta, p, verdict
 
 
-def _affine_tree_weights(vertex_count: int, radical: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Canonical weights of an affine tree, recognized from its radical vector."""
+def _affine_tree_weights(vertex_count: int, radical: tuple[int, ...]) -> tuple[int, ...]:
+    """Canonical weights of an affine tree, recognized from its radical vector.
+
+    The affine trees are D~n on n + 1 vertices, whose radical vector peaks
+    at 2, and E~6, E~7 and E~8, where it peaks at 3, 4 and 6.
+    """
     top = max(radical)
-    if top == 2 and vertex_count >= 5:
+    if top == 2:
         return (2, 2, vertex_count - 3)
-    if top == 3 and vertex_count == 7:
-        return (2, 3, 3)
-    if top == 4 and vertex_count == 8:
-        return (2, 3, 4)
-    if top == 6 and vertex_count == 9:
-        return (2, 3, 5)
-    return None
+    return {3: (2, 3, 3), 4: (2, 3, 4), 6: (2, 3, 5)}[top]
 
 
 def _cycle_walk(q: Quiver) -> list[tuple]:
@@ -215,13 +213,6 @@ def graded_path_verdict(q: Quiver) -> SerreVerdict:
     edges = len(q.arrows)
     if edges == len(q.vertices) - 1:
         weights = _affine_tree_weights(len(q.vertices), quiver_type.radical_vector)
-        if weights is None:
-            return SerreVerdict.serre_cyclotomic(
-                2,
-                None,
-                None,
-                reason="affine tree with unrecognized weights; exponents not computed",
-            )
         p = math.lcm(*weights)
         label = ",".join(str(w) for w in weights)
         return SerreVerdict.serre_cyclotomic(

@@ -3,8 +3,11 @@ acceptance gate reruns.
 
 The heavy trivial-extension resolutions are session-scoped so the growth
 suite and the property suite reuse one computation.  The dense resolution
-oracle re-derives Betti traces with `projective_cover` and independent
-linear algebra, for comparison with `minimal_resolution`.
+oracle lives here and nowhere in the package: `projective_cover` builds
+each cover from action matrices, its top and its minimality check both
+from one dense span of rad*M, and `dense_trace` re-derives Betti traces
+from those covers with RREF kernels, for comparison with the sparse
+engine behind `minimal_resolution`.
 """
 from __future__ import annotations
 
@@ -34,11 +37,11 @@ from quiverlab import (
     jacobson_radical,
     parse_gentle,
     path_algebra,
-    projective_cover,
     quiver_from_data,
     resolve_simple_modules,
     simple_modules,
     trivial_extension,
+    zero_module,
 )
 
 
@@ -303,21 +306,86 @@ def check_profile_is_a_conjugation_invariant():
 
 # --- dense resolution oracle ---------------------------------------------------
 
-def radical_action_span(module: RepModule, rad) -> RatMatrix:
-    """Columns spanning rad * module, computed through the action matrices.
+def pivot_columns(columns) -> list[int]:
+    """Indices of the columns outside the span of the columns before them."""
+    return list(RatMatrix.from_columns(columns).rref()[1]) if columns else []
 
-    A vector lies in the span exactly when `solve` finds coefficients.
-    """
+
+def radical_action_span(module: RepModule, rad) -> list:
+    """Nonzero columns spanning rad * module, computed through the action
+    matrices."""
     columns = []
     for element in rad:
-        action = None
-        for m, c in enumerate(element):
-            if c:
-                term = module.actions[m].scale(c)
-                action = term if action is None else action + term
-        if action is not None:
-            columns.extend(action.columns())
-    return RatMatrix.from_columns(columns)
+        terms = [module.actions[m].scale(c) for m, c in enumerate(element) if c]
+        if terms:
+            columns.extend(col for col in sum(terms[1:], terms[0]).columns() if any(col))
+    return columns
+
+
+def source_coords(a, v) -> list[int]:
+    """Basis elements starting at v: a basis of the projective at v."""
+    return [m for m, b in enumerate(a.basis) if b.source == v]
+
+
+def top_lift(a, module: RepModule, rad) -> list[tuple]:
+    """Vertex-tagged columns of the idempotents' actions lifting a basis of
+    module / rad*module: those outside the span of rad*module and of the
+    columns before them."""
+    span = radical_action_span(module, rad)
+    candidates = [
+        (v, module.actions[e].column(k))
+        for v, e in zip(a.vertices, a.idempotents)
+        for k in range(module.dim)
+    ]
+    pivots = pivot_columns(span + [col for _, col in candidates])
+    if len(pivots) != module.dim:
+        raise RuntimeError("projective cover lifting failed")
+    return [candidates[j - len(span)] for j in pivots if j >= len(span)]
+
+
+def projective_sum(a, verts) -> RepModule:
+    """Direct sum of the projectives generated at the given vertices."""
+    coords = [(copy, m) for copy, v in enumerate(verts) for m in source_coords(a, v)]
+    place = {c: i for i, c in enumerate(coords)}
+    actions = []
+    for b in range(a.dim):
+        rows = [[0] * len(place) for _ in place]
+        for (copy, m), col in place.items():
+            for k, c in a.mult.get((b, m), {}).items():
+                rows[place[copy, k]][col] = c
+        actions.append(RatMatrix(rows))
+    return RepModule(a, len(place), tuple(actions))
+
+
+def cover_data(a, module: RepModule, rad):
+    """Cover matrix (one column per basis element of P) and P's summand vertices."""
+    gens = top_lift(a, module, rad)
+    cols = [module.actions[m].apply(gen) for v, gen in gens for m in source_coords(a, v)]
+    return RatMatrix.from_columns(cols), [v for v, _ in gens]
+
+
+def projective_cover(a, module: RepModule, rad=None):
+    """Projective cover (P, surjection matrix) of a module, from dense matrices.
+
+    Columns of the surjection are indexed by the basis of P, rows by the
+    basis of the module.  The kernel is checked to lie inside rad*P, which
+    is what makes the cover minimal.
+    """
+    if module.algebra is not a:
+        raise ValueError("module is defined over a different algebra")
+    if module.dim == 0:
+        return zero_module(a), RatMatrix([])
+    if rad is None:
+        rad = jacobson_radical(a)
+    matrix, verts = cover_data(a, module, rad)
+    proj = projective_sum(a, verts)
+    kernel = matrix.kernel_basis()
+    if len(kernel) != proj.dim - module.dim:
+        raise RuntimeError("projective cover is not surjective")
+    span = radical_action_span(proj, rad)
+    if any(j >= len(span) for j in pivot_columns(span + kernel)):
+        raise RuntimeError("cover kernel escapes the radical")
+    return proj, matrix
 
 
 def submodule_on_kernel(a, ambient: RepModule, kernel) -> RepModule:
@@ -369,7 +437,8 @@ def dense_trace(a, module: RepModule, steps: int, rad) -> ResolutionTrace:
 
 
 def walk_and_check_minimality(a, steps: int) -> int:
-    """Resolve every simple for `steps` covers, asserting ker within rad*P.
+    """Resolve every simple for `steps` dense covers, each of which refuses
+    a kernel outside rad*P.
 
     Returns the number of cover steps checked.
     """
@@ -382,9 +451,6 @@ def walk_and_check_minimality(a, steps: int) -> int:
                 break
             proj, cover = projective_cover(a, current, rad)
             kernel = cover.kernel_basis()
-            rad_span = radical_action_span(proj, rad)
-            for vec in kernel:
-                assert rad_span.solve(vec) is not None
             checked += 1
             if not kernel:
                 break

@@ -98,15 +98,6 @@ def test_monic_rescales():
     assert poly(1, 2, 3).monic().coeffs == (Fraction(1, 3), Fraction(2, 3), 1)
 
 
-def test_reflect_substitutes_negated_variable():
-    # p(-x): roots 1, 2 become -1, -2
-    assert poly(2, -3, 1).reflect() == poly(2, 3, 1)
-    assert poly(-2, 1).reflect() == poly(-2, -1)
-    assert poly(1, 0, -1, 0, 1).reflect() == poly(1, 0, -1, 0, 1)
-    p = poly(2, -3, 1)
-    assert p.reflect().evaluate(Fraction(-1)) == p.evaluate(Fraction(1))
-
-
 def test_euler_phi_first_twelve():
     assert [euler_phi(n) for n in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
 

@@ -20,7 +20,6 @@ from quiverlab import (
     hereditary_entropy,
     jacobson_radical,
     path_algebra,
-    projective_cover,
     quiver_from_data,
     simple_modules,
     trivial_extension,
@@ -33,6 +32,7 @@ from conftest import (
     check_profile_is_a_conjugation_invariant,
     multi_kronecker,
     path_quiver,
+    projective_cover,
     random_unimodular,
     star_quiver,
     submodule_on_kernel,

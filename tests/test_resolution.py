@@ -31,7 +31,6 @@ from quiverlab import (
     jacobson_radical,
     minimal_resolution,
     path_algebra,
-    projective_cover,
     quiver_from_data,
     simple_modules,
     trivial_extension,
@@ -43,10 +42,12 @@ from conftest import (
     BUILDERS,
     canonical_237,
     count_multiplies,
+    cover_data,
     dense_trace,
     gentle_two_loop,
     multi_kronecker,
     path_quiver,
+    projective_cover,
     submodule_on_kernel,
 )
 
@@ -89,7 +90,7 @@ def test_dim_vector_counts_idempotent_ranks():
     assert p.dim_vector() == (1, 1)
 
 
-# --- projective covers ---------------------------------------------------
+# --- the dense projective cover oracle (conftest) ------------------------
 
 def test_projective_cover_of_simples_matches_cartan_columns():
     a = path_algebra(multi_kronecker(2))
@@ -287,7 +288,7 @@ def test_syzygy_relations_are_in_lead_form(name, extend):
     d, target_pos = engine.dim, engine.target_pos
     steps = 0
     for simple in simple_modules(a, rad):
-        kernel = engine.kernel_of_cover(engine.module_images(simple, rad))
+        kernel = engine.kernel_of_cover(engine.module_images(simple))
         for _ in range(6):
             # the two facts the tops rest on: every relation sits at one
             # vertex, and no two relations share a largest flat coordinate
@@ -330,8 +331,8 @@ def test_first_kernel_is_the_dense_cover_kernel(name, extend):
         syzygy = cover.kernel_basis()
         modules = [simple, submodule_on_kernel(a, proj, syzygy)] if syzygy else [simple]
         for module in modules:
-            cover, verts = res_mod._cover_data(a, module, rad)
-            kernel = engine.kernel_of_cover(engine.module_images(module, rad))
+            cover, verts = cover_data(a, module, rad)
+            kernel = engine.kernel_of_cover(engine.module_images(module))
             assert kernel == flat_kernel(a, verts, cover.kernel_basis())
             checked += len(kernel)
     assert checked
@@ -408,8 +409,8 @@ def test_first_cover_of_a_mixed_basis_module(build):
     ]
     assert spread
     engine = res_mod._FlatResolver(a)
-    cover, _ = res_mod._cover_data(a, moved, rad)
-    kernel = engine.kernel_of_cover(engine.module_images(moved, rad))
+    cover, _ = cover_data(a, moved, rad)
+    kernel = engine.kernel_of_cover(engine.module_images(moved))
     assert kernel
     engine.check_kernel(kernel, cover.cols - moved.dim)
     trace = minimal_resolution(a, moved, steps=6, rad=rad)
@@ -489,7 +490,7 @@ def test_rebased_resolutions_match_the_dense_oracle(build, adapted):
         p, _ = projective_cover(a, s, rad)
         assert p.dim > 1
         for module in (s, p):
-            rebased, moved, _ = res_mod._rebase_to_radical(a, module, rad)
+            rebased, moved = res_mod._rebase_to_radical(a, module, rad)
             assert rebased.mult == table
             moved.validate()
             expected = dense_trace(a, module, 6, rad)

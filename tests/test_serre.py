@@ -17,6 +17,7 @@ from quiverlab import (
     cartan_matrix,
     cartan_path_algebra,
     char_poly,
+    classify_quiver,
     coxeter_matrix,
     coxeter_necessary_check,
     cyclotomic_profile,
@@ -112,6 +113,57 @@ def test_verdict_affine_trees():
         v = graded_path_verdict(quiver)
         assert v.kind == "serre-cyclotomic"
         assert (v.l, v.m, v.n) == (2, m, n)
+
+
+def tree_code(adj) -> str:
+    """Isomorphism-invariant code of a tree: its least rooted code over all roots."""
+
+    def code(v, parent) -> str:
+        return "(" + "".join(sorted(code(w, v) for w in adj[v] if w != parent)) + ")"
+
+    return min(code(v, None) for v in range(len(adj)))
+
+
+def trees_up_to(max_vertices: int) -> list:
+    """Adjacency lists of every tree with 1 to max_vertices vertices, once up
+    to isomorphism, each grown from a smaller one by a leaf."""
+    level, out = [[[]]], []
+    for _ in range(max_vertices):
+        out += level
+        grown: dict = {}
+        for adj in level:
+            n = len(adj)
+            for v in range(n):
+                bigger = [nbrs + [n] * (u == v) for u, nbrs in enumerate(adj)] + [[v]]
+                grown.setdefault(tree_code(bigger), bigger)
+        level = list(grown.values())
+    return out
+
+
+def test_verdict_on_every_tree_up_to_nine_vertices():
+    # the affine trees up to 9 vertices are D~4 to D~8, E~6, E~7 and E~8, and
+    # every one is read off as its canonical weights with p = their lcm
+    trees = trees_up_to(9)
+    assert len(trees) == 95
+    affine = []
+    for adj in trees:
+        edges = [(u, w) for u, nbrs in enumerate(adj) for w in nbrs if u < w]
+        arrows = [{"id": f"a{i}", "from": u, "to": w} for i, (u, w) in enumerate(edges)]
+        q = quiver_from_data({"vertices": list(range(len(adj))), "arrows": arrows})
+        kind = classify_quiver(q).kind
+        verdict = graded_path_verdict(q)
+        if kind == "affine":
+            assert (verdict.kind, verdict.l, verdict.m) == ("serre-cyclotomic", 2, verdict.n)
+            affine.append((len(adj), verdict.reason, verdict.m))
+        else:
+            expected = {"finite": "fractionally-calabi-yau", "indefinite": "not-serre-cyclotomic"}
+            assert verdict.kind == expected[kind]
+    weights = [(5, 2, 2, 2), (6, 2, 2, 3), (7, 2, 2, 4), (8, 2, 2, 5), (9, 2, 2, 6),
+               (7, 2, 3, 3), (8, 2, 3, 4), (9, 2, 3, 5)]
+    assert sorted(affine) == sorted(
+        (n, f"affine tree with canonical weights ({a},{b},{c})", math.lcm(a, b, c))
+        for n, a, b, c in weights
+    )
 
 
 def test_verdict_affine_cycles():

@@ -100,7 +100,8 @@ def test_dir_and_star_import_list_every_public_name():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         quiverlab.no_such_name  # noqa: B018
-    assert not hasattr(quiverlab, "projective_covers")
+    for name in ("projective_covers", "projective_cover"):
+        assert not hasattr(quiverlab, name), name
 
 
 def test_package_imports_a_submodule_on_first_use():
