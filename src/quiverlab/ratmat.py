@@ -313,7 +313,7 @@ class TrackedEchelon:
     __slots__ = ("pivots",)
 
     def __init__(self):
-        self.pivots: dict[int, tuple[dict, dict]] = {}
+        self.pivots: dict[int, tuple[dict, dict | None]] = {}
 
     def insert(self, vec: dict, expr: dict):
         """Reduce vec; return the expression if it vanished, else keep it.
@@ -322,6 +322,33 @@ class TrackedEchelon:
         and is supported on earlier independent inputs; its values are in
         plain form.  Consumes both arguments: vec and expr are mutated in
         place and may be stored as a pivot row, so callers pass fresh dicts.
+        """
+        scale = self._reduce(vec, expr)
+        if scale is None:
+            return None
+        if scale == 1:
+            for v in expr.values():
+                if type(v) is not int:
+                    break
+            else:
+                return expr
+        return {k: plain(Fraction(v, scale)) for k, v in expr.items()}
+
+    def add(self, vec: dict) -> bool:
+        """Insert without tracking; True when vec enlarged the span.
+
+        No expression is kept or reduced.  Rows stored here carry none, so
+        a tracked echelon, one whose relations are read, grows by insert
+        alone.
+        """
+        return self._reduce(vec, None) is None
+
+    def _reduce(self, vec: dict, expr: dict | None):
+        """The reduction behind insert and add, expr reduced alongside vec
+        unless it is None.
+
+        Stores vec (with expr) and returns None when it is independent of
+        the rows; otherwise returns the factor the ints were scaled by.
         """
         pivots = self.pivots
         scale = 1
@@ -347,8 +374,9 @@ class TrackedEchelon:
                     scale *= f
                     for k in vec:
                         vec[k] *= f
-                    for k in expr:
-                        expr[k] *= f
+                    if expr is not None:
+                        for k in expr:
+                            expr[k] *= f
             else:
                 c = val / plead
             for k, pv in pvec.items():
@@ -357,24 +385,14 @@ class TrackedEchelon:
                     vec[k] = s
                 else:
                     del vec[k]
-            if pexpr:
+            if pexpr and expr is not None:
                 for k, pv in pexpr.items():
                     s = expr.get(k, 0) - c * pv
                     if s:
                         expr[k] = s
                     else:
                         del expr[k]
-        if scale == 1:
-            for v in expr.values():
-                if type(v) is not int:
-                    break
-            else:
-                return expr
-        return {k: plain(Fraction(v, scale)) for k, v in expr.items()}
-
-    def add(self, vec: dict) -> bool:
-        """Insert without tracking; True when vec enlarged the span."""
-        return self.insert(vec, {}) is None
+        return scale
 
     def rows(self) -> list[dict]:
         """The stored pivot rows, in insertion order; they span the inserts."""

@@ -25,8 +25,14 @@ lead.  Since rad*K lies in K, the leads of rad*K are leads of K, and the
 vectors of K whose leads are not leads of rad*K generate K minimally.
 Every kernel, the first one included, comes from one lead-keyed
 TrackedEchelon per step; the first reads the module's own action on its
-top generators.  The dense projective cover, built from action matrices,
-lives only in the test suite, as the oracle the engine is checked against.
+top generators.  Each step eliminates only the radical columns b*g of its
+cover, b a non-idempotent basis element: the generators g are independent
+modulo the radical of the module covered, which holds every b*g, so no
+kernel relation uses a generator's own column and leaving those columns
+out changes no relation.  The engine's tables and any rebasing depend on
+the algebra only and are built once per algebra in a process.  The dense
+projective cover, built from action matrices, lives only in the test
+suite, as the oracle the engine is checked against.
 """
 
 from __future__ import annotations
@@ -215,23 +221,29 @@ def simple_modules(a: SCAlgebra, rad=None) -> list[RepModule]:
 
     Requires the semisimple quotient to be a product of copies of the field;
     the idempotents together with the radical must then form a basis.  A
-    radical basis already computed for `a` may be passed as `rad`.
+    radical basis already computed for `a` may be passed as `rad`.  When
+    the radical is the span of the non-idempotent basis elements, these act
+    as zero on every simple and the scalars are read off the idempotent
+    coordinates; otherwise they come from inverting the change of basis to
+    idempotents plus radical.
     """
     if rad is None:
         rad = jacobson_radical(a)
     if len(rad) + len(a.idempotents) != a.dim:
         raise ValueError("algebra is not basic")
-    columns = [[int(k == e) for k in range(a.dim)] for e in a.idempotents]
-    columns.extend(rad)
-    try:
-        change = RatMatrix.from_columns(columns).inverse()
-    except ValueError as exc:
-        raise ValueError("algebra is not basic") from exc
-    simples = []
-    for pos in range(len(a.vertices)):
-        actions = tuple(RatMatrix([[change[pos, m]]]) for m in range(a.dim))
-        simples.append(RepModule(a, 1, actions))
-    return simples
+    if _radical_is_arrow_span(a, rad):
+        scalars = [[int(m == e) for m in range(a.dim)] for e in a.idempotents]
+    else:
+        columns = [[int(k == e) for k in range(a.dim)] for e in a.idempotents]
+        columns.extend(rad)
+        try:
+            change = RatMatrix.from_columns(columns).inverse()
+        except ValueError as exc:
+            raise ValueError("algebra is not basic") from exc
+        scalars = [change.row(pos) for pos in range(len(a.vertices))]
+    # one immutable 1x1 action matrix per scalar value
+    cells = {c: RatMatrix([[c]]) for c in {c for row in scalars for c in row}}
+    return [RepModule(a, 1, tuple(map(cells.__getitem__, row))) for row in scalars]
 
 
 def _sparse(vec) -> dict:
@@ -256,7 +268,10 @@ class _FlatResolver:
     of arrow*M, for the input module and for every syzygy.  Kernel
     relations keep the lead form that check_kernel guards, so a syzygy's
     top costs one TrackedEchelon of the arrow images and one lookup of
-    each kernel vector's lead in it.
+    each kernel vector's lead in it.  Covers are eliminated on their
+    radical columns only (see kernel_of_cover), so the tables hold the
+    products by non-idempotent elements alone.  The tables depend on the
+    algebra only; minimal_resolution builds them once per algebra.
     """
 
     def __init__(self, a: SCAlgebra):
@@ -265,15 +280,16 @@ class _FlatResolver:
         self.dim = d
         pos = {v: p for p, v in enumerate(a.vertices)}
         self.target_pos = [pos[b.target] for b in a.basis]
-        self.src_coords = _source_coords(a)
-        self.proj_dim = [len(block) for block in self.src_coords]
         idem = self.idem = set(a.idempotents)
+        src_coords = _source_coords(a)
+        self.proj_dim = [len(block) for block in src_coords]
+        self.rad_coords = [[m for m in block if m not in idem] for block in src_coords]
         rad2 = TrackedEchelon()
         left: list[list] = [[] for _ in range(d)]
         for (i, j), row in a.mult.items():
-            if row:
+            if i not in idem:
                 left[j].append((i, tuple(row.items())))
-                if i not in idem and j not in idem:
+                if j not in idem:
                     rad2.add(dict(row))
         self.arrows = [m for m in range(d) if m not in idem and rad2.add({m: 1})]
         arrows = set(self.arrows)
@@ -283,8 +299,9 @@ class _FlatResolver:
     def images(self, vec: dict, table: list) -> dict:
         """{b: b*vec} for the elements b of table, in one pass over vec.
 
-        table[m] lists (b, row of b*b_m) for the nonzero products; zero
-        images are left out.
+        table[m] lists (b, row of b*b_m) for the nonzero products, b never
+        an idempotent.  An image that cancels to zero stays in as an empty
+        dict; callers skip it.
         """
         d = self.dim
         out: dict = {}
@@ -302,7 +319,7 @@ class _FlatResolver:
                         image[key] = s
                     else:
                         del image[key]
-        return {b: image for b, image in out.items() if image}
+        return out
 
     def check_kernel(self, kernel: list[dict], syzygy: int) -> None:
         """Refuse a syzygy basis that is not minimal or not in lead form.
@@ -336,7 +353,8 @@ class _FlatResolver:
         by the columns of their actions.  The generators are the columns of
         the idempotents' actions that enlarge that span, vertex by vertex, so
         they lift a basis of module / rad*module; the images are sparse
-        vectors in the module's own coordinates.
+        vectors in the module's own coordinates, for the non-idempotent b_m
+        only, the columns kernel_of_cover eliminates.
         """
         covered = TrackedEchelon()
         for b in self.arrows:
@@ -348,7 +366,7 @@ class _FlatResolver:
             for k in range(module.dim):
                 gen = act.column(k)
                 if covered.add(_sparse(gen)):
-                    images = {m: _sparse(module.actions[m].apply(gen)) for m in self.src_coords[p]}
+                    images = {m: _sparse(module.actions[m].apply(gen)) for m in self.rad_coords[p]}
                     out.append((p, images))
         if len(covered.pivots) != module.dim:
             raise RuntimeError("projective cover lifting failed")
@@ -358,21 +376,30 @@ class _FlatResolver:
         """Kernel basis of the cover sending copy i's basis element m to b_m * gen_i.
 
         covers gives, per generator, its vertex position and its images
-        {m: b_m * gen}, in flat coordinates after the first step and in the
-        module's own coordinates at the first.  Zero images give kernel
-        relations directly; the others go into one echelon keyed by leads.
-        Images at different vertices lie in independent summands, so a
-        relation never takes in another vertex's images and each one sits at
-        one vertex.  Inserts run in increasing flat coordinate, so its lead
-        is the coordinate whose insert produced it.  The relation of a
-        dependent image is the RREF kernel vector of its column.
+        {m: b_m * gen} for the non-idempotent b_m, in flat coordinates after
+        the first step and in the module's own coordinates at the first.
+        Only these radical columns are eliminated.  The generators are
+        independent modulo rad K, where K is the module covered, and every
+        radical column b_m * gen lies in rad K, so reducing a relation
+        modulo rad K leaves a combination of generators that must vanish:
+        no relation uses a generator's column e_v * gen = gen.  The relation
+        of a column is the unique one with coefficient 1 on it among the
+        earlier independent columns, so leaving the generator columns out
+        changes no relation and saves their rows.
+        Zero images give kernel relations directly; the others go into one
+        echelon keyed by leads.  Images at different vertices lie in
+        independent summands, so a relation never takes in another vertex's
+        images and each one sits at one vertex.  Inserts run in increasing
+        flat coordinate, so its lead is the coordinate whose insert
+        produced it.  The relation of a dependent image is the RREF kernel
+        vector of its column.
         """
         echelon = TrackedEchelon()
         kernel: list[dict] = []
         d = self.dim
         for copy, (v, imgs) in enumerate(covers):
             base = copy * d
-            for m in self.src_coords[v]:
+            for m in self.rad_coords[v]:
                 image = imgs.get(m)
                 if not image:
                     kernel.append({base + m: 1})
@@ -394,7 +421,8 @@ class _FlatResolver:
         span = TrackedEchelon()
         for vec in kernel:
             for image in self.images(vec, self.arrow_left).values():
-                span.add(image)
+                if image:
+                    span.add(image)
         d = self.dim
         target_pos = self.target_pos
         gens = []
@@ -414,8 +442,8 @@ def _radical_is_arrow_span(a: SCAlgebra, rad) -> bool:
     return all(not vec[m] for vec in rad for m in idem)
 
 
-def _rebase_to_radical(a: SCAlgebra, module: RepModule, rad):
-    """The algebra and module on the basis b' = b - sum_v S_v(b) e_v.
+def _rebase_to_radical(a: SCAlgebra, rad) -> tuple[SCAlgebra, list[dict]]:
+    """The algebra on the basis b' = b - sum_v S_v(b) e_v, and each b' on the old basis.
 
     S_v(b) is the scalar by which b acts on the simple at vertex v, so every
     non-idempotent b' acts as zero on every simple and lies in the radical.
@@ -450,12 +478,42 @@ def _rebase_to_radical(a: SCAlgebra, module: RepModule, rad):
         for i in range(a.dim)
         for j in range(a.dim)
     }
-    rebased = SCAlgebra(a.vertices, a.basis, a.idempotents, mult)
+    return SCAlgebra(a.vertices, a.basis, a.idempotents, mult), basis
+
+
+def _move_module(rebased: SCAlgebra, module: RepModule, basis: list[dict]) -> RepModule:
+    """The module over the rebased algebra: b'_k acts as basis[k] does."""
     actions = []
     for x in basis:
         terms = [module.actions[m].scale(c) for m, c in x.items()]
         actions.append(sum(terms[1:], terms[0]))
-    return rebased, RepModule(rebased, module.dim, tuple(actions))
+    return RepModule(rebased, module.dim, tuple(actions))
+
+
+# (algebra, its engine, its rebasing basis or None) for the last algebra resolved
+_LAST_SETUP: list = [None]
+
+
+def _setup(a: SCAlgebra, rad) -> tuple[_FlatResolver, list[dict] | None]:
+    """The engine that resolves modules over a, and the basis that moves a
+    module onto the engine's algebra, None when a's basis is adapted.
+
+    Both depend on the algebra only, so they are kept for the last algebra
+    resolved in the process and the simples of one algebra share them; the
+    radical is computed, when rad is None, only for a new algebra.  The
+    entry is replaced whole, so a concurrent caller never reads a mix.
+    """
+    last = _LAST_SETUP[0]
+    if last is not None and last[0] is a:
+        return last[1], last[2]
+    if rad is None:
+        rad = jacobson_radical(a)
+    algebra, basis = a, None
+    if not _radical_is_arrow_span(a, rad):
+        algebra, basis = _rebase_to_radical(a, rad)
+    engine = _FlatResolver(algebra)
+    _LAST_SETUP[0] = (a, engine, basis)
+    return engine, basis
 
 
 def minimal_resolution(
@@ -475,16 +533,14 @@ def minimal_resolution(
         raise ValueError("dimension cap must be positive")
     if module.dim == 0:
         return ResolutionTrace((0,), "resolution-terminated")
-    if rad is None:
-        rad = jacobson_radical(a)
-    if not _radical_is_arrow_span(a, rad):
-        a, module = _rebase_to_radical(a, module, rad)
-    return _sparse_resolution(a, module, steps, dim_cap)
+    engine, basis = _setup(a, rad)
+    if basis is not None:
+        module = _move_module(engine.alg, module, basis)
+    return _sparse_resolution(engine, module, steps, dim_cap)
 
 
-def _sparse_resolution(a, module, steps, dim_cap) -> ResolutionTrace:
+def _sparse_resolution(engine, module, steps, dim_cap) -> ResolutionTrace:
     """Flat-coordinate resolution; the first cover reads the module's actions."""
-    engine = _FlatResolver(a)
     covers = engine.module_images(module)
     betti: list[int] = []
     dim = sum(engine.proj_dim[v] for v, _ in covers)
@@ -551,8 +607,8 @@ def resolve_simple_modules(
 ) -> list[ResolutionTrace]:
     """Resolution trace of every simple module, in vertex order.
 
-    The radical and the simples are computed once, in the calling process,
-    and shared by all the resolutions.  These are independent, so they run
+    The radical, the simples and the engine are computed once, in the
+    calling process, and shared by all the resolutions.  These are independent, so they run
     on w = min(simples, usable cores) processes: simple i is resolved by
     worker i mod w, the caller being worker 0 and the others forked
     children that it reaps before returning.  The call runs serially when
@@ -563,6 +619,7 @@ def resolve_simple_modules(
     """
     rad = jacobson_radical(a)
     simples = simple_modules(a, rad)
+    _setup(a, rad)  # before any fork, so every worker inherits the engine
     workers = 1
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
         workers = min(len(simples), len(os.sched_getaffinity(0)))

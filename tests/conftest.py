@@ -12,6 +12,7 @@ engine behind `minimal_resolution`.
 from __future__ import annotations
 
 import functools
+import gc
 import importlib.util
 import json
 import os
@@ -49,14 +50,22 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 @pytest.fixture(autouse=True)
-def no_child_left_behind():
-    """Fail a test that leaves a child process unreaped, say a resolution worker."""
+def no_state_left_behind():
+    """Fail a test that leaves a child process unreaped, say a resolution
+    worker, or the cyclic collector off or frozen, as the resolution engine
+    and its forked workers set it while they run."""
     yield
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    gc.enable()
+    gc.unfreeze()
     try:
         pid, _ = os.waitpid(-1, os.WNOHANG)
     except ChildProcessError:
-        return
-    pytest.fail(f"the test left a child process behind (waitpid gave pid {pid})")
+        pid = None
+    if pid is not None:
+        pytest.fail(f"the test left a child process behind (waitpid gave pid {pid})")
+    if not enabled or frozen:
+        pytest.fail(f"the test left the collector enabled={enabled}, frozen objects={frozen}")
 
 
 @functools.cache

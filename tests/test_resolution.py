@@ -12,6 +12,7 @@ Frozen Betti sequences, worked by hand:
   Fibonacci numbers), at which point the syzygy dimension 167761 passes
   the 100000 cap.
 """
+import gc
 import os
 import time
 from fractions import Fraction
@@ -241,6 +242,22 @@ ARROW_COUNTS = {("canonical-237", False): 12}
     ARROW_CASES,
     ids=[f"{name}-{'trivext' if extend else 'base'}" for name, extend in ARROW_CASES],
 )
+def test_simples_read_off_the_idempotents_equal_the_inverted_ones(monkeypatch, name, extend):
+    a = BUILDERS[name]()
+    if extend:
+        a = trivial_extension(a)
+    rad = jacobson_radical(a)
+    assert res_mod._radical_is_arrow_span(a, rad)
+    read_off = simple_modules(a, rad)
+    monkeypatch.setattr(res_mod, "_radical_is_arrow_span", lambda a, rad: False)
+    assert simple_modules(a, rad) == read_off
+
+
+@pytest.mark.parametrize(
+    "name, extend",
+    ARROW_CASES,
+    ids=[f"{name}-{'trivext' if extend else 'base'}" for name, extend in ARROW_CASES],
+)
 def test_arrows_generate_the_radical(name, extend):
     a = BUILDERS[name]()
     if extend:
@@ -278,7 +295,7 @@ def test_arrows_generate_the_radical(name, extend):
     ARROW_CASES,
     ids=[f"{name}-{'trivext' if extend else 'base'}" for name, extend in ARROW_CASES],
 )
-def test_syzygy_relations_are_in_lead_form(name, extend):
+def test_syzygy_relations_are_in_lead_form(monkeypatch, name, extend):
     a = BUILDERS[name]()
     if extend:
         a = trivial_extension(a)
@@ -286,6 +303,7 @@ def test_syzygy_relations_are_in_lead_form(name, extend):
     assert res_mod._radical_is_arrow_span(a, rad)
     engine = res_mod._FlatResolver(a)
     d, target_pos = engine.dim, engine.target_pos
+    columns = eliminated_columns(monkeypatch)
     steps = 0
     for simple in simple_modules(a, rad):
         kernel = engine.kernel_of_cover(engine.module_images(simple))
@@ -302,6 +320,23 @@ def test_syzygy_relations_are_in_lead_form(name, extend):
             kernel = engine.kernel_of_cover((v, engine.images(g, engine.left)) for v, g in gens)
             steps += 1
     assert steps > 0
+    # the flat covers, too, eliminate no generator column e_v * gen
+    assert columns or not extend
+    assert not [c for c in columns if c % d in engine.idem]
+
+
+def eliminated_columns(monkeypatch) -> list:
+    """Patch `TrackedEchelon.insert` to log the cover column of each insert;
+    returns the log."""
+    columns = []
+    insert = TrackedEchelon.insert
+
+    def logging(self, vec, expr):
+        columns.extend(expr)
+        return insert(self, vec, expr)
+
+    monkeypatch.setattr(TrackedEchelon, "insert", logging)
+    return columns
 
 
 def flat_kernel(a, verts, kernel) -> list[dict]:
@@ -318,7 +353,7 @@ def flat_kernel(a, verts, kernel) -> list[dict]:
     ARROW_CASES,
     ids=[f"{name}-{'trivext' if extend else 'base'}" for name, extend in ARROW_CASES],
 )
-def test_first_kernel_is_the_dense_cover_kernel(name, extend):
+def test_first_kernel_is_the_dense_cover_kernel(monkeypatch, name, extend):
     a = BUILDERS[name]()
     if extend:
         a = trivial_extension(a)
@@ -332,8 +367,13 @@ def test_first_kernel_is_the_dense_cover_kernel(name, extend):
         modules = [simple, submodule_on_kernel(a, proj, syzygy)] if syzygy else [simple]
         for module in modules:
             cover, verts = cover_data(a, module, rad)
-            kernel = engine.kernel_of_cover(engine.module_images(module))
-            assert kernel == flat_kernel(a, verts, cover.kernel_basis())
+            expected = flat_kernel(a, verts, cover.kernel_basis())
+            with monkeypatch.context() as patch:
+                columns = eliminated_columns(patch)
+                kernel = engine.kernel_of_cover(engine.module_images(module))
+            assert kernel == expected
+            # only the radical columns were eliminated, never e_v * gen
+            assert not [c for c in columns if c % engine.dim in engine.idem]
             checked += len(kernel)
     assert checked
 
@@ -395,7 +435,7 @@ def mixed_basis_syzygy(a, rad):
     ],
     ids=["kron2", "gentle", "canonical-237"],
 )
-def test_first_cover_of_a_mixed_basis_module(build):
+def test_first_cover_of_a_mixed_basis_module(monkeypatch, build):
     # the moved module's basis vectors spread over two vertices, but its
     # images are reduced in one echelon per vertex, so the first kernel is
     # still in lead form
@@ -409,9 +449,14 @@ def test_first_cover_of_a_mixed_basis_module(build):
     ]
     assert spread
     engine = res_mod._FlatResolver(a)
-    cover, _ = cover_data(a, moved, rad)
-    kernel = engine.kernel_of_cover(engine.module_images(moved))
-    assert kernel
+    cover, verts = cover_data(a, moved, rad)
+    expected = flat_kernel(a, verts, cover.kernel_basis())
+    with monkeypatch.context() as patch:
+        columns = eliminated_columns(patch)
+        kernel = engine.kernel_of_cover(engine.module_images(moved))
+    assert kernel == expected
+    assert columns
+    assert not [c for c in columns if c % engine.dim in engine.idem]
     engine.check_kernel(kernel, cover.cols - moved.dim)
     trace = minimal_resolution(a, moved, steps=6, rad=rad)
     assert trace == dense_trace(a, moved, 6, rad)
@@ -490,7 +535,8 @@ def test_rebased_resolutions_match_the_dense_oracle(build, adapted):
         p, _ = projective_cover(a, s, rad)
         assert p.dim > 1
         for module in (s, p):
-            rebased, moved = res_mod._rebase_to_radical(a, module, rad)
+            rebased, basis = res_mod._rebase_to_radical(a, rad)
+            moved = res_mod._move_module(rebased, module, basis)
             assert rebased.mult == table
             moved.validate()
             expected = dense_trace(a, module, 6, rad)
@@ -571,6 +617,86 @@ def test_resolve_simple_modules_computes_one_radical(monkeypatch):
     assert len(calls) == 1
 
 
+def count_engine_builds(monkeypatch) -> list:
+    """Patch `_FlatResolver.__init__` to log the algebra of each build."""
+    builds = []
+    init = res_mod._FlatResolver.__init__
+
+    def counting(self, a):
+        builds.append(a)
+        init(self, a)
+
+    monkeypatch.setattr(res_mod._FlatResolver, "__init__", counting)
+    return builds
+
+
+@pytest.mark.parametrize("cores", [{0}, {0, 1, 2}], ids=["serial", "forked"])
+def test_resolve_simple_modules_builds_one_engine(monkeypatch, cores):
+    # built in the caller before any fork; the workers inherit it
+    ta = trivial_extension(path_algebra(path_quiver(4)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+    builds = count_engine_builds(monkeypatch)
+    res_mod.resolve_simple_modules(ta, steps=8)
+    assert builds == [ta]
+
+
+@pytest.mark.parametrize("build", [lambda: trivial_extension(gentle_two_loop()),
+                                   dual_numbers_on_unadapted_basis],
+                         ids=["adapted", "rebased"])
+def test_minimal_resolution_sets_up_once_per_algebra(monkeypatch, build):
+    a = build()
+    rad = jacobson_radical(a)
+    simples = simple_modules(a, rad)
+    builds = count_engine_builds(monkeypatch)
+    rebases = []
+    rebase = res_mod._rebase_to_radical
+    monkeypatch.setattr(res_mod, "_rebase_to_radical", lambda *args: rebases.append(1) or rebase(*args))
+    traces = [minimal_resolution(a, s, 6, rad=rad) for s in simples * 2]
+    assert traces == [dense_trace(a, s, 6, rad) for s in simples * 2]
+    assert len(builds) == 1
+    assert len(rebases) == (build is dual_numbers_on_unadapted_basis)
+    # a new algebra gets its own engine
+    other = build()
+    minimal_resolution(other, simple_modules(other)[0], 6)
+    assert len(builds) == 2 and builds[1] is not builds[0]
+
+
+@pytest.mark.parametrize("forked", [False, True], ids=["one-simple", "forked"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("refuse", [False, True], ids=["returns", "raises"])
+def test_resolutions_leave_the_collector_as_they_found_it(monkeypatch, forked, enabled, refuse):
+    # the forked path freezes the heap while its workers run
+    ta = trivial_extension(path_algebra(multi_kronecker(2)))
+    simples = simple_modules(ta)
+    check = res_mod._FlatResolver.check_kernel
+
+    def checking(self, kernel, syzygy):
+        if refuse:
+            raise RuntimeError("refused")
+        check(self, kernel, syzygy)
+
+    monkeypatch.setattr(res_mod._FlatResolver, "check_kernel", checking)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    if forked:
+        def run():
+            return [t.betti for t in res_mod.resolve_simple_modules(ta, steps=4)]
+    else:
+        def run():
+            return [minimal_resolution(ta, simples[0], 4).betti]
+    if not enabled:
+        gc.disable()
+    try:
+        if refuse:
+            with pytest.raises(RuntimeError, match="refused"):
+                run()
+        else:
+            assert run()[0] == (4, 8, 12, 16)
+        assert gc.isenabled() is enabled
+        assert gc.get_freeze_count() == 0
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize(
     "name, extend",
     ARROW_CASES,
@@ -591,6 +717,12 @@ def test_parallel_resolution_raises_the_lowest_refusal(monkeypatch, refused, kin
     ta = trivial_extension(path_algebra(path_quiver(4)))
     chosen = [ta.vertices[i] for i in refused]
     check = res_mod._FlatResolver.check_kernel
+    images = res_mod._FlatResolver.module_images
+
+    def starting(self, module):
+        # one engine serves every simple of the algebra: forget the last one's vertex
+        self.__dict__.pop("vertex", None)
+        return images(self, module)
 
     def refusing(self, kernel, syzygy):
         # the first kernel of a simple's resolution lies in the projective at its vertex
@@ -600,6 +732,7 @@ def test_parallel_resolution_raises_the_lowest_refusal(monkeypatch, refused, kin
             raise kind(f"refused {vertex}")
         check(self, kernel, syzygy)
 
+    monkeypatch.setattr(res_mod._FlatResolver, "module_images", starting)
     monkeypatch.setattr(res_mod._FlatResolver, "check_kernel", refusing)
     # three workers, whatever the host's cores, own simples (0, 3), 1 and 2:
     # the two refusals of each case come from two processes
