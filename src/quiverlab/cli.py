@@ -20,7 +20,6 @@ call time.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from fractions import Fraction
@@ -29,6 +28,11 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .ratmat import RatMatrix
+
+try:  # the builtin module, without the OpenSSL bindings hashlib loads
+    from _sha256 import sha256 as _sha256
+except ImportError:
+    from hashlib import sha256 as _sha256
 
 TRACE_TOL = 1e-9
 
@@ -85,7 +89,7 @@ def _poly_json(p) -> dict:
 
 
 def _digest_bytes(raw: bytes) -> str:
-    return hashlib.sha256(raw).hexdigest()
+    return _sha256(raw).hexdigest()
 
 
 def _read_input(path: str) -> tuple[str, str]:

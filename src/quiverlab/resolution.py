@@ -29,10 +29,14 @@ top generators.  Each step eliminates only the radical columns b*g of its
 cover, b a non-idempotent basis element: the generators g are independent
 modulo the radical of the module covered, which holds every b*g, so no
 kernel relation uses a generator's own column and leaving those columns
-out changes no relation.  The engine's tables and any rebasing depend on
-the algebra only and are built once per algebra in a process.  The dense
-projective cover, built from action matrices, lives only in the test
-suite, as the oracle the engine is checked against.
+out changes no relation.  Most kernel vectors have one coordinate and
+most products one term, so the images of such a vector are read
+straight from the table rows of its basis element, and each step's
+kernel is checked with one table lookup per coordinate.  The engine's
+tables and any rebasing depend on the algebra only and are built once
+per algebra in a process.  The dense projective cover, built from action
+matrices, lives only in the test suite, as the oracle the engine is
+checked against.
 """
 
 from __future__ import annotations
@@ -269,49 +273,61 @@ class _FlatResolver:
     relations keep the lead form that check_kernel guards, so a syzygy's
     top costs one TrackedEchelon of the arrow images and one lookup of
     each kernel vector's lead in it.  Covers are eliminated on their
-    radical columns only (see kernel_of_cover), so the tables hold the
-    products by non-idempotent elements alone.  The tables depend on the
-    algebra only; minimal_resolution builds them once per algebra.
+    radical columns only (see kernel_of_images), so the tables hold the
+    products by non-idempotent elements alone.  Most kernel vectors have
+    one coordinate, c * b_m in some copy, and most products one term: the
+    images of such a vector are read straight from the table rows of b_m,
+    with no dict of images.  The tables depend on the algebra only;
+    minimal_resolution builds them once per algebra.
     """
 
     def __init__(self, a: SCAlgebra):
         self.alg = a
         d = a.dim
         self.dim = d
-        pos = {v: p for p, v in enumerate(a.vertices)}
-        self.target_pos = [pos[b.target] for b in a.basis]
         idem = self.idem = set(a.idempotents)
+        pos = {v: p for p, v in enumerate(a.vertices)}
+        # the vertex of each basis element's target, None at the idempotents
+        self.vertex_of = [None if m in idem else pos[b.target] for m, b in enumerate(a.basis)]
         src_coords = _source_coords(a)
         self.proj_dim = [len(block) for block in src_coords]
         self.rad_coords = [[m for m in block if m not in idem] for block in src_coords]
         rad2 = TrackedEchelon()
-        left: list[list] = [[] for _ in range(d)]
+        # left[m] maps each non-idempotent b with b*b_m nonzero to its row
+        left: list[dict] = [{} for _ in range(d)]
         for (i, j), row in a.mult.items():
             if i not in idem:
-                left[j].append((i, tuple(row.items())))
+                left[j][i] = tuple(row.items())
                 if j not in idem:
                     rad2.add(dict(row))
         self.arrows = [m for m in range(d) if m not in idem and rad2.add({m: 1})]
         arrows = set(self.arrows)
         self.left = left
-        self.arrow_left = [[(b, row) for b, row in pairs if b in arrows] for pairs in left]
+        self.arrow_left = [{b: row for b, row in rows.items() if b in arrows} for rows in left]
+        # the rows of arrow*b_m: the one-term ones as their (k, c) term, the others
+        arrow_rows = [rows.values() for rows in self.arrow_left]
+        self.arrow_terms = [[r[0] for r in rows if len(r) == 1] for rows in arrow_rows]
+        self.arrow_rows = [[r for r in rows if len(r) > 1] for rows in arrow_rows]
 
     def images(self, vec: dict, table: list) -> dict:
         """{b: b*vec} for the elements b of table, in one pass over vec.
 
-        table[m] lists (b, row of b*b_m) for the nonzero products, b never
-        an idempotent.  An image that cancels to zero stays in as an empty
-        dict; callers skip it.
+        table[m] maps b to the row of b*b_m for the nonzero products, b
+        never an idempotent.  An image that cancels to zero stays in as an
+        empty dict; callers skip it.
         """
         d = self.dim
         out: dict = {}
         for coord, val in vec.items():
             m = coord % d
             base = coord - m
-            for b, row in table[m]:
+            for b, row in table[m].items():
                 image = out.get(b)
                 if image is None:
                     image = out[b] = {}
+                    for k, coeff in row:
+                        image[base + k] = coeff * val
+                    continue
                 for k, coeff in row:
                     key = base + k
                     s = image.get(key, 0) + coeff * val
@@ -325,26 +341,32 @@ class _FlatResolver:
         """Refuse a syzygy basis that is not minimal or not in lead form.
 
         Lead form: each vector sits at the target vertex of its largest
-        coordinate, its lead, and no two vectors share a lead.
+        coordinate, its lead, and no two vectors share a lead.  The leads
+        seen are marked in a bytearray indexed by coordinate, grown as
+        larger leads come.
         """
         if len(kernel) != syzygy:
             raise RuntimeError("syzygy dimension mismatch")
         d = self.dim
-        idem = self.idem
-        target_pos = self.target_pos
-        leads = set()
+        vertex_of = self.vertex_of
+        seen = bytearray()
         for vec in kernel:
-            lead = max(vec)
-            if lead in leads:
+            lead = next(iter(vec)) if len(vec) == 1 else max(vec)
+            if lead >= len(seen):
+                seen.extend(bytes(lead + 1))
+            elif seen[lead]:
                 raise RuntimeError("two syzygy relations share a leading coordinate")
-            leads.add(lead)
-            v = target_pos[lead % d]
-            for coord in vec:
-                m = coord % d
-                if m in idem:
-                    raise RuntimeError("resolution step is not minimal")
-                if target_pos[m] != v:
-                    raise RuntimeError("syzygy relation spans two vertices")
+            seen[lead] = 1
+            v = vertex_of[lead % d]
+            if v is None:
+                raise RuntimeError("resolution step is not minimal")
+            if len(vec) > 1:
+                for coord in vec:
+                    w = vertex_of[coord % d]
+                    if w != v:
+                        if w is None:
+                            raise RuntimeError("resolution step is not minimal")
+                        raise RuntimeError("syzygy relation spans two vertices")
 
     def module_images(self, module: RepModule) -> list[tuple[int, dict]]:
         """(vertex position, {m: b_m * gen}) for the top generators of a module.
@@ -354,7 +376,7 @@ class _FlatResolver:
         the idempotents' actions that enlarge that span, vertex by vertex, so
         they lift a basis of module / rad*module; the images are sparse
         vectors in the module's own coordinates, for the non-idempotent b_m
-        only, the columns kernel_of_cover eliminates.
+        only, the columns kernel_of_images eliminates.
         """
         covered = TrackedEchelon()
         for b in self.arrows:
@@ -372,20 +394,20 @@ class _FlatResolver:
             raise RuntimeError("projective cover lifting failed")
         return out
 
-    def kernel_of_cover(self, covers) -> list[dict]:
+    def kernel_of_images(self, covers) -> list[dict]:
         """Kernel basis of the cover sending copy i's basis element m to b_m * gen_i.
 
         covers gives, per generator, its vertex position and its images
-        {m: b_m * gen} for the non-idempotent b_m, in flat coordinates after
-        the first step and in the module's own coordinates at the first.
-        Only these radical columns are eliminated.  The generators are
-        independent modulo rad K, where K is the module covered, and every
-        radical column b_m * gen lies in rad K, so reducing a relation
-        modulo rad K leaves a combination of generators that must vanish:
-        no relation uses a generator's column e_v * gen = gen.  The relation
-        of a column is the unique one with coefficient 1 on it among the
-        earlier independent columns, so leaving the generator columns out
-        changes no relation and saves their rows.
+        {m: b_m * gen} for the non-idempotent b_m, in the module's own
+        coordinates at the first step (see module_images).  Only these
+        radical columns are eliminated.  The generators are independent
+        modulo rad K, where K is the module covered, and every radical
+        column b_m * gen lies in rad K, so reducing a relation modulo rad K
+        leaves a combination of generators that must vanish: no relation
+        uses a generator's column e_v * gen = gen.  The relation of a column
+        is the unique one with coefficient 1 on it among the earlier
+        independent columns, so leaving the generator columns out changes
+        no relation and saves their rows.
         Zero images give kernel relations directly; the others go into one
         echelon keyed by leads.  Images at different vertices lie in
         independent summands, so a relation never takes in another vertex's
@@ -396,18 +418,55 @@ class _FlatResolver:
         """
         echelon = TrackedEchelon()
         kernel: list[dict] = []
-        d = self.dim
         for copy, (v, imgs) in enumerate(covers):
+            self._eliminate(echelon, kernel, copy * self.dim, v, imgs)
+        return kernel
+
+    def kernel_of_cover(self, gens) -> list[dict]:
+        """kernel_of_images for a syzygy's top: (vertex position, gen) pairs,
+        gen a flat vector.
+
+        A generator c * b_n of one coordinate has the images c * b_m*b_n,
+        read from the row of b_m*b_n in left[n] with no dict of images; a
+        longer generator's images come from images().
+        """
+        echelon = TrackedEchelon()
+        kernel: list[dict] = []
+        d = self.dim
+        left = self.left
+        rad_coords = self.rad_coords
+        for copy, (v, gen) in enumerate(gens):
             base = copy * d
-            for m in self.rad_coords[v]:
-                image = imgs.get(m)
-                if not image:
+            if len(gen) != 1:
+                self._eliminate(echelon, kernel, base, v, self.images(gen, left))
+                continue
+            ((coord, val),) = gen.items()
+            n = coord % d
+            rows = left[n]
+            shift = coord - n
+            for m in rad_coords[v]:
+                row = rows.get(m)
+                if row is None:
                     kernel.append({base + m: 1})
                     continue
+                image = {}
+                for k, c in row:
+                    image[shift + k] = c * val
                 relation = echelon.insert(image, {base + m: 1})
                 if relation is not None:
                     kernel.append(relation)
         return kernel
+
+    def _eliminate(self, echelon, kernel, base, v, imgs) -> None:
+        """Eliminate one copy's radical columns, with images imgs, into echelon."""
+        for m in self.rad_coords[v]:
+            image = imgs.get(m)
+            if not image:
+                kernel.append({base + m: 1})
+                continue
+            relation = echelon.insert(image, {base + m: 1})
+            if relation is not None:
+                kernel.append(relation)
 
     def top_generators(self, kernel: list[dict]) -> list[tuple[int, dict]]:
         """Vertex-tagged minimal generators of the span K of kernel vectors.
@@ -416,21 +475,50 @@ class _FlatResolver:
         so the leads of rad*K are leads of kernel vectors; the vectors whose
         lead is not one of them span a complement of rad*K, a minimal set of
         generators.  Arrow images stay vertex-homogeneous, so one echelon
-        keyed by leads serves every vertex.
+        keyed by leads serves every vertex.  Only the leads of that echelon
+        are read, and a nonzero scalar changes no span, so the arrow images
+        of a one-coordinate vector are its arrow rows shifted to its copy,
+        with no dict of images.  A one-term image at a coordinate that holds
+        no row is stored as add() would store it, and one at a coordinate
+        that holds a one-term row is dependent and skipped.
         """
         span = TrackedEchelon()
+        pivots = span.pivots
+        d = self.dim
+        arrow_terms, arrow_rows = self.arrow_terms, self.arrow_rows
         for vec in kernel:
+            if len(vec) == 1:
+                (coord,) = vec
+                m = coord % d
+                base = coord - m
+                for k, c in arrow_terms[m]:
+                    key = base + k
+                    held = pivots.get(key)
+                    if held is None:
+                        pivots[key] = ({key: c}, None)  # as add() stores a new lead
+                    elif len(held[0]) > 1:
+                        span.add({key: c})
+                for row in arrow_rows[m]:
+                    span.add({base + k: c for k, c in row})
+                continue
             for image in self.images(vec, self.arrow_left).values():
+                if len(image) == 1:
+                    (key,) = image
+                    held = pivots.get(key)
+                    if held is None:
+                        pivots[key] = (image, None)  # as add() stores a new lead
+                        continue
+                    if len(held[0]) == 1:
+                        continue
                 if image:
                     span.add(image)
-        d = self.dim
-        target_pos = self.target_pos
+        vertex_of = self.vertex_of
         gens = []
         for vec in kernel:
-            lead = max(vec)
-            if lead not in span.pivots:
-                gens.append((target_pos[lead % d], vec))
-        if len(gens) + len(span.pivots) != len(kernel):
+            lead = next(iter(vec)) if len(vec) == 1 else max(vec)
+            if lead not in pivots:
+                gens.append((vertex_of[lead % d], vec))
+        if len(gens) + len(pivots) != len(kernel):
             raise RuntimeError("arrow images leave the syzygy")
         return gens
 
@@ -542,6 +630,7 @@ def minimal_resolution(
 def _sparse_resolution(engine, module, steps, dim_cap) -> ResolutionTrace:
     """Flat-coordinate resolution; the first cover reads the module's actions."""
     covers = engine.module_images(module)
+    gens = None
     betti: list[int] = []
     dim = sum(engine.proj_dim[v] for v, _ in covers)
     covered = module.dim
@@ -554,10 +643,12 @@ def _sparse_resolution(engine, module, steps, dim_cap) -> ResolutionTrace:
             return ResolutionTrace(tuple(betti), "steps-exhausted")
         if syzygy > dim_cap:
             return ResolutionTrace(tuple(betti), "dimension-cap")
-        kernel = engine.kernel_of_cover(covers)
+        if gens is None:
+            kernel = engine.kernel_of_images(covers)
+        else:
+            kernel = engine.kernel_of_cover(gens)
         engine.check_kernel(kernel, syzygy)
         gens = engine.top_generators(kernel)
-        covers = ((v, engine.images(gen, engine.left)) for v, gen in gens)
         dim = sum(engine.proj_dim[v] for v, _ in gens)
         covered = syzygy
 
@@ -608,14 +699,14 @@ def resolve_simple_modules(
     """Resolution trace of every simple module, in vertex order.
 
     The radical, the simples and the engine are computed once, in the
-    calling process, and shared by all the resolutions.  These are independent, so they run
-    on w = min(simples, usable cores) processes: simple i is resolved by
-    worker i mod w, the caller being worker 0 and the others forked
-    children that it reaps before returning.  The call runs serially when
-    w < 2, when the platform lacks os.fork or os.sched_getaffinity, or when
-    the process runs more than one thread.  Either way the traces are the
-    same, and a failure raises the error of the lowest vertex that failed,
-    the one the serial loop meets first.
+    calling process, and shared by all the resolutions.  These are
+    independent, so they run on w = min(simples, usable cores) processes:
+    simple i is resolved by worker i mod w, the caller being worker 0 and
+    the others forked children that it reaps before returning.  The call
+    runs serially when w < 2, when the platform lacks os.fork or
+    os.sched_getaffinity, or when the process runs more than one thread.
+    Either way the traces are the same, and a failure raises the error of
+    the lowest vertex that failed, the one the serial loop meets first.
     """
     rad = jacobson_radical(a)
     simples = simple_modules(a, rad)

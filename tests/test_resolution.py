@@ -49,6 +49,7 @@ from conftest import (
     multi_kronecker,
     path_quiver,
     projective_cover,
+    star_quiver,
     submodule_on_kernel,
 )
 
@@ -191,23 +192,55 @@ def test_trivial_extension_kronecker3_exponential(growth_suite):
         assert complexity_estimate(trace).kind == "infinite"
 
 
-def test_dense_and_sparse_engines_agree():
+def test_trivial_extension_kronecker4_capped_traces():
+    # the CLI job exits 1, its trace too short for a verdict, so no byte
+    # guard covers these steps
+    ta = trivial_extension(path_algebra(multi_kronecker(4)))
+    expected = (6, 24, 90, 336, 1254, 4680, 17466, 65184, 243270)
+    traces = res_mod.resolve_simple_modules(ta, steps=40, dim_cap=100000)
+    assert len(traces) == 2
+    for trace in traces:
+        assert trace.betti == expected
+        assert trace.truncated_by == "dimension-cap"
+
+
+def test_dense_and_sparse_engines_agree(monkeypatch):
     algebras = [
         trivial_extension(base)
         for base in [
             path_algebra(path_quiver(2)),
             path_algebra(multi_kronecker(2)),
             gentle_two_loop(),
+            # affine E6: kernel vectors of three and more coordinates
+            path_algebra(star_quiver((2, 2, 2))),
         ]
     ]
     # canonical (2,3,7) has non-monomial relations, so its arrows are not
-    # just the length-1 paths
+    # just the length-1 paths, and some products have two terms
     for base in [path_algebra(path_quiver(3)), canonical_237()]:
         algebras += [base, trivial_extension(base)]
+    # the general branch is checked against the oracle too: vectors of
+    # three or more coordinates, and one-coordinate vectors whose table
+    # rows have two terms
+    reached = {"long vectors": 0, "two-term rows": 0}
+    check = res_mod._FlatResolver.check_kernel
+
+    def recording(self, kernel, syzygy):
+        for vec in kernel:
+            if len(vec) >= 3:
+                reached["long vectors"] += 1
+            elif len(vec) == 1:
+                (coord,) = vec
+                rows = self.left[coord % self.dim].values()
+                reached["two-term rows"] += any(len(row) == 2 for row in rows)
+        check(self, kernel, syzygy)
+
+    monkeypatch.setattr(res_mod._FlatResolver, "check_kernel", recording)
     for a in algebras:
         rad = jacobson_radical(a)
         for s in simple_modules(a, rad):
             assert minimal_resolution(a, s, 8, rad=rad) == dense_trace(a, s, 8, rad)
+    assert reached["long vectors"] and reached["two-term rows"]
 
 
 DISPATCH_CASES = [("A2", True)] + [
@@ -302,22 +335,22 @@ def test_syzygy_relations_are_in_lead_form(monkeypatch, name, extend):
     rad = jacobson_radical(a)
     assert res_mod._radical_is_arrow_span(a, rad)
     engine = res_mod._FlatResolver(a)
-    d, target_pos = engine.dim, engine.target_pos
+    d, vertex_of = engine.dim, engine.vertex_of
     columns = eliminated_columns(monkeypatch)
     steps = 0
     for simple in simple_modules(a, rad):
-        kernel = engine.kernel_of_cover(engine.module_images(simple))
+        kernel = engine.kernel_of_images(engine.module_images(simple))
         for _ in range(6):
             # the two facts the tops rest on: every relation sits at one
             # vertex, and no two relations share a largest flat coordinate
             leads = [max(vec) for vec in kernel]
             assert len(set(leads)) == len(leads)
             for vec in kernel:
-                assert len({target_pos[coord % d] for coord in vec}) == 1
+                assert len({vertex_of[coord % d] for coord in vec}) == 1
             if not kernel:
                 break
             gens = engine.top_generators(kernel)
-            kernel = engine.kernel_of_cover((v, engine.images(g, engine.left)) for v, g in gens)
+            kernel = engine.kernel_of_cover(gens)
             steps += 1
     assert steps > 0
     # the flat covers, too, eliminate no generator column e_v * gen
@@ -370,7 +403,7 @@ def test_first_kernel_is_the_dense_cover_kernel(monkeypatch, name, extend):
             expected = flat_kernel(a, verts, cover.kernel_basis())
             with monkeypatch.context() as patch:
                 columns = eliminated_columns(patch)
-                kernel = engine.kernel_of_cover(engine.module_images(module))
+                kernel = engine.kernel_of_images(engine.module_images(module))
             assert kernel == expected
             # only the radical columns were eliminated, never e_v * gen
             assert not [c for c in columns if c % engine.dim in engine.idem]
@@ -383,19 +416,25 @@ def test_check_kernel_refusals():
     by_target: dict = {}
     for m in range(engine.dim):
         if m not in engine.idem:
-            by_target.setdefault(engine.target_pos[m], []).append(m)
+            by_target.setdefault(engine.vertex_of[m], []).append(m)
     (m1, m2, *_), (n1, *_) = by_target.values()
     idem = min(engine.idem)
+    d = engine.dim
     cases = [
         ([{m1: 1}], 2, "syzygy dimension mismatch"),
         ([{idem: 1}], 1, "resolution step is not minimal"),
         ([{m1: 1, n1: 1}], 1, "syzygy relation spans two vertices"),
         ([{m1: 1, m2: 1}, {m2: 1}], 2, "two syzygy relations share a leading coordinate"),
+        # the repeat comes after a larger lead, in a later copy
+        ([{m1: 1}, {d + m2: 1}, {m1: 1}], 3, "two syzygy relations share a leading coordinate"),
+        # an idempotent coordinate below the lead of a two-coordinate vector
+        ([{idem: 1, d + m1: 1}], 1, "resolution step is not minimal"),
     ]
     for kernel, syzygy, message in cases:
         with pytest.raises(RuntimeError, match=message):
             engine.check_kernel(kernel, syzygy)
     engine.check_kernel([{m1: 1, m2: 1}, {m1: 1}, {n1: 2}], 3)
+    engine.check_kernel([{d + m2: 1}, {m1: 1}, {d + m1: 1, m2: 3}], 3)
 
 
 def test_top_refuses_a_span_that_is_not_a_submodule():
@@ -453,7 +492,7 @@ def test_first_cover_of_a_mixed_basis_module(monkeypatch, build):
     expected = flat_kernel(a, verts, cover.kernel_basis())
     with monkeypatch.context() as patch:
         columns = eliminated_columns(patch)
-        kernel = engine.kernel_of_cover(engine.module_images(moved))
+        kernel = engine.kernel_of_images(engine.module_images(moved))
     assert kernel == expected
     assert columns
     assert not [c for c in columns if c % engine.dim in engine.idem]

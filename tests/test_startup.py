@@ -6,7 +6,9 @@ run.  The guards run each command in a fresh interpreter and look at the
 modules that appeared in `sys.modules` after the interpreter's own
 start-up.
 """
+import hashlib
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -45,6 +47,9 @@ with open(sys.argv[1], "w", encoding="utf-8") as out:
 NO_RESOLUTION = {"quiverlab.resolution", "quiverlab.trivext"}
 NO_ALGEBRA = NO_RESOLUTION | {"quiverlab.builders", "quiverlab.scalgebra"}
 NO_SPECTRAL = {"quiverlab.serre", "quiverlab.cyclo", "quiverlab.intpoly"}
+# the input digest comes from the builtin sha256 module where the interpreter
+# has one; hashlib would load OpenSSL's bindings, _hashlib
+SHA256_BUILTIN = importlib.util.find_spec("_sha256") is not None
 
 
 def fresh_python(args: list[str]) -> subprocess.CompletedProcess:
@@ -81,6 +86,25 @@ def test_command_loads_only_its_layers(tmp_path, argv, inputs, forbidden):
                                                                         "quiverlab.cli"]
     assert forbidden.isdisjoint(seen["run"])
     assert "dataclasses" not in seen["run"]
+    if SHA256_BUILTIN:
+        assert "_hashlib" not in seen["run"]
+
+
+def test_input_digest_is_the_sha256_of_the_bytes():
+    from quiverlab.cli import _digest_bytes
+
+    for raw in (b"", KRONECKER_DOC.encode(), bytes(range(256)) * 300):
+        assert _digest_bytes(raw) == hashlib.sha256(raw).hexdigest()
+    # and the same through hashlib when the builtin module is missing
+    script = """
+import hashlib, sys
+sys.modules["_sha256"] = None
+from quiverlab.cli import _digest_bytes
+raw = b"quiverlab" * 1000
+assert _digest_bytes(raw) == hashlib.sha256(raw).hexdigest()
+"""
+    child = fresh_python(["-c", script])
+    assert child.returncode == 0, child.stderr
 
 
 def test_every_public_name_is_its_submodules_object():
