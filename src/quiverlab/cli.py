@@ -35,6 +35,8 @@ except ImportError:
     from hashlib import sha256 as _sha256
 
 TRACE_TOL = 1e-9
+# the h0 envelope's stated tolerance; spectral_radius's enclosure is 2^-60 wide
+H0_TOL = 1e-4
 
 
 class Report:
@@ -257,7 +259,7 @@ def cmd_trivext(args) -> Report:
 
 def cmd_entropy(args) -> Report:
     from .quiver import has_oriented_cycle, parse_quiver
-    from .serre import MIN_GROWTH_STEPS, entropy_orbit, orbit_growth
+    from .serre import entropy_orbit, orbit_growth
 
     document, digest = _read_input(args.file)
     q = parse_quiver(document)
@@ -266,26 +268,17 @@ def cmd_entropy(args) -> Report:
             "quiver has an oriented cycle, so the entropy iteration does not "
             "apply; the classify command still accepts cyclic quivers"
         )
-    h0, trace, phi, orbit = entropy_orbit(q, args.iterations, args.tol)
-
-    warnings: list[str] = []
-    if args.iterations >= MIN_GROWTH_STEPS:
-        growth = orbit_growth(phi, orbit).to_json_dict()
-    else:
-        growth = None
-        warnings.append(
-            f"exact growth verdict skipped below {MIN_GROWTH_STEPS} iterations"
-        )
+    h0, trace, phi, orbit = entropy_orbit(q, args.iterations)
 
     # exact: spectral_radius returns exactly 1.0 for a cyclotomic Coxeter polynomial
-    h0_field = exact_rational(0) if h0 == 0.0 else approximate(h0, args.tol)
+    h0_field = exact_rational(0) if h0 == 0.0 else approximate(h0, H0_TOL)
     result = {
         "h0": h0_field,
         "iterations": exact(args.iterations),
         "trace": approximate(trace, TRACE_TOL),
-        "growth": growth,
+        "growth": orbit_growth(phi, orbit).to_json_dict(),
     }
-    return Report("entropy", digest, result, warnings)
+    return Report("entropy", digest, result, [])
 
 
 def _parse_matrix_file(document: str) -> RatMatrix:
@@ -432,7 +425,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("entropy", help="categorical entropy of an acyclic quiver")
     p.add_argument("file", help="quiver JSON file")
     p.add_argument("--iterations", type=int, default=60, help="trace length")
-    p.add_argument("--tol", type=float, default=1e-4, help="spectral radius tolerance")
     add_json(p)
     p.set_defaults(handler=cmd_entropy)
 

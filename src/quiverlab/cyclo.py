@@ -428,23 +428,20 @@ def _modulus_enclosure(a: list[int], squarings: int):
     return None
 
 
-def spectral_radius(m: RatMatrix, tol: float = 1e-6, orbit: Sequence = ()) -> float:
+def spectral_radius(m: RatMatrix, orbit: Sequence = ()) -> float:
     """Largest eigenvalue modulus, from a certified enclosure.
 
     Exactly 1.0 whenever the characteristic polynomial is a product of
     cyclotomic polynomials.  Otherwise the polynomial, cleared of
     denominators and of the factor x^t, goes to _modulus_enclosure in ints,
     and the midpoint of an enclosure at most 2^-60 of the radius wide is
-    returned; so the value is within any tol a float can resolve, and does
-    not depend on tol.  When _FAST_SQUARINGS settle nothing (a multiple
-    top root, or top moduli too close to part), the square-free part gets
-    _SQUARINGS.  ArithmeticError when that fails too, as for two conjugate
+    returned, as close as a float can resolve.  When _FAST_SQUARINGS settle
+    nothing (a multiple top root, or top moduli too close to part), the
+    square-free part gets _SQUARINGS.  ArithmeticError when that fails too, as for two conjugate
     pairs on the top circle.  orbit is passed on to char_poly.
     """
     if not m.is_square:
         raise ValueError("spectral radius requires a square matrix")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tolerance must be finite and positive")
     p = char_poly(m, orbit)
     # strip zero eigenvalues; they never carry the radius unless all are zero
     coeffs = list(p.coeffs)

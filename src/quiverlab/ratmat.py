@@ -5,10 +5,10 @@ kernels, matrix identities) goes through this module, so there is no
 floating point anywhere below.  Entries are kept in their plain exact form,
 an int when integral and a Fraction otherwise, so integral matrices such as
 Cartan and Coxeter matrices multiply in int arithmetic.  TrackedEchelon
-is the package's one sparse reduction: the Jacobson radical, the syzygies
-and tops of the resolution engine and the Krylov blocks behind the
-characteristic and minimal polynomials all grow an echelon basis of sparse
-vectors in it, in ints when their inputs are integral.
+is the package's one sparse reduction: the syzygies and tops of the
+resolution engine and the Krylov blocks behind the characteristic and
+minimal polynomials all grow an echelon basis of sparse vectors in it, in
+ints when their inputs are integral.
 """
 from __future__ import annotations
 

@@ -1,9 +1,12 @@
 """Minimal projective resolutions and Betti-growth complexity estimates.
 
 Modules over a structure-constant algebra are dense rational matrix
-representations.  Resolutions iterate projective covers and exact syzygy
-computations, with the Jacobson radical computed once per algebra and
-shared by every resolution.
+representations.  Resolutions need a basis adapted to the radical: the
+non-idempotent basis elements span rad(A).  Every builder's algebra, path,
+gentle, canonical and their trivial extensions, is written on such a
+basis, idempotents plus paths.  jacobson_radical proves it in one pass
+over the table, once per algebra and before any fork, and refuses any
+other basis with a ValueError.
 
 The simples of an algebra resolve on up to all usable cores: w =
 min(simples, cores in the process's affinity mask) processes, simple i on
@@ -13,30 +16,27 @@ sched_getaffinity, or when the process runs more than one thread.  Errors
 are raised in vertex order: the caller sees the error of the lowest vertex
 that failed, as the serial loop would.
 
-One sparse engine tracks syzygies in flat coordinates; it needs a basis
-adapted to the radical (rad(A) spanned by the non-idempotent basis
-elements), so any other basic algebra is first rewritten on such a basis
-together with the module.  Every top, the input module's included, is
-found from the images of the arrows alone, a basis of rad/rad^2 chosen
-among the basis elements: rad is spanned by products of arrows, so rad*M
-is the sum of the arrows' images of M.  Syzygy bases come in lead form:
-each vector sits at one vertex and has its own largest coordinate, its
-lead.  Since rad*K lies in K, the leads of rad*K are leads of K, and the
-vectors of K whose leads are not leads of rad*K generate K minimally.
-Every kernel, the first one included, comes from one lead-keyed
-TrackedEchelon per step; the first reads the module's own action on its
-top generators.  Each step eliminates only the radical columns b*g of its
-cover, b a non-idempotent basis element: the generators g are independent
-modulo the radical of the module covered, which holds every b*g, so no
-kernel relation uses a generator's own column and leaving those columns
-out changes no relation.  Most kernel vectors have one coordinate and
-most products one term, so the images of such a vector are read
-straight from the table rows of its basis element, and each step's
-kernel is checked with one table lookup per coordinate.  The engine's
-tables and any rebasing depend on the algebra only and are built once
-per algebra in a process.  The dense projective cover, built from action
-matrices, lives only in the test suite, as the oracle the engine is
-checked against.
+One sparse engine tracks syzygies in flat coordinates.  Every top, the
+input module's included, is found from the images of the arrows alone, a
+basis of rad/rad^2 chosen among the basis elements: rad is spanned by
+products of arrows, so rad*M is the sum of the arrows' images of M.
+Syzygy bases come in lead form: each vector sits at one vertex and has its
+own largest coordinate, its lead.  Since rad*K lies in K, the leads of
+rad*K are leads of K, and the vectors of K whose leads are not leads of
+rad*K generate K minimally.  Every kernel, the first one included, comes
+from one lead-keyed TrackedEchelon per step; the first reads the module's
+own action on its top generators.  Each step eliminates only the radical
+columns b*g of its cover, b a non-idempotent basis element: the
+generators g are independent modulo the radical of the module covered,
+which holds every b*g, so no kernel relation uses a generator's own
+column and leaving those columns out changes no relation.  Most kernel
+vectors have one coordinate and most products one term, so the images of
+such a vector are read straight from the table rows of its basis
+element, and each step's kernel is checked with one table lookup per
+coordinate.  The engine's tables depend on the algebra only and are built
+once per algebra in a process.  The dense projective cover, built from
+action matrices, lives only in the test suite, as the oracle the engine
+is checked against.
 """
 
 from __future__ import annotations
@@ -156,98 +156,82 @@ class ComplexityEstimate(Record):
 
 
 def jacobson_radical(a: SCAlgebra) -> list[Vector]:
-    """Basis of the radical via the characteristic-zero trace-form criterion.
+    """Unit vectors of the non-idempotent basis elements, proven to span the radical.
 
-    x is radical exactly when trace of left multiplication by b*x vanishes
-    for every basis element b.  Gram columns that depend on earlier ones
-    return the RREF kernel basis, one vector per free column.  The candidate
-    is verified to be a nilpotent two-sided ideal before it is returned.
+    J, their span, is rad(A) when one pass over the table shows:
+    (a) e_v*e_w = delta_vw e_v modulo J;
+    (b) no product with a factor in J has an idempotent term, so J is a
+        two-sided ideal and A/J is k^n;
+    (c) the graph with edges i -> k and j -> k, for each k in b_i*b_j with
+        b_i, b_j in J, has no cycle (Kahn's algorithm): a product of L
+        elements of J then lies on nodes of depth at least L - 1, so J is
+        nilpotent.
+    A basis that fails a step is not adapted to the radical; ValueError
+    names the step.
     """
     d = a.dim
-    mult_trace = [0] * d
-    for (m, k), row in a.mult.items():
-        mult_trace[m] += row.get(k, 0)
-    columns: list[dict] = [{} for _ in range(d)]
-    for (i, j), prod in a.mult.items():
-        value = sum(c * mult_trace[m] for m, c in prod.items())
-        if value:
-            columns[j][i] = value
-    echelon = TrackedEchelon()
-    relations = [echelon.insert(column, {j: 1}) for j, column in enumerate(columns)]
-    basis = [tuple(r.get(k, 0) for k in range(d)) for r in relations if r is not None]
-    _verify_nilpotent_ideal(a, basis)
-    return basis
+    idem = set(a.idempotents)
+    labels = [b.label for b in a.basis]
+    for e in a.idempotents:
+        for f in a.idempotents:
+            row = a.mult.get((e, f), {})
+            if {k: c for k, c in row.items() if k in idem} != ({e: 1} if e == f else {}):
+                raise ValueError(
+                    f"radical certificate, step (a): {labels[e]}*{labels[f]} is not "
+                    f"{labels[e] if e == f else 0} modulo the non-idempotent basis elements"
+                )
+    after: list[list[int]] = [[] for _ in range(d)]
+    indegree = [0] * d
+    for (i, j), row in a.mult.items():
+        if i in idem and j in idem:
+            continue
+        if not idem.isdisjoint(row):
+            raise ValueError(
+                f"radical certificate, step (b): {labels[i]}*{labels[j]} has an "
+                "idempotent term, so the non-idempotent basis elements span no ideal"
+            )
+        if i in idem or j in idem:
+            continue
+        for k in row:
+            after[i].append(k)
+            after[j].append(k)
+            indegree[k] += 2
+    ready = [m for m in range(d) if m not in idem and not indegree[m]]
+    for m in ready:  # grows while it is walked: Kahn's algorithm
+        for k in after[m]:
+            indegree[k] -= 1
+            if not indegree[k]:
+                ready.append(k)
+    if len(ready) != d - len(idem):
+        stuck = next(m for m in range(d) if indegree[m])  # on or after a cycle
+        raise ValueError(
+            "radical certificate, step (c): the products of non-idempotent basis "
+            f"elements close a cycle that reaches {labels[stuck]}, so their span is "
+            "not shown nilpotent"
+        )
+    zero = [0] * d
+    out = []
+    for m in range(d):
+        if m not in idem:
+            unit = zero.copy()
+            unit[m] = 1
+            out.append(tuple(unit))
+    return out
 
 
-def _verify_nilpotent_ideal(a: SCAlgebra, basis: list[Vector]) -> None:
-    """Refuse a candidate basis that is not a nilpotent two-sided ideal.
-
-    Products are formed only where the table can make them nonzero: b_i*x
-    needs some l in x with b_i*b_l in the table, and x*y needs some i in x
-    and l in y with b_i*b_l there.
-    """
-    d = a.dim
-    sparse = [{k: v for k, v in enumerate(vec) if v} for vec in basis]
-    left_of: list[list[int]] = [[] for _ in range(d)]
-    right_of: list[list[int]] = [[] for _ in range(d)]
-    for i, l in a.mult:
-        left_of[l].append(i)
-        right_of[i].append(l)
-    holders: list[list[int]] = [[] for _ in range(d)]
-    for n, x in enumerate(sparse):
-        for k in x:
-            holders[k].append(n)
-    span = TrackedEchelon()
-    for x in sparse:
-        span.add(dict(x))
-    for x in sparse:
-        lefts = sorted({i for l in x for i in left_of[l]})
-        rights = sorted({i for l in x for i in right_of[l]})
-        if any(span.add(a.multiply({i: 1}, x)) for i in lefts) or any(
-            span.add(a.multiply(x, {i: 1})) for i in rights
-        ):
-            raise RuntimeError("radical candidate is not a two-sided ideal")
-    power = sparse
-    for _ in range(d + 1):
-        if not power:
-            return
-        nxt = TrackedEchelon()
-        for x in power:
-            partners = {n for i in x for l in right_of[i] for n in holders[l]}
-            for n in sorted(partners):
-                nxt.add(a.multiply(x, sparse[n]))
-        power = nxt.rows()
-    raise RuntimeError("radical candidate is not nilpotent")
-
-
-def simple_modules(a: SCAlgebra, rad=None) -> list[RepModule]:
+def simple_modules(a: SCAlgebra) -> list[RepModule]:
     """One-dimensional simple module at each vertex, in vertex order.
 
-    Requires the semisimple quotient to be a product of copies of the field;
-    the idempotents together with the radical must then form a basis.  A
-    radical basis already computed for `a` may be passed as `rad`.  When
-    the radical is the span of the non-idempotent basis elements, these act
-    as zero on every simple and the scalars are read off the idempotent
-    coordinates; otherwise they come from inverting the change of basis to
-    idempotents plus radical.
+    The radical is the span of the non-idempotent basis elements (see
+    jacobson_radical), so these act as zero on every simple and e_v acts as
+    one on the simple at v alone.
     """
-    if rad is None:
-        rad = jacobson_radical(a)
-    if len(rad) + len(a.idempotents) != a.dim:
-        raise ValueError("algebra is not basic")
-    if _radical_is_arrow_span(a, rad):
-        scalars = [[int(m == e) for m in range(a.dim)] for e in a.idempotents]
-    else:
-        columns = [[int(k == e) for k in range(a.dim)] for e in a.idempotents]
-        columns.extend(rad)
-        try:
-            change = RatMatrix.from_columns(columns).inverse()
-        except ValueError as exc:
-            raise ValueError("algebra is not basic") from exc
-        scalars = [change.row(pos) for pos in range(len(a.vertices))]
-    # one immutable 1x1 action matrix per scalar value
-    cells = {c: RatMatrix([[c]]) for c in {c for row in scalars for c in row}}
-    return [RepModule(a, 1, tuple(map(cells.__getitem__, row))) for row in scalars]
+    _setup(a)
+    zero, one = RatMatrix([[0]]), RatMatrix([[1]])
+    return [
+        RepModule(a, 1, tuple(one if m == e else zero for m in range(a.dim)))
+        for e in a.idempotents
+    ]
 
 
 def _sparse(vec) -> dict:
@@ -278,7 +262,7 @@ class _FlatResolver:
     one coordinate, c * b_m in some copy, and most products one term: the
     images of such a vector are read straight from the table rows of b_m,
     with no dict of images.  The tables depend on the algebra only;
-    minimal_resolution builds them once per algebra.
+    _setup builds them once per algebra.
     """
 
     def __init__(self, a: SCAlgebra):
@@ -523,95 +507,34 @@ class _FlatResolver:
         return gens
 
 
-def _radical_is_arrow_span(a: SCAlgebra, rad) -> bool:
-    if len(rad) != a.dim - len(a.idempotents):
-        return False
-    idem = set(a.idempotents)
-    return all(not vec[m] for vec in rad for m in idem)
+# the engine of the last algebra resolved in the process
+_ENGINE: list = [None]
 
 
-def _rebase_to_radical(a: SCAlgebra, rad) -> tuple[SCAlgebra, list[dict]]:
-    """The algebra on the basis b' = b - sum_v S_v(b) e_v, and each b' on the old basis.
+def _setup(a: SCAlgebra) -> _FlatResolver:
+    """The engine that resolves modules over a, once the radical is certified.
 
-    S_v(b) is the scalar by which b acts on the simple at vertex v, so every
-    non-idempotent b' acts as zero on every simple and lies in the radical.
-    Labels, endpoints and idempotents are kept; Betti numbers do not depend
-    on the basis.
+    The engine depends on the algebra only, so the one of the last algebra
+    set up in the process is kept, and the simples of one algebra share it.
+    The certificate is the module global jacobson_radical, looked up at
+    call time so that a wrapper installed on the module sees the call; it
+    raises for a basis not adapted to the radical.
     """
-    idem = set(a.idempotents)
-    scalars = [
-        (e, [act[0, 0] for act in simple.actions])
-        for e, simple in zip(a.idempotents, simple_modules(a, rad))
-    ]
-
-    def expand(k: int) -> dict:
-        """b'_k on the old basis."""
-        out = {k: 1}
-        if k not in idem:
-            for e, scalar in scalars:
-                if scalar[k]:
-                    out[e] = -scalar[k]
-        return out
-
-    def rewrite(x: dict) -> dict:
-        """Old coordinates to new: e_v takes S_v(x), the others are kept."""
-        out = {k: c for k, c in x.items() if k not in idem}
-        for e, scalar in scalars:
-            out[e] = sum(c * scalar[k] for k, c in x.items())
-        return out
-
-    basis = [expand(k) for k in range(a.dim)]
-    mult = {
-        (i, j): rewrite(a.multiply(basis[i], basis[j]))
-        for i in range(a.dim)
-        for j in range(a.dim)
-    }
-    return SCAlgebra(a.vertices, a.basis, a.idempotents, mult), basis
-
-
-def _move_module(rebased: SCAlgebra, module: RepModule, basis: list[dict]) -> RepModule:
-    """The module over the rebased algebra: b'_k acts as basis[k] does."""
-    actions = []
-    for x in basis:
-        terms = [module.actions[m].scale(c) for m, c in x.items()]
-        actions.append(sum(terms[1:], terms[0]))
-    return RepModule(rebased, module.dim, tuple(actions))
-
-
-# (algebra, its engine, its rebasing basis or None) for the last algebra resolved
-_LAST_SETUP: list = [None]
-
-
-def _setup(a: SCAlgebra, rad) -> tuple[_FlatResolver, list[dict] | None]:
-    """The engine that resolves modules over a, and the basis that moves a
-    module onto the engine's algebra, None when a's basis is adapted.
-
-    Both depend on the algebra only, so they are kept for the last algebra
-    resolved in the process and the simples of one algebra share them; the
-    radical is computed, when rad is None, only for a new algebra.  The
-    entry is replaced whole, so a concurrent caller never reads a mix.
-    """
-    last = _LAST_SETUP[0]
-    if last is not None and last[0] is a:
-        return last[1], last[2]
-    if rad is None:
-        rad = jacobson_radical(a)
-    algebra, basis = a, None
-    if not _radical_is_arrow_span(a, rad):
-        algebra, basis = _rebase_to_radical(a, rad)
-    engine = _FlatResolver(algebra)
-    _LAST_SETUP[0] = (a, engine, basis)
-    return engine, basis
+    engine = _ENGINE[0]
+    if engine is None or engine.alg is not a:
+        jacobson_radical(a)
+        engine = _ENGINE[0] = _FlatResolver(a)
+    return engine
 
 
 def minimal_resolution(
-    a: SCAlgebra, module: RepModule, steps: int = 40, dim_cap: int = 100000, rad=None
+    a: SCAlgebra, module: RepModule, steps: int = 40, dim_cap: int = 100000
 ) -> ResolutionTrace:
     """Betti numbers of a minimal projective resolution of the module.
 
     Stops after `steps` covers, when a syzygy dimension would exceed
-    `dim_cap`, or when a syzygy vanishes; the trace records which.  A radical
-    basis already computed for `a` may be passed as `rad`.
+    `dim_cap`, or when a syzygy vanishes; the trace records which.  The
+    first cover reads the module's own actions.
     """
     if module.algebra is not a:
         raise ValueError("module is defined over a different algebra")
@@ -621,14 +544,7 @@ def minimal_resolution(
         raise ValueError("dimension cap must be positive")
     if module.dim == 0:
         return ResolutionTrace((0,), "resolution-terminated")
-    engine, basis = _setup(a, rad)
-    if basis is not None:
-        module = _move_module(engine.alg, module, basis)
-    return _sparse_resolution(engine, module, steps, dim_cap)
-
-
-def _sparse_resolution(engine, module, steps, dim_cap) -> ResolutionTrace:
-    """Flat-coordinate resolution; the first cover reads the module's actions."""
+    engine = _setup(a)
     covers = engine.module_images(module)
     gens = None
     betti: list[int] = []
@@ -698,8 +614,8 @@ def resolve_simple_modules(
 ) -> list[ResolutionTrace]:
     """Resolution trace of every simple module, in vertex order.
 
-    The radical, the simples and the engine are computed once, in the
-    calling process, and shared by all the resolutions.  These are
+    The radical certificate, the simples and the engine are computed once,
+    in the calling process, and shared by all the resolutions.  These are
     independent, so they run on w = min(simples, usable cores) processes:
     simple i is resolved by worker i mod w, the caller being worker 0 and
     the others forked children that it reaps before returning.  The call
@@ -708,16 +624,15 @@ def resolve_simple_modules(
     Either way the traces are the same, and a failure raises the error of
     the lowest vertex that failed, the one the serial loop meets first.
     """
-    rad = jacobson_radical(a)
-    simples = simple_modules(a, rad)
-    _setup(a, rad)  # before any fork, so every worker inherits the engine
+    _setup(a)  # before any fork, so every worker inherits the engine
+    simples = simple_modules(a)
     workers = 1
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
         workers = min(len(simples), len(os.sched_getaffinity(0)))
     if workers < 2:
-        shares = [_resolve_share(a, simples, 0, 1, steps, dim_cap, rad)]
+        shares = [_resolve_share(a, simples, 0, 1, steps, dim_cap)]
     else:
-        shares = _resolve_forked(a, simples, workers, steps, dim_cap, rad)
+        shares = _resolve_forked(a, simples, workers, steps, dim_cap)
     traces: list = [None] * len(simples)
     failures = []
     for first, (done, error) in enumerate(shares):
@@ -731,19 +646,19 @@ def resolve_simple_modules(
     return traces
 
 
-def _resolve_share(a, simples, first, stride, steps, dim_cap, rad):
+def _resolve_share(a, simples, first, stride, steps, dim_cap):
     """Traces of simples first, first + stride, ... up to the first failure,
     and that failure or None."""
     traces = []
     for module in simples[first::stride]:
         try:
-            traces.append(minimal_resolution(a, module, steps, dim_cap, rad))
+            traces.append(minimal_resolution(a, module, steps, dim_cap))
         except Exception as exc:
             return traces, exc
     return traces, None
 
 
-def _resolve_forked(a, simples, workers, steps, dim_cap, rad) -> list:
+def _resolve_forked(a, simples, workers, steps, dim_cap) -> list:
     """The share of each worker, worker 0 being this process.
 
     Each forked worker marshals its share, as (betti, truncated_by) pairs
@@ -767,7 +682,7 @@ def _resolve_forked(a, simples, workers, steps, dim_cap, rad) -> list:
             if pid == 0:
                 status = 1
                 try:
-                    done, error = _resolve_share(a, simples, first, workers, steps, dim_cap, rad)
+                    done, error = _resolve_share(a, simples, first, workers, steps, dim_cap)
                     if error is not None:
                         error = (type(error).__name__, str(error))
                     with os.fdopen(write, "wb") as pipe:
@@ -777,7 +692,7 @@ def _resolve_forked(a, simples, workers, steps, dim_cap, rad) -> list:
                     os._exit(status)
             os.close(write)
             children.append((pid, os.fdopen(read, "rb")))
-        shares = [_resolve_share(a, simples, 0, workers, steps, dim_cap, rad)]
+        shares = [_resolve_share(a, simples, 0, workers, steps, dim_cap)]
         for _, pipe in children:
             try:
                 done, error = marshal.loads(pipe.read())

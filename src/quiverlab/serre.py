@@ -334,13 +334,17 @@ def hereditary_entropy(
     at k is (1/k) log of the l1 norm of phi^k applied to the dimension
     vector of the injective cogenerator (the column sums of the Cartan
     matrix); the iteration is exact and only the logarithms are floats.
+    h0 comes from a certified enclosure far narrower than any tol a float
+    resolves, so tol is only checked to be finite and positive.
     """
-    h0, trace, _, _ = entropy_orbit(q, iterations, tol)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tolerance must be finite and positive")
+    h0, trace, _, _ = entropy_orbit(q, iterations)
     return h0, trace
 
 
 def entropy_orbit(
-    q: Quiver, iterations: int, tol: float
+    q: Quiver, iterations: int
 ) -> tuple[float, list[float], RatMatrix, list[Vector]]:
     """hereditary_entropy's (h0, trace) with the Coxeter matrix phi and the
     orbit behind them: the cogenerator vector v and its iterates phi^k v for
@@ -351,8 +355,6 @@ def entropy_orbit(
     the Coxeter polynomial cyclotomic."""
     if iterations < 1:
         raise ValueError("iterations must be positive")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tolerance must be finite and positive")
     if not q.is_connected:
         raise ValueError("entropy needs a connected quiver")
     cartan = cartan_path_algebra(q)
@@ -365,7 +367,7 @@ def entropy_orbit(
     for k in range(1, iterations + 1):
         orbit.append(phi.apply(orbit[-1]))
         trace.append(_log_fraction(l1_norm(orbit[-1])) / k)
-    h0 = math.log(spectral_radius(phi, tol, orbit))
+    h0 = math.log(spectral_radius(phi, orbit))
     return h0, trace, phi, orbit
 
 

@@ -7,7 +7,9 @@ oracle lives here and nowhere in the package: `projective_cover` builds
 each cover from action matrices, its top and its minimality check both
 from one dense span of rad*M, and `dense_trace` re-derives Betti traces
 from those covers with RREF kernels, for comparison with the sparse
-engine behind `minimal_resolution`.
+engine behind `minimal_resolution`.  The trace-form radical lives here too,
+with its nilpotent-ideal check: it works on any basis, and is the oracle
+for the one-pass certificate behind `jacobson_radical`.
 """
 from __future__ import annotations
 
@@ -44,6 +46,7 @@ from quiverlab import (
     trivial_extension,
     zero_module,
 )
+from quiverlab.ratmat import TrackedEchelon
 
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -311,6 +314,86 @@ def check_profile_is_a_conjugation_invariant():
         assert base.is_cyclotomic
         u = random_unimodular(rng, m.rows)
         assert cyclotomic_profile(u * m * u.inverse()) == base
+
+
+# --- the trace-form radical, the oracle for jacobson_radical's certificate -----
+
+def trace_form_radical(a) -> list:
+    """Basis of the radical via the characteristic-zero trace-form criterion.
+
+    Works on any basis.  x is radical exactly when the trace of left
+    multiplication by b*x vanishes for every basis element b.  Gram columns
+    that depend on earlier ones give the RREF kernel basis, one vector per
+    free column.  The candidate is checked to be a nilpotent two-sided
+    ideal before it is returned.
+    """
+    d = a.dim
+    mult_trace = [0] * d
+    for (m, k), row in a.mult.items():
+        mult_trace[m] += row.get(k, 0)
+    columns: list[dict] = [{} for _ in range(d)]
+    for (i, j), prod in a.mult.items():
+        value = sum(c * mult_trace[m] for m, c in prod.items())
+        if value:
+            columns[j][i] = value
+    echelon = TrackedEchelon()
+    relations = [echelon.insert(column, {j: 1}) for j, column in enumerate(columns)]
+    basis = [tuple(r.get(k, 0) for k in range(d)) for r in relations if r is not None]
+    verify_nilpotent_ideal(a, basis)
+    return basis
+
+
+def verify_nilpotent_ideal(a, basis) -> None:
+    """Refuse a candidate basis that is not a nilpotent two-sided ideal.
+
+    Products are formed only where the table can make them nonzero: b_i*x
+    needs some l in x with b_i*b_l in the table, and x*y needs some i in x
+    and l in y with b_i*b_l there.
+    """
+    d = a.dim
+    sparse = [{k: v for k, v in enumerate(vec) if v} for vec in basis]
+    left_of: list[list[int]] = [[] for _ in range(d)]
+    right_of: list[list[int]] = [[] for _ in range(d)]
+    for i, l in a.mult:
+        left_of[l].append(i)
+        right_of[i].append(l)
+    holders: list[list[int]] = [[] for _ in range(d)]
+    for n, x in enumerate(sparse):
+        for k in x:
+            holders[k].append(n)
+    span = TrackedEchelon()
+    for x in sparse:
+        span.add(dict(x))
+    for x in sparse:
+        lefts = sorted({i for l in x for i in left_of[l]})
+        rights = sorted({i for l in x for i in right_of[l]})
+        if any(span.add(a.multiply({i: 1}, x)) for i in lefts) or any(
+            span.add(a.multiply(x, {i: 1})) for i in rights
+        ):
+            raise RuntimeError("radical candidate is not a two-sided ideal")
+    power = sparse
+    for _ in range(d + 1):
+        if not power:
+            return
+        nxt = TrackedEchelon()
+        for x in power:
+            partners = {n for i in x for l in right_of[i] for n in holders[l]}
+            for n in sorted(partners):
+                nxt.add(a.multiply(x, sparse[n]))
+        power = nxt.rows()
+    raise RuntimeError("radical candidate is not nilpotent")
+
+
+def inverted_simples(a, rad) -> list[RepModule]:
+    """The simple at each vertex on any basis of a basic algebra: each basis
+    element acts by its idempotent coordinate once the basis is changed to
+    the idempotents plus the radical basis rad."""
+    columns = [[int(k == e) for k in range(a.dim)] for e in a.idempotents]
+    change = RatMatrix.from_columns(columns + list(rad)).inverse()
+    return [
+        RepModule(a, 1, tuple(RatMatrix([[c]]) for c in change.row(pos)))
+        for pos in range(len(a.vertices))
+    ]
 
 
 # --- dense resolution oracle ---------------------------------------------------

@@ -370,13 +370,12 @@ SPECTRAL_STDOUT_SHA256 = {
 
 def test_entropy_kron3_prints_the_closed_form(tmp_path, capsys):
     # rho(Phi) = (7 + 3 sqrt 5) / 2; the certified enclosure is far narrower
-    # than the 12 printed digits, whatever the tolerance
+    # than the 12 printed digits
     path = write(tmp_path, "kron3.json", json.dumps(bench_module("workloads").kronecker(3)))
     closed_form = float(f"{math.log((7 + 3 * math.sqrt(5)) / 2):.12g}")
-    for tol in ("1e-4", "0.5"):
-        code, out, _ = run(capsys, "entropy", path, "--tol", tol, "--json")
-        assert code == 0
-        assert json.loads(out)["result"]["h0"]["value"] == closed_form == 1.92484730024
+    code, out, _ = run(capsys, "entropy", path, "--json")
+    assert code == 0
+    assert json.loads(out)["result"]["h0"]["value"] == closed_form == 1.92484730024
 
 
 def test_spectral_workload_keeps_its_bytes(tmp_path, capsys, monkeypatch):
@@ -426,22 +425,16 @@ def test_trivext_workloads_keep_their_bytes(tmp_path, capsys, monkeypatch):
     assert outcomes == TRIVEXT_OUTCOMES
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf"])
-def test_entropy_refuses_a_non_finite_tolerance(tmp_path, capsys, tol):
-    path = write(tmp_path, "kron3.json", KRONECKER3_DOC)
-    code, out, err = run(capsys, "entropy", path, "--tol", tol, "--json")
-    assert code == 1
-    assert out == ""
-    assert "tolerance must be finite and positive" in err
-
-
-def test_entropy_few_iterations_skips_growth(tmp_path, capsys):
+def test_entropy_few_iterations_reports_growth(tmp_path, capsys):
+    # the growth verdict is exact, whatever the iteration count
     path = write(tmp_path, "kron.json", KRONECKER_DOC)
     code, out, _ = run(capsys, "entropy", path, "--iterations", "5", "--json")
     assert code == 0
     doc = json.loads(out)
-    assert doc["result"]["growth"] is None
-    assert any("exact growth verdict skipped" in w for w in doc["warnings"])
+    assert doc["result"]["growth"] == {"kind": "polynomial", "degree": 1}
+    assert doc["warnings"] == []
+    code, out, _ = run(capsys, "entropy", path, "--iterations", "1", "--json")
+    assert json.loads(out)["result"]["growth"] == doc["result"]["growth"]
 
 
 def test_entropy_cyclic_fails_with_hint(tmp_path, capsys):

@@ -31,6 +31,7 @@ from conftest import (
     multi_kronecker,
     path_quiver,
     star_quiver,
+    trace_form_radical,
     wild3_quiver,
 )
 
@@ -251,6 +252,7 @@ def test_integral_matrices_keep_int_entries_and_never_leak_floats():
         for label, alg in [(name, a)] + extended:
             shared[f"{label} mult"] = [tuple(row.values()) for row in alg.mult.values()]
             shared[f"{label} radical"] = jacobson_radical(alg)
+            shared[f"{label} trace-form radical"] = trace_form_radical(alg)
     # the single echelon stays fraction-free on the Krylov chains behind
     # orbit_growth and on the engine's kernel relations
     int_only = {}
@@ -269,10 +271,9 @@ def test_integral_matrices_keep_int_entries_and_never_leak_floats():
         q.coeffs for _, q in _krylov_blocks(conjugated)
     ]
     a = trivial_extension(path_algebra(multi_kronecker(3)))
-    rad = jacobson_radical(a)
     engine = _FlatResolver(a)
     relations = []
-    for simple in simple_modules(a, rad):
+    for simple in simple_modules(a):
         kernel = engine.kernel_of_images(engine.module_images(simple))
         for _ in range(4):
             relations += [list(vec.values()) for vec in kernel]

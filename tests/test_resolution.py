@@ -13,6 +13,7 @@ Frozen Betti sequences, worked by hand:
   the 100000 cap.
 """
 import gc
+import json
 import os
 import time
 from fractions import Fraction
@@ -28,9 +29,12 @@ from quiverlab import (
     SCAlgebra,
     combine_estimates,
     complexity_estimate,
+    gentle_algebra,
     global_complexity_estimate,
     jacobson_radical,
     minimal_resolution,
+    parse_gentle,
+    parse_quiver,
     path_algebra,
     quiver_from_data,
     simple_modules,
@@ -41,16 +45,22 @@ from quiverlab import resolution as res_mod
 from quiverlab.ratmat import TrackedEchelon
 from conftest import (
     BUILDERS,
+    bench_module,
+    builder_outputs,
     canonical_237,
     count_multiplies,
     cover_data,
     dense_trace,
     gentle_two_loop,
+    inverted_simples,
     multi_kronecker,
     path_quiver,
     projective_cover,
+    projective_sum,
     star_quiver,
     submodule_on_kernel,
+    trace_form_radical,
+    verify_nilpotent_ideal,
 )
 
 
@@ -73,6 +83,45 @@ def test_radical_vectors_have_no_idempotent_support():
     idem = set(a.idempotents)
     for vec in jacobson_radical(a):
         assert all(vec[i] == 0 for i in idem)
+
+
+def bench_ladder():
+    """(name, base algebra) of each job of the benchmark's trivext workloads,
+    read as the CLI reads its input, and canonical (2,3,7)."""
+    workloads = bench_module("workloads")
+    for name in ("trivext-wide", "trivext-deep"):
+        files, jobs = workloads.build(name, 1401)
+        for job in jobs:
+            document = files[job.argv[1]]
+            if "relations" in json.loads(document):
+                yield job.id, gentle_algebra(parse_gentle(document))
+            else:
+                yield job.id, path_algebra(parse_quiver(document))
+    yield "canonical-237", canonical_237()
+
+
+def certified_algebras():
+    """(label, algebra): each builder output and bench ladder algebra, and
+    its trivial extension; builder_outputs' "trivext-" algebras are
+    extensions already."""
+    for name, base in [*builder_outputs(), *bench_ladder()]:
+        yield name, base
+        if not name.startswith("trivext-"):
+            yield f"T({name})", trivial_extension(base)
+
+
+CERTIFIED = list(certified_algebras())
+
+
+@pytest.mark.parametrize("a", [a for _, a in CERTIFIED], ids=[label for label, _ in CERTIFIED])
+def test_certificate_equals_the_trace_form_oracle(a):
+    idem = set(a.idempotents)
+    units = [tuple(int(k == m) for k in range(a.dim)) for m in range(a.dim) if m not in idem]
+    assert jacobson_radical(a) == units
+    # the oracle's basis has as many vectors, none touching an idempotent
+    oracle = trace_form_radical(a)
+    assert len(oracle) == len(units)
+    assert not [vec for vec in oracle if any(vec[e] for e in idem)]
 
 
 def test_simple_modules_shape():
@@ -238,8 +287,8 @@ def test_dense_and_sparse_engines_agree(monkeypatch):
     monkeypatch.setattr(res_mod._FlatResolver, "check_kernel", recording)
     for a in algebras:
         rad = jacobson_radical(a)
-        for s in simple_modules(a, rad):
-            assert minimal_resolution(a, s, 8, rad=rad) == dense_trace(a, s, 8, rad)
+        for s in simple_modules(a):
+            assert minimal_resolution(a, s, 8) == dense_trace(a, s, 8, rad)
     assert reached["long vectors"] and reached["two-term rows"]
 
 
@@ -259,7 +308,9 @@ def test_sparse_dispatch_applies_to_extensions(name, extend):
     a = BUILDERS[name]()
     if extend:
         a = trivial_extension(a)
-    assert res_mod._radical_is_arrow_span(a, jacobson_radical(a))
+    idem = set(a.idempotents)
+    units = [tuple(int(k == m) for k in range(a.dim)) for m in range(a.dim) if m not in idem]
+    assert jacobson_radical(a) == units
 
 
 ARROW_CASES = [(name, extend) for name in BUILDERS for extend in (False, True)]
@@ -275,15 +326,11 @@ ARROW_COUNTS = {("canonical-237", False): 12}
     ARROW_CASES,
     ids=[f"{name}-{'trivext' if extend else 'base'}" for name, extend in ARROW_CASES],
 )
-def test_simples_read_off_the_idempotents_equal_the_inverted_ones(monkeypatch, name, extend):
+def test_simples_read_off_the_idempotents_equal_the_inverted_ones(name, extend):
     a = BUILDERS[name]()
     if extend:
         a = trivial_extension(a)
-    rad = jacobson_radical(a)
-    assert res_mod._radical_is_arrow_span(a, rad)
-    read_off = simple_modules(a, rad)
-    monkeypatch.setattr(res_mod, "_radical_is_arrow_span", lambda a, rad: False)
-    assert simple_modules(a, rad) == read_off
+    assert simple_modules(a) == inverted_simples(a, trace_form_radical(a))
 
 
 @pytest.mark.parametrize(
@@ -332,13 +379,12 @@ def test_syzygy_relations_are_in_lead_form(monkeypatch, name, extend):
     a = BUILDERS[name]()
     if extend:
         a = trivial_extension(a)
-    rad = jacobson_radical(a)
-    assert res_mod._radical_is_arrow_span(a, rad)
     engine = res_mod._FlatResolver(a)
     d, vertex_of = engine.dim, engine.vertex_of
+    simples = simple_modules(a)
     columns = eliminated_columns(monkeypatch)
     steps = 0
-    for simple in simple_modules(a, rad):
+    for simple in simples:
         kernel = engine.kernel_of_images(engine.module_images(simple))
         for _ in range(6):
             # the two facts the tops rest on: every relation sits at one
@@ -393,7 +439,7 @@ def test_first_kernel_is_the_dense_cover_kernel(monkeypatch, name, extend):
     rad = jacobson_radical(a)
     engine = res_mod._FlatResolver(a)
     checked = 0
-    for simple in simple_modules(a, rad):
+    for simple in simple_modules(a):
         # the simple and its first syzygy, a module of several dimensions
         proj, cover = projective_cover(a, simple, rad)
         syzygy = cover.kernel_basis()
@@ -451,7 +497,7 @@ def mixed_basis_syzygy(a, rad):
     Its basis vector j is replaced by u_j + u_0, where u_0 and u_j sit at
     different vertices.
     """
-    simple = simple_modules(a, rad)[0]
+    simple = simple_modules(a)[0]
     proj, cover = projective_cover(a, simple, rad)
     omega = submodule_on_kernel(a, proj, cover.kernel_basis())
     n = omega.dim
@@ -497,9 +543,9 @@ def test_first_cover_of_a_mixed_basis_module(monkeypatch, build):
     assert columns
     assert not [c for c in columns if c % engine.dim in engine.idem]
     engine.check_kernel(kernel, cover.cols - moved.dim)
-    trace = minimal_resolution(a, moved, steps=6, rad=rad)
+    trace = minimal_resolution(a, moved, steps=6)
     assert trace == dense_trace(a, moved, 6, rad)
-    assert trace == minimal_resolution(a, omega, steps=6, rad=rad)
+    assert trace == minimal_resolution(a, omega, steps=6)
 
 
 def dual_numbers_on_unadapted_basis():
@@ -510,17 +556,6 @@ def dual_numbers_on_unadapted_basis():
         (0,),
         {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: -1, 1: 2}},
     )
-
-
-def test_dense_fallback_through_dispatch():
-    a = dual_numbers_on_unadapted_basis()
-    a.verify()
-    assert not res_mod._radical_is_arrow_span(a, jacobson_radical(a))
-    (simple,) = simple_modules(a)
-    trace = minimal_resolution(a, simple, steps=6)
-    assert trace.betti == (2,) * 6
-    assert trace.truncated_by == "steps-exhausted"
-    assert res_mod.resolve_simple_modules(a, steps=6) == [trace]
 
 
 def rebased_gentle_two_loop():
@@ -546,14 +581,63 @@ def rebased_gentle_two_loop():
 
 
 def test_two_vertex_basis_not_adapted_to_radical():
+    # a basic algebra with its radical, but b1 = e1 + b1_old is no radical
+    # element: the trace form finds the radical, the certificate refuses
     a = rebased_gentle_two_loop()
     a.verify()
-    rad = jacobson_radical(a)
+    rad = trace_form_radical(a)
     assert len(rad) == 6
-    assert not res_mod._radical_is_arrow_span(a, rad)
-    traces = res_mod.resolve_simple_modules(a, steps=6)
-    assert [t.betti for t in traces] == [(2,) * 6, (6, 8, 6, 6, 6, 6)]
-    assert traces == res_mod.resolve_simple_modules(gentle_two_loop(), steps=6)
+    assert any(vec[a.index_of("e1")] for vec in rad)
+    with pytest.raises(ValueError, match=r"step \(b\): b1\*b1 has an idempotent term"):
+        jacobson_radical(a)
+
+
+def idempotent_loop():
+    """One vertex and x*x = x: the span of x is an ideal, but not nilpotent."""
+    return SCAlgebra(
+        ("v",),
+        (BasisElement("e", "v", "v"), BasisElement("x", "v", "v")),
+        (0,),
+        {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {1: 1}},
+    )
+
+
+def misplaced_idempotent():
+    """k[x]/(x^2) with the nilpotent x given as the vertex's idempotent."""
+    return SCAlgebra(
+        ("v",),
+        (BasisElement("e", "v", "v"), BasisElement("x", "v", "v")),
+        (1,),
+        {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}},
+    )
+
+
+REFUSALS = [
+    (dual_numbers_on_unadapted_basis, r"step \(b\): b\*b has an idempotent term"),
+    (rebased_gentle_two_loop, r"step \(b\): b1\*b1 has an idempotent term"),
+    (idempotent_loop, r"step \(c\): .* close a cycle that reaches x,"),
+    (misplaced_idempotent, r"step \(a\): x\*x is not x modulo"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    REFUSALS,
+    ids=["dual-numbers", "rebased-gentle", "idempotent-loop", "misplaced-idempotent"],
+)
+def test_unadapted_bases_are_refused(build, message):
+    # every entry point certifies the radical first, and names the failed step
+    a = build()
+    module = projective_sum(a, a.vertices[:1])
+    calls = [
+        lambda: jacobson_radical(a),
+        lambda: simple_modules(a),
+        lambda: minimal_resolution(a, module, steps=6),
+        lambda: res_mod.resolve_simple_modules(a, steps=6),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="radical certificate, " + message):
+            call()
 
 
 UNADAPTED = [
@@ -564,34 +648,27 @@ UNADAPTED = [
 
 @pytest.mark.parametrize("build, adapted", UNADAPTED, ids=["dual-numbers", "gentle"])
 def test_rebased_resolutions_match_the_dense_oracle(build, adapted):
-    # the rebase recovers the adapted table and moves each module onto it;
-    # projectives as well as simples, so the module transport is exercised
+    # Betti numbers do not depend on the basis: the dense oracle on the
+    # unadapted basis, from the trace-form radical, gives the engine's
+    # traces on the adapted one
     a = build()
-    rad = jacobson_radical(a)
-    assert not res_mod._radical_is_arrow_span(a, rad)
-    table = adapted().mult
-    for s in simple_modules(a, rad):
-        p, _ = projective_cover(a, s, rad)
-        assert p.dim > 1
-        for module in (s, p):
-            rebased, basis = res_mod._rebase_to_radical(a, rad)
-            moved = res_mod._move_module(rebased, module, basis)
-            assert rebased.mult == table
-            moved.validate()
-            expected = dense_trace(a, module, 6, rad)
-            assert minimal_resolution(a, module, steps=6, rad=rad) == expected
+    a.verify()
+    rad = trace_form_radical(a)
+    traces = [dense_trace(a, s, 6, rad) for s in inverted_simples(a, rad)]
+    assert traces == res_mod.resolve_simple_modules(adapted(), steps=6)
+    assert traces[0].betti == (2,) * 6
 
 
 def test_radical_check_refuses_a_one_sided_candidate():
     a = path_algebra(path_quiver(2))
     e1 = tuple(Fraction(int(k == a.idempotents[0])) for k in range(a.dim))
     with pytest.raises(RuntimeError, match="not a two-sided ideal"):
-        res_mod._verify_nilpotent_ideal(a, [e1])
+        verify_nilpotent_ideal(a, [e1])
 
 
 def test_radical_check_refuses_a_non_nilpotent_candidate():
     with pytest.raises(RuntimeError, match="not nilpotent"):
-        res_mod._verify_nilpotent_ideal(point_algebra(), [(Fraction(1),)])
+        verify_nilpotent_ideal(point_algebra(), [(Fraction(1),)])
 
 
 def rebased_gentle_vectors(a, *elements):
@@ -616,7 +693,7 @@ def test_radical_check_refuses_a_one_sided_candidate_of_several_coordinates():
     candidate = rebased_gentle_vectors(a, {"b1": 1})
     assert sum(1 for c in candidate[0] if c) == 2
     with pytest.raises(RuntimeError, match="not a two-sided ideal"):
-        res_mod._verify_nilpotent_ideal(a, candidate)
+        verify_nilpotent_ideal(a, candidate)
 
 
 def test_radical_check_refuses_a_non_nilpotent_candidate_of_several_coordinates():
@@ -632,14 +709,15 @@ def test_radical_check_refuses_a_non_nilpotent_candidate_of_several_coordinates(
         {"b1ab2": 1},
     )
     with pytest.raises(RuntimeError, match="not nilpotent"):
-        res_mod._verify_nilpotent_ideal(a, candidate)
+        verify_nilpotent_ideal(a, candidate)
 
 
 def test_radical_check_multiplies_where_the_table_allows(monkeypatch):
+    # the certificate reads the table once and multiplies nothing
     ta = trivial_extension(path_algebra(path_quiver(12)))
     calls = count_multiplies(monkeypatch)
     assert len(jacobson_radical(ta)) == ta.dim - 12
-    assert len(calls) <= 8 * len(ta.mult)
+    assert calls == []
 
 
 def test_resolve_simple_modules_computes_one_radical(monkeypatch):
@@ -680,20 +758,16 @@ def test_resolve_simple_modules_builds_one_engine(monkeypatch, cores):
 
 
 @pytest.mark.parametrize("build", [lambda: trivial_extension(gentle_two_loop()),
-                                   dual_numbers_on_unadapted_basis],
-                         ids=["adapted", "rebased"])
+                                   lambda: path_algebra(path_quiver(3))],
+                         ids=["adapted", "A3"])
 def test_minimal_resolution_sets_up_once_per_algebra(monkeypatch, build):
     a = build()
-    rad = jacobson_radical(a)
-    simples = simple_modules(a, rad)
     builds = count_engine_builds(monkeypatch)
-    rebases = []
-    rebase = res_mod._rebase_to_radical
-    monkeypatch.setattr(res_mod, "_rebase_to_radical", lambda *args: rebases.append(1) or rebase(*args))
-    traces = [minimal_resolution(a, s, 6, rad=rad) for s in simples * 2]
+    simples = simple_modules(a)
+    rad = jacobson_radical(a)
+    traces = [minimal_resolution(a, s, 6) for s in simples * 2]
     assert traces == [dense_trace(a, s, 6, rad) for s in simples * 2]
     assert len(builds) == 1
-    assert len(rebases) == (build is dual_numbers_on_unadapted_basis)
     # a new algebra gets its own engine
     other = build()
     minimal_resolution(other, simple_modules(other)[0], 6)
@@ -745,8 +819,7 @@ def test_parallel_resolution_equals_serial(name, extend):
     a = BUILDERS[name]()
     if extend:
         a = trivial_extension(a)
-    rad = jacobson_radical(a)
-    serial = [minimal_resolution(a, s, 8, rad=rad) for s in simple_modules(a, rad)]
+    serial = [minimal_resolution(a, s, 8) for s in simple_modules(a)]
     assert res_mod.resolve_simple_modules(a, steps=8) == serial
 
 

@@ -423,7 +423,7 @@ def test_shared_orbit_growth_agrees_with_growth_degree(iterations):
     quivers += [multi_kronecker(k) for k in (2, 3, 4)]
     quivers += [wild3_quiver(), star_quiver((1, 2, 6))]  # wild3, T(2,3,7)
     for q in quivers:
-        _, trace, phi, orbit = entropy_orbit(q, iterations, 1e-4)
+        _, trace, phi, orbit = entropy_orbit(q, iterations)
         assert len(orbit) == len(trace) + 1 == iterations + 1
         assert orbit[-1] == (phi ** iterations).apply(orbit[0])
         assert orbit_growth(phi, orbit) == growth_degree(phi, orbit[0])
