@@ -29,14 +29,15 @@ own action on its top generators.  Each step eliminates only the radical
 columns b*g of its cover, b a non-idempotent basis element: the
 generators g are independent modulo the radical of the module covered,
 which holds every b*g, so no kernel relation uses a generator's own
-column and leaving those columns out changes no relation.  Most kernel
-vectors have one coordinate and most products one term, so the images of
-such a vector are read straight from the table rows of its basis
-element, and each step's kernel is checked with one table lookup per
-coordinate.  The engine's tables depend on the algebra only and are built
-once per algebra in a process.  The dense projective cover, built from
-action matrices, lives only in the test suite, as the oracle the engine
-is checked against.
+column and leaving those columns out changes no relation.  A syzygy step
+makes one pass per stage: the cover sums each generator's images from the
+table rows of its coordinates, and the top reads each kernel vector's lead
+and vertex once, refusing a kernel that is not minimal or not in lead
+form, and sums its arrow images the same way; a one-coordinate vector's
+are read straight from the rows.  The engine's tables depend on the
+algebra only and are built once per algebra in a process.  The dense
+projective cover, built from action matrices, lives only in the test
+suite, as the oracle the engine is checked against.
 """
 
 from __future__ import annotations
@@ -254,15 +255,14 @@ class _FlatResolver:
     apply only the arrows, non-idempotent basis elements that form a basis
     of rad/rad^2: rad is spanned by products of arrows, so rad*M is the sum
     of arrow*M, for the input module and for every syzygy.  Kernel
-    relations keep the lead form that check_kernel guards, so a syzygy's
-    top costs one TrackedEchelon of the arrow images and one lookup of
-    each kernel vector's lead in it.  Covers are eliminated on their
-    radical columns only (see kernel_of_images), so the tables hold the
-    products by non-idempotent elements alone.  Most kernel vectors have
-    one coordinate, c * b_m in some copy, and most products one term: the
-    images of such a vector are read straight from the table rows of b_m,
-    with no dict of images.  The tables depend on the algebra only;
-    _setup builds them once per algebra.
+    relations come in the lead form that top_generators checks as it reads
+    them, so a syzygy's top costs one pass over its kernel: one
+    TrackedEchelon of the arrow images, then one lookup of each lead in it.
+    Covers are eliminated on their radical columns only (see
+    kernel_of_images), so the tables hold the products by non-idempotent
+    elements alone.  Each image is summed from the table rows of a
+    vector's terms, with no dict of images.  The tables depend on the
+    algebra only; _setup builds them once per algebra.
     """
 
     def __init__(self, a: SCAlgebra):
@@ -287,70 +287,14 @@ class _FlatResolver:
         self.arrows = [m for m in range(d) if m not in idem and rad2.add({m: 1})]
         arrows = set(self.arrows)
         self.left = left
-        self.arrow_left = [{b: row for b, row in rows.items() if b in arrows} for rows in left]
+        # the arrows leaving each vertex, the only ones that move a vector there
+        self.arrows_at = [[] for _ in a.vertices]
+        for b in self.arrows:
+            self.arrows_at[pos[a.basis[b].source]].append(b)
         # the rows of arrow*b_m: the one-term ones as their (k, c) term, the others
-        arrow_rows = [rows.values() for rows in self.arrow_left]
+        arrow_rows = [[row for b, row in rows.items() if b in arrows] for rows in left]
         self.arrow_terms = [[r[0] for r in rows if len(r) == 1] for rows in arrow_rows]
         self.arrow_rows = [[r for r in rows if len(r) > 1] for rows in arrow_rows]
-
-    def images(self, vec: dict, table: list) -> dict:
-        """{b: b*vec} for the elements b of table, in one pass over vec.
-
-        table[m] maps b to the row of b*b_m for the nonzero products, b
-        never an idempotent.  An image that cancels to zero stays in as an
-        empty dict; callers skip it.
-        """
-        d = self.dim
-        out: dict = {}
-        for coord, val in vec.items():
-            m = coord % d
-            base = coord - m
-            for b, row in table[m].items():
-                image = out.get(b)
-                if image is None:
-                    image = out[b] = {}
-                    for k, coeff in row:
-                        image[base + k] = coeff * val
-                    continue
-                for k, coeff in row:
-                    key = base + k
-                    s = image.get(key, 0) + coeff * val
-                    if s:
-                        image[key] = s
-                    else:
-                        del image[key]
-        return out
-
-    def check_kernel(self, kernel: list[dict], syzygy: int) -> None:
-        """Refuse a syzygy basis that is not minimal or not in lead form.
-
-        Lead form: each vector sits at the target vertex of its largest
-        coordinate, its lead, and no two vectors share a lead.  The leads
-        seen are marked in a bytearray indexed by coordinate, grown as
-        larger leads come.
-        """
-        if len(kernel) != syzygy:
-            raise RuntimeError("syzygy dimension mismatch")
-        d = self.dim
-        vertex_of = self.vertex_of
-        seen = bytearray()
-        for vec in kernel:
-            lead = next(iter(vec)) if len(vec) == 1 else max(vec)
-            if lead >= len(seen):
-                seen.extend(bytes(lead + 1))
-            elif seen[lead]:
-                raise RuntimeError("two syzygy relations share a leading coordinate")
-            seen[lead] = 1
-            v = vertex_of[lead % d]
-            if v is None:
-                raise RuntimeError("resolution step is not minimal")
-            if len(vec) > 1:
-                for coord in vec:
-                    w = vertex_of[coord % d]
-                    if w != v:
-                        if w is None:
-                            raise RuntimeError("resolution step is not minimal")
-                        raise RuntimeError("syzygy relation spans two vertices")
 
     def module_images(self, module: RepModule) -> list[tuple[int, dict]]:
         """(vertex position, {m: b_m * gen}) for the top generators of a module.
@@ -403,16 +347,25 @@ class _FlatResolver:
         echelon = TrackedEchelon()
         kernel: list[dict] = []
         for copy, (v, imgs) in enumerate(covers):
-            self._eliminate(echelon, kernel, copy * self.dim, v, imgs)
+            base = copy * self.dim
+            for m in self.rad_coords[v]:
+                image = imgs.get(m)
+                if not image:
+                    kernel.append({base + m: 1})
+                    continue
+                relation = echelon.insert(image, {base + m: 1})
+                if relation is not None:
+                    kernel.append(relation)
         return kernel
 
     def kernel_of_cover(self, gens) -> list[dict]:
         """kernel_of_images for a syzygy's top: (vertex position, gen) pairs,
         gen a flat vector.
 
-        A generator c * b_n of one coordinate has the images c * b_m*b_n,
-        read from the row of b_m*b_n in left[n] with no dict of images; a
-        longer generator's images come from images().
+        The terms (shift, left[n], c) of a generator, one per coordinate
+        c * b_n, are built once; its image under each radical b_m is the
+        first term's row of b_m*b_n, shifted and scaled, plus the other
+        terms' rows, a coefficient that cancels dropped.
         """
         echelon = TrackedEchelon()
         kernel: list[dict] = []
@@ -421,60 +374,82 @@ class _FlatResolver:
         rad_coords = self.rad_coords
         for copy, (v, gen) in enumerate(gens):
             base = copy * d
-            if len(gen) != 1:
-                self._eliminate(echelon, kernel, base, v, self.images(gen, left))
-                continue
-            ((coord, val),) = gen.items()
-            n = coord % d
-            rows = left[n]
-            shift = coord - n
+            terms = []
+            for coord, c in gen.items():
+                n = coord % d
+                terms.append((coord - n, left[n], c))
             for m in rad_coords[v]:
-                row = rows.get(m)
-                if row is None:
+                image = None
+                for shift, rows, c in terms:
+                    row = rows.get(m)
+                    if row is None:
+                        continue
+                    if image is None:
+                        image = {}
+                        for k, coeff in row:
+                            image[shift + k] = coeff * c
+                        continue
+                    for k, coeff in row:
+                        key = shift + k
+                        s = image.get(key, 0) + coeff * c
+                        if s:
+                            image[key] = s
+                        else:
+                            del image[key]
+                if not image:
                     kernel.append({base + m: 1})
                     continue
-                image = {}
-                for k, c in row:
-                    image[shift + k] = c * val
                 relation = echelon.insert(image, {base + m: 1})
                 if relation is not None:
                     kernel.append(relation)
         return kernel
 
-    def _eliminate(self, echelon, kernel, base, v, imgs) -> None:
-        """Eliminate one copy's radical columns, with images imgs, into echelon."""
-        for m in self.rad_coords[v]:
-            image = imgs.get(m)
-            if not image:
-                kernel.append({base + m: 1})
-                continue
-            relation = echelon.insert(image, {base + m: 1})
-            if relation is not None:
-                kernel.append(relation)
-
-    def top_generators(self, kernel: list[dict]) -> list[tuple[int, dict]]:
+    def top_generators(self, kernel: list[dict], syzygy: int) -> list[tuple[int, dict]]:
         """Vertex-tagged minimal generators of the span K of kernel vectors.
 
-        kernel must be in lead form (see check_kernel).  rad*K lies in K,
-        so the leads of rad*K are leads of kernel vectors; the vectors whose
-        lead is not one of them span a complement of rad*K, a minimal set of
+        kernel must hold syzygy vectors in lead form: each sits at the
+        target vertex of its largest coordinate, its lead, and no two share
+        a lead.  One pass reads each vector's lead and vertex once and
+        refuses, as it reads, a kernel that is not minimal or not in lead
+        form; the leads seen are marked in a bytearray indexed by
+        coordinate, grown as larger leads come.  rad*K lies in K, so the
+        leads of rad*K are leads of kernel vectors; the vectors whose lead is
+        not one of them span a complement of rad*K, a minimal set of
         generators.  Arrow images stay vertex-homogeneous, so one echelon
-        keyed by leads serves every vertex.  Only the leads of that echelon
-        are read, and a nonzero scalar changes no span, so the arrow images
-        of a one-coordinate vector are its arrow rows shifted to its copy,
-        with no dict of images.  A one-term image at a coordinate that holds
+        keyed by leads serves every vertex, and only its leads are read.  A
+        nonzero scalar changes no span, so a one-coordinate vector's arrow
+        images are its arrow rows shifted to its copy; a longer vector's
+        image under each arrow at its vertex is summed from its terms' rows,
+        as in kernel_of_cover.  A one-term image at a coordinate that holds
         no row is stored as add() would store it, and one at a coordinate
         that holds a one-term row is dependent and skipped.
         """
+        if len(kernel) != syzygy:
+            raise RuntimeError("syzygy dimension mismatch")
         span = TrackedEchelon()
         pivots = span.pivots
         d = self.dim
+        vertex_of, left, arrows_at = self.vertex_of, self.left, self.arrows_at
         arrow_terms, arrow_rows = self.arrow_terms, self.arrow_rows
+        seen = bytearray()
+        leads = []
         for vec in kernel:
             if len(vec) == 1:
-                (coord,) = vec
-                m = coord % d
-                base = coord - m
+                (lead,) = vec
+            else:
+                lead = max(vec)
+            if lead >= len(seen):
+                seen.extend(bytes(lead + 1))
+            elif seen[lead]:
+                raise RuntimeError("two syzygy relations share a leading coordinate")
+            seen[lead] = 1
+            leads.append(lead)
+            m = lead % d
+            v = vertex_of[m]
+            if v is None:
+                raise RuntimeError("resolution step is not minimal")
+            if len(vec) == 1:
+                base = lead - m
                 for k, c in arrow_terms[m]:
                     key = base + k
                     held = pivots.get(key)
@@ -485,7 +460,35 @@ class _FlatResolver:
                 for row in arrow_rows[m]:
                     span.add({base + k: c for k, c in row})
                 continue
-            for image in self.images(vec, self.arrow_left).values():
+            terms = []
+            for coord, c in vec.items():
+                n = coord % d
+                w = vertex_of[n]
+                if w != v:
+                    if w is None:
+                        raise RuntimeError("resolution step is not minimal")
+                    raise RuntimeError("syzygy relation spans two vertices")
+                terms.append((coord - n, left[n], c))
+            for b in arrows_at[v]:
+                image = None
+                for shift, rows, c in terms:
+                    row = rows.get(b)
+                    if row is None:
+                        continue
+                    if image is None:
+                        image = {}
+                        for k, coeff in row:
+                            image[shift + k] = coeff * c
+                        continue
+                    for k, coeff in row:
+                        key = shift + k
+                        s = image.get(key, 0) + coeff * c
+                        if s:
+                            image[key] = s
+                        else:
+                            del image[key]
+                if not image:
+                    continue
                 if len(image) == 1:
                     (key,) = image
                     held = pivots.get(key)
@@ -494,14 +497,8 @@ class _FlatResolver:
                         continue
                     if len(held[0]) == 1:
                         continue
-                if image:
-                    span.add(image)
-        vertex_of = self.vertex_of
-        gens = []
-        for vec in kernel:
-            lead = next(iter(vec)) if len(vec) == 1 else max(vec)
-            if lead not in pivots:
-                gens.append((vertex_of[lead % d], vec))
+                span.add(image)
+        gens = [(vertex_of[lead % d], vec) for lead, vec in zip(leads, kernel) if lead not in pivots]
         if len(gens) + len(pivots) != len(kernel):
             raise RuntimeError("arrow images leave the syzygy")
         return gens
@@ -563,8 +560,7 @@ def minimal_resolution(
             kernel = engine.kernel_of_images(covers)
         else:
             kernel = engine.kernel_of_cover(gens)
-        engine.check_kernel(kernel, syzygy)
-        gens = engine.top_generators(kernel)
+        gens = engine.top_generators(kernel, syzygy)
         dim = sum(engine.proj_dim[v] for v, _ in gens)
         covered = syzygy
 

@@ -528,6 +528,29 @@ def dense_trace(a, module: RepModule, steps: int, rad) -> ResolutionTrace:
         current = submodule_on_kernel(a, proj, kernel)
 
 
+def engine_kernels(engine, module, steps: int):
+    """Yield the kernels of the engine's first `steps` syzygy steps on module,
+    made by minimal_resolution's calls: each kernel is yielded, then read by
+    top_generators, which refuses it unless it is a minimal basis in lead
+    form of the syzygy's dimension."""
+    covers = engine.module_images(module)
+    gens = None
+    dim = sum(engine.proj_dim[v] for v, _ in covers)
+    covered = module.dim
+    for _ in range(steps):
+        syzygy = dim - covered
+        if syzygy == 0:
+            return
+        if gens is None:
+            kernel = engine.kernel_of_images(covers)
+        else:
+            kernel = engine.kernel_of_cover(gens)
+        yield kernel
+        gens = engine.top_generators(kernel, syzygy)
+        dim = sum(engine.proj_dim[v] for v, _ in gens)
+        covered = syzygy
+
+
 def walk_and_check_minimality(a, steps: int) -> int:
     """Resolve every simple for `steps` dense covers, each of which refuses
     a kernel outside rad*P.

@@ -1,10 +1,13 @@
 """Command line behavior: report shape, exactness envelopes, determinism,
 exit codes, and the error paths for malformed or out-of-scope input.
 """
+import argparse
 import hashlib
 import json
 import math
 import os
+import re
+from pathlib import Path
 
 import pytest
 
@@ -498,3 +501,29 @@ def test_missing_required_flag_exits_with_usage():
     with pytest.raises(SystemExit) as info:
         main(["canonical"])
     assert info.value.code == 2
+
+
+def test_readme_usage_lists_the_parser():
+    # the usage block under "Command line" names every subcommand once, each
+    # with exactly its long options
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    listed = {}
+    for line in lines:
+        program, command, *rest = line.split()
+        assert program == "quiverlab"
+        listed[command] = set(re.findall(r"--[a-z][a-z-]*", " ".join(rest)))
+    assert len(listed) == len(lines)
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        command: {
+            option
+            for action in p._actions
+            for option in action.option_strings
+            if option.startswith("--") and option != "--help"
+        }
+        for command, p in sub.choices.items()
+    }
+    assert listed == options

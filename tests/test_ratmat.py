@@ -28,6 +28,7 @@ from quiverlab.resolution import _FlatResolver
 from conftest import (
     bench_module,
     builder_outputs,
+    engine_kernels,
     multi_kronecker,
     path_quiver,
     star_quiver,
@@ -274,11 +275,8 @@ def test_integral_matrices_keep_int_entries_and_never_leak_floats():
     engine = _FlatResolver(a)
     relations = []
     for simple in simple_modules(a):
-        kernel = engine.kernel_of_images(engine.module_images(simple))
-        for _ in range(4):
+        for kernel in engine_kernels(engine, simple, 4):
             relations += [list(vec.values()) for vec in kernel]
-            gens = engine.top_generators(kernel)
-            kernel = engine.kernel_of_cover(gens)
     int_only["kernel_of_cover relations of T(kron3)"] = relations
     for name, value in int_only.items():
         assert value

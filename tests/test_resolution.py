@@ -51,6 +51,7 @@ from conftest import (
     count_multiplies,
     cover_data,
     dense_trace,
+    engine_kernels,
     gentle_two_loop,
     inverted_simples,
     multi_kronecker,
@@ -270,11 +271,21 @@ def test_dense_and_sparse_engines_agree(monkeypatch):
         algebras += [base, trivial_extension(base)]
     # the general branch is checked against the oracle too: vectors of
     # three or more coordinates, and one-coordinate vectors whose table
-    # rows have two terms
-    reached = {"long vectors": 0, "two-term rows": 0}
-    check = res_mod._FlatResolver.check_kernel
+    # rows have two terms; and the summed images of vectors of two or more
+    # coordinates: a cover image that cancels to zero, an arrow image that
+    # cancels to zero, and a one-term arrow image at a coordinate where an
+    # earlier vector's one-term image already holds a row (T(canonical-237))
+    reached = {
+        "long vectors": 0,
+        "two-term rows": 0,
+        "cover cancels": 0,
+        "top cancels": 0,
+        "top one-term on one-term": 0,
+    }
+    top, cover = res_mod._FlatResolver.top_generators, res_mod._FlatResolver.kernel_of_cover
 
     def recording(self, kernel, syzygy):
+        earlier: set = set()
         for vec in kernel:
             if len(vec) >= 3:
                 reached["long vectors"] += 1
@@ -282,14 +293,49 @@ def test_dense_and_sparse_engines_agree(monkeypatch):
                 (coord,) = vec
                 rows = self.left[coord % self.dim].values()
                 reached["two-term rows"] += any(len(row) == 2 for row in rows)
-        check(self, kernel, syzygy)
+            one_terms = set()
+            for summed, image in table_images(self, vec, self.arrows):
+                if len(vec) >= 2 and summed and not image:
+                    reached["top cancels"] += 1
+                if len(image) == 1:
+                    if len(vec) >= 2 and not earlier.isdisjoint(image):
+                        reached["top one-term on one-term"] += 1
+                    one_terms.update(image)
+            earlier |= one_terms
+        return top(self, kernel, syzygy)
 
-    monkeypatch.setattr(res_mod._FlatResolver, "check_kernel", recording)
+    def covering(self, gens):
+        for v, gen in gens:
+            if len(gen) >= 2:
+                for summed, image in table_images(self, gen, self.rad_coords[v]):
+                    reached["cover cancels"] += summed and not image
+        return cover(self, gens)
+
+    monkeypatch.setattr(res_mod._FlatResolver, "top_generators", recording)
+    monkeypatch.setattr(res_mod._FlatResolver, "kernel_of_cover", covering)
     for a in algebras:
         rad = jacobson_radical(a)
         for s in simple_modules(a):
             assert minimal_resolution(a, s, 8) == dense_trace(a, s, 8, rad)
-    assert reached["long vectors"] and reached["two-term rows"]
+    assert all(reached.values()), reached
+
+
+def table_images(engine, vec, elements):
+    """(summed, b*vec) for each basis element b, multiplied out from the
+    algebra's table; summed says whether two or more coordinates of vec
+    contributed to b*vec."""
+    a, d = engine.alg, engine.dim
+    for b in elements:
+        image: dict = {}
+        contributions = 0
+        for coord, c in vec.items():
+            n = coord % d
+            row = a.mult.get((b, n), {})
+            contributions += bool(row)
+            for k, ck in row.items():
+                key = coord - n + k
+                image[key] = image.get(key, 0) + c * ck
+        yield contributions >= 2, {k: x for k, x in image.items() if x}
 
 
 DISPATCH_CASES = [("A2", True)] + [
@@ -385,18 +431,13 @@ def test_syzygy_relations_are_in_lead_form(monkeypatch, name, extend):
     columns = eliminated_columns(monkeypatch)
     steps = 0
     for simple in simples:
-        kernel = engine.kernel_of_images(engine.module_images(simple))
-        for _ in range(6):
+        for kernel in engine_kernels(engine, simple, 6):
             # the two facts the tops rest on: every relation sits at one
             # vertex, and no two relations share a largest flat coordinate
             leads = [max(vec) for vec in kernel]
             assert len(set(leads)) == len(leads)
             for vec in kernel:
                 assert len({vertex_of[coord % d] for coord in vec}) == 1
-            if not kernel:
-                break
-            gens = engine.top_generators(kernel)
-            kernel = engine.kernel_of_cover(gens)
             steps += 1
     assert steps > 0
     # the flat covers, too, eliminate no generator column e_v * gen
@@ -457,7 +498,7 @@ def test_first_kernel_is_the_dense_cover_kernel(monkeypatch, name, extend):
     assert checked
 
 
-def test_check_kernel_refusals():
+def test_top_refuses_a_kernel_not_in_lead_form():
     engine = res_mod._FlatResolver(trivial_extension(path_algebra(multi_kronecker(2))))
     by_target: dict = {}
     for m in range(engine.dim):
@@ -478,17 +519,27 @@ def test_check_kernel_refusals():
     ]
     for kernel, syzygy, message in cases:
         with pytest.raises(RuntimeError, match=message):
-            engine.check_kernel(kernel, syzygy)
-    engine.check_kernel([{m1: 1, m2: 1}, {m1: 1}, {n1: 2}], 3)
-    engine.check_kernel([{d + m2: 1}, {m1: 1}, {d + m1: 1, m2: 3}], 3)
+            engine.top_generators(kernel, syzygy)
+    # n1 is the socle at its vertex, and the arrows take both a0 + a1 and
+    # a0 to it: the lead form is accepted and the span is a submodule
+    v = engine.vertex_of[m1]
+    kernel = [{m1: 1, m2: 1}, {m1: 1}, {n1: 2}]
+    assert engine.top_generators(kernel, 3) == [(v, vec) for vec in kernel[:2]]
+    # the lead form is accepted, but the arrows take the span to the socle
+    # coordinates n1 and d + n1, which it lacks; with them it is a submodule
+    kernel = [{d + m2: 1}, {m1: 1}, {d + m1: 1, m2: 3}]
+    with pytest.raises(RuntimeError, match="arrow images leave the syzygy"):
+        engine.top_generators(kernel, 3)
+    socle = [{n1: 1}, {d + n1: 1}]
+    assert engine.top_generators(kernel + socle, 5) == [(v, vec) for vec in kernel]
 
 
 def test_top_refuses_a_span_that_is_not_a_submodule():
     # one arrow alone spans no submodule of P: an arrow takes it to a new lead
     engine = res_mod._FlatResolver(trivial_extension(path_algebra(path_quiver(2))))
-    m = next(m for m in engine.arrows if engine.images({m: 1}, engine.arrow_left))
+    m = next(m for m in engine.arrows if not engine.left[m].keys().isdisjoint(engine.arrows))
     with pytest.raises(RuntimeError, match="arrow images leave the syzygy"):
-        engine.top_generators([{m: 1}])
+        engine.top_generators([{m: 1}], 1)
 
 
 def mixed_basis_syzygy(a, rad):
@@ -542,7 +593,7 @@ def test_first_cover_of_a_mixed_basis_module(monkeypatch, build):
     assert kernel == expected
     assert columns
     assert not [c for c in columns if c % engine.dim in engine.idem]
-    engine.check_kernel(kernel, cover.cols - moved.dim)
+    engine.top_generators(kernel, cover.cols - moved.dim)
     trace = minimal_resolution(a, moved, steps=6)
     assert trace == dense_trace(a, moved, 6, rad)
     assert trace == minimal_resolution(a, omega, steps=6)
@@ -781,14 +832,14 @@ def test_resolutions_leave_the_collector_as_they_found_it(monkeypatch, forked, e
     # the forked path freezes the heap while its workers run
     ta = trivial_extension(path_algebra(multi_kronecker(2)))
     simples = simple_modules(ta)
-    check = res_mod._FlatResolver.check_kernel
+    top = res_mod._FlatResolver.top_generators
 
     def checking(self, kernel, syzygy):
         if refuse:
             raise RuntimeError("refused")
-        check(self, kernel, syzygy)
+        return top(self, kernel, syzygy)
 
-    monkeypatch.setattr(res_mod._FlatResolver, "check_kernel", checking)
+    monkeypatch.setattr(res_mod._FlatResolver, "top_generators", checking)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     if forked:
         def run():
@@ -828,7 +879,7 @@ def test_parallel_resolution_equals_serial(name, extend):
 def test_parallel_resolution_raises_the_lowest_refusal(monkeypatch, refused, kind):
     ta = trivial_extension(path_algebra(path_quiver(4)))
     chosen = [ta.vertices[i] for i in refused]
-    check = res_mod._FlatResolver.check_kernel
+    top = res_mod._FlatResolver.top_generators
     images = res_mod._FlatResolver.module_images
 
     def starting(self, module):
@@ -842,10 +893,10 @@ def test_parallel_resolution_raises_the_lowest_refusal(monkeypatch, refused, kin
         vertex = self.__dict__.setdefault("vertex", first)
         if vertex in chosen:
             raise kind(f"refused {vertex}")
-        check(self, kernel, syzygy)
+        return top(self, kernel, syzygy)
 
     monkeypatch.setattr(res_mod._FlatResolver, "module_images", starting)
-    monkeypatch.setattr(res_mod._FlatResolver, "check_kernel", refusing)
+    monkeypatch.setattr(res_mod._FlatResolver, "top_generators", refusing)
     # three workers, whatever the host's cores, own simples (0, 3), 1 and 2:
     # the two refusals of each case come from two processes
     for cores in ({0, 1, 2}, {0}):
@@ -859,14 +910,14 @@ def test_parallel_resolution_raises_the_lowest_refusal(monkeypatch, refused, kin
 def test_a_worker_that_dies_fails_the_call(monkeypatch):
     ta = trivial_extension(path_algebra(multi_kronecker(2)))
     caller = os.getpid()
-    check = res_mod._FlatResolver.check_kernel
+    top = res_mod._FlatResolver.top_generators
 
     def dying(self, kernel, syzygy):
         if os.getpid() != caller:
             os._exit(3)
-        check(self, kernel, syzygy)
+        return top(self, kernel, syzygy)
 
-    monkeypatch.setattr(res_mod._FlatResolver, "check_kernel", dying)
+    monkeypatch.setattr(res_mod._FlatResolver, "top_generators", dying)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     with pytest.raises(RuntimeError, match="worker exited without a result"):
         res_mod.resolve_simple_modules(ta, steps=8)
@@ -881,7 +932,7 @@ def test_an_interrupted_caller_kills_its_workers(monkeypatch):
             raise KeyboardInterrupt
         time.sleep(30)  # outlives the call unless the caller kills it
 
-    monkeypatch.setattr(res_mod._FlatResolver, "check_kernel", stalling)
+    monkeypatch.setattr(res_mod._FlatResolver, "top_generators", stalling)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
