@@ -212,7 +212,7 @@ def cmd_canonical(args) -> Report:
 
 def cmd_trivext(args) -> Report:
     from .builders import gentle_algebra, parse_gentle, path_algebra
-    from .quiver import parse_quiver
+    from .quiver import quiver_from_data
     from .resolution import combine_estimates, complexity_estimate, resolve_simple_modules
     from .trivext import trivial_extension
 
@@ -224,7 +224,7 @@ def cmd_trivext(args) -> Report:
     if isinstance(data, dict) and "relations" in data:
         base = gentle_algebra(parse_gentle(document))
     else:
-        base = path_algebra(parse_quiver(document))
+        base = path_algebra(quiver_from_data(data))
     ta = trivial_extension(base)
     traces = resolve_simple_modules(ta, steps=args.steps, dim_cap=args.dim_cap)
     estimates = [complexity_estimate(trace) for trace in traces]

@@ -12,9 +12,12 @@ The simples of an algebra resolve on up to all usable cores: w =
 min(simples, cores in the process's affinity mask) processes, simple i on
 worker i mod w, the caller being worker 0 and the others forked children.
 The simples resolve serially when w < 2, when the platform lacks fork or
-sched_getaffinity, or when the process runs more than one thread.  Errors
-are raised in vertex order: the caller sees the error of the lowest vertex
-that failed, as the serial loop would.
+sched_getaffinity, or when the process runs more than one thread.  No
+error crosses a process: each worker returns the traces it finished before
+its first failure, and the caller resolves every simple that none returned
+in vertex order, so it raises the lowest failing vertex's own error, as the
+serial loop does, and a failing simple is resolved twice.  A worker that
+dies without a result fails the call with RuntimeError.
 
 One sparse engine tracks syzygies in flat coordinates.  Every top, the
 input module's included, is found from the images of the arrows alone, a
@@ -42,7 +45,6 @@ suite, as the oracle the engine is checked against.
 
 from __future__ import annotations
 
-import builtins
 import gc
 import marshal
 import math
@@ -614,55 +616,50 @@ def resolve_simple_modules(
     in the calling process, and shared by all the resolutions.  These are
     independent, so they run on w = min(simples, usable cores) processes:
     simple i is resolved by worker i mod w, the caller being worker 0 and
-    the others forked children that it reaps before returning.  The call
-    runs serially when w < 2, when the platform lacks os.fork or
-    os.sched_getaffinity, or when the process runs more than one thread.
-    Either way the traces are the same, and a failure raises the error of
-    the lowest vertex that failed, the one the serial loop meets first.
+    the others forked children that it reaps before returning.  A worker
+    stops at its first failure and returns the traces it finished; one that
+    dies without a result fails the call with RuntimeError.  The caller
+    then resolves, in vertex order, every simple that no worker returned,
+    so the lowest failing vertex raises its own error here, as the serial
+    loop does, and a failing simple is resolved twice, in its worker and
+    here.  With w < 2, without os.fork or os.sched_getaffinity, or when the
+    process runs more than one thread, no worker runs and that loop
+    resolves every simple.
     """
-    _setup(a)  # before any fork, so every worker inherits the engine
     simples = simple_modules(a)
-    workers = 1
+    traces: list = [None] * len(simples)
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
         workers = min(len(simples), len(os.sched_getaffinity(0)))
-    if workers < 2:
-        shares = [_resolve_share(a, simples, 0, 1, steps, dim_cap)]
-    else:
-        shares = _resolve_forked(a, simples, workers, steps, dim_cap)
-    traces: list = [None] * len(simples)
-    failures = []
-    for first, (done, error) in enumerate(shares):
-        owned = range(first, len(simples), len(shares))
-        for i, trace in zip(owned, done):
-            traces[i] = trace
-        if error is not None:
-            failures.append((owned[len(done)], error))
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
+        if workers > 1:
+            traces = _resolve_forked(a, simples, workers, steps, dim_cap)
+    for i, module in enumerate(simples):
+        if traces[i] is None:
+            traces[i] = minimal_resolution(a, module, steps, dim_cap)
     return traces
 
 
-def _resolve_share(a, simples, first, stride, steps, dim_cap):
-    """Traces of simples first, first + stride, ... up to the first failure,
-    and that failure or None."""
+def _resolve_share(a, simples, first, stride, steps, dim_cap) -> list[ResolutionTrace]:
+    """Traces of simples first, first + stride, ... up to the first that
+    fails; the caller resolves that one again and raises its error."""
     traces = []
     for module in simples[first::stride]:
         try:
             traces.append(minimal_resolution(a, module, steps, dim_cap))
-        except Exception as exc:
-            return traces, exc
-    return traces, None
+        except Exception:
+            break
+    return traces
 
 
 def _resolve_forked(a, simples, workers, steps, dim_cap) -> list:
-    """The share of each worker, worker 0 being this process.
+    """Each simple's trace from the worker that owns it, None from its failure on.
 
-    Each forked worker marshals its share, as (betti, truncated_by) pairs
-    and its error's type name and message, over a pipe and leaves by
-    os._exit, so it neither flushes inherited buffers nor runs exit hooks.
-    gc.freeze keeps the workers' collections from walking, and so copying,
-    the inherited heap.  Every worker is reaped, or killed and reaped,
-    before the call returns or raises.
+    Worker 0 is this process.  Each forked worker marshals the traces it
+    finished, as (betti, truncated_by) pairs, over a pipe and leaves by
+    os._exit, so it neither flushes inherited buffers nor runs exit hooks;
+    no error crosses the pipe.  A worker that exits without a result fails
+    the call with RuntimeError.  gc.freeze keeps the workers' collections
+    from walking, and so copying, the inherited heap.  Every worker is
+    reaped, or killed and reaped, before the call returns or raises.
     """
     children: list = []  # (pid, read end of its pipe), worker 1 first
     gc.freeze()
@@ -678,11 +675,9 @@ def _resolve_forked(a, simples, workers, steps, dim_cap) -> list:
             if pid == 0:
                 status = 1
                 try:
-                    done, error = _resolve_share(a, simples, first, workers, steps, dim_cap)
-                    if error is not None:
-                        error = (type(error).__name__, str(error))
+                    done = _resolve_share(a, simples, first, workers, steps, dim_cap)
                     with os.fdopen(write, "wb") as pipe:
-                        marshal.dump(([(t.betti, t.truncated_by) for t in done], error), pipe)
+                        marshal.dump([(t.betti, t.truncated_by) for t in done], pipe)
                     status = 0
                 finally:
                     os._exit(status)
@@ -691,11 +686,10 @@ def _resolve_forked(a, simples, workers, steps, dim_cap) -> list:
         shares = [_resolve_share(a, simples, 0, workers, steps, dim_cap)]
         for _, pipe in children:
             try:
-                done, error = marshal.loads(pipe.read())
+                done = marshal.loads(pipe.read())
             except (EOFError, ValueError, TypeError):
-                done, error = [], ("RuntimeError", "a resolution worker exited without a result")
-            error = None if error is None else _worker_error(*error)
-            shares.append(([ResolutionTrace(*t) for t in done], error))
+                raise RuntimeError("a resolution worker exited without a result") from None
+            shares.append([ResolutionTrace(*t) for t in done])
         while children:
             pid, pipe = children.pop()
             pipe.close()
@@ -708,15 +702,11 @@ def _resolve_forked(a, simples, workers, steps, dim_cap) -> list:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         gc.unfreeze()
-    return shares
-
-
-def _worker_error(name: str, message: str) -> Exception:
-    """A worker's error as the serial loop raises it, when its type is builtin."""
-    kind = getattr(builtins, name, None)
-    if isinstance(kind, type) and issubclass(kind, Exception):
-        return kind(message)
-    return RuntimeError(f"{name}: {message}")
+    traces: list = [None] * len(simples)
+    for first, done in enumerate(shares):
+        for i, trace in zip(range(first, len(simples), workers), done):
+            traces[i] = trace
+    return traces
 
 
 def combine_estimates(estimates) -> ComplexityEstimate:

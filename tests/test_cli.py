@@ -13,7 +13,7 @@ import pytest
 
 from quiverlab import cli, cyclo
 from quiverlab.cli import main
-from quiverlab.quiver import cartan_path_algebra, coxeter_matrix
+from quiverlab.quiver import cartan_path_algebra, coxeter_matrix, parse_quiver
 from quiverlab.ratmat import RatMatrix, TrackedEchelon
 from conftest import GENTLE_TWO_LOOP_DOC, bench_module, path_quiver
 
@@ -224,6 +224,16 @@ def test_trivext_gentle_input(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["result"]["base_dim"]["value"] == 8
     assert doc["result"]["extension_dim"]["value"] == 16
+
+
+@pytest.mark.parametrize("document", ["{oops", "[]", '{"vertices": ["a"], "arrows": [5]}'],
+                         ids=["malformed", "not-an-object", "bad-arrow"])
+def test_trivext_refuses_a_quiver_as_parse_quiver_does(tmp_path, capsys, document):
+    with pytest.raises(ValueError) as caught:
+        parse_quiver(document)
+    path = write(tmp_path, "bad.json", document)
+    code, out, err = run(capsys, "trivext", path)
+    assert (code, out, err) == (1, "", f"error: {caught.value}\n")
 
 
 def test_trivext_dimension_cap_warning(tmp_path, capsys):

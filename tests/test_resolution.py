@@ -12,6 +12,7 @@ Frozen Betti sequences, worked by hand:
   Fibonacci numbers), at which point the syzygy dimension 167761 passes
   the 100000 cap.
 """
+import errno
 import gc
 import json
 import os
@@ -43,6 +44,7 @@ from quiverlab import (
 )
 from quiverlab import resolution as res_mod
 from quiverlab.ratmat import TrackedEchelon
+from quiverlab.record import FrozenInstanceError
 from conftest import (
     BUILDERS,
     bench_module,
@@ -825,6 +827,12 @@ def test_minimal_resolution_sets_up_once_per_algebra(monkeypatch, build):
     assert len(builds) == 2 and builds[1] is not builds[0]
 
 
+def assert_no_child_left():
+    """Every worker has been reaped: the process has no child at all."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("forked", [False, True], ids=["one-simple", "forked"])
 @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
 @pytest.mark.parametrize("refuse", [False, True], ids=["returns", "raises"])
@@ -857,6 +865,7 @@ def test_resolutions_leave_the_collector_as_they_found_it(monkeypatch, forked, e
             assert run()[0] == (4, 8, 12, 16)
         assert gc.isenabled() is enabled
         assert gc.get_freeze_count() == 0
+        assert_no_child_left()
     finally:
         gc.enable()
 
@@ -874,7 +883,19 @@ def test_parallel_resolution_equals_serial(name, extend):
     assert res_mod.resolve_simple_modules(a, steps=8) == serial
 
 
-@pytest.mark.parametrize("kind", [RuntimeError, ValueError, ZeroDivisionError])
+# each builds the refusal from its message: KeyError quotes it in str(), a
+# FrozenInstanceError is no builtin, and OSError(errno, message) is a subclass
+REFUSALS = {
+    "RuntimeError": RuntimeError,
+    "ValueError": ValueError,
+    "ZeroDivisionError": ZeroDivisionError,
+    "KeyError": KeyError,
+    "FrozenInstanceError": FrozenInstanceError,
+    "OSError-errno": lambda message: OSError(errno.ENOENT, message),
+}
+
+
+@pytest.mark.parametrize("kind", list(REFUSALS.values()), ids=list(REFUSALS))
 @pytest.mark.parametrize("refused", [(0, 1), (1, 2), (2, 3)])
 def test_parallel_resolution_raises_the_lowest_refusal(monkeypatch, refused, kind):
     ta = trivial_extension(path_algebra(path_quiver(4)))
@@ -897,14 +918,48 @@ def test_parallel_resolution_raises_the_lowest_refusal(monkeypatch, refused, kin
 
     monkeypatch.setattr(res_mod._FlatResolver, "module_images", starting)
     monkeypatch.setattr(res_mod._FlatResolver, "top_generators", refusing)
+    expected = kind(f"refused {chosen[0]}")
     # three workers, whatever the host's cores, own simples (0, 3), 1 and 2:
     # the two refusals of each case come from two processes
+    errors = []
     for cores in ({0, 1, 2}, {0}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
-        with pytest.raises(kind) as caught:
+        with pytest.raises(type(expected)) as caught:
             res_mod.resolve_simple_modules(ta, steps=8)
-        assert type(caught.value) is kind
-        assert str(caught.value) == f"refused {chosen[0]}"
+        assert type(caught.value) is type(expected)
+        assert str(caught.value) == str(expected)
+        errors.append(caught.value)
+        assert_no_child_left()
+    forked, serial = errors
+    assert type(forked) is type(serial)
+    assert forked.args == serial.args == expected.args
+
+
+def test_a_refusal_only_in_the_workers_leaves_the_serial_traces(monkeypatch):
+    # a worker's failure is not the call's: the caller resolves that simple again
+    ta = trivial_extension(path_algebra(path_quiver(4)))
+    serial = [minimal_resolution(ta, s, 8) for s in simple_modules(ta)]
+    caller = os.getpid()
+    top = res_mod._FlatResolver.top_generators
+
+    def refusing(self, kernel, syzygy):
+        if os.getpid() != caller:
+            raise RuntimeError("refused in a worker")
+        return top(self, kernel, syzygy)
+
+    resolve = res_mod.minimal_resolution
+    resolved = []  # the simples the caller resolves, its own (0, 3) and then 1 and 2
+
+    def counting(a, module, steps, dim_cap):
+        resolved.append(module.dim_vector().index(1))
+        return resolve(a, module, steps, dim_cap)
+
+    monkeypatch.setattr(res_mod._FlatResolver, "top_generators", refusing)
+    monkeypatch.setattr(res_mod, "minimal_resolution", counting)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert res_mod.resolve_simple_modules(ta, steps=8) == serial
+    assert resolved == [0, 3, 1, 2]
+    assert_no_child_left()
 
 
 def test_a_worker_that_dies_fails_the_call(monkeypatch):
@@ -921,6 +976,7 @@ def test_a_worker_that_dies_fails_the_call(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     with pytest.raises(RuntimeError, match="worker exited without a result"):
         res_mod.resolve_simple_modules(ta, steps=8)
+    assert_no_child_left()
 
 
 def test_an_interrupted_caller_kills_its_workers(monkeypatch):
@@ -938,6 +994,7 @@ def test_an_interrupted_caller_kills_its_workers(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         res_mod.resolve_simple_modules(ta, steps=8)
     assert time.monotonic() - start < 10
+    assert_no_child_left()
 
 
 # --- input validation -----------------------------------------------------
