@@ -1,7 +1,11 @@
 """Builders for path algebras, gentle algebras, and canonical algebras.
 
-All three produce verified SCAlgebra values over the rationals. Path
-labels concatenate arrow ids right to left, so "ba" is a followed by b.
+One construction over the paths of a quiver serves all three: path
+algebras take every path, gentle algebras leave out the paths through a
+length-2 monomial relation, and canonical algebras take the paths of the
+two-pole star quiver with each extra full arm rewritten through the first
+two. All produce verified SCAlgebra values over the rationals. Path labels
+concatenate arrow ids right to left, so "ba" is a followed by b.
 """
 from __future__ import annotations
 
@@ -13,48 +17,59 @@ from .ratmat import vector
 from .record import Record
 from .scalgebra import BasisElement, Element, SCAlgebra
 
+Chain = tuple[str, ...]
+"""A path as its arrow ids in application order; () stands for a trivial path."""
 
-def _path_label(arrows: tuple[Arrow, ...]) -> str:
-    return "".join(a.id for a in reversed(arrows))
 
+def _monomial_algebra(q: Quiver, relations: set[tuple[str, str]],
+                      rewrites: dict[Chain, dict[Chain, int | Fraction]]) -> SCAlgebra:
+    """Basis = paths of q with no relation (first, second) as a subpath,
+    less the paths that rewrites maps to combinations of basis paths.
 
-def _monomial_algebra(q: Quiver, relations: set[tuple[str, str]]) -> SCAlgebra:
-    """Basis = paths of q with no relation (first, second) as a subpath.
-
-    The caller guarantees that there are finitely many such paths.
+    A rewritten path must be maximal, so it is never a factor of a basis
+    path; a product that lands on it is written as its combination. The
+    caller guarantees that there are finitely many paths.
     """
-    allowed = {a.id: [b for b in q.arrows
+    arrows = {a.id: a for a in q.arrows}
+    allowed = {a.id: [b.id for b in q.arrows
                       if b.source == a.target and (a.id, b.id) not in relations]
                for a in q.arrows}
-    # paths as (source vertex, arrows in application order), grown by length
-    paths: list[tuple[str, tuple[Arrow, ...]]] = [(v, ()) for v in q.vertices]
-    level = [(a.source, (a,)) for a in q.arrows]
+    # paths as (source vertex, arrow ids in application order), grown by length
+    paths: list[tuple[str, Chain]] = [(v, ()) for v in q.vertices]
+    level = [(a.source, (a.id,)) for a in q.arrows]
     while level:
         paths.extend(level)
         level = [(source, chain + (b,)) for source, chain in level
-                 for b in allowed[chain[-1].id]]
+                 for b in allowed[chain[-1]]]
+    paths = [path for path in paths if path[1] not in rewrites]
     basis = []
-    index: dict[tuple[Arrow, ...], int] = {}
+    index: dict[Chain, int] = {}
     trivial: dict[str, int] = {}
+    by_source: dict[str, list[tuple[int, Chain]]] = {v: [] for v in q.vertices}
     for k, (source, chain) in enumerate(paths):
         if chain:
-            basis.append(BasisElement(_path_label(chain), source, chain[-1].target,
-                                      sum(a.degree for a in chain)))
+            basis.append(BasisElement("".join(reversed(chain)), source,
+                                      arrows[chain[-1]].target,
+                                      sum(arrows[x].degree for x in chain)))
             index[chain] = k
         else:
             basis.append(BasisElement(f"e{source}", source, source, 0))
             trivial[source] = k
+        by_source[source].append((k, chain))
+    rewritten = {chain: {index[p]: c for p, c in combination.items()}
+                 for chain, combination in rewrites.items()}
     mult: dict[tuple[int, int], Element] = {}
     for j, (src_y, ay) in enumerate(paths):
-        end_y = ay[-1].target if ay else src_y
-        for i, (src_x, ax) in enumerate(paths):
-            if src_x != end_y:
-                continue
-            if ay and ax and (ay[-1].id, ax[0].id) in relations:
+        for i, ax in by_source[basis[j].target]:
+            if ay and ax and (ay[-1], ax[0]) in relations:
                 continue
             combined = ay + ax
-            k = index[combined] if combined else trivial[src_y]
-            mult[(i, j)] = {k: 1}
+            if not combined:
+                mult[(i, j)] = {trivial[src_y]: 1}
+            elif combined in index:
+                mult[(i, j)] = {index[combined]: 1}
+            else:
+                mult[(i, j)] = rewritten[combined]
     algebra = SCAlgebra(q.vertices, tuple(basis),
                         tuple(trivial[v] for v in q.vertices), mult)
     algebra.verify()
@@ -65,7 +80,7 @@ def path_algebra(q: Quiver) -> SCAlgebra:
     """Path algebra of an acyclic quiver; basis = all paths."""
     if has_oriented_cycle(q):
         raise ValueError("quiver has an oriented cycle; its path algebra is infinite-dimensional")
-    return _monomial_algebra(q, set())
+    return _monomial_algebra(q, set(), {})
 
 
 class GentlePresentation(Record):
@@ -119,7 +134,7 @@ def gentle_algebra(pres: GentlePresentation) -> SCAlgebra:
                         if b.source == a.target and (a.id, b.id) not in rel))
     if has_oriented_cycle(comp):
         raise ValueError("presentation is infinite-dimensional: some cycle avoids every relation")
-    return _monomial_algebra(q, rel)
+    return _monomial_algebra(q, rel, {})
 
 
 def parse_gentle(document: str) -> GentlePresentation:
@@ -128,6 +143,11 @@ def parse_gentle(document: str) -> GentlePresentation:
         data = json.loads(document)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed gentle document: {exc}") from exc
+    return gentle_from_data(data)
+
+
+def gentle_from_data(data: object) -> GentlePresentation:
+    """The gentle presentation of a decoded document, as parse_gentle reads it."""
     q = quiver_from_data(data)
     raw = data.get("relations", [])
     if not isinstance(raw, list):
@@ -177,73 +197,26 @@ def parse_canonical_spec(document: str) -> CanonicalSpec:
 
 
 def canonical_algebra(spec: CanonicalSpec) -> SCAlgebra:
-    """Canonical algebra on the two-pole star quiver.
+    """Canonical algebra: the path algebra of the two-pole star quiver
+    modulo the canonical relations.
 
-    Vertices are 0, the arm interiors i_j, and inf. Arm i consists of
-    p_i arrows x{i}_1 .. x{i}_{p_i} composing right to left into a path
-    from 0 to inf. The space of full paths is two-dimensional: the full
-    arm-1 and arm-2 paths are basis elements, and for i >= 3 the full
-    arm-i path rewrites to (arm 2) - lambda_i * (arm 1).
+    Vertices are 0, the arm interiors i_j, and inf. Arm i's k-th arrow runs
+    from stop k - 1 to stop k and has id x{i}_{p_i-k+1}, so the full arm
+    reads x{i}_1 .. x{i}_{p_i}, right to left, from 0 to inf. The t - 2
+    relations leave the full paths a two-dimensional space: the full arm-1
+    and arm-2 paths are basis elements, and for i >= 3 the full arm-i path
+    rewrites to (arm 2) - lambda_i * (arm 1).
     """
-    weights = spec.weights
-    t = len(weights)
-
-    def vertex(i: int, pos: int) -> str:
-        if pos == 0:
-            return "0"
-        if pos == weights[i - 1]:
-            return "inf"
-        return f"{i}_{pos}"
-
-    def seg_label(i: int, s: int, e: int) -> str:
-        p = weights[i - 1]
-        return "".join(f"x{i}_{p - k + 1}" for k in range(e, s, -1))
-
     vertices = ["0"]
-    for i in range(1, t + 1):
-        vertices.extend(f"{i}_{j}" for j in range(1, weights[i - 1]))
+    arrows = []
+    arms = []
+    for i, p in enumerate(spec.weights, start=1):
+        stops = ["0", *(f"{i}_{k}" for k in range(1, p)), "inf"]
+        vertices.extend(stops[1:-1])
+        arm = tuple(f"x{i}_{p - k + 1}" for k in range(1, p + 1))
+        arrows.extend(Arrow(x, stops[k], stops[k + 1]) for k, x in enumerate(arm))
+        arms.append(arm)
     vertices.append("inf")
-
-    basis = [BasisElement(f"e{v}", v, v, 0) for v in vertices]
-    trivial = {v: k for k, v in enumerate(vertices)}
-    seg_index: dict[tuple[int, int, int], int] = {}
-    for i in range(1, t + 1):
-        p = weights[i - 1]
-        for s in range(p):
-            for e in range(s + 1, p + 1):
-                if (s, e) == (0, p):
-                    continue
-                seg_index[(i, s, e)] = len(basis)
-                basis.append(BasisElement(seg_label(i, s, e), vertex(i, s), vertex(i, e), 0))
-    full_one = len(basis)
-    basis.append(BasisElement(seg_label(1, 0, weights[0]), "0", "inf", 0))
-    full_two = len(basis)
-    basis.append(BasisElement(seg_label(2, 0, weights[1]), "0", "inf", 0))
-
-    def full_expansion(i: int) -> Element:
-        if i == 1:
-            return {full_one: 1}
-        if i == 2:
-            return {full_two: 1}
-        return {full_two: 1, full_one: -spec.lambdas[i - 3]}
-
-    mult: dict[tuple[int, int], Element] = {}
-    for v, ev in trivial.items():
-        mult[(ev, ev)] = {ev: 1}
-    for k in list(seg_index.values()) + [full_one, full_two]:
-        b = basis[k]
-        mult[(trivial[b.target], k)] = {k: 1}
-        mult[(k, trivial[b.source])] = {k: 1}
-    for (i, s1, e1), x in seg_index.items():
-        for (j, s2, e2), y in seg_index.items():
-            if i != j or s1 != e2:
-                continue
-            p = weights[i - 1]
-            if (s2, e1) == (0, p):
-                mult[(x, y)] = dict(full_expansion(i))
-            else:
-                mult[(x, y)] = {seg_index[(i, s2, e1)]: 1}
-    algebra = SCAlgebra(tuple(vertices), tuple(basis),
-                        tuple(trivial[v] for v in vertices), mult)
-    algebra.verify()
-    return algebra
+    rewrites = {arm: {arms[1]: 1, arms[0]: -lam}
+                for arm, lam in zip(arms[2:], spec.lambdas)}
+    return _monomial_algebra(Quiver(tuple(vertices), tuple(arrows)), set(), rewrites)

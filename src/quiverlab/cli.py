@@ -211,7 +211,7 @@ def cmd_canonical(args) -> Report:
 
 
 def cmd_trivext(args) -> Report:
-    from .builders import gentle_algebra, parse_gentle, path_algebra
+    from .builders import gentle_algebra, gentle_from_data, path_algebra
     from .quiver import quiver_from_data
     from .resolution import combine_estimates, complexity_estimate, resolve_simple_modules
     from .trivext import trivial_extension
@@ -222,7 +222,7 @@ def cmd_trivext(args) -> Report:
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed quiver document: {exc}") from exc
     if isinstance(data, dict) and "relations" in data:
-        base = gentle_algebra(parse_gentle(document))
+        base = gentle_algebra(gentle_from_data(data))
     else:
         base = path_algebra(quiver_from_data(data))
     ta = trivial_extension(base)

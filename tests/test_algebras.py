@@ -179,6 +179,43 @@ def test_canonical_cartan_three_arms():
     )
 
 
+@pytest.mark.parametrize("weights, lambdas", [
+    ((1, 3, 2), (Fraction(2, 3),)),
+    ((2, 1, 2, 3), (Fraction(-1, 2), 3)),
+    ((3, 2, 2, 1), (2, Fraction(5, 7))),
+], ids=["weight-one-arm", "four-arms", "weight-one-extra-arm"])
+def test_canonical_relation_and_labels(weights, lambdas):
+    # arm i runs 0 -> i_1 -> ... -> inf; its segment from stop s to stop e
+    # applies arrows s+1 .. e, the k-th of which is x{i}_{p_i-k+1}
+    a = canonical_algebra(CanonicalSpec(weights, lambdas))
+
+    def segment(i, s, e):
+        p = weights[i - 1]
+        return "".join(f"x{i}_{p - k + 1}" for k in range(e, s, -1))
+
+    segments = {(i, s, e): segment(i, s, e)
+                for i, p in enumerate(weights, start=1)
+                for s in range(p) for e in range(s + 1, p + 1)}
+    full = {i: segment(i, 0, p) for i, p in enumerate(weights, start=1)}
+    in_basis = {key: label for key, label in segments.items()
+                if key[0] <= 2 or label != full[key[0]]}
+    idempotent_labels = {a.basis[e].label for e in a.idempotents}
+    assert {b.label for b in a.basis} - idempotent_labels == set(in_basis.values())
+
+    def expansion(i, s, e):
+        if i >= 3 and (s, e) == (0, weights[i - 1]):
+            return {a.index_of(full[2]): 1, a.index_of(full[1]): -lambdas[i - 3]}
+        return {a.index_of(segment(i, s, e)): 1}
+
+    for (i, s1, e1), x in in_basis.items():
+        for (j, s2, e2), y in in_basis.items():
+            product = a.product(a.index_of(x), a.index_of(y))
+            if i == j and s1 == e2:
+                assert product == expansion(i, s2, e1), (x, y)
+            else:
+                assert product == {}, (x, y)
+
+
 def test_all_builders_produce_associative_tables():
     for alg in [
         path_algebra(path_quiver(4)),

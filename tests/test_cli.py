@@ -147,6 +147,21 @@ def test_classify_cyclic_warns_but_succeeds(tmp_path, capsys):
     assert any("oriented cycle" in w for w in doc["warnings"])
 
 
+def test_classify_cyclic_table_lists_its_warnings(tmp_path, capsys):
+    path = write(tmp_path, "cycle.json", CYCLE_DOC)
+    code, out, err = run(capsys, "classify", path)
+    assert (code, err) == (0, "")
+    assert out.endswith(
+        "cartan_matrix: -\n"
+        "coxeter_matrix: -\n"
+        "char_poly: -\n"
+        "cyclotomic_profile: -\n"
+        "warnings:\n"
+        "  - quiver has an oriented cycle, so the path algebra is "
+        "infinite-dimensional; Cartan and Coxeter data are omitted\n"
+    )
+
+
 def test_classify_malformed_file_fails(tmp_path, capsys):
     path = write(tmp_path, "bad.json", "{oops")
     code, out, err = run(capsys, "classify", path)
@@ -199,6 +214,13 @@ def test_canonical_rejects_bad_weights(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("lambdas", ["x", "1/0"])
+def test_canonical_rejects_non_rational_lambdas(capsys, lambdas):
+    code, out, err = run(capsys, "canonical", "--weights", "2,2,2", "--lambdas", lambdas)
+    assert (code, out, err) == (
+        1, "", "error: --lambdas must be a comma-separated list of rationals\n")
+
+
 # --- trivext ---------------------------------------------------------------------
 
 def test_trivext_quiver_input(tmp_path, capsys):
@@ -224,6 +246,82 @@ def test_trivext_gentle_input(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["result"]["base_dim"]["value"] == 8
     assert doc["result"]["extension_dim"]["value"] == 16
+
+
+def test_trivext_table_prints_one_block_per_vertex(tmp_path, capsys):
+    path = write(tmp_path, "a3.json", path_doc(3))
+    code, out, err = run(capsys, "trivext", path, "--steps", "12")
+    assert (code, err) == (0, "")
+    block = (
+        "  [vertex {}]\n"
+        "    trace:\n"
+        "      betti: 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4\n"
+        "      truncated_by: steps-exhausted\n"
+        "    estimate:\n"
+        "      kind: finite\n"
+        "      degree: 1\n"
+    )
+    simples = "simples:\n" + "".join(block.format(v) for v in (1, 2, 3))
+    assert simples + "global_estimate:\n" in out
+    assert out.endswith("warnings: (none)\n")
+
+
+def test_trivext_decodes_a_gentle_document_once(tmp_path, capsys, monkeypatch):
+    real = json.loads
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counted)
+    path = write(tmp_path, "gentle.json", GENTLE_TWO_LOOP_DOC)
+    code, _, _ = run(capsys, "trivext", path, "--steps", "12")
+    assert code == 0
+    assert calls == [GENTLE_TWO_LOOP_DOC]
+
+
+def gentle_doc(vertices, arrows, relations):
+    return json.dumps({
+        "vertices": vertices,
+        "arrows": [{"id": i, "from": s, "to": t} for i, s, t in arrows],
+        "relations": relations,
+    })
+
+
+# a -> two continuations b, c; two predecessors a, b -> c
+FORK = ([1, 2, 3, 4], [("a", 1, 2), ("b", 2, 3), ("c", 2, 4)])
+JOIN = ([1, 2, 3, 4], [("a", 1, 3), ("b", 2, 3), ("c", 3, 4)])
+
+
+@pytest.mark.parametrize("document, message", [
+    (GENTLE_TWO_LOOP_DOC.replace('[["b1", "b1"]', '[["b1", "b1"], ["b1", "b1"]'),
+     "duplicate relation"),
+    (GENTLE_TWO_LOOP_DOC.replace('"b1", "b1"', '"zz", "b1"'),
+     "relation ('zz', 'b1') names an unknown arrow"),
+    (gentle_doc([1, 2, 3], [("a", 1, 2), ("b", 2, 3)], [["b", "a"]]),
+     "relation ('b', 'a') is not composable"),
+    (gentle_doc([1, 2], [("a", 1, 2), ("b", 1, 2), ("c", 1, 2)], []),
+     "more than two arrows out of vertex '1'"),
+    (gentle_doc([1, 2, 3, 4], [("a", 1, 4), ("b", 2, 4), ("c", 3, 4)], []),
+     "more than two arrows into vertex '4'"),
+    (gentle_doc(*FORK, [["a", "b"], ["a", "c"]]), "arrow 'a' has two relational continuations"),
+    (gentle_doc(*FORK, []), "arrow 'a' has two plain continuations"),
+    (gentle_doc(*JOIN, [["a", "c"], ["b", "c"]]), "arrow 'c' has two relational predecessors"),
+    (gentle_doc(*JOIN, []), "arrow 'c' has two plain predecessors"),
+    (gentle_doc([1], [], {}), "'relations' must be a list of arrow id pairs"),
+    (gentle_doc([1, 2], [("a", 1, 2)], [["a"]]), "relation must be a pair of arrow ids, got ['a']"),
+    (gentle_doc([1, 2], [("a", 1, 2)], ["a"]), "relation must be a pair of arrow ids, got 'a'"),
+    (gentle_doc([1], [("l", 1, 1)], []),
+     "presentation is infinite-dimensional: some cycle avoids every relation"),
+], ids=["duplicate", "unknown-arrow", "not-composable", "three-out", "three-in",
+        "two-relational-continuations", "two-plain-continuations",
+        "two-relational-predecessors", "two-plain-predecessors",
+        "relations-not-a-list", "short-relation", "relation-not-a-list", "unrelieved-loop"])
+def test_trivext_refuses_a_presentation_that_is_not_gentle(tmp_path, capsys, document, message):
+    path = write(tmp_path, "bad.json", document)
+    code, out, err = run(capsys, "trivext", path)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("document", ["{oops", "[]", '{"vertices": ["a"], "arrows": [5]}'],
@@ -491,6 +589,23 @@ def test_check_coxeter_rejects_numeric_entries(tmp_path, capsys):
     code, _, err = run(capsys, "check-coxeter", path)
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("document, message", [
+    ("[[", "malformed matrix document: "),
+    ("[]", "matrix file must be a JSON array of arrays of rational strings\n"),
+    ('{"rows": []}', "matrix file must be a JSON array of arrays of rational strings\n"),
+    ('["1", "2"]', "matrix file must be a JSON array of arrays of rational strings\n"),
+    ('[["1", 2], ["3", "4"]]', "matrix entries must be strings like '3/4', got 2\n"),
+    ('[["1", "x"], ["3", "4"]]', "bad matrix entry 'x': "),
+    ('[["1", "1/0"], ["3", "4"]]', "bad matrix entry '1/0': "),
+], ids=["malformed", "empty", "object", "flat", "non-string", "bad-rational", "zero-denominator"])
+def test_check_coxeter_refuses_bad_input(tmp_path, capsys, document, message):
+    path = write(tmp_path, "phi.json", document)
+    code, out, err = run(capsys, "check-coxeter", path)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
 
 
 def test_check_coxeter_rejects_singular(tmp_path, capsys):
