@@ -307,13 +307,19 @@ class TrackedEchelon:
     row is keyed by its largest coordinate, its lead, and never re-reduced:
     reducing a vector's lead by the row stored there only brings in smaller
     coordinates.  Rows are not divided by their lead; between ints a step
-    scales the vector instead, so integral inputs keep int rows.
+    scales the vector instead, so integral inputs keep int rows.  A
+    one-term vector that add() meets at a free coordinate is kept as that
+    coordinate alone, in units: no row is built for it, and a reduction
+    that reaches the coordinate drops it, which is what subtracting the
+    row would do.  The leads are the keys of pivots and the members of
+    units; there are as many as the rank.
     """
 
-    __slots__ = ("pivots",)
+    __slots__ = ("pivots", "units")
 
     def __init__(self):
         self.pivots: dict[int, tuple[dict, dict | None]] = {}
+        self.units: set[int] = set()
 
     def insert(self, vec: dict, expr: dict):
         """Reduce vec; return the expression if it vanished, else keep it.
@@ -337,10 +343,17 @@ class TrackedEchelon:
     def add(self, vec: dict) -> bool:
         """Insert without tracking; True when vec enlarged the span.
 
-        No expression is kept or reduced.  Rows stored here carry none, so
-        a tracked echelon, one whose relations are read, grows by insert
-        alone.
+        No expression is kept or reduced.  A one-term vec at a free
+        coordinate joins units.  Rows stored here carry none, so a tracked
+        echelon, one whose relations are read, grows by insert alone.
         """
+        if len(vec) == 1:
+            (lead,) = vec
+            if lead in self.units:
+                return False
+            if lead not in self.pivots:
+                self.units.add(lead)
+                return True
         return self._reduce(vec, None) is None
 
     def _reduce(self, vec: dict, expr: dict | None):
@@ -356,6 +369,9 @@ class TrackedEchelon:
             lead = max(vec)
             row = pivots.get(lead)
             if row is None:
+                if lead in self.units:
+                    del vec[lead]  # a unit row carries no expression
+                    continue
                 pivots[lead] = (vec, expr)
                 return None
             pvec, pexpr = row
@@ -394,6 +410,11 @@ class TrackedEchelon:
                         del expr[k]
         return scale
 
+    def rank(self) -> int:
+        """The number of leads, the dimension of the span."""
+        return len(self.pivots) + len(self.units)
+
     def rows(self) -> list[dict]:
-        """The stored pivot rows, in insertion order; they span the inserts."""
-        return [vec for vec, _ in self.pivots.values()]
+        """The stored pivot rows, in insertion order, then the unit vector
+        of each member of units, in increasing order; they span the inputs."""
+        return [vec for vec, _ in self.pivots.values()] + [{k: 1} for k in sorted(self.units)]

@@ -37,10 +37,15 @@ makes one pass per stage: the cover sums each generator's images from the
 table rows of its coordinates, and the top reads each kernel vector's lead
 and vertex once, refusing a kernel that is not minimal or not in lead
 form, and sums its arrow images the same way; a one-coordinate vector's
-are read straight from the rows.  The engine's tables depend on the
-algebra only and are built once per algebra in a process.  The dense
-projective cover, built from action matrices, lives only in the test
-suite, as the oracle the engine is checked against.
+are read straight from the rows.  Most rows and images have one term, and
+those skip the general reduction: the top's echelon keeps a one-term row
+as its coordinate alone, and the cover writes the relation of a one-term
+image on a one-term row directly; every other vector goes through the
+echelon's one reduction.  The step loop runs with the cyclic collector
+off (see minimal_resolution).  The engine's tables depend on the algebra
+only and are built once per algebra in a process.  The dense projective
+cover, built from action matrices, lives only in the test suite, as the
+oracle the engine is checked against.
 """
 
 from __future__ import annotations
@@ -50,9 +55,10 @@ import marshal
 import math
 import os
 import threading
+from fractions import Fraction
 
 from .fitting import EXPONENTIAL_SLOPE_THRESHOLD, LOGLOG_RESIDUAL_THRESHOLD, fit_line
-from .ratmat import RatMatrix, TrackedEchelon, Vector
+from .ratmat import RatMatrix, TrackedEchelon, Vector, plain
 from .record import Record
 from .scalgebra import SCAlgebra
 
@@ -263,8 +269,11 @@ class _FlatResolver:
     Covers are eliminated on their radical columns only (see
     kernel_of_images), so the tables hold the products by non-idempotent
     elements alone.  Each image is summed from the table rows of a
-    vector's terms, with no dict of images.  The tables depend on the
-    algebra only; _setup builds them once per algebra.
+    vector's terms, with no dict of images.  An image of one term, the
+    common case, is settled without the echelon's reduction where the
+    coordinate is free or holds a one-term row; the other cases fall back
+    to TrackedEchelon.insert or add.  The tables depend on the algebra
+    only; _setup builds them once per algebra.
     """
 
     def __init__(self, a: SCAlgebra):
@@ -320,7 +329,7 @@ class _FlatResolver:
                 if covered.add(_sparse(gen)):
                     images = {m: _sparse(module.actions[m].apply(gen)) for m in self.rad_coords[p]}
                     out.append((p, images))
-        if len(covered.pivots) != module.dim:
+        if covered.rank() != module.dim:
             raise RuntimeError("projective cover lifting failed")
         return out
 
@@ -367,9 +376,16 @@ class _FlatResolver:
         The terms (shift, left[n], c) of a generator, one per coordinate
         c * b_n, are built once; its image under each radical b_m is the
         first term's row of b_m*b_n, shifted and scaled, plus the other
-        terms' rows, a coefficient that cancels dropped.
+        terms' rows, a coefficient that cancels dropped.  A one-term image
+        c * e_k at a free coordinate is stored as insert() would store it.
+        One at a coordinate whose row is one-term, d * e_k, with the
+        one-coordinate expression {u: e}, is c*e/d times the image of
+        column u, so its relation {column: 1, u: -c*e/d} is written
+        directly; it is the one insert() would return.  Every other image
+        goes to insert().
         """
         echelon = TrackedEchelon()
+        pivots = echelon.pivots
         kernel: list[dict] = []
         d = self.dim
         left = self.left
@@ -401,6 +417,21 @@ class _FlatResolver:
                 if not image:
                     kernel.append({base + m: 1})
                     continue
+                if len(image) == 1:
+                    (k,) = image
+                    held = pivots.get(k)
+                    if held is None:
+                        pivots[k] = (image, {base + m: 1})  # as insert() stores a new lead
+                        continue
+                    row, expr = held
+                    if len(row) == 1 and len(expr) == 1:
+                        ((u, e),) = expr.items()
+                        c, plead = image[k], row[k]
+                        if plead == 1 and type(c) is int and type(e) is int:
+                            kernel.append({base + m: 1, u: -c * e})
+                        else:
+                            kernel.append({base + m: 1, u: plain(Fraction(-c * e, plead))})
+                        continue
                 relation = echelon.insert(image, {base + m: 1})
                 if relation is not None:
                     kernel.append(relation)
@@ -422,14 +453,17 @@ class _FlatResolver:
         nonzero scalar changes no span, so a one-coordinate vector's arrow
         images are its arrow rows shifted to its copy; a longer vector's
         image under each arrow at its vertex is summed from its terms' rows,
-        as in kernel_of_cover.  A one-term image at a coordinate that holds
-        no row is stored as add() would store it, and one at a coordinate
-        that holds a one-term row is dependent and skipped.
+        as in kernel_of_cover.  The echelon keeps a one-term image at a
+        free coordinate in its units, as add() would, and the reduction of
+        a longer image drops such a coordinate; a one-term image at a
+        coordinate that holds a one-term row is dependent and skipped, and
+        one at a longer row goes to add().  The leads of rad*K are the
+        pivots' and the units'.
         """
         if len(kernel) != syzygy:
             raise RuntimeError("syzygy dimension mismatch")
         span = TrackedEchelon()
-        pivots = span.pivots
+        pivots, units = span.pivots, span.units
         d = self.dim
         vertex_of, left, arrows_at = self.vertex_of, self.left, self.arrows_at
         arrow_terms, arrow_rows = self.arrow_terms, self.arrow_rows
@@ -454,11 +488,12 @@ class _FlatResolver:
                 base = lead - m
                 for k, c in arrow_terms[m]:
                     key = base + k
-                    held = pivots.get(key)
-                    if held is None:
-                        pivots[key] = ({key: c}, None)  # as add() stores a new lead
-                    elif len(held[0]) > 1:
-                        span.add({key: c})
+                    if key not in units:
+                        held = pivots.get(key)
+                        if held is None:
+                            units.add(key)  # as add() stores it
+                        elif len(held[0]) > 1:
+                            span.add({key: c})
                 for row in arrow_rows[m]:
                     span.add({base + k: c for k, c in row})
                 continue
@@ -493,15 +528,21 @@ class _FlatResolver:
                     continue
                 if len(image) == 1:
                     (key,) = image
+                    if key in units:
+                        continue
                     held = pivots.get(key)
                     if held is None:
-                        pivots[key] = (image, None)  # as add() stores a new lead
+                        units.add(key)  # as add() stores it
                         continue
                     if len(held[0]) == 1:
                         continue
                 span.add(image)
-        gens = [(vertex_of[lead % d], vec) for lead, vec in zip(leads, kernel) if lead not in pivots]
-        if len(gens) + len(pivots) != len(kernel):
+        gens = [
+            (vertex_of[lead % d], vec)
+            for lead, vec in zip(leads, kernel)
+            if lead not in pivots and lead not in units
+        ]
+        if len(gens) + span.rank() != len(kernel):
             raise RuntimeError("arrow images leave the syzygy")
         return gens
 
@@ -533,7 +574,11 @@ def minimal_resolution(
 
     Stops after `steps` covers, when a syzygy dimension would exceed
     `dim_cap`, or when a syzygy vanishes; the trace records which.  The
-    first cover reads the module's own actions.
+    first cover reads the module's own actions.  The steps run with the
+    cyclic collector off: the engine's kernels and tops hold no reference
+    cycles, so a collection would only walk them.  The collector is
+    process-wide, so another thread's collections wait too; the caller's
+    setting comes back on return or raise.
     """
     if module.algebra is not a:
         raise ValueError("module is defined over a different algebra")
@@ -549,22 +594,28 @@ def minimal_resolution(
     betti: list[int] = []
     dim = sum(engine.proj_dim[v] for v, _ in covers)
     covered = module.dim
-    while True:
-        betti.append(dim)
-        syzygy = dim - covered
-        if syzygy == 0:
-            return ResolutionTrace((*betti, 0), "resolution-terminated")
-        if len(betti) >= steps:
-            return ResolutionTrace(tuple(betti), "steps-exhausted")
-        if syzygy > dim_cap:
-            return ResolutionTrace(tuple(betti), "dimension-cap")
-        if gens is None:
-            kernel = engine.kernel_of_images(covers)
-        else:
-            kernel = engine.kernel_of_cover(gens)
-        gens = engine.top_generators(kernel, syzygy)
-        dim = sum(engine.proj_dim[v] for v, _ in gens)
-        covered = syzygy
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        while True:
+            betti.append(dim)
+            syzygy = dim - covered
+            if syzygy == 0:
+                return ResolutionTrace((*betti, 0), "resolution-terminated")
+            if len(betti) >= steps:
+                return ResolutionTrace(tuple(betti), "steps-exhausted")
+            if syzygy > dim_cap:
+                return ResolutionTrace(tuple(betti), "dimension-cap")
+            if gens is None:
+                kernel = engine.kernel_of_images(covers)
+            else:
+                kernel = engine.kernel_of_cover(gens)
+            gens = engine.top_generators(kernel, syzygy)
+            dim = sum(engine.proj_dim[v] for v, _ in gens)
+            covered = syzygy
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def complexity_estimate(trace: ResolutionTrace) -> ComplexityEstimate:

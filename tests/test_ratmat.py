@@ -222,6 +222,51 @@ def test_tracked_echelon_relations_are_the_rref_kernel_vectors():
             assert x.denominator != 1 or type(x) is int, (trial, x)
 
 
+def test_untracked_echelon_keeps_one_term_rows_as_units():
+    # add() keeps a one-term vector at a free coordinate as its lead alone,
+    # in units, and a reduction that reaches such a lead drops it; the span
+    # and its rank are those of the inputs all the same
+    rng = random.Random(2511)
+    seen = {"new unit": 0, "repeated unit": 0, "one-term on a longer row": 0, "longer meets a unit": 0}
+    for trial in range(60):
+        rational = trial % 2 == 1
+
+        def number():
+            x = rng.choice([-3, -2, -1, 1, 2, 3])
+            return Fraction(x, rng.randint(1, 4)) if rational else x
+
+        width = rng.randint(1, 7)
+
+        def rank(vecs):
+            return RatMatrix([[vec.get(k, 0) for k in range(width)] for vec in vecs]).rank()
+
+        echelon = TrackedEchelon()
+        inputs: list[dict] = []
+        for _ in range(rng.randint(1, 12)):
+            size = 1 if width == 1 or rng.random() < 0.5 else rng.randint(2, width)
+            vec = {k: number() for k in rng.sample(range(width), size)}
+            if size == 1:
+                (k,) = vec
+                if k in echelon.units:
+                    seen["repeated unit"] += 1
+                elif k in echelon.pivots:
+                    seen["one-term on a longer row"] += len(echelon.pivots[k][0]) > 1
+                else:
+                    seen["new unit"] += 1
+            else:
+                seen["longer meets a unit"] += not echelon.units.isdisjoint(vec)
+            before = rank(inputs)
+            inputs.append(vec)
+            assert echelon.add(dict(vec)) is (rank(inputs) > before), (trial, inputs)
+        final = rank(inputs)
+        assert len(echelon.pivots) + len(echelon.units) == echelon.rank() == final
+        assert echelon.pivots.keys().isdisjoint(echelon.units)
+        # the nilpotence oracle reads rows(): they span every input
+        rows = echelon.rows()
+        assert len(rows) == rank(rows) == rank(rows + inputs) == final, (trial, inputs)
+    assert all(seen.values()), seen
+
+
 # --- integral matrices stay in ints ------------------------------------------
 
 

@@ -23,11 +23,13 @@ import pytest
 
 from quiverlab import (
     BasisElement,
+    CanonicalSpec,
     ComplexityEstimate,
     RatMatrix,
     RepModule,
     ResolutionTrace,
     SCAlgebra,
+    canonical_algebra,
     combine_estimates,
     complexity_estimate,
     gentle_algebra,
@@ -276,15 +278,65 @@ def test_dense_and_sparse_engines_agree(monkeypatch):
     # rows have two terms; and the summed images of vectors of two or more
     # coordinates: a cover image that cancels to zero, an arrow image that
     # cancels to zero, and a one-term arrow image at a coordinate where an
-    # earlier vector's one-term image already holds a row (T(canonical-237))
+    # earlier vector's one-term image already holds a row (T(canonical-237));
+    # and the fallbacks of the one-term paths, read off the engine's own
+    # echelons: a one-term cover image at a coordinate whose row or
+    # expression is longer, which goes to insert; a longer arrow image
+    # whose reduction drops a one-term lead; and a one-term arrow image at
+    # a coordinate that holds a longer row (each first reached by T(kẼ6))
     reached = {
         "long vectors": 0,
         "two-term rows": 0,
         "cover cancels": 0,
         "top cancels": 0,
         "top one-term on one-term": 0,
+        "cover one-term on a longer row or expression": 0,
+        "top longer image through one-term leads": 0,
+        "top one-term on a longer row": 0,
     }
     top, cover = res_mod._FlatResolver.top_generators, res_mod._FlatResolver.kernel_of_cover
+    phase = [None]
+
+    class Hits(set):
+        """A set that counts the lookups that find their key."""
+
+        hits = 0
+
+        def __contains__(self, key):
+            found = set.__contains__(self, key)
+            self.hits += found
+            return found
+
+    class Probe(TrackedEchelon):
+        __slots__ = ()
+
+        def __init__(self):
+            super().__init__()
+            self.units = Hits()
+
+        def insert(self, vec, expr):
+            if phase[0] == "cover" and len(vec) == 1:
+                (k,) = vec
+                held = self.pivots.get(k)
+                # the cover keeps the other one-term images out of insert
+                assert held is not None and (len(held[0]) > 1 or len(held[1]) > 1)
+                reached["cover one-term on a longer row or expression"] += 1
+            return super().insert(vec, expr)
+
+        def add(self, vec):
+            if phase[0] != "top":
+                return super().add(vec)
+            if len(vec) == 1:
+                (k,) = vec
+                held = self.pivots.get(k)
+                # the top keeps the other one-term images out of add
+                assert held is not None and len(held[0]) > 1
+                reached["top one-term on a longer row"] += 1
+                return super().add(vec)
+            hits = self.units.hits
+            grew = super().add(vec)
+            reached["top longer image through one-term leads"] += self.units.hits > hits
+            return grew
 
     def recording(self, kernel, syzygy):
         earlier: set = set()
@@ -304,21 +356,78 @@ def test_dense_and_sparse_engines_agree(monkeypatch):
                         reached["top one-term on one-term"] += 1
                     one_terms.update(image)
             earlier |= one_terms
-        return top(self, kernel, syzygy)
+        phase[0] = "top"
+        try:
+            return top(self, kernel, syzygy)
+        finally:
+            phase[0] = None
 
     def covering(self, gens):
         for v, gen in gens:
             if len(gen) >= 2:
                 for summed, image in table_images(self, gen, self.rad_coords[v]):
                     reached["cover cancels"] += summed and not image
-        return cover(self, gens)
+        phase[0] = "cover"
+        try:
+            return cover(self, gens)
+        finally:
+            phase[0] = None
 
     monkeypatch.setattr(res_mod._FlatResolver, "top_generators", recording)
     monkeypatch.setattr(res_mod._FlatResolver, "kernel_of_cover", covering)
+    monkeypatch.setattr(res_mod, "TrackedEchelon", Probe)
     for a in algebras:
         rad = jacobson_radical(a)
         for s in simple_modules(a):
             assert minimal_resolution(a, s, 8) == dense_trace(a, s, 8, rad)
+    assert all(reached.values()), reached
+
+
+def test_cover_relations_are_the_ones_insert_returns(monkeypatch):
+    # the cover's one-term path writes a relation without the echelon, so
+    # every kernel of a later step is checked, value and type, against the
+    # relations that TrackedEchelon.insert returns on the images multiplied
+    # out from the table; the Betti numbers alone would not see a wrong sign
+    algebras = [
+        trivial_extension(path_algebra(multi_kronecker(2))),
+        trivial_extension(gentle_two_loop()),
+        trivial_extension(path_algebra(star_quiver((2, 2, 2)))),
+        trivial_extension(canonical_237()),
+        # a Fraction lambda puts non-integral coefficients in the table
+        trivial_extension(canonical_algebra(CanonicalSpec((2, 2, 3), (Fraction(-1, 2),)))),
+    ]
+    cover = res_mod._FlatResolver.kernel_of_cover
+    reached = {"one-term on one-term": 0, "coefficient not 1": 0, "Fraction": 0}
+
+    def comparing(self, gens):
+        kernel = cover(self, gens)
+        echelon = TrackedEchelon()
+        expected = []
+        for copy, (v, gen) in enumerate(gens):
+            for m, (_, image) in zip(self.rad_coords[v], table_images(self, gen, self.rad_coords[v])):
+                column = copy * self.dim + m
+                if len(image) == 1:
+                    (k,) = image
+                    held = echelon.pivots.get(k)
+                    if held and len(held[0]) == 1 and len(held[1]) == 1:
+                        reached["one-term on one-term"] += 1
+                        (u,) = held[1]
+                        ratio = Fraction(image[k]) * held[1][u] / held[0][k]
+                        reached["coefficient not 1"] += ratio != 1
+                        reached["Fraction"] += ratio.denominator != 1
+                relation = echelon.insert(image, {column: 1}) if image else {column: 1}
+                if relation is not None:
+                    expected.append(relation)
+        assert kernel == expected
+        assert [[type(x) for x in r.values()] for r in kernel] == [
+            [type(x) for x in r.values()] for r in expected
+        ]
+        return kernel
+
+    monkeypatch.setattr(res_mod._FlatResolver, "kernel_of_cover", comparing)
+    for a in algebras:
+        for s in simple_modules(a):
+            minimal_resolution(a, s, 8)
     assert all(reached.values()), reached
 
 
@@ -396,7 +505,7 @@ def test_arrows_generate_the_radical(name, extend):
     for x in rad:
         for y in rad:
             rad2.add(a.multiply(x, y))
-    assert len(arrows) == len(rad) - len(rad2.pivots)
+    assert len(arrows) == len(rad) - rad2.rank()
     # left multiplication by arrows, closed from the arrows, reaches all of rad
     span = TrackedEchelon()
     frontier = [{m: Fraction(1)} for m in arrows]
@@ -448,16 +557,40 @@ def test_syzygy_relations_are_in_lead_form(monkeypatch, name, extend):
 
 
 def eliminated_columns(monkeypatch) -> list:
-    """Patch `TrackedEchelon.insert` to log the cover column of each insert;
-    returns the log."""
+    """Patch both cover kernels to log each column b_m * gen they eliminate,
+    one with a nonzero image, whether the image went through
+    `TrackedEchelon.insert` or the cover's one-term path; returns the log.
+
+    Columns are decided in increasing order, each either kept as a row of
+    the cover's echelon, with the column as its expression's largest key,
+    or returned as a relation of two or more terms, with the column as its
+    largest key; a zero image is returned as its column alone and is not
+    logged.
+    """
     columns = []
-    insert = TrackedEchelon.insert
+    echelons = []
 
-    def logging(self, vec, expr):
-        columns.extend(expr)
-        return insert(self, vec, expr)
+    class Recording(TrackedEchelon):
+        __slots__ = ()
 
-    monkeypatch.setattr(TrackedEchelon, "insert", logging)
+        def __init__(self):
+            super().__init__()
+            echelons.append(self)
+
+    def logging(kernel_of):
+        def logged(self, covers):
+            echelons.clear()
+            kernel = kernel_of(self, covers)
+            for echelon in echelons:
+                columns.extend(max(expr) for _, expr in echelon.pivots.values())
+            columns.extend(max(relation) for relation in kernel if len(relation) > 1)
+            return kernel
+
+        return logged
+
+    monkeypatch.setattr(res_mod, "TrackedEchelon", Recording)
+    for name in ("kernel_of_images", "kernel_of_cover"):
+        monkeypatch.setattr(res_mod._FlatResolver, name, logging(getattr(res_mod._FlatResolver, name)))
     return columns
 
 
@@ -542,6 +675,39 @@ def test_top_refuses_a_span_that_is_not_a_submodule():
     m = next(m for m in engine.arrows if not engine.left[m].keys().isdisjoint(engine.arrows))
     with pytest.raises(RuntimeError, match="arrow images leave the syzygy"):
         engine.top_generators([{m: 1}], 1)
+
+
+def test_top_reduces_a_one_term_image_on_a_longer_row():
+    # v -s-> w, v -t-> w, w -b-> z, with t listed before s but b*t after
+    # b*s: rad P_v = <s, t, bs, bt> in the lead-form basis s + t, t, bs,
+    # bt.  The arrow image of s + t, bs + bt, is kept at lead bt; t's image
+    # bt lands on that longer row and reduces to the new lead bs, so rad K
+    # has leads bs and bt and the top is s + t and t
+    a = path_algebra(quiver_from_data({
+        "vertices": ["v", "w", "z"],
+        "arrows": [
+            {"id": "s", "from": "v", "to": "w"},
+            {"id": "t", "from": "v", "to": "w"},
+            {"id": "b", "from": "w", "to": "z"},
+        ],
+    }))
+    labels = ["ev", "ew", "ez", "t", "s", "b", "bs", "bt"]
+    order = [a.index_of(label) for label in labels]
+    new = {old: i for i, old in enumerate(order)}
+    a = SCAlgebra(
+        a.vertices,
+        tuple(a.basis[old] for old in order),
+        tuple(new[e] for e in a.idempotents),
+        {(new[i], new[j]): {new[k]: c for k, c in row.items()} for (i, j), row in a.mult.items()},
+    )
+    a.verify()
+    t, s, bs, bt = (labels.index(x) for x in ("t", "s", "bs", "bt"))
+    engine = res_mod._FlatResolver(a)
+    w = a.vertices.index("w")
+    kernel = [{t: 1, s: 1}, {t: 1}, {bs: 1}, {bt: 1}]
+    assert engine.top_generators(kernel, 4) == [(w, {t: 1, s: 1}), (w, {t: 1})]
+    simple_v = simple_modules(a)[a.vertices.index("v")]
+    assert minimal_resolution(a, simple_v) == dense_trace(a, simple_v, 40, jacobson_radical(a))
 
 
 def mixed_basis_syzygy(a, rad):
@@ -837,12 +1003,18 @@ def assert_no_child_left():
 @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
 @pytest.mark.parametrize("refuse", [False, True], ids=["returns", "raises"])
 def test_resolutions_leave_the_collector_as_they_found_it(monkeypatch, forked, enabled, refuse):
-    # the forked path freezes the heap while its workers run
+    # the forked path freezes the heap while its workers run, and every
+    # step loop runs with the collector off, in the workers too: a worker
+    # whose check fails returns no trace, and the caller resolves that
+    # simple again under the same check
     ta = trivial_extension(path_algebra(multi_kronecker(2)))
     simples = simple_modules(ta)
     top = res_mod._FlatResolver.top_generators
+    steps = []
 
     def checking(self, kernel, syzygy):
+        assert gc.isenabled() is False
+        steps.append(syzygy)
         if refuse:
             raise RuntimeError("refused")
         return top(self, kernel, syzygy)
@@ -866,6 +1038,7 @@ def test_resolutions_leave_the_collector_as_they_found_it(monkeypatch, forked, e
         assert gc.isenabled() is enabled
         assert gc.get_freeze_count() == 0
         assert_no_child_left()
+        assert steps
     finally:
         gc.enable()
 
