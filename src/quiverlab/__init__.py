@@ -44,9 +44,7 @@ _EXPORTS = {
          "hereditary_entropy", "serre_entropy", "verify_k_shadow"),
         "serre",
     ),
-    **dict.fromkeys(
-        ("dual_pairing", "is_symmetric_form_associative", "trivial_extension"), "trivext"
-    ),
+    "trivial_extension": "trivext",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -4,8 +4,18 @@ One construction over the paths of a quiver serves all three: path
 algebras take every path, gentle algebras leave out the paths through a
 length-2 monomial relation, and canonical algebras take the paths of the
 two-pole star quiver with each extra full arm rewritten through the first
-two. All produce verified SCAlgebra values over the rationals. Path labels
-concatenate arrow ids right to left, so "ba" is a followed by b.
+two. Path labels concatenate arrow ids right to left, so "ba" is a
+followed by b.
+
+The tables satisfy the algebra laws by construction, so no builder calls
+SCAlgebra.verify; the tests run it on every builder's output. The product
+of two basis paths is their concatenation, or zero where the junction is
+a length-2 relation. A triple of paths concatenates to the same path in
+either grouping, and either grouping is zero exactly when one of its two
+junctions is a relation, so the table is associative. The trivial paths
+are orthogonal idempotents summing to the unit, and endpoints and degrees
+add along a concatenation. Rewrites keep all of this under the
+precondition in _monomial_algebra.
 """
 from __future__ import annotations
 
@@ -26,9 +36,16 @@ def _monomial_algebra(q: Quiver, relations: set[tuple[str, str]],
     """Basis = paths of q with no relation (first, second) as a subpath,
     less the paths that rewrites maps to combinations of basis paths.
 
-    A rewritten path must be maximal, so it is never a factor of a basis
-    path; a product that lands on it is written as its combination. The
-    caller guarantees that there are finitely many paths.
+    A product that lands on a rewritten path is written as its
+    combination. The table is associative when every rewritten path, and
+    every path in its combination, runs from the rewritten path's source, a
+    vertex with no incoming arrow, to its target, a vertex with no outgoing
+    arrow, as canonical's full arms do: then a rewritten path is never a
+    factor of a basis path, and a product with a path of a combination is
+    zero unless the other factor is an idempotent, in either grouping.
+    Degrees stay additive when the paths of each combination have the
+    rewritten path's degree. The caller guarantees that there are finitely
+    many paths.
     """
     arrows = {a.id: a for a in q.arrows}
     allowed = {a.id: [b.id for b in q.arrows
@@ -70,10 +87,7 @@ def _monomial_algebra(q: Quiver, relations: set[tuple[str, str]],
                 mult[(i, j)] = {index[combined]: 1}
             else:
                 mult[(i, j)] = rewritten[combined]
-    algebra = SCAlgebra(q.vertices, tuple(basis),
-                        tuple(trivial[v] for v in q.vertices), mult)
-    algebra.verify()
-    return algebra
+    return SCAlgebra(q.vertices, tuple(basis), tuple(trivial[v] for v in q.vertices), mult)
 
 
 def path_algebra(q: Quiver) -> SCAlgebra:

@@ -58,7 +58,7 @@ import threading
 from fractions import Fraction
 
 from .fitting import EXPONENTIAL_SLOPE_THRESHOLD, LOGLOG_RESIDUAL_THRESHOLD, fit_line
-from .ratmat import RatMatrix, TrackedEchelon, Vector, plain
+from .ratmat import RatMatrix, TrackedEchelon, plain
 from .record import Record
 from .scalgebra import SCAlgebra
 
@@ -164,8 +164,9 @@ class ComplexityEstimate(Record):
         return out
 
 
-def jacobson_radical(a: SCAlgebra) -> list[Vector]:
-    """Unit vectors of the non-idempotent basis elements, proven to span the radical.
+def jacobson_radical(a: SCAlgebra) -> list[int]:
+    """Indices of the non-idempotent basis elements, in increasing order,
+    proven to span the radical.
 
     J, their span, is rad(A) when one pass over the table shows:
     (a) e_v*e_w = delta_vw e_v modulo J;
@@ -180,14 +181,14 @@ def jacobson_radical(a: SCAlgebra) -> list[Vector]:
     """
     d = a.dim
     idem = set(a.idempotents)
-    labels = [b.label for b in a.basis]
+    basis = a.basis
     for e in a.idempotents:
         for f in a.idempotents:
             row = a.mult.get((e, f), {})
             if {k: c for k, c in row.items() if k in idem} != ({e: 1} if e == f else {}):
                 raise ValueError(
-                    f"radical certificate, step (a): {labels[e]}*{labels[f]} is not "
-                    f"{labels[e] if e == f else 0} modulo the non-idempotent basis elements"
+                    f"radical certificate, step (a): {basis[e].label}*{basis[f].label} is not "
+                    f"{basis[e].label if e == f else 0} modulo the non-idempotent basis elements"
                 )
     after: list[list[int]] = [[] for _ in range(d)]
     indegree = [0] * d
@@ -196,7 +197,7 @@ def jacobson_radical(a: SCAlgebra) -> list[Vector]:
             continue
         if not idem.isdisjoint(row):
             raise ValueError(
-                f"radical certificate, step (b): {labels[i]}*{labels[j]} has an "
+                f"radical certificate, step (b): {basis[i].label}*{basis[j].label} has an "
                 "idempotent term, so the non-idempotent basis elements span no ideal"
             )
         if i in idem or j in idem:
@@ -215,17 +216,10 @@ def jacobson_radical(a: SCAlgebra) -> list[Vector]:
         stuck = next(m for m in range(d) if indegree[m])  # on or after a cycle
         raise ValueError(
             "radical certificate, step (c): the products of non-idempotent basis "
-            f"elements close a cycle that reaches {labels[stuck]}, so their span is "
+            f"elements close a cycle that reaches {basis[stuck].label}, so their span is "
             "not shown nilpotent"
         )
-    zero = [0] * d
-    out = []
-    for m in range(d):
-        if m not in idem:
-            unit = zero.copy()
-            unit[m] = 1
-            out.append(tuple(unit))
-    return out
+    return [m for m in range(d) if m not in idem]
 
 
 def simple_modules(a: SCAlgebra) -> list[RepModule]:

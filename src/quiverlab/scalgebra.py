@@ -32,8 +32,11 @@ class SCAlgebra:
     orthogonal idempotents, one per vertex.
 
     mult maps (i, j) to the expansion of basis[i]*basis[j]; absent pairs
-    multiply to zero. Instances are treated as immutable after construction;
-    builders run verify() before handing one out.
+    multiply to zero. Instances are treated as immutable after construction.
+    The constructor checks only that the table's indices are in range;
+    verify() checks the algebra laws. The builders and trivial_extension
+    satisfy the laws by construction and do not call it (see their
+    modules), so an algebra built by hand should be verified before use.
     """
 
     __slots__ = ("vertices", "basis", "idempotents", "mult", "_by_label")
@@ -77,9 +80,6 @@ class SCAlgebra:
 
     def index_of(self, label: str) -> int:
         return self._by_label[label]
-
-    def element(self, label: str) -> Element:
-        return {self._by_label[label]: 1}
 
     def unit(self) -> Element:
         return {e: 1 for e in self.idempotents}

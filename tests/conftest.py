@@ -9,7 +9,9 @@ from one dense span of rad*M, and `dense_trace` re-derives Betti traces
 from those covers with RREF kernels, for comparison with the sparse
 engine behind `minimal_resolution`.  The trace-form radical lives here too,
 with its nilpotent-ideal check: it works on any basis, and is the oracle
-for the one-pass certificate behind `jacobson_radical`.
+for the one-pass certificate behind `jacobson_radical`.  So do the
+symmetric pairing of a trivial extension and its associativity scan, the
+oracle for `trivial_extension`'s dual action.
 """
 from __future__ import annotations
 
@@ -39,6 +41,7 @@ from quiverlab import (
     gentle_algebra,
     jacobson_radical,
     parse_gentle,
+    parse_quiver,
     path_algebra,
     quiver_from_data,
     resolve_simple_modules,
@@ -201,6 +204,21 @@ def builder_outputs():
     yield "trivext-gentle", trivial_extension(gentle_two_loop())
 
 
+def bench_ladder():
+    """(name, base algebra) of each job of the benchmark's trivext workloads,
+    read as the CLI reads its input, and canonical (2,3,7)."""
+    workloads = bench_module("workloads")
+    for name in ("trivext-wide", "trivext-deep"):
+        files, jobs = workloads.build(name, 1401)
+        for job in jobs:
+            document = files[job.argv[1]]
+            if "relations" in json.loads(document):
+                yield job.id, gentle_algebra(parse_gentle(document))
+            else:
+                yield job.id, path_algebra(parse_quiver(document))
+    yield "canonical-237", canonical_237()
+
+
 def count_multiplies(monkeypatch) -> list:
     """Patch `SCAlgebra.multiply` to log each call; returns the log."""
     calls = []
@@ -316,7 +334,48 @@ def check_profile_is_a_conjugation_invariant():
         assert cyclotomic_profile(u * m * u.inverse()) == base
 
 
+# --- the symmetric form of a trivial extension, an oracle for its table ---------
+
+def dual_pairing(ta, x, y):
+    """Symmetric form ((a,f),(b,g)) -> f(b) + g(a) on a trivial extension.
+
+    Assumes the layout produced by trivial_extension: basis element d+k is
+    dual to basis element k, where d is the dimension of the original algebra.
+    """
+    if ta.dim % 2:
+        raise ValueError("not a trivial extension basis layout")
+    d = ta.dim // 2
+    total = 0
+    for i, c in x.items():
+        partner = i - d if i >= d else i + d
+        other = y.get(partner)
+        if other:
+            total += c * other
+    return total
+
+
+def is_symmetric_form_associative(ta) -> bool:
+    """Check <xy, z> = <x, yz> on all basis triples."""
+    dim = ta.dim
+    for i in range(dim):
+        for j in range(dim):
+            ij = ta.mult.get((i, j), {})
+            for k in range(dim):
+                jk = ta.mult.get((j, k), {})
+                left = dual_pairing(ta, ij, {k: 1})
+                right = dual_pairing(ta, {i: 1}, jk)
+                if left != right:
+                    return False
+    return True
+
+
 # --- the trace-form radical, the oracle for jacobson_radical's certificate -----
+
+def radical_vectors(a) -> list[tuple]:
+    """Dense unit vectors of the basis elements that jacobson_radical
+    certifies to span the radical, as the dense oracles read a radical."""
+    return [tuple(int(k == m) for k in range(a.dim)) for m in jacobson_radical(a)]
+
 
 def trace_form_radical(a) -> list:
     """Basis of the radical via the characteristic-zero trace-form criterion.
@@ -468,7 +527,7 @@ def projective_cover(a, module: RepModule, rad=None):
     if module.dim == 0:
         return zero_module(a), RatMatrix([])
     if rad is None:
-        rad = jacobson_radical(a)
+        rad = radical_vectors(a)
     matrix, verts = cover_data(a, module, rad)
     proj = projective_sum(a, verts)
     kernel = matrix.kernel_basis()
@@ -557,7 +616,7 @@ def walk_and_check_minimality(a, steps: int) -> int:
 
     Returns the number of cover steps checked.
     """
-    rad = jacobson_radical(a)
+    rad = radical_vectors(a)
     checked = 0
     for simple in simple_modules(a):
         current = simple

@@ -11,10 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from quiverlab import cli, cyclo
+from quiverlab import cli, cyclo, resolution
 from quiverlab.cli import main
 from quiverlab.quiver import cartan_path_algebra, coxeter_matrix, parse_quiver
 from quiverlab.ratmat import RatMatrix, TrackedEchelon
+from quiverlab.scalgebra import SCAlgebra
 from conftest import GENTLE_TWO_LOOP_DOC, bench_module, path_quiver
 
 
@@ -371,6 +372,36 @@ def test_trivext_wide_path_algebra_is_finite_of_degree_one(tmp_path, capsys):
     for simple in result["simples"]:
         assert simple["estimate"] == {"kind": "finite", "degree": 1}
     assert result["global_estimate"] == {"kind": "finite", "degree": 1}
+
+
+def test_trivext_on_a30_keeps_its_bytes(tmp_path, capsys):
+    # T(kA30) has dimension 930, wider than any trivext input of the benchmark
+    doc = json.dumps(bench_module("workloads").path_quiver(30))
+    code, out, err = run(capsys, "trivext", write(tmp_path, "a30.json", doc), "--json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "dbe9f273259610be46147bb261a1a66ba7c381d3e9240847ae6167ce6f2b4f79")
+
+
+def test_commands_never_verify_and_certify_one_radical_per_trivext(
+        tmp_path, capsys, monkeypatch):
+    # builders and trivial_extension are right by construction; verify() is
+    # the tests' oracle, and each trivext job certifies its radical once
+    def refuse(self):
+        raise AssertionError("SCAlgebra.verify ran on a command's path")
+
+    monkeypatch.setattr(SCAlgebra, "verify", refuse)
+    calls = []
+    radical = resolution.jacobson_radical
+    monkeypatch.setattr(resolution, "jacobson_radical", lambda a: calls.append(a) or radical(a))
+    a3 = write(tmp_path, "a3.json", json.dumps(bench_module("workloads").path_quiver(3)))
+    gentle = write(tmp_path, "gentle.json", GENTLE_TWO_LOOP_DOC)
+    for path in (a3, gentle):
+        calls.clear()
+        code, _, err = run(capsys, "trivext", path, "--steps", "12", "--json")
+        assert (code, err, len(calls)) == (0, "", 1), path
+    code, _, err = run(capsys, "canonical", "--weights", "2,3,7", "--json")
+    assert (code, err) == (0, "")
 
 
 # --- entropy ----------------------------------------------------------------------

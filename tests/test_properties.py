@@ -18,7 +18,6 @@ from quiverlab import (
     cyclotomic_profile,
     growth_degree,
     hereditary_entropy,
-    jacobson_radical,
     path_algebra,
     quiver_from_data,
     simple_modules,
@@ -33,6 +32,7 @@ from conftest import (
     multi_kronecker,
     path_quiver,
     projective_cover,
+    radical_vectors,
     random_unimodular,
     star_quiver,
     submodule_on_kernel,
@@ -94,7 +94,7 @@ def test_terminated_resolutions_telescope_to_the_module():
     # alternating sum of projective dimension vectors equals the module's
     for quiver in (path_quiver(3), multi_kronecker(2), star_quiver((1, 1, 1))):
         alg = path_algebra(quiver)
-        rad = jacobson_radical(alg)
+        rad = radical_vectors(alg)
         for simple in simple_modules(alg):
             target = list(simple.dim_vector())
             total = [0] * len(alg.vertices)

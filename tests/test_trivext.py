@@ -3,18 +3,23 @@
 Hand expectations on TA of the A2 path algebra (basis e1, e2, a and duals):
 a^* composes with a on either side to give an idempotent dual, duals
 multiply to zero, and the pairing matches basis elements with their duals.
+trivial_extension does not verify its output, so the laws are checked
+here, on every builder output and every base of the benchmark.
 """
 from fractions import Fraction
 
 import pytest
 
-from quiverlab import (
+from quiverlab import CanonicalSpec, canonical_algebra, path_algebra, trivial_extension
+from conftest import (
+    bench_ladder,
+    builder_outputs,
     dual_pairing,
+    gentle_two_loop,
     is_symmetric_form_associative,
-    path_algebra,
-    trivial_extension,
+    multi_kronecker,
+    path_quiver,
 )
-from conftest import gentle_two_loop, multi_kronecker, path_quiver
 
 
 def ta_a2():
@@ -25,16 +30,24 @@ def one(alg, label):
     return {alg.index_of(label): Fraction(1)}
 
 
+def extension_bases():
+    """(name, base): A2, every builder output that is not an extension
+    already (a second extension would repeat the labels of the duals),
+    every trivext base of the benchmark, and canonical (2,3,7) and (5,6,7)."""
+    yield "A2", path_algebra(path_quiver(2))
+    yield from ((name, a) for name, a in builder_outputs() if not name.startswith("trivext-"))
+    yield from bench_ladder()
+    yield "canonical-567", canonical_algebra(CanonicalSpec((5, 6, 7), (1,)))
+
+
 def test_dimension_doubles_and_verifies():
-    for base in [
-        path_algebra(path_quiver(2)),
-        path_algebra(multi_kronecker(3)),
-        gentle_two_loop(),
-    ]:
+    for name, base in extension_bases():
         ta = trivial_extension(base)
-        assert ta.dim == 2 * base.dim
-        assert ta.vertices == base.vertices
-        ta.verify()
+        assert (ta.dim, ta.vertices) == (2 * base.dim, base.vertices), name
+        try:
+            ta.verify()
+        except ValueError as exc:
+            pytest.fail(f"T({name}): {exc}")
 
 
 def test_dual_basis_reverses_endpoints_and_degree():
