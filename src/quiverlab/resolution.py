@@ -8,16 +8,30 @@ basis, idempotents plus paths.  jacobson_radical proves it in one pass
 over the table, once per algebra and before any fork, and refuses any
 other basis with a ValueError.
 
-The simples of an algebra resolve on up to all usable cores: w =
-min(simples, cores in the process's affinity mask) processes, simple i on
-worker i mod w, the caller being worker 0 and the others forked children.
-The simples resolve serially when w < 2, when the platform lacks fork or
-sched_getaffinity, or when the process runs more than one thread.  No
-error crosses a process: each worker returns the traces it finished before
-its first failure, and the caller resolves every simple that none returned
-in vertex order, so it raises the lowest failing vertex's own error, as the
-serial loop does, and a failing simple is resolved twice.  A worker that
-dies without a result fails the call with RuntimeError.
+Simples that an automorphism of the algebra exchanges have the same trace.
+An automorphism sigma that permutes the basis and the idempotents twists
+modules: M becomes M with a acting as sigma(a).  Twisting is an exact
+autoequivalence that keeps dimensions and carries projectives to
+projectives and the simple at v to the simple at sigma(v), so it carries
+one minimal resolution to the other with the same Betti trace.
+simple_orbits finds such automorphisms: colour refinement on the quiver
+prunes the vertex pairs, a greedy search proposes a basis permutation for
+each pair left, and a permutation counts only once one pass over the whole
+table certifies it; a failed search leaves vertices apart, which is always
+safe.  resolve_simple_modules resolves one simple per orbit, its
+representative, and copies its trace to the rest of the orbit.
+
+The representatives resolve on up to all usable cores: w =
+min(representatives, cores in the process's affinity mask) processes, the
+i-th representative on worker i mod w, the caller being worker 0 and the
+others forked children.  They resolve serially when w < 2, when the
+platform lacks fork or sched_getaffinity, or when the process runs more
+than one thread.  No error crosses a process: each worker returns the
+traces it finished before its first failure, and the caller resolves
+every representative that none returned in vertex order, so it raises the
+lowest failing representative's own error, as the serial loop does, and a
+failing one is resolved twice.  A worker that dies without a result fails
+the call with RuntimeError.
 
 One sparse engine tracks syzygies in flat coordinates.  Every top, the
 input module's included, is found from the images of the arrows alone, a
@@ -56,6 +70,8 @@ import math
 import os
 import threading
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter
 
 from .fitting import EXPONENTIAL_SLOPE_THRESHOLD, LOGLOG_RESIDUAL_THRESHOLD, fit_line
 from .ratmat import RatMatrix, TrackedEchelon, plain
@@ -652,35 +668,287 @@ def complexity_estimate(trace: ResolutionTrace) -> ComplexityEstimate:
     )
 
 
+def simple_orbits(a: SCAlgebra) -> list[int]:
+    """For each vertex position, the lowest position that a certified
+    automorphism of a carries it to; the simples of one orbit have the same
+    trace (see the module docstring).
+
+    The automorphisms sought permute the basis: pi with mult[(pi i, pi j)]
+    equal to mult[(i, j)] with each k renamed pi k, for every key.  The
+    search is a shortcut, never a premise: colour refinement on the quiver
+    (the vertices and the arrows of _setup(a)) prunes the vertex pairs,
+    each pair left is tried by one greedy search (_OrbitSearch.pair), and
+    only a permutation that _is_automorphism certifies from the whole table
+    merges orbits, in a union-find.  A failed or incomplete search leaves
+    vertices apart, which only costs their resolutions.
+    """
+    engine = _setup(a)
+    classes, arrow_colour = _colour_classes(a, engine)
+    parent = list(range(len(a.vertices)))
+
+    def find(p: int) -> int:
+        while parent[p] != p:
+            parent[p] = p = parent[parent[p]]
+        return p
+
+    if classes:
+        search = _OrbitSearch(a, engine, arrow_colour)
+        for members in classes:
+            while len(members) > 1:
+                u = members[0]
+                for v in members[1:]:
+                    if find(v) == find(u):
+                        continue
+                    pi = search.pair(u, v)
+                    if pi is None:
+                        continue
+                    for p, e in enumerate(a.idempotents):
+                        ru, rv = find(p), find(search.position[pi[e]])
+                        parent[max(ru, rv)] = min(ru, rv)
+                members = [v for v in members[1:] if find(v) != find(u)]
+    return [find(p) for p in range(len(parent))]
+
+
+def _colour_classes(a: SCAlgebra, engine: _FlatResolver) -> tuple[list[list[int]], dict]:
+    """The classes of two or more vertex positions that colour refinement
+    on the quiver leaves together, and each arrow's final colour.
+
+    The first colours count what every basis automorphism keeps: a
+    vertex's basis elements by source and by target, and an arrow's nonzero
+    products with a radical element on its left.  Each round colours a
+    vertex by its colour and the multisets of (arrow colour, colour of the
+    other end) of the arrows leaving and entering it, until no class splits.
+    """
+    pos = {v: p for p, v in enumerate(a.vertices)}
+    n = len(pos)
+    into = [1] * n  # the idempotent, then each radical element by its target
+    for v in engine.vertex_of:
+        if v is not None:
+            into[v] += 1
+    colour = list(zip(engine.proj_dim, into))
+    count = len(set(colour))
+    if count == n:
+        return [], {}
+    ends = [(pos[a.basis[b].source], pos[a.basis[b].target]) for b in engine.arrows]
+    base = [len(engine.left[b]) for b in engine.arrows]
+    out: list[list[tuple]] = [[] for _ in range(n)]
+    inn: list[list[tuple]] = [[] for _ in range(n)]
+    for b, (s, t) in zip(base, ends):
+        out[s].append((b, t))
+        inn[t].append((b, s))
+    while True:
+        ids: dict = {}
+        refined = [
+            ids.setdefault(
+                (colour[p],
+                 tuple(sorted([(b, colour[t]) for b, t in out[p]])),
+                 tuple(sorted([(b, colour[s]) for b, s in inn[p]]))),
+                len(ids))
+            for p in range(n)
+        ]
+        if len(ids) == count:
+            break
+        colour, count = refined, len(ids)
+        if count == n:
+            return [], {}
+    members: dict = {}
+    for p, c in enumerate(colour):
+        members.setdefault(c, []).append(p)
+    arrow_colour = {
+        arrow: (b, colour[s], colour[t]) for arrow, b, (s, t) in zip(engine.arrows, base, ends)
+    }
+    return [m for m in members.values() if len(m) > 1], arrow_colour
+
+
+class _OrbitSearch:
+    """Greedy search for a basis automorphism that moves one vertex to another.
+
+    pair(u, v) maps e_u to e_v and walks the quiver from u: each unmapped
+    arrow at a vertex already mapped goes to the first unmapped arrow of
+    its colour whose ends can be mapped to, or already are, the images of
+    its own.  Every assignment propagates through the products b * x,
+    b an arrow: once both factors are mapped, b*x = c*b_k requires
+    pi(b)*pi(x) = c*b_l, which maps k to l, and b*x = 0 requires
+    pi(b)*pi(x) = 0.  A choice that contradicts the map is undone from the
+    log and the next candidate tried; an arrow with no candidate left fails
+    the pair, and so does a walk that leaves a basis element unmapped.  The
+    search only proposes: a complete map counts once _is_automorphism
+    certifies it.
+    """
+
+    def __init__(self, a: SCAlgebra, engine: _FlatResolver, arrow_colour: dict):
+        self.alg = a
+        pos = {v: p for p, v in enumerate(a.vertices)}
+        self.position = {e: p for p, e in enumerate(a.idempotents)}
+        self.src = [pos[b.source] for b in a.basis]
+        self.tgt = [pos[b.target] for b in a.basis]
+        self.left, self.arrows_at = engine.left, engine.arrows_at
+        self.arrow_colour = arrow_colour
+        self.by_colour: dict = {}
+        self.touching: list[list[int]] = [[] for _ in a.vertices]
+        by_target: list[list[int]] = [[] for _ in a.vertices]
+        for m, t in enumerate(self.tgt):
+            by_target[t].append(m)
+        self.right = {}  # each arrow b: the j with b*b_j nonzero
+        for b in engine.arrows:
+            self.by_colour.setdefault(arrow_colour[b], []).append(b)
+            s, t = self.src[b], self.tgt[b]
+            self.touching[s].append(b)
+            if t != s:
+                self.touching[t].append(b)
+            self.right[b] = [j for j in by_target[s] if b in self.left[j]]
+
+    def pair(self, u: int, v: int) -> list[int] | None:
+        """A certified automorphism that maps vertex u to vertex v, or None."""
+        a = self.alg
+        idem, position, src, tgt = a.idempotents, self.position, self.src, self.tgt
+        left, arrows_at, right = self.left, self.arrows_at, self.right
+        pi: list = [None] * a.dim
+        inv: list = [None] * a.dim
+        log: list[int] = []  # the elements mapped, in order, for undoing
+        pending: list[int] = []  # mapped elements whose products are unread
+        reached: list[int] = []  # the vertices mapped, in order
+
+        def assign(x: int, y: int) -> bool:
+            if pi[x] is not None:
+                return pi[x] == y
+            if inv[y] is not None:
+                return False
+            pi[x], inv[y] = y, x
+            log.append(x)
+            if x in position:
+                reached.append(position[x])
+            else:
+                pending.append(x)
+            return True
+
+        def match(row, image) -> bool:
+            """b*x against pi(b)*pi(x), as rows of (k, c) terms or None."""
+            if row is None or image is None:
+                return row is image
+            if len(row) != len(image):
+                return False
+            if len(row) > 1:
+                return True  # left to the certificate
+            ((k, c),), ((l, e),) = row, image
+            return c == e and assign(k, l)
+
+        def propagate() -> bool:
+            while pending:
+                x = pending.pop()
+                y = pi[x]
+                lx, ly = left[x], left[y]
+                # the arrows at x's target: the ends of a mapped arrow map
+                # with it, so the images are the mapped arrows at y's target
+                for b in arrows_at[tgt[x]]:
+                    if pi[b] is not None and not match(lx.get(b), ly.get(pi[b])):
+                        return False
+                if x in right:  # x an arrow: x * b_j against pi(x) * pi(b_j)
+                    mapped = 0
+                    for j in right[x]:
+                        if pi[j] is not None:
+                            mapped += 1
+                            if not match(left[j][x], left[pi[j]].get(y)):
+                                return False
+                    if mapped != sum(inv[j] is not None for j in right.get(y, ())):
+                        return False
+            return True
+
+        assign(idem[u], idem[v])
+        for p in reached:  # grows while it is walked
+            for b in self.touching[p]:
+                if pi[b] is not None:
+                    continue
+                for image in self.by_colour[self.arrow_colour[b]]:
+                    if inv[image] is not None:
+                        continue
+                    mark = len(log), len(reached)
+                    if (assign(idem[src[b]], idem[src[image]])
+                            and assign(idem[tgt[b]], idem[tgt[image]])
+                            and assign(b, image) and propagate()):
+                        break
+                    for x in log[mark[0]:]:
+                        inv[pi[x]] = pi[x] = None
+                    del log[mark[0]:], reached[mark[1]:]
+                    pending.clear()
+                else:
+                    return None
+        if len(log) != a.dim or not _is_automorphism(a, pi):
+            return None
+        return pi
+
+
+def _is_automorphism(a: SCAlgebra, pi: list) -> bool:
+    """Whether the basis permutation pi is an automorphism of a.
+
+    The certificate: pi permutes the basis; it permutes the idempotents;
+    and one pass over the table finds each entry c at (i, j, k) again at
+    (pi i, pi j, pi k), that is mult[(pi i, pi j)] = {pi k: c} for every
+    key.  A permutation of the basis maps distinct entries to distinct
+    positions, so the images are as many as the entries: the counts match,
+    the images are all the entries, and every absent product maps to an
+    absent one.  On a table with the unit law the third condition implies
+    the second, since the unit is the sum of the idempotents; the second
+    stands for a table built by hand.  The pass maps over the table's own
+    lists when every row has one term, and reads it row by row otherwise.
+    """
+    if sorted(pi) != list(range(a.dim)):
+        return False
+    if sorted(pi[e] for e in a.idempotents) != sorted(a.idempotents):
+        return False
+    mult = a.mult
+    image = pi.__getitem__
+    keys, rows = list(mult), list(mult.values())
+    lefts, rights = map(itemgetter(0), keys), map(itemgetter(1), keys)
+    found = list(map(mult.get, zip(map(image, lefts), map(image, rights))))
+    if None in found:
+        return False
+    terms = list(chain.from_iterable(rows))
+    if len(terms) == len(rows):
+        return list(map(dict.get, found, map(image, terms))) == list(map(dict.__getitem__, rows, terms))
+    return all(row.get(pi[k]) == c for row, old in zip(found, rows) for k, c in old.items())
+
+
 def resolve_simple_modules(
     a: SCAlgebra, steps: int = 40, dim_cap: int = 100000
 ) -> list[ResolutionTrace]:
     """Resolution trace of every simple module, in vertex order.
 
     The radical certificate, the simples and the engine are computed once,
-    in the calling process, and shared by all the resolutions.  These are
-    independent, so they run on w = min(simples, usable cores) processes:
-    simple i is resolved by worker i mod w, the caller being worker 0 and
-    the others forked children that it reaps before returning.  A worker
-    stops at its first failure and returns the traces it finished; one that
-    dies without a result fails the call with RuntimeError.  The caller
-    then resolves, in vertex order, every simple that no worker returned,
-    so the lowest failing vertex raises its own error here, as the serial
-    loop does, and a failing simple is resolved twice, in its worker and
-    here.  With w < 2, without os.fork or os.sched_getaffinity, or when the
+    in the calling process, and shared by all the resolutions.  Simples in
+    one orbit of simple_orbits have the same trace: the orbits come from
+    basis permutations that one pass over the whole table certifies as
+    automorphisms, and twisting by one is an exact autoequivalence that
+    keeps dimensions and projectives and carries one simple's minimal
+    resolution to the other's.  So only each orbit's lowest vertex, its
+    representative, is resolved, and every orbit mate gets its trace.  The
+    representatives are independent, so they run on w =
+    min(representatives, usable cores) processes: the i-th representative
+    is resolved by worker i mod w, the caller being worker 0 and the others
+    forked children that it reaps before returning.  A worker stops at its
+    first failure and returns the traces it finished; one that dies without
+    a result fails the call with RuntimeError.  The caller then resolves,
+    in vertex order, every representative that no worker returned, so the
+    lowest failing representative raises its own error here, as the serial
+    loop does, and a failing one is resolved twice, in its worker and here.
+    With w < 2, without os.fork or os.sched_getaffinity, or when the
     process runs more than one thread, no worker runs and that loop
-    resolves every simple.
+    resolves every representative.
     """
     simples = simple_modules(a)
-    traces: list = [None] * len(simples)
+    orbits = simple_orbits(a)
+    reps = sorted(set(orbits))
+    modules = [simples[p] for p in reps]
+    traces: list = [None] * len(modules)
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
-        workers = min(len(simples), len(os.sched_getaffinity(0)))
+        workers = min(len(modules), len(os.sched_getaffinity(0)))
         if workers > 1:
-            traces = _resolve_forked(a, simples, workers, steps, dim_cap)
-    for i, module in enumerate(simples):
+            traces = _resolve_forked(a, modules, workers, steps, dim_cap)
+    for i, module in enumerate(modules):
         if traces[i] is None:
             traces[i] = minimal_resolution(a, module, steps, dim_cap)
-    return traces
+    of_rep = dict(zip(reps, traces))
+    return [of_rep[p] for p in orbits]
 
 
 def _resolve_share(a, simples, first, stride, steps, dim_cap) -> list[ResolutionTrace]:

@@ -14,6 +14,11 @@ DA through the reversed endpoints, so they stay orthogonal and sum to
 TA's unit, and the endpoints and degrees of the duals add as above. An
 input that breaks a law of A passes it on unchecked: verify a hand-built
 algebra before extending it.
+
+The dual of the element labelled x is labelled x + s, with s the shortest
+of ^*, ^**, ^***, ... that turns no label of A into another label of A.
+One suffix for every dual keeps the labels distinct, so T(T(A)) can be
+built too, and a base with no ^* label gets the labels x^*.
 """
 from __future__ import annotations
 
@@ -22,9 +27,13 @@ from .scalgebra import BasisElement, Element, SCAlgebra
 
 def trivial_extension(a: SCAlgebra) -> SCAlgebra:
     d = a.dim
+    labels = {b.label for b in a.basis}
+    suffix = "^*"
+    while any(b.label + suffix in labels for b in a.basis):
+        suffix += "*"
     basis = list(a.basis)
     for b in a.basis:
-        basis.append(BasisElement(f"{b.label}^*", b.target, b.source, 1 - b.degree))
+        basis.append(BasisElement(b.label + suffix, b.target, b.source, 1 - b.degree))
     mult: dict[tuple[int, int], Element] = {
         key: dict(row) for key, row in a.mult.items()
     }

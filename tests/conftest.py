@@ -11,7 +11,10 @@ engine behind `minimal_resolution`.  The trace-form radical lives here too,
 with its nilpotent-ideal check: it works on any basis, and is the oracle
 for the one-pass certificate behind `jacobson_radical`.  So do the
 symmetric pairing of a trivial extension and its associativity scan, the
-oracle for `trivial_extension`'s dual action.
+oracle for `trivial_extension`'s dual action, and `automorphism_oracle`,
+which re-checks through `SCAlgebra.multiply` every basis permutation that
+`simple_orbits` accepts.  `singleton_orbits` turns orbit sharing off, so
+that tests of the forked path still fork on symmetric algebras.
 """
 from __future__ import annotations
 
@@ -49,6 +52,7 @@ from quiverlab import (
     trivial_extension,
     zero_module,
 )
+from quiverlab import resolution
 from quiverlab.ratmat import TrackedEchelon
 
 
@@ -630,3 +634,66 @@ def walk_and_check_minimality(a, steps: int) -> int:
                 break
             current = submodule_on_kernel(a, proj, kernel)
     return checked
+
+
+def no_orbits(monkeypatch) -> None:
+    """Make every simple its own orbit, so that `resolve_simple_modules`
+    resolves, and forks for, every simple, as over an algebra without
+    vertex symmetry."""
+    monkeypatch.setattr(resolution, "simple_orbits", lambda a: list(range(len(a.vertices))))
+
+
+@pytest.fixture
+def singleton_orbits(monkeypatch):
+    """`no_orbits` for a whole test: it keeps the forked path in use on
+    algebras whose simples share one orbit, such as T(kA4) and T(kron2)."""
+    no_orbits(monkeypatch)
+
+
+def automorphism_oracle(a, pi) -> bool:
+    """Whether the basis permutation pi is an algebra automorphism of a,
+    from `SCAlgebra.multiply` on basis elements.
+
+    pi must permute the basis and the idempotents and move each element's
+    ends by the vertex map it induces; then b_pi(i) * b_pi(j) must be pi
+    of b_i * b_j for every composable pair.  A pair that does not compose
+    multiplies to zero on both sides, since the table holds composable
+    products only, which is asserted first.
+    """
+    basis = a.basis
+    if sorted(pi) != list(range(a.dim)):
+        return False
+    if sorted(pi[e] for e in a.idempotents) != sorted(a.idempotents):
+        return False
+    assert all(basis[i].source == basis[j].target for i, j in a.mult)
+    vertex = {basis[e].source: basis[pi[e]].source for e in a.idempotents}
+    for m, b in enumerate(basis):
+        if (basis[pi[m]].source, basis[pi[m]].target) != (vertex[b.source], vertex[b.target]):
+            return False
+    ending = {v: [j for j, b in enumerate(basis) if b.target == v] for v in a.vertices}
+    for i, b in enumerate(basis):
+        for j in ending[b.source]:
+            image = {pi[k]: c for k, c in a.multiply({i: 1}, {j: 1}).items()}
+            if a.multiply({pi[i]: 1}, {pi[j]: 1}) != image:
+                return False
+    return True
+
+
+@pytest.fixture
+def certified_automorphisms(monkeypatch) -> dict:
+    """Wrap `resolution._is_automorphism`: every permutation it accepts is
+    re-checked by `automorphism_oracle` and logged under "accepted", and
+    every one it refuses is counted under "refused"."""
+    log = {"accepted": [], "refused": 0}
+    certify = resolution._is_automorphism
+
+    def checking(a, pi):
+        if not certify(a, pi):
+            log["refused"] += 1
+            return False
+        assert automorphism_oracle(a, pi), "the certificate accepted a non-automorphism"
+        log["accepted"].append(list(pi))
+        return True
+
+    monkeypatch.setattr(resolution, "_is_automorphism", checking)
+    return log

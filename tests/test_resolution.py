@@ -46,6 +46,7 @@ from quiverlab.record import FrozenInstanceError
 from conftest import (
     BUILDERS,
     bench_ladder,
+    bench_module,
     builder_outputs,
     canonical_237,
     count_multiplies,
@@ -55,6 +56,7 @@ from conftest import (
     gentle_two_loop,
     inverted_simples,
     multi_kronecker,
+    no_orbits,
     path_quiver,
     projective_cover,
     projective_sum,
@@ -947,6 +949,7 @@ def count_engine_builds(monkeypatch) -> list:
     return builds
 
 
+@pytest.mark.usefixtures("singleton_orbits")
 @pytest.mark.parametrize("cores", [{0}, {0, 1, 2}], ids=["serial", "forked"])
 def test_resolve_simple_modules_builds_one_engine(monkeypatch, cores):
     # built in the caller before any fork; the workers inherit it
@@ -980,6 +983,7 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.usefixtures("singleton_orbits")
 @pytest.mark.parametrize("forked", [False, True], ids=["one-simple", "forked"])
 @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
 @pytest.mark.parametrize("refuse", [False, True], ids=["returns", "raises"])
@@ -1024,13 +1028,30 @@ def test_resolutions_leave_the_collector_as_they_found_it(monkeypatch, forked, e
         gc.enable()
 
 
-@pytest.mark.parametrize(
-    "name, extend",
-    ARROW_CASES,
-    ids=[f"{name}-{'trivext' if extend else 'base'}" for name, extend in ARROW_CASES],
+# the builders' algebras, then every builder output and every base of the
+# benchmark ladder, each as it is and extended (an extension again for the
+# outputs that are extensions already)
+SERIAL_CASES = (
+    [("builders", name, extend) for name, extend in ARROW_CASES]
+    + [("outputs", name, extend) for name, _ in builder_outputs() for extend in (False, True)]
+    + [("bench", name, extend) for name, _ in bench_ladder() for extend in (False, True)]
 )
-def test_parallel_resolution_equals_serial(name, extend):
-    a = BUILDERS[name]()
+
+
+@pytest.mark.parametrize(
+    "source, name, extend",
+    SERIAL_CASES,
+    ids=[f"{name}-{'trivext' if extend else 'base'}" if source == "builders"
+         else f"{source}-{name}-{'trivext' if extend else 'base'}"
+         for source, name, extend in SERIAL_CASES],
+)
+def test_parallel_resolution_equals_serial(source, name, extend):
+    # orbit mates take their representative's trace, which must be the
+    # trace of their own resolution
+    if source == "builders":
+        a = BUILDERS[name]()
+    else:
+        a = dict(builder_outputs() if source == "outputs" else bench_ladder())[name]
     if extend:
         a = trivial_extension(a)
     serial = [minimal_resolution(a, s, 8) for s in simple_modules(a)]
@@ -1049,6 +1070,7 @@ REFUSALS = {
 }
 
 
+@pytest.mark.usefixtures("singleton_orbits")
 @pytest.mark.parametrize("kind", list(REFUSALS.values()), ids=list(REFUSALS))
 @pytest.mark.parametrize("refused", [(0, 1), (1, 2), (2, 3)])
 def test_parallel_resolution_raises_the_lowest_refusal(monkeypatch, refused, kind):
@@ -1089,6 +1111,7 @@ def test_parallel_resolution_raises_the_lowest_refusal(monkeypatch, refused, kin
     assert forked.args == serial.args == expected.args
 
 
+@pytest.mark.usefixtures("singleton_orbits")
 def test_a_refusal_only_in_the_workers_leaves_the_serial_traces(monkeypatch):
     # a worker's failure is not the call's: the caller resolves that simple again
     ta = trivial_extension(path_algebra(path_quiver(4)))
@@ -1116,6 +1139,7 @@ def test_a_refusal_only_in_the_workers_leaves_the_serial_traces(monkeypatch):
     assert_no_child_left()
 
 
+@pytest.mark.usefixtures("singleton_orbits")
 def test_a_worker_that_dies_fails_the_call(monkeypatch):
     ta = trivial_extension(path_algebra(multi_kronecker(2)))
     caller = os.getpid()
@@ -1133,6 +1157,7 @@ def test_a_worker_that_dies_fails_the_call(monkeypatch):
     assert_no_child_left()
 
 
+@pytest.mark.usefixtures("singleton_orbits")
 def test_an_interrupted_caller_kills_its_workers(monkeypatch):
     ta = trivial_extension(path_algebra(multi_kronecker(2)))
     caller = os.getpid()
@@ -1149,6 +1174,141 @@ def test_an_interrupted_caller_kills_its_workers(monkeypatch):
         res_mod.resolve_simple_modules(ta, steps=8)
     assert time.monotonic() - start < 10
     assert_no_child_left()
+
+
+# --- orbits of simples ------------------------------------------------------
+
+def workload_algebra(doc, extend: bool = True):
+    """The path algebra of a quiver document of the benchmark, extended."""
+    a = path_algebra(quiver_from_data(doc))
+    return trivial_extension(a) if extend else a
+
+
+ORBIT_CASES = {
+    "T(kron2)": (lambda w: workload_algebra(w.kronecker(2)), "one"),
+    "T(kron3)": (lambda w: workload_algebra(w.kronecker(3)), "one"),
+    "T(kron4)": (lambda w: workload_algebra(w.kronecker(4)), "one"),
+    "T(gentle)": (lambda w: trivial_extension(gentle_two_loop()), "one"),
+    "T(kA3)": (lambda w: workload_algebra(w.path_quiver(3)), "one"),
+    "T(kA8)": (lambda w: workload_algebra(w.path_quiver(8)), "one"),
+    "T(kA30)": (lambda w: workload_algebra(w.path_quiver(30)), "one"),
+    # vertices c, 0.1, 0.2, 1.1, 1.2, 2.1, 2.2: the arms rotate
+    "T(kE6-affine)": (lambda w: workload_algebra(w.E6_AFFINE), [0, 1, 2, 1, 2, 1, 2]),
+    "T(kE8)": (lambda w: workload_algebra(w.E8), "singletons"),
+    "T(kE10)": (lambda w: workload_algebra(w.E10), "singletons"),
+    "kron2": (lambda w: workload_algebra(w.kronecker(2), extend=False), "singletons"),
+    "kron3": (lambda w: workload_algebra(w.kronecker(3), extend=False), "singletons"),
+    "kron4": (lambda w: workload_algebra(w.kronecker(4), extend=False), "singletons"),
+}
+
+
+@pytest.mark.parametrize("name", list(ORBIT_CASES))
+def test_simple_orbits_are_the_ones_theory_gives(certified_automorphisms, name):
+    # T(kA_n) is the symmetric Nakayama algebra on a cyclic quiver, which
+    # rotates; T of a Kronecker quiver swaps its vertices, and so does T of
+    # the gentle two-loop algebra; a base Kronecker quiver has a source and
+    # a sink, and E8 and E10 have arms of three lengths
+    build, expected = ORBIT_CASES[name]
+    a = build(bench_module("workloads"))
+    n = len(a.vertices)
+    if expected == "one":
+        want = [0] * n
+    elif expected == "singletons":
+        want = list(range(n))
+    else:
+        want = expected
+    assert res_mod.simple_orbits(a) == want
+    assert bool(certified_automorphisms["accepted"]) == (want != list(range(n)))
+
+
+def test_d40_joins_its_short_arms_after_one_pair_search(monkeypatch, certified_automorphisms):
+    # colour refinement tells every vertex of T(kD40) apart but the ends of
+    # the two arms of length one, so one pair is searched, and it swaps them
+    a = workload_algebra(bench_module("workloads").D40)
+    assert a.vertices[:3] == ("c", "0.1", "1.1")
+    pairs = []
+    pair = res_mod._OrbitSearch.pair
+
+    def counting(self, u, v):
+        pairs.append((u, v))
+        return pair(self, u, v)
+
+    monkeypatch.setattr(res_mod._OrbitSearch, "pair", counting)
+    assert res_mod.simple_orbits(a) == [0, 1, 1, *range(3, 40)]
+    assert pairs == [(1, 2)]
+    assert len(certified_automorphisms["accepted"]) == 1
+
+
+@pytest.mark.parametrize("cores", [{0}, {0, 1, 2}], ids=["serial", "forked"])
+def test_only_representatives_resolve_and_raise(monkeypatch, cores):
+    # T(kE6-affine) has the orbits {c}, {0.1, 1.1, 2.1} and {0.2, 1.2, 2.2}:
+    # a refusal at an orbit mate is never met, and the lowest failing
+    # representative raises its own error, forked or not
+    ta = workload_algebra(bench_module("workloads").E6_AFFINE)
+    resolve = res_mod.minimal_resolution
+    refused = set()
+
+    def refusing(a, module, steps, dim_cap):
+        vertex = a.vertices[module.dim_vector().index(1)]
+        if vertex in refused:
+            raise ValueError(f"refused {vertex}")
+        return resolve(a, module, steps, dim_cap)
+
+    monkeypatch.setattr(res_mod, "minimal_resolution", refusing)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+    refused.update({"1.1", "2.2"})
+    assert res_mod.resolve_simple_modules(ta, steps=6) == [
+        resolve(ta, s, 6) for s in simple_modules(ta)]
+    refused.update({"0.2", "0.1"})
+    with pytest.raises(ValueError) as caught:
+        res_mod.resolve_simple_modules(ta, steps=6)
+    assert caught.value.args == ("refused 0.1",)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("weights, lambdas", [((2, 2, 2, 2), (1, 2)), ((3, 3, 3), (1,))])
+def test_a_candidate_the_table_refuses_merges_nothing(certified_automorphisms, weights,
+                                                       lambdas):
+    # the arms of a canonical algebra look alike on its quiver, and its
+    # one-term products do not tell them apart, but the rewritten arms
+    # 2 - lambda_i * arm 1 do: a candidate reaches the certificate, which
+    # refuses it
+    a = canonical_algebra(CanonicalSpec(weights, lambdas))
+    assert res_mod.simple_orbits(a) == list(range(len(a.vertices)))
+    assert certified_automorphisms["refused"] >= 1
+    assert certified_automorphisms["accepted"] == []
+
+
+def test_the_certificate_checks_each_of_its_conditions(certified_automorphisms):
+    # x is a second idempotent of this hand-built table, so swapping it with
+    # e keeps every product but moves e off the idempotents; [0, 0] maps
+    # every entry onto an entry but is no permutation
+    a = SCAlgebra(("v",), (BasisElement("e", "v", "v"), BasisElement("x", "v", "v")), (0,),
+                  {(0, 0): {0: 1}, (1, 1): {1: 1}})
+    assert res_mod._is_automorphism(a, [0, 1])
+    assert not res_mod._is_automorphism(a, [1, 0])
+    assert not res_mod._is_automorphism(a, [0, 0])
+    # the vertex swap of T(kron2), and the same with the images of its two
+    # arrows exchanged, which breaks a0 * a0^* = e2^*
+    ta = trivial_extension(path_algebra(multi_kronecker(2)))
+    assert res_mod.simple_orbits(ta) == [0, 0]
+    swap = certified_automorphisms["accepted"][-1]
+    a0, a1 = ta.index_of("a0"), ta.index_of("a1")
+    broken = list(swap)
+    broken[a0], broken[a1] = swap[a1], swap[a0]
+    assert not res_mod._is_automorphism(ta, broken)
+
+
+def test_a_second_extension_resolves_alike_with_and_without_orbits(monkeypatch):
+    tta = trivial_extension(trivial_extension(path_algebra(path_quiver(2))))
+    tta.verify()
+    assert [b.label for b in tta.basis][6:] == [
+        "e1^**", "e2^**", "a1^**", "e1^*^**", "e2^*^**", "a1^*^**"]
+    assert res_mod.simple_orbits(tta) == [0, 0]
+    shared = res_mod.resolve_simple_modules(tta, steps=8)
+    assert shared == [minimal_resolution(tta, s, 8) for s in simple_modules(tta)]
+    no_orbits(monkeypatch)
+    assert res_mod.resolve_simple_modules(tta, steps=8) == shared
 
 
 # --- input validation -----------------------------------------------------
@@ -1266,6 +1426,7 @@ def test_global_estimates(growth_suite):
     assert global_complexity_estimate(ta_k3, steps=40, dim_cap=100000).kind == "infinite"
 
 
+@pytest.mark.usefixtures("singleton_orbits")
 def test_forked_and_one_core_resolutions_agree(monkeypatch):
     ta = trivial_extension(path_algebra(multi_kronecker(2)))
     baseline = res_mod.resolve_simple_modules(ta, steps=10, dim_cap=100000)

@@ -31,11 +31,11 @@ def one(alg, label):
 
 
 def extension_bases():
-    """(name, base): A2, every builder output that is not an extension
-    already (a second extension would repeat the labels of the duals),
-    every trivext base of the benchmark, and canonical (2,3,7) and (5,6,7)."""
+    """(name, base): A2, every builder output, the extensions among them
+    included, every trivext base of the benchmark, and canonical (2,3,7)
+    and (5,6,7)."""
     yield "A2", path_algebra(path_quiver(2))
-    yield from ((name, a) for name, a in builder_outputs() if not name.startswith("trivext-"))
+    yield from builder_outputs()
     yield from bench_ladder()
     yield "canonical-567", canonical_algebra(CanonicalSpec((5, 6, 7), (1,)))
 
