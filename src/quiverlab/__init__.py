@@ -34,8 +34,7 @@ _EXPORTS = {
     **dict.fromkeys(
         ("ComplexityEstimate", "RepModule", "ResolutionTrace", "combine_estimates",
          "complexity_estimate", "global_complexity_estimate", "jacobson_radical",
-         "minimal_resolution", "resolve_simple_modules", "simple_modules", "simple_orbits",
-         "zero_module"),
+         "minimal_resolution", "resolve_simple_modules", "simple_modules", "zero_module"),
         "resolution",
     ),
     **dict.fromkeys(("BasisElement", "Element", "SCAlgebra", "cartan_matrix"), "scalgebra"),

@@ -16,9 +16,10 @@ projectives and the simple at v to the simple at sigma(v), so it carries
 one minimal resolution to the other with the same Betti trace.
 simple_orbits finds such automorphisms: colour refinement on the quiver
 prunes the vertex pairs, a greedy search proposes a basis permutation for
-each pair left, and a permutation counts only once one pass over the whole
-table certifies it; a failed search leaves vertices apart, which is always
-safe.  resolve_simple_modules resolves one simple per orbit, its
+each pair left, and a permutation counts only once _is_automorphism
+certifies it from the products by the idempotents and the arrows, which
+generate the algebra; a failed search leaves vertices apart, which is
+always safe.  resolve_simple_modules resolves one simple per orbit, its
 representative, and copies its trace to the rest of the orbit.
 
 The representatives resolve on up to all usable cores: w =
@@ -70,8 +71,6 @@ import math
 import os
 import threading
 from fractions import Fraction
-from itertools import chain
-from operator import itemgetter
 
 from .fitting import EXPONENTIAL_SLOPE_THRESHOLD, LOGLOG_RESIDUAL_THRESHOLD, fit_line
 from .ratmat import RatMatrix, TrackedEchelon, plain
@@ -247,10 +246,12 @@ def simple_modules(a: SCAlgebra) -> list[RepModule]:
     """
     _setup(a)
     zero, one = RatMatrix([[0]]), RatMatrix([[1]])
-    return [
-        RepModule(a, 1, tuple(one if m == e else zero for m in range(a.dim)))
-        for e in a.idempotents
-    ]
+    simples = []
+    for e in a.idempotents:
+        actions = [zero] * a.dim
+        actions[e] = one
+        simples.append(RepModule(a, 1, tuple(actions)))
+    return simples
 
 
 def _sparse(vec) -> dict:
@@ -292,8 +293,10 @@ class _FlatResolver:
         self.dim = d
         idem = self.idem = set(a.idempotents)
         pos = {v: p for p, v in enumerate(a.vertices)}
+        # the vertex positions of each basis element's source and target
+        self.ends = [(pos[b.source], pos[b.target]) for b in a.basis]
         # the vertex of each basis element's target, None at the idempotents
-        self.vertex_of = [None if m in idem else pos[b.target] for m, b in enumerate(a.basis)]
+        self.vertex_of = [None if m in idem else t for m, (_, t) in enumerate(self.ends)]
         src_coords = _source_coords(a)
         self.proj_dim = [len(block) for block in src_coords]
         self.rad_coords = [[m for m in block if m not in idem] for block in src_coords]
@@ -678,9 +681,9 @@ def simple_orbits(a: SCAlgebra) -> list[int]:
     search is a shortcut, never a premise: colour refinement on the quiver
     (the vertices and the arrows of _setup(a)) prunes the vertex pairs,
     each pair left is tried by one greedy search (_OrbitSearch.pair), and
-    only a permutation that _is_automorphism certifies from the whole table
-    merges orbits, in a union-find.  A failed or incomplete search leaves
-    vertices apart, which only costs their resolutions.
+    only a permutation that _is_automorphism certifies merges orbits, in a
+    union-find.  A failed or incomplete search leaves vertices apart, which
+    only costs their resolutions.
     """
     engine = _setup(a)
     classes, arrow_colour = _colour_classes(a, engine)
@@ -719,31 +722,26 @@ def _colour_classes(a: SCAlgebra, engine: _FlatResolver) -> tuple[list[list[int]
     vertex by its colour and the multisets of (arrow colour, colour of the
     other end) of the arrows leaving and entering it, until no class splits.
     """
-    pos = {v: p for p, v in enumerate(a.vertices)}
-    n = len(pos)
-    into = [1] * n  # the idempotent, then each radical element by its target
-    for v in engine.vertex_of:
-        if v is not None:
-            into[v] += 1
+    n = len(a.vertices)
+    into = [0] * n  # the basis elements by target
+    for _, t in engine.ends:
+        into[t] += 1
     colour = list(zip(engine.proj_dim, into))
     count = len(set(colour))
     if count == n:
         return [], {}
-    ends = [(pos[a.basis[b].source], pos[a.basis[b].target]) for b in engine.arrows]
+    ends = [engine.ends[b] for b in engine.arrows]
     base = [len(engine.left[b]) for b in engine.arrows]
-    out: list[list[tuple]] = [[] for _ in range(n)]
-    inn: list[list[tuple]] = [[] for _ in range(n)]
+    # each arrow at a vertex: (its first colour, 0 leaving or 1 entering, its other end)
+    near: list[list[tuple]] = [[] for _ in range(n)]
     for b, (s, t) in zip(base, ends):
-        out[s].append((b, t))
-        inn[t].append((b, s))
+        near[s].append((b, 0, t))
+        near[t].append((b, 1, s))
     while True:
         ids: dict = {}
         refined = [
             ids.setdefault(
-                (colour[p],
-                 tuple(sorted([(b, colour[t]) for b, t in out[p]])),
-                 tuple(sorted([(b, colour[s]) for b, s in inn[p]]))),
-                len(ids))
+                (colour[p], *sorted([(b, d, colour[q]) for b, d, q in near[p]])), len(ids))
             for p in range(n)
         ]
         if len(ids) == count:
@@ -778,21 +776,18 @@ class _OrbitSearch:
 
     def __init__(self, a: SCAlgebra, engine: _FlatResolver, arrow_colour: dict):
         self.alg = a
-        pos = {v: p for p, v in enumerate(a.vertices)}
         self.position = {e: p for p, e in enumerate(a.idempotents)}
-        self.src = [pos[b.source] for b in a.basis]
-        self.tgt = [pos[b.target] for b in a.basis]
-        self.left, self.arrows_at = engine.left, engine.arrows_at
+        self.ends, self.left, self.arrows_at = engine.ends, engine.left, engine.arrows_at
         self.arrow_colour = arrow_colour
         self.by_colour: dict = {}
         self.touching: list[list[int]] = [[] for _ in a.vertices]
         by_target: list[list[int]] = [[] for _ in a.vertices]
-        for m, t in enumerate(self.tgt):
+        for m, (_, t) in enumerate(self.ends):
             by_target[t].append(m)
         self.right = {}  # each arrow b: the j with b*b_j nonzero
         for b in engine.arrows:
             self.by_colour.setdefault(arrow_colour[b], []).append(b)
-            s, t = self.src[b], self.tgt[b]
+            s, t = self.ends[b]
             self.touching[s].append(b)
             if t != s:
                 self.touching[t].append(b)
@@ -801,7 +796,7 @@ class _OrbitSearch:
     def pair(self, u: int, v: int) -> list[int] | None:
         """A certified automorphism that maps vertex u to vertex v, or None."""
         a = self.alg
-        idem, position, src, tgt = a.idempotents, self.position, self.src, self.tgt
+        idem, position, ends = a.idempotents, self.position, self.ends
         left, arrows_at, right = self.left, self.arrows_at, self.right
         pi: list = [None] * a.dim
         inv: list = [None] * a.dim
@@ -840,7 +835,7 @@ class _OrbitSearch:
                 lx, ly = left[x], left[y]
                 # the arrows at x's target: the ends of a mapped arrow map
                 # with it, so the images are the mapped arrows at y's target
-                for b in arrows_at[tgt[x]]:
+                for b in arrows_at[ends[x][1]]:
                     if pi[b] is not None and not match(lx.get(b), ly.get(pi[b])):
                         return False
                 if x in right:  # x an arrow: x * b_j against pi(x) * pi(b_j)
@@ -863,8 +858,8 @@ class _OrbitSearch:
                     if inv[image] is not None:
                         continue
                     mark = len(log), len(reached)
-                    if (assign(idem[src[b]], idem[src[image]])
-                            and assign(idem[tgt[b]], idem[tgt[image]])
+                    (s, t), (s2, t2) = ends[b], ends[image]
+                    if (assign(idem[s], idem[s2]) and assign(idem[t], idem[t2])
                             and assign(b, image) and propagate()):
                         break
                     for x in log[mark[0]:]:
@@ -881,32 +876,39 @@ class _OrbitSearch:
 def _is_automorphism(a: SCAlgebra, pi: list) -> bool:
     """Whether the basis permutation pi is an automorphism of a.
 
-    The certificate: pi permutes the basis; it permutes the idempotents;
-    and one pass over the table finds each entry c at (i, j, k) again at
-    (pi i, pi j, pi k), that is mult[(pi i, pi j)] = {pi k: c} for every
-    key.  A permutation of the basis maps distinct entries to distinct
-    positions, so the images are as many as the entries: the counts match,
-    the images are all the entries, and every absent product maps to an
-    absent one.  On a table with the unit law the third condition implies
-    the second, since the unit is the sum of the idempotents; the second
-    stands for a table built by hand.  The pass maps over the table's own
-    lists when every row has one term, and reads it row by row otherwise.
+    The certificate: (1) pi permutes the basis; (2) it maps the
+    idempotents onto the idempotents, which permutes the vertices by some
+    phi; (3) it moves the ends of every basis element by phi; (4) for each
+    arrow b of _setup(a) and each b_j that ends where b starts,
+    mult[(pi b, pi j)] is mult[(b, j)] with each k renamed pi k, absent
+    products included.  No other product is read.
+
+    Why that suffices: in an SCAlgebra, e_v*b_j is b_j when b_j ends at v
+    and 0 otherwise, and only composable pairs multiply to nonzero, so (2)
+    and (3) make sigma, the linear map that extends pi, keep every product
+    by an idempotent on the left and every product of a pair that does not
+    compose; (4) keeps the others by an arrow.  So sigma(g*y) =
+    sigma(g)*sigma(y) for every idempotent and arrow g.  These generate a:
+    jacobson_radical shows that the non-idempotents span a nilpotent ideal,
+    and the arrows span it modulo its square.  As a is associative, sigma
+    keeps every product.
     """
+    engine = _setup(a)
     if sorted(pi) != list(range(a.dim)):
         return False
-    if sorted(pi[e] for e in a.idempotents) != sorted(a.idempotents):
+    position = {e: p for p, e in enumerate(a.idempotents)}
+    # phi, with None where pi moves e_v off the idempotents: no end is None
+    vertex = [position.get(pi[e]) for e in a.idempotents]
+    ends = engine.ends
+    if [ends[p] for p in pi] != [(vertex[s], vertex[t]) for s, t in ends]:
         return False
-    mult = a.mult
-    image = pi.__getitem__
-    keys, rows = list(mult), list(mult.values())
-    lefts, rights = map(itemgetter(0), keys), map(itemgetter(1), keys)
-    found = list(map(mult.get, zip(map(image, lefts), map(image, rights))))
-    if None in found:
-        return False
-    terms = list(chain.from_iterable(rows))
-    if len(terms) == len(rows):
-        return list(map(dict.get, found, map(image, terms))) == list(map(dict.__getitem__, rows, terms))
-    return all(row.get(pi[k]) == c for row, old in zip(found, rows) for k, c in old.items())
+    left, arrows_at = engine.left, engine.arrows_at
+    for j, (_, t) in enumerate(ends):
+        row, image = left[j], left[pi[j]]
+        for b in arrows_at[t]:
+            if dict(image.get(pi[b], ())) != {pi[k]: c for k, c in row.get(b, ())}:
+                return False
+    return True
 
 
 def resolve_simple_modules(
@@ -917,13 +919,13 @@ def resolve_simple_modules(
     The radical certificate, the simples and the engine are computed once,
     in the calling process, and shared by all the resolutions.  Simples in
     one orbit of simple_orbits have the same trace: the orbits come from
-    basis permutations that one pass over the whole table certifies as
-    automorphisms, and twisting by one is an exact autoequivalence that
-    keeps dimensions and projectives and carries one simple's minimal
-    resolution to the other's.  So only each orbit's lowest vertex, its
-    representative, is resolved, and every orbit mate gets its trace.  The
-    representatives are independent, so they run on w =
-    min(representatives, usable cores) processes: the i-th representative
+    basis permutations that _is_automorphism certifies as automorphisms,
+    and twisting by one is an exact autoequivalence that keeps dimensions
+    and projectives and carries one simple's minimal resolution to the
+    other's.  So only each orbit's lowest vertex, its representative, is
+    resolved, and every orbit mate gets its trace.  The representatives
+    are independent, so they run on w = min(representatives, usable
+    cores) processes: the i-th representative
     is resolved by worker i mod w, the caller being worker 0 and the others
     forked children that it reaps before returning.  A worker stops at its
     first failure and returns the traces it finished; one that dies without

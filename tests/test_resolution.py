@@ -1279,15 +1279,45 @@ def test_a_candidate_the_table_refuses_merges_nothing(certified_automorphisms, w
     assert certified_automorphisms["accepted"] == []
 
 
+def table_algebra(vertices, elements, products) -> SCAlgebra:
+    """A verified SCAlgebra with an idempotent per vertex, then the given
+    (label, source, target) elements, and the given products besides the
+    unit laws."""
+    basis = [BasisElement(f"e{v}", v, v) for v in vertices]
+    basis += [BasisElement(*element) for element in elements]
+    mult = {}
+    for m, b in enumerate(basis):
+        mult[(vertices.index(b.target), m)] = {m: 1}
+        mult[(m, vertices.index(b.source))] = {m: 1}
+    a = SCAlgebra(tuple(vertices), tuple(basis), tuple(range(len(vertices))),
+                  {**mult, **products})
+    a.verify()
+    return a
+
+
 def test_the_certificate_checks_each_of_its_conditions(certified_automorphisms):
-    # x is a second idempotent of this hand-built table, so swapping it with
-    # e keeps every product but moves e off the idempotents; [0, 0] maps
-    # every entry onto an entry but is no permutation
-    a = SCAlgebra(("v",), (BasisElement("e", "v", "v"), BasisElement("x", "v", "v")), (0,),
-                  {(0, 0): {0: 1}, (1, 1): {1: 1}})
-    assert res_mod._is_automorphism(a, [0, 1])
-    assert not res_mod._is_automorphism(a, [1, 0])
-    assert not res_mod._is_automorphism(a, [0, 0])
+    certify = res_mod._is_automorphism
+    # two loops with zero products: [0, 1, 1] keeps every product by an
+    # arrow but is no permutation, and [1, 0, 2] moves e off the idempotents
+    loops = table_algebra(["o"], [("x", "o", "o"), ("y", "o", "o")], {})
+    assert certify(loops, [0, 2, 1])
+    assert not certify(loops, [0, 1, 1])
+    assert not certify(loops, [1, 0, 2])
+    # the arrows of 2 <- 1 -> 3 leave one vertex: swapping them keeps every
+    # product by an arrow, but not e2 * a = a, since c ends at 3
+    fork = path_algebra(quiver_from_data({"vertices": ["1", "2", "3"], "arrows": [
+        {"id": "a", "from": "1", "to": "2"}, {"id": "c", "from": "1", "to": "3"}]}))
+    swap = list(range(fork.dim))
+    swap[fork.index_of("a")], swap[fork.index_of("c")] = fork.index_of("c"), fork.index_of("a")
+    assert not certify(fork, swap)
+    # u*u = v + w, u*v = u*w = t/2 and w*u = t, so the arrows are u and v:
+    # swapping v and w keeps every nonzero product by an arrow but sends
+    # v*u = 0 to w*u = t
+    uv = table_algebra(["o"], [(x, "o", "o") for x in "uvwt"], {
+        (1, 1): {2: 1, 3: 1}, (1, 2): {4: Fraction(1, 2)}, (1, 3): {4: Fraction(1, 2)},
+        (3, 1): {4: 1}})
+    assert res_mod._setup(uv).arrows == [1, 2]
+    assert not certify(uv, [0, 1, 3, 2, 4])
     # the vertex swap of T(kron2), and the same with the images of its two
     # arrows exchanged, which breaks a0 * a0^* = e2^*
     ta = trivial_extension(path_algebra(multi_kronecker(2)))
