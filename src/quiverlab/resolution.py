@@ -5,8 +5,8 @@ representations.  Resolutions need a basis adapted to the radical: the
 non-idempotent basis elements span rad(A).  Every builder's algebra, path,
 gentle, canonical and their trivial extensions, is written on such a
 basis, idempotents plus paths.  jacobson_radical proves it in one pass
-over the table, once per algebra and before any fork, and refuses any
-other basis with a ValueError.
+over the table, once per algebra, and refuses any other basis with a
+ValueError.
 
 Simples that an automorphism of the algebra exchanges have the same trace.
 An automorphism sigma that permutes the basis and the idempotents twists
@@ -20,19 +20,9 @@ each pair left, and a permutation counts only once _is_automorphism
 certifies it from the products by the idempotents and the arrows, which
 generate the algebra; a failed search leaves vertices apart, which is
 always safe.  resolve_simple_modules resolves one simple per orbit, its
-representative, and copies its trace to the rest of the orbit.
-
-The representatives resolve on up to all usable cores: w =
-min(representatives, cores in the process's affinity mask) processes, the
-i-th representative on worker i mod w, the caller being worker 0 and the
-others forked children.  They resolve serially when w < 2, when the
-platform lacks fork or sched_getaffinity, or when the process runs more
-than one thread.  No error crosses a process: each worker returns the
-traces it finished before its first failure, and the caller resolves
-every representative that none returned in vertex order, so it raises the
-lowest failing representative's own error, as the serial loop does, and a
-failing one is resolved twice.  A worker that dies without a result fails
-the call with RuntimeError.
+representative, and copies its trace to the rest of the orbit.  The
+representatives resolve in one loop in the calling process, in vertex
+order, so the lowest failing representative raises its own error.
 
 One sparse engine tracks syzygies in flat coordinates.  Every top, the
 input module's included, is found from the images of the arrows alone, a
@@ -66,10 +56,7 @@ oracle the engine is checked against.
 from __future__ import annotations
 
 import gc
-import marshal
 import math
-import os
-import threading
 from fractions import Fraction
 
 from .fitting import EXPONENTIAL_SLOPE_THRESHOLD, LOGLOG_RESIDUAL_THRESHOLD, fit_line
@@ -916,112 +903,21 @@ def resolve_simple_modules(
 ) -> list[ResolutionTrace]:
     """Resolution trace of every simple module, in vertex order.
 
-    The radical certificate, the simples and the engine are computed once,
-    in the calling process, and shared by all the resolutions.  Simples in
-    one orbit of simple_orbits have the same trace: the orbits come from
-    basis permutations that _is_automorphism certifies as automorphisms,
-    and twisting by one is an exact autoequivalence that keeps dimensions
-    and projectives and carries one simple's minimal resolution to the
+    The radical certificate, the simples and the engine are computed once
+    and shared by all the resolutions.  Simples in one orbit of
+    simple_orbits have the same trace: the orbits come from basis
+    permutations that _is_automorphism certifies as automorphisms, and
+    twisting by one is an exact autoequivalence that keeps dimensions and
+    projectives and carries one simple's minimal resolution to the
     other's.  So only each orbit's lowest vertex, its representative, is
-    resolved, and every orbit mate gets its trace.  The representatives
-    are independent, so they run on w = min(representatives, usable
-    cores) processes: the i-th representative
-    is resolved by worker i mod w, the caller being worker 0 and the others
-    forked children that it reaps before returning.  A worker stops at its
-    first failure and returns the traces it finished; one that dies without
-    a result fails the call with RuntimeError.  The caller then resolves,
-    in vertex order, every representative that no worker returned, so the
-    lowest failing representative raises its own error here, as the serial
-    loop does, and a failing one is resolved twice, in its worker and here.
-    With w < 2, without os.fork or os.sched_getaffinity, or when the
-    process runs more than one thread, no worker runs and that loop
-    resolves every representative.
+    resolved, one after another in vertex order, and every orbit mate gets
+    its trace.  The lowest failing representative is the first to fail,
+    so its own error propagates.
     """
     simples = simple_modules(a)
     orbits = simple_orbits(a)
-    reps = sorted(set(orbits))
-    modules = [simples[p] for p in reps]
-    traces: list = [None] * len(modules)
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
-        workers = min(len(modules), len(os.sched_getaffinity(0)))
-        if workers > 1:
-            traces = _resolve_forked(a, modules, workers, steps, dim_cap)
-    for i, module in enumerate(modules):
-        if traces[i] is None:
-            traces[i] = minimal_resolution(a, module, steps, dim_cap)
-    of_rep = dict(zip(reps, traces))
+    of_rep = {p: minimal_resolution(a, simples[p], steps, dim_cap) for p in sorted(set(orbits))}
     return [of_rep[p] for p in orbits]
-
-
-def _resolve_share(a, simples, first, stride, steps, dim_cap) -> list[ResolutionTrace]:
-    """Traces of simples first, first + stride, ... up to the first that
-    fails; the caller resolves that one again and raises its error."""
-    traces = []
-    for module in simples[first::stride]:
-        try:
-            traces.append(minimal_resolution(a, module, steps, dim_cap))
-        except Exception:
-            break
-    return traces
-
-
-def _resolve_forked(a, simples, workers, steps, dim_cap) -> list:
-    """Each simple's trace from the worker that owns it, None from its failure on.
-
-    Worker 0 is this process.  Each forked worker marshals the traces it
-    finished, as (betti, truncated_by) pairs, over a pipe and leaves by
-    os._exit, so it neither flushes inherited buffers nor runs exit hooks;
-    no error crosses the pipe.  A worker that exits without a result fails
-    the call with RuntimeError.  gc.freeze keeps the workers' collections
-    from walking, and so copying, the inherited heap.  Every worker is
-    reaped, or killed and reaped, before the call returns or raises.
-    """
-    children: list = []  # (pid, read end of its pipe), worker 1 first
-    gc.freeze()
-    try:
-        for first in range(1, workers):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                status = 1
-                try:
-                    done = _resolve_share(a, simples, first, workers, steps, dim_cap)
-                    with os.fdopen(write, "wb") as pipe:
-                        marshal.dump([(t.betti, t.truncated_by) for t in done], pipe)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write)
-            children.append((pid, os.fdopen(read, "rb")))
-        shares = [_resolve_share(a, simples, 0, workers, steps, dim_cap)]
-        for _, pipe in children:
-            try:
-                done = marshal.loads(pipe.read())
-            except (EOFError, ValueError, TypeError):
-                raise RuntimeError("a resolution worker exited without a result") from None
-            shares.append([ResolutionTrace(*t) for t in done])
-        while children:
-            pid, pipe = children.pop()
-            pipe.close()
-            os.waitpid(pid, 0)
-    finally:
-        if children:  # only after an error: signal stays off every command's start-up
-            import signal
-        for pid, pipe in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        gc.unfreeze()
-    traces: list = [None] * len(simples)
-    for first, done in enumerate(shares):
-        for i, trace in zip(range(first, len(simples), workers), done):
-            traces[i] = trace
-    return traces
 
 
 def combine_estimates(estimates) -> ComplexityEstimate:

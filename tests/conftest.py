@@ -14,7 +14,8 @@ symmetric pairing of a trivial extension and its associativity scan, the
 oracle for `trivial_extension`'s dual action, and `automorphism_oracle`,
 which re-checks through `SCAlgebra.multiply` every basis permutation that
 `simple_orbits` accepts.  `singleton_orbits` turns orbit sharing off, so
-that tests of the forked path still fork on symmetric algebras.
+that `resolve_simple_modules` resolves several representatives in its loop
+on symmetric algebras too, for the tests that need them.
 """
 from __future__ import annotations
 
@@ -61,9 +62,10 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 @pytest.fixture(autouse=True)
 def no_state_left_behind():
-    """Fail a test that leaves a child process unreaped, say a resolution
-    worker, or the cyclic collector off or frozen, as the resolution engine
-    and its forked workers set it while they run."""
+    """Fail a test that leaves the cyclic collector off, as the resolution
+    engine sets it while a resolution runs, or frozen, or a child process
+    unreaped; the package resolves in one process, so nothing of it should
+    fork or freeze."""
     yield
     enabled, frozen = gc.isenabled(), gc.get_freeze_count()
     gc.enable()
@@ -638,14 +640,13 @@ def walk_and_check_minimality(a, steps: int) -> int:
 
 def no_orbits(monkeypatch) -> None:
     """Make every simple its own orbit, so that `resolve_simple_modules`
-    resolves, and forks for, every simple, as over an algebra without
-    vertex symmetry."""
+    resolves every simple, as over an algebra without vertex symmetry."""
     monkeypatch.setattr(resolution, "simple_orbits", lambda a: list(range(len(a.vertices))))
 
 
 @pytest.fixture
 def singleton_orbits(monkeypatch):
-    """`no_orbits` for a whole test: it keeps the forked path in use on
+    """`no_orbits` for a whole test that needs several representatives on
     algebras whose simples share one orbit, such as T(kA4) and T(kron2)."""
     no_orbits(monkeypatch)
 

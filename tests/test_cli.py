@@ -5,7 +5,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import re
 from pathlib import Path
 
@@ -346,19 +345,15 @@ def test_trivext_dimension_cap_warning(tmp_path, capsys):
     )
 
 
-def test_trivext_output_is_the_same_forked_and_on_one_core(tmp_path, capsys, monkeypatch):
+def test_trivext_output_is_the_same_run_after_run(tmp_path, capsys):
     # T(kron2) has one orbit of simples and resolves one of them; T(kE8)
-    # has eight orbits and forks
+    # has eight orbits and resolves eight
     e8 = json.dumps(bench_module("workloads").E8)
     paths = [write(tmp_path, "kron.json", KRONECKER_DOC), write(tmp_path, "e8.json", e8)]
     for path in paths:
         _, baseline, _ = run(capsys, "trivext", path, "--json")
         _, again, _ = run(capsys, "trivext", path, "--json")
         assert baseline == again
-        with monkeypatch.context() as one:
-            one.setattr(os, "sched_getaffinity", lambda pid: {0})
-            _, one_core, _ = run(capsys, "trivext", path, "--json")
-        assert baseline == one_core
 
 
 def test_trivext_wide_path_algebra_is_finite_of_degree_one(tmp_path, capsys):

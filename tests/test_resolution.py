@@ -15,7 +15,6 @@ Frozen Betti sequences, worked by hand:
 import errno
 import gc
 import os
-import time
 from fractions import Fraction
 
 import pytest
@@ -950,11 +949,9 @@ def count_engine_builds(monkeypatch) -> list:
 
 
 @pytest.mark.usefixtures("singleton_orbits")
-@pytest.mark.parametrize("cores", [{0}, {0, 1, 2}], ids=["serial", "forked"])
-def test_resolve_simple_modules_builds_one_engine(monkeypatch, cores):
-    # built in the caller before any fork; the workers inherit it
+def test_resolve_simple_modules_builds_one_engine(monkeypatch):
+    # the four representatives share it
     ta = trivial_extension(path_algebra(path_quiver(4)))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
     builds = count_engine_builds(monkeypatch)
     res_mod.resolve_simple_modules(ta, steps=8)
     assert builds == [ta]
@@ -977,21 +974,13 @@ def test_minimal_resolution_sets_up_once_per_algebra(monkeypatch, build):
     assert len(builds) == 2 and builds[1] is not builds[0]
 
 
-def assert_no_child_left():
-    """Every worker has been reaped: the process has no child at all."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.usefixtures("singleton_orbits")
-@pytest.mark.parametrize("forked", [False, True], ids=["one-simple", "forked"])
+@pytest.mark.parametrize("whole", [False, True], ids=["one-simple", "algebra"])
 @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
 @pytest.mark.parametrize("refuse", [False, True], ids=["returns", "raises"])
-def test_resolutions_leave_the_collector_as_they_found_it(monkeypatch, forked, enabled, refuse):
-    # the forked path freezes the heap while its workers run, and every
-    # step loop runs with the collector off, in the workers too: a worker
-    # whose check fails returns no trace, and the caller resolves that
-    # simple again under the same check
+def test_resolutions_leave_the_collector_as_they_found_it(monkeypatch, whole, enabled, refuse):
+    # every step loop runs with the collector off, and the caller's setting
+    # comes back after each representative of the whole algebra
     ta = trivial_extension(path_algebra(multi_kronecker(2)))
     simples = simple_modules(ta)
     top = res_mod._FlatResolver.top_generators
@@ -1005,8 +994,7 @@ def test_resolutions_leave_the_collector_as_they_found_it(monkeypatch, forked, e
         return top(self, kernel, syzygy)
 
     monkeypatch.setattr(res_mod._FlatResolver, "top_generators", checking)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    if forked:
+    if whole:
         def run():
             return [t.betti for t in res_mod.resolve_simple_modules(ta, steps=4)]
     else:
@@ -1021,8 +1009,6 @@ def test_resolutions_leave_the_collector_as_they_found_it(monkeypatch, forked, e
         else:
             assert run()[0] == (4, 8, 12, 16)
         assert gc.isenabled() is enabled
-        assert gc.get_freeze_count() == 0
-        assert_no_child_left()
         assert steps
     finally:
         gc.enable()
@@ -1095,85 +1081,22 @@ def test_parallel_resolution_raises_the_lowest_refusal(monkeypatch, refused, kin
     monkeypatch.setattr(res_mod._FlatResolver, "module_images", starting)
     monkeypatch.setattr(res_mod._FlatResolver, "top_generators", refusing)
     expected = kind(f"refused {chosen[0]}")
-    # three workers, whatever the host's cores, own simples (0, 3), 1 and 2:
-    # the two refusals of each case come from two processes
-    errors = []
-    for cores in ({0, 1, 2}, {0}):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
-        with pytest.raises(type(expected)) as caught:
-            res_mod.resolve_simple_modules(ta, steps=8)
-        assert type(caught.value) is type(expected)
-        assert str(caught.value) == str(expected)
-        errors.append(caught.value)
-        assert_no_child_left()
-    forked, serial = errors
-    assert type(forked) is type(serial)
-    assert forked.args == serial.args == expected.args
-
-
-@pytest.mark.usefixtures("singleton_orbits")
-def test_a_refusal_only_in_the_workers_leaves_the_serial_traces(monkeypatch):
-    # a worker's failure is not the call's: the caller resolves that simple again
-    ta = trivial_extension(path_algebra(path_quiver(4)))
-    serial = [minimal_resolution(ta, s, 8) for s in simple_modules(ta)]
-    caller = os.getpid()
-    top = res_mod._FlatResolver.top_generators
-
-    def refusing(self, kernel, syzygy):
-        if os.getpid() != caller:
-            raise RuntimeError("refused in a worker")
-        return top(self, kernel, syzygy)
-
-    resolve = res_mod.minimal_resolution
-    resolved = []  # the simples the caller resolves, its own (0, 3) and then 1 and 2
-
-    def counting(a, module, steps, dim_cap):
-        resolved.append(module.dim_vector().index(1))
-        return resolve(a, module, steps, dim_cap)
-
-    monkeypatch.setattr(res_mod._FlatResolver, "top_generators", refusing)
-    monkeypatch.setattr(res_mod, "minimal_resolution", counting)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    assert res_mod.resolve_simple_modules(ta, steps=8) == serial
-    assert resolved == [0, 3, 1, 2]
-    assert_no_child_left()
-
-
-@pytest.mark.usefixtures("singleton_orbits")
-def test_a_worker_that_dies_fails_the_call(monkeypatch):
-    ta = trivial_extension(path_algebra(multi_kronecker(2)))
-    caller = os.getpid()
-    top = res_mod._FlatResolver.top_generators
-
-    def dying(self, kernel, syzygy):
-        if os.getpid() != caller:
-            os._exit(3)
-        return top(self, kernel, syzygy)
-
-    monkeypatch.setattr(res_mod._FlatResolver, "top_generators", dying)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    with pytest.raises(RuntimeError, match="worker exited without a result"):
+    with pytest.raises(type(expected)) as caught:
         res_mod.resolve_simple_modules(ta, steps=8)
-    assert_no_child_left()
+    assert type(caught.value) is type(expected)
+    assert str(caught.value) == str(expected)
+    assert caught.value.args == expected.args
 
 
-@pytest.mark.usefixtures("singleton_orbits")
-def test_an_interrupted_caller_kills_its_workers(monkeypatch):
+def test_an_interrupt_propagates(monkeypatch):
     ta = trivial_extension(path_algebra(multi_kronecker(2)))
-    caller = os.getpid()
 
-    def stalling(self, kernel, syzygy):
-        if os.getpid() == caller:
-            raise KeyboardInterrupt
-        time.sleep(30)  # outlives the call unless the caller kills it
+    def interrupted(self, kernel, syzygy):
+        raise KeyboardInterrupt
 
-    monkeypatch.setattr(res_mod._FlatResolver, "top_generators", stalling)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    start = time.monotonic()
+    monkeypatch.setattr(res_mod._FlatResolver, "top_generators", interrupted)
     with pytest.raises(KeyboardInterrupt):
         res_mod.resolve_simple_modules(ta, steps=8)
-    assert time.monotonic() - start < 10
-    assert_no_child_left()
 
 
 # --- orbits of simples ------------------------------------------------------
@@ -1239,11 +1162,10 @@ def test_d40_joins_its_short_arms_after_one_pair_search(monkeypatch, certified_a
     assert len(certified_automorphisms["accepted"]) == 1
 
 
-@pytest.mark.parametrize("cores", [{0}, {0, 1, 2}], ids=["serial", "forked"])
-def test_only_representatives_resolve_and_raise(monkeypatch, cores):
+def test_only_representatives_resolve_and_raise(monkeypatch):
     # T(kE6-affine) has the orbits {c}, {0.1, 1.1, 2.1} and {0.2, 1.2, 2.2}:
     # a refusal at an orbit mate is never met, and the lowest failing
-    # representative raises its own error, forked or not
+    # representative raises its own error
     ta = workload_algebra(bench_module("workloads").E6_AFFINE)
     resolve = res_mod.minimal_resolution
     refused = set()
@@ -1255,7 +1177,6 @@ def test_only_representatives_resolve_and_raise(monkeypatch, cores):
         return resolve(a, module, steps, dim_cap)
 
     monkeypatch.setattr(res_mod, "minimal_resolution", refusing)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
     refused.update({"1.1", "2.2"})
     assert res_mod.resolve_simple_modules(ta, steps=6) == [
         resolve(ta, s, 6) for s in simple_modules(ta)]
@@ -1263,7 +1184,20 @@ def test_only_representatives_resolve_and_raise(monkeypatch, cores):
     with pytest.raises(ValueError) as caught:
         res_mod.resolve_simple_modules(ta, steps=6)
     assert caught.value.args == ("refused 0.1",)
-    assert_no_child_left()
+
+
+@pytest.mark.parametrize("name", ["E8", "E6_AFFINE"])
+def test_representatives_resolve_in_the_calling_process(monkeypatch, name):
+    # T(kE8) has eight orbits of simples and T(kE6-affine) three, so both
+    # resolve several representatives; none may fork to do it
+    ta = workload_algebra(getattr(bench_module("workloads"), name))
+    expected = [minimal_resolution(ta, s, 10) for s in simple_modules(ta)]
+
+    def refusing():
+        raise AssertionError("resolve_simple_modules forked")
+
+    monkeypatch.setattr(os, "fork", refusing)
+    assert res_mod.resolve_simple_modules(ta, steps=10) == expected
 
 
 @pytest.mark.parametrize("weights, lambdas", [((2, 2, 2, 2), (1, 2)), ((3, 3, 3), (1,))])
@@ -1456,12 +1390,8 @@ def test_global_estimates(growth_suite):
     assert global_complexity_estimate(ta_k3, steps=40, dim_cap=100000).kind == "infinite"
 
 
-@pytest.mark.usefixtures("singleton_orbits")
-def test_forked_and_one_core_resolutions_agree(monkeypatch):
+def test_repeated_resolutions_agree():
     ta = trivial_extension(path_algebra(multi_kronecker(2)))
     baseline = res_mod.resolve_simple_modules(ta, steps=10, dim_cap=100000)
     again = res_mod.resolve_simple_modules(ta, steps=10, dim_cap=100000)
     assert baseline == again
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    one_core = res_mod.resolve_simple_modules(ta, steps=10, dim_cap=100000)
-    assert baseline == one_core
