@@ -24,32 +24,38 @@ representative, and copies its trace to the rest of the orbit.  The
 representatives resolve in one loop in the calling process, in vertex
 order, so the lowest failing representative raises its own error.
 
-One sparse engine tracks syzygies in flat coordinates.  Every top, the
-input module's included, is found from the images of the arrows alone, a
-basis of rad/rad^2 chosen among the basis elements: rad is spanned by
-products of arrows, so rad*M is the sum of the arrows' images of M.
-Syzygy bases come in lead form: each vector sits at one vertex and has its
-own largest coordinate, its lead.  Since rad*K lies in K, the leads of
-rad*K are leads of K, and the vectors of K whose leads are not leads of
-rad*K generate K minimally.  Every kernel, the first one included, comes
-from one lead-keyed TrackedEchelon per step; the first reads the module's
-own action on its top generators.  Each step eliminates only the radical
-columns b*g of its cover, b a non-idempotent basis element: the
-generators g are independent modulo the radical of the module covered,
-which holds every b*g, so no kernel relation uses a generator's own
-column and leaving those columns out changes no relation.  A syzygy step
-makes one pass per stage: the cover sums each generator's images from the
-table rows of its coordinates, and the top reads each kernel vector's lead
-and vertex once, refusing a kernel that is not minimal or not in lead
-form, and sums its arrow images the same way; a one-coordinate vector's
-are read straight from the rows.  Most rows and images have one term, and
-those skip the general reduction: the top's echelon keeps a one-term row
-as its coordinate alone, and the cover writes the relation of a one-term
-image on a one-term row directly; every other vector goes through the
-echelon's one reduction.  The step loop runs with the cyclic collector
-off (see minimal_resolution).  The engine's tables depend on the algebra
-only and are built once per algebra in a process.  The dense projective
-cover, built from action matrices, lives only in the test suite, as the
+One sparse engine tracks syzygies in flat coordinates.  A syzygy vector
+is a unit, one coordinate with coefficient 1, or a sparse dict of two or
+more terms.  A unit travels as its coordinate, a bare int: most kernel
+vectors are units, the relations of zero images, and a one-key dict holds
+several times the memory of its key.  Every top, the input module's
+included, is found from the images of the arrows alone, a basis of
+rad/rad^2 chosen among the basis elements: rad is spanned by products of
+arrows, so rad*M is the sum of the arrows' images of M.  Syzygy bases come
+in lead form: each vector sits at one vertex and has its own largest
+coordinate, its lead; a unit is its own lead.  Since rad*K lies in K, the
+leads of rad*K are leads of K, and the vectors of K whose leads are not
+leads of rad*K generate K minimally.  Every kernel, the first one
+included, comes from one lead-keyed TrackedEchelon per step; the first
+reads the module's own action on its top generators.  Each step
+eliminates only the radical columns b*g of its cover, b a non-idempotent
+basis element: the generators g are independent modulo the radical of the
+module covered, which holds every b*g, so no kernel relation uses a
+generator's own column and leaving those columns out changes no relation.
+A syzygy step makes one pass per stage: the cover sums each generator's
+images from the table rows of its coordinates, a unit being one term with
+coefficient 1, and the top reads each kernel vector's lead and vertex
+once, refusing a kernel that is not minimal or not in lead form, and sums
+its arrow images the same way; a unit's are read straight from the rows.
+Most rows and images have one term, and those skip the general reduction:
+the top's echelon keeps a one-term row as its coordinate alone, and the
+cover writes the relation of a one-term image on a one-term row directly;
+every other vector goes through the echelon's one reduction.  The step
+loop drops each input once it is read, so the old kernel is gone before
+the next is built, and runs with the cyclic collector off (see
+minimal_resolution).  The engine's tables depend on the algebra only and
+are built once per algebra in a process.  The dense projective cover,
+built from action matrices, lives only in the test suite, as the
 oracle the engine is checked against.
 """
 
@@ -264,6 +270,8 @@ class _FlatResolver:
     relations come in the lead form that top_generators checks as it reads
     them, so a syzygy's top costs one pass over its kernel: one
     TrackedEchelon of the arrow images, then one lookup of each lead in it.
+    Kernel vectors and generators are units, bare int coordinates, or
+    dicts of two or more terms (see the module docstring).
     Covers are eliminated on their radical columns only (see
     kernel_of_images), so the tables hold the products by non-idempotent
     elements alone.  Each image is summed from the table rows of a
@@ -333,7 +341,7 @@ class _FlatResolver:
             raise RuntimeError("projective cover lifting failed")
         return out
 
-    def kernel_of_images(self, covers) -> list[dict]:
+    def kernel_of_images(self, covers) -> list[int | dict]:
         """Kernel basis of the cover sending copy i's basis element m to b_m * gen_i.
 
         covers gives, per generator, its vertex position and its images
@@ -347,37 +355,40 @@ class _FlatResolver:
         is the unique one with coefficient 1 on it among the earlier
         independent columns, so leaving the generator columns out changes
         no relation and saves their rows.
-        Zero images give kernel relations directly; the others go into one
-        echelon keyed by leads.  Images at different vertices lie in
-        independent summands, so a relation never takes in another vertex's
-        images and each one sits at one vertex.  Inserts run in increasing
-        flat coordinate, so its lead is the coordinate whose insert
-        produced it.  The relation of a dependent image is the RREF kernel
-        vector of its column.
+        A zero image gives its column as a unit relation, an int; the
+        others go into one echelon keyed by leads.  Images at different
+        vertices lie in independent summands, so a relation never takes in
+        another vertex's images and each one sits at one vertex.  Inserts
+        run in increasing flat coordinate, so its lead is the coordinate
+        whose insert produced it.  The relation of a dependent image is the
+        RREF kernel vector of its column, a dict of two or more terms, as a
+        nonzero image depends on earlier ones only.
         """
         echelon = TrackedEchelon()
-        kernel: list[dict] = []
+        kernel: list[int | dict] = []
         for copy, (v, imgs) in enumerate(covers):
             base = copy * self.dim
             for m in self.rad_coords[v]:
                 image = imgs.get(m)
                 if not image:
-                    kernel.append({base + m: 1})
+                    kernel.append(base + m)
                     continue
                 relation = echelon.insert(image, {base + m: 1})
                 if relation is not None:
                     kernel.append(relation)
         return kernel
 
-    def kernel_of_cover(self, gens) -> list[dict]:
+    def kernel_of_cover(self, gens) -> list[int | dict]:
         """kernel_of_images for a syzygy's top: (vertex position, gen) pairs,
-        gen a flat vector.
+        gen a unit's int coordinate or a dict of terms.
 
         The terms (shift, left[n], c) of a generator, one per coordinate
-        c * b_n, are built once; its image under each radical b_m is the
-        first term's row of b_m*b_n, shifted and scaled, plus the other
-        terms' rows, a coefficient that cancels dropped.  A one-term image
-        c * e_k at a free coordinate is stored as insert() would store it.
+        c * b_n, are built once, a unit's one term with c = 1; its image
+        under each radical b_m is the first term's row of b_m*b_n, shifted
+        and scaled, plus the other terms' rows, a coefficient that cancels
+        dropped.  A zero image gives its column as a unit relation.  A
+        one-term image c * e_k at a free coordinate is stored as insert()
+        would store it.
         One at a coordinate whose row is one-term, d * e_k, with the
         one-coordinate expression {u: e}, is c*e/d times the image of
         column u, so its relation {column: 1, u: -c*e/d} is written
@@ -386,16 +397,20 @@ class _FlatResolver:
         """
         echelon = TrackedEchelon()
         pivots = echelon.pivots
-        kernel: list[dict] = []
+        kernel: list[int | dict] = []
         d = self.dim
         left = self.left
         rad_coords = self.rad_coords
         for copy, (v, gen) in enumerate(gens):
             base = copy * d
-            terms = []
-            for coord, c in gen.items():
-                n = coord % d
-                terms.append((coord - n, left[n], c))
+            if type(gen) is int:
+                n = gen % d
+                terms = ((gen - n, left[n], 1),)
+            else:
+                terms = []
+                for coord, c in gen.items():
+                    n = coord % d
+                    terms.append((coord - n, left[n], c))
             for m in rad_coords[v]:
                 image = None
                 for shift, rows, c in terms:
@@ -415,7 +430,7 @@ class _FlatResolver:
                         else:
                             del image[key]
                 if not image:
-                    kernel.append({base + m: 1})
+                    kernel.append(base + m)
                     continue
                 if len(image) == 1:
                     (k,) = image
@@ -437,25 +452,28 @@ class _FlatResolver:
                     kernel.append(relation)
         return kernel
 
-    def top_generators(self, kernel: list[dict], syzygy: int) -> list[tuple[int, dict]]:
+    def top_generators(
+        self, kernel: list[int | dict], syzygy: int
+    ) -> list[tuple[int, int | dict]]:
         """Vertex-tagged minimal generators of the span K of kernel vectors.
 
-        kernel must hold syzygy vectors in lead form: each sits at the
-        target vertex of its largest coordinate, its lead, and no two share
-        a lead.  One pass reads each vector's lead and vertex once and
-        refuses, as it reads, a kernel that is not minimal or not in lead
-        form; the leads seen are marked in a bytearray indexed by
-        coordinate, grown as larger leads come.  rad*K lies in K, so the
-        leads of rad*K are leads of kernel vectors; the vectors whose lead is
-        not one of them span a complement of rad*K, a minimal set of
-        generators.  Arrow images stay vertex-homogeneous, so one echelon
-        keyed by leads serves every vertex, and only its leads are read.  A
-        nonzero scalar changes no span, so a one-coordinate vector's arrow
-        images are its arrow rows shifted to its copy; a longer vector's
-        image under each arrow at its vertex is summed from its terms' rows,
-        as in kernel_of_cover.  The echelon keeps a one-term image at a
-        free coordinate in its units, as add() would, and the reduction of
-        a longer image drops such a coordinate; a one-term image at a
+        kernel must hold syzygy vectors in lead form, units as their int
+        coordinate and the others as dicts: each sits at the target vertex
+        of its largest coordinate, its lead, and no two share a lead.  One
+        pass reads each vector's lead and vertex once, a unit's being its
+        coordinate, and refuses, as it reads, a kernel that is not minimal
+        or not in lead form; the leads seen are marked in a bytearray
+        indexed by coordinate, grown as larger leads come.  rad*K lies in
+        K, so the leads of rad*K are leads of kernel vectors; the vectors
+        whose lead is not one of them span a complement of rad*K, a minimal
+        set of generators, returned as they came, ints and dicts alike.
+        Arrow images stay vertex-homogeneous, so one echelon keyed by leads
+        serves every vertex, and only its leads are read.  A unit's arrow
+        images are its arrow rows shifted to its copy; a dict's image under
+        each arrow at its vertex is summed from its terms' rows, as in
+        kernel_of_cover.  The echelon keeps a one-term image at a free
+        coordinate in its units, as add() would, and the reduction of a
+        longer image drops such a coordinate; a one-term image at a
         coordinate that holds a one-term row is dependent and skipped, and
         one at a longer row goes to add().  The leads of rad*K are the
         pivots' and the units'.
@@ -470,10 +488,8 @@ class _FlatResolver:
         seen = bytearray()
         leads = []
         for vec in kernel:
-            if len(vec) == 1:
-                (lead,) = vec
-            else:
-                lead = max(vec)
+            unit = type(vec) is int
+            lead = vec if unit else max(vec)
             if lead >= len(seen):
                 seen.extend(bytes(lead + 1))
             elif seen[lead]:
@@ -484,7 +500,7 @@ class _FlatResolver:
             v = vertex_of[m]
             if v is None:
                 raise RuntimeError("resolution step is not minimal")
-            if len(vec) == 1:
+            if unit:
                 base = lead - m
                 for k, c in arrow_terms[m]:
                     key = base + k
@@ -574,9 +590,12 @@ def minimal_resolution(
 
     Stops after `steps` covers, when a syzygy dimension would exceed
     `dim_cap`, or when a syzygy vanishes; the trace records which.  The
-    first cover reads the module's own actions.  The steps run with the
-    cyclic collector off: the engine's kernels and tops hold no reference
-    cycles, so a collection would only walk them.  The collector is
+    first cover reads the module's own actions.  Each step drops its
+    input, the covers or generators and then the kernel, as soon as it is
+    read, so the deepest step, which sets the peak memory, never holds the
+    step before's kernel.  The steps run with the cyclic collector off:
+    the engine's kernels and tops hold no reference cycles, so a
+    collection would only walk them.  The collector is
     process-wide, so another thread's collections wait too; the caller's
     setting comes back on return or raise.
     """
@@ -607,10 +626,10 @@ def minimal_resolution(
             if syzygy > dim_cap:
                 return ResolutionTrace(tuple(betti), "dimension-cap")
             if gens is None:
-                kernel = engine.kernel_of_images(covers)
+                kernel, covers = engine.kernel_of_images(covers), None
             else:
-                kernel = engine.kernel_of_cover(gens)
-            gens = engine.top_generators(kernel, syzygy)
+                kernel, gens = engine.kernel_of_cover(gens), None
+            gens, kernel = engine.top_generators(kernel, syzygy), None
             dim = sum(engine.proj_dim[v] for v, _ in gens)
             covered = syzygy
     finally:
@@ -701,21 +720,29 @@ def simple_orbits(a: SCAlgebra) -> list[int]:
 
 def _colour_classes(a: SCAlgebra, engine: _FlatResolver) -> tuple[list[list[int]], dict]:
     """The classes of two or more vertex positions that colour refinement
-    on the quiver leaves together, and each arrow's final colour.
+    on the quiver leaves together, in order of their lowest member, and
+    each arrow's final colour.
 
     The first colours count what every basis automorphism keeps: a
     vertex's basis elements by source and by target, and an arrow's nonzero
-    products with a radical element on its left.  Each round colours a
-    vertex by its colour and the multisets of (arrow colour, colour of the
-    other end) of the arrows leaving and entering it, until no class splits.
+    products with a radical element on its left.  Each round signs a vertex
+    by the multiset of (arrow colour, 0 leaving or 1 entering, colour of the
+    other end) of its arrows, and splits each class by signature, until no
+    class splits.  Only a class that can still split is signed: one of two
+    or more members, in the first round or with a member next to a vertex
+    that took a new colour in the round before; the signatures in any other
+    class are the ones that kept it together.  A class that splits keeps
+    its colour for its first part and gives each other part a new one, so
+    every colour, a singleton's too, stays distinct, and the partition after
+    each round is the one that signing every vertex would give.
     """
     n = len(a.vertices)
     into = [0] * n  # the basis elements by target
     for _, t in engine.ends:
         into[t] += 1
-    colour = list(zip(engine.proj_dim, into))
-    count = len(set(colour))
-    if count == n:
+    first: dict = {}
+    colour = [first.setdefault(c, len(first)) for c in zip(engine.proj_dim, into)]
+    if len(first) == n:
         return [], {}
     ends = [engine.ends[b] for b in engine.arrows]
     base = [len(engine.left[b]) for b in engine.arrows]
@@ -724,25 +751,34 @@ def _colour_classes(a: SCAlgebra, engine: _FlatResolver) -> tuple[list[list[int]
     for b, (s, t) in zip(base, ends):
         near[s].append((b, 0, t))
         near[t].append((b, 1, s))
-    while True:
-        ids: dict = {}
-        refined = [
-            ids.setdefault(
-                (colour[p], *sorted([(b, d, colour[q]) for b, d, q in near[p]])), len(ids))
-            for p in range(n)
-        ]
-        if len(ids) == count:
-            break
-        colour, count = refined, len(ids)
-        if count == n:
-            return [], {}
-    members: dict = {}
+    classes: dict = {}  # colour -> its members, in increasing order
     for p, c in enumerate(colour):
-        members.setdefault(c, []).append(p)
+        classes.setdefault(c, []).append(p)
+    signing = [c for c, members in classes.items() if len(members) > 1]
+    while signing:
+        splits = []
+        for c in signing:
+            parts: dict = {}
+            for p in classes[c]:
+                sign = tuple(sorted([(b, d, colour[q]) for b, d, q in near[p]]))
+                parts.setdefault(sign, []).append(p)
+            if len(parts) > 1:
+                splits.append((c, list(parts.values())))
+        moved = []  # the vertices that took a new colour
+        for c, (kept, *rest) in splits:
+            classes[c] = kept
+            for part in rest:
+                new = len(classes)
+                classes[new] = part
+                for p in part:
+                    colour[p] = new
+                moved += part
+        near_moved = {colour[q] for p in moved for _, _, q in near[p]}
+        signing = [c for c in near_moved if len(classes[c]) > 1]
     arrow_colour = {
         arrow: (b, colour[s], colour[t]) for arrow, b, (s, t) in zip(engine.arrows, base, ends)
     }
-    return [m for m in members.values() if len(m) > 1], arrow_colour
+    return sorted(m for m in classes.values() if len(m) > 1), arrow_colour
 
 
 class _OrbitSearch:

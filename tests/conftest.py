@@ -593,11 +593,20 @@ def dense_trace(a, module: RepModule, steps: int, rad) -> ResolutionTrace:
         current = submodule_on_kernel(a, proj, kernel)
 
 
+def sparse_vector(vec) -> dict:
+    """An engine kernel vector or generator as a sparse dict: the engine
+    passes a unit vector, one coordinate with coefficient 1, as that
+    coordinate alone, an int."""
+    return {vec: 1} if type(vec) is int else vec
+
+
 def engine_kernels(engine, module, steps: int):
     """Yield the kernels of the engine's first `steps` syzygy steps on module,
-    made by minimal_resolution's calls: each kernel is yielded, then read by
-    top_generators, which refuses it unless it is a minimal basis in lead
-    form of the syzygy's dimension."""
+    made by minimal_resolution's calls, each vector as a sparse dict: each
+    kernel is checked to hold units as ints and other vectors as dicts of
+    two or more terms, yielded, then read by top_generators, which refuses
+    it unless it is a minimal basis in lead form of the syzygy's
+    dimension."""
     covers = engine.module_images(module)
     gens = None
     dim = sum(engine.proj_dim[v] for v, _ in covers)
@@ -610,7 +619,8 @@ def engine_kernels(engine, module, steps: int):
             kernel = engine.kernel_of_images(covers)
         else:
             kernel = engine.kernel_of_cover(gens)
-        yield kernel
+        assert all(type(vec) is int or len(vec) >= 2 for vec in kernel)
+        yield [sparse_vector(vec) for vec in kernel]
         gens = engine.top_generators(kernel, syzygy)
         dim = sum(engine.proj_dim[v] for v, _ in gens)
         covered = syzygy

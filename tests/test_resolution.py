@@ -15,6 +15,7 @@ Frozen Betti sequences, worked by hand:
 import errno
 import gc
 import os
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,7 @@ from conftest import (
     projective_cover,
     projective_sum,
     radical_vectors,
+    sparse_vector,
     star_quiver,
     submodule_on_kernel,
     trace_form_radical,
@@ -240,6 +242,26 @@ def test_trivial_extension_kronecker4_capped_traces():
         assert trace.truncated_by == "dimension-cap"
 
 
+# a bound on the traced peak of T(kron3)'s resolution at dim_cap 20000, in
+# bytes: 2.0 MB with units as ints and the step inputs dropped once read,
+# 4.2 MB when every unit was a one-key dict (CPython 3.11)
+KRON3_TRACED_PEAK = 2_500_000
+
+
+def test_deep_resolution_keeps_a_small_traced_peak():
+    ta = trivial_extension(path_algebra(multi_kronecker(3)))
+    simple = simple_modules(ta)[0]  # the engine is built outside the trace
+    tracemalloc.start()
+    try:
+        trace = minimal_resolution(ta, simple, dim_cap=20000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.betti == (5, 15, 40, 105, 275, 720, 1885, 4935, 12920, 33825)
+    assert trace.truncated_by == "dimension-cap"
+    assert peak < KRON3_TRACED_PEAK, peak
+
+
 def test_dense_and_sparse_engines_agree(monkeypatch):
     algebras = [
         trivial_extension(base)
@@ -275,6 +297,9 @@ def test_dense_and_sparse_engines_agree(monkeypatch):
         "cover one-term on a longer row or expression": 0,
         "top longer image through one-term leads": 0,
         "top one-term on a longer row": 0,
+        # both forms of kernel vector reach the oracle comparison
+        "int unit vectors": 0,
+        "multi-term dicts": 0,
     }
     top, cover = res_mod._FlatResolver.top_generators, res_mod._FlatResolver.kernel_of_cover
     phase = [None]
@@ -323,6 +348,11 @@ def test_dense_and_sparse_engines_agree(monkeypatch):
     def recording(self, kernel, syzygy):
         earlier: set = set()
         for vec in kernel:
+            if type(vec) is int:
+                reached["int unit vectors"] += 1
+            else:
+                reached["multi-term dicts"] += len(vec) >= 2
+            vec = sparse_vector(vec)
             if len(vec) >= 3:
                 reached["long vectors"] += 1
             elif len(vec) == 1:
@@ -346,6 +376,7 @@ def test_dense_and_sparse_engines_agree(monkeypatch):
 
     def covering(self, gens):
         for v, gen in gens:
+            gen = sparse_vector(gen)
             if len(gen) >= 2:
                 for summed, image in table_images(self, gen, self.rad_coords[v]):
                     reached["cover cancels"] += summed and not image
@@ -386,6 +417,7 @@ def test_cover_relations_are_the_ones_insert_returns(monkeypatch):
         echelon = TrackedEchelon()
         expected = []
         for copy, (v, gen) in enumerate(gens):
+            gen = sparse_vector(gen)
             for m, (_, image) in zip(self.rad_coords[v], table_images(self, gen, self.rad_coords[v])):
                 column = copy * self.dim + m
                 if len(image) == 1:
@@ -397,12 +429,13 @@ def test_cover_relations_are_the_ones_insert_returns(monkeypatch):
                         ratio = Fraction(image[k]) * held[1][u] / held[0][k]
                         reached["coefficient not 1"] += ratio != 1
                         reached["Fraction"] += ratio.denominator != 1
-                relation = echelon.insert(image, {column: 1}) if image else {column: 1}
+                # a zero image's relation is its column, a unit as an int
+                relation = echelon.insert(image, {column: 1}) if image else column
                 if relation is not None:
                     expected.append(relation)
         assert kernel == expected
-        assert [[type(x) for x in r.values()] for r in kernel] == [
-            [type(x) for x in r.values()] for r in expected
+        assert [[type(x) for x in sparse_vector(r).values()] for r in kernel] == [
+            [type(x) for x in sparse_vector(r).values()] for r in expected
         ]
         return kernel
 
@@ -565,7 +598,8 @@ def eliminated_columns(monkeypatch) -> list:
             kernel = kernel_of(self, covers)
             for echelon in echelons:
                 columns.extend(max(expr) for _, expr in echelon.pivots.values())
-            columns.extend(max(relation) for relation in kernel if len(relation) > 1)
+            columns.extend(max(relation) for relation in map(sparse_vector, kernel)
+                           if len(relation) > 1)
             return kernel
 
         return logged
@@ -608,7 +642,7 @@ def test_first_kernel_is_the_dense_cover_kernel(monkeypatch, name, extend):
             with monkeypatch.context() as patch:
                 columns = eliminated_columns(patch)
                 kernel = engine.kernel_of_images(engine.module_images(module))
-            assert kernel == expected
+            assert [sparse_vector(vec) for vec in kernel] == expected
             # only the radical columns were eliminated, never e_v * gen
             assert not [c for c in columns if c % engine.dim in engine.idem]
             checked += len(kernel)
@@ -633,6 +667,11 @@ def test_top_refuses_a_kernel_not_in_lead_form():
         ([{m1: 1}, {d + m2: 1}, {m1: 1}], 3, "two syzygy relations share a leading coordinate"),
         # an idempotent coordinate below the lead of a two-coordinate vector
         ([{idem: 1, d + m1: 1}], 1, "resolution step is not minimal"),
+        # units in the engine's form, bare int coordinates: an idempotent
+        # one, a repeat after a larger lead, and one on a dict's lead
+        ([idem], 1, "resolution step is not minimal"),
+        ([m1, d + m2, m1], 3, "two syzygy relations share a leading coordinate"),
+        ([{m1: 1, m2: 1}, m2], 2, "two syzygy relations share a leading coordinate"),
     ]
     for kernel, syzygy, message in cases:
         with pytest.raises(RuntimeError, match=message):
@@ -641,6 +680,9 @@ def test_top_refuses_a_kernel_not_in_lead_form():
     # a0 to it: the lead form is accepted and the span is a submodule
     v = engine.vertex_of[m1]
     kernel = [{m1: 1, m2: 1}, {m1: 1}, {n1: 2}]
+    assert engine.top_generators(kernel, 3) == [(v, vec) for vec in kernel[:2]]
+    # the same span with its unit as an int: generators come back as they came
+    kernel = [{m1: 1, m2: 1}, m1, {n1: 2}]
     assert engine.top_generators(kernel, 3) == [(v, vec) for vec in kernel[:2]]
     # the lead form is accepted, but the arrows take the span to the socle
     # coordinates n1 and d + n1, which it lacks; with them it is a submodule
@@ -740,7 +782,7 @@ def test_first_cover_of_a_mixed_basis_module(monkeypatch, build):
     with monkeypatch.context() as patch:
         columns = eliminated_columns(patch)
         kernel = engine.kernel_of_images(engine.module_images(moved))
-    assert kernel == expected
+    assert [sparse_vector(vec) for vec in kernel] == expected
     assert columns
     assert not [c for c in columns if c % engine.dim in engine.idem]
     engine.top_generators(kernel, cover.cols - moved.dim)
@@ -1072,7 +1114,7 @@ def test_parallel_resolution_raises_the_lowest_refusal(monkeypatch, refused, kin
 
     def refusing(self, kernel, syzygy):
         # the first kernel of a simple's resolution lies in the projective at its vertex
-        first = self.alg.basis[min(kernel[0]) % self.dim].source
+        first = self.alg.basis[min(sparse_vector(kernel[0])) % self.dim].source
         vertex = self.__dict__.setdefault("vertex", first)
         if vertex in chosen:
             raise kind(f"refused {vertex}")
@@ -1142,6 +1184,63 @@ def test_simple_orbits_are_the_ones_theory_gives(certified_automorphisms, name):
         want = expected
     assert res_mod.simple_orbits(a) == want
     assert bool(certified_automorphisms["accepted"]) == (want != list(range(n)))
+
+
+def full_rounds(a, engine):
+    """Colour refinement that signs every vertex in every round, from the
+    same first colours as `resolution._colour_classes`: the vertex classes
+    of two or more, in order of their lowest member, and the arrows grouped
+    by final colour."""
+    n = len(a.vertices)
+    into = [0] * n
+    for _, t in engine.ends:
+        into[t] += 1
+    colour = list(zip(engine.proj_dim, into))
+    near: list[list[tuple]] = [[] for _ in range(n)]
+    for b in engine.arrows:
+        s, t = engine.ends[b]
+        near[s].append((len(engine.left[b]), 0, t))
+        near[t].append((len(engine.left[b]), 1, s))
+    while True:
+        ids: dict = {}
+        refined = [
+            ids.setdefault((colour[p], *sorted((k, d, colour[q]) for k, d, q in near[p])),
+                           len(ids))
+            for p in range(n)
+        ]
+        if len(ids) == len(set(colour)):
+            break
+        colour = refined
+    members: dict = {}
+    for p, c in enumerate(colour):
+        members.setdefault(c, []).append(p)
+    arrows: dict = {}
+    for b in engine.arrows:
+        s, t = engine.ends[b]
+        arrows.setdefault((len(engine.left[b]), colour[s], colour[t]), []).append(b)
+    return [m for m in members.values() if len(m) > 1], sorted(arrows.values())
+
+
+REFINEMENT_CASES = {
+    **{name: build for name, (build, _) in ORBIT_CASES.items()},
+    "T(kD40)": lambda w: workload_algebra(w.D40),
+}
+
+
+@pytest.mark.parametrize("name", list(REFINEMENT_CASES))
+def test_colour_classes_are_those_of_full_rounds(name):
+    # signing only the classes that can still split ends in the partition,
+    # of the vertices and of the arrows, that signing every vertex gives
+    a = REFINEMENT_CASES[name](bench_module("workloads"))
+    engine = res_mod._setup(a)
+    classes, arrow_colour = res_mod._colour_classes(a, engine)
+    want_classes, want_arrows = full_rounds(a, engine)
+    assert classes == want_classes
+    if classes:
+        by_colour: dict = {}
+        for b, c in arrow_colour.items():
+            by_colour.setdefault(c, []).append(b)
+        assert sorted(by_colour.values()) == want_arrows
 
 
 def test_d40_joins_its_short_arms_after_one_pair_search(monkeypatch, certified_automorphisms):
