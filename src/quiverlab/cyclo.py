@@ -71,7 +71,7 @@ def _krylov_blocks(m: RatMatrix, orbit: Sequence = ()):
     if orbit:
         yield _krylov_block(span, m, orbit, 0)
     for s in range(n):
-        offset = len(span.pivots)
+        offset = span.rank()
         if offset == n:
             return
         block, q = _krylov_block(span, m, [[1 if k == s else 0 for k in range(n)]], offset)
@@ -193,9 +193,8 @@ def _cauchy_bound(p: IntPolynomial) -> Fraction:
 # wide, well below a float's half ulp, so its midpoint rounds to the float
 # nearest the radius but in rare near-ties
 _PRECISION = 60
-# root squarings tried on the polynomial, then on its square-free part;
-# T(2,3,q)'s radius is set apart after 3 and Lehmer's number, E10's, after 5
-_FAST_SQUARINGS = 8
+# root squarings tried on the square-free part of the polynomial; T(2,3,q)'s
+# radius is set apart after 3 and Lehmer's number, E10's, after 5
 _SQUARINGS = 16
 
 
@@ -435,9 +434,10 @@ def spectral_radius(m: RatMatrix, orbit: Sequence = ()) -> float:
     cyclotomic polynomials.  Otherwise the polynomial, cleared of
     denominators and of the factor x^t, goes to _modulus_enclosure in ints,
     and the midpoint of an enclosure at most 2^-60 of the radius wide is
-    returned, as close as a float can resolve.  When _FAST_SQUARINGS settle
-    nothing (a multiple top root, or top moduli too close to part), the
-    square-free part gets _SQUARINGS.  ArithmeticError when that fails too, as for two conjugate
+    returned, as close as a float can resolve.  The enclosure is taken in
+    one stage, of the square-free part with up to _SQUARINGS root
+    squarings, so a multiple top root cannot stall Pellet's test.
+    ArithmeticError when it finds no certificate, as for two conjugate
     pairs on the top circle.  orbit is passed on to char_poly.
     """
     if not m.is_square:
@@ -456,10 +456,8 @@ def spectral_radius(m: RatMatrix, orbit: Sequence = ()) -> float:
     a = _integral(p)
     step = math.gcd(*(i for i, c in enumerate(a) if c))
     a = a[::step]
-    enclosure = _modulus_enclosure(a, _FAST_SQUARINGS)
-    if enclosure is None:
-        core = IntPolynomial(a)
-        enclosure = _modulus_enclosure(_integral(core // core.gcd(core.derivative())), _SQUARINGS)
+    core = IntPolynomial(a)
+    enclosure = _modulus_enclosure(_integral(core // core.gcd(core.derivative())), _SQUARINGS)
     if enclosure is None:
         raise ArithmeticError(f"no certified spectral radius for {p}")
     lo, hi = enclosure

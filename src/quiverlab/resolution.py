@@ -36,12 +36,14 @@ in lead form: each vector sits at one vertex and has its own largest
 coordinate, its lead; a unit is its own lead.  Since rad*K lies in K, the
 leads of rad*K are leads of K, and the vectors of K whose leads are not
 leads of rad*K generate K minimally.  Every kernel, the first one
-included, comes from one lead-keyed TrackedEchelon per step; the first
-reads the module's own action on its top generators.  Each step
-eliminates only the radical columns b*g of its cover, b a non-idempotent
-basis element: the generators g are independent modulo the radical of the
-module covered, which holds every b*g, so no kernel relation uses a
-generator's own column and leaving those columns out changes no relation.
+included, comes from one routine with one lead-keyed TrackedEchelon per
+step: the input module's top generators come to it as one term each,
+whose table is the module's own action on the generator, and a syzygy's
+as the terms of its table rows.  Each step eliminates only the radical
+columns b*g of its cover, b a non-idempotent basis element: the
+generators g are independent modulo the radical of the module covered,
+which holds every b*g, so no kernel relation uses a generator's own
+column and leaving those columns out changes no relation.
 A syzygy step makes one pass per stage: the cover sums each generator's
 images from the table rows of its coordinates, a unit being one term with
 coefficient 1, and the top reads each kernel vector's lead and vertex
@@ -270,12 +272,14 @@ class _FlatResolver:
     relations come in the lead form that top_generators checks as it reads
     them, so a syzygy's top costs one pass over its kernel: one
     TrackedEchelon of the arrow images, then one lookup of each lead in it.
-    Kernel vectors and generators are units, bare int coordinates, or
-    dicts of two or more terms (see the module docstring).
+    Kernel vectors and syzygy generators are units, bare int coordinates,
+    or dicts of two or more terms (see the module docstring); an input
+    module's generators come as one term whose table is the module's own
+    action (see module_images), so one kernel_of_cover serves every step.
     Covers are eliminated on their radical columns only (see
-    kernel_of_images), so the tables hold the products by non-idempotent
+    kernel_of_cover), so the tables hold the products by non-idempotent
     elements alone.  Each image is summed from the table rows of a
-    vector's terms, with no dict of images.  An image of one term, the
+    generator's terms, with no dict of images.  An image of one term, the
     common case, is settled without the echelon's reduction where the
     coordinate is free or holds a one-term row; the other cases fall back
     to TrackedEchelon.insert or add.  The tables depend on the algebra
@@ -315,15 +319,18 @@ class _FlatResolver:
         self.arrow_terms = [[r[0] for r in rows if len(r) == 1] for rows in arrow_rows]
         self.arrow_rows = [[r for r in rows if len(r) > 1] for rows in arrow_rows]
 
-    def module_images(self, module: RepModule) -> list[tuple[int, dict]]:
-        """(vertex position, {m: b_m * gen}) for the top generators of a module.
+    def module_images(self, module: RepModule) -> list[tuple[int, tuple]]:
+        """(vertex position, terms) for the top generators of a module, in
+        the form kernel_of_cover reads.
 
         rad*module is the sum of the arrows' images of the module, spanned
         by the columns of their actions.  The generators are the columns of
         the idempotents' actions that enlarge that span, vertex by vertex, so
-        they lift a basis of module / rad*module; the images are sparse
-        vectors in the module's own coordinates, for the non-idempotent b_m
-        only, the columns kernel_of_images eliminates.
+        they lift a basis of module / rad*module.  A generator g is one term
+        (0, table, 1), as kernel_of_cover builds for a syzygy vector: the
+        table maps each non-idempotent b_m with b_m*g nonzero to the row of
+        that image in the module's own coordinates, so the first cover is
+        eliminated like every later one.
         """
         covered = TrackedEchelon()
         for b in self.arrows:
@@ -335,63 +342,48 @@ class _FlatResolver:
             for k in range(module.dim):
                 gen = act.column(k)
                 if covered.add(_sparse(gen)):
-                    images = {m: _sparse(module.actions[m].apply(gen)) for m in self.rad_coords[p]}
-                    out.append((p, images))
+                    table = {}
+                    for m in self.rad_coords[p]:
+                        image = _sparse(module.actions[m].apply(gen))
+                        if image:
+                            table[m] = tuple(image.items())
+                    out.append((p, ((0, table, 1),)))
         if covered.rank() != module.dim:
             raise RuntimeError("projective cover lifting failed")
         return out
 
-    def kernel_of_images(self, covers) -> list[int | dict]:
+    def kernel_of_cover(self, gens) -> list[int | dict]:
         """Kernel basis of the cover sending copy i's basis element m to b_m * gen_i.
 
-        covers gives, per generator, its vertex position and its images
-        {m: b_m * gen} for the non-idempotent b_m, in the module's own
-        coordinates at the first step (see module_images).  Only these
-        radical columns are eliminated.  The generators are independent
-        modulo rad K, where K is the module covered, and every radical
-        column b_m * gen lies in rad K, so reducing a relation modulo rad K
-        leaves a combination of generators that must vanish: no relation
-        uses a generator's column e_v * gen = gen.  The relation of a column
-        is the unique one with coefficient 1 on it among the earlier
-        independent columns, so leaving the generator columns out changes
-        no relation and saves their rows.
+        gens gives, per generator, its vertex position and the generator:
+        a syzygy vector, a unit's int coordinate or a dict of terms, or an
+        input module's generator, the one term (0, table, 1) that
+        module_images makes.  The terms (shift, rows, c) of a syzygy
+        vector, one (shift, left[n], c) per coordinate c * b_n, are built
+        once, a unit's one term with c = 1.  A generator's image under
+        each radical b_m is the first term's row of b_m, shifted and
+        scaled, plus the other terms' rows, a coefficient that cancels
+        dropped.
+        Only these radical columns are eliminated.  The generators are
+        independent modulo rad K, where K is the module covered, and every
+        radical column b_m * gen lies in rad K, so reducing a relation
+        modulo rad K leaves a combination of generators that must vanish:
+        no relation uses a generator's column e_v * gen = gen.  The
+        relation of a column is the unique one with coefficient 1 on it
+        among the earlier independent columns, so leaving the generator
+        columns out changes no relation and saves their rows.
         A zero image gives its column as a unit relation, an int; the
         others go into one echelon keyed by leads.  Images at different
         vertices lie in independent summands, so a relation never takes in
-        another vertex's images and each one sits at one vertex.  Inserts
-        run in increasing flat coordinate, so its lead is the coordinate
-        whose insert produced it.  The relation of a dependent image is the
-        RREF kernel vector of its column, a dict of two or more terms, as a
-        nonzero image depends on earlier ones only.
-        """
-        echelon = TrackedEchelon()
-        kernel: list[int | dict] = []
-        for copy, (v, imgs) in enumerate(covers):
-            base = copy * self.dim
-            for m in self.rad_coords[v]:
-                image = imgs.get(m)
-                if not image:
-                    kernel.append(base + m)
-                    continue
-                relation = echelon.insert(image, {base + m: 1})
-                if relation is not None:
-                    kernel.append(relation)
-        return kernel
-
-    def kernel_of_cover(self, gens) -> list[int | dict]:
-        """kernel_of_images for a syzygy's top: (vertex position, gen) pairs,
-        gen a unit's int coordinate or a dict of terms.
-
-        The terms (shift, left[n], c) of a generator, one per coordinate
-        c * b_n, are built once, a unit's one term with c = 1; its image
-        under each radical b_m is the first term's row of b_m*b_n, shifted
-        and scaled, plus the other terms' rows, a coefficient that cancels
-        dropped.  A zero image gives its column as a unit relation.  A
-        one-term image c * e_k at a free coordinate is stored as insert()
-        would store it.
-        One at a coordinate whose row is one-term, d * e_k, with the
-        one-coordinate expression {u: e}, is c*e/d times the image of
-        column u, so its relation {column: 1, u: -c*e/d} is written
+        another vertex's images and each one sits at one vertex.  Columns
+        come in increasing flat coordinate, so a relation's lead is the
+        column whose image produced it.  The relation of a dependent image
+        is the RREF kernel vector of its column, a dict of two or more
+        terms, as a nonzero image depends on earlier ones only.
+        A one-term image c * e_k at a free coordinate is stored as insert()
+        would store it.  One at a coordinate whose row is one-term, d * e_k,
+        with the one-coordinate expression {u: e}, is c*e/d times the image
+        of column u, so its relation {column: 1, u: -c*e/d} is written
         directly; it is the one insert() would return.  Every other image
         goes to insert().
         """
@@ -406,11 +398,13 @@ class _FlatResolver:
             if type(gen) is int:
                 n = gen % d
                 terms = ((gen - n, left[n], 1),)
-            else:
+            elif type(gen) is dict:
                 terms = []
                 for coord, c in gen.items():
                     n = coord % d
                     terms.append((coord - n, left[n], c))
+            else:
+                terms = gen  # an input module's generator, from module_images
             for m in rad_coords[v]:
                 image = None
                 for shift, rows, c in terms:
@@ -589,15 +583,16 @@ def minimal_resolution(
     """Betti numbers of a minimal projective resolution of the module.
 
     Stops after `steps` covers, when a syzygy dimension would exceed
-    `dim_cap`, or when a syzygy vanishes; the trace records which.  The
-    first cover reads the module's own actions.  Each step drops its
-    input, the covers or generators and then the kernel, as soon as it is
-    read, so the deepest step, which sets the peak memory, never holds the
-    step before's kernel.  The steps run with the cyclic collector off:
-    the engine's kernels and tops hold no reference cycles, so a
-    collection would only walk them.  The collector is
-    process-wide, so another thread's collections wait too; the caller's
-    setting comes back on return or raise.
+    `dim_cap`, or when a syzygy vanishes; the trace records which.  Every
+    step is one kernel_of_cover and one top_generators; the first cover's
+    generators are the module's, read from its own actions by
+    module_images.  Each step drops its input, the generators and then the
+    kernel, as soon as it is read, so the deepest step, which sets the
+    peak memory, never holds the step before's kernel.  The steps run
+    with the cyclic collector off: the engine's kernels and tops hold no
+    reference cycles, so a collection would only walk them.  The
+    collector is process-wide, so another thread's collections wait too;
+    the caller's setting comes back on return or raise.
     """
     if module.algebra is not a:
         raise ValueError("module is defined over a different algebra")
@@ -608,10 +603,9 @@ def minimal_resolution(
     if module.dim == 0:
         return ResolutionTrace((0,), "resolution-terminated")
     engine = _setup(a)
-    covers = engine.module_images(module)
-    gens = None
+    gens = engine.module_images(module)
     betti: list[int] = []
-    dim = sum(engine.proj_dim[v] for v, _ in covers)
+    dim = sum(engine.proj_dim[v] for v, _ in gens)
     covered = module.dim
     enabled = gc.isenabled()
     gc.disable()
@@ -625,10 +619,7 @@ def minimal_resolution(
                 return ResolutionTrace(tuple(betti), "steps-exhausted")
             if syzygy > dim_cap:
                 return ResolutionTrace(tuple(betti), "dimension-cap")
-            if gens is None:
-                kernel, covers = engine.kernel_of_images(covers), None
-            else:
-                kernel, gens = engine.kernel_of_cover(gens), None
+            kernel, gens = engine.kernel_of_cover(gens), None
             gens, kernel = engine.top_generators(kernel, syzygy), None
             dim = sum(engine.proj_dim[v] for v, _ in gens)
             covered = syzygy
@@ -725,16 +716,10 @@ def _colour_classes(a: SCAlgebra, engine: _FlatResolver) -> tuple[list[list[int]
 
     The first colours count what every basis automorphism keeps: a
     vertex's basis elements by source and by target, and an arrow's nonzero
-    products with a radical element on its left.  Each round signs a vertex
-    by the multiset of (arrow colour, 0 leaving or 1 entering, colour of the
-    other end) of its arrows, and splits each class by signature, until no
-    class splits.  Only a class that can still split is signed: one of two
-    or more members, in the first round or with a member next to a vertex
-    that took a new colour in the round before; the signatures in any other
-    class are the ones that kept it together.  A class that splits keeps
-    its colour for its first part and gives each other part a new one, so
-    every colour, a singleton's too, stays distinct, and the partition after
-    each round is the one that signing every vertex would give.
+    products with a radical element on its left.  Each round signs every
+    vertex by its colour and the multiset of (arrow colour, 0 leaving or 1
+    entering, colour of the other end) of its arrows, and colours it by its
+    signature, until a round splits no class.
     """
     n = len(a.vertices)
     into = [0] * n  # the basis elements by target
@@ -751,34 +736,24 @@ def _colour_classes(a: SCAlgebra, engine: _FlatResolver) -> tuple[list[list[int]
     for b, (s, t) in zip(base, ends):
         near[s].append((b, 0, t))
         near[t].append((b, 1, s))
+    count = len(first)
+    while True:
+        signs: dict = {}
+        refined = [
+            signs.setdefault((colour[p], *sorted([(b, d, colour[q]) for b, d, q in near[p]])),
+                             len(signs))
+            for p in range(n)
+        ]
+        if len(signs) == count:
+            break
+        colour, count = refined, len(signs)
     classes: dict = {}  # colour -> its members, in increasing order
     for p, c in enumerate(colour):
         classes.setdefault(c, []).append(p)
-    signing = [c for c, members in classes.items() if len(members) > 1]
-    while signing:
-        splits = []
-        for c in signing:
-            parts: dict = {}
-            for p in classes[c]:
-                sign = tuple(sorted([(b, d, colour[q]) for b, d, q in near[p]]))
-                parts.setdefault(sign, []).append(p)
-            if len(parts) > 1:
-                splits.append((c, list(parts.values())))
-        moved = []  # the vertices that took a new colour
-        for c, (kept, *rest) in splits:
-            classes[c] = kept
-            for part in rest:
-                new = len(classes)
-                classes[new] = part
-                for p in part:
-                    colour[p] = new
-                moved += part
-        near_moved = {colour[q] for p in moved for _, _, q in near[p]}
-        signing = [c for c in near_moved if len(classes[c]) > 1]
     arrow_colour = {
         arrow: (b, colour[s], colour[t]) for arrow, b, (s, t) in zip(engine.arrows, base, ends)
     }
-    return sorted(m for m in classes.values() if len(m) > 1), arrow_colour
+    return [m for m in classes.values() if len(m) > 1], arrow_colour
 
 
 class _OrbitSearch:

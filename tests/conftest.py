@@ -607,18 +607,14 @@ def engine_kernels(engine, module, steps: int):
     two or more terms, yielded, then read by top_generators, which refuses
     it unless it is a minimal basis in lead form of the syzygy's
     dimension."""
-    covers = engine.module_images(module)
-    gens = None
-    dim = sum(engine.proj_dim[v] for v, _ in covers)
+    gens = engine.module_images(module)
+    dim = sum(engine.proj_dim[v] for v, _ in gens)
     covered = module.dim
     for _ in range(steps):
         syzygy = dim - covered
         if syzygy == 0:
             return
-        if gens is None:
-            kernel = engine.kernel_of_images(covers)
-        else:
-            kernel = engine.kernel_of_cover(gens)
+        kernel = engine.kernel_of_cover(gens)
         assert all(type(vec) is int or len(vec) >= 2 for vec in kernel)
         yield [sparse_vector(vec) for vec in kernel]
         gens = engine.top_generators(kernel, syzygy)

@@ -398,9 +398,12 @@ def test_dense_and_sparse_engines_agree(monkeypatch):
 
 def test_cover_relations_are_the_ones_insert_returns(monkeypatch):
     # the cover's one-term path writes a relation without the echelon, so
-    # every kernel of a later step is checked, value and type, against the
-    # relations that TrackedEchelon.insert returns on the images multiplied
-    # out from the table; the Betti numbers alone would not see a wrong sign
+    # every kernel is checked, value and type, against the relations that
+    # TrackedEchelon.insert returns on the images: a later step's multiplied
+    # out from the table, the first step's read from the module's action
+    # that module_images put in the generator's term; the Betti numbers
+    # alone would not see a wrong sign.  A simple's first images are all
+    # zero, so first syzygies and a mixed-basis module start from nonzero ones
     algebras = [
         trivial_extension(path_algebra(multi_kronecker(2))),
         trivial_extension(gentle_two_loop()),
@@ -410,15 +413,26 @@ def test_cover_relations_are_the_ones_insert_returns(monkeypatch):
         trivial_extension(canonical_algebra(CanonicalSpec((2, 2, 3), (Fraction(-1, 2),)))),
     ]
     cover = res_mod._FlatResolver.kernel_of_cover
-    reached = {"one-term on one-term": 0, "coefficient not 1": 0, "Fraction": 0}
+    reached = {
+        "one-term on one-term": 0,
+        "coefficient not 1": 0,
+        "Fraction": 0,
+        "first-step images": 0,
+    }
 
     def comparing(self, gens):
         kernel = cover(self, gens)
         echelon = TrackedEchelon()
         expected = []
         for copy, (v, gen) in enumerate(gens):
-            gen = sparse_vector(gen)
-            for m, (_, image) in zip(self.rad_coords[v], table_images(self, gen, self.rad_coords[v])):
+            if type(gen) is tuple:  # an input module's generator: one term
+                ((_, table, _),) = gen
+                images = [dict(table.get(m, ())) for m in self.rad_coords[v]]
+                reached["first-step images"] += sum(map(bool, images))
+            else:
+                gen = sparse_vector(gen)
+                images = [image for _, image in table_images(self, gen, self.rad_coords[v])]
+            for m, image in zip(self.rad_coords[v], images):
                 column = copy * self.dim + m
                 if len(image) == 1:
                     (k,) = image
@@ -441,8 +455,14 @@ def test_cover_relations_are_the_ones_insert_returns(monkeypatch):
 
     monkeypatch.setattr(res_mod._FlatResolver, "kernel_of_cover", comparing)
     for a in algebras:
+        rad = radical_vectors(a)
         for s in simple_modules(a):
             minimal_resolution(a, s, 8)
+            proj, surjection = projective_cover(a, s, rad)
+            syzygy = surjection.kernel_basis()
+            if syzygy:
+                minimal_resolution(a, submodule_on_kernel(a, proj, syzygy), 8)
+        minimal_resolution(a, mixed_basis_syzygy(a, rad)[1], 8)
     assert all(reached.values()), reached
 
 
@@ -572,7 +592,7 @@ def test_syzygy_relations_are_in_lead_form(monkeypatch, name, extend):
 
 
 def eliminated_columns(monkeypatch) -> list:
-    """Patch both cover kernels to log each column b_m * gen they eliminate,
+    """Patch the cover kernel to log each column b_m * gen it eliminates,
     one with a nonzero image, whether the image went through
     `TrackedEchelon.insert` or the cover's one-term path; returns the log.
 
@@ -592,21 +612,19 @@ def eliminated_columns(monkeypatch) -> list:
             super().__init__()
             echelons.append(self)
 
-    def logging(kernel_of):
-        def logged(self, covers):
-            echelons.clear()
-            kernel = kernel_of(self, covers)
-            for echelon in echelons:
-                columns.extend(max(expr) for _, expr in echelon.pivots.values())
-            columns.extend(max(relation) for relation in map(sparse_vector, kernel)
-                           if len(relation) > 1)
-            return kernel
+    kernel_of_cover = res_mod._FlatResolver.kernel_of_cover
 
-        return logged
+    def logged(self, gens):
+        echelons.clear()
+        kernel = kernel_of_cover(self, gens)
+        for echelon in echelons:
+            columns.extend(max(expr) for _, expr in echelon.pivots.values())
+        columns.extend(max(relation) for relation in map(sparse_vector, kernel)
+                       if len(relation) > 1)
+        return kernel
 
     monkeypatch.setattr(res_mod, "TrackedEchelon", Recording)
-    for name in ("kernel_of_images", "kernel_of_cover"):
-        monkeypatch.setattr(res_mod._FlatResolver, name, logging(getattr(res_mod._FlatResolver, name)))
+    monkeypatch.setattr(res_mod._FlatResolver, "kernel_of_cover", logged)
     return columns
 
 
@@ -641,7 +659,7 @@ def test_first_kernel_is_the_dense_cover_kernel(monkeypatch, name, extend):
             expected = flat_kernel(a, verts, cover.kernel_basis())
             with monkeypatch.context() as patch:
                 columns = eliminated_columns(patch)
-                kernel = engine.kernel_of_images(engine.module_images(module))
+                kernel = engine.kernel_of_cover(engine.module_images(module))
             assert [sparse_vector(vec) for vec in kernel] == expected
             # only the radical columns were eliminated, never e_v * gen
             assert not [c for c in columns if c % engine.dim in engine.idem]
@@ -781,7 +799,7 @@ def test_first_cover_of_a_mixed_basis_module(monkeypatch, build):
     expected = flat_kernel(a, verts, cover.kernel_basis())
     with monkeypatch.context() as patch:
         columns = eliminated_columns(patch)
-        kernel = engine.kernel_of_images(engine.module_images(moved))
+        kernel = engine.kernel_of_cover(engine.module_images(moved))
     assert [sparse_vector(vec) for vec in kernel] == expected
     assert columns
     assert not [c for c in columns if c % engine.dim in engine.idem]
