@@ -385,12 +385,13 @@ def _reflect(a: list[int]) -> list[int]:
     return [-c if i % 2 else c for i, c in enumerate(a)]
 
 
-def _modulus_enclosure(a: list[int], squarings: int):
+def _modulus_enclosure(a: list[int]):
     """Bounds (lo, hi) on the largest root modulus of a, a(0) != 0, at most
     2^-_PRECISION of hi apart; None when no certificate is found.
 
-    After k root squarings (Graeffe), Pellet's test sets apart the j roots
-    of largest modulus by a root-free annulus, with a dyadic r inside it.
+    After k root squarings (Graeffe), k up to _SQUARINGS, Pellet's test
+    sets apart the j roots of largest modulus by a root-free annulus, with
+    a dyadic r inside it.
     A lone top root is real, as roots off the real line come in conjugate
     pairs: m = n - 1 is the usual certificate (Becker, Sagraloff, Sharma
     and Yap, arXiv:1509.06231).  Descartes' rule counts the real roots
@@ -401,7 +402,7 @@ def _modulus_enclosure(a: list[int], squarings: int):
     """
     sides = (a, _reflect(a))
     g = a
-    for k in range(squarings + 1):
+    for k in range(_SQUARINGS + 1):
         if k:
             g = _graeffe(g)
         cluster = _top_cluster(g)
@@ -457,7 +458,7 @@ def spectral_radius(m: RatMatrix, orbit: Sequence = ()) -> float:
     step = math.gcd(*(i for i, c in enumerate(a) if c))
     a = a[::step]
     core = IntPolynomial(a)
-    enclosure = _modulus_enclosure(_integral(core // core.gcd(core.derivative())), _SQUARINGS)
+    enclosure = _modulus_enclosure(_integral(core // core.gcd(core.derivative())))
     if enclosure is None:
         raise ArithmeticError(f"no certified spectral radius for {p}")
     lo, hi = enclosure

@@ -28,18 +28,19 @@ One sparse engine tracks syzygies in flat coordinates.  A syzygy vector
 is a unit, one coordinate with coefficient 1, or a sparse dict of two or
 more terms.  A unit travels as its coordinate, a bare int: most kernel
 vectors are units, the relations of zero images, and a one-key dict holds
-several times the memory of its key.  Every top, the input module's
-included, is found from the images of the arrows alone, a basis of
-rad/rad^2 chosen among the basis elements: rad is spanned by products of
-arrows, so rad*M is the sum of the arrows' images of M.  Syzygy bases come
-in lead form: each vector sits at one vertex and has its own largest
-coordinate, its lead; a unit is its own lead.  Since rad*K lies in K, the
-leads of rad*K are leads of K, and the vectors of K whose leads are not
-leads of rad*K generate K minimally.  Every kernel, the first one
-included, comes from one routine with one lead-keyed TrackedEchelon per
-step: the input module's top generators come to it as one term each,
-whose table is the module's own action on the generator, and a syzygy's
-as the terms of its table rows.  Each step eliminates only the radical
+several times the memory of its key.  The resolution of the simple at a
+vertex v starts from one generator, the empty vector at v: every radical
+element sends it to zero, so the first kernel is rad P_v, its
+non-idempotent coordinates as units.  Every top is found from the images
+of the arrows alone, a basis of rad/rad^2 chosen among the basis
+elements: rad is spanned by products of arrows, so rad*M is the sum of
+the arrows' images of M.  Syzygy bases come in lead form: each vector
+sits at one vertex and has its own largest coordinate, its lead; a unit
+is its own lead.  Since rad*K lies in K, the leads of rad*K are leads of
+K, and the vectors of K whose leads are not leads of rad*K generate K
+minimally.  Every kernel, the first one included, comes from one routine
+with one lead-keyed TrackedEchelon per step, which reads a generator's
+terms from its table rows.  Each step eliminates only the radical
 columns b*g of its cover, b a non-idempotent basis element: the
 generators g are independent modulo the radical of the module covered,
 which holds every b*g, so no kernel relation uses a generator's own
@@ -56,9 +57,9 @@ every other vector goes through the echelon's one reduction.  The step
 loop drops each input once it is read, so the old kernel is gone before
 the next is built, and runs with the cyclic collector off (see
 minimal_resolution).  The engine's tables depend on the algebra only and
-are built once per algebra in a process.  The dense projective cover,
-built from action matrices, lives only in the test suite, as the
-oracle the engine is checked against.
+are built once per algebra in a process.  The dense modules, simple_modules
+and RepModule, serve the test suite's projective cover, the oracle the
+engine is checked against; no resolution reads them.
 """
 
 from __future__ import annotations
@@ -119,10 +120,6 @@ class RepModule(Record):
         if self.dim == 0:
             return tuple(0 for _ in self.algebra.vertices)
         return tuple(int(self.actions[e].trace()) for e in self.algebra.idempotents)
-
-
-def zero_module(a: SCAlgebra) -> RepModule:
-    return RepModule(a, 0, ())
 
 
 class ResolutionTrace(Record):
@@ -249,10 +246,6 @@ def simple_modules(a: SCAlgebra) -> list[RepModule]:
     return simples
 
 
-def _sparse(vec) -> dict:
-    return {k: c for k, c in enumerate(vec) if c}
-
-
 def _source_coords(a: SCAlgebra) -> list[list[int]]:
     pos = {v: p for p, v in enumerate(a.vertices)}
     out: list[list[int]] = [[] for _ in a.vertices]
@@ -268,17 +261,15 @@ class _FlatResolver:
     so that minimality and tops reduce to coordinate support checks.  Tops
     apply only the arrows, non-idempotent basis elements that form a basis
     of rad/rad^2: rad is spanned by products of arrows, so rad*M is the sum
-    of arrow*M, for the input module and for every syzygy.  Kernel
-    relations come in the lead form that top_generators checks as it reads
-    them, so a syzygy's top costs one pass over its kernel: one
-    TrackedEchelon of the arrow images, then one lookup of each lead in it.
-    Kernel vectors and syzygy generators are units, bare int coordinates,
-    or dicts of two or more terms (see the module docstring); an input
-    module's generators come as one term whose table is the module's own
-    action (see module_images), so one kernel_of_cover serves every step.
-    Covers are eliminated on their radical columns only (see
-    kernel_of_cover), so the tables hold the products by non-idempotent
-    elements alone.  Each image is summed from the table rows of a
+    of arrow*M, for every syzygy.  Kernel relations come in the lead form
+    that top_generators checks as it reads them, so a syzygy's top costs
+    one pass over its kernel: one TrackedEchelon of the arrow images, then
+    one lookup of each lead in it.  Kernel vectors and syzygy generators
+    are units, bare int coordinates, or dicts of two or more terms (see the
+    module docstring); the simple at a vertex enters as the empty dict, so
+    one kernel_of_cover serves every step.  Covers are eliminated on their
+    radical columns only (see kernel_of_cover), so the tables hold the
+    products by non-idempotent elements alone.  Each image is summed from the table rows of a
     generator's terms, with no dict of images.  An image of one term, the
     common case, is settled without the echelon's reduction where the
     coordinate is free or holds a one-term row; the other cases fall back
@@ -319,51 +310,18 @@ class _FlatResolver:
         self.arrow_terms = [[r[0] for r in rows if len(r) == 1] for rows in arrow_rows]
         self.arrow_rows = [[r for r in rows if len(r) > 1] for rows in arrow_rows]
 
-    def module_images(self, module: RepModule) -> list[tuple[int, tuple]]:
-        """(vertex position, terms) for the top generators of a module, in
-        the form kernel_of_cover reads.
-
-        rad*module is the sum of the arrows' images of the module, spanned
-        by the columns of their actions.  The generators are the columns of
-        the idempotents' actions that enlarge that span, vertex by vertex, so
-        they lift a basis of module / rad*module.  A generator g is one term
-        (0, table, 1), as kernel_of_cover builds for a syzygy vector: the
-        table maps each non-idempotent b_m with b_m*g nonzero to the row of
-        that image in the module's own coordinates, so the first cover is
-        eliminated like every later one.
-        """
-        covered = TrackedEchelon()
-        for b in self.arrows:
-            for col in module.actions[b].columns():
-                covered.add(_sparse(col))
-        out = []
-        for p, e in enumerate(self.alg.idempotents):
-            act = module.actions[e]
-            for k in range(module.dim):
-                gen = act.column(k)
-                if covered.add(_sparse(gen)):
-                    table = {}
-                    for m in self.rad_coords[p]:
-                        image = _sparse(module.actions[m].apply(gen))
-                        if image:
-                            table[m] = tuple(image.items())
-                    out.append((p, ((0, table, 1),)))
-        if covered.rank() != module.dim:
-            raise RuntimeError("projective cover lifting failed")
-        return out
-
     def kernel_of_cover(self, gens) -> list[int | dict]:
         """Kernel basis of the cover sending copy i's basis element m to b_m * gen_i.
 
         gens gives, per generator, its vertex position and the generator:
-        a syzygy vector, a unit's int coordinate or a dict of terms, or an
-        input module's generator, the one term (0, table, 1) that
-        module_images makes.  The terms (shift, rows, c) of a syzygy
-        vector, one (shift, left[n], c) per coordinate c * b_n, are built
-        once, a unit's one term with c = 1.  A generator's image under
-        each radical b_m is the first term's row of b_m, shifted and
-        scaled, plus the other terms' rows, a coefficient that cancels
-        dropped.
+        a syzygy vector, a unit's int coordinate or a dict of terms.  A
+        simple's generator is the empty dict: it has no terms, so every
+        image is zero and the kernel is rad P_v, as units.  The terms
+        (shift, rows, c) of a syzygy vector, one (shift, left[n], c) per
+        coordinate c * b_n, are built once, a unit's one term with c = 1.
+        A generator's image under each radical b_m is the first term's row
+        of b_m, shifted and scaled, plus the other terms' rows, a
+        coefficient that cancels dropped.
         Only these radical columns are eliminated.  The generators are
         independent modulo rad K, where K is the module covered, and every
         radical column b_m * gen lies in rad K, so reducing a relation
@@ -398,13 +356,11 @@ class _FlatResolver:
             if type(gen) is int:
                 n = gen % d
                 terms = ((gen - n, left[n], 1),)
-            elif type(gen) is dict:
+            else:
                 terms = []
                 for coord, c in gen.items():
                     n = coord % d
                     terms.append((coord - n, left[n], c))
-            else:
-                terms = gen  # an input module's generator, from module_images
             for m in rad_coords[v]:
                 image = None
                 for shift, rows, c in terms:
@@ -562,7 +518,7 @@ _ENGINE: list = [None]
 
 
 def _setup(a: SCAlgebra) -> _FlatResolver:
-    """The engine that resolves modules over a, once the radical is certified.
+    """The engine that resolves the simples over a, once the radical is certified.
 
     The engine depends on the algebra only, so the one of the last algebra
     set up in the process is kept, and the simples of one algebra share it.
@@ -578,15 +534,16 @@ def _setup(a: SCAlgebra) -> _FlatResolver:
 
 
 def minimal_resolution(
-    a: SCAlgebra, module: RepModule, steps: int = 40, dim_cap: int = 100000
+    a: SCAlgebra, vertex: int, steps: int = 40, dim_cap: int = 100000
 ) -> ResolutionTrace:
-    """Betti numbers of a minimal projective resolution of the module.
+    """Betti numbers of a minimal projective resolution of the simple module
+    at a.vertices[vertex].
 
     Stops after `steps` covers, when a syzygy dimension would exceed
     `dim_cap`, or when a syzygy vanishes; the trace records which.  Every
-    step is one kernel_of_cover and one top_generators; the first cover's
-    generators are the module's, read from its own actions by
-    module_images.  Each step drops its input, the generators and then the
+    step is one kernel_of_cover and one top_generators; the simple's
+    generator is the empty vector at its vertex, so the first kernel is
+    rad P_v.  Each step drops its input, the generators and then the
     kernel, as soon as it is read, so the deepest step, which sets the
     peak memory, never holds the step before's kernel.  The steps run
     with the cyclic collector off: the engine's kernels and tops hold no
@@ -594,19 +551,17 @@ def minimal_resolution(
     collector is process-wide, so another thread's collections wait too;
     the caller's setting comes back on return or raise.
     """
-    if module.algebra is not a:
-        raise ValueError("module is defined over a different algebra")
+    if not 0 <= vertex < len(a.vertices):
+        raise ValueError(f"no vertex at position {vertex}")
     if steps < 1:
         raise ValueError("steps must be positive")
     if dim_cap < 1:
         raise ValueError("dimension cap must be positive")
-    if module.dim == 0:
-        return ResolutionTrace((0,), "resolution-terminated")
     engine = _setup(a)
-    gens = engine.module_images(module)
+    gens = [(vertex, {})]
     betti: list[int] = []
-    dim = sum(engine.proj_dim[v] for v, _ in gens)
-    covered = module.dim
+    dim = engine.proj_dim[vertex]
+    covered = 1
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -914,8 +869,8 @@ def resolve_simple_modules(
 ) -> list[ResolutionTrace]:
     """Resolution trace of every simple module, in vertex order.
 
-    The radical certificate, the simples and the engine are computed once
-    and shared by all the resolutions.  Simples in one orbit of
+    The radical certificate and the engine are computed once and shared
+    by all the resolutions.  Simples in one orbit of
     simple_orbits have the same trace: the orbits come from basis
     permutations that _is_automorphism certifies as automorphisms, and
     twisting by one is an exact autoequivalence that keeps dimensions and
@@ -925,9 +880,8 @@ def resolve_simple_modules(
     its trace.  The lowest failing representative is the first to fail,
     so its own error propagates.
     """
-    simples = simple_modules(a)
     orbits = simple_orbits(a)
-    of_rep = {p: minimal_resolution(a, simples[p], steps, dim_cap) for p in sorted(set(orbits))}
+    of_rep = {p: minimal_resolution(a, p, steps, dim_cap) for p in sorted(set(orbits))}
     return [of_rep[p] for p in orbits]
 
 

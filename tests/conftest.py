@@ -51,7 +51,6 @@ from quiverlab import (
     resolve_simple_modules,
     simple_modules,
     trivial_extension,
-    zero_module,
 )
 from quiverlab import resolution
 from quiverlab.ratmat import TrackedEchelon
@@ -521,6 +520,10 @@ def cover_data(a, module: RepModule, rad):
     return RatMatrix.from_columns(cols), [v for v, _ in gens]
 
 
+def zero_module(a) -> RepModule:
+    return RepModule(a, 0, ())
+
+
 def projective_cover(a, module: RepModule, rad=None):
     """Projective cover (P, surjection matrix) of a module, from dense matrices.
 
@@ -600,16 +603,16 @@ def sparse_vector(vec) -> dict:
     return {vec: 1} if type(vec) is int else vec
 
 
-def engine_kernels(engine, module, steps: int):
-    """Yield the kernels of the engine's first `steps` syzygy steps on module,
-    made by minimal_resolution's calls, each vector as a sparse dict: each
-    kernel is checked to hold units as ints and other vectors as dicts of
-    two or more terms, yielded, then read by top_generators, which refuses
-    it unless it is a minimal basis in lead form of the syzygy's
-    dimension."""
-    gens = engine.module_images(module)
-    dim = sum(engine.proj_dim[v] for v, _ in gens)
-    covered = module.dim
+def engine_kernels(engine, vertex: int, steps: int):
+    """Yield the kernels of the engine's first `steps` syzygy steps on the
+    simple at vertex position `vertex`, made by minimal_resolution's calls,
+    each vector as a sparse dict: each kernel is checked to hold units as
+    ints and other vectors as dicts of two or more terms, yielded, then
+    read by top_generators, which refuses it unless it is a minimal basis
+    in lead form of the syzygy's dimension."""
+    gens = [(vertex, {})]
+    dim = engine.proj_dim[vertex]
+    covered = 1
     for _ in range(steps):
         syzygy = dim - covered
         if syzygy == 0:

@@ -383,6 +383,41 @@ def test_trivext_on_a30_keeps_its_bytes(tmp_path, capsys):
         "dbe9f273259610be46147bb261a1a66ba7c381d3e9240847ae6167ce6f2b4f79")
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2, bug 1: the dimension cap stops "
+                   "each trace after 9 entries, too short for a verdict")
+def test_trivext_on_kron4_is_infinite(tmp_path, capsys):
+    doc = json.dumps(bench_module("workloads").kronecker(4))
+    code, out, _ = run(capsys, "trivext", write(tmp_path, "kron4.json", doc), "--json")
+    assert code == 0
+    assert json.loads(out)["result"]["global_estimate"] == {"kind": "infinite"}
+
+
+def bipartite_e10_doc() -> str:
+    """E10 = T(2,3,7), arms of 1, 2 and 6 edges, with the vertices at even
+    distance from the centre as sources."""
+    vertices, arrows = ["c"], []
+    for i, length in enumerate((1, 2, 6)):
+        prev = "c"
+        for j in range(1, length + 1):
+            v = f"{i}.{j}"
+            vertices.append(v)
+            source, target = (prev, v) if j % 2 else (v, prev)
+            arrows.append({"id": f"x{i}.{j}", "from": source, "to": target})
+            prev = v
+    return json.dumps({"vertices": vertices, "arrows": arrows})
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2, bug 6: the dimensions grow like "
+                   "the square root of Lehmer's number to the n, and 40 steps fit a cubic")
+def test_trivext_on_bipartite_e10_is_infinite(tmp_path, capsys):
+    path = write(tmp_path, "e10.json", bipartite_e10_doc())
+    code, out, _ = run(capsys, "trivext", path, "--json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert [s["estimate"] for s in result["simples"]] == [{"kind": "infinite"}] * 10
+    assert result["global_estimate"] == {"kind": "infinite"}
+
+
 def test_commands_never_verify_and_certify_one_radical_per_trivext(
         tmp_path, capsys, monkeypatch):
     # builders and trivial_extension are right by construction; verify() is

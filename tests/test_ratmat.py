@@ -18,7 +18,6 @@ from quiverlab import (
     jacobson_radical,
     min_poly,
     path_algebra,
-    simple_modules,
     tits_matrix,
     trivial_extension,
 )
@@ -319,8 +318,8 @@ def test_integral_matrices_keep_int_entries_and_never_leak_floats():
     a = trivial_extension(path_algebra(multi_kronecker(3)))
     engine = _FlatResolver(a)
     relations = []
-    for simple in simple_modules(a):
-        for kernel in engine_kernels(engine, simple, 4):
+    for vertex in range(len(a.vertices)):
+        for kernel in engine_kernels(engine, vertex, 4):
             relations += [list(vec.values()) for vec in kernel]
     int_only["kernel_of_cover relations of T(kron3)"] = relations
     for name, value in int_only.items():

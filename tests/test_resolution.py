@@ -38,7 +38,6 @@ from quiverlab import (
     quiver_from_data,
     simple_modules,
     trivial_extension,
-    zero_module,
 )
 from quiverlab import resolution as res_mod
 from quiverlab.ratmat import TrackedEchelon
@@ -59,11 +58,9 @@ from conftest import (
     no_orbits,
     path_quiver,
     projective_cover,
-    projective_sum,
     radical_vectors,
     sparse_vector,
     star_quiver,
-    submodule_on_kernel,
     trace_form_radical,
     verify_nilpotent_ideal,
 )
@@ -159,30 +156,21 @@ def test_projective_cover_refuses_a_kernel_outside_the_radical():
         projective_cover(a, p, rad=[])
 
 
-def test_zero_module_resolution():
-    a = point_algebra()
-    trace = minimal_resolution(a, zero_module(a))
-    assert trace.betti == (0,)
-    assert trace.truncated_by == "resolution-terminated"
-
-
 # --- resolutions over path algebras (finite global dimension) ------------
 
 def test_resolution_simple_at_source_of_a2():
     a = path_algebra(path_quiver(2))
-    s1, s2 = simple_modules(a)
-    trace = minimal_resolution(a, s1)
+    trace = minimal_resolution(a, 0)
     assert trace.betti == (2, 1, 0)
     assert trace.truncated_by == "resolution-terminated"
-    trace = minimal_resolution(a, s2)
+    trace = minimal_resolution(a, 1)
     assert trace.betti == (1, 0)
 
 
 def test_resolution_over_kronecker_path_algebra():
     a = path_algebra(multi_kronecker(2))
-    s1, s2 = simple_modules(a)
-    assert minimal_resolution(a, s1).betti == (3, 2, 0)
-    assert minimal_resolution(a, s2).betti == (1, 0)
+    assert minimal_resolution(a, 0).betti == (3, 2, 0)
+    assert minimal_resolution(a, 1).betti == (1, 0)
 
 
 def test_path_algebra_global_estimate_is_projective_dimension_zero():
@@ -194,7 +182,7 @@ def test_path_algebra_global_estimate_is_projective_dimension_zero():
 
 def test_dual_numbers_constant_betti():
     ta = trivial_extension(point_algebra())
-    trace = minimal_resolution(ta, simple_modules(ta)[0], steps=15)
+    trace = minimal_resolution(ta, 0, steps=15)
     assert trace.betti == (2,) * 15
     assert trace.truncated_by == "steps-exhausted"
 
@@ -246,20 +234,53 @@ def test_trivial_extension_kronecker4_capped_traces():
 # bytes: 2.0 MB with units as ints and the step inputs dropped once read,
 # 4.2 MB when every unit was a one-key dict (CPython 3.11)
 KRON3_TRACED_PEAK = 2_500_000
+# T(kron3)'s trace at dim_cap 20000
+KRON3_BETTI = (5, 15, 40, 105, 275, 720, 1885, 4935, 12920, 33825)
 
 
 def test_deep_resolution_keeps_a_small_traced_peak():
     ta = trivial_extension(path_algebra(multi_kronecker(3)))
-    simple = simple_modules(ta)[0]  # the engine is built outside the trace
+    res_mod._setup(ta)  # the engine is built outside the trace
     tracemalloc.start()
     try:
-        trace = minimal_resolution(ta, simple, dim_cap=20000)
+        trace = minimal_resolution(ta, 0, dim_cap=20000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert trace.betti == (5, 15, 40, 105, 275, 720, 1885, 4935, 12920, 33825)
+    assert trace.betti == KRON3_BETTI
     assert trace.truncated_by == "dimension-cap"
     assert peak < KRON3_TRACED_PEAK, peak
+
+
+LOOP_CASES = [
+    (lambda: trivial_extension(path_algebra(multi_kronecker(3))), {"dim_cap": 20000},
+     KRON3_BETTI, "dimension-cap"),
+    (lambda: trivial_extension(path_algebra(multi_kronecker(3))), {"steps": 6},
+     KRON3_BETTI[:6], "steps-exhausted"),
+    (lambda: path_algebra(path_quiver(3)), {}, (3, 2, 0), "resolution-terminated"),
+]
+
+
+@pytest.mark.parametrize("build, bounds, betti, truncated_by", LOOP_CASES,
+                         ids=["T(kron3)-capped", "T(kron3)-6-steps", "kA3"])
+def test_each_step_covers_and_tops_once(monkeypatch, build, bounds, betti, truncated_by):
+    # every trace entry but the last is one cover and one top, and a
+    # terminated trace's zero closes its last projective without either: a
+    # kernel built before the stop checks would cost a whole oversize step
+    # on every capped or step-limited resolution, with the same bytes
+    calls = {"kernel_of_cover": 0, "top_generators": 0}
+    for name in calls:
+        method = getattr(res_mod._FlatResolver, name)
+
+        def counting(self, *args, method=method, name=name):
+            calls[name] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(res_mod._FlatResolver, name, counting)
+    trace = minimal_resolution(build(), 0, **bounds)
+    assert (trace.betti, trace.truncated_by) == (betti, truncated_by)
+    steps = len(betti) - 1 - (truncated_by == "resolution-terminated")
+    assert calls == dict.fromkeys(calls, steps)
 
 
 def test_dense_and_sparse_engines_agree(monkeypatch):
@@ -391,19 +412,16 @@ def test_dense_and_sparse_engines_agree(monkeypatch):
     monkeypatch.setattr(res_mod, "TrackedEchelon", Probe)
     for a in algebras:
         rad = radical_vectors(a)
-        for s in simple_modules(a):
-            assert minimal_resolution(a, s, 8) == dense_trace(a, s, 8, rad)
+        for p, s in enumerate(simple_modules(a)):
+            assert minimal_resolution(a, p, 8) == dense_trace(a, s, 8, rad)
     assert all(reached.values()), reached
 
 
 def test_cover_relations_are_the_ones_insert_returns(monkeypatch):
     # the cover's one-term path writes a relation without the echelon, so
     # every kernel is checked, value and type, against the relations that
-    # TrackedEchelon.insert returns on the images: a later step's multiplied
-    # out from the table, the first step's read from the module's action
-    # that module_images put in the generator's term; the Betti numbers
-    # alone would not see a wrong sign.  A simple's first images are all
-    # zero, so first syzygies and a mixed-basis module start from nonzero ones
+    # TrackedEchelon.insert returns on the images multiplied out from the
+    # table; the Betti numbers alone would not see a wrong sign
     algebras = [
         trivial_extension(path_algebra(multi_kronecker(2))),
         trivial_extension(gentle_two_loop()),
@@ -417,7 +435,6 @@ def test_cover_relations_are_the_ones_insert_returns(monkeypatch):
         "one-term on one-term": 0,
         "coefficient not 1": 0,
         "Fraction": 0,
-        "first-step images": 0,
     }
 
     def comparing(self, gens):
@@ -425,14 +442,8 @@ def test_cover_relations_are_the_ones_insert_returns(monkeypatch):
         echelon = TrackedEchelon()
         expected = []
         for copy, (v, gen) in enumerate(gens):
-            if type(gen) is tuple:  # an input module's generator: one term
-                ((_, table, _),) = gen
-                images = [dict(table.get(m, ())) for m in self.rad_coords[v]]
-                reached["first-step images"] += sum(map(bool, images))
-            else:
-                gen = sparse_vector(gen)
-                images = [image for _, image in table_images(self, gen, self.rad_coords[v])]
-            for m, image in zip(self.rad_coords[v], images):
+            images = table_images(self, sparse_vector(gen), self.rad_coords[v])
+            for m, (_, image) in zip(self.rad_coords[v], images):
                 column = copy * self.dim + m
                 if len(image) == 1:
                     (k,) = image
@@ -455,14 +466,8 @@ def test_cover_relations_are_the_ones_insert_returns(monkeypatch):
 
     monkeypatch.setattr(res_mod._FlatResolver, "kernel_of_cover", comparing)
     for a in algebras:
-        rad = radical_vectors(a)
-        for s in simple_modules(a):
-            minimal_resolution(a, s, 8)
-            proj, surjection = projective_cover(a, s, rad)
-            syzygy = surjection.kernel_basis()
-            if syzygy:
-                minimal_resolution(a, submodule_on_kernel(a, proj, syzygy), 8)
-        minimal_resolution(a, mixed_basis_syzygy(a, rad)[1], 8)
+        for vertex in range(len(a.vertices)):
+            minimal_resolution(a, vertex, 8)
     assert all(reached.values()), reached
 
 
@@ -573,11 +578,10 @@ def test_syzygy_relations_are_in_lead_form(monkeypatch, name, extend):
         a = trivial_extension(a)
     engine = res_mod._FlatResolver(a)
     d, vertex_of = engine.dim, engine.vertex_of
-    simples = simple_modules(a)
     columns = eliminated_columns(monkeypatch)
     steps = 0
-    for simple in simples:
-        for kernel in engine_kernels(engine, simple, 6):
+    for vertex in range(len(a.vertices)):
+        for kernel in engine_kernels(engine, vertex, 6):
             # the two facts the tops rest on: every relation sits at one
             # vertex, and no two relations share a largest flat coordinate
             leads = [max(vec) for vec in kernel]
@@ -649,21 +653,17 @@ def test_first_kernel_is_the_dense_cover_kernel(monkeypatch, name, extend):
     rad = radical_vectors(a)
     engine = res_mod._FlatResolver(a)
     checked = 0
-    for simple in simple_modules(a):
-        # the simple and its first syzygy, a module of several dimensions
-        proj, cover = projective_cover(a, simple, rad)
-        syzygy = cover.kernel_basis()
-        modules = [simple, submodule_on_kernel(a, proj, syzygy)] if syzygy else [simple]
-        for module in modules:
-            cover, verts = cover_data(a, module, rad)
-            expected = flat_kernel(a, verts, cover.kernel_basis())
-            with monkeypatch.context() as patch:
-                columns = eliminated_columns(patch)
-                kernel = engine.kernel_of_cover(engine.module_images(module))
-            assert [sparse_vector(vec) for vec in kernel] == expected
-            # only the radical columns were eliminated, never e_v * gen
-            assert not [c for c in columns if c % engine.dim in engine.idem]
-            checked += len(kernel)
+    for vertex, simple in enumerate(simple_modules(a)):
+        # the simple's generator, the empty vector, has rad P_v for kernel
+        cover, verts = cover_data(a, simple, rad)
+        expected = flat_kernel(a, verts, cover.kernel_basis())
+        with monkeypatch.context() as patch:
+            columns = eliminated_columns(patch)
+            kernel = engine.kernel_of_cover([(vertex, {})])
+        assert [sparse_vector(vec) for vec in kernel] == expected
+        # only the radical columns were eliminated, never e_v * gen
+        assert not [c for c in columns if c % engine.dim in engine.idem]
+        checked += len(kernel)
     assert checked
 
 
@@ -748,65 +748,8 @@ def test_top_reduces_a_one_term_image_on_a_longer_row():
     w = a.vertices.index("w")
     kernel = [{t: 1, s: 1}, {t: 1}, {bs: 1}, {bt: 1}]
     assert engine.top_generators(kernel, 4) == [(w, {t: 1, s: 1}), (w, {t: 1})]
-    simple_v = simple_modules(a)[a.vertices.index("v")]
-    assert minimal_resolution(a, simple_v) == dense_trace(a, simple_v, 40, radical_vectors(a))
-
-
-def mixed_basis_syzygy(a, rad):
-    """The first syzygy of the first simple, on a basis that mixes two vertices.
-
-    Its basis vector j is replaced by u_j + u_0, where u_0 and u_j sit at
-    different vertices.
-    """
-    simple = simple_modules(a)[0]
-    proj, cover = projective_cover(a, simple, rad)
-    omega = submodule_on_kernel(a, proj, cover.kernel_basis())
-    n = omega.dim
-    vertex = [next(p for p, e in enumerate(a.idempotents) if omega.actions[e][k, k]) for k in range(n)]
-    j = next(k for k in range(n) if vertex[k] != vertex[0])
-    shear = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
-    unshear = [list(row) for row in shear]
-    shear[0][j], unshear[0][j] = Fraction(1), Fraction(-1)
-    t, t_inv = RatMatrix(shear), RatMatrix(unshear)
-    moved = RepModule(a, n, tuple(t_inv * act * t for act in omega.actions))
-    return omega, moved
-
-
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: trivial_extension(path_algebra(multi_kronecker(2))),
-        lambda: trivial_extension(gentle_two_loop()),
-        lambda: trivial_extension(canonical_237()),
-    ],
-    ids=["kron2", "gentle", "canonical-237"],
-)
-def test_first_cover_of_a_mixed_basis_module(monkeypatch, build):
-    # the moved module's basis vectors spread over two vertices, but its
-    # images are reduced in one echelon per vertex, so the first kernel is
-    # still in lead form
-    a = build()
-    rad = radical_vectors(a)
-    omega, moved = mixed_basis_syzygy(a, rad)
-    spread = [
-        k
-        for k in range(moved.dim)
-        if sum(1 for e in a.idempotents if any(moved.actions[e].column(k))) > 1
-    ]
-    assert spread
-    engine = res_mod._FlatResolver(a)
-    cover, verts = cover_data(a, moved, rad)
-    expected = flat_kernel(a, verts, cover.kernel_basis())
-    with monkeypatch.context() as patch:
-        columns = eliminated_columns(patch)
-        kernel = engine.kernel_of_cover(engine.module_images(moved))
-    assert [sparse_vector(vec) for vec in kernel] == expected
-    assert columns
-    assert not [c for c in columns if c % engine.dim in engine.idem]
-    engine.top_generators(kernel, cover.cols - moved.dim)
-    trace = minimal_resolution(a, moved, steps=6)
-    assert trace == dense_trace(a, moved, 6, rad)
-    assert trace == minimal_resolution(a, omega, steps=6)
+    v = a.vertices.index("v")
+    assert minimal_resolution(a, v) == dense_trace(a, simple_modules(a)[v], 40, radical_vectors(a))
 
 
 def dual_numbers_on_unadapted_basis():
@@ -889,11 +832,10 @@ REFUSALS = [
 def test_unadapted_bases_are_refused(build, message):
     # every entry point certifies the radical first, and names the failed step
     a = build()
-    module = projective_sum(a, a.vertices[:1])
     calls = [
         lambda: jacobson_radical(a),
         lambda: simple_modules(a),
-        lambda: minimal_resolution(a, module, steps=6),
+        lambda: minimal_resolution(a, 0, steps=6),
         lambda: res_mod.resolve_simple_modules(a, steps=6),
     ]
     for call in calls:
@@ -1023,14 +965,13 @@ def test_resolve_simple_modules_builds_one_engine(monkeypatch):
 def test_minimal_resolution_sets_up_once_per_algebra(monkeypatch, build):
     a = build()
     builds = count_engine_builds(monkeypatch)
-    simples = simple_modules(a)
+    traces = [minimal_resolution(a, p, 6) for p in list(range(len(a.vertices))) * 2]
     rad = radical_vectors(a)
-    traces = [minimal_resolution(a, s, 6) for s in simples * 2]
-    assert traces == [dense_trace(a, s, 6, rad) for s in simples * 2]
+    assert traces == [dense_trace(a, s, 6, rad) for s in simple_modules(a) * 2]
     assert len(builds) == 1
     # a new algebra gets its own engine
     other = build()
-    minimal_resolution(other, simple_modules(other)[0], 6)
+    minimal_resolution(other, 0, 6)
     assert len(builds) == 2 and builds[1] is not builds[0]
 
 
@@ -1042,7 +983,6 @@ def test_resolutions_leave_the_collector_as_they_found_it(monkeypatch, whole, en
     # every step loop runs with the collector off, and the caller's setting
     # comes back after each representative of the whole algebra
     ta = trivial_extension(path_algebra(multi_kronecker(2)))
-    simples = simple_modules(ta)
     top = res_mod._FlatResolver.top_generators
     steps = []
 
@@ -1059,7 +999,7 @@ def test_resolutions_leave_the_collector_as_they_found_it(monkeypatch, whole, en
             return [t.betti for t in res_mod.resolve_simple_modules(ta, steps=4)]
     else:
         def run():
-            return [minimal_resolution(ta, simples[0], 4).betti]
+            return [minimal_resolution(ta, 0, 4).betti]
     if not enabled:
         gc.disable()
     try:
@@ -1100,7 +1040,7 @@ def test_parallel_resolution_equals_serial(source, name, extend):
         a = dict(builder_outputs() if source == "outputs" else bench_ladder())[name]
     if extend:
         a = trivial_extension(a)
-    serial = [minimal_resolution(a, s, 8) for s in simple_modules(a)]
+    serial = [minimal_resolution(a, p, 8) for p in range(len(a.vertices))]
     assert res_mod.resolve_simple_modules(a, steps=8) == serial
 
 
@@ -1123,22 +1063,22 @@ def test_parallel_resolution_raises_the_lowest_refusal(monkeypatch, refused, kin
     ta = trivial_extension(path_algebra(path_quiver(4)))
     chosen = [ta.vertices[i] for i in refused]
     top = res_mod._FlatResolver.top_generators
-    images = res_mod._FlatResolver.module_images
+    cover = res_mod._FlatResolver.kernel_of_cover
 
-    def starting(self, module):
-        # one engine serves every simple of the algebra: forget the last one's vertex
-        self.__dict__.pop("vertex", None)
-        return images(self, module)
+    def starting(self, gens):
+        # one engine serves every simple of the algebra: a simple's
+        # resolution starts from the empty vector at its vertex
+        (v, gen), *_ = gens
+        if gen == {}:
+            self.vertex = self.alg.vertices[v]
+        return cover(self, gens)
 
     def refusing(self, kernel, syzygy):
-        # the first kernel of a simple's resolution lies in the projective at its vertex
-        first = self.alg.basis[min(sparse_vector(kernel[0])) % self.dim].source
-        vertex = self.__dict__.setdefault("vertex", first)
-        if vertex in chosen:
-            raise kind(f"refused {vertex}")
+        if self.vertex in chosen:
+            raise kind(f"refused {self.vertex}")
         return top(self, kernel, syzygy)
 
-    monkeypatch.setattr(res_mod._FlatResolver, "module_images", starting)
+    monkeypatch.setattr(res_mod._FlatResolver, "kernel_of_cover", starting)
     monkeypatch.setattr(res_mod._FlatResolver, "top_generators", refusing)
     expected = kind(f"refused {chosen[0]}")
     with pytest.raises(type(expected)) as caught:
@@ -1287,16 +1227,15 @@ def test_only_representatives_resolve_and_raise(monkeypatch):
     resolve = res_mod.minimal_resolution
     refused = set()
 
-    def refusing(a, module, steps, dim_cap):
-        vertex = a.vertices[module.dim_vector().index(1)]
-        if vertex in refused:
-            raise ValueError(f"refused {vertex}")
-        return resolve(a, module, steps, dim_cap)
+    def refusing(a, vertex, steps, dim_cap):
+        if a.vertices[vertex] in refused:
+            raise ValueError(f"refused {a.vertices[vertex]}")
+        return resolve(a, vertex, steps, dim_cap)
 
     monkeypatch.setattr(res_mod, "minimal_resolution", refusing)
     refused.update({"1.1", "2.2"})
     assert res_mod.resolve_simple_modules(ta, steps=6) == [
-        resolve(ta, s, 6) for s in simple_modules(ta)]
+        resolve(ta, p, 6) for p in range(len(ta.vertices))]
     refused.update({"0.2", "0.1"})
     with pytest.raises(ValueError) as caught:
         res_mod.resolve_simple_modules(ta, steps=6)
@@ -1308,7 +1247,7 @@ def test_representatives_resolve_in_the_calling_process(monkeypatch, name):
     # T(kE8) has eight orbits of simples and T(kE6-affine) three, so both
     # resolve several representatives; none may fork to do it
     ta = workload_algebra(getattr(bench_module("workloads"), name))
-    expected = [minimal_resolution(ta, s, 10) for s in simple_modules(ta)]
+    expected = [minimal_resolution(ta, p, 10) for p in range(len(ta.vertices))]
 
     def refusing():
         raise AssertionError("resolve_simple_modules forked")
@@ -1387,27 +1326,26 @@ def test_a_second_extension_resolves_alike_with_and_without_orbits(monkeypatch):
         "e1^**", "e2^**", "a1^**", "e1^*^**", "e2^*^**", "a1^*^**"]
     assert res_mod.simple_orbits(tta) == [0, 0]
     shared = res_mod.resolve_simple_modules(tta, steps=8)
-    assert shared == [minimal_resolution(tta, s, 8) for s in simple_modules(tta)]
+    assert shared == [minimal_resolution(tta, p, 8) for p in range(len(tta.vertices))]
     no_orbits(monkeypatch)
     assert res_mod.resolve_simple_modules(tta, steps=8) == shared
 
 
 # --- input validation -----------------------------------------------------
 
-def test_resolution_rejects_foreign_module():
+def test_resolution_rejects_a_vertex_out_of_range():
     a = path_algebra(path_quiver(2))
-    b = path_algebra(path_quiver(2))
-    with pytest.raises(ValueError):
-        minimal_resolution(a, simple_modules(b)[0])
+    for vertex in (-1, 2):
+        with pytest.raises(ValueError, match=f"no vertex at position {vertex}"):
+            minimal_resolution(a, vertex)
 
 
 def test_resolution_rejects_bad_bounds():
     a = path_algebra(path_quiver(2))
-    s = simple_modules(a)[0]
     with pytest.raises(ValueError):
-        minimal_resolution(a, s, steps=0)
+        minimal_resolution(a, 0, steps=0)
     with pytest.raises(ValueError):
-        minimal_resolution(a, s, dim_cap=0)
+        minimal_resolution(a, 0, dim_cap=0)
 
 
 def test_repmodule_validation_catches_bad_tables():
