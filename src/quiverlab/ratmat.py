@@ -71,14 +71,6 @@ class RatMatrix:
     def zeros(rows: int, cols: int) -> "RatMatrix":
         return RatMatrix([[0] * cols for _ in range(rows)])
 
-    @staticmethod
-    def from_columns(cols: Sequence[Sequence]) -> "RatMatrix":
-        cols = [vector(c) for c in cols]
-        if not cols:
-            return RatMatrix([])
-        height = len(cols[0])
-        return RatMatrix([[cols[j][i] for j in range(len(cols))] for i in range(height)])
-
     @property
     def rows(self) -> int:
         return len(self._rows)
@@ -273,20 +265,6 @@ class RatMatrix:
         if pivots[:n] != tuple(range(n)):
             raise ValueError("matrix is singular")
         return RatMatrix(row[n:] for row in reduced.entries())
-
-    def solve(self, rhs: Sequence) -> Vector | None:
-        """One solution of self * x = rhs, or None if inconsistent."""
-        rhs = vector(rhs)
-        if len(rhs) != self.rows:
-            raise ValueError("right-hand side length does not match row count")
-        augmented = RatMatrix([list(row) + [rhs[i]] for i, row in enumerate(self._rows)])
-        reduced, pivots = augmented.rref()
-        if self.cols in pivots:
-            return None
-        x = [0] * self.cols
-        for r, p in enumerate(pivots):
-            x[p] = reduced[r, self.cols]
-        return tuple(x)
 
     def hstack(self, other: "RatMatrix") -> "RatMatrix":
         if self.rows != other.rows:

@@ -25,12 +25,14 @@ representatives resolve in one loop in the calling process, in vertex
 order, so the lowest failing representative raises its own error.
 
 One sparse engine tracks syzygies in flat coordinates.  A syzygy vector
-is a unit, one coordinate with coefficient 1, or a sparse dict of two or
-more terms.  A unit travels as its coordinate, a bare int: most kernel
-vectors are units, the relations of zero images, and a one-key dict holds
-several times the memory of its key.  The resolution of the simple at a
-vertex v starts from one generator, the empty vector at v: every radical
-element sends it to zero, so the first kernel is rad P_v, its
+is a unit, one coordinate with coefficient 1, or a vector of two or more
+terms.  A unit travels as its coordinate, a bare int: most kernel vectors
+are units, the relations of zero images.  The others travel as flat
+tuples (lead, c_lead, x1, c1, ...) that start with their lead, their
+largest coordinate; a dict of two terms holds three times the memory of
+that tuple.  A step's generators are a bare list of such vectors,
+and each sits at the target vertex of its lead.  The resolution of the
+simple at a vertex v starts from rad P_v, its first kernel: its
 non-idempotent coordinates as units.  Every top is found from the images
 of the arrows alone, a basis of rad/rad^2 chosen among the basis
 elements: rad is spanned by products of arrows, so rad*M is the sum of
@@ -38,13 +40,13 @@ the arrows' images of M.  Syzygy bases come in lead form: each vector
 sits at one vertex and has its own largest coordinate, its lead; a unit
 is its own lead.  Since rad*K lies in K, the leads of rad*K are leads of
 K, and the vectors of K whose leads are not leads of rad*K generate K
-minimally.  Every kernel, the first one included, comes from one routine
-with one lead-keyed TrackedEchelon per step, which reads a generator's
-terms from its table rows.  Each step eliminates only the radical
-columns b*g of its cover, b a non-idempotent basis element: the
-generators g are independent modulo the radical of the module covered,
-which holds every b*g, so no kernel relation uses a generator's own
-column and leaving those columns out changes no relation.
+minimally.  Every later kernel comes from one routine with one
+lead-keyed TrackedEchelon per step, which reads a generator's terms from
+its table rows.  Each step eliminates only the radical columns b*g of its
+cover, b a non-idempotent basis element: the generators g are
+independent modulo the radical of the module covered, which holds every
+b*g, so no kernel relation uses a generator's own column and leaving
+those columns out changes no relation.
 A syzygy step makes one pass per stage: the cover sums each generator's
 images from the table rows of its coordinates, a unit being one term with
 coefficient 1, and the top reads each kernel vector's lead and vertex
@@ -52,14 +54,17 @@ once, refusing a kernel that is not minimal or not in lead form, and sums
 its arrow images the same way; a unit's are read straight from the rows.
 Most rows and images have one term, and those skip the general reduction:
 the top's echelon keeps a one-term row as its coordinate alone, and the
-cover writes the relation of a one-term image on a one-term row directly;
-every other vector goes through the echelon's one reduction.  The step
-loop drops each input once it is read, so the old kernel is gone before
-the next is built, and runs with the cyclic collector off (see
+cover keeps a one-term image at a free coordinate as its coefficient and
+column alone and writes the relation of a one-term image on a one-term
+row directly.  The cover's first image of two or more terms hands those
+compact entries to the echelon as full rows before it is reduced; every
+other vector goes through the echelon's one reduction.  The step loop
+drops each input once it is read, so the old kernel is gone before the
+next is built, and runs with the cyclic collector off (see
 minimal_resolution).  The engine's tables depend on the algebra only and
-are built once per algebra in a process.  The dense modules, simple_modules
-and RepModule, serve the test suite's projective cover, the oracle the
-engine is checked against; no resolution reads them.
+are built once per algebra in a process.  The dense modules,
+simple_modules and RepModule, serve the test suite's projective cover,
+the oracle the engine is checked against; no resolution reads them.
 """
 
 from __future__ import annotations
@@ -67,6 +72,7 @@ from __future__ import annotations
 import gc
 import math
 from fractions import Fraction
+from itertools import chain
 
 from .fitting import EXPONENTIAL_SLOPE_THRESHOLD, LOGLOG_RESIDUAL_THRESHOLD, fit_line
 from .ratmat import RatMatrix, TrackedEchelon, plain
@@ -265,16 +271,20 @@ class _FlatResolver:
     that top_generators checks as it reads them, so a syzygy's top costs
     one pass over its kernel: one TrackedEchelon of the arrow images, then
     one lookup of each lead in it.  Kernel vectors and syzygy generators
-    are units, bare int coordinates, or dicts of two or more terms (see the
-    module docstring); the simple at a vertex enters as the empty dict, so
-    one kernel_of_cover serves every step.  Covers are eliminated on their
-    radical columns only (see kernel_of_cover), so the tables hold the
-    products by non-idempotent elements alone.  Each image is summed from the table rows of a
-    generator's terms, with no dict of images.  An image of one term, the
-    common case, is settled without the echelon's reduction where the
-    coordinate is free or holds a one-term row; the other cases fall back
-    to TrackedEchelon.insert or add.  The tables depend on the algebra
-    only; _setup builds them once per algebra.
+    are units, bare int coordinates, or lead-first tuples of two or more
+    terms (see the module docstring), and the generators of a step are a
+    bare list of them, each at the target vertex of its lead.  The simple
+    at a vertex has rad P_v for its first kernel, its rad_coords as units,
+    so kernel_of_cover serves every later step.  Covers are eliminated on
+    their radical columns only (see kernel_of_cover), so the tables hold
+    the products by non-idempotent elements alone.  Each image is summed
+    from the table rows of a generator's terms, with no dict of images.
+    An image of one term, the common case, is settled without the
+    echelon's reduction where the coordinate is free or holds a one-term
+    row, which the cover keeps as a compact (c, column) entry until its
+    first longer image; the other cases fall back to TrackedEchelon.insert
+    or add.  The tables depend on the algebra only; _setup builds them
+    once per algebra.
     """
 
     def __init__(self, a: SCAlgebra):
@@ -310,18 +320,16 @@ class _FlatResolver:
         self.arrow_terms = [[r[0] for r in rows if len(r) == 1] for rows in arrow_rows]
         self.arrow_rows = [[r for r in rows if len(r) > 1] for rows in arrow_rows]
 
-    def kernel_of_cover(self, gens) -> list[int | dict]:
+    def kernel_of_cover(self, gens) -> list[int | tuple]:
         """Kernel basis of the cover sending copy i's basis element m to b_m * gen_i.
 
-        gens gives, per generator, its vertex position and the generator:
-        a syzygy vector, a unit's int coordinate or a dict of terms.  A
-        simple's generator is the empty dict: it has no terms, so every
-        image is zero and the kernel is rad P_v, as units.  The terms
-        (shift, rows, c) of a syzygy vector, one (shift, left[n], c) per
-        coordinate c * b_n, are built once, a unit's one term with c = 1.
-        A generator's image under each radical b_m is the first term's row
-        of b_m, shifted and scaled, plus the other terms' rows, a
-        coefficient that cancels dropped.
+        gens are syzygy vectors, each a unit's int coordinate or a
+        lead-first tuple, and each sits at the target vertex of its lead.
+        The terms (shift, rows, c) of a syzygy vector, one (shift, left[n],
+        c) per coordinate c * b_n, are built once, a unit's one term with
+        c = 1.  A generator's image under each radical b_m is the first
+        term's row of b_m, shifted and scaled, plus the other terms' rows,
+        a coefficient that cancels dropped.
         Only these radical columns are eliminated.  The generators are
         independent modulo rad K, where K is the module covered, and every
         radical column b_m * gen lies in rad K, so reducing a relation
@@ -336,32 +344,38 @@ class _FlatResolver:
         another vertex's images and each one sits at one vertex.  Columns
         come in increasing flat coordinate, so a relation's lead is the
         column whose image produced it.  The relation of a dependent image
-        is the RREF kernel vector of its column, a dict of two or more
-        terms, as a nonzero image depends on earlier ones only.
-        A one-term image c * e_k at a free coordinate is stored as insert()
-        would store it.  One at a coordinate whose row is one-term, d * e_k,
-        with the one-coordinate expression {u: e}, is c*e/d times the image
-        of column u, so its relation {column: 1, u: -c*e/d} is written
-        directly; it is the one insert() would return.  Every other image
-        goes to insert().
+        is the RREF kernel vector of its column, of two or more terms, as a
+        nonzero image depends on earlier ones only; it is returned as a
+        tuple with that column first.
+        A one-term image c * e_k at a free coordinate is kept as the entry
+        k -> (c, column) in the echelon's pivots.  One at a coordinate that
+        holds such an entry, d * e_k from column u, is c/d times the image
+        of u, so its relation (column, 1, u, -c/d) is written directly; it
+        is the one insert() would return.  The first image of two or more
+        terms hands every entry to the echelon, as the row ({k: c},
+        {column: 1}) that insert() would have stored, before it is
+        inserted.  After the hand-off a one-term image at a free coordinate
+        is stored as that row, one on a one-term row with a one-term
+        expression, which is such a row, is written directly as before,
+        and every other image goes to insert().
         """
         echelon = TrackedEchelon()
         pivots = echelon.pivots
-        kernel: list[int | dict] = []
+        compact = True  # pivots holds one-term entries k -> (c, column) until the hand-off
+        kernel: list[int | tuple] = []
         d = self.dim
-        left = self.left
-        rad_coords = self.rad_coords
-        for copy, (v, gen) in enumerate(gens):
+        left, vertex_of, rad_coords = self.left, self.vertex_of, self.rad_coords
+        for copy, gen in enumerate(gens):
             base = copy * d
             if type(gen) is int:
                 n = gen % d
                 terms = ((gen - n, left[n], 1),)
             else:
-                terms = []
-                for coord, c in gen.items():
-                    n = coord % d
-                    terms.append((coord - n, left[n], c))
-            for m in rad_coords[v]:
+                n = gen[0] % d
+                it = iter(gen)
+                terms = [(coord - coord % d, left[coord % d], c) for coord, c in zip(it, it)]
+            for m in rad_coords[vertex_of[n]]:
+                column = base + m
                 image = None
                 for shift, rows, c in terms:
                     row = rows.get(m)
@@ -380,46 +394,55 @@ class _FlatResolver:
                         else:
                             del image[key]
                 if not image:
-                    kernel.append(base + m)
+                    kernel.append(column)
                     continue
                 if len(image) == 1:
-                    (k,) = image
+                    ((k, c),) = image.items()
                     held = pivots.get(k)
                     if held is None:
-                        pivots[k] = (image, {base + m: 1})  # as insert() stores a new lead
+                        # a compact entry until the hand-off, then as insert() stores a new lead
+                        pivots[k] = (c, column) if compact else (image, {column: 1})
                         continue
-                    row, expr = held
-                    if len(row) == 1 and len(expr) == 1:
-                        ((u, e),) = expr.items()
-                        c, plead = image[k], row[k]
-                        if plead == 1 and type(c) is int and type(e) is int:
-                            kernel.append({base + m: 1, u: -c * e})
+                    if not compact:
+                        # a one-term row with a one-term expression was kept
+                        # for a one-term image, so its expression is {u: 1}
+                        row, expr = held
+                        held = (row[k], *expr) if len(row) == 1 and len(expr) == 1 else None
+                    if held is not None:
+                        plead, u = held
+                        if plead == 1 and type(c) is int:
+                            kernel.append((column, 1, u, -c))
                         else:
-                            kernel.append({base + m: 1, u: plain(Fraction(-c * e, plead))})
+                            kernel.append((column, 1, u, plain(Fraction(-c, plead))))
                         continue
-                relation = echelon.insert(image, {base + m: 1})
+                elif compact:
+                    compact = False
+                    for k, (c, u) in pivots.items():
+                        pivots[k] = ({k: c}, {u: 1})
+                relation = echelon.insert(image, {column: 1})
                 if relation is not None:
-                    kernel.append(relation)
+                    kernel.append(tuple(chain.from_iterable(relation.items())))
         return kernel
 
-    def top_generators(
-        self, kernel: list[int | dict], syzygy: int
-    ) -> list[tuple[int, int | dict]]:
-        """Vertex-tagged minimal generators of the span K of kernel vectors.
+    def top_generators(self, kernel: list[int | tuple], syzygy: int) -> list[int | tuple]:
+        """Minimal generators of the span K of kernel vectors.
 
         kernel must hold syzygy vectors in lead form, units as their int
-        coordinate and the others as dicts: each sits at the target vertex
-        of its largest coordinate, its lead, and no two share a lead.  One
-        pass reads each vector's lead and vertex once, a unit's being its
-        coordinate, and refuses, as it reads, a kernel that is not minimal
-        or not in lead form; the leads seen are marked in a bytearray
-        indexed by coordinate, grown as larger leads come.  rad*K lies in
-        K, so the leads of rad*K are leads of kernel vectors; the vectors
-        whose lead is not one of them span a complement of rad*K, a minimal
-        set of generators, returned as they came, ints and dicts alike.
+        coordinate and the others as flat tuples (lead, c_lead, x1, c1,
+        ...) that start with their largest coordinate, their lead: each
+        sits at the target vertex of its lead, and no two share a lead.
+        One pass reads each vector's lead and vertex once, a unit's lead
+        being its coordinate and a tuple's its first entry, and refuses, as
+        it reads, a kernel that is not minimal or not in lead form; the
+        leads seen are marked in a bytearray indexed by coordinate, grown
+        as larger leads come.  rad*K lies in K, so the leads of rad*K are
+        leads of kernel vectors; the vectors whose lead is not one of them
+        span a complement of rad*K, a minimal set of generators, returned
+        as they came, ints and tuples alike; a generator's vertex is the
+        target of its lead.
         Arrow images stay vertex-homogeneous, so one echelon keyed by leads
         serves every vertex, and only its leads are read.  A unit's arrow
-        images are its arrow rows shifted to its copy; a dict's image under
+        images are its arrow rows shifted to its copy; a tuple's image under
         each arrow at its vertex is summed from its terms' rows, as in
         kernel_of_cover.  The echelon keeps a one-term image at a free
         coordinate in its units, as add() would, and the reduction of a
@@ -436,16 +459,14 @@ class _FlatResolver:
         vertex_of, left, arrows_at = self.vertex_of, self.left, self.arrows_at
         arrow_terms, arrow_rows = self.arrow_terms, self.arrow_rows
         seen = bytearray()
-        leads = []
         for vec in kernel:
             unit = type(vec) is int
-            lead = vec if unit else max(vec)
+            lead = vec if unit else vec[0]
             if lead >= len(seen):
                 seen.extend(bytes(lead + 1))
             elif seen[lead]:
                 raise RuntimeError("two syzygy relations share a leading coordinate")
             seen[lead] = 1
-            leads.append(lead)
             m = lead % d
             v = vertex_of[m]
             if v is None:
@@ -464,13 +485,16 @@ class _FlatResolver:
                     span.add({base + k: c for k, c in row})
                 continue
             terms = []
-            for coord, c in vec.items():
+            it = iter(vec)
+            for coord, c in zip(it, it):
                 n = coord % d
                 w = vertex_of[n]
                 if w != v:
                     if w is None:
                         raise RuntimeError("resolution step is not minimal")
                     raise RuntimeError("syzygy relation spans two vertices")
+                if coord > lead:
+                    raise RuntimeError("syzygy relation does not lead with its largest coordinate")
                 terms.append((coord - n, left[n], c))
             for b in arrows_at[v]:
                 image = None
@@ -503,11 +527,11 @@ class _FlatResolver:
                     if len(held[0]) == 1:
                         continue
                 span.add(image)
-        gens = [
-            (vertex_of[lead % d], vec)
-            for lead, vec in zip(leads, kernel)
-            if lead not in pivots and lead not in units
-        ]
+        gens = []
+        for vec in kernel:
+            lead = vec if type(vec) is int else vec[0]
+            if lead not in pivots and lead not in units:
+                gens.append(vec)
         if len(gens) + span.rank() != len(kernel):
             raise RuntimeError("arrow images leave the syzygy")
         return gens
@@ -540,12 +564,14 @@ def minimal_resolution(
     at a.vertices[vertex].
 
     Stops after `steps` covers, when a syzygy dimension would exceed
-    `dim_cap`, or when a syzygy vanishes; the trace records which.  Every
-    step is one kernel_of_cover and one top_generators; the simple's
-    generator is the empty vector at its vertex, so the first kernel is
-    rad P_v.  Each step drops its input, the generators and then the
-    kernel, as soon as it is read, so the deepest step, which sets the
-    peak memory, never holds the step before's kernel.  The steps run
+    `dim_cap`, or when a syzygy vanishes; the trace records which.  The
+    first kernel is rad P_v, the simple's, read off as units from the
+    engine's rad_coords; every later step is one kernel_of_cover, and
+    every step one top_generators.  Generators are bare syzygy vectors,
+    and each one's projective is read at the target vertex of its lead.
+    Each step drops its input, the generators and then the kernel, as
+    soon as it is read, so the deepest step, which sets the peak memory,
+    never holds the step before's kernel.  The steps run
     with the cyclic collector off: the engine's kernels and tops hold no
     reference cycles, so a collection would only walk them.  The
     collector is process-wide, so another thread's collections wait too;
@@ -558,9 +584,10 @@ def minimal_resolution(
     if dim_cap < 1:
         raise ValueError("dimension cap must be positive")
     engine = _setup(a)
-    gens = [(vertex, {})]
+    d, vertex_of, proj_dim = engine.dim, engine.vertex_of, engine.proj_dim
+    kernel = engine.rad_coords[vertex]  # the simple's first kernel: rad P_v, as units
     betti: list[int] = []
-    dim = engine.proj_dim[vertex]
+    dim = proj_dim[vertex]
     covered = 1
     enabled = gc.isenabled()
     gc.disable()
@@ -574,9 +601,10 @@ def minimal_resolution(
                 return ResolutionTrace(tuple(betti), "steps-exhausted")
             if syzygy > dim_cap:
                 return ResolutionTrace(tuple(betti), "dimension-cap")
-            kernel, gens = engine.kernel_of_cover(gens), None
+            if kernel is None:
+                kernel, gens = engine.kernel_of_cover(gens), None
             gens, kernel = engine.top_generators(kernel, syzygy), None
-            dim = sum(engine.proj_dim[v] for v, _ in gens)
+            dim = sum(proj_dim[vertex_of[(g if type(g) is int else g[0]) % d]] for g in gens)
             covered = syzygy
     finally:
         if enabled:

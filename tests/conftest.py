@@ -7,8 +7,9 @@ oracle lives here and nowhere in the package: `projective_cover` builds
 each cover from action matrices, its top and its minimality check both
 from one dense span of rad*M, and `dense_trace` re-derives Betti traces
 from those covers with RREF kernels, for comparison with the sparse
-engine behind `minimal_resolution`.  The trace-form radical lives here too,
-with its nilpotent-ideal check: it works on any basis, and is the oracle
+engine behind `minimal_resolution`; its `from_columns` and `solve` are
+the matrix helpers that only tests call.  The trace-form radical lives
+here too, with its nilpotent-ideal check: it works on any basis, and is the oracle
 for the one-pass certificate behind `jacobson_radical`.  So do the
 symmetric pairing of a trivial extension and its associativity scan, the
 oracle for `trivial_extension`'s dual action, and `automorphism_oracle`,
@@ -53,7 +54,7 @@ from quiverlab import (
     trivial_extension,
 )
 from quiverlab import resolution
-from quiverlab.ratmat import TrackedEchelon
+from quiverlab.ratmat import TrackedEchelon, vector
 
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -453,7 +454,7 @@ def inverted_simples(a, rad) -> list[RepModule]:
     element acts by its idempotent coordinate once the basis is changed to
     the idempotents plus the radical basis rad."""
     columns = [[int(k == e) for k in range(a.dim)] for e in a.idempotents]
-    change = RatMatrix.from_columns(columns + list(rad)).inverse()
+    change = from_columns(columns + list(rad)).inverse()
     return [
         RepModule(a, 1, tuple(RatMatrix([[c]]) for c in change.row(pos)))
         for pos in range(len(a.vertices))
@@ -462,9 +463,32 @@ def inverted_simples(a, rad) -> list[RepModule]:
 
 # --- dense resolution oracle ---------------------------------------------------
 
+def from_columns(cols) -> RatMatrix:
+    """The matrix whose columns are cols, exact vectors of one length."""
+    cols = [vector(c) for c in cols]
+    if not cols:
+        return RatMatrix([])
+    return RatMatrix([[col[i] for col in cols] for i in range(len(cols[0]))])
+
+
+def solve(m: RatMatrix, rhs) -> tuple | None:
+    """One solution of m * x = rhs, or None if inconsistent."""
+    rhs = vector(rhs)
+    if len(rhs) != m.rows:
+        raise ValueError("right-hand side length does not match row count")
+    augmented = RatMatrix([list(m.row(i)) + [rhs[i]] for i in range(m.rows)])
+    reduced, pivots = augmented.rref()
+    if m.cols in pivots:
+        return None
+    x = [0] * m.cols
+    for r, p in enumerate(pivots):
+        x[p] = reduced[r, m.cols]
+    return tuple(x)
+
+
 def pivot_columns(columns) -> list[int]:
     """Indices of the columns outside the span of the columns before them."""
-    return list(RatMatrix.from_columns(columns).rref()[1]) if columns else []
+    return list(from_columns(columns).rref()[1]) if columns else []
 
 
 def radical_action_span(module: RepModule, rad) -> list:
@@ -517,7 +541,7 @@ def cover_data(a, module: RepModule, rad):
     """Cover matrix (one column per basis element of P) and P's summand vertices."""
     gens = top_lift(a, module, rad)
     cols = [module.actions[m].apply(gen) for v, gen in gens for m in source_coords(a, v)]
-    return RatMatrix.from_columns(cols), [v for v, _ in gens]
+    return from_columns(cols), [v for v, _ in gens]
 
 
 def zero_module(a) -> RepModule:
@@ -556,7 +580,7 @@ def submodule_on_kernel(a, ambient: RepModule, kernel) -> RepModule:
     basis * coords == action * basis is then checked outright, so a wrong
     row choice cannot slip through.
     """
-    basis = RatMatrix.from_columns(kernel)
+    basis = from_columns(kernel)
     k = len(kernel)
     unit_rows = []
     for idx in range(k):
@@ -599,29 +623,49 @@ def dense_trace(a, module: RepModule, steps: int, rad) -> ResolutionTrace:
 def sparse_vector(vec) -> dict:
     """An engine kernel vector or generator as a sparse dict: the engine
     passes a unit vector, one coordinate with coefficient 1, as that
-    coordinate alone, an int."""
-    return {vec: 1} if type(vec) is int else vec
+    coordinate alone, an int, and any other as a flat tuple (lead, c_lead,
+    x1, c1, ...)."""
+    if type(vec) is int:
+        return {vec: 1}
+    return dict(zip(vec[::2], vec[1::2]))
+
+
+def is_engine_vector(vec) -> bool:
+    """Whether vec is in the engine's form: an int unit, or a flat tuple of
+    two or more terms with distinct coordinates and nonzero coefficients
+    that starts with its largest coordinate."""
+    if type(vec) is int:
+        return True
+    if type(vec) is not tuple or len(vec) % 2 or len(vec) < 4:
+        return False
+    coords, coeffs = vec[::2], vec[1::2]
+    return (all(type(x) is int for x in coords) and len(set(coords)) == len(coords)
+            and coords[0] == max(coords) and all(coeffs))
 
 
 def engine_kernels(engine, vertex: int, steps: int):
     """Yield the kernels of the engine's first `steps` syzygy steps on the
-    simple at vertex position `vertex`, made by minimal_resolution's calls,
-    each vector as a sparse dict: each kernel is checked to hold units as
-    ints and other vectors as dicts of two or more terms, yielded, then
-    read by top_generators, which refuses it unless it is a minimal basis
-    in lead form of the syzygy's dimension."""
-    gens = [(vertex, {})]
+    simple at vertex position `vertex`, made as minimal_resolution makes
+    them, each vector as a sparse dict: the first is rad P_v, the engine's
+    rad_coords as units, and each later one comes from kernel_of_cover.
+    Each kernel is checked to hold units as ints and other vectors as
+    lead-first tuples of two or more nonzero terms, yielded, then read by
+    top_generators, which refuses it unless it is a minimal basis in lead
+    form of the syzygy's dimension."""
+    kernel = engine.rad_coords[vertex]
     dim = engine.proj_dim[vertex]
     covered = 1
     for _ in range(steps):
         syzygy = dim - covered
         if syzygy == 0:
             return
-        kernel = engine.kernel_of_cover(gens)
-        assert all(type(vec) is int or len(vec) >= 2 for vec in kernel)
+        if kernel is None:
+            kernel = engine.kernel_of_cover(gens)
+        assert all(is_engine_vector(vec) for vec in kernel)
         yield [sparse_vector(vec) for vec in kernel]
-        gens = engine.top_generators(kernel, syzygy)
-        dim = sum(engine.proj_dim[v] for v, _ in gens)
+        gens, kernel = engine.top_generators(kernel, syzygy), None
+        dim = sum(engine.proj_dim[engine.vertex_of[max(sparse_vector(g)) % engine.dim]]
+                  for g in gens)
         covered = syzygy
 
 

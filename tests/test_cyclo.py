@@ -25,7 +25,7 @@ from quiverlab import cyclo
 from quiverlab.intpoly import IntPolynomial
 from quiverlab.quiver import cartan_path_algebra, coxeter_matrix
 from quiverlab.ratmat import RatMatrix
-from conftest import multi_kronecker, random_unimodular, star_quiver
+from conftest import from_columns, multi_kronecker, random_unimodular, solve, star_quiver
 
 
 PHI_A2 = RatMatrix([[0, -1], [1, -1]])
@@ -74,7 +74,7 @@ def _unit(n, s):
 def _chain(m, vec):
     """vec, M vec, ... up to the first vector in the span of the earlier ones."""
     chain = [vec]
-    while RatMatrix.from_columns(chain).rank() == len(chain):
+    while from_columns(chain).rank() == len(chain):
         chain.append(m.apply(chain[-1]))
     return chain
 
@@ -85,7 +85,7 @@ def _min_poly_reference(m):
     result = IntPolynomial.one()
     for s in range(n):
         chain = _chain(m, _unit(n, s))
-        coeffs = RatMatrix.from_columns(chain[:-1]).solve(chain[-1])
+        coeffs = solve(from_columns(chain[:-1]), chain[-1])
         local = IntPolynomial([-c for c in coeffs] + [1])
         result = result.lcm(local)
     return result
@@ -132,8 +132,8 @@ def test_min_poly_matches_every_chain_reference():
     assert low_degree >= 60
     # Phi(D4): a later unit vector falls outside the first chain's span
     phi = coxeter_matrix(cartan_path_algebra(star_quiver((1, 1, 1))))
-    first = RatMatrix.from_columns(_chain(phi, _unit(4, 0))[:-1])
-    assert not all(first.solve(_unit(4, s)) is not None for s in range(1, 4))
+    first = from_columns(_chain(phi, _unit(4, 0))[:-1])
+    assert not all(solve(first, _unit(4, s)) is not None for s in range(1, 4))
     # Coxeter polynomial (x + 1)(x^3 + 1), minimal polynomial Phi_2 Phi_6
     assert min_poly(phi) == _min_poly_reference(phi) == IntPolynomial([1, 0, 0, 1])
 

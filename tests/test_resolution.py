@@ -54,6 +54,7 @@ from conftest import (
     engine_kernels,
     gentle_two_loop,
     inverted_simples,
+    is_engine_vector,
     multi_kronecker,
     no_orbits,
     path_quiver,
@@ -231,9 +232,11 @@ def test_trivial_extension_kronecker4_capped_traces():
 
 
 # a bound on the traced peak of T(kron3)'s resolution at dim_cap 20000, in
-# bytes: 2.0 MB with units as ints and the step inputs dropped once read,
-# 4.2 MB when every unit was a one-key dict (CPython 3.11)
-KRON3_TRACED_PEAK = 2_500_000
+# bytes: 1.0 MB with the other vectors as lead-first tuples, one-term cover
+# rows as (c, column) entries and bare generator lists; 2.0 MB when they
+# were dicts, (image, expression) dict pairs and (vertex, vector) pairs;
+# 4.2 MB when every unit was a one-key dict too (CPython 3.11)
+KRON3_TRACED_PEAK = 1_400_000
 # T(kron3)'s trace at dim_cap 20000
 KRON3_BETTI = (5, 15, 40, 105, 275, 720, 1885, 4935, 12920, 33825)
 
@@ -264,7 +267,8 @@ LOOP_CASES = [
 @pytest.mark.parametrize("build, bounds, betti, truncated_by", LOOP_CASES,
                          ids=["T(kron3)-capped", "T(kron3)-6-steps", "kA3"])
 def test_each_step_covers_and_tops_once(monkeypatch, build, bounds, betti, truncated_by):
-    # every trace entry but the last is one cover and one top, and a
+    # every trace entry but the last is one top, and every one but the
+    # first and the last one cover too, the first kernel being rad P_v; a
     # terminated trace's zero closes its last projective without either: a
     # kernel built before the stop checks would cost a whole oversize step
     # on every capped or step-limited resolution, with the same bytes
@@ -280,7 +284,7 @@ def test_each_step_covers_and_tops_once(monkeypatch, build, bounds, betti, trunc
     trace = minimal_resolution(build(), 0, **bounds)
     assert (trace.betti, trace.truncated_by) == (betti, truncated_by)
     steps = len(betti) - 1 - (truncated_by == "resolution-terminated")
-    assert calls == dict.fromkeys(calls, steps)
+    assert calls == {"kernel_of_cover": steps - 1, "top_generators": steps}
 
 
 def test_dense_and_sparse_engines_agree(monkeypatch):
@@ -320,7 +324,7 @@ def test_dense_and_sparse_engines_agree(monkeypatch):
         "top one-term on a longer row": 0,
         # both forms of kernel vector reach the oracle comparison
         "int unit vectors": 0,
-        "multi-term dicts": 0,
+        "multi-term tuples": 0,
     }
     top, cover = res_mod._FlatResolver.top_generators, res_mod._FlatResolver.kernel_of_cover
     phase = [None]
@@ -372,7 +376,7 @@ def test_dense_and_sparse_engines_agree(monkeypatch):
             if type(vec) is int:
                 reached["int unit vectors"] += 1
             else:
-                reached["multi-term dicts"] += len(vec) >= 2
+                reached["multi-term tuples"] += type(vec) is tuple and len(vec) >= 4
             vec = sparse_vector(vec)
             if len(vec) >= 3:
                 reached["long vectors"] += 1
@@ -396,8 +400,9 @@ def test_dense_and_sparse_engines_agree(monkeypatch):
             phase[0] = None
 
     def covering(self, gens):
-        for v, gen in gens:
+        for gen in gens:
             gen = sparse_vector(gen)
+            v = self.vertex_of[max(gen) % self.dim]
             if len(gen) >= 2:
                 for summed, image in table_images(self, gen, self.rad_coords[v]):
                     reached["cover cancels"] += summed and not image
@@ -418,10 +423,12 @@ def test_dense_and_sparse_engines_agree(monkeypatch):
 
 
 def test_cover_relations_are_the_ones_insert_returns(monkeypatch):
-    # the cover's one-term path writes a relation without the echelon, so
-    # every kernel is checked, value and type, against the relations that
-    # TrackedEchelon.insert returns on the images multiplied out from the
-    # table; the Betti numbers alone would not see a wrong sign
+    # the cover's one-term path writes a relation without the echelon, and
+    # keeps its one-term rows as (c, column) entries until its first longer
+    # image hands them to the echelon, so every kernel is checked, value and
+    # type, against the relations that TrackedEchelon.insert returns on the
+    # images multiplied out from the table; the Betti numbers alone would
+    # not see a wrong sign or a row left out of the hand-off
     algebras = [
         trivial_extension(path_algebra(multi_kronecker(2))),
         trivial_extension(gentle_two_loop()),
@@ -435,14 +442,47 @@ def test_cover_relations_are_the_ones_insert_returns(monkeypatch):
         "one-term on one-term": 0,
         "coefficient not 1": 0,
         "Fraction": 0,
+        # covers whose first longer image meets one-term entries (c, column)
+        "hand-off": 0,
     }
 
+    class Entries(dict):
+        """The cover echelon's pivots, noting whether a one-term image was
+        kept as a (c, column) entry."""
+
+        compact = False
+
+        def __setitem__(self, key, value):
+            self.compact |= type(value[1]) is int
+            dict.__setitem__(self, key, value)
+
+    class HandOff(TrackedEchelon):
+        __slots__ = ("inserted",)
+
+        def __init__(self):
+            super().__init__()
+            self.pivots = Entries()
+            self.inserted = False
+
+        def insert(self, vec, expr):
+            if not self.inserted:
+                self.inserted = True
+                # every entry is handed off as the row insert() would store
+                for k, (row, held) in self.pivots.items():
+                    assert type(row) is dict and type(held) is dict and k == max(row)
+                reached["hand-off"] += self.pivots.compact and bool(self.pivots)
+            return super().insert(vec, expr)
+
     def comparing(self, gens):
-        kernel = cover(self, gens)
+        with monkeypatch.context() as patch:
+            patch.setattr(res_mod, "TrackedEchelon", HandOff)
+            kernel = cover(self, gens)
         echelon = TrackedEchelon()
         expected = []
-        for copy, (v, gen) in enumerate(gens):
-            images = table_images(self, sparse_vector(gen), self.rad_coords[v])
+        for copy, gen in enumerate(gens):
+            gen = sparse_vector(gen)
+            v = self.vertex_of[max(gen) % self.dim]
+            images = table_images(self, gen, self.rad_coords[v])
             for m, (_, image) in zip(self.rad_coords[v], images):
                 column = copy * self.dim + m
                 if len(image) == 1:
@@ -458,9 +498,14 @@ def test_cover_relations_are_the_ones_insert_returns(monkeypatch):
                 relation = echelon.insert(image, {column: 1}) if image else column
                 if relation is not None:
                     expected.append(relation)
-        assert kernel == expected
-        assert [[type(x) for x in sparse_vector(r).values()] for r in kernel] == [
-            [type(x) for x in sparse_vector(r).values()] for r in expected
+        # an int unit for a zero image, a lead-first tuple for the others
+        assert all(is_engine_vector(r) for r in kernel)
+        assert [type(r) for r in kernel] == [int if type(r) is int else tuple for r in expected]
+        kernel_terms = [sparse_vector(r) for r in kernel]
+        expected = [{r: 1} if type(r) is int else r for r in expected]
+        assert kernel_terms == expected
+        assert [[type(x) for x in r.values()] for r in kernel_terms] == [
+            [type(x) for x in r.values()] for r in expected
         ]
         return kernel
 
@@ -600,11 +645,11 @@ def eliminated_columns(monkeypatch) -> list:
     one with a nonzero image, whether the image went through
     `TrackedEchelon.insert` or the cover's one-term path; returns the log.
 
-    Columns are decided in increasing order, each either kept as a row of
-    the cover's echelon, with the column as its expression's largest key,
-    or returned as a relation of two or more terms, with the column as its
-    largest key; a zero image is returned as its column alone and is not
-    logged.
+    Columns are decided in increasing order, each either kept in the
+    cover's echelon, as a row with the column as its expression's largest
+    key or as a one-term entry (c, column) not handed off, or returned as
+    a relation of two or more terms, with the column as its largest key; a
+    zero image is returned as its column alone and is not logged.
     """
     columns = []
     echelons = []
@@ -622,7 +667,8 @@ def eliminated_columns(monkeypatch) -> list:
         echelons.clear()
         kernel = kernel_of_cover(self, gens)
         for echelon in echelons:
-            columns.extend(max(expr) for _, expr in echelon.pivots.values())
+            columns.extend(expr if type(expr) is int else max(expr)
+                           for _, expr in echelon.pivots.values())
         columns.extend(max(relation) for relation in map(sparse_vector, kernel)
                        if len(relation) > 1)
         return kernel
@@ -651,19 +697,31 @@ def test_first_kernel_is_the_dense_cover_kernel(monkeypatch, name, extend):
     if extend:
         a = trivial_extension(a)
     rad = radical_vectors(a)
-    engine = res_mod._FlatResolver(a)
+    top = res_mod._FlatResolver.top_generators
     checked = 0
     for vertex, simple in enumerate(simple_modules(a)):
-        # the simple's generator, the empty vector, has rad P_v for kernel
+        # the kernel minimal_resolution hands to its first top_generators
+        # is rad P_v, read off the engine's rad_coords
+        kernels = []
+
+        def recording(self, kernel, syzygy):
+            kernels.append(kernel)
+            return top(self, kernel, syzygy)
+
         cover, verts = cover_data(a, simple, rad)
         expected = flat_kernel(a, verts, cover.kernel_basis())
         with monkeypatch.context() as patch:
             columns = eliminated_columns(patch)
-            kernel = engine.kernel_of_cover([(vertex, {})])
-        assert [sparse_vector(vec) for vec in kernel] == expected
-        # only the radical columns were eliminated, never e_v * gen
-        assert not [c for c in columns if c % engine.dim in engine.idem]
-        checked += len(kernel)
+            patch.setattr(res_mod._FlatResolver, "top_generators", recording)
+            minimal_resolution(a, vertex, 3)
+        if not expected:
+            assert kernels == []
+            continue
+        assert [sparse_vector(vec) for vec in kernels[0]] == expected
+        # the next step's cover eliminated only the radical columns, never
+        # e_v * gen
+        assert not [c for c in columns if c % a.dim in set(a.idempotents)]
+        checked += len(kernels[0])
     assert checked
 
 
@@ -677,38 +735,49 @@ def test_top_refuses_a_kernel_not_in_lead_form():
     idem = min(engine.idem)
     d = engine.dim
     cases = [
-        ([{m1: 1}], 2, "syzygy dimension mismatch"),
-        ([{idem: 1}], 1, "resolution step is not minimal"),
-        ([{m1: 1, n1: 1}], 1, "syzygy relation spans two vertices"),
-        ([{m1: 1, m2: 1}, {m2: 1}], 2, "two syzygy relations share a leading coordinate"),
+        ([(m1, 1)], 2, "syzygy dimension mismatch"),
+        ([(idem, 1)], 1, "resolution step is not minimal"),
+        ([(max(m1, n1), 1, min(m1, n1), 1)], 1, "syzygy relation spans two vertices"),
+        ([(m2, 1, m1, 1), (m2, 1)], 2, "two syzygy relations share a leading coordinate"),
         # the repeat comes after a larger lead, in a later copy
-        ([{m1: 1}, {d + m2: 1}, {m1: 1}], 3, "two syzygy relations share a leading coordinate"),
+        ([(m1, 1), (d + m2, 1), (m1, 1)], 3, "two syzygy relations share a leading coordinate"),
         # an idempotent coordinate below the lead of a two-coordinate vector
-        ([{idem: 1, d + m1: 1}], 1, "resolution step is not minimal"),
+        ([(d + m1, 1, idem, 1)], 1, "resolution step is not minimal"),
+        # a tuple must start with its largest coordinate, the lead
+        ([(m1, 1, m2, 1)], 1, "syzygy relation does not lead with its largest coordinate"),
+        ([(m1, 1, d + m1, 1)], 1, "syzygy relation does not lead with its largest coordinate"),
         # units in the engine's form, bare int coordinates: an idempotent
-        # one, a repeat after a larger lead, and one on a dict's lead
+        # one, a repeat after a larger lead, and one on a tuple's lead
         ([idem], 1, "resolution step is not minimal"),
         ([m1, d + m2, m1], 3, "two syzygy relations share a leading coordinate"),
-        ([{m1: 1, m2: 1}, m2], 2, "two syzygy relations share a leading coordinate"),
+        ([(m2, 1, m1, 1), m2], 2, "two syzygy relations share a leading coordinate"),
     ]
     for kernel, syzygy, message in cases:
         with pytest.raises(RuntimeError, match=message):
             engine.top_generators(kernel, syzygy)
+
+    def vertex(gen):
+        """A generator's vertex, the target of its lead."""
+        return engine.vertex_of[(gen if type(gen) is int else gen[0]) % d]
+
     # n1 is the socle at its vertex, and the arrows take both a0 + a1 and
     # a0 to it: the lead form is accepted and the span is a submodule
     v = engine.vertex_of[m1]
-    kernel = [{m1: 1, m2: 1}, {m1: 1}, {n1: 2}]
-    assert engine.top_generators(kernel, 3) == [(v, vec) for vec in kernel[:2]]
+    kernel = [(m2, 1, m1, 1), (m1, 1), (n1, 2)]
+    gens = engine.top_generators(kernel, 3)
+    assert gens == kernel[:2] and [vertex(g) for g in gens] == [v, v]
     # the same span with its unit as an int: generators come back as they came
-    kernel = [{m1: 1, m2: 1}, m1, {n1: 2}]
-    assert engine.top_generators(kernel, 3) == [(v, vec) for vec in kernel[:2]]
+    kernel = [(m2, 1, m1, 1), m1, (n1, 2)]
+    gens = engine.top_generators(kernel, 3)
+    assert gens == kernel[:2] and [vertex(g) for g in gens] == [v, v]
     # the lead form is accepted, but the arrows take the span to the socle
     # coordinates n1 and d + n1, which it lacks; with them it is a submodule
-    kernel = [{d + m2: 1}, {m1: 1}, {d + m1: 1, m2: 3}]
+    kernel = [(d + m2, 1), (m1, 1), (d + m1, 1, m2, 3)]
     with pytest.raises(RuntimeError, match="arrow images leave the syzygy"):
         engine.top_generators(kernel, 3)
-    socle = [{n1: 1}, {d + n1: 1}]
-    assert engine.top_generators(kernel + socle, 5) == [(v, vec) for vec in kernel]
+    socle = [(n1, 1), (d + n1, 1)]
+    gens = engine.top_generators(kernel + socle, 5)
+    assert gens == kernel and [vertex(g) for g in gens] == [v] * 3
 
 
 def test_top_refuses_a_span_that_is_not_a_submodule():
@@ -716,7 +785,7 @@ def test_top_refuses_a_span_that_is_not_a_submodule():
     engine = res_mod._FlatResolver(trivial_extension(path_algebra(path_quiver(2))))
     m = next(m for m in engine.arrows if not engine.left[m].keys().isdisjoint(engine.arrows))
     with pytest.raises(RuntimeError, match="arrow images leave the syzygy"):
-        engine.top_generators([{m: 1}], 1)
+        engine.top_generators([m], 1)
 
 
 def test_top_reduces_a_one_term_image_on_a_longer_row():
@@ -746,8 +815,10 @@ def test_top_reduces_a_one_term_image_on_a_longer_row():
     t, s, bs, bt = (labels.index(x) for x in ("t", "s", "bs", "bt"))
     engine = res_mod._FlatResolver(a)
     w = a.vertices.index("w")
-    kernel = [{t: 1, s: 1}, {t: 1}, {bs: 1}, {bt: 1}]
-    assert engine.top_generators(kernel, 4) == [(w, {t: 1, s: 1}), (w, {t: 1})]
+    kernel = [(s, 1, t, 1), t, bs, bt]
+    gens = engine.top_generators(kernel, 4)
+    assert gens == [(s, 1, t, 1), t]
+    assert [engine.vertex_of[(g if type(g) is int else g[0]) % engine.dim] for g in gens] == [w, w]
     v = a.vertices.index("v")
     assert minimal_resolution(a, v) == dense_trace(a, simple_modules(a)[v], 40, radical_vectors(a))
 
@@ -1063,22 +1134,21 @@ def test_parallel_resolution_raises_the_lowest_refusal(monkeypatch, refused, kin
     ta = trivial_extension(path_algebra(path_quiver(4)))
     chosen = [ta.vertices[i] for i in refused]
     top = res_mod._FlatResolver.top_generators
-    cover = res_mod._FlatResolver.kernel_of_cover
+    resolve = res_mod.minimal_resolution
+    current = [None]
 
-    def starting(self, gens):
-        # one engine serves every simple of the algebra: a simple's
-        # resolution starts from the empty vector at its vertex
-        (v, gen), *_ = gens
-        if gen == {}:
-            self.vertex = self.alg.vertices[v]
-        return cover(self, gens)
+    def starting(a, vertex, *args):
+        # one engine serves every simple of the algebra, each resolved by
+        # its own minimal_resolution call
+        current[0] = a.vertices[vertex]
+        return resolve(a, vertex, *args)
 
     def refusing(self, kernel, syzygy):
-        if self.vertex in chosen:
-            raise kind(f"refused {self.vertex}")
+        if current[0] in chosen:
+            raise kind(f"refused {current[0]}")
         return top(self, kernel, syzygy)
 
-    monkeypatch.setattr(res_mod._FlatResolver, "kernel_of_cover", starting)
+    monkeypatch.setattr(res_mod, "minimal_resolution", starting)
     monkeypatch.setattr(res_mod._FlatResolver, "top_generators", refusing)
     expected = kind(f"refused {chosen[0]}")
     with pytest.raises(type(expected)) as caught:
