@@ -213,7 +213,12 @@ def cmd_canonical(args) -> Report:
 def cmd_trivext(args) -> Report:
     from .builders import gentle_algebra, gentle_from_data, path_algebra
     from .quiver import quiver_from_data
-    from .resolution import combine_estimates, complexity_estimate, resolve_simple_modules
+    from .resolution import (
+        combine_estimates,
+        complexity_estimate,
+        koszul_trivext_traces,
+        resolve_simple_modules,
+    )
     from .trivext import trivial_extension
 
     document, digest = _read_input(args.file)
@@ -226,7 +231,10 @@ def cmd_trivext(args) -> Report:
     else:
         base = path_algebra(quiver_from_data(data))
     ta = trivial_extension(base)
-    traces = resolve_simple_modules(ta, steps=args.steps, dim_cap=args.dim_cap)
+    # the Koszul recurrence where its theorem applies, with the engine's bytes
+    traces = koszul_trivext_traces(base, steps=args.steps, dim_cap=args.dim_cap)
+    if traces is None:
+        traces = resolve_simple_modules(ta, steps=args.steps, dim_cap=args.dim_cap)
     estimates = [complexity_estimate(trace) for trace in traces]
     overall = combine_estimates(estimates)
 

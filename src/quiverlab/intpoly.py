@@ -11,7 +11,7 @@ import functools
 from fractions import Fraction
 from typing import Iterable
 
-from .ratmat import RatMatrix, plain
+from .ratmat import plain
 
 
 class IntPolynomial:
@@ -153,17 +153,6 @@ class IntPolynomial:
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
-
-    def eval_matrix(self, m: RatMatrix) -> RatMatrix:
-        if not m.is_square:
-            raise ValueError("polynomial evaluation needs a square matrix")
-        n = m.rows
-        acc = RatMatrix.zeros(n, n)
-        for c in reversed(self.coeffs):
-            acc = acc * m
-            if c:
-                acc = acc + RatMatrix.identity(n).scale(c)
         return acc
 
     def __str__(self) -> str:

@@ -89,9 +89,6 @@ class RatMatrix:
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self._rows)
 
-    def columns(self) -> list[Vector]:
-        return [self.column(j) for j in range(self.cols)]
-
     def entries(self) -> tuple[Vector, ...]:
         return self._rows
 

@@ -65,6 +65,17 @@ minimal_resolution).  The engine's tables depend on the algebra only and
 are built once per algebra in a process.  The dense modules,
 simple_modules and RepModule, serve the test suite's projective cover,
 the oracle the engine is checked against; no resolution reads them.
+
+One class of trivial extensions needs no engine.  When A = kQ for a
+connected quiver Q with no relations that is bipartite, every vertex a
+source or a sink, and not Dynkin, T(kQ) is Koszul with Koszul dual the
+preprojective algebra Pi(Q), whose Hilbert series gives every Betti
+number by a three-term integer recurrence; koszul_trivext_traces states
+the theorem and its sources.  It returns None for any other algebra, and
+the trivext command then runs resolve_simple_modules, which stays the
+route for every other input and the oracle the recurrence is tested
+against.  Both routes stop by one helper, _betti_trace, so their traces,
+and the bytes the command prints from them, are equal.
 """
 
 from __future__ import annotations
@@ -75,6 +86,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .fitting import EXPONENTIAL_SLOPE_THRESHOLD, LOGLOG_RESIDUAL_THRESHOLD, fit_line
+from .quiver import Arrow, Quiver, classify_quiver
 from .ratmat import RatMatrix, TrackedEchelon, plain
 from .record import Record
 from .scalgebra import SCAlgebra
@@ -120,12 +132,6 @@ class RepModule(Record):
                     raise ValueError(
                         f"action violates the multiplication table at pair ({i}, {j})"
                     )
-
-    def dim_vector(self) -> tuple[int, ...]:
-        """Dimension of each vertex component, in vertex order."""
-        if self.dim == 0:
-            return tuple(0 for _ in self.algebra.vertices)
-        return tuple(int(self.actions[e].trace()) for e in self.algebra.idempotents)
 
 
 class ResolutionTrace(Record):
@@ -564,51 +570,71 @@ def minimal_resolution(
     at a.vertices[vertex].
 
     Stops after `steps` covers, when a syzygy dimension would exceed
-    `dim_cap`, or when a syzygy vanishes; the trace records which.  The
-    first kernel is rad P_v, the simple's, read off as units from the
-    engine's rad_coords; every later step is one kernel_of_cover, and
-    every step one top_generators.  Generators are bare syzygy vectors,
-    and each one's projective is read at the target vertex of its lead.
-    Each step drops its input, the generators and then the kernel, as
-    soon as it is read, so the deepest step, which sets the peak memory,
-    never holds the step before's kernel.  The steps run
-    with the cyclic collector off: the engine's kernels and tops hold no
-    reference cycles, so a collection would only walk them.  The
-    collector is process-wide, so another thread's collections wait too;
-    the caller's setting comes back on return or raise.
+    `dim_cap`, or when a syzygy vanishes; the trace records which.
+    _betti_trace applies these rules and calls one engine step for each
+    syzygy it resolves.  The first kernel is rad P_v, the simple's, read
+    off as units from the engine's rad_coords; every later step is one
+    kernel_of_cover, and every step one top_generators.  Generators are
+    bare syzygy vectors, and each one's projective is read at the target
+    vertex of its lead.  Each step drops its input, the generators and
+    then the kernel, as soon as it is read, so the deepest step, which
+    sets the peak memory, never holds the step before's kernel.  The
+    steps run with the cyclic collector off: the engine's kernels and
+    tops hold no reference cycles, so a collection would only walk them.
+    The collector is process-wide, so another thread's collections wait
+    too; the caller's setting comes back on return or raise.
     """
     if not 0 <= vertex < len(a.vertices):
         raise ValueError(f"no vertex at position {vertex}")
+    engine = _setup(a)
+    d, vertex_of, proj_dim = engine.dim, engine.vertex_of, engine.proj_dim
+    kernel = engine.rad_coords[vertex]  # the simple's first kernel: rad P_v, as units
+    gens = None
+
+    def advance(syzygy: int) -> int:
+        nonlocal kernel, gens
+        if kernel is None:
+            kernel, gens = engine.kernel_of_cover(gens), None
+        gens, kernel = engine.top_generators(kernel, syzygy), None
+        return sum(proj_dim[vertex_of[(g if type(g) is int else g[0]) % d]] for g in gens)
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _betti_trace(proj_dim[vertex], advance, steps, dim_cap)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _betti_trace(first: int, advance, steps: int, dim_cap: int) -> ResolutionTrace:
+    """The trace of a simple's minimal resolution under the stop rules that
+    every route shares.
+
+    first is dim P_0, and advance(s) returns the dimension of the next
+    projective, the cover of the syzygy of dimension s that the last one
+    leaves.  The syzygy of P_n is dim P_n minus the dimension it covers,
+    the simple's 1 for P_0.  The trace stops with a zero appended when a
+    syzygy vanishes, after `steps` projectives, or when a syzygy would
+    exceed `dim_cap`, in that order, so advance is never called for a
+    syzygy that is not resolved.
+    """
     if steps < 1:
         raise ValueError("steps must be positive")
     if dim_cap < 1:
         raise ValueError("dimension cap must be positive")
-    engine = _setup(a)
-    d, vertex_of, proj_dim = engine.dim, engine.vertex_of, engine.proj_dim
-    kernel = engine.rad_coords[vertex]  # the simple's first kernel: rad P_v, as units
     betti: list[int] = []
-    dim = proj_dim[vertex]
-    covered = 1
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        while True:
-            betti.append(dim)
-            syzygy = dim - covered
-            if syzygy == 0:
-                return ResolutionTrace((*betti, 0), "resolution-terminated")
-            if len(betti) >= steps:
-                return ResolutionTrace(tuple(betti), "steps-exhausted")
-            if syzygy > dim_cap:
-                return ResolutionTrace(tuple(betti), "dimension-cap")
-            if kernel is None:
-                kernel, gens = engine.kernel_of_cover(gens), None
-            gens, kernel = engine.top_generators(kernel, syzygy), None
-            dim = sum(proj_dim[vertex_of[(g if type(g) is int else g[0]) % d]] for g in gens)
-            covered = syzygy
-    finally:
-        if enabled:
-            gc.enable()
+    dim, covered = first, 1
+    while True:
+        betti.append(dim)
+        syzygy = dim - covered
+        if syzygy == 0:
+            return ResolutionTrace((*betti, 0), "resolution-terminated")
+        if len(betti) >= steps:
+            return ResolutionTrace(tuple(betti), "steps-exhausted")
+        if syzygy > dim_cap:
+            return ResolutionTrace(tuple(betti), "dimension-cap")
+        dim, covered = advance(syzygy), syzygy
 
 
 def complexity_estimate(trace: ResolutionTrace) -> ComplexityEstimate:
@@ -911,6 +937,80 @@ def resolve_simple_modules(
     orbits = simple_orbits(a)
     of_rep = {p: minimal_resolution(a, p, steps, dim_cap) for p in sorted(set(orbits))}
     return [of_rep[p] for p in orbits]
+
+
+def koszul_trivext_traces(
+    a: SCAlgebra, steps: int = 40, dim_cap: int = 100000
+) -> list[ResolutionTrace] | None:
+    """Every simple's trace over T(a), in vertex order, when a is the path
+    algebra kQ of a connected, bipartite, non-Dynkin quiver Q; None
+    otherwise.
+
+    a must satisfy the algebra laws, as every builder's output does.  Its
+    non-idempotent basis elements are taken as the arrows of Q, and Q is
+    bipartite when no vertex is both the source of one and the target of
+    another: then no two of them compose, so a = kQ with no relations and
+    no loops.  The quiver must be connected and its underlying graph not
+    Dynkin, classify_quiver(Q).kind != "finite".
+
+    The theorem.  Let k be a field and Q a finite connected bipartite
+    quiver whose underlying graph is not of Dynkin type A, D or E, and let
+    M be its symmetric edge-count matrix: M_ij arrows between i and j, in
+    either direction.  Grade T(kQ) = kQ + D(kQ) with the idempotents in
+    degree 0, the arrows and their duals in degree 1 and the duals of the
+    idempotents in degree 2 (not the BasisElement degrees).  Then T(kQ) is
+    Koszul and its Koszul dual, the Ext algebra of its simples, is the
+    preprojective algebra Pi(Q), whose matrix Hilbert series is
+    H(t) = ((1 + t^2) I - t M)^(-1): Martinez-Villa, "Applications of
+    Koszul algebras: the preprojective algebra", CMS Conf. Proc. 18
+    (1996); Brenner, Butler and King, "Periodic algebras which are almost
+    Koszul", Algebr. Represent. Theory 5 (2002); Etingof and Eu, "Koszulity
+    and the Hilbert series of preprojective algebras", Math. Res. Lett. 14
+    (2007).  So the minimal graded resolution of the simple S_i is linear,
+    and its n-th term is the sum over j of b_n[j] copies of P_j, where
+    b_n[j] = dim Ext^n(S_i, S_j) is entry j of the coefficient of t^n in
+    H(t) e_i.  A graded minimal resolution of a finite-dimensional graded
+    algebra is minimal as an ungraded one, since its graded radical is the
+    Jacobson radical, so these are the engine's Betti numbers over the
+    rationals.  Comparing coefficients in ((1 + t^2) I - t M) H(t) = I
+    gives b_0 = e_i and b_n = M b_(n-1) - b_(n-2), with b_(-1) = 0.
+    The projective P_j has the basis e_j, the arrows at j and the duals of
+    these, so dim P_j = 2 + deg j and dim P_n = sum_j b_n[j] (2 + deg j).
+
+    The dimensions go through _betti_trace, the engine's stop rules, so
+    every trace, and every byte the CLI prints from it, equals
+    resolve_simple_modules(T(a), steps, dim_cap).  On Dynkin quivers Pi(Q)
+    is finite-dimensional and not Koszul, and the recurrence is wrong.
+    """
+    idem = set(a.idempotents)
+    arrows = [b for m, b in enumerate(a.basis) if m not in idem]
+    sources = {b.source for b in arrows}
+    if any(b.target in sources for b in arrows):
+        return None
+    q = Quiver(a.vertices, tuple(Arrow(b.label, b.source, b.target) for b in arrows))
+    if not q.is_connected or classify_quiver(q).kind == "finite":
+        return None
+    pos = q.vertex_index()
+    n = len(a.vertices)
+    edges = [[0] * n for _ in range(n)]
+    for b in arrows:
+        s, t = pos[b.source], pos[b.target]
+        edges[s][t] += 1
+        edges[t][s] += 1
+    proj_dim = [2 + sum(row) for row in edges]
+
+    def trace(i: int) -> ResolutionTrace:
+        before, now = [0] * n, [int(p == i) for p in range(n)]
+
+        def advance(_syzygy: int) -> int:
+            nonlocal before, now
+            before, now = now, [sum(c * y for c, y in zip(row, now)) - x
+                                for row, x in zip(edges, before)]
+            return sum(x * d for x, d in zip(now, proj_dim))
+
+        return _betti_trace(proj_dim[i], advance, steps, dim_cap)
+
+    return [trace(i) for i in range(n)]
 
 
 def combine_estimates(estimates) -> ComplexityEstimate:

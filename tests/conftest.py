@@ -142,6 +142,30 @@ def star_quiver(arm_lengths, center_last: bool = False):
     return quiver_from_data({"vertices": verts, "arrows": arrows})
 
 
+def bipartite_star(arm_lengths):
+    """Star-shaped tree in its bipartite orientation: the vertices at even
+    distance from the center, the center among them, are sources."""
+    verts, arrows = ["c"], []
+    for i, length in enumerate(arm_lengths):
+        prev = "c"
+        for j in range(1, length + 1):
+            v = f"{i}.{j}"
+            verts.append(v)
+            source, target = (prev, v) if j % 2 else (v, prev)
+            arrows.append({"id": f"x{i}.{j}", "from": source, "to": target})
+            prev = v
+    return quiver_from_data({"vertices": verts, "arrows": arrows})
+
+
+def complete_bipartite(m: int, n: int):
+    """K_{m,n}: one arrow from each of m sources to each of n sinks."""
+    sources, sinks = [f"s{i}" for i in range(m)], [f"t{j}" for j in range(n)]
+    return quiver_from_data({
+        "vertices": sources + sinks,
+        "arrows": [{"id": f"{s}{t}", "from": s, "to": t} for s in sources for t in sinks],
+    })
+
+
 GENTLE_TWO_LOOP_DOC = json.dumps(
     {
         "vertices": [1, 2],
@@ -292,6 +316,19 @@ def verify_reference(a) -> None:
 
 # --- Cayley-Hamilton and the cyclotomic profile on random matrices -------------
 
+def eval_matrix(p, m: RatMatrix) -> RatMatrix:
+    """p(m) for an IntPolynomial p and a square matrix m, by Horner's rule."""
+    if not m.is_square:
+        raise ValueError("polynomial evaluation needs a square matrix")
+    n = m.rows
+    acc = RatMatrix.zeros(n, n)
+    for c in reversed(p.coeffs):
+        acc = acc * m
+        if c:
+            acc = acc + RatMatrix.identity(n).scale(c)
+    return acc
+
+
 def check_cayley_hamilton_on_random_rational_matrices():
     rng = random.Random(20260816)
     zero = RatMatrix.zeros(4, 4)
@@ -302,7 +339,7 @@ def check_cayley_hamilton_on_random_rational_matrices():
                 for _ in range(4)
             ]
         )
-        assert char_poly(m).eval_matrix(m) == zero
+        assert eval_matrix(char_poly(m), m) == zero
 
 
 def random_unimodular(rng: random.Random, n: int) -> RatMatrix:
@@ -471,6 +508,18 @@ def from_columns(cols) -> RatMatrix:
     return RatMatrix([[col[i] for col in cols] for i in range(len(cols[0]))])
 
 
+def matrix_columns(m: RatMatrix) -> list[tuple]:
+    """The columns of m, as exact vectors."""
+    return [m.column(j) for j in range(m.cols)]
+
+
+def dim_vector(module: RepModule) -> tuple[int, ...]:
+    """Dimension of each vertex component of a module, in vertex order."""
+    if module.dim == 0:
+        return tuple(0 for _ in module.algebra.vertices)
+    return tuple(int(module.actions[e].trace()) for e in module.algebra.idempotents)
+
+
 def solve(m: RatMatrix, rhs) -> tuple | None:
     """One solution of m * x = rhs, or None if inconsistent."""
     rhs = vector(rhs)
@@ -498,7 +547,7 @@ def radical_action_span(module: RepModule, rad) -> list:
     for element in rad:
         terms = [module.actions[m].scale(c) for m, c in enumerate(element) if c]
         if terms:
-            columns.extend(col for col in sum(terms[1:], terms[0]).columns() if any(col))
+            columns.extend(col for col in matrix_columns(sum(terms[1:], terms[0])) if any(col))
     return columns
 
 

@@ -33,20 +33,28 @@ def test_every_traced_layer_exists_and_is_callable(monkeypatch):
 KRONECKER3_DOC = json.dumps(
     {"vertices": [1, 2], "arrows": [{"id": f"a{i}", "from": 1, "to": 2} for i in range(3)]}
 )
+# 1 -> 2 -> 3 is not bipartite, so its trivext job runs the resolution engine
+A3_DOC = json.dumps(
+    {"vertices": [1, 2, 3], "arrows": [{"id": "a", "from": 1, "to": 2},
+                                       {"id": "b", "from": 2, "to": 3}]}
+)
 
 
 @pytest.mark.parametrize(
     "argv, layer",
     [
         (["entropy", "kron3.json", "--iterations", "12"], "cyclo.spectral_radius"),
-        (["trivext", "kron3.json", "--steps", "12"], "resolution.resolve"),
+        (["trivext", "a3.json", "--steps", "12"], "resolution.resolve"),
+        # T(kron3) takes the Koszul recurrence, which classifies the quiver
+        (["trivext", "kron3.json", "--steps", "12"], "quiver.classify"),
     ],
-    ids=["entropy", "trivext"],
+    ids=["entropy", "trivext", "trivext-koszul"],
 )
 def test_replay_runs_the_cli_and_times_its_layers(tmp_path, monkeypatch, capsys, argv, layer):
     # the commands import their layers when they run, so the replay must
     # still see its wrappers there
     (tmp_path / "kron3.json").write_text(KRONECKER3_DOC, encoding="utf-8")
+    (tmp_path / "a3.json").write_text(A3_DOC, encoding="utf-8")
     replay = bench_module("replay")
     tracer = replay.Tracer()
     got = replay.run(tracer, [*argv, "--json"], tmp_path)

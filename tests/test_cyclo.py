@@ -25,7 +25,14 @@ from quiverlab import cyclo
 from quiverlab.intpoly import IntPolynomial
 from quiverlab.quiver import cartan_path_algebra, coxeter_matrix
 from quiverlab.ratmat import RatMatrix
-from conftest import from_columns, multi_kronecker, random_unimodular, solve, star_quiver
+from conftest import (
+    eval_matrix,
+    from_columns,
+    multi_kronecker,
+    random_unimodular,
+    solve,
+    star_quiver,
+)
 
 
 PHI_A2 = RatMatrix([[0, -1], [1, -1]])
@@ -45,7 +52,7 @@ def test_char_poly_is_monic_of_full_degree():
     p = char_poly(m)
     assert p.degree == 3
     assert p.leading == 1
-    assert p.eval_matrix(m) == RatMatrix.zeros(3, 3)
+    assert eval_matrix(p, m) == RatMatrix.zeros(3, 3)
 
 
 def test_companion_matrix_round_trip():

@@ -14,6 +14,8 @@ from quiverlab.intpoly import (
     euler_phi,
 )
 
+from conftest import eval_matrix
+
 X = IntPolynomial.x()
 ONE = IntPolynomial.one()
 
@@ -148,4 +150,4 @@ def test_eval_matrix_on_companion_block():
 
     p = poly(1, -7, 1)
     m = companion_matrix(p)
-    assert p.eval_matrix(m) == RatMatrix.zeros(2, 2)
+    assert eval_matrix(p, m) == RatMatrix.zeros(2, 2)

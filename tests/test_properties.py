@@ -29,6 +29,7 @@ from conftest import (
     builder_outputs,
     check_cayley_hamilton_on_random_rational_matrices,
     check_profile_is_a_conjugation_invariant,
+    dim_vector,
     multi_kronecker,
     path_quiver,
     projective_cover,
@@ -96,13 +97,13 @@ def test_terminated_resolutions_telescope_to_the_module():
         alg = path_algebra(quiver)
         rad = radical_vectors(alg)
         for simple in simple_modules(alg):
-            target = list(simple.dim_vector())
+            target = list(dim_vector(simple))
             total = [0] * len(alg.vertices)
             sign = 1
             current = simple
             while current.dim:
                 proj, cover = projective_cover(alg, current, rad)
-                for i, d in enumerate(proj.dim_vector()):
+                for i, d in enumerate(dim_vector(proj)):
                     total[i] += sign * d
                 sign = -sign
                 kernel = cover.kernel_basis()

@@ -18,7 +18,7 @@ from quiverlab import (
     quiver_from_data,
     tits_matrix,
 )
-from conftest import multi_kronecker, path_quiver, star_quiver
+from conftest import matrix_columns, multi_kronecker, path_quiver, star_quiver
 
 
 def test_parse_minimal_document():
@@ -161,7 +161,7 @@ def test_cartan_path_algebra_values():
     assert cartan_path_algebra(multi_kronecker(3)) == RatMatrix([[1, 0], [3, 1]])
     # columns are the dimension vectors of the indecomposable projectives
     c = cartan_path_algebra(path_quiver(3))
-    assert list(c.columns()) == [
+    assert matrix_columns(c) == [
         (1, 1, 1),
         (0, 1, 1),
         (0, 0, 1),

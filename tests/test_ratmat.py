@@ -28,7 +28,9 @@ from conftest import (
     bench_module,
     builder_outputs,
     engine_kernels,
+    eval_matrix,
     from_columns,
+    matrix_columns,
     multi_kronecker,
     path_quiver,
     solve,
@@ -145,7 +147,7 @@ def test_empty_matrix():
 def test_from_columns_round_trip():
     m = from_columns([vector([1, 3]), vector([2, 4])])
     assert m == mat([[1, 2], [3, 4]])
-    assert list(m.columns()) == [vector([1, 3]), vector([2, 4])]
+    assert matrix_columns(m) == [vector([1, 3]), vector([2, 4])]
 
 
 def test_tracked_echelon_reports_relations():
@@ -213,7 +215,7 @@ def test_tracked_echelon_relations_are_the_rref_kernel_vectors():
         m = from_columns(columns)
         echelon = TrackedEchelon()
         relations = []
-        for j, col in enumerate(m.columns()):
+        for j, col in enumerate(matrix_columns(m)):
             relation = echelon.insert({i: x for i, x in enumerate(col) if x}, {j: 1})
             if relation is not None:
                 relations.append(tuple(relation.get(k, 0) for k in range(m.cols)))
@@ -356,7 +358,7 @@ def test_integral_matrices_keep_int_entries_and_never_leak_floats():
         }
         # a float anywhere in the elimination would show as an inexact value
         assert results["det"] == (-1) ** n * char_poly(m).constant != 0
-        assert char_poly(m).eval_matrix(m).is_zero()
+        assert eval_matrix(char_poly(m), m).is_zero()
         assert results["mul-inverse"] == RatMatrix.identity(n)
         for name, value in results.items():
             for x in _numbers(value):

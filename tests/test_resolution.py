@@ -40,17 +40,21 @@ from quiverlab import (
     trivial_extension,
 )
 from quiverlab import resolution as res_mod
+from quiverlab.quiver import QuiverType
 from quiverlab.ratmat import TrackedEchelon
 from quiverlab.record import FrozenInstanceError
 from conftest import (
     BUILDERS,
     bench_ladder,
     bench_module,
+    bipartite_star,
     builder_outputs,
     canonical_237,
+    complete_bipartite,
     count_multiplies,
     cover_data,
     dense_trace,
+    dim_vector,
     engine_kernels,
     gentle_two_loop,
     inverted_simples,
@@ -118,14 +122,14 @@ def test_simple_modules_shape():
     for i, s in enumerate(simples):
         s.validate()
         assert s.dim == 1
-        vec = s.dim_vector()
+        vec = dim_vector(s)
         assert vec.count(1) == 1 and vec[i] == 1
 
 
 def test_dim_vector_counts_idempotent_ranks():
     a = path_algebra(path_quiver(2))
     p, _ = projective_cover(a, simple_modules(a)[0])
-    assert p.dim_vector() == (1, 1)
+    assert dim_vector(p) == (1, 1)
 
 
 # --- the dense projective cover oracle (conftest) ------------------------
@@ -233,10 +237,11 @@ def test_trivial_extension_kronecker4_capped_traces():
 
 # a bound on the traced peak of T(kron3)'s resolution at dim_cap 20000, in
 # bytes: 1.0 MB with the other vectors as lead-first tuples, one-term cover
-# rows as (c, column) entries and bare generator lists; 2.0 MB when they
-# were dicts, (image, expression) dict pairs and (vertex, vector) pairs;
-# 4.2 MB when every unit was a one-key dict too (CPython 3.11)
-KRON3_TRACED_PEAK = 1_400_000
+# rows as (c, column) entries and bare generator lists; 1.3 MB when every
+# one-term cover row is an (image, expression) dict pair; 2.0 MB when the
+# vectors were dicts too and the generators (vertex, vector) pairs; 4.2 MB
+# when every unit was a one-key dict too (CPython 3.11)
+KRON3_TRACED_PEAK = 1_200_000
 # T(kron3)'s trace at dim_cap 20000
 KRON3_BETTI = (5, 15, 40, 105, 275, 720, 1885, 4935, 12920, 33825)
 
@@ -253,6 +258,59 @@ def test_deep_resolution_keeps_a_small_traced_peak():
     assert trace.betti == KRON3_BETTI
     assert trace.truncated_by == "dimension-cap"
     assert peak < KRON3_TRACED_PEAK, peak
+
+
+def two_kroneckers():
+    """Two disjoint Kronecker quivers: bipartite and not Dynkin, but not connected."""
+    return quiver_from_data({
+        "vertices": [1, 2, 3, 4],
+        "arrows": [{"id": f"{x}{i}", "from": s, "to": t}
+                   for x, s, t in (("a", 1, 2), ("b", 3, 4)) for i in range(2)],
+    })
+
+
+# (base algebra, bounds, what the Koszul route must do): "engine" traces equal
+# to minimal_resolution's, "none" no traces, "dynkin" no traces, and a
+# recurrence that goes negative within 40 steps once the Dynkin guard is lifted
+KOSZUL_CASES = {
+    "kron2-200-steps": (lambda: path_algebra(multi_kronecker(2)), {"steps": 200}, "engine"),
+    "kron3": (lambda: path_algebra(multi_kronecker(3)), {}, "engine"),
+    "kron4": (lambda: path_algebra(multi_kronecker(4)), {}, "engine"),
+    "K23-capped": (lambda: path_algebra(complete_bipartite(2, 3)), {"dim_cap": 20000}, "engine"),
+    "D4-affine": (lambda: path_algebra(bipartite_star((1, 1, 1, 1))), {"steps": 40}, "engine"),
+    "E6-affine": (lambda: path_algebra(bipartite_star((2, 2, 2))), {"steps": 40}, "engine"),
+    "E10": (lambda: path_algebra(bipartite_star((1, 2, 6))), {"steps": 40}, "engine"),
+    "T334": (lambda: path_algebra(bipartite_star((2, 2, 3))), {"steps": 40}, "engine"),
+    "kron3-1-step": (lambda: path_algebra(multi_kronecker(3)), {"steps": 1}, "engine"),
+    "kron3-cap-1": (lambda: path_algebra(multi_kronecker(3)), {"dim_cap": 1}, "engine"),
+    "D4": (lambda: path_algebra(bipartite_star((1, 1, 1))), {}, "dynkin"),
+    "E8": (lambda: path_algebra(bipartite_star((1, 2, 4))), {}, "dynkin"),
+    "A3": (lambda: path_algebra(path_quiver(3)), {}, "none"),
+    "E10-sink-centred": (lambda: path_algebra(star_quiver((1, 2, 6))), {}, "none"),
+    "gentle": (gentle_two_loop, {}, "none"),
+    "disconnected": (lambda: path_algebra(two_kroneckers()), {}, "none"),
+}
+
+
+@pytest.mark.parametrize("build, bounds, expect", KOSZUL_CASES.values(), ids=KOSZUL_CASES)
+def test_koszul_route_is_the_engine_where_its_theorem_applies(monkeypatch, build, bounds,
+                                                              expect):
+    base = build()
+    traces = res_mod.koszul_trivext_traces(base, **bounds)
+    if expect == "none":
+        assert traces is None
+        return
+    ta = trivial_extension(base)
+    engine = [minimal_resolution(ta, p, **bounds) for p in range(len(ta.vertices))]
+    if expect == "engine":
+        assert traces == engine
+        return
+    # Pi(Q) of a Dynkin quiver is finite-dimensional, and the recurrence is wrong
+    assert traces is None
+    assert all(min(trace.betti) > 0 for trace in engine)
+    monkeypatch.setattr(res_mod, "classify_quiver", lambda q: QuiverType("indefinite"))
+    with pytest.raises(ValueError, match="projective dimensions are nonnegative"):
+        res_mod.koszul_trivext_traces(base, **bounds)
 
 
 LOOP_CASES = [

@@ -72,7 +72,9 @@ def fresh_python(args: list[str]) -> subprocess.CompletedProcess:
     ],
     ids=["classify", "entropy", "check-coxeter", "canonical", "trivext"],
 )
-def test_command_loads_only_its_layers(tmp_path, argv, inputs, forbidden):
+def modules_loaded(tmp_path, argv, inputs) -> dict:
+    """Run `quiverlab <argv> --json` in a fresh interpreter; the modules new
+    after `import quiverlab.cli` ("import") and after `main` ("run")."""
     for name, text in inputs.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     record = tmp_path / "modules.json"
@@ -82,12 +84,40 @@ def test_command_loads_only_its_layers(tmp_path, argv, inputs, forbidden):
     seen = json.loads(record.read_text(encoding="utf-8"))
     assert seen["status"] == 0
     assert json.loads(child.stdout)["command"] == argv[0]
+    return seen
+
+
+@pytest.mark.parametrize(
+    "argv, inputs, forbidden",
+    [
+        (["classify", "kron.json"], {"kron.json": KRONECKER_DOC},
+         NO_ALGEBRA | {"quiverlab.serre"}),
+        (["entropy", "kron.json", "--iterations", "12"], {"kron.json": KRONECKER_DOC},
+         NO_ALGEBRA),
+        (["check-coxeter", "phi.json"], {"phi.json": PHI_DOC}, NO_ALGEBRA),
+        (["canonical", "--weights", "2,3,5"], {}, NO_RESOLUTION),
+        (["trivext", "a2.json", "--steps", "12"], {"a2.json": A2_DOC}, NO_SPECTRAL),
+    ],
+    ids=["classify", "entropy", "check-coxeter", "canonical", "trivext"],
+)
+def test_command_loads_only_its_layers(tmp_path, argv, inputs, forbidden):
+    seen = modules_loaded(tmp_path, argv, inputs)
     assert [m for m in seen["import"] if m.startswith("quiverlab")] == ["quiverlab",
                                                                         "quiverlab.cli"]
     assert forbidden.isdisjoint(seen["run"])
     assert "dataclasses" not in seen["run"]
     if SHA256_BUILTIN:
         assert "_hashlib" not in seen["run"]
+
+
+def test_trivext_on_a_koszul_base_loads_no_more_than_on_a2(tmp_path):
+    # T(kron2) takes the Koszul recurrence, which classifies its quiver;
+    # T(kA2) classifies it too, finds it Dynkin and runs the engine
+    a2 = modules_loaded(tmp_path, ["trivext", "a2.json", "--steps", "12"], {"a2.json": A2_DOC})
+    kron = modules_loaded(tmp_path, ["trivext", "kron.json", "--steps", "12"],
+                          {"kron.json": KRONECKER_DOC})
+    assert set(kron["run"]) <= set(a2["run"]), sorted(set(kron["run"]) - set(a2["run"]))
+    assert NO_SPECTRAL.isdisjoint(kron["run"])
 
 
 def test_input_digest_is_the_sha256_of_the_bytes():
