@@ -19,8 +19,7 @@ _EXPORTS = {
         "builders",
     ),
     **dict.fromkeys(
-        ("CycloProfile", "char_poly", "companion_matrix", "cyclotomic_profile", "min_poly",
-         "spectral_radius"),
+        ("CycloProfile", "char_poly", "cyclotomic_profile", "min_poly", "spectral_radius"),
         "cyclo",
     ),
     **dict.fromkeys(("IntPolynomial", "cyclotomic_factorization", "cyclotomic_poly"), "intpoly"),
@@ -41,7 +40,7 @@ _EXPORTS = {
     **dict.fromkeys(
         ("CoxeterReport", "EntropyLine", "GrowthEstimate", "SerreVerdict", "canonical_verdict",
          "coxeter_necessary_check", "entropy_line", "graded_path_verdict", "growth_degree",
-         "hereditary_entropy", "serre_entropy", "verify_k_shadow"),
+         "hereditary_entropy", "verify_k_shadow"),
         "serre",
     ),
     "trivial_extension": "trivext",

@@ -122,19 +122,6 @@ def min_poly(m: RatMatrix) -> IntPolynomial:
     return result
 
 
-def companion_matrix(p: IntPolynomial) -> RatMatrix:
-    """Companion matrix of a monic polynomial (characteristic polynomial p)."""
-    if p.is_zero or not p.is_monic or p.degree < 1:
-        raise ValueError("companion matrix needs a monic polynomial of degree >= 1")
-    n = p.degree
-    rows = [[0] * n for _ in range(n)]
-    for i in range(1, n):
-        rows[i][i - 1] = 1
-    for i in range(n):
-        rows[i][n - 1] = -p.coeffs[i]
-    return RatMatrix(rows)
-
-
 class CycloProfile(Record):
     """Cyclotomicity report for a square invertible matrix.
 

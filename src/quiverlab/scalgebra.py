@@ -39,7 +39,7 @@ class SCAlgebra:
     modules), so an algebra built by hand should be verified before use.
     """
 
-    __slots__ = ("vertices", "basis", "idempotents", "mult", "_by_label")
+    __slots__ = ("vertices", "basis", "idempotents", "mult")
 
     def __init__(
         self,
@@ -70,16 +70,12 @@ class SCAlgebra:
             if clean:
                 table[(i, j)] = clean
         self.mult = table
-        self._by_label = {b.label: k for k, b in enumerate(self.basis)}
-        if len(self._by_label) != dim:
+        if len({b.label for b in self.basis}) != dim:
             raise ValueError("duplicate basis label")
 
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def index_of(self, label: str) -> int:
-        return self._by_label[label]
 
     def unit(self) -> Element:
         return {e: 1 for e in self.idempotents}

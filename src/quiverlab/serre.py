@@ -22,7 +22,7 @@ from .quiver import (
     coxeter_matrix,
     has_oriented_cycle,
 )
-from .ratmat import RatMatrix, Vector, as_fraction, l1_norm, vector
+from .ratmat import RatMatrix, Vector, l1_norm, vector
 from .record import Record
 
 if TYPE_CHECKING:
@@ -302,13 +302,6 @@ def verify_k_shadow(psi: RatMatrix, l: int, m: int, n: int) -> bool:
     if m % 2:
         power = -power
     return ((power - RatMatrix.identity(power.rows)) ** l).is_zero()
-
-
-def serre_entropy(verdict: SerreVerdict, t) -> Fraction:
-    """Entropy value (m/n) * t predicted by a verdict with exponents."""
-    if not verdict.has_exponents:
-        raise ValueError("verdict carries no exponents (m, n)")
-    return Fraction(verdict.m, verdict.n) * as_fraction(t)
 
 
 def entropy_line(verdict: SerreVerdict) -> EntropyLine:

@@ -40,7 +40,6 @@ from quiverlab import (
     SCAlgebra,
     canonical_algebra,
     char_poly,
-    companion_matrix,
     cyclotomic_poly,
     cyclotomic_profile,
     gentle_algebra,
@@ -54,7 +53,7 @@ from quiverlab import (
     trivial_extension,
 )
 from quiverlab import resolution
-from quiverlab.ratmat import TrackedEchelon, vector
+from quiverlab.ratmat import TrackedEchelon, as_fraction, vector
 
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -508,6 +507,31 @@ def from_columns(cols) -> RatMatrix:
     return RatMatrix([[col[i] for col in cols] for i in range(len(cols[0]))])
 
 
+def index_of(a, label: str) -> int:
+    """The position of the basis element labelled `label` in a's basis."""
+    return [b.label for b in a.basis].index(label)
+
+
+def companion_matrix(p) -> RatMatrix:
+    """Companion matrix of a monic polynomial (characteristic polynomial p)."""
+    if p.is_zero or not p.is_monic or p.degree < 1:
+        raise ValueError("companion matrix needs a monic polynomial of degree >= 1")
+    n = p.degree
+    rows = [[0] * n for _ in range(n)]
+    for i in range(1, n):
+        rows[i][i - 1] = 1
+    for i in range(n):
+        rows[i][n - 1] = -p.coeffs[i]
+    return RatMatrix(rows)
+
+
+def serre_entropy(verdict, t) -> Fraction:
+    """Entropy value (m/n) * t predicted by a verdict with exponents."""
+    if not verdict.has_exponents:
+        raise ValueError("verdict carries no exponents (m, n)")
+    return Fraction(verdict.m, verdict.n) * as_fraction(t)
+
+
 def matrix_columns(m: RatMatrix) -> list[tuple]:
     """The columns of m, as exact vectors."""
     return [m.column(j) for j in range(m.cols)]
@@ -692,15 +716,18 @@ def is_engine_vector(vec) -> bool:
             and coords[0] == max(coords) and all(coeffs))
 
 
-def engine_kernels(engine, vertex: int, steps: int):
+def engine_kernels(engine, vertex: int, steps: int, tops: list | None = None):
     """Yield the kernels of the engine's first `steps` syzygy steps on the
     simple at vertex position `vertex`, made as minimal_resolution makes
-    them, each vector as a sparse dict: the first is rad P_v, the engine's
-    rad_coords as units, and each later one comes from kernel_of_cover.
+    them but each step from scratch, each vector as a sparse dict: the
+    first is rad P_v, the engine's rad_coords as units, and each later one
+    comes from kernel_of_cover.
     Each kernel is checked to hold units as ints and other vectors as
     lead-first tuples of two or more nonzero terms, yielded, then read by
     top_generators, which refuses it unless it is a minimal basis in lead
-    form of the syzygy's dimension."""
+    form of the syzygy's dimension; the generators it returns are appended
+    to `tops`, when given, as the engine returns them."""
+    assert engine.step is None  # no step resumes, and none is logged
     kernel = engine.rad_coords[vertex]
     dim = engine.proj_dim[vertex]
     covered = 1
@@ -713,6 +740,8 @@ def engine_kernels(engine, vertex: int, steps: int):
         assert all(is_engine_vector(vec) for vec in kernel)
         yield [sparse_vector(vec) for vec in kernel]
         gens, kernel = engine.top_generators(kernel, syzygy), None
+        if tops is not None:
+            tops.append(gens)
         dim = sum(engine.proj_dim[engine.vertex_of[max(sparse_vector(g)) % engine.dim]]
                   for g in gens)
         covered = syzygy

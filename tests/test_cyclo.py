@@ -15,7 +15,6 @@ from quiverlab.cyclo import (
     _cauchy_bound,
     _krylov_blocks,
     char_poly,
-    companion_matrix,
     cyclotomic_profile,
     krylov_walk,
     min_poly,
@@ -26,6 +25,7 @@ from quiverlab.intpoly import IntPolynomial
 from quiverlab.quiver import cartan_path_algebra, coxeter_matrix
 from quiverlab.ratmat import RatMatrix
 from conftest import (
+    companion_matrix,
     eval_matrix,
     from_columns,
     multi_kronecker,

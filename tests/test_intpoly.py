@@ -14,7 +14,7 @@ from quiverlab.intpoly import (
     euler_phi,
 )
 
-from conftest import eval_matrix
+from conftest import companion_matrix, eval_matrix
 
 X = IntPolynomial.x()
 ONE = IntPolynomial.one()
@@ -145,7 +145,6 @@ def test_cyclotomic_factorization_tables():
 
 
 def test_eval_matrix_on_companion_block():
-    from quiverlab.cyclo import companion_matrix
     from quiverlab.ratmat import RatMatrix
 
     p = poly(1, -7, 1)

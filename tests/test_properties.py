@@ -13,7 +13,6 @@ from quiverlab import (
     IntPolynomial,
     cartan_path_algebra,
     classify_quiver,
-    companion_matrix,
     coxeter_matrix,
     cyclotomic_profile,
     growth_degree,
@@ -29,6 +28,7 @@ from conftest import (
     builder_outputs,
     check_cayley_hamilton_on_random_rational_matrices,
     check_profile_is_a_conjugation_invariant,
+    companion_matrix,
     dim_vector,
     multi_kronecker,
     path_quiver,

@@ -57,6 +57,7 @@ from conftest import (
     dim_vector,
     engine_kernels,
     gentle_two_loop,
+    index_of,
     inverted_simples,
     is_engine_vector,
     multi_kronecker,
@@ -258,6 +259,158 @@ def test_deep_resolution_keeps_a_small_traced_peak():
     assert trace.betti == KRON3_BETTI
     assert trace.truncated_by == "dimension-cap"
     assert peak < KRON3_TRACED_PEAK, peak
+
+
+def resumed_copies(monkeypatch) -> list:
+    """Patch the cover to log, for each call, the generators it resumed
+    from the step two before and the generators it was given; returns the
+    log of (resumed, given) pairs."""
+    log = []
+    cover = res_mod._FlatResolver.kernel_of_cover
+
+    def counting(self, gens):
+        log.append((self.step.copies if self.step is not None else 0, len(gens)))
+        return cover(self, gens)
+
+    monkeypatch.setattr(res_mod._FlatResolver, "kernel_of_cover", counting)
+    return log
+
+
+# (algebra, steps, whether some step resumes) whose minimal_resolution steps
+# must equal steps from scratch: every builder's trivial extension,
+# T(T(kron2)), some of whose chains stop where the step two before took its
+# compact entries in as rows at a shared copy, and T(gentle) at the bench's
+# 200 steps
+RESUME_CASES = {
+    **{f"T({name})": (lambda build=build: trivial_extension(build()), 12,
+                      name in ("kron2", "kron3", "gentle"))
+       for name, build in BUILDERS.items()},
+    "T(T(kron2))": (lambda: trivial_extension(trivial_extension(
+        path_algebra(multi_kronecker(2)))), 12, True),
+    "T(gentle)-200-steps": (lambda: trivial_extension(gentle_two_loop()), 200, True),
+}
+
+
+@pytest.mark.parametrize("build, steps, resumes", RESUME_CASES.values(), ids=RESUME_CASES)
+def test_resumed_steps_equal_steps_from_scratch(monkeypatch, build, steps, resumes):
+    # a step that resumes from the step two before must return the kernel
+    # and the generators that the same step makes from scratch
+    a = build()
+    engine = res_mod._setup(a)
+    kernels, tops = [], []
+    top = res_mod._FlatResolver.top_generators
+
+    def recording(self, kernel, syzygy):
+        kernels.append([sparse_vector(vec) for vec in kernel])
+        gens = top(self, kernel, syzygy)
+        tops.append(gens)
+        return gens
+
+    resumed = 0
+    for vertex in range(len(a.vertices)):
+        kernels.clear()
+        tops.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(res_mod._FlatResolver, "top_generators", recording)
+            log = resumed_copies(patch)
+            minimal_resolution(a, vertex, steps, dim_cap=5000)
+        resumed += sum(r for r, _ in log)
+        expected_tops: list = []
+        assert list(engine_kernels(engine, vertex, len(kernels), expected_tops)) == kernels
+        assert expected_tops == tops
+    assert bool(resumed) == resumes
+
+
+def test_a_resumed_cover_and_top_equal_the_ones_from_scratch():
+    # a step resumes from a logged step whose generators share a prefix
+    # with its own, and must give the kernel, the generators and the state
+    # left for the step two after that a logged step from scratch gives.
+    # For each step's generator list G whose cover takes its compact
+    # entries in as rows at copy h, G resumes from G[:h], which never hands
+    # off, and from G[:h + 1], which does; G[:h] does not resume from
+    # G[:h + 1], which lost its copy-h state; and G[:k], k half of G
+    # rounded up, resumes from the whole of G, whose state beyond copy k
+    # must be dropped.
+    reached = {"compact": 0, "handed off": 0, "refused": 0, "shorter": 0}
+
+    def run(engine, gens, step):
+        engine.step = step
+        try:
+            kernel = engine.kernel_of_cover(gens)
+            return kernel, engine.top_generators(kernel, len(kernel))
+        finally:
+            engine.step = None
+
+    def state(step):
+        return (step.gens, step.kernel, list(step.echelon.pivots.items()), step.handoff,
+                list(step.span.pivots.items()), set(step.span.units), step.log,
+                bytes(step.seen).rstrip(b"\0"), step.marks)
+
+    def resumed(engine, before, gens, kind):
+        earlier = res_mod._Step(None, 0, True)
+        run(engine, before, earlier)
+        step = res_mod._next_step(earlier, gens, False)
+        if kind == "refused":
+            assert step is None
+        else:
+            scratch = res_mod._Step(None, 0, True)
+            out = run(engine, gens, scratch)
+            assert (step.copies, step.logged) == (min(len(before), len(gens)), True)
+            assert run(engine, gens, step) == out
+            assert state(step) == state(scratch)
+        reached[kind] += 1
+
+    for a in (trivial_extension(canonical_237()),
+              trivial_extension(trivial_extension(path_algebra(multi_kronecker(2))))):
+        engine = res_mod._setup(a)
+        for vertex in range(len(a.vertices)):
+            tops: list = []
+            for _ in engine_kernels(engine, vertex, 6, tops):
+                pass
+            for gens in tops:
+                probe = res_mod._Step(None, 0, True)
+                run(engine, gens, probe)
+                h, k = probe.handoff, (len(gens) + 1) // 2
+                if h is None or h < k:
+                    resumed(engine, gens, gens[:k], "shorter")
+                if h is not None and h:
+                    resumed(engine, gens[:h], gens, "compact")
+                    resumed(engine, gens[:h + 1], gens[:h], "refused")
+                if h is not None and h + 1 < len(gens):
+                    resumed(engine, gens[:h + 1], gens, "handed off")
+    assert all(reached.values()), reached
+
+
+# (algebra, vertex or None for every vertex, steps): the generators its covers
+# resume from the step two before, and the generators they are given
+RESUME_COUNTS = {
+    "T(gentle)-200-steps": (lambda: trivial_extension(gentle_two_loop()), 0, 200,
+                            (19306, 19899)),
+    "T(E10)-sink-centred": (lambda: trivial_extension(path_algebra(star_quiver((1, 2, 6)))),
+                            None, 40, 0),
+    "T(E8)-sink-centred": (lambda: trivial_extension(path_algebra(star_quiver((1, 2, 4)))),
+                           None, 40, 0),
+    "T(E6-affine)-sink-centred": (
+        lambda: trivial_extension(path_algebra(star_quiver((2, 2, 2)))), None, 40, 0),
+    "T(A8)": (lambda: trivial_extension(path_algebra(path_quiver(8))), None, 40, 0),
+}
+
+
+@pytest.mark.parametrize("build, vertex, steps, expected", RESUME_COUNTS.values(),
+                         ids=RESUME_COUNTS)
+def test_covers_resume_the_generators_they_share(monkeypatch, build, vertex, steps, expected):
+    # T(gentle)'s steps share most of their generators with the step two
+    # before; the sink-centred stars and A8 share none, so every chain is
+    # dropped at its first comparison
+    a = build()
+    resumed = resumed_copies(monkeypatch)
+    for p in range(len(a.vertices)) if vertex is None else [vertex]:
+        minimal_resolution(a, p, steps)
+    counts = (sum(r for r, _ in resumed), sum(n for _, n in resumed))
+    if expected == 0:
+        assert counts[0] == 0 and counts[1] > 0
+    else:
+        assert counts == expected
 
 
 def two_kroneckers():
@@ -861,7 +1014,7 @@ def test_top_reduces_a_one_term_image_on_a_longer_row():
         ],
     }))
     labels = ["ev", "ew", "ez", "t", "s", "b", "bs", "bt"]
-    order = [a.index_of(label) for label in labels]
+    order = [index_of(a, label) for label in labels]
     new = {old: i for i, old in enumerate(order)}
     a = SCAlgebra(
         a.vertices,
@@ -894,7 +1047,7 @@ def dual_numbers_on_unadapted_basis():
 def rebased_gentle_two_loop():
     """gentle_two_loop() with its basis element b1 replaced by e1 + b1."""
     a = gentle_two_loop()
-    e1, b1 = a.index_of("e1"), a.index_of("b1")
+    e1, b1 = index_of(a, "e1"), index_of(a, "b1")
 
     def expand(k):
         return {e1: Fraction(1), b1: Fraction(1)} if k == b1 else {k: Fraction(1)}
@@ -920,7 +1073,7 @@ def test_two_vertex_basis_not_adapted_to_radical():
     a.verify()
     rad = trace_form_radical(a)
     assert len(rad) == 6
-    assert any(vec[a.index_of("e1")] for vec in rad)
+    assert any(vec[index_of(a, "e1")] for vec in rad)
     with pytest.raises(ValueError, match=r"step \(b\): b1\*b1 has an idempotent term"):
         jacobson_radical(a)
 
@@ -1012,9 +1165,9 @@ def rebased_gentle_vectors(a, *elements):
     for element in elements:
         vec = [0] * a.dim
         for label, c in element.items():
-            vec[a.index_of(label)] += c
+            vec[index_of(a, label)] += c
             if label == "b1":
-                vec[a.index_of("e1")] -= c
+                vec[index_of(a, "e1")] -= c
         out.append(tuple(vec))
     return out
 
@@ -1426,7 +1579,7 @@ def test_the_certificate_checks_each_of_its_conditions(certified_automorphisms):
     fork = path_algebra(quiver_from_data({"vertices": ["1", "2", "3"], "arrows": [
         {"id": "a", "from": "1", "to": "2"}, {"id": "c", "from": "1", "to": "3"}]}))
     swap = list(range(fork.dim))
-    swap[fork.index_of("a")], swap[fork.index_of("c")] = fork.index_of("c"), fork.index_of("a")
+    swap[index_of(fork, "a")], swap[index_of(fork, "c")] = index_of(fork, "c"), index_of(fork, "a")
     assert not certify(fork, swap)
     # u*u = v + w, u*v = u*w = t/2 and w*u = t, so the arrows are u and v:
     # swapping v and w keeps every nonzero product by an arrow but sends
@@ -1441,7 +1594,7 @@ def test_the_certificate_checks_each_of_its_conditions(certified_automorphisms):
     ta = trivial_extension(path_algebra(multi_kronecker(2)))
     assert res_mod.simple_orbits(ta) == [0, 0]
     swap = certified_automorphisms["accepted"][-1]
-    a0, a1 = ta.index_of("a0"), ta.index_of("a1")
+    a0, a1 = index_of(ta, "a0"), index_of(ta, "a1")
     broken = list(swap)
     broken[a0], broken[a1] = swap[a1], swap[a0]
     assert not res_mod._is_automorphism(ta, broken)

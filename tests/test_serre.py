@@ -26,12 +26,11 @@ from quiverlab import (
     growth_degree,
     hereditary_entropy,
     quiver_from_data,
-    serre_entropy,
     vector,
     verify_k_shadow,
 )
 from quiverlab.serre import SerreVerdict, entropy_orbit, orbit_growth
-from conftest import multi_kronecker, path_quiver, star_quiver, wild3_quiver
+from conftest import multi_kronecker, path_quiver, serre_entropy, star_quiver, wild3_quiver
 
 
 PHI_A2 = RatMatrix([[0, -1], [1, -1]])
