@@ -32,8 +32,8 @@ _EXPORTS = {
     **dict.fromkeys(("RatMatrix", "Vector", "as_fraction", "l1_norm", "vector"), "ratmat"),
     **dict.fromkeys(
         ("ComplexityEstimate", "RepModule", "ResolutionTrace", "combine_estimates",
-         "complexity_estimate", "global_complexity_estimate", "jacobson_radical",
-         "minimal_resolution", "resolve_simple_modules", "simple_modules"),
+         "complexity_estimate", "jacobson_radical", "minimal_resolution",
+         "resolve_simple_modules", "simple_modules"),
         "resolution",
     ),
     **dict.fromkeys(("BasisElement", "Element", "SCAlgebra", "cartan_matrix"), "scalgebra"),

@@ -273,6 +273,10 @@ class RatMatrix:
             raise ValueError("shape mismatch")
 
 
+UNTRACKED = (1, None)
+"""The entry of a one-term row that carries no expression."""
+
+
 class TrackedEchelon:
     """Sparse echelon basis that can report how an inserted vector reduced.
 
@@ -282,19 +286,24 @@ class TrackedEchelon:
     row is keyed by its largest coordinate, its lead, and never re-reduced:
     reducing a vector's lead by the row stored there only brings in smaller
     coordinates.  Rows are not divided by their lead; between ints a step
-    scales the vector instead, so integral inputs keep int rows.  A
-    one-term vector that add() meets at a free coordinate is kept as that
-    coordinate alone, in units: no row is built for it, and a reduction
-    that reaches the coordinate drops it, which is what subtracting the
-    row would do.  The leads are the keys of pivots and the members of
-    units; there are as many as the rank.
+    scales the vector instead, so integral inputs keep int rows.
+
+    pivots maps each lead to its entry, in the order the entries were made;
+    there are as many as the rank.  An entry is a row (vec, expr), both
+    dicts or expr None, or a one-term entry: (c, u) for the row c*e_lead
+    made by input u, whose expression is {u: 1}, or UNTRACKED for a
+    one-term row with no expression, which is how the reduction stores
+    every such row.  A caller may store (c, u) for a one-term input at a
+    free coordinate, which insert() would store as ({lead: c}, {u: 1});
+    the reduction reads an entry as the row it stands for.  Popping
+    entries off pivots back to an earlier count restores the echelon that
+    count held.
     """
 
-    __slots__ = ("pivots", "units")
+    __slots__ = ("pivots",)
 
     def __init__(self):
-        self.pivots: dict[int, tuple[dict, dict | None]] = {}
-        self.units: set[int] = set()
+        self.pivots: dict[int, tuple] = {}
 
     def insert(self, vec: dict, expr: dict):
         """Reduce vec; return the expression if it vanished, else keep it.
@@ -318,25 +327,19 @@ class TrackedEchelon:
     def add(self, vec: dict) -> bool:
         """Insert without tracking; True when vec enlarged the span.
 
-        No expression is kept or reduced.  A one-term vec at a free
-        coordinate joins units.  Rows stored here carry none, so a tracked
-        echelon, one whose relations are read, grows by insert alone.
+        No expression is kept or reduced.  Rows stored here carry none, so
+        a tracked echelon, one whose relations are read, grows by insert
+        alone.
         """
-        if len(vec) == 1:
-            (lead,) = vec
-            if lead in self.units:
-                return False
-            if lead not in self.pivots:
-                self.units.add(lead)
-                return True
         return self._reduce(vec, None) is None
 
     def _reduce(self, vec: dict, expr: dict | None):
         """The reduction behind insert and add, expr reduced alongside vec
         unless it is None.
 
-        Stores vec (with expr) and returns None when it is independent of
-        the rows; otherwise returns the factor the ints were scaled by.
+        Stores vec (with expr), or UNTRACKED for a one-term vec with no
+        expr, and returns None when it is independent of the rows;
+        otherwise returns the factor the ints were scaled by.
         """
         pivots = self.pivots
         scale = 1
@@ -344,13 +347,14 @@ class TrackedEchelon:
             lead = max(vec)
             row = pivots.get(lead)
             if row is None:
-                if lead in self.units:
-                    del vec[lead]  # a unit row carries no expression
-                    continue
-                pivots[lead] = (vec, expr)
+                pivots[lead] = (vec, expr) if expr is not None or len(vec) > 1 else UNTRACKED
                 return None
             pvec, pexpr = row
-            val, plead = vec[lead], pvec[lead]
+            one = type(pvec) is not dict
+            if one and (pexpr is None or expr is None):
+                del vec[lead]  # subtracting a one-term row leaves nothing to track
+                continue
+            val, plead = vec[lead], pvec if one else pvec[lead]
             if plead == 1:
                 c = val
             elif plead == -1:
@@ -370,6 +374,14 @@ class TrackedEchelon:
                             expr[k] *= f
             else:
                 c = val / plead
+            if one:
+                del vec[lead]
+                s = expr.get(pexpr, 0) - c
+                if s:
+                    expr[pexpr] = s
+                else:
+                    del expr[pexpr]
+                continue
             for k, pv in pvec.items():
                 s = vec.get(k, 0) - c * pv
                 if s:
@@ -387,9 +399,10 @@ class TrackedEchelon:
 
     def rank(self) -> int:
         """The number of leads, the dimension of the span."""
-        return len(self.pivots) + len(self.units)
+        return len(self.pivots)
 
     def rows(self) -> list[dict]:
-        """The stored pivot rows, in insertion order, then the unit vector
-        of each member of units, in increasing order; they span the inputs."""
-        return [vec for vec, _ in self.pivots.values()] + [{k: 1} for k in sorted(self.units)]
+        """The stored rows, a one-term entry as its one-term dict, in the
+        order they were made; they span the inputs."""
+        return [{k: vec} if type(vec) is not dict else vec
+                for k, (vec, _) in self.pivots.items()]

@@ -53,12 +53,11 @@ coefficient 1, and the top reads each kernel vector's lead and vertex
 once, refusing a kernel that is not minimal or not in lead form, and sums
 its arrow images the same way; a unit's are read straight from the rows.
 Most rows and images have one term, and those skip the general reduction:
-the top's echelon keeps a one-term row as its coordinate alone, and the
-cover keeps a one-term image at a free coordinate as its coefficient and
-column alone and writes the relation of a one-term image on a one-term
-row directly.  The cover's first image of two or more terms hands those
-compact entries to the echelon as full rows before it is reduced; every
-other vector goes through the echelon's one reduction.  The step loop
+each echelon keeps a one-term image at a free coordinate as a one-term
+entry, the top's as UNTRACKED and the cover's as its coefficient and
+column, and the cover writes the relation of a one-term image on such an
+entry directly; every other vector goes through the echelon's one
+reduction, which reads these entries next to its rows.  The step loop
 drops each input once it is read, so the old kernel is gone before the
 next is built unless a kept chain (below) holds it, and runs with the
 cyclic collector off (see
@@ -77,14 +76,13 @@ depends on that prefix alone.  A step that shares its first c generators
 starts its cover at copy c, with the earlier kernel's vectors below copy
 c and the earlier echelon cut back to the entries those copies made, a
 prefix of its insertion order since an entry's maker is its column; its
-top starts after those vectors, with the earlier span cut back by a mark
-per copy, and picks its generators over the whole kernel by the final
-leads.  So the result and the state equal a step from scratch.  An
-echelon that took its compact entries in as rows at copy c or later has
-lost its copy-c state and is not resumed.  The first step of each parity
-keeps its state for the step two after, and a later one only while it
-resumes at least half of the earlier step's generators; a chain that
-falls short is dropped for good and runs from scratch.
+top starts after those vectors, with the earlier span popped back to the
+size a mark per copy records, and picks its generators over the whole
+kernel by the final leads.  So the result and the state equal a step
+from scratch.  The first step of each parity keeps its state for the
+step two after, and a later one only while it resumes at least half of
+the earlier step's generators; a chain that falls short is dropped for
+good and runs from scratch.
 
 One class of trivial extensions needs no engine.  When A = kQ for a
 connected quiver Q with no relations that is bipartite, every vertex a
@@ -108,7 +106,7 @@ from itertools import chain, islice
 
 from .fitting import EXPONENTIAL_SLOPE_THRESHOLD, LOGLOG_RESIDUAL_THRESHOLD, fit_line
 from .quiver import Arrow, Quiver, classify_quiver
-from .ratmat import RatMatrix, TrackedEchelon, plain
+from .ratmat import UNTRACKED, RatMatrix, TrackedEchelon, plain
 from .record import Record
 from .scalgebra import SCAlgebra
 
@@ -307,42 +305,37 @@ class _Step:
 
     copies is the number of leading generators this step shares with
     earlier, the record of the step two before, or 0 with earlier None.
-    A logged step keeps what the step two after it resumes from: its
-    generators, its cover's kernel and echelon and the copy at which that
-    echelon took its compact entries in as rows (None if it never did),
-    and its top's span, the units in the order they joined it, its seen
-    leads, and one mark per cover copy q, up to one past the last copy
-    that has a kernel vector: the number of kernel vectors before copy q
-    and the span's pivot and unit counts after them.
+    minimal_resolution passes the record to kernel_of_cover and
+    top_generators.  A logged step keeps what the step two after it
+    resumes from: its generators, its cover's kernel and echelon, and its
+    top's span, its seen leads, and one mark per cover copy q, up to one
+    past the last copy that has a kernel vector: the number of kernel
+    vectors before copy q and the span's size after them.
     """
 
-    __slots__ = ("earlier", "copies", "logged", "gens", "kernel", "echelon", "handoff",
-                 "span", "log", "seen", "marks")
+    __slots__ = ("earlier", "copies", "logged", "gens", "kernel", "echelon", "span", "seen",
+                 "marks")
 
     def __init__(self, earlier: _Step | None, copies: int, logged: bool):
         self.earlier, self.copies, self.logged = earlier, copies, logged
-        self.gens = self.kernel = self.echelon = self.handoff = None
-        self.span = self.log = self.seen = self.marks = None
+        self.gens = self.kernel = self.echelon = self.span = self.seen = self.marks = None
 
 
 def _next_step(earlier: _Step | None, gens: list, first: bool) -> _Step | None:
     """The record of a cover of gens, the chain's first step when first,
     else resumed from earlier, the kept step two before, if any.
 
-    The step resumes from the generators it shares with earlier, unless
-    earlier's echelon took its compact entries in as rows at a shared
-    copy, when its state there is gone.  It is logged while it resumes at
-    least half of earlier's generators; otherwise, or with no earlier, the
-    chain is dropped, and None, a step that neither resumes nor logs, is
-    returned for every step of it from then on.
+    The step resumes from the generators it shares with earlier.  It is
+    logged while it resumes at least half of earlier's generators;
+    otherwise, or with no earlier, the chain is dropped, and None, a step
+    that neither resumes nor logs, is returned for every step of it from
+    then on.
     """
     if first:
         return _Step(None, 0, True)
     if earlier is None:
         return None
     copies = _shared_prefix(gens, earlier.gens)
-    if earlier.handoff is not None and earlier.handoff >= copies:
-        copies = 0
     if not copies:
         return None
     return _Step(earlier, copies, 2 * copies >= len(earlier.gens))
@@ -369,10 +362,11 @@ class _FlatResolver:
     from the table rows of a generator's terms, with no dict of images.
     An image of one term, the common case, is settled without the
     echelon's reduction where the coordinate is free or holds a one-term
-    row, which the cover keeps as a compact (c, column) entry until its
-    first longer image; the other cases fall back to TrackedEchelon.insert
-    or add.  The tables depend on the algebra only; _setup builds them
-    once per algebra.
+    entry, which the cover keeps as (c, column) and the top as UNTRACKED;
+    the other cases fall back to TrackedEchelon.insert or add.  The tables
+    depend on the algebra only; _setup builds them once per algebra, and
+    the state of a step that resumes travels in the _Step record passed to
+    kernel_of_cover and top_generators.
     """
 
     def __init__(self, a: SCAlgebra):
@@ -407,10 +401,8 @@ class _FlatResolver:
         arrow_rows = [[row for b, row in rows.items() if b in arrows] for rows in left]
         self.arrow_terms = [[r[0] for r in rows if len(r) == 1] for rows in arrow_rows]
         self.arrow_rows = [[r for r in rows if len(r) > 1] for rows in arrow_rows]
-        # the _Step record of the step minimal_resolution is running, or None
-        self.step: _Step | None = None
 
-    def kernel_of_cover(self, gens) -> list[int | tuple]:
+    def kernel_of_cover(self, gens, step: _Step | None = None) -> list[int | tuple]:
         """Kernel basis of the cover sending copy i's basis element m to b_m * gen_i.
 
         gens are syzygy vectors, each a unit's int coordinate or a
@@ -437,26 +429,22 @@ class _FlatResolver:
         is the RREF kernel vector of its column, of two or more terms, as a
         nonzero image depends on earlier ones only; it is returned as a
         tuple with that column first.
-        A one-term image c * e_k at a free coordinate is kept as the entry
-        k -> (c, column) in the echelon's pivots.  One at a coordinate that
-        holds such an entry, d * e_k from column u, is c/d times the image
-        of u, so its relation (column, 1, u, -c/d) is written directly; it
-        is the one insert() would return.  The first image of two or more
-        terms hands every entry to the echelon, as the row ({k: c},
-        {column: 1}) that insert() would have stored, before it is
-        inserted.  After the hand-off a one-term image at a free coordinate
-        is stored as that row, one on a one-term row with a one-term
-        expression, which is such a row, is written directly as before,
-        and every other image goes to insert().
-        When self.step resumes, the loop starts at its copy, from the
-        earlier kernel and echelon cut back to it; when it is logged, the
-        state is left on it (see _Step).
+        A one-term image c * e_k at a free coordinate is kept as the
+        one-term entry k -> (c, column) in the echelon's pivots, which the
+        echelon reads as the row ({k: c}, {column: 1}) that insert() would
+        store.  One at a coordinate that holds such an entry, d * e_k from
+        column u, is c/d times the image of u, so its relation (column, 1,
+        u, -c/d) is written directly; it is the one insert() would return.
+        Every other image goes to insert(), which never stores a one-term
+        row with a one-term expression here.
+        When step resumes, the loop starts at its copy, from the earlier
+        kernel and echelon cut back to it; when it is logged, the state is
+        left on it (see _Step).
         """
         d = self.dim
-        step = self.step
         if step is not None and step.copies:
             earlier = step.earlier
-            start, handoff, echelon = step.copies, earlier.handoff, earlier.echelon
+            start, echelon = step.copies, earlier.echelon
             bound = start * d
             pivots = echelon.pivots
             # entries are made in increasing column, so the ones copies
@@ -470,10 +458,8 @@ class _FlatResolver:
             kernel = earlier.kernel[:bisect_left(
                 earlier.kernel, bound, key=lambda vec: vec if type(vec) is int else vec[0])]
         else:
-            start, handoff, echelon, kernel = 0, None, TrackedEchelon(), []
+            start, echelon, kernel = 0, TrackedEchelon(), []
         pivots = echelon.pivots
-        # pivots holds one-term entries k -> (c, column) until the hand-off
-        compact = handoff is None
         left, vertex_of, rad_coords = self.left, self.vertex_of, self.rad_coords
         for copy in range(start, len(gens)):
             gen = gens[copy]
@@ -511,33 +497,25 @@ class _FlatResolver:
                     ((k, c),) = image.items()
                     held = pivots.get(k)
                     if held is None:
-                        # a compact entry until the hand-off, then as insert() stores a new lead
-                        pivots[k] = (c, column) if compact else (image, {column: 1})
+                        pivots[k] = (c, column)  # the one-term entry of c*e_k
                         continue
-                    if not compact:
-                        # a one-term row with a one-term expression was kept
-                        # for a one-term image, so its expression is {u: 1}
-                        row, expr = held
-                        held = (row[k], *expr) if len(row) == 1 and len(expr) == 1 else None
-                    if held is not None:
-                        plead, u = held
+                    plead, u = held
+                    if type(plead) is not dict:
                         if plead == 1 and type(c) is int:
                             kernel.append((column, 1, u, -c))
                         else:
                             kernel.append((column, 1, u, plain(Fraction(-c, plead))))
                         continue
-                elif compact:
-                    compact, handoff = False, copy
-                    for k, (c, u) in pivots.items():
-                        pivots[k] = ({k: c}, {u: 1})
                 relation = echelon.insert(image, {column: 1})
                 if relation is not None:
                     kernel.append(tuple(chain.from_iterable(relation.items())))
         if step is not None and step.logged:
-            step.gens, step.kernel, step.echelon, step.handoff = gens, kernel, echelon, handoff
+            step.gens, step.kernel, step.echelon = gens, kernel, echelon
         return kernel
 
-    def top_generators(self, kernel: list[int | tuple], syzygy: int) -> list[int | tuple]:
+    def top_generators(
+        self, kernel: list[int | tuple], syzygy: int, step: _Step | None = None
+    ) -> list[int | tuple]:
         """Minimal generators of the span K of kernel vectors.
 
         kernel must hold syzygy vectors in lead form, units as their int
@@ -558,40 +536,38 @@ class _FlatResolver:
         images are its arrow rows shifted to its copy; a tuple's image under
         each arrow at its vertex is summed from its terms' rows, as in
         kernel_of_cover.  The echelon keeps a one-term image at a free
-        coordinate in its units, as add() would, and the reduction of a
+        coordinate as UNTRACKED, as add() would, and the reduction of a
         longer image drops such a coordinate; a one-term image at a
-        coordinate that holds a one-term row is dependent and skipped, and
-        one at a longer row goes to add().  The leads of rad*K are the
-        pivots' and the units'.
-        When self.step resumes, the pass starts after the vectors of its
-        shared copies, from the earlier span cut back to what they made;
+        coordinate that holds UNTRACKED is dependent and skipped, and one
+        at a longer row goes to add().  The leads of rad*K are the
+        keys of the span's pivots.
+        When step resumes, the pass starts after the vectors of its shared
+        copies, from the earlier span popped back to the size they left;
         when it is logged, the state is left on it (see _Step).  A logged
         kernel's leads increase, as kernel_of_cover's do.
         """
         if len(kernel) != syzygy:
             raise RuntimeError("syzygy dimension mismatch")
         d = self.dim
-        step = self.step
         logged = step is not None and step.logged
         earlier = step.earlier if step is not None else None
         if earlier is not None:
-            span, log, seen, marks = earlier.span, earlier.log, earlier.seen, earlier.marks
+            span, seen, marks = earlier.span, earlier.seen, earlier.marks
             copies = step.copies
             # the kernel's first vectors, those before copy `copies`, are earlier's
-            start, rank, count = marks[min(copies, len(marks) - 1)]
-            while len(span.pivots) > rank:
+            start, size = marks[min(copies, len(marks) - 1)]
+            while len(span.pivots) > size:
                 span.pivots.popitem()
-            span.units.difference_update(log[count:])
-            del log[count:], seen[copies * d:]
+            del seen[copies * d:]
             while marks and marks[-1][0] >= start:  # the marks after the shared vectors
                 marks.pop()
             step.earlier = None
             if not logged:
-                log = marks = None
+                marks = None
         else:
             span, start, seen = TrackedEchelon(), 0, bytearray()
-            log, marks = ([], []) if logged else (None, None)
-        pivots, units = span.pivots, span.units
+            marks = [] if logged else None
+        pivots = span.pivots
         vertex_of, left, arrows_at = self.vertex_of, self.left, self.arrows_at
         arrow_terms, arrow_rows = self.arrow_terms, self.arrow_rows
         cut = len(marks) * d if marks is not None else None
@@ -600,7 +576,7 @@ class _FlatResolver:
             lead = vec if unit else vec[0]
             if cut is not None and lead >= cut:
                 while len(marks) * d <= lead:
-                    marks.append((i, len(pivots), len(log)))
+                    marks.append((i, len(pivots)))
                 cut = len(marks) * d
             if lead >= len(seen):
                 seen.extend(bytes(lead + 1 - len(seen)))
@@ -615,14 +591,11 @@ class _FlatResolver:
                 base = lead - m
                 for k, c in arrow_terms[m]:
                     key = base + k
-                    if key not in units:
-                        held = pivots.get(key)
-                        if held is None:
-                            units.add(key)  # as add() stores it
-                            if log is not None:
-                                log.append(key)
-                        elif len(held[0]) > 1:
-                            span.add({key: c})
+                    held = pivots.get(key)
+                    if held is None:
+                        pivots[key] = UNTRACKED  # as add() stores it
+                    elif held is not UNTRACKED:
+                        span.add({key: c})
                 for row in arrow_rows[m]:
                     span.add({base + k: c for k, c in row})
                 continue
@@ -660,24 +633,20 @@ class _FlatResolver:
                     continue
                 if len(image) == 1:
                     (key,) = image
-                    if key in units:
-                        continue
                     held = pivots.get(key)
                     if held is None:
-                        units.add(key)  # as add() stores it
-                        if log is not None:
-                            log.append(key)
+                        pivots[key] = UNTRACKED  # as add() stores it
                         continue
-                    if len(held[0]) == 1:
+                    if held is UNTRACKED:
                         continue
                 span.add(image)
         if logged:
-            marks.append((len(kernel), len(pivots), len(log)))
-            step.span, step.log, step.seen, step.marks = span, log, seen, marks
+            marks.append((len(kernel), len(pivots)))
+            step.span, step.seen, step.marks = span, seen, marks
         gens = []
         for vec in kernel:
             lead = vec if type(vec) is int else vec[0]
-            if lead not in pivots and lead not in units:
+            if lead not in pivots:
                 gens.append(vec)
         if len(gens) + span.rank() != len(kernel):
             raise RuntimeError("arrow images leave the syzygy")
@@ -729,9 +698,9 @@ def minimal_resolution(
     Each cover after the first two resumes from the kept step of its
     parity two before, over their shared generators (the module docstring
     gives the exactness argument and the retention rule): _next_step
-    decides it before the step and leaves its record on the engine, where
-    kernel_of_cover and top_generators read it, so each step is still one
-    call of each.
+    decides it before the step, and its record is passed to
+    kernel_of_cover and top_generators, so each step is still one call of
+    each and the engine holds only the algebra's tables.
     """
     if not 0 <= vertex < len(a.vertices):
         raise ValueError(f"no vertex at position {vertex}")
@@ -744,21 +713,20 @@ def minimal_resolution(
 
     def advance(syzygy: int) -> int:
         nonlocal kernel, gens, covers
+        step = None
         if kernel is None:
-            step = engine.step = _next_step(kept[covers % 2], gens, covers < 2)
+            step = _next_step(kept[covers % 2], gens, covers < 2)
             kept[covers % 2] = step if step is not None and step.logged else None
             covers += 1
-            kernel, gens = engine.kernel_of_cover(gens), None
-        gens, kernel = engine.top_generators(kernel, syzygy), None
+            kernel, gens = engine.kernel_of_cover(gens, step), None
+        gens, kernel = engine.top_generators(kernel, syzygy, step), None
         return sum(proj_dim[vertex_of[(g if type(g) is int else g[0]) % d]] for g in gens)
 
     enabled = gc.isenabled()
     gc.disable()
-    engine.step = None
     try:
         return _betti_trace(proj_dim[vertex], advance, steps, dim_cap)
     finally:
-        engine.step = None
         if enabled:
             gc.enable()
 
@@ -1180,16 +1148,3 @@ def combine_estimates(estimates) -> ComplexityEstimate:
             return verdict
     degree = max((verdict.degree for verdict in estimates), default=0)
     return ComplexityEstimate.finite(degree)
-
-
-def global_complexity_estimate(
-    a: SCAlgebra, steps: int = 40, dim_cap: int = 100000
-) -> ComplexityEstimate:
-    """Worst complexity over the simple modules.
-
-    Finite verdicts combine by taking the largest degree; an inconclusive
-    simple makes the whole answer inconclusive and an infinite one wins
-    outright.
-    """
-    traces = resolve_simple_modules(a, steps, dim_cap)
-    return combine_estimates(complexity_estimate(trace) for trace in traces)

@@ -40,6 +40,8 @@ from quiverlab import (
     SCAlgebra,
     canonical_algebra,
     char_poly,
+    combine_estimates,
+    complexity_estimate,
     cyclotomic_poly,
     cyclotomic_profile,
     gentle_algebra,
@@ -693,6 +695,13 @@ def dense_trace(a, module: RepModule, steps: int, rad) -> ResolutionTrace:
         current = submodule_on_kernel(a, proj, kernel)
 
 
+def global_complexity_estimate(a, steps: int = 40, dim_cap: int = 100000):
+    """Worst complexity over the simple modules of a: the estimates of
+    resolve_simple_modules' traces, combined by combine_estimates."""
+    traces = resolve_simple_modules(a, steps, dim_cap)
+    return combine_estimates(complexity_estimate(trace) for trace in traces)
+
+
 def sparse_vector(vec) -> dict:
     """An engine kernel vector or generator as a sparse dict: the engine
     passes a unit vector, one coordinate with coefficient 1, as that
@@ -726,8 +735,8 @@ def engine_kernels(engine, vertex: int, steps: int, tops: list | None = None):
     lead-first tuples of two or more nonzero terms, yielded, then read by
     top_generators, which refuses it unless it is a minimal basis in lead
     form of the syzygy's dimension; the generators it returns are appended
-    to `tops`, when given, as the engine returns them."""
-    assert engine.step is None  # no step resumes, and none is logged
+    to `tops`, when given, as the engine returns them.  No step is passed
+    to the engine, so none resumes and none is logged."""
     kernel = engine.rad_coords[vertex]
     dim = engine.proj_dim[vertex]
     covered = 1

@@ -2,6 +2,7 @@
 
 Expected values are hand computations on small matrices.
 """
+import copy
 import json
 import random
 from fractions import Fraction
@@ -22,7 +23,7 @@ from quiverlab import (
     trivial_extension,
 )
 from quiverlab.cyclo import _krylov_blocks, krylov_chain
-from quiverlab.ratmat import RatMatrix, TrackedEchelon, as_fraction, l1_norm, vector
+from quiverlab.ratmat import UNTRACKED, RatMatrix, TrackedEchelon, as_fraction, l1_norm, vector
 from quiverlab.resolution import _FlatResolver
 from conftest import (
     bench_module,
@@ -226,11 +227,13 @@ def test_tracked_echelon_relations_are_the_rref_kernel_vectors():
 
 
 def test_untracked_echelon_keeps_one_term_rows_as_units():
-    # add() keeps a one-term vector at a free coordinate as its lead alone,
-    # in units, and a reduction that reaches such a lead drops it; the span
+    # add() keeps a one-term row, an input at a free coordinate or one a
+    # reduction leaves, as its lead alone, the shared one-term entry
+    # UNTRACKED, and a reduction that reaches such a lead drops it; the span
     # and its rank are those of the inputs all the same
     rng = random.Random(2511)
-    seen = {"new unit": 0, "repeated unit": 0, "one-term on a longer row": 0, "longer meets a unit": 0}
+    seen = {"new unit": 0, "repeated unit": 0, "one-term on a longer row": 0,
+            "longer meets a unit": 0, "longer leaves a unit": 0}
     for trial in range(60):
         rational = trial % 2 == 1
 
@@ -248,25 +251,95 @@ def test_untracked_echelon_keeps_one_term_rows_as_units():
         for _ in range(rng.randint(1, 12)):
             size = 1 if width == 1 or rng.random() < 0.5 else rng.randint(2, width)
             vec = {k: number() for k in rng.sample(range(width), size)}
+            units = {k for k, held in echelon.pivots.items() if held is UNTRACKED}
             if size == 1:
                 (k,) = vec
-                if k in echelon.units:
+                if k in units:
                     seen["repeated unit"] += 1
                 elif k in echelon.pivots:
                     seen["one-term on a longer row"] += len(echelon.pivots[k][0]) > 1
                 else:
                     seen["new unit"] += 1
             else:
-                seen["longer meets a unit"] += not echelon.units.isdisjoint(vec)
+                seen["longer meets a unit"] += not units.isdisjoint(vec)
             before = rank(inputs)
             inputs.append(vec)
-            assert echelon.add(dict(vec)) is (rank(inputs) > before), (trial, inputs)
+            grew = echelon.add(dict(vec))
+            assert grew is (rank(inputs) > before), (trial, inputs)
+            if grew and size > 1:
+                seen["longer leaves a unit"] += next(reversed(echelon.pivots.values())) is UNTRACKED
         final = rank(inputs)
-        assert len(echelon.pivots) + len(echelon.units) == echelon.rank() == final
-        assert echelon.pivots.keys().isdisjoint(echelon.units)
+        assert len(echelon.pivots) == echelon.rank() == final
+        # every one-term row is UNTRACKED, every other entry a row with no
+        # expression, keyed by its lead
+        for lead, held in echelon.pivots.items():
+            assert held is UNTRACKED or (held[1] is None and len(held[0]) > 1
+                                         and lead == max(held[0]))
         # the nilpotence oracle reads rows(): they span every input
         rows = echelon.rows()
         assert len(rows) == rank(rows) == rank(rows + inputs) == final, (trial, inputs)
+    assert all(seen.values()), seen
+
+
+def test_one_term_entries_reduce_like_their_dict_rows():
+    # the one-term entry (c, u) is the row ({k: c}, {u: 1}) and UNTRACKED
+    # the row ({k: c}, None), for any c: two echelons that start from the
+    # same one-term rows in the two forms and then take the same inputs
+    # return the same relations and booleans and keep the same rank, and
+    # popping pivots back to an earlier size restores the earlier echelon
+    rng = random.Random(3511)
+    seen = {"insert": 0, "add": 0, "relation": 0, "through (c, u)": 0, "through UNTRACKED": 0}
+    for trial in range(120):
+        rational = trial % 2 == 1
+
+        def number():
+            x = rng.choice([-3, -2, -1, 1, 2, 3])
+            return Fraction(x, rng.randint(1, 4)) if rational else x
+
+        width = rng.randint(1, 7)
+
+        def rank(vecs):
+            return RatMatrix([[vec.get(k, 0) for k in range(width)] for vec in vecs]).rank()
+
+        compact, pairs = TrackedEchelon(), TrackedEchelon()
+        inputs: list[dict] = []
+        tracked, untracked = set(), set()
+        for u, k in enumerate(rng.sample(range(width), rng.randint(1, width))):
+            c = number()
+            inputs.append({k: c})
+            if rng.random() < 0.5:
+                compact.pivots[k], pairs.pivots[k] = (c, u), ({k: c}, {u: 1})
+                tracked.add(k)
+            else:
+                compact.pivots[k], pairs.pivots[k] = UNTRACKED, ({k: c}, None)
+                untracked.add(k)
+        history = []
+        for j in range(len(inputs), len(inputs) + rng.randint(1, 8)):
+            history.append((len(compact.pivots), copy.deepcopy(compact.pivots)))
+            vec = {k: number() for k in rng.sample(range(width), rng.randint(1, width))}
+            seen["through (c, u)"] += not tracked.isdisjoint(vec)
+            seen["through UNTRACKED"] += not untracked.isdisjoint(vec)
+            if rng.random() < 0.5:
+                got, want = compact.insert(dict(vec), {j: 1}), pairs.insert(dict(vec), {j: 1})
+                assert got == want, (trial, vec)
+                if got is not None:
+                    assert {k: type(x) for k, x in got.items()} == {
+                        k: type(x) for k, x in want.items()}
+                    seen["relation"] += 1
+                seen["insert"] += 1
+            else:
+                assert compact.add(dict(vec)) is pairs.add(dict(vec)), (trial, vec)
+                seen["add"] += 1
+            inputs.append(vec)
+            final = rank(inputs)
+            assert compact.rank() == pairs.rank() == final
+            rows = compact.rows()
+            assert len(rows) == rank(rows) == rank(rows + inputs) == final, (trial, inputs)
+        for size, pivots in reversed(history):
+            while len(compact.pivots) > size:
+                compact.pivots.popitem()
+            assert compact.pivots == pivots
+            assert list(compact.pivots) == list(pivots)
     assert all(seen.values()), seen
 
 

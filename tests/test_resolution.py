@@ -31,7 +31,6 @@ from quiverlab import (
     canonical_algebra,
     combine_estimates,
     complexity_estimate,
-    global_complexity_estimate,
     jacobson_radical,
     minimal_resolution,
     path_algebra,
@@ -41,7 +40,7 @@ from quiverlab import (
 )
 from quiverlab import resolution as res_mod
 from quiverlab.quiver import QuiverType
-from quiverlab.ratmat import TrackedEchelon
+from quiverlab.ratmat import UNTRACKED, TrackedEchelon
 from quiverlab.record import FrozenInstanceError
 from conftest import (
     BUILDERS,
@@ -57,6 +56,7 @@ from conftest import (
     dim_vector,
     engine_kernels,
     gentle_two_loop,
+    global_complexity_estimate,
     index_of,
     inverted_simples,
     is_engine_vector,
@@ -237,7 +237,9 @@ def test_trivial_extension_kronecker4_capped_traces():
 
 
 # a bound on the traced peak of T(kron3)'s resolution at dim_cap 20000, in
-# bytes: 1.0 MB with the other vectors as lead-first tuples, one-term cover
+# bytes: 0.94 MB when the echelons read their one-term entries next to
+# their rows, with no units set and no hand-off of the cover's entries;
+# 1.0 MB with the other vectors as lead-first tuples, one-term cover
 # rows as (c, column) entries and bare generator lists; 1.3 MB when every
 # one-term cover row is an (image, expression) dict pair; 2.0 MB when the
 # vectors were dicts too and the generators (vertex, vector) pairs; 4.2 MB
@@ -268,9 +270,9 @@ def resumed_copies(monkeypatch) -> list:
     log = []
     cover = res_mod._FlatResolver.kernel_of_cover
 
-    def counting(self, gens):
-        log.append((self.step.copies if self.step is not None else 0, len(gens)))
-        return cover(self, gens)
+    def counting(self, gens, step=None):
+        log.append((step.copies if step is not None else 0, len(gens)))
+        return cover(self, gens, step)
 
     monkeypatch.setattr(res_mod._FlatResolver, "kernel_of_cover", counting)
     return log
@@ -278,9 +280,9 @@ def resumed_copies(monkeypatch) -> list:
 
 # (algebra, steps, whether some step resumes) whose minimal_resolution steps
 # must equal steps from scratch: every builder's trivial extension,
-# T(T(kron2)), some of whose chains stop where the step two before took its
-# compact entries in as rows at a shared copy, and T(gentle) at the bench's
-# 200 steps
+# T(T(kron2)), some of whose steps resume from a step two before whose
+# cover met a longer image at or after the shared copies, so the resume
+# cuts back past it, and T(gentle) at the bench's 200 steps
 RESUME_CASES = {
     **{f"T({name})": (lambda build=build: trivial_extension(build()), 12,
                       name in ("kron2", "kron3", "gentle"))
@@ -300,9 +302,9 @@ def test_resumed_steps_equal_steps_from_scratch(monkeypatch, build, steps, resum
     kernels, tops = [], []
     top = res_mod._FlatResolver.top_generators
 
-    def recording(self, kernel, syzygy):
+    def recording(self, kernel, syzygy, step=None):
         kernels.append([sparse_vector(vec) for vec in kernel])
-        gens = top(self, kernel, syzygy)
+        gens = top(self, kernel, syzygy, step)
         tops.append(gens)
         return gens
 
@@ -325,40 +327,42 @@ def test_a_resumed_cover_and_top_equal_the_ones_from_scratch():
     # a step resumes from a logged step whose generators share a prefix
     # with its own, and must give the kernel, the generators and the state
     # left for the step two after that a logged step from scratch gives.
-    # For each step's generator list G whose cover takes its compact
-    # entries in as rows at copy h, G resumes from G[:h], which never hands
-    # off, and from G[:h + 1], which does; G[:h] does not resume from
-    # G[:h + 1], which lost its copy-h state; and G[:k], k half of G
-    # rounded up, resumes from the whole of G, whose state beyond copy k
-    # must be dropped.
-    reached = {"compact": 0, "handed off": 0, "refused": 0, "shorter": 0}
+    # For each step's generator list G whose cover meets its first image
+    # of two or more terms at copy h, G resumes from G[:h], whose echelon
+    # holds one-term entries alone, and from G[:h + 1], whose echelon
+    # holds rows too; G[:h] resumes from G[:h + 1], cut back past that
+    # longer image; and G[:k], k half of G rounded up, resumes from the
+    # whole of G, whose state beyond copy k must be dropped.
+    reached = {"one-term entries": 0, "past a longer image": 0,
+               "back before a longer image": 0, "shorter": 0}
 
     def run(engine, gens, step):
-        engine.step = step
-        try:
-            kernel = engine.kernel_of_cover(gens)
-            return kernel, engine.top_generators(kernel, len(kernel))
-        finally:
-            engine.step = None
+        kernel = engine.kernel_of_cover(gens, step)
+        return kernel, engine.top_generators(kernel, len(kernel), step)
 
     def state(step):
-        return (step.gens, step.kernel, list(step.echelon.pivots.items()), step.handoff,
-                list(step.span.pivots.items()), set(step.span.units), step.log,
-                bytes(step.seen).rstrip(b"\0"), step.marks)
+        return (step.gens, step.kernel, list(step.echelon.pivots.items()),
+                list(step.span.pivots.items()), bytes(step.seen).rstrip(b"\0"), step.marks)
 
     def resumed(engine, before, gens, kind):
         earlier = res_mod._Step(None, 0, True)
         run(engine, before, earlier)
         step = res_mod._next_step(earlier, gens, False)
-        if kind == "refused":
-            assert step is None
-        else:
-            scratch = res_mod._Step(None, 0, True)
-            out = run(engine, gens, scratch)
-            assert (step.copies, step.logged) == (min(len(before), len(gens)), True)
-            assert run(engine, gens, step) == out
-            assert state(step) == state(scratch)
+        scratch = res_mod._Step(None, 0, True)
+        out = run(engine, gens, scratch)
+        assert (step.copies, step.logged) == (min(len(before), len(gens)), True)
+        assert run(engine, gens, step) == out
+        assert state(step) == state(scratch)
         reached[kind] += 1
+
+    def first_longer_image(engine, gens):
+        """The first copy whose cover has an image of two or more terms."""
+        for copy, gen in enumerate(gens):
+            gen = sparse_vector(gen)
+            v = engine.vertex_of[max(gen) % engine.dim]
+            if any(len(image) > 1 for _, image in table_images(engine, gen, engine.rad_coords[v])):
+                return copy
+        return None
 
     for a in (trivial_extension(canonical_237()),
               trivial_extension(trivial_extension(path_algebra(multi_kronecker(2))))):
@@ -368,16 +372,13 @@ def test_a_resumed_cover_and_top_equal_the_ones_from_scratch():
             for _ in engine_kernels(engine, vertex, 6, tops):
                 pass
             for gens in tops:
-                probe = res_mod._Step(None, 0, True)
-                run(engine, gens, probe)
-                h, k = probe.handoff, (len(gens) + 1) // 2
-                if h is None or h < k:
-                    resumed(engine, gens, gens[:k], "shorter")
-                if h is not None and h:
-                    resumed(engine, gens[:h], gens, "compact")
-                    resumed(engine, gens[:h + 1], gens[:h], "refused")
+                h, k = first_longer_image(engine, gens), (len(gens) + 1) // 2
+                resumed(engine, gens, gens[:k], "shorter")
+                if h:
+                    resumed(engine, gens[:h], gens, "one-term entries")
+                    resumed(engine, gens[:h + 1], gens[:h], "back before a longer image")
                 if h is not None and h + 1 < len(gens):
-                    resumed(engine, gens[:h + 1], gens, "handed off")
+                    resumed(engine, gens[:h + 1], gens, "past a longer image")
     assert all(reached.values()), reached
 
 
@@ -393,6 +394,9 @@ RESUME_COUNTS = {
     "T(E6-affine)-sink-centred": (
         lambda: trivial_extension(path_algebra(star_quiver((2, 2, 2)))), None, 40, 0),
     "T(A8)": (lambda: trivial_extension(path_algebra(path_quiver(8))), None, 40, 0),
+    # a resume may cut a cover back past its first longer image
+    "T(T(kron2))": (lambda: trivial_extension(trivial_extension(
+        path_algebra(multi_kronecker(2)))), None, 12, (6, 570)),
 }
 
 
@@ -401,7 +405,8 @@ RESUME_COUNTS = {
 def test_covers_resume_the_generators_they_share(monkeypatch, build, vertex, steps, expected):
     # T(gentle)'s steps share most of their generators with the step two
     # before; the sink-centred stars and A8 share none, so every chain is
-    # dropped at its first comparison
+    # dropped at its first comparison; T(T(kron2)) resumes a few, some of
+    # them from a cover that met a longer image at a shared copy
     a = build()
     resumed = resumed_copies(monkeypatch)
     for p in range(len(a.vertices)) if vertex is None else [vertex]:
@@ -540,29 +545,30 @@ def test_dense_and_sparse_engines_agree(monkeypatch):
     top, cover = res_mod._FlatResolver.top_generators, res_mod._FlatResolver.kernel_of_cover
     phase = [None]
 
-    class Hits(set):
-        """A set that counts the lookups that find their key."""
+    class Hits(dict):
+        """Pivots that count the lookups that find an UNTRACKED entry."""
 
         hits = 0
 
-        def __contains__(self, key):
-            found = set.__contains__(self, key)
-            self.hits += found
-            return found
+        def get(self, key, default=None):
+            held = dict.get(self, key, default)
+            self.hits += held is UNTRACKED
+            return held
 
     class Probe(TrackedEchelon):
         __slots__ = ()
 
         def __init__(self):
             super().__init__()
-            self.units = Hits()
+            self.pivots = Hits()
 
         def insert(self, vec, expr):
             if phase[0] == "cover" and len(vec) == 1:
                 (k,) = vec
                 held = self.pivots.get(k)
                 # the cover keeps the other one-term images out of insert
-                assert held is not None and (len(held[0]) > 1 or len(held[1]) > 1)
+                assert held is not None and type(held[0]) is dict
+                assert len(held[0]) > 1 or len(held[1]) > 1
                 reached["cover one-term on a longer row or expression"] += 1
             return super().insert(vec, expr)
 
@@ -573,15 +579,15 @@ def test_dense_and_sparse_engines_agree(monkeypatch):
                 (k,) = vec
                 held = self.pivots.get(k)
                 # the top keeps the other one-term images out of add
-                assert held is not None and len(held[0]) > 1
+                assert held is not None and held is not UNTRACKED and len(held[0]) > 1
                 reached["top one-term on a longer row"] += 1
                 return super().add(vec)
-            hits = self.units.hits
+            hits = self.pivots.hits
             grew = super().add(vec)
-            reached["top longer image through one-term leads"] += self.units.hits > hits
+            reached["top longer image through one-term leads"] += self.pivots.hits > hits
             return grew
 
-    def recording(self, kernel, syzygy):
+    def recording(self, kernel, syzygy, step=None):
         earlier: set = set()
         for vec in kernel:
             if type(vec) is int:
@@ -606,11 +612,11 @@ def test_dense_and_sparse_engines_agree(monkeypatch):
             earlier |= one_terms
         phase[0] = "top"
         try:
-            return top(self, kernel, syzygy)
+            return top(self, kernel, syzygy, step)
         finally:
             phase[0] = None
 
-    def covering(self, gens):
+    def covering(self, gens, step=None):
         for gen in gens:
             gen = sparse_vector(gen)
             v = self.vertex_of[max(gen) % self.dim]
@@ -619,7 +625,7 @@ def test_dense_and_sparse_engines_agree(monkeypatch):
                     reached["cover cancels"] += summed and not image
         phase[0] = "cover"
         try:
-            return cover(self, gens)
+            return cover(self, gens, step)
         finally:
             phase[0] = None
 
@@ -635,11 +641,11 @@ def test_dense_and_sparse_engines_agree(monkeypatch):
 
 def test_cover_relations_are_the_ones_insert_returns(monkeypatch):
     # the cover's one-term path writes a relation without the echelon, and
-    # keeps its one-term rows as (c, column) entries until its first longer
-    # image hands them to the echelon, so every kernel is checked, value and
-    # type, against the relations that TrackedEchelon.insert returns on the
-    # images multiplied out from the table; the Betti numbers alone would
-    # not see a wrong sign or a row left out of the hand-off
+    # keeps its one-term rows as (c, column) entries that the echelon's
+    # reduction reads next to its rows, so every kernel is checked, value
+    # and type, against the relations that TrackedEchelon.insert returns on
+    # the images multiplied out from the table; the Betti numbers alone
+    # would not see a wrong sign or an entry the reduction misread
     algebras = [
         trivial_extension(path_algebra(multi_kronecker(2))),
         trivial_extension(gentle_two_loop()),
@@ -653,41 +659,35 @@ def test_cover_relations_are_the_ones_insert_returns(monkeypatch):
         "one-term on one-term": 0,
         "coefficient not 1": 0,
         "Fraction": 0,
-        # covers whose first longer image meets one-term entries (c, column)
-        "hand-off": 0,
+        # covers whose longer images meet one-term entries (c, column)
+        "longer image on entries": 0,
     }
 
-    class Entries(dict):
-        """The cover echelon's pivots, noting whether a one-term image was
-        kept as a (c, column) entry."""
+    made = []
 
-        compact = False
-
-        def __setitem__(self, key, value):
-            self.compact |= type(value[1]) is int
-            dict.__setitem__(self, key, value)
-
-    class HandOff(TrackedEchelon):
-        __slots__ = ("inserted",)
+    class Entries(TrackedEchelon):
+        __slots__ = ()
 
         def __init__(self):
             super().__init__()
-            self.pivots = Entries()
-            self.inserted = False
+            made.append(self)
 
         def insert(self, vec, expr):
-            if not self.inserted:
-                self.inserted = True
-                # every entry is handed off as the row insert() would store
-                for k, (row, held) in self.pivots.items():
-                    assert type(row) is dict and type(held) is dict and k == max(row)
-                reached["hand-off"] += self.pivots.compact and bool(self.pivots)
+            entries = any(type(row) is not dict for row, _ in self.pivots.values())
+            reached["longer image on entries"] += entries and len(vec) > 1
             return super().insert(vec, expr)
 
-    def comparing(self, gens):
+    def comparing(self, gens, step=None):
+        made.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(res_mod, "TrackedEchelon", HandOff)
-            kernel = cover(self, gens)
+            patch.setattr(res_mod, "TrackedEchelon", Entries)
+            kernel = cover(self, gens, step)
+        # a resumed cover goes on with the earlier step's echelon
+        echelon = made[-1] if made else step.earlier.echelon
+        # a one-term image at a free coordinate is kept as its (c, column)
+        # entry, so no row is one-term with a one-term expression
+        for row, expr in echelon.pivots.values():
+            assert type(row) is not dict or len(row) > 1 or len(expr) > 1
         echelon = TrackedEchelon()
         expected = []
         for copy, gen in enumerate(gens):
@@ -858,9 +858,9 @@ def eliminated_columns(monkeypatch) -> list:
 
     Columns are decided in increasing order, each either kept in the
     cover's echelon, as a row with the column as its expression's largest
-    key or as a one-term entry (c, column) not handed off, or returned as
-    a relation of two or more terms, with the column as its largest key; a
-    zero image is returned as its column alone and is not logged.
+    key or as a one-term entry (c, column), or returned as a relation of
+    two or more terms, with the column as its largest key; a zero image is
+    returned as its column alone and is not logged.
     """
     columns = []
     echelons = []
@@ -874,9 +874,9 @@ def eliminated_columns(monkeypatch) -> list:
 
     kernel_of_cover = res_mod._FlatResolver.kernel_of_cover
 
-    def logged(self, gens):
+    def logged(self, gens, step=None):
         echelons.clear()
-        kernel = kernel_of_cover(self, gens)
+        kernel = kernel_of_cover(self, gens, step)
         for echelon in echelons:
             columns.extend(expr if type(expr) is int else max(expr)
                            for _, expr in echelon.pivots.values())
@@ -915,9 +915,9 @@ def test_first_kernel_is_the_dense_cover_kernel(monkeypatch, name, extend):
         # is rad P_v, read off the engine's rad_coords
         kernels = []
 
-        def recording(self, kernel, syzygy):
+        def recording(self, kernel, syzygy, step=None):
             kernels.append(kernel)
-            return top(self, kernel, syzygy)
+            return top(self, kernel, syzygy, step)
 
         cover, verts = cover_data(a, simple, rad)
         expected = flat_kernel(a, verts, cover.kernel_basis())
@@ -1268,12 +1268,12 @@ def test_resolutions_leave_the_collector_as_they_found_it(monkeypatch, whole, en
     top = res_mod._FlatResolver.top_generators
     steps = []
 
-    def checking(self, kernel, syzygy):
+    def checking(self, kernel, syzygy, step=None):
         assert gc.isenabled() is False
         steps.append(syzygy)
         if refuse:
             raise RuntimeError("refused")
-        return top(self, kernel, syzygy)
+        return top(self, kernel, syzygy, step)
 
     monkeypatch.setattr(res_mod._FlatResolver, "top_generators", checking)
     if whole:
@@ -1354,10 +1354,10 @@ def test_parallel_resolution_raises_the_lowest_refusal(monkeypatch, refused, kin
         current[0] = a.vertices[vertex]
         return resolve(a, vertex, *args)
 
-    def refusing(self, kernel, syzygy):
+    def refusing(self, kernel, syzygy, step=None):
         if current[0] in chosen:
             raise kind(f"refused {current[0]}")
-        return top(self, kernel, syzygy)
+        return top(self, kernel, syzygy, step)
 
     monkeypatch.setattr(res_mod, "minimal_resolution", starting)
     monkeypatch.setattr(res_mod._FlatResolver, "top_generators", refusing)
@@ -1372,7 +1372,7 @@ def test_parallel_resolution_raises_the_lowest_refusal(monkeypatch, refused, kin
 def test_an_interrupt_propagates(monkeypatch):
     ta = trivial_extension(path_algebra(multi_kronecker(2)))
 
-    def interrupted(self, kernel, syzygy):
+    def interrupted(self, kernel, syzygy, step=None):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(res_mod._FlatResolver, "top_generators", interrupted)
