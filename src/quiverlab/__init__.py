@@ -29,7 +29,7 @@ _EXPORTS = {
          "tits_matrix"),
         "quiver",
     ),
-    **dict.fromkeys(("RatMatrix", "Vector", "as_fraction", "l1_norm", "vector"), "ratmat"),
+    **dict.fromkeys(("RatMatrix", "Vector", "l1_norm", "vector"), "ratmat"),
     **dict.fromkeys(
         ("ComplexityEstimate", "RepModule", "ResolutionTrace", "combine_estimates",
          "complexity_estimate", "jacobson_radical", "minimal_resolution",

@@ -216,6 +216,7 @@ def cmd_trivext(args) -> Report:
     from .resolution import (
         combine_estimates,
         complexity_estimate,
+        dynkin_trivext_estimate,
         koszul_trivext_traces,
         resolve_simple_modules,
     )
@@ -227,15 +228,20 @@ def cmd_trivext(args) -> Report:
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed quiver document: {exc}") from exc
     if isinstance(data, dict) and "relations" in data:
-        base = gentle_algebra(gentle_from_data(data))
+        base, quiver = gentle_algebra(gentle_from_data(data)), None
     else:
-        base = path_algebra(quiver_from_data(data))
+        quiver = quiver_from_data(data)
+        base = path_algebra(quiver)
     ta = trivial_extension(base)
-    # the Koszul recurrence where its theorem applies, with the engine's bytes
-    traces = koszul_trivext_traces(base, steps=args.steps, dim_cap=args.dim_cap)
-    if traces is None:
+    # the Koszul recurrence where its theorem applies, with the engine's bytes;
+    # a certified verdict where one applies, else the fits
+    koszul = koszul_trivext_traces(base, steps=args.steps, dim_cap=args.dim_cap)
+    if koszul is None:
         traces = resolve_simple_modules(ta, steps=args.steps, dim_cap=args.dim_cap)
-    estimates = [complexity_estimate(trace) for trace in traces]
+        certified = dynkin_trivext_estimate(quiver) if quiver else None
+    else:
+        traces, certified = koszul
+    estimates = [certified or complexity_estimate(trace) for trace in traces]
     overall = combine_estimates(estimates)
 
     warnings: list[str] = []

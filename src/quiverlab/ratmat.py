@@ -4,11 +4,13 @@ Everything that feeds a decision elsewhere in the package (definiteness,
 kernels, matrix identities) goes through this module, so there is no
 floating point anywhere below.  Entries are kept in their plain exact form,
 an int when integral and a Fraction otherwise, so integral matrices such as
-Cartan and Coxeter matrices multiply in int arithmetic.  TrackedEchelon
-is the package's one sparse reduction: the syzygies and tops of the
-resolution engine and the Krylov blocks behind the characteristic and
-minimal polynomials all grow an echelon basis of sparse vectors in it, in
-ints when their inputs are integral.
+Cartan and Coxeter matrices multiply in int arithmetic.  One dense
+Gauss-Jordan loop gives rref, and through it rank, kernels and inverses,
+its rows and pivots, and det the signed product of its pivots.
+TrackedEchelon is the package's one sparse reduction: the syzygies and
+tops of the resolution engine and the Krylov blocks behind the
+characteristic and minimal polynomials all grow an echelon basis of sparse
+vectors in it, in ints when their inputs are integral.
 """
 from __future__ import annotations
 
@@ -27,12 +29,6 @@ def plain(value) -> int | Fraction:
     if not isinstance(value, Fraction):
         value = Fraction(value)
     return value.numerator if value.denominator == 1 else value
-
-
-def as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(value)
 
 
 def vector(values: Iterable) -> Vector:
@@ -185,32 +181,14 @@ class RatMatrix:
             for j in range(self.cols)
         )
 
-    def det(self) -> int | Fraction:
-        if not self.is_square:
-            raise ValueError("determinant requires a square matrix")
-        n = self.rows
-        work = [list(row) for row in self._rows]
-        det = 1
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if work[r][col]), None)
-            if pivot is None:
-                return 0
-            if pivot != col:
-                work[col], work[pivot] = work[pivot], work[col]
-                det = -det
-            det *= work[col][col]
-            inv = Fraction(1) / work[col][col]
-            for r in range(col + 1, n):
-                f = plain(work[r][col] * inv)
-                if f:
-                    for c in range(col, n):
-                        work[r][c] -= f * work[col][c]
-        return plain(det)
-
-    def rref(self) -> tuple["RatMatrix", tuple[int, ...]]:
+    def _gauss_jordan(self) -> tuple[list[list], list[int], int | Fraction]:
+        """The rows of the reduced row echelon form, its pivot columns, and
+        the product of the pivots as met, before their rows are scaled,
+        negated once per row swap."""
         work = [list(row) for row in self._rows]
         nrows, ncols = self.rows, self.cols
         pivots = []
+        product = 1
         r = 0
         for col in range(ncols):
             if r == nrows:
@@ -218,8 +196,11 @@ class RatMatrix:
             pivot = next((i for i in range(r, nrows) if work[i][col]), None)
             if pivot is None:
                 continue
-            work[r], work[pivot] = work[pivot], work[r]
+            if pivot != r:
+                work[r], work[pivot] = work[pivot], work[r]
+                product = -product
             prow = work[r]
+            product *= prow[col]
             # rows from r on vanish left of col, so the update touches only
             # the pivot row's nonzero columns from col on
             support = [k for k in range(col, ncols) if prow[k]]
@@ -235,6 +216,16 @@ class RatMatrix:
                         row[k] -= f * prow[k]
             pivots.append(col)
             r += 1
+        return work, pivots, product
+
+    def det(self) -> int | Fraction:
+        if not self.is_square:
+            raise ValueError("determinant requires a square matrix")
+        _, pivots, product = self._gauss_jordan()
+        return plain(product) if len(pivots) == self.rows else 0
+
+    def rref(self) -> tuple["RatMatrix", tuple[int, ...]]:
+        work, pivots, _ = self._gauss_jordan()
         return RatMatrix(work), tuple(pivots)
 
     def rank(self) -> int:
@@ -400,9 +391,3 @@ class TrackedEchelon:
     def rank(self) -> int:
         """The number of leads, the dimension of the span."""
         return len(self.pivots)
-
-    def rows(self) -> list[dict]:
-        """The stored rows, a one-term entry as its one-term dict, in the
-        order they were made; they span the inputs."""
-        return [{k: vec} if type(vec) is not dict else vec
-                for k, (vec, _) in self.pivots.items()]

@@ -24,43 +24,20 @@ representative, and copies its trace to the rest of the orbit.  The
 representatives resolve in one loop in the calling process, in vertex
 order, so the lowest failing representative raises its own error.
 
-One sparse engine tracks syzygies in flat coordinates.  A syzygy vector
-is a unit, one coordinate with coefficient 1, or a vector of two or more
-terms.  A unit travels as its coordinate, a bare int: most kernel vectors
-are units, the relations of zero images.  The others travel as flat
-tuples (lead, c_lead, x1, c1, ...) that start with their lead, their
-largest coordinate; a dict of two terms holds three times the memory of
-that tuple.  A step's generators are a bare list of such vectors,
-and each sits at the target vertex of its lead.  The resolution of the
-simple at a vertex v starts from rad P_v, its first kernel: its
-non-idempotent coordinates as units.  Every top is found from the images
-of the arrows alone, a basis of rad/rad^2 chosen among the basis
-elements: rad is spanned by products of arrows, so rad*M is the sum of
-the arrows' images of M.  Syzygy bases come in lead form: each vector
-sits at one vertex and has its own largest coordinate, its lead; a unit
-is its own lead.  Since rad*K lies in K, the leads of rad*K are leads of
-K, and the vectors of K whose leads are not leads of rad*K generate K
-minimally.  Every later kernel comes from one routine with one
-lead-keyed TrackedEchelon per step, which reads a generator's terms from
-its table rows.  Each step eliminates only the radical columns b*g of its
-cover, b a non-idempotent basis element: the generators g are
-independent modulo the radical of the module covered, which holds every
-b*g, so no kernel relation uses a generator's own column and leaving
-those columns out changes no relation.
-A syzygy step makes one pass per stage: the cover sums each generator's
-images from the table rows of its coordinates, a unit being one term with
-coefficient 1, and the top reads each kernel vector's lead and vertex
-once, refusing a kernel that is not minimal or not in lead form, and sums
-its arrow images the same way; a unit's are read straight from the rows.
-Most rows and images have one term, and those skip the general reduction:
-each echelon keeps a one-term image at a free coordinate as a one-term
-entry, the top's as UNTRACKED and the cover's as its coefficient and
-column, and the cover writes the relation of a one-term image on such an
-entry directly; every other vector goes through the echelon's one
-reduction, which reads these entries next to its rows.  The step loop
-drops each input once it is read, so the old kernel is gone before the
-next is built unless a kept chain (below) holds it, and runs with the
-cyclic collector off (see
+One sparse engine, _FlatResolver, resolves the simples in flat
+coordinates copy*dim + basis_index.  A syzygy vector is a unit, one
+coordinate with coefficient 1 that travels as a bare int, or a flat tuple
+(lead, c_lead, x1, c1, ...) that starts with its largest coordinate, its
+lead; a dict of two terms holds three times the memory of that tuple.  A
+step's generators are a bare list of such vectors, each at the target
+vertex of its lead.  The simple at v starts from rad P_v, its first
+kernel, as units; every later kernel comes from kernel_of_cover, which
+eliminates only the radical columns of its cover, and every top from
+top_generators, which keeps the kernel vectors whose leads are not leads
+of rad*K.  Most rows and images have one term, and those skip the
+echelon's general reduction.  The step loop drops each input once it is
+read, so the old kernel is gone before the next is built unless a kept
+chain (below) holds it, and runs with the cyclic collector off (see
 minimal_resolution).  The engine's tables depend on the algebra only and
 are built once per algebra in a process.  The dense modules,
 simple_modules and RepModule, serve the test suite's projective cover,
@@ -75,25 +52,28 @@ are deterministic, so what either returns and holds after a prefix
 depends on that prefix alone.  A step that shares its first c generators
 starts its cover at copy c, with the earlier kernel's vectors below copy
 c and the earlier echelon cut back to the entries those copies made, a
-prefix of its insertion order since an entry's maker is its column; its
-top starts after those vectors, with the earlier span popped back to the
-size a mark per copy records, and picks its generators over the whole
-kernel by the final leads.  So the result and the state equal a step
-from scratch.  The first step of each parity keeps its state for the
-step two after, and a later one only while it resumes at least half of
-the earlier step's generators; a chain that falls short is dropped for
-good and runs from scratch.
+prefix of its insertion order since an entry's maker is its column.  Its
+top finds the first kernel vector past those copies by the same search
+on leads, pops the earlier span back to the size it had before that
+vector, and picks its generators over the whole kernel by the final
+leads.  So the result and the state equal a step from scratch.  The first
+step of each parity keeps its state for the step two after, and a later
+one only while it resumes at least half of the earlier step's generators;
+a chain that falls short is dropped for good and runs from scratch.
 
-One class of trivial extensions needs no engine.  When A = kQ for a
-connected quiver Q with no relations that is bipartite, every vertex a
-source or a sink, and not Dynkin, T(kQ) is Koszul with Koszul dual the
+Two classes of trivial extensions get certified verdicts.  When A = kQ
+for a connected quiver Q with no relations that is bipartite, every vertex
+a source or a sink, and not Dynkin, T(kQ) is Koszul with Koszul dual the
 preprojective algebra Pi(Q), whose Hilbert series gives every Betti
-number by a three-term integer recurrence; koszul_trivext_traces states
-the theorem and its sources.  It returns None for any other algebra, and
-the trivext command then runs resolve_simple_modules, which stays the
-route for every other input and the oracle the recurrence is tested
+number by a three-term integer recurrence, and Q's kind gives every
+simple's complexity; koszul_trivext_traces states the theorems and their
+sources.  It returns None for any other algebra, and the trivext command
+then runs resolve_simple_modules, the oracle the recurrence is tested
 against.  Both routes stop by one helper, _betti_trace, so their traces,
-and the bytes the command prints from them, are equal.
+and the bytes the command prints from them, are equal.  When Q is
+Dynkin, T(kQ) is representation-finite and every simple is
+Omega-periodic (dynkin_trivext_estimate); its traces still come from
+the engine.
 """
 
 from __future__ import annotations
@@ -286,18 +266,13 @@ def _source_coords(a: SCAlgebra) -> list[list[int]]:
 
 
 def _shared_prefix(a: list, b: list) -> int:
-    """The length of the longest common prefix of a and b, found by slice
-    compares that halve the range holding the first difference."""
-    lo, hi = 0, min(len(a), len(b))
-    if a[:hi] == b[:hi]:
-        return hi
-    while hi - lo > 1:  # a[:lo] == b[:lo], and a[lo:hi] != b[lo:hi]
-        mid = (lo + hi) // 2
-        if a[lo:mid] == b[lo:mid]:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    """The length of the longest common prefix of a and b."""
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+
+
+def _lead(vec: int | tuple) -> int:
+    """A syzygy vector's lead: a unit's coordinate, a tuple's first entry."""
+    return vec if type(vec) is int else vec[0]
 
 
 class _Step:
@@ -308,17 +283,16 @@ class _Step:
     minimal_resolution passes the record to kernel_of_cover and
     top_generators.  A logged step keeps what the step two after it
     resumes from: its generators, its cover's kernel and echelon, and its
-    top's span, its seen leads, and one mark per cover copy q, up to one
-    past the last copy that has a kernel vector: the number of kernel
-    vectors before copy q and the span's size after them.
+    top's span, its seen leads, and sizes, the span's size before each
+    kernel vector the top reads and once more after the last.
     """
 
     __slots__ = ("earlier", "copies", "logged", "gens", "kernel", "echelon", "span", "seen",
-                 "marks")
+                 "sizes")
 
     def __init__(self, earlier: _Step | None, copies: int, logged: bool):
         self.earlier, self.copies, self.logged = earlier, copies, logged
-        self.gens = self.kernel = self.echelon = self.span = self.seen = self.marks = None
+        self.gens = self.kernel = self.echelon = self.span = self.seen = self.sizes = None
 
 
 def _next_step(earlier: _Step | None, gens: list, first: bool) -> _Step | None:
@@ -351,14 +325,10 @@ class _FlatResolver:
     of arrow*M, for every syzygy.  Kernel relations come in the lead form
     that top_generators checks as it reads them, so a syzygy's top costs
     one pass over its kernel: one TrackedEchelon of the arrow images, then
-    one lookup of each lead in it.  Kernel vectors and syzygy generators
-    are units, bare int coordinates, or lead-first tuples of two or more
-    terms (see the module docstring), and the generators of a step are a
-    bare list of them, each at the target vertex of its lead.  The simple
-    at a vertex has rad P_v for its first kernel, its rad_coords as units,
-    so kernel_of_cover serves every later step.  Covers are eliminated on
-    their radical columns only (see kernel_of_cover), so the tables hold
-    the products by non-idempotent elements alone.  Each image is summed
+    one lookup of each lead in it.  Syzygy vectors take the forms of the
+    module docstring.  Covers are eliminated on their radical columns only
+    (see kernel_of_cover), so the tables hold the products by
+    non-idempotent elements alone.  Each image is summed
     from the table rows of a generator's terms, with no dict of images.
     An image of one term, the common case, is settled without the
     echelon's reduction where the coordinate is free or holds a one-term
@@ -405,8 +375,6 @@ class _FlatResolver:
     def kernel_of_cover(self, gens, step: _Step | None = None) -> list[int | tuple]:
         """Kernel basis of the cover sending copy i's basis element m to b_m * gen_i.
 
-        gens are syzygy vectors, each a unit's int coordinate or a
-        lead-first tuple, and each sits at the target vertex of its lead.
         The terms (shift, rows, c) of a syzygy vector, one (shift, left[n],
         c) per coordinate c * b_n, are built once, a unit's one term with
         c = 1.  A generator's image under each radical b_m is the first
@@ -455,8 +423,7 @@ class _FlatResolver:
                 if (expr if type(expr) is int else max(expr)) < bound:
                     pivots[k] = held
                     break
-            kernel = earlier.kernel[:bisect_left(
-                earlier.kernel, bound, key=lambda vec: vec if type(vec) is int else vec[0])]
+            kernel = earlier.kernel[:bisect_left(earlier.kernel, bound, key=_lead)]
         else:
             start, echelon, kernel = 0, TrackedEchelon(), []
         pivots = echelon.pivots
@@ -541,43 +508,37 @@ class _FlatResolver:
         coordinate that holds UNTRACKED is dependent and skipped, and one
         at a longer row goes to add().  The leads of rad*K are the
         keys of the span's pivots.
-        When step resumes, the pass starts after the vectors of its shared
-        copies, from the earlier span popped back to the size they left;
-        when it is logged, the state is left on it (see _Step).  A logged
-        kernel's leads increase, as kernel_of_cover's do.
+        When step resumes, the pass starts at the first vector past its
+        shared copies, found by bisection on the leads, which increase in
+        every kernel of kernel_of_cover, from the earlier span popped back
+        to its size before that vector; when it is logged, the state is
+        left on it (see _Step).
         """
         if len(kernel) != syzygy:
             raise RuntimeError("syzygy dimension mismatch")
         d = self.dim
-        logged = step is not None and step.logged
         earlier = step.earlier if step is not None else None
         if earlier is not None:
-            span, seen, marks = earlier.span, earlier.seen, earlier.marks
-            copies = step.copies
-            # the kernel's first vectors, those before copy `copies`, are earlier's
-            start, size = marks[min(copies, len(marks) - 1)]
-            while len(span.pivots) > size:
+            span, seen, sizes = earlier.span, earlier.seen, earlier.sizes
+            bound = step.copies * d
+            # the vectors of the shared copies lead the kernel, as earlier's did
+            start = bisect_left(kernel, bound, key=_lead)
+            while len(span.pivots) > sizes[start]:
                 span.pivots.popitem()
-            del seen[copies * d:]
-            while marks and marks[-1][0] >= start:  # the marks after the shared vectors
-                marks.pop()
+            del seen[bound:], sizes[start:]
             step.earlier = None
-            if not logged:
-                marks = None
         else:
-            span, start, seen = TrackedEchelon(), 0, bytearray()
-            marks = [] if logged else None
+            span, start, seen, sizes = TrackedEchelon(), 0, bytearray(), []
+        if step is None or not step.logged:
+            sizes = None
         pivots = span.pivots
         vertex_of, left, arrows_at = self.vertex_of, self.left, self.arrows_at
         arrow_terms, arrow_rows = self.arrow_terms, self.arrow_rows
-        cut = len(marks) * d if marks is not None else None
-        for i, vec in enumerate(islice(kernel, start, None), start):
+        for vec in islice(kernel, start, None):
+            if sizes is not None:
+                sizes.append(len(pivots))
             unit = type(vec) is int
             lead = vec if unit else vec[0]
-            if cut is not None and lead >= cut:
-                while len(marks) * d <= lead:
-                    marks.append((i, len(pivots)))
-                cut = len(marks) * d
             if lead >= len(seen):
                 seen.extend(bytes(lead + 1 - len(seen)))
             elif seen[lead]:
@@ -640,14 +601,10 @@ class _FlatResolver:
                     if held is UNTRACKED:
                         continue
                 span.add(image)
-        if logged:
-            marks.append((len(kernel), len(pivots)))
-            step.span, step.seen, step.marks = span, seen, marks
-        gens = []
-        for vec in kernel:
-            lead = vec if type(vec) is int else vec[0]
-            if lead not in pivots:
-                gens.append(vec)
+        if sizes is not None:
+            sizes.append(len(pivots))
+            step.span, step.seen, step.sizes = span, seen, sizes
+        gens = [vec for vec in kernel if (vec if type(vec) is int else vec[0]) not in pivots]
         if len(gens) + span.rank() != len(kernel):
             raise RuntimeError("arrow images leave the syzygy")
         return gens
@@ -1065,10 +1022,10 @@ def resolve_simple_modules(
 
 def koszul_trivext_traces(
     a: SCAlgebra, steps: int = 40, dim_cap: int = 100000
-) -> list[ResolutionTrace] | None:
-    """Every simple's trace over T(a), in vertex order, when a is the path
-    algebra kQ of a connected, bipartite, non-Dynkin quiver Q; None
-    otherwise.
+) -> tuple[list[ResolutionTrace], ComplexityEstimate] | None:
+    """Every simple's trace over T(a), in vertex order, and the complexity
+    of every simple, when a is the path algebra kQ of a connected,
+    bipartite, non-Dynkin quiver Q; None otherwise.
 
     a must satisfy the algebra laws, as every builder's output does.  Its
     non-idempotent basis elements are taken as the arrows of Q, and Q is
@@ -1105,6 +1062,23 @@ def koszul_trivext_traces(
     every trace, and every byte the CLI prints from it, equals
     resolve_simple_modules(T(a), steps, dim_cap).  On Dynkin quivers Pi(Q)
     is finite-dimensional and not Koszul, and the recurrence is wrong.
+
+    The verdict of every simple comes from the kind alone: "finite,
+    degree 2" for an affine Q, "infinite" for an indefinite one.  Why this
+    is exact:
+    - 2T = 2I - M for the Tits form T, so affine means that M's largest
+      eigenvalue, its spectral radius r as M >= 0, is 2; indefinite means
+      r > 2.
+    - b_n = U_n(M/2) e_i, with U_n the Chebyshev polynomials of the second
+      kind.  On an eigenvector of M of eigenvalue x, U_n(x/2) is bounded
+      for |x| < 2, is (+-1)^n (n + 1) at x = +-2, and grows like m^n,
+      m + 1/m = |x|, for |x| > 2.
+    - The Perron vector p of the connected M is positive, so it meets e_i,
+      and a bipartite spectrum is symmetric: -r has p with its signs
+      flipped on one side.  The two terms add on one side of Q at each n,
+      and no eigenvalue is larger in modulus, so the dimensions, between
+      2|b_n|_1 and (2 + max deg)|b_n|_1 as b_n >= 0, grow linearly when
+      r = 2 and exponentially when r > 2.
     """
     idem = set(a.idempotents)
     arrows = [b for m, b in enumerate(a.basis) if m not in idem]
@@ -1112,7 +1086,10 @@ def koszul_trivext_traces(
     if any(b.target in sources for b in arrows):
         return None
     q = Quiver(a.vertices, tuple(Arrow(b.label, b.source, b.target) for b in arrows))
-    if not q.is_connected or classify_quiver(q).kind == "finite":
+    if not q.is_connected:
+        return None
+    kind = classify_quiver(q).kind
+    if kind == "finite":
         return None
     pos = q.vertex_index()
     n = len(a.vertices)
@@ -1134,7 +1111,27 @@ def koszul_trivext_traces(
 
         return _betti_trace(proj_dim[i], advance, steps, dim_cap)
 
-    return [trace(i) for i in range(n)]
+    verdict = ComplexityEstimate.finite(2) if kind == "affine" else ComplexityEstimate.infinite()
+    return [trace(i) for i in range(n)], verdict
+
+
+def dynkin_trivext_estimate(q: Quiver) -> ComplexityEstimate | None:
+    """The verdict "finite, degree 1" for every simple of T(kQ) when Q is
+    connected and Dynkin; None otherwise.
+
+    T(kQ) is representation-finite for a Dynkin quiver Q in any
+    orientation: Tachikawa, "Representations of trivial extensions of
+    hereditary algebras", LNM 832 (1980); Hughes and Waschbusch, "Trivial
+    extensions of tilted algebras", Proc. LMS 46 (1983).  T(kQ) is
+    symmetric, so Omega permutes the finitely many isoclasses of
+    indecomposable non-projective modules, and every simple, which is not
+    projective since dim P_i >= 2, is Omega-periodic.  dim P_n is
+    dim Omega^n S + dim Omega^(n+1) S, so the Betti numbers are periodic
+    and positive: bounded, and never terminating.
+    """
+    if q.is_connected and classify_quiver(q).kind == "finite":
+        return ComplexityEstimate.finite(1)
+    return None
 
 
 def combine_estimates(estimates) -> ComplexityEstimate:

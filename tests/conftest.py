@@ -55,7 +55,7 @@ from quiverlab import (
     trivial_extension,
 )
 from quiverlab import resolution
-from quiverlab.ratmat import TrackedEchelon, as_fraction, vector
+from quiverlab.ratmat import TrackedEchelon, vector
 
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -483,7 +483,7 @@ def verify_nilpotent_ideal(a, basis) -> None:
             partners = {n for i in x for l in right_of[i] for n in holders[l]}
             for n in sorted(partners):
                 nxt.add(a.multiply(x, sparse[n]))
-        power = nxt.rows()
+        power = echelon_rows(nxt)
     raise RuntimeError("radical candidate is not nilpotent")
 
 
@@ -525,6 +525,20 @@ def companion_matrix(p) -> RatMatrix:
     for i in range(n):
         rows[i][n - 1] = -p.coeffs[i]
     return RatMatrix(rows)
+
+
+def as_fraction(value) -> Fraction:
+    """value as a Fraction."""
+    if isinstance(value, Fraction):
+        return value
+    return Fraction(value)
+
+
+def echelon_rows(echelon: TrackedEchelon) -> list[dict]:
+    """The rows an echelon stores, a one-term entry as its one-term dict,
+    in the order they were made; they span its inputs."""
+    return [{k: vec} if type(vec) is not dict else vec
+            for k, (vec, _) in echelon.pivots.items()]
 
 
 def serre_entropy(verdict, t) -> Fraction:

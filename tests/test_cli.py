@@ -383,13 +383,22 @@ def test_trivext_on_a30_keeps_its_bytes(tmp_path, capsys):
         "dbe9f273259610be46147bb261a1a66ba7c381d3e9240847ae6167ce6f2b4f79")
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2, bug 1: the dimension cap stops "
-                   "each trace after 9 entries, too short for a verdict")
 def test_trivext_on_kron4_is_infinite(tmp_path, capsys):
     doc = json.dumps(bench_module("workloads").kronecker(4))
     code, out, _ = run(capsys, "trivext", write(tmp_path, "kron4.json", doc), "--json")
     assert code == 0
     assert json.loads(out)["result"]["global_estimate"] == {"kind": "infinite"}
+
+
+def test_trivext_on_d20_is_periodic(tmp_path, capsys):
+    # T(kD20), the star (1,1,17), is representation-finite, so every simple
+    # is Omega-periodic; the fits left 2.11-2.17 and the global inconclusive
+    doc = json.dumps(bench_module("workloads").star_quiver((1, 1, 17)))
+    code, out, err = run(capsys, "trivext", write(tmp_path, "d20.json", doc), "--json")
+    assert (code, err) == (0, "")
+    result = json.loads(out)["result"]
+    assert [s["estimate"] for s in result["simples"]] == [{"kind": "finite", "degree": 1}] * 20
+    assert result["global_estimate"] == {"kind": "finite", "degree": 1}
 
 
 def bipartite_e10_doc() -> str:
@@ -407,8 +416,6 @@ def bipartite_e10_doc() -> str:
     return json.dumps({"vertices": vertices, "arrows": arrows})
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2, bug 6: the dimensions grow like "
-                   "the square root of Lehmer's number to the n, and 40 steps fit a cubic")
 def test_trivext_on_bipartite_e10_is_infinite(tmp_path, capsys):
     path = write(tmp_path, "e10.json", bipartite_e10_doc())
     code, out, _ = run(capsys, "trivext", path, "--json")
@@ -570,7 +577,7 @@ def test_spectral_workload_keeps_its_bytes(tmp_path, capsys, monkeypatch):
 
 # (exit code, stderr, sha256 of the --json stdout) of each seed-1401 job of the
 # benchmark's trivext workloads, as the serial resolution loop wrote them; the
-# known defects stand as they are: kron4 exits 1 and E10 reads "finite, degree 3"
+# known defect stands as it is: E10 reads "finite, degree 3"
 TRIVEXT_OUTCOMES = {
     "trivext:A8": (0, "", "a5da500296bde7f36ad62bfd98ebc154c77547f0abafdf1013b9cf2aa6edefab"),
     "trivext:E8": (0, "", "257219b6f6c3d348ecf13c3ca397a73f4f64f689cf7e6e33b995c8adb575c1a3"),
@@ -580,11 +587,7 @@ TRIVEXT_OUTCOMES = {
     "trivext:kron2": (0, "", "d56e02893ad35064f59eb13d767feafdf846cef86cbc6a9e61b3d40fc3080c5b"),
     "trivext:gentle": (0, "", "da037fd4095ab717097dc8f6f55e16a4b3d7d7aaf9b41c6cbfe8eb5a647ea09f"),
     "trivext:kron3": (0, "", "5d29e19151a15e316146642996df9e84773f4184210ce8ecd8e317a094c7809b"),
-    "trivext:kron4": (
-        1,
-        "error: trace too short: need 12 entries or termination\n",
-        hashlib.sha256(b"").hexdigest(),
-    ),
+    "trivext:kron4": (0, "", "e509a583a64e899bcb4e0183e9ae0ba6a302d21b32928c0c079c0012f56b423c"),
     "trivext:A3": (0, "", "b5b3627caa670f7187b1d37040e837e72716d93462838bd40396a282bda39617"),
 }
 

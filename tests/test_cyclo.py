@@ -305,6 +305,14 @@ def test_spectral_radius_odd_degree_dominant_complex_pair():
     assert abs(spectral_radius(companion_matrix(p)) - 2.0) < 1e-6
 
 
+@pytest.mark.xfail(strict=True, raises=ArithmeticError,
+                   reason="two conjugate pairs on the top circle: no certified enclosure")
+def test_spectral_radius_of_two_conjugate_pairs_on_one_circle():
+    # (x^2 - 2x + 4)(x^2 + 3x + 4): both pairs have modulus 2
+    p = IntPolynomial([4, -2, 1]) * IntPolynomial([4, 3, 1])
+    assert abs(spectral_radius(companion_matrix(p)) - 2.0) < 1e-6
+
+
 def _linear(r):
     return IntPolynomial([-r, 1])
 

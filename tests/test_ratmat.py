@@ -23,11 +23,13 @@ from quiverlab import (
     trivial_extension,
 )
 from quiverlab.cyclo import _krylov_blocks, krylov_chain
-from quiverlab.ratmat import UNTRACKED, RatMatrix, TrackedEchelon, as_fraction, l1_norm, vector
+from quiverlab.ratmat import UNTRACKED, RatMatrix, TrackedEchelon, l1_norm, vector
 from quiverlab.resolution import _FlatResolver
 from conftest import (
+    as_fraction,
     bench_module,
     builder_outputs,
+    echelon_rows,
     engine_kernels,
     eval_matrix,
     from_columns,
@@ -178,7 +180,7 @@ def test_tracked_echelon_keys_rows_by_their_lead():
     # integral inputs keep int rows, and an integral relation comes back in ints
     relation = echelon.insert({0: 15, 1: 5}, {"x": 1})
     assert relation == {"x": 1, "u": -1, "v": -3}
-    assert echelon.rows() == [{0: 3, 1: -1}, {0: 10}]
+    assert echelon_rows(echelon) == [{0: 3, 1: -1}, {0: 10}]
     stored = [x for vec, expr in echelon.pivots.values() for x in [*vec.values(), *expr.values()]]
     assert all(type(x) is int for x in stored + list(relation.values()))
     # Fraction inputs reduce by the exact ratio
@@ -275,8 +277,8 @@ def test_untracked_echelon_keeps_one_term_rows_as_units():
         for lead, held in echelon.pivots.items():
             assert held is UNTRACKED or (held[1] is None and len(held[0]) > 1
                                          and lead == max(held[0]))
-        # the nilpotence oracle reads rows(): they span every input
-        rows = echelon.rows()
+        # the nilpotence oracle reads echelon_rows: they span every input
+        rows = echelon_rows(echelon)
         assert len(rows) == rank(rows) == rank(rows + inputs) == final, (trial, inputs)
     assert all(seen.values()), seen
 
@@ -333,7 +335,7 @@ def test_one_term_entries_reduce_like_their_dict_rows():
             inputs.append(vec)
             final = rank(inputs)
             assert compact.rank() == pairs.rank() == final
-            rows = compact.rows()
+            rows = echelon_rows(compact)
             assert len(rows) == rank(rows) == rank(rows + inputs) == final, (trial, inputs)
         for size, pivots in reversed(history):
             while len(compact.pivots) > size:

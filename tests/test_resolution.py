@@ -16,6 +16,7 @@ import errno
 import gc
 import os
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -39,9 +40,10 @@ from quiverlab import (
     trivial_extension,
 )
 from quiverlab import resolution as res_mod
-from quiverlab.quiver import QuiverType
+from quiverlab.quiver import QuiverType, classify_quiver
 from quiverlab.ratmat import UNTRACKED, TrackedEchelon
 from quiverlab.record import FrozenInstanceError
+from quiverlab.serre import orbit_growth
 from conftest import (
     BUILDERS,
     bench_ladder,
@@ -342,7 +344,7 @@ def test_a_resumed_cover_and_top_equal_the_ones_from_scratch():
 
     def state(step):
         return (step.gens, step.kernel, list(step.echelon.pivots.items()),
-                list(step.span.pivots.items()), bytes(step.seen).rstrip(b"\0"), step.marks)
+                list(step.span.pivots.items()), bytes(step.seen).rstrip(b"\0"), step.sizes)
 
     def resumed(engine, before, gens, kind):
         earlier = res_mod._Step(None, 0, True)
@@ -454,21 +456,90 @@ KOSZUL_CASES = {
 def test_koszul_route_is_the_engine_where_its_theorem_applies(monkeypatch, build, bounds,
                                                               expect):
     base = build()
-    traces = res_mod.koszul_trivext_traces(base, **bounds)
+    koszul = res_mod.koszul_trivext_traces(base, **bounds)
     if expect == "none":
-        assert traces is None
+        assert koszul is None
         return
     ta = trivial_extension(base)
     engine = [minimal_resolution(ta, p, **bounds) for p in range(len(ta.vertices))]
     if expect == "engine":
-        assert traces == engine
+        assert koszul[0] == engine
         return
     # Pi(Q) of a Dynkin quiver is finite-dimensional, and the recurrence is wrong
-    assert traces is None
+    assert koszul is None
     assert all(min(trace.betti) > 0 for trace in engine)
     monkeypatch.setattr(res_mod, "classify_quiver", lambda q: QuiverType("indefinite"))
     with pytest.raises(ValueError, match="projective dimensions are nonnegative"):
         res_mod.koszul_trivext_traces(base, **bounds)
+
+
+def trees(max_vertices: int):
+    """Every tree with at most max_vertices vertices, up to isomorphism, as
+    (n, edges) on the vertices 0..n-1, grown from one vertex by adding
+    leaves.  Two trees are isomorphic when their least rooted codes agree."""
+
+    def canonical(n, edges):
+        near = [[] for _ in range(n)]
+        for u, v in edges:
+            near[u].append(v)
+            near[v].append(u)
+
+        def code(v, parent):
+            return "(" + "".join(sorted(code(w, v) for w in near[v] if w != parent)) + ")"
+
+        return min(code(root, None) for root in range(n))
+
+    level = [(1, ())]
+    for n in range(1, max_vertices + 1):
+        yield from level
+        grown: dict = {}
+        for size, edges in level:
+            for v in range(size):
+                tree = (size + 1, (*edges, (v, size)))
+                grown.setdefault(canonical(*tree), tree)
+        level = list(grown.values())
+
+
+def bipartite_tree(n: int, edges):
+    """The tree in its bipartite orientation: the vertices at even distance
+    from vertex 0 are sources."""
+    side = [0] * n
+    for u, v in edges:  # each leaf was added after its neighbour
+        side[v] = 1 - side[u]
+    return quiver_from_data({
+        "vertices": [str(v) for v in range(n)],
+        "arrows": [{"id": f"x{u}.{v}", "from": str(u if side[u] == 0 else v),
+                    "to": str(v if side[u] == 0 else u)} for u, v in edges],
+    })
+
+
+def test_koszul_verdicts_are_the_orbit_growth_on_every_small_tree():
+    # every tree of at most 9 vertices that is not Dynkin, bipartite: each
+    # simple's verdict is the growth of the orbit (b_n, b_(n-1)) = L^n (e_i, 0),
+    # L = [[M, -I], [I, 0]], read exactly by serre.orbit_growth
+    verdicts = {("polynomial", 1): ComplexityEstimate.finite(2),
+                ("exponential", None): ComplexityEstimate.infinite()}
+    sizes, kinds = Counter(), Counter()
+    for n, edges in trees(9):
+        sizes[n] += 1
+        q = bipartite_tree(n, edges)
+        koszul = res_mod.koszul_trivext_traces(path_algebra(q), steps=2)
+        kind = classify_quiver(q).kind
+        kinds[kind] += 1
+        if kind == "finite":
+            assert koszul is None
+            continue
+        block = [[0] * (2 * n) for _ in range(2 * n)]
+        for i in range(n):
+            block[i][n + i], block[n + i][i] = -1, 1
+        for u, v in edges:
+            block[u][v] = block[v][u] = 1
+        lift = RatMatrix(block)
+        for i in range(n):
+            growth = orbit_growth(lift, [tuple(int(k == i) for k in range(2 * n))])
+            assert koszul[1] == verdicts[growth.kind, growth.degree], (edges, i)
+    assert list(sizes.values()) == [1, 1, 1, 2, 3, 6, 11, 23, 47]
+    assert kinds == {"finite": 18, "affine": 8, "indefinite": 69}
 
 
 LOOP_CASES = [
