@@ -211,16 +211,8 @@ def cmd_canonical(args) -> Report:
 
 
 def cmd_trivext(args) -> Report:
-    from .builders import gentle_algebra, gentle_from_data, path_algebra
     from .quiver import quiver_from_data
-    from .resolution import (
-        combine_estimates,
-        complexity_estimate,
-        dynkin_trivext_estimate,
-        koszul_trivext_traces,
-        resolve_simple_modules,
-    )
-    from .trivext import trivial_extension
+    from .resolution import combine_estimates, trivext_traces
 
     document, digest = _read_input(args.file)
     try:
@@ -228,25 +220,18 @@ def cmd_trivext(args) -> Report:
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed quiver document: {exc}") from exc
     if isinstance(data, dict) and "relations" in data:
-        base, quiver = gentle_algebra(gentle_from_data(data)), None
+        from .builders import gentle_from_data
+
+        pres = gentle_from_data(data)
+        quiver, relations = pres.quiver, pres.relations
     else:
-        quiver = quiver_from_data(data)
-        base = path_algebra(quiver)
-    ta = trivial_extension(base)
-    # the Koszul recurrence where its theorem applies, with the engine's bytes;
-    # a certified verdict where one applies, else the fits
-    koszul = koszul_trivext_traces(base, steps=args.steps, dim_cap=args.dim_cap)
-    if koszul is None:
-        traces = resolve_simple_modules(ta, steps=args.steps, dim_cap=args.dim_cap)
-        certified = dynkin_trivext_estimate(quiver) if quiver else None
-    else:
-        traces, certified = koszul
-    estimates = [certified or complexity_estimate(trace) for trace in traces]
+        quiver, relations = quiver_from_data(data), None
+    base_dim, traces, estimates = trivext_traces(quiver, relations, args.steps, args.dim_cap)
     overall = combine_estimates(estimates)
 
     warnings: list[str] = []
     simples = []
-    for vert, trace, estimate in zip(ta.vertices, traces, estimates):
+    for vert, trace, estimate in zip(quiver.vertices, traces, estimates):
         if trace.truncated_by == "dimension-cap":
             warnings.append(
                 f"resolution at vertex {vert} stopped at the dimension cap "
@@ -261,8 +246,8 @@ def cmd_trivext(args) -> Report:
             }
         )
     result = {
-        "base_dim": exact(base.dim),
-        "extension_dim": exact(ta.dim),
+        "base_dim": exact(base_dim),
+        "extension_dim": exact(2 * base_dim),  # T(A) = A + DA
         "steps": exact(args.steps),
         "dim_cap": exact(args.dim_cap),
         "simples": simples,

@@ -61,19 +61,13 @@ step of each parity keeps its state for the step two after, and a later
 one only while it resumes at least half of the earlier step's generators;
 a chain that falls short is dropped for good and runs from scratch.
 
-Two classes of trivial extensions get certified verdicts.  When A = kQ
-for a connected quiver Q with no relations that is bipartite, every vertex
-a source or a sink, and not Dynkin, T(kQ) is Koszul with Koszul dual the
-preprojective algebra Pi(Q), whose Hilbert series gives every Betti
-number by a three-term integer recurrence, and Q's kind gives every
-simple's complexity; koszul_trivext_traces states the theorems and their
-sources.  It returns None for any other algebra, and the trivext command
-then runs resolve_simple_modules, the oracle the recurrence is tested
-against.  Both routes stop by one helper, _betti_trace, so their traces,
-and the bytes the command prints from them, are equal.  When Q is
-Dynkin, T(kQ) is representation-finite and every simple is
-Omega-periodic (dynkin_trivext_estimate); its traces still come from
-the engine.
+trivext_traces decides, once, how the trivext command gets every
+simple's trace and verdict over a presentation's trivial extension: the
+Koszul recurrence and Q's kind for a bipartite non-Dynkin kQ, the engine
+and "finite, degree 1" for a Dynkin kQ, the engine and fitted estimates
+for the rest; it states the theorems and their sources.  The recurrence
+and the engine stop by one helper, _betti_trace, so their traces, and
+the bytes the command prints from them, are equal.
 """
 
 from __future__ import annotations
@@ -85,7 +79,7 @@ from fractions import Fraction
 from itertools import chain, islice
 
 from .fitting import EXPONENTIAL_SLOPE_THRESHOLD, LOGLOG_RESIDUAL_THRESHOLD, fit_line
-from .quiver import Arrow, Quiver, classify_quiver
+from .quiver import Quiver, classify_quiver
 from .ratmat import UNTRACKED, RatMatrix, TrackedEchelon, plain
 from .record import Record
 from .scalgebra import SCAlgebra
@@ -1020,19 +1014,83 @@ def resolve_simple_modules(
     return [of_rep[p] for p in orbits]
 
 
-def koszul_trivext_traces(
-    a: SCAlgebra, steps: int = 40, dim_cap: int = 100000
-) -> tuple[list[ResolutionTrace], ComplexityEstimate] | None:
-    """Every simple's trace over T(a), in vertex order, and the complexity
-    of every simple, when a is the path algebra kQ of a connected,
-    bipartite, non-Dynkin quiver Q; None otherwise.
+def trivext_traces(
+    quiver: Quiver, relations: tuple | None, steps: int = 40, dim_cap: int = 100000
+) -> tuple[int, list[ResolutionTrace], list[ComplexityEstimate]]:
+    """dim A, and every simple's trace and complexity estimate over T(A), in
+    vertex order, where A is kQ when relations is None and the gentle
+    algebra of (Q, relations) otherwise.
 
-    a must satisfy the algebra laws, as every builder's output does.  Its
-    non-idempotent basis elements are taken as the arrows of Q, and Q is
-    bipartite when no vertex is both the source of one and the target of
-    another: then no two of them compose, so a = kQ with no relations and
-    no loops.  The quiver must be connected and its underlying graph not
-    Dynkin, classify_quiver(Q).kind != "finite".
+    The route is decided here, once.  A presentation with no relations,
+    None or empty, on a connected Q calls classify_quiver once, and:
+    - Q bipartite, no vertex both the source of one arrow and the target
+      of another, and not Dynkin: koszul_trivext_traces gives the traces
+      and Q's kind every verdict (below).  No algebra is built: no two
+      arrows compose, so dim kQ = |Q0| + |Q1|.
+    - Q Dynkin: the engine resolves the simples of T(kQ), and every
+      verdict is "finite, degree 1" (below).
+    Every other presentation runs the engine on T(A) and fits each trace
+    with complexity_estimate; a trace too short to fit is inconclusive,
+    with complexity_estimate's reason.
+
+    The bipartite verdicts come from the kind alone: "finite, degree 2"
+    for an affine Q, "infinite" for an indefinite one.  Why this is exact:
+    - 2T = 2I - M for the Tits form T and koszul_trivext_traces' edge
+      matrix M, so affine means that M's largest eigenvalue, its spectral
+      radius r as M >= 0, is 2; indefinite means r > 2.
+    - b_n = U_n(M/2) e_i, with U_n the Chebyshev polynomials of the second
+      kind.  On an eigenvector of M of eigenvalue x, U_n(x/2) is bounded
+      for |x| < 2, is (+-1)^n (n + 1) at x = +-2, and grows like m^n,
+      m + 1/m = |x|, for |x| > 2.
+    - The Perron vector p of the connected M is positive, so it meets e_i,
+      and a bipartite spectrum is symmetric: -r has p with its signs
+      flipped on one side.  The two terms add on one side of Q at each n,
+      and no eigenvalue is larger in modulus, so the dimensions, between
+      2|b_n|_1 and (2 + max deg)|b_n|_1 as b_n >= 0, grow linearly when
+      r = 2 and exponentially when r > 2.
+
+    The Dynkin verdict.  T(kQ) is representation-finite for a Dynkin
+    quiver Q in any orientation: Tachikawa, "Representations of trivial
+    extensions of hereditary algebras", LNM 832 (1980); Hughes and
+    Waschbusch, "Trivial extensions of tilted algebras", Proc. LMS 46
+    (1983).  T(kQ) is symmetric, so Omega permutes the finitely many
+    isoclasses of indecomposable non-projective modules, and every simple,
+    which is not projective since dim P_i >= 2, is Omega-periodic.
+    dim P_n is dim Omega^n S + dim Omega^(n+1) S, so the Betti numbers are
+    periodic and positive: bounded, and never terminating.
+    """
+    kind = None
+    if not relations and quiver.is_connected:
+        kind = classify_quiver(quiver).kind
+        sources = {a.source for a in quiver.arrows}
+        if kind != "finite" and not any(a.target in sources for a in quiver.arrows):
+            traces = koszul_trivext_traces(quiver, steps, dim_cap)
+            verdict = (ComplexityEstimate.finite(2) if kind == "affine"
+                       else ComplexityEstimate.infinite())
+            return len(quiver.vertices) + len(quiver.arrows), traces, [verdict] * len(traces)
+    # loaded only here, so a job on the Koszul route does not compile them
+    from .builders import GentlePresentation, gentle_algebra, path_algebra
+    from .trivext import trivial_extension
+
+    base = (path_algebra(quiver) if relations is None
+            else gentle_algebra(GentlePresentation(quiver, relations)))
+    traces = resolve_simple_modules(trivial_extension(base), steps, dim_cap)
+    if kind == "finite":
+        return base.dim, traces, [ComplexityEstimate.finite(1)] * len(traces)
+    estimates = []
+    for trace in traces:
+        try:
+            estimates.append(complexity_estimate(trace))
+        except ValueError as exc:  # too short to fit
+            estimates.append(ComplexityEstimate.inconclusive(str(exc)))
+    return base.dim, traces, estimates
+
+
+def koszul_trivext_traces(
+    q: Quiver, steps: int = 40, dim_cap: int = 100000
+) -> list[ResolutionTrace]:
+    """Every simple's trace over T(kQ), in vertex order, for a connected,
+    bipartite, non-Dynkin quiver Q; trivext_traces decides when Q is one.
 
     The theorem.  Let k be a field and Q a finite connected bipartite
     quiver whose underlying graph is not of Dynkin type A, D or E, and let
@@ -1060,42 +1118,14 @@ def koszul_trivext_traces(
 
     The dimensions go through _betti_trace, the engine's stop rules, so
     every trace, and every byte the CLI prints from it, equals
-    resolve_simple_modules(T(a), steps, dim_cap).  On Dynkin quivers Pi(Q)
+    resolve_simple_modules(T(kQ), steps, dim_cap).  On Dynkin quivers Pi(Q)
     is finite-dimensional and not Koszul, and the recurrence is wrong.
-
-    The verdict of every simple comes from the kind alone: "finite,
-    degree 2" for an affine Q, "infinite" for an indefinite one.  Why this
-    is exact:
-    - 2T = 2I - M for the Tits form T, so affine means that M's largest
-      eigenvalue, its spectral radius r as M >= 0, is 2; indefinite means
-      r > 2.
-    - b_n = U_n(M/2) e_i, with U_n the Chebyshev polynomials of the second
-      kind.  On an eigenvector of M of eigenvalue x, U_n(x/2) is bounded
-      for |x| < 2, is (+-1)^n (n + 1) at x = +-2, and grows like m^n,
-      m + 1/m = |x|, for |x| > 2.
-    - The Perron vector p of the connected M is positive, so it meets e_i,
-      and a bipartite spectrum is symmetric: -r has p with its signs
-      flipped on one side.  The two terms add on one side of Q at each n,
-      and no eigenvalue is larger in modulus, so the dimensions, between
-      2|b_n|_1 and (2 + max deg)|b_n|_1 as b_n >= 0, grow linearly when
-      r = 2 and exponentially when r > 2.
     """
-    idem = set(a.idempotents)
-    arrows = [b for m, b in enumerate(a.basis) if m not in idem]
-    sources = {b.source for b in arrows}
-    if any(b.target in sources for b in arrows):
-        return None
-    q = Quiver(a.vertices, tuple(Arrow(b.label, b.source, b.target) for b in arrows))
-    if not q.is_connected:
-        return None
-    kind = classify_quiver(q).kind
-    if kind == "finite":
-        return None
     pos = q.vertex_index()
-    n = len(a.vertices)
+    n = len(q.vertices)
     edges = [[0] * n for _ in range(n)]
-    for b in arrows:
-        s, t = pos[b.source], pos[b.target]
+    for a in q.arrows:
+        s, t = pos[a.source], pos[a.target]
         edges[s][t] += 1
         edges[t][s] += 1
     proj_dim = [2 + sum(row) for row in edges]
@@ -1111,27 +1141,7 @@ def koszul_trivext_traces(
 
         return _betti_trace(proj_dim[i], advance, steps, dim_cap)
 
-    verdict = ComplexityEstimate.finite(2) if kind == "affine" else ComplexityEstimate.infinite()
-    return [trace(i) for i in range(n)], verdict
-
-
-def dynkin_trivext_estimate(q: Quiver) -> ComplexityEstimate | None:
-    """The verdict "finite, degree 1" for every simple of T(kQ) when Q is
-    connected and Dynkin; None otherwise.
-
-    T(kQ) is representation-finite for a Dynkin quiver Q in any
-    orientation: Tachikawa, "Representations of trivial extensions of
-    hereditary algebras", LNM 832 (1980); Hughes and Waschbusch, "Trivial
-    extensions of tilted algebras", Proc. LMS 46 (1983).  T(kQ) is
-    symmetric, so Omega permutes the finitely many isoclasses of
-    indecomposable non-projective modules, and every simple, which is not
-    projective since dim P_i >= 2, is Omega-periodic.  dim P_n is
-    dim Omega^n S + dim Omega^(n+1) S, so the Betti numbers are periodic
-    and positive: bounded, and never terminating.
-    """
-    if q.is_connected and classify_quiver(q).kind == "finite":
-        return ComplexityEstimate.finite(1)
-    return None
+    return [trace(i) for i in range(n)]
 
 
 def combine_estimates(estimates) -> ComplexityEstimate:

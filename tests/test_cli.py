@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from quiverlab import cli, cyclo, resolution
+from quiverlab import cli, cyclo, quiver, resolution
 from quiverlab.cli import main
 from quiverlab.quiver import cartan_path_algebra, coxeter_matrix, parse_quiver
 from quiverlab.ratmat import RatMatrix, TrackedEchelon
@@ -401,6 +401,42 @@ def test_trivext_on_d20_is_periodic(tmp_path, capsys):
     assert result["global_estimate"] == {"kind": "finite", "degree": 1}
 
 
+def test_trivext_short_uncertified_trace_is_inconclusive(tmp_path, capsys):
+    # T(kE10), sink-centred, has no certified verdict, and 8 steps are too
+    # few to fit a growth shape
+    doc = json.dumps(bench_module("workloads").E10)
+    path = write(tmp_path, "e10.json", doc)
+    code, out, err = run(capsys, "trivext", path, "--steps", "8", "--json")
+    assert (code, err) == (0, "")
+    result = json.loads(out)["result"]
+    short = {"kind": "inconclusive",
+             "reason": "trace too short: need 12 entries or termination"}
+    assert [s["estimate"] for s in result["simples"]] == [short] * 10
+    assert result["global_estimate"] == short
+
+
+def bipartite_a3_doc() -> str:
+    """The affine A3 quiver, a square with two sources and two sinks."""
+    arrows = [("a", 1, 2), ("b", 3, 2), ("c", 3, 4), ("d", 1, 4)]
+    return json.dumps({"vertices": [1, 2, 3, 4],
+                       "arrows": [{"id": i, "from": s, "to": t} for i, s, t in arrows]})
+
+
+@pytest.mark.parametrize("document", [
+    KRONECKER_DOC, bipartite_a3_doc(), path_doc(4), path_doc(12),
+], ids=["kron2", "bipartite-A3-affine", "A4", "A12"])
+def test_trivext_reads_empty_relations_as_none(tmp_path, capsys, document):
+    # the Koszul and Dynkin routes read the presentation, not whether the
+    # document lists its relations
+    with_relations = json.dumps({**json.loads(document), "relations": []})
+    results = []
+    for name, text in (("plain.json", document), ("gentle.json", with_relations)):
+        code, out, err = run(capsys, "trivext", write(tmp_path, name, text), "--json")
+        assert (code, err) == (0, ""), name
+        results.append(json.loads(out)["result"])
+    assert results[0] == results[1]
+
+
 def bipartite_e10_doc() -> str:
     """E10 = T(2,3,7), arms of 1, 2 and 6 edges, with the vertices at even
     distance from the centre as sources."""
@@ -603,6 +639,30 @@ def test_trivext_workloads_keep_their_bytes(tmp_path, capsys, monkeypatch):
             code, out, err = run(capsys, *job.argv, "--json")
             outcomes[job.id] = (code, err, hashlib.sha256(out.encode()).hexdigest())
     assert outcomes == TRIVEXT_OUTCOMES
+
+
+def test_each_trivext_job_classifies_its_quiver_at_most_once(tmp_path, capsys, monkeypatch):
+    # one route decision per job: the gentle job has relations and is not
+    # classified, every other bench base is classified once
+    calls = []
+    classify = quiver.classify_quiver
+
+    def counted(q):
+        calls.append(q)
+        return classify(q)
+
+    monkeypatch.setattr(quiver, "classify_quiver", counted)
+    monkeypatch.setattr(resolution, "classify_quiver", counted)
+    workloads = bench_module("workloads")
+    monkeypatch.chdir(tmp_path)
+    for name in ("trivext-wide", "trivext-deep"):
+        files, jobs = workloads.build(name, 1401)
+        workloads.write_inputs(files, tmp_path)
+        for job in jobs:
+            calls.clear()
+            code, _, err = run(capsys, *job.argv, "--json")
+            assert (code, err) == (0, ""), job.id
+            assert len(calls) == (job.id != "trivext:gentle"), job.id
 
 
 def test_entropy_few_iterations_reports_growth(tmp_path, capsys):

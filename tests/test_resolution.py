@@ -40,12 +40,15 @@ from quiverlab import (
     trivial_extension,
 )
 from quiverlab import resolution as res_mod
-from quiverlab.quiver import QuiverType, classify_quiver
+from quiverlab import trivext as trivext_mod
+from quiverlab.builders import GentlePresentation, gentle_algebra, parse_gentle
+from quiverlab.quiver import classify_quiver
 from quiverlab.ratmat import UNTRACKED, TrackedEchelon
 from quiverlab.record import FrozenInstanceError
 from quiverlab.serre import orbit_growth
 from conftest import (
     BUILDERS,
+    GENTLE_TWO_LOOP_DOC,
     bench_ladder,
     bench_module,
     bipartite_star,
@@ -227,8 +230,8 @@ def test_trivial_extension_kronecker3_exponential(growth_suite):
 
 
 def test_trivial_extension_kronecker4_capped_traces():
-    # the CLI job exits 1, its trace too short for a verdict, so no byte
-    # guard covers these steps
+    # the CLI job takes the Koszul recurrence, so no byte guard covers the
+    # engine's steps here
     ta = trivial_extension(path_algebra(multi_kronecker(4)))
     expected = (6, 24, 90, 336, 1254, 4680, 17466, 65184, 243270)
     traces = res_mod.resolve_simple_modules(ta, steps=40, dim_cap=100000)
@@ -429,48 +432,60 @@ def two_kroneckers():
     })
 
 
-# (base algebra, bounds, what the Koszul route must do): "engine" traces equal
-# to minimal_resolution's, "none" no traces, "dynkin" no traces, and a
-# recurrence that goes negative within 40 steps once the Dynkin guard is lifted
+def gentle_presentation():
+    pres = parse_gentle(GENTLE_TWO_LOOP_DOC)
+    return pres.quiver, pres.relations
+
+
+# (quiver and relations, bounds, the route trivext_traces takes): "koszul" the
+# recurrence, with no algebra built; "dynkin" the engine with "finite, degree
+# 1", where the recurrence goes negative within 40 steps; "fitted" the engine
+# with complexity_estimate's verdicts.  Every route's traces are the engine's.
 KOSZUL_CASES = {
-    "kron2-200-steps": (lambda: path_algebra(multi_kronecker(2)), {"steps": 200}, "engine"),
-    "kron3": (lambda: path_algebra(multi_kronecker(3)), {}, "engine"),
-    "kron4": (lambda: path_algebra(multi_kronecker(4)), {}, "engine"),
-    "K23-capped": (lambda: path_algebra(complete_bipartite(2, 3)), {"dim_cap": 20000}, "engine"),
-    "D4-affine": (lambda: path_algebra(bipartite_star((1, 1, 1, 1))), {"steps": 40}, "engine"),
-    "E6-affine": (lambda: path_algebra(bipartite_star((2, 2, 2))), {"steps": 40}, "engine"),
-    "E10": (lambda: path_algebra(bipartite_star((1, 2, 6))), {"steps": 40}, "engine"),
-    "T334": (lambda: path_algebra(bipartite_star((2, 2, 3))), {"steps": 40}, "engine"),
-    "kron3-1-step": (lambda: path_algebra(multi_kronecker(3)), {"steps": 1}, "engine"),
-    "kron3-cap-1": (lambda: path_algebra(multi_kronecker(3)), {"dim_cap": 1}, "engine"),
-    "D4": (lambda: path_algebra(bipartite_star((1, 1, 1))), {}, "dynkin"),
-    "E8": (lambda: path_algebra(bipartite_star((1, 2, 4))), {}, "dynkin"),
-    "A3": (lambda: path_algebra(path_quiver(3)), {}, "none"),
-    "E10-sink-centred": (lambda: path_algebra(star_quiver((1, 2, 6))), {}, "none"),
-    "gentle": (gentle_two_loop, {}, "none"),
-    "disconnected": (lambda: path_algebra(two_kroneckers()), {}, "none"),
+    "kron2-200-steps": (lambda: (multi_kronecker(2), None), {"steps": 200}, "koszul"),
+    "kron3": (lambda: (multi_kronecker(3), None), {}, "koszul"),
+    "kron4": (lambda: (multi_kronecker(4), None), {}, "koszul"),
+    "K23-capped": (lambda: (complete_bipartite(2, 3), None), {"dim_cap": 20000}, "koszul"),
+    "D4-affine": (lambda: (bipartite_star((1, 1, 1, 1)), None), {"steps": 40}, "koszul"),
+    "E6-affine": (lambda: (bipartite_star((2, 2, 2)), None), {"steps": 40}, "koszul"),
+    "E10": (lambda: (bipartite_star((1, 2, 6)), None), {"steps": 40}, "koszul"),
+    "T334": (lambda: (bipartite_star((2, 2, 3)), None), {"steps": 40}, "koszul"),
+    "kron3-1-step": (lambda: (multi_kronecker(3), None), {"steps": 1}, "koszul"),
+    "kron3-cap-1": (lambda: (multi_kronecker(3), None), {"dim_cap": 1}, "koszul"),
+    "D4": (lambda: (bipartite_star((1, 1, 1)), None), {}, "dynkin"),
+    "E8": (lambda: (bipartite_star((1, 2, 4)), None), {}, "dynkin"),
+    "A3": (lambda: (path_quiver(3), None), {}, "dynkin"),
+    "E10-sink-centred": (lambda: (star_quiver((1, 2, 6)), None), {}, "fitted"),
+    "gentle": (gentle_presentation, {}, "fitted"),
+    "disconnected": (lambda: (two_kroneckers(), None), {}, "fitted"),
 }
 
 
-@pytest.mark.parametrize("build, bounds, expect", KOSZUL_CASES.values(), ids=KOSZUL_CASES)
-def test_koszul_route_is_the_engine_where_its_theorem_applies(monkeypatch, build, bounds,
-                                                              expect):
-    base = build()
-    koszul = res_mod.koszul_trivext_traces(base, **bounds)
-    if expect == "none":
-        assert koszul is None
-        return
+@pytest.mark.parametrize("presentation, bounds, route", KOSZUL_CASES.values(),
+                         ids=KOSZUL_CASES)
+def test_koszul_route_is_the_engine_where_its_theorem_applies(monkeypatch, presentation, bounds,
+                                                              route):
+    quiver, relations = presentation()
+    if relations is None:
+        base = path_algebra(quiver)
+    else:
+        base = gentle_algebra(GentlePresentation(quiver, relations))
     ta = trivial_extension(base)
     engine = [minimal_resolution(ta, p, **bounds) for p in range(len(ta.vertices))]
-    if expect == "engine":
-        assert koszul[0] == engine
-        return
-    # Pi(Q) of a Dynkin quiver is finite-dimensional, and the recurrence is wrong
-    assert koszul is None
-    assert all(min(trace.betti) > 0 for trace in engine)
-    monkeypatch.setattr(res_mod, "classify_quiver", lambda q: QuiverType("indefinite"))
-    with pytest.raises(ValueError, match="projective dimensions are nonnegative"):
-        res_mod.koszul_trivext_traces(base, **bounds)
+    built = []
+    monkeypatch.setattr(trivext_mod, "trivial_extension",
+                        lambda a: built.append(a) or trivial_extension(a))
+    base_dim, traces, estimates = res_mod.trivext_traces(quiver, relations, **bounds)
+    assert (base_dim, traces) == (base.dim, engine)
+    assert len(built) == (route != "koszul")
+    if route == "fitted":
+        assert estimates == [complexity_estimate(trace) for trace in engine]
+    if route == "dynkin":
+        assert estimates == [ComplexityEstimate.finite(1)] * len(engine)
+        # Pi(Q) of a Dynkin quiver is finite-dimensional, and the recurrence is wrong
+        assert all(min(trace.betti) > 0 for trace in engine)
+        with pytest.raises(ValueError, match="projective dimensions are nonnegative"):
+            res_mod.koszul_trivext_traces(quiver, **bounds)
 
 
 def trees(max_vertices: int):
@@ -523,11 +538,11 @@ def test_koszul_verdicts_are_the_orbit_growth_on_every_small_tree():
     for n, edges in trees(9):
         sizes[n] += 1
         q = bipartite_tree(n, edges)
-        koszul = res_mod.koszul_trivext_traces(path_algebra(q), steps=2)
+        _, _, estimates = res_mod.trivext_traces(q, None, steps=2)
         kind = classify_quiver(q).kind
         kinds[kind] += 1
         if kind == "finite":
-            assert koszul is None
+            assert estimates == [ComplexityEstimate.finite(1)] * n
             continue
         block = [[0] * (2 * n) for _ in range(2 * n)]
         for i in range(n):
@@ -537,7 +552,7 @@ def test_koszul_verdicts_are_the_orbit_growth_on_every_small_tree():
         lift = RatMatrix(block)
         for i in range(n):
             growth = orbit_growth(lift, [tuple(int(k == i) for k in range(2 * n))])
-            assert koszul[1] == verdicts[growth.kind, growth.degree], (edges, i)
+            assert estimates[i] == verdicts[growth.kind, growth.degree], (edges, i)
     assert list(sizes.values()) == [1, 1, 1, 2, 3, 6, 11, 23, 47]
     assert kinds == {"finite": 18, "affine": 8, "indefinite": 69}
 

@@ -111,13 +111,15 @@ def test_command_loads_only_its_layers(tmp_path, argv, inputs, forbidden):
 
 
 def test_trivext_on_a_koszul_base_loads_no_more_than_on_a2(tmp_path):
-    # T(kron2) takes the Koszul recurrence, which classifies its quiver;
-    # T(kA2) classifies it too, finds it Dynkin and runs the engine
+    # T(kron2) takes the Koszul recurrence, which classifies its quiver and
+    # builds no algebra; T(kA2) classifies it too, finds it Dynkin and runs
+    # the engine
     a2 = modules_loaded(tmp_path, ["trivext", "a2.json", "--steps", "12"], {"a2.json": A2_DOC})
     kron = modules_loaded(tmp_path, ["trivext", "kron.json", "--steps", "12"],
                           {"kron.json": KRONECKER_DOC})
     assert set(kron["run"]) <= set(a2["run"]), sorted(set(kron["run"]) - set(a2["run"]))
     assert NO_SPECTRAL.isdisjoint(kron["run"])
+    assert {"quiverlab.trivext", "quiverlab.builders"}.isdisjoint(kron["run"])
 
 
 def test_input_digest_is_the_sha256_of_the_bytes():
