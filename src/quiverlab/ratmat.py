@@ -150,14 +150,16 @@ class RatMatrix:
             raise ValueError("matrix power requires a square matrix")
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = RatMatrix.identity(self.rows)
+        if not exponent:
+            return RatMatrix.identity(self.rows)
         base = self
-        k = exponent
-        while k:
-            if k & 1:
+        while not exponent & 1:
+            base, exponent = base * base, exponent >> 1
+        result = base  # the power at the lowest set bit, no product by the identity
+        while exponent > 1:
+            base, exponent = base * base, exponent >> 1
+            if exponent & 1:
                 result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
         return result
 
     @property

@@ -37,8 +37,7 @@ top_generators, which keeps the kernel vectors whose leads are not leads
 of rad*K.  Most rows and images have one term, and those skip the
 echelon's general reduction.  The step loop drops each input once it is
 read, so the old kernel is gone before the next is built unless a kept
-chain (below) holds it, and runs with the cyclic collector off (see
-minimal_resolution).  The engine's tables depend on the algebra only and
+step (below) holds it.  The engine's tables depend on the algebra only and
 are built once per algebra in a process.  The dense modules,
 simple_modules and RepModule, serve the test suite's projective cover,
 the oracle the engine is checked against; no resolution reads them.
@@ -56,10 +55,13 @@ prefix of its insertion order since an entry's maker is its column.  Its
 top finds the first kernel vector past those copies by the same search
 on leads, pops the earlier span back to the size it had before that
 vector, and picks its generators over the whole kernel by the final
-leads.  So the result and the state equal a step from scratch.  The first
-step of each parity keeps its state for the step two after, and a later
-one only while it resumes at least half of the earlier step's generators;
-a chain that falls short is dropped for good and runs from scratch.
+leads.  So the result and the state equal a step from scratch.  Every
+step keeps its generator list for the step two after.  It keeps its
+cover's and top's state too when it is the first of its parity or shares
+at least half of the earlier step's generators, and it resumes only from
+an earlier step that kept its state; so the step two after one that falls
+short runs from scratch, and the chain picks up again at the next step
+that shares half.
 
 trivext_traces decides, once, how the trivext command gets every
 simple's trace and verdict over a presentation's trivial extension: the
@@ -72,7 +74,6 @@ the bytes the command prints from them, are equal.
 
 from __future__ import annotations
 
-import gc
 import math
 from bisect import bisect_left
 from fractions import Fraction
@@ -272,11 +273,11 @@ def _lead(vec: int | tuple) -> int:
 class _Step:
     """One syzygy step's cover and top, as the step two after it resumes them.
 
-    copies is the number of leading generators this step shares with
-    earlier, the record of the step two before, or 0 with earlier None.
-    minimal_resolution passes the record to kernel_of_cover and
-    top_generators.  A logged step keeps what the step two after it
-    resumes from: its generators, its cover's kernel and echelon, and its
+    gens is the step's generator list.  copies is the number of leading
+    generators it resumes from earlier, the record of the step two before,
+    or 0 with earlier None.  minimal_resolution passes the record to
+    kernel_of_cover and top_generators.  A logged step also keeps what the
+    step two after it resumes from: its cover's kernel and echelon, and its
     top's span, its seen leads, and sizes, the span's size before each
     kernel vector the top reads and once more after the last.
     """
@@ -284,29 +285,26 @@ class _Step:
     __slots__ = ("earlier", "copies", "logged", "gens", "kernel", "echelon", "span", "seen",
                  "sizes")
 
-    def __init__(self, earlier: _Step | None, copies: int, logged: bool):
-        self.earlier, self.copies, self.logged = earlier, copies, logged
-        self.gens = self.kernel = self.echelon = self.span = self.seen = self.sizes = None
+    def __init__(self, earlier: _Step | None, copies: int, logged: bool, gens: list):
+        self.earlier, self.copies, self.logged, self.gens = earlier, copies, logged, gens
+        self.kernel = self.echelon = self.span = self.seen = self.sizes = None
 
 
-def _next_step(earlier: _Step | None, gens: list, first: bool) -> _Step | None:
-    """The record of a cover of gens, the chain's first step when first,
-    else resumed from earlier, the kept step two before, if any.
+def _next_step(earlier: _Step | None, gens: list) -> _Step:
+    """The record of a cover of gens after earlier, the step two before, if
+    any.
 
-    The step resumes from the generators it shares with earlier.  It is
-    logged while it resumes at least half of earlier's generators;
-    otherwise, or with no earlier, the chain is dropped, and None, a step
-    that neither resumes nor logs, is returned for every step of it from
-    then on.
+    The step resumes from the generators it shares with earlier when
+    earlier is logged.  It is logged when earlier is None, the first step
+    of its parity, or when it shares at least half of earlier's generators.
     """
-    if first:
-        return _Step(None, 0, True)
     if earlier is None:
-        return None
+        return _Step(None, 0, True, gens)
     copies = _shared_prefix(gens, earlier.gens)
-    if not copies:
-        return None
-    return _Step(earlier, copies, 2 * copies >= len(earlier.gens))
+    logged = 2 * copies >= len(earlier.gens)
+    if not (earlier.logged and copies):
+        return _Step(None, 0, logged, gens)
+    return _Step(earlier, copies, logged, gens)
 
 
 class _FlatResolver:
@@ -471,7 +469,7 @@ class _FlatResolver:
                 if relation is not None:
                     kernel.append(tuple(chain.from_iterable(relation.items())))
         if step is not None and step.logged:
-            step.gens, step.kernel, step.echelon = gens, kernel, echelon
+            step.kernel, step.echelon = kernel, echelon
         return kernel
 
     def top_generators(
@@ -640,18 +638,14 @@ def minimal_resolution(
     vertex of its lead.  Each step drops its input, the generators and
     then the kernel, as soon as it is read, so the deepest step, which
     sets the peak memory, never holds the step before's kernel unless a
-    kept chain holds it (see below).  The
-    steps run with the cyclic collector off: the engine's kernels and
-    tops hold no reference cycles, so a collection would only walk them.
-    The collector is process-wide, so another thread's collections wait
-    too; the caller's setting comes back on return or raise.
+    logged step holds it (see below).
 
-    Each cover after the first two resumes from the kept step of its
-    parity two before, over their shared generators (the module docstring
-    gives the exactness argument and the retention rule): _next_step
-    decides it before the step, and its record is passed to
-    kernel_of_cover and top_generators, so each step is still one call of
-    each and the engine holds only the algebra's tables.
+    Each cover after the first two resumes from the step of its parity two
+    before, over their shared generators (the module docstring gives the
+    exactness argument and the retention rule): _next_step decides it
+    before the step, and its record is passed to kernel_of_cover and
+    top_generators, so each step is still one call of each and the engine
+    holds only the algebra's tables.
     """
     if not 0 <= vertex < len(a.vertices):
         raise ValueError(f"no vertex at position {vertex}")
@@ -659,27 +653,19 @@ def minimal_resolution(
     d, vertex_of, proj_dim = engine.dim, engine.vertex_of, engine.proj_dim
     kernel = engine.rad_coords[vertex]  # the simple's first kernel: rad P_v, as units
     gens = None
-    kept: list = [None, None]  # the last logged step of each parity's chain
-    covers = 0
+    kept: list = [None, None]  # the records of the last two covers, the older first
 
     def advance(syzygy: int) -> int:
-        nonlocal kernel, gens, covers
+        nonlocal kernel, gens
         step = None
         if kernel is None:
-            step = _next_step(kept[covers % 2], gens, covers < 2)
-            kept[covers % 2] = step if step is not None and step.logged else None
-            covers += 1
+            step = _next_step(kept[0], gens)
+            kept[:] = kept[1], step
             kernel, gens = engine.kernel_of_cover(gens, step), None
         gens, kernel = engine.top_generators(kernel, syzygy, step), None
         return sum(proj_dim[vertex_of[(g if type(g) is int else g[0]) % d]] for g in gens)
 
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _betti_trace(proj_dim[vertex], advance, steps, dim_cap)
-    finally:
-        if enabled:
-            gc.enable()
+    return _betti_trace(proj_dim[vertex], advance, steps, dim_cap)
 
 
 def _betti_trace(first: int, advance, steps: int, dim_cap: int) -> ResolutionTrace:

@@ -101,6 +101,29 @@ def test_powers_including_negative():
     assert a ** -1 == mat([["1/2", 0], [0, "1/3"]])
 
 
+def test_powers_make_one_product_per_square_and_per_set_bit_after_the_lowest(monkeypatch):
+    # square-and-multiply from the lowest set bit: e.bit_length() - 1
+    # squares and e.bit_count() - 1 products into the result, none by the
+    # identity
+    m = mat([[1, 1, 0], [0, 1, "1/2"], [2, 0, 1]])
+    products = []
+    mul = RatMatrix.__mul__
+
+    def counting(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    expected = m
+    for e in range(1, 71):
+        products.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(RatMatrix, "__mul__", counting)
+            power = m ** e
+        assert power == expected, e
+        assert len(products) == e.bit_count() + e.bit_length() - 2, e
+        expected = mul(expected, m)
+
+
 def test_determinant_hand_values():
     assert mat([[1, 2], [3, 4]]).det() == -2
     assert mat([[2, 0, 1], [1, 1, 0], [0, 3, 1]]).det() == 5

@@ -13,7 +13,6 @@ Frozen Betti sequences, worked by hand:
   the 100000 cap.
 """
 import errno
-import gc
 import os
 import tracemalloc
 from collections import Counter
@@ -242,8 +241,11 @@ def test_trivial_extension_kronecker4_capped_traces():
 
 
 # a bound on the traced peak of T(kron3)'s resolution at dim_cap 20000, in
-# bytes: 0.94 MB when the echelons read their one-term entries next to
-# their rows, with no units set and no hand-off of the cover's entries;
+# bytes: 1.12 MB with every step's generator list kept for the step two
+# after (1.07 MB on CPython 3.10, 1.14 MB on 3.12 and 3.13); 0.94 MB
+# with a list kept only where the step's state is, the echelons reading
+# their one-term entries next to their rows, with no units set and no
+# hand-off of the cover's entries;
 # 1.0 MB with the other vectors as lead-first tuples, one-term cover
 # rows as (c, column) entries and bare generator lists; 1.3 MB when every
 # one-term cover row is an (image, expression) dict pair; 2.0 MB when the
@@ -350,10 +352,10 @@ def test_a_resumed_cover_and_top_equal_the_ones_from_scratch():
                 list(step.span.pivots.items()), bytes(step.seen).rstrip(b"\0"), step.sizes)
 
     def resumed(engine, before, gens, kind):
-        earlier = res_mod._Step(None, 0, True)
+        earlier = res_mod._next_step(None, before)
         run(engine, before, earlier)
-        step = res_mod._next_step(earlier, gens, False)
-        scratch = res_mod._Step(None, 0, True)
+        step = res_mod._next_step(earlier, gens)
+        scratch = res_mod._next_step(None, gens)
         out = run(engine, gens, scratch)
         assert (step.copies, step.logged) == (min(len(before), len(gens)), True)
         assert run(engine, gens, step) == out
@@ -392,6 +394,9 @@ def test_a_resumed_cover_and_top_equal_the_ones_from_scratch():
 RESUME_COUNTS = {
     "T(gentle)-200-steps": (lambda: trivial_extension(gentle_two_loop()), 0, 200,
                             (19306, 19899)),
+    # the second simple's chain falls short at one step and picks up again
+    "T(gentle)-200-steps-second-simple": (lambda: trivial_extension(gentle_two_loop()), 1, 200,
+                                          (19205, 19899)),
     "T(E10)-sink-centred": (lambda: trivial_extension(path_algebra(star_quiver((1, 2, 6)))),
                             None, 40, 0),
     "T(E8)-sink-centred": (lambda: trivial_extension(path_algebra(star_quiver((1, 2, 4)))),
@@ -409,9 +414,10 @@ RESUME_COUNTS = {
                          ids=RESUME_COUNTS)
 def test_covers_resume_the_generators_they_share(monkeypatch, build, vertex, steps, expected):
     # T(gentle)'s steps share most of their generators with the step two
-    # before; the sink-centred stars and A8 share none, so every chain is
-    # dropped at its first comparison; T(T(kron2)) resumes a few, some of
-    # them from a cover that met a longer image at a shared copy
+    # before, the second simple's after one step that falls short; the
+    # sink-centred stars and A8 share none, so no cover resumes;
+    # T(T(kron2)) resumes a few, some of them from a cover that met a
+    # longer image at a shared copy
     a = build()
     resumed = resumed_copies(monkeypatch)
     for p in range(len(a.vertices)) if vertex is None else [vertex]:
@@ -1341,45 +1347,6 @@ def test_minimal_resolution_sets_up_once_per_algebra(monkeypatch, build):
     other = build()
     minimal_resolution(other, 0, 6)
     assert len(builds) == 2 and builds[1] is not builds[0]
-
-
-@pytest.mark.usefixtures("singleton_orbits")
-@pytest.mark.parametrize("whole", [False, True], ids=["one-simple", "algebra"])
-@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
-@pytest.mark.parametrize("refuse", [False, True], ids=["returns", "raises"])
-def test_resolutions_leave_the_collector_as_they_found_it(monkeypatch, whole, enabled, refuse):
-    # every step loop runs with the collector off, and the caller's setting
-    # comes back after each representative of the whole algebra
-    ta = trivial_extension(path_algebra(multi_kronecker(2)))
-    top = res_mod._FlatResolver.top_generators
-    steps = []
-
-    def checking(self, kernel, syzygy, step=None):
-        assert gc.isenabled() is False
-        steps.append(syzygy)
-        if refuse:
-            raise RuntimeError("refused")
-        return top(self, kernel, syzygy, step)
-
-    monkeypatch.setattr(res_mod._FlatResolver, "top_generators", checking)
-    if whole:
-        def run():
-            return [t.betti for t in res_mod.resolve_simple_modules(ta, steps=4)]
-    else:
-        def run():
-            return [minimal_resolution(ta, 0, 4).betti]
-    if not enabled:
-        gc.disable()
-    try:
-        if refuse:
-            with pytest.raises(RuntimeError, match="refused"):
-                run()
-        else:
-            assert run()[0] == (4, 8, 12, 16)
-        assert gc.isenabled() is enabled
-        assert steps
-    finally:
-        gc.enable()
 
 
 # the builders' algebras, then every builder output and every base of the
