@@ -14,6 +14,11 @@ __version__ = "0.1.0"
 # public name -> the submodule that defines it
 _EXPORTS = {
     **dict.fromkeys(
+        ("ComplexityEstimate", "ResolutionTrace", "combine_estimates", "complexity_estimate",
+         "coxeter_trivext_traces"),
+        "betti",
+    ),
+    **dict.fromkeys(
         ("CanonicalSpec", "GentlePresentation", "canonical_algebra", "gentle_algebra",
          "parse_canonical_spec", "parse_gentle", "path_algebra"),
         "builders",
@@ -31,9 +36,8 @@ _EXPORTS = {
     ),
     **dict.fromkeys(("RatMatrix", "Vector", "l1_norm", "vector"), "ratmat"),
     **dict.fromkeys(
-        ("ComplexityEstimate", "RepModule", "ResolutionTrace", "combine_estimates",
-         "complexity_estimate", "jacobson_radical", "minimal_resolution",
-         "resolve_simple_modules", "simple_modules"),
+        ("RepModule", "jacobson_radical", "minimal_resolution", "resolve_simple_modules",
+         "simple_modules"),
         "resolution",
     ),
     **dict.fromkeys(("BasisElement", "Element", "SCAlgebra", "cartan_matrix"), "scalgebra"),

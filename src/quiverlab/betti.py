@@ -1,0 +1,438 @@
+"""Betti traces of the simples over a trivial extension, and their verdicts.
+
+A trace records dim P_0, dim P_1, ... of a simple's minimal projective
+resolution and why it stopped; _betti_trace applies the stop rules that
+every route shares, so two routes that agree on the dimensions print the
+same bytes.  complexity_estimate fits a trace's growth, and
+combine_estimates takes the worst of several verdicts.
+
+trivext_traces decides, once, how the trivext command gets every simple's
+trace and verdict over T(A), the trivial extension of a presentation's
+algebra A.  A connected quiver with no relations takes the Coxeter orbit of
+kQ (coxeter_trivext_traces), which builds no algebra for a simple that is
+directing; every other presentation runs the syzygy engine of the
+resolution module on T(A) and fits each trace.  Only those routes import
+the engine, the builders and the trivial extension, so a path-algebra job
+whose simples are directing compiles none of them.
+"""
+
+from __future__ import annotations
+
+import math
+
+from .fitting import EXPONENTIAL_SLOPE_THRESHOLD, LOGLOG_RESIDUAL_THRESHOLD, fit_line
+from .quiver import Quiver, classify_quiver, has_oriented_cycle, topological_order
+from .ratmat import RatMatrix
+from .record import Record
+
+TRUNCATION_REASONS = ("steps-exhausted", "dimension-cap", "resolution-terminated")
+
+MIN_TRACE_LENGTH = 12
+
+
+class ResolutionTrace(Record):
+    """Projective dimensions along a resolution plus the reason it stopped."""
+
+    betti: tuple[int, ...]
+    truncated_by: str
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "betti", tuple(int(d) for d in self.betti))
+        if not self.betti:
+            raise ValueError("resolution trace needs at least one entry")
+        if any(d < 0 for d in self.betti):
+            raise ValueError("projective dimensions are nonnegative")
+        if self.truncated_by not in TRUNCATION_REASONS:
+            raise ValueError(f"unknown truncation reason: {self.truncated_by!r}")
+        if self.truncated_by == "resolution-terminated" and self.betti[-1] != 0:
+            raise ValueError("a terminated trace ends with a zero projective")
+
+    def to_json_dict(self) -> dict:
+        return {"betti": list(self.betti), "truncated_by": self.truncated_by}
+
+
+class ComplexityEstimate(Record):
+    """Verdict on polynomial Betti growth: finite degree, infinite, or unclear."""
+
+    kind: str
+    degree: int | None = None
+    reason: str | None = None
+
+    @staticmethod
+    def finite(degree: int) -> "ComplexityEstimate":
+        return ComplexityEstimate("finite", degree=degree)
+
+    @staticmethod
+    def infinite() -> "ComplexityEstimate":
+        return ComplexityEstimate("infinite")
+
+    @staticmethod
+    def inconclusive(reason: str) -> "ComplexityEstimate":
+        return ComplexityEstimate("inconclusive", reason=reason)
+
+    def to_json_dict(self) -> dict:
+        out: dict = {"kind": self.kind}
+        if self.degree is not None:
+            out["degree"] = self.degree
+        if self.reason is not None:
+            out["reason"] = self.reason
+        return out
+
+
+def _betti_trace(first: int, advance, steps: int, dim_cap: int) -> ResolutionTrace:
+    """The trace of a simple's minimal resolution under the stop rules that
+    every route shares.
+
+    first is dim P_0, and advance(s) returns the dimension of the next
+    projective, the cover of the syzygy of dimension s that the last one
+    leaves.  The syzygy of P_n is dim P_n minus the dimension it covers,
+    the simple's 1 for P_0.  The trace stops with a zero appended when a
+    syzygy vanishes, after `steps` projectives, or when a syzygy would
+    exceed `dim_cap`, in that order, so advance is never called for a
+    syzygy that is not resolved.
+    """
+    if steps < 1:
+        raise ValueError("steps must be positive")
+    if dim_cap < 1:
+        raise ValueError("dimension cap must be positive")
+    betti: list[int] = []
+    dim, covered = first, 1
+    while True:
+        betti.append(dim)
+        syzygy = dim - covered
+        if syzygy == 0:
+            return ResolutionTrace((*betti, 0), "resolution-terminated")
+        if len(betti) >= steps:
+            return ResolutionTrace(tuple(betti), "steps-exhausted")
+        if syzygy > dim_cap:
+            return ResolutionTrace(tuple(betti), "dimension-cap")
+        dim, covered = advance(syzygy), syzygy
+
+
+def complexity_estimate(trace: ResolutionTrace) -> ComplexityEstimate:
+    """Growth class of a Betti trace: degree k means dim P_n = O(n^(k-1)).
+
+    A terminated resolution has degree 0 and a bounded tail degree 1;
+    otherwise the trailing half is fitted on log-log axes for a polynomial
+    degree and on semilog axes for exponential growth.  A capped trace is
+    screened for exponential growth first, since truncation is itself
+    evidence the dimensions were exploding.
+    """
+    if trace.truncated_by == "resolution-terminated":
+        return ComplexityEstimate.finite(0)
+    betti = trace.betti
+    if len(betti) < MIN_TRACE_LENGTH:
+        raise ValueError(
+            f"trace too short: need {MIN_TRACE_LENGTH} entries or termination"
+        )
+    count = max(2, len(betti) // 2)
+    start = max(1, len(betti) - count)
+    tail = betti[start:]
+    if max(tail) <= max(betti[:start]):
+        return ComplexityEstimate.finite(1)
+    if min(tail) <= 0:
+        return ComplexityEstimate.inconclusive("zero dimensions inside a growing tail")
+    positions = list(range(start, len(betti)))
+    logs = [math.log(d) for d in tail]
+    exp_slope, _, _ = fit_line([float(n) for n in positions], logs)
+    poly_slope, _, poly_residual = fit_line([math.log(n) for n in positions], logs)
+    exploding = exp_slope > EXPONENTIAL_SLOPE_THRESHOLD
+    if trace.truncated_by == "dimension-cap" and exploding:
+        return ComplexityEstimate.infinite()
+    if poly_residual < LOGLOG_RESIDUAL_THRESHOLD:
+        # a resolution that does not terminate has complexity at least 1
+        return ComplexityEstimate.finite(max(1, round(poly_slope) + 1))
+    if exploding:
+        return ComplexityEstimate.infinite()
+    return ComplexityEstimate.inconclusive(
+        "growth fits neither a polynomial nor an exponential shape"
+    )
+
+
+def combine_estimates(estimates) -> ComplexityEstimate:
+    """Worst case of several estimates: infinite beats inconclusive beats finite."""
+    estimates = list(estimates)
+    for verdict in estimates:
+        if verdict.kind == "infinite":
+            return verdict
+    for verdict in estimates:
+        if verdict.kind == "inconclusive":
+            return verdict
+    degree = max((verdict.degree for verdict in estimates), default=0)
+    return ComplexityEstimate.finite(degree)
+
+
+class _Coxeter:
+    """Integer Coxeter arithmetic of an acyclic quiver Q on K_0(kQ).
+
+    C is the Cartan matrix, C[t][s] the number of paths from s to t, so
+    C = (I - N)^(-1) for the arrow counts N[t][s] of s -> t; E = C^(-T) is
+    I minus the arrow counts s -> t, and <x, y> = x^T E y is the Euler form.
+    Every product is a pass over the arrows in a topological order, with no
+    matrix built.  A quiver with an oriented cycle raises ValueError.
+    """
+
+    def __init__(self, q: Quiver):
+        order = topological_order(q)
+        if order is None:
+            raise ValueError(
+                "quiver has an oriented cycle; its path algebra is infinite-dimensional")
+        self.n = len(order)
+        rank = {v: k for k, v in enumerate(order)}
+        pos = q.vertex_index()
+        # the arrows (s, t), by the place of s in the topological order
+        self.arrows = sorted(((pos[a.source], pos[a.target]) for a in q.arrows),
+                             key=lambda arrow: rank[arrow[0]])
+
+    def unit(self, i: int) -> list[int]:
+        return [int(x == i) for x in range(self.n)]
+
+    def paths(self, x: list[int]) -> list[int]:
+        """C x: y = x + N y, read source by source in topological order."""
+        y = list(x)
+        for s, t in self.arrows:
+            y[t] += y[s]
+        return y
+
+    def euler(self, x: list[int]) -> list[int]:
+        """E x."""
+        y = list(x)
+        for s, t in self.arrows:
+            y[s] -= x[t]
+        return y
+
+    def inverse(self, c: list[int]) -> list[int]:
+        """Phi^(-1) c = -C E c, the class of tau^(-1)."""
+        return [-y for y in self.paths(self.euler(c))]
+
+    def forward(self, c: list[int]) -> list[int]:
+        """Phi c = -C^T (I - N) c, the class of tau: z = (I - N) c, then
+        y = z + N^T y, read in the reverse order."""
+        z = list(c)
+        for s, t in self.arrows:
+            z[t] -= c[s]
+        for s, t in reversed(self.arrows):
+            z[s] += z[t]
+        return [-y for y in z]
+
+    def traces(self, vertices, steps: int, dim_cap: int) -> list[ResolutionTrace]:
+        """The formula's trace of each simple in vertices, in their order
+        (see coxeter_trivext_traces)."""
+        n = self.n
+        cartan = [self.paths(self.unit(i)) for i in range(n)]  # column i: dim P_i of kQ
+        proj = [sum(cartan[j]) + sum(col[j] for col in cartan) for j in range(n)]
+        classes = [self.unit(j) for j in range(n)]
+        levels, signs = [0] * n, [1] * n  # 2k - s_k of each walk's next class, its sign
+        dims: list[list[int]] = []  # dims[m][i]: dim P_m of S_i's resolution, once settled
+
+        def settle(m: int) -> list[int]:
+            while len(dims) < m + 2:
+                dims.append([0] * n)
+            for j, c in enumerate(classes):
+                level = levels[j]
+                while level <= m:
+                    here, there, p = dims[level], dims[level + 1], proj[j]
+                    for i, v in enumerate(self.euler([abs(x) for x in c])):
+                        if v > 0:
+                            here[i] += p * v
+                        elif v < 0:
+                            there[i] -= p * v
+                    c = self.inverse(c)
+                    if min(c) >= 0:
+                        sign = 1
+                    elif max(c) <= 0:
+                        sign = -1
+                    else:
+                        raise RuntimeError("a Coxeter orbit class is not sign-definite")
+                    level += 1 + (sign == signs[j])
+                    signs[j] = sign
+                classes[j], levels[j] = c, level
+            return dims[m]
+
+        def trace(i: int) -> ResolutionTrace:
+            m = 0
+
+            def advance(_syzygy: int) -> int:
+                nonlocal m
+                m += 1
+                return settle(m)[i]
+
+            return _betti_trace(proj[i], advance, steps, dim_cap)
+
+        return [trace(i) for i in vertices]
+
+    def directing(self, i: int, bound: int) -> bool:
+        """Whether Phi^k e_i or Phi^(-k) e_i leaves the positive cone for
+        some 1 <= k <= bound; the two walks go step by step together."""
+        back = ahead = self.unit(i)
+        for _ in range(bound):
+            back, ahead = self.inverse(back), self.forward(ahead)
+            if min(back) < 0 or min(ahead) < 0:
+                return True
+        return False
+
+
+def coxeter_trivext_traces(
+    q: Quiver, steps: int = 40, dim_cap: int = 100000
+) -> list[ResolutionTrace]:
+    """Every simple's trace over T(kQ), in vertex order, for a connected
+    acyclic quiver Q, read off the Coxeter orbit in K_0(kQ).
+
+    The theorem.  kQ has finite global dimension, so D^b(kQ) is stmod of
+    the repetitive algebra of kQ (Happel, Comment. Math. Helv. 62, 1987),
+    and T(kQ) is its orbit algebra under the Nakayama automorphism, whose
+    push-down keeps stable Hom as a sum over the orbit (Hughes and
+    Waschbusch, Proc. LMS 46, 1983; Gabriel, LNM 903, 1981).  So b_m[j],
+    the number of copies of P_j in the m-th term of S_i's minimal
+    resolution, is the sum over k of dim Hom_D(S_i, tau^(-k) S_j [m - 2k]).
+    kQ is hereditary, so tau^(-k) S_j is M[s_k] for an indecomposable
+    module M of class |c_k|, c_k = Phi^(-k) e_j = (-1)^(s_k) dim M, and
+    s_k rises by one exactly where the sign of c_k flips, as
+    tau^(-1) I_x = P_x[1].  Only Hom, where m = 2k - s_k, and Ext^1, where
+    m = 2k - s_k + 1, count.  When S_i is directing, at most one of
+    Hom(S_i, M) and Ext^1(S_i, M) is nonzero, or S_i -> M -> tau S_i
+    would close a cycle through S_i, so they are max(0, <e_i, |c_k|>) and
+    max(0, -<e_i, |c_k|>).  T(kQ)'s projective at j is P_j plus the
+    injective I_j of kQ, of dimension p_j, the sum of column j and row j
+    of C, and dim P_m = sum_j b_m[j] p_j.
+
+    The walk.  2k - s_k rises by 1 or 2 with each k, so each level of each
+    walk c_k holds at most one class; the walk of j is read once, level by
+    level, as the traces need it, and each class adds p_j times the
+    positive entries of E|c_k| to its level and the negative ones to the
+    next.  A class that is not sign-definite raises RuntimeError.  The
+    dimensions go through _betti_trace, the engine's stop rules, so the
+    bytes the command prints are the engine's.
+
+    The route of each simple.  S_i takes the formula when it is directing,
+    certified when Phi^k e_i or Phi^(-k) e_i leaves the positive cone for
+    some k <= steps: then tau^(-k+1) S_i is injective or tau^(k-1) S_i is
+    projective.  A sink or a source leaves at k = 1, and on a Dynkin quiver
+    every simple leaves.  Any other simple, regular so far as the walk
+    sees, is resolved by the engine on T(kQ), built once for them all.
+    """
+    cox = _Coxeter(q)
+    directing = [i for i in range(cox.n) if cox.directing(i, steps)]
+    traces = dict(zip(directing, cox.traces(directing, steps, dim_cap)))
+    regular = [i for i in range(cox.n) if i not in traces]
+    if regular:
+        # loaded only here, so a quiver whose simples are directing does not compile them
+        from .builders import path_algebra
+        from .resolution import minimal_resolution
+        from .trivext import trivial_extension
+
+        ta = trivial_extension(path_algebra(q))
+        for i in regular:
+            traces[i] = minimal_resolution(ta, i, steps, dim_cap)
+    return [traces[i] for i in range(cox.n)]
+
+
+def _orbit_verdicts(q: Quiver) -> list[ComplexityEstimate]:
+    """Each simple's complexity over T(kQ) from the orbit of row i of E
+    under Phi^(-T), decided by serre.orbit_growth.
+
+    <e_i, Phi^(-k) e_j> is entry j of (Phi^(-T))^k E^T e_i.  dim Hom and
+    dim Ext^1 of coxeter_trivext_traces' terms are at least the positive
+    and the negative parts of it, and at most dim M_i and the sum of
+    dim M_t over the arrows i -> t, which grow as the orbit of Q's classes
+    does; so a bounded orbit gives complexity 1, one of polynomial degree
+    d gives 1 + d, and an exponential one gives infinite, with no purity
+    needed.
+    """
+    from .serre import orbit_growth  # loaded only for these verdicts
+
+    cox = _Coxeter(q)
+    # row j of Phi^(-T) is column j of Phi^(-1)
+    phi = RatMatrix([cox.inverse(cox.unit(j)) for j in range(cox.n)])
+    verdicts = []
+    for i in range(cox.n):
+        row = cox.unit(i)
+        for s, t in cox.arrows:
+            if s == i:
+                row[t] -= 1
+        growth = orbit_growth(phi, [tuple(row)])
+        verdicts.append(ComplexityEstimate.infinite() if growth.kind == "exponential"
+                        else ComplexityEstimate.finite(growth.degree + 1))
+    return verdicts
+
+
+def trivext_traces(
+    quiver: Quiver, relations: tuple | None, steps: int = 40, dim_cap: int = 100000
+) -> tuple[int, list[ResolutionTrace], list[ComplexityEstimate]]:
+    """dim A, and every simple's trace and complexity estimate over T(A), in
+    vertex order, where A is kQ when relations is None and the gentle
+    algebra of (Q, relations) otherwise.
+
+    The route is decided here, once.  A presentation with no relations,
+    None or empty, on a connected acyclic Q takes coxeter_trivext_traces
+    and calls classify_quiver once; dim kQ is half the sum of the
+    projectives P_0, as T(kQ) is their direct sum.  Its verdicts:
+    - Q Dynkin: every simple is "finite, degree 1" (below).
+    - Q bipartite, no vertex both the source of one arrow and the target
+      of another, and not Dynkin: Q's kind gives every verdict (below).
+    - any other Q: _orbit_verdicts, the growth of each row of E under
+      Phi^(-T), which loads serre only here.
+    Every other presentation runs the engine on T(A) and fits each trace
+    with complexity_estimate; a trace too short to fit is inconclusive,
+    with complexity_estimate's reason.  The builders refuse an oriented
+    cycle that no relation breaks, each with its own message.
+
+    The Dynkin verdict.  T(kQ) is representation-finite for a Dynkin
+    quiver Q in any orientation: Tachikawa, "Representations of trivial
+    extensions of hereditary algebras", LNM 832 (1980); Hughes and
+    Waschbusch, "Trivial extensions of tilted algebras", Proc. LMS 46
+    (1983).  T(kQ) is symmetric, so Omega permutes the finitely many
+    isoclasses of indecomposable non-projective modules, and every simple,
+    which is not projective since dim P_i >= 2, is Omega-periodic.
+    dim P_n is dim Omega^n S + dim Omega^(n+1) S, so the Betti numbers are
+    periodic and positive: bounded, and never terminating.
+
+    The bipartite verdicts come from the kind alone: "finite, degree 2"
+    for an affine Q, "infinite" for an indefinite one.  Why this is exact:
+    - over a bipartite Q, T(kQ) is Koszul with Koszul dual the
+      preprojective algebra (Martinez-Villa, CMS Conf. Proc. 18, 1996;
+      Brenner, Butler and King, Algebr. Represent. Theory 5, 2002; Etingof
+      and Eu, Math. Res. Lett. 14, 2007), so
+      b_n = M b_(n-1) - b_(n-2), b_0 = e_i, for M the symmetric edge-count
+      matrix; 2T = 2I - M for the Tits form T, so affine means that M's
+      largest eigenvalue, its spectral radius r as M >= 0, is 2, and
+      indefinite means r > 2.
+    - b_n = U_n(M/2) e_i, with U_n the Chebyshev polynomials of the second
+      kind.  On an eigenvector of M of eigenvalue x, U_n(x/2) is bounded
+      for |x| < 2, is (+-1)^n (n + 1) at x = +-2, and grows like m^n,
+      m + 1/m = |x|, for |x| > 2.
+    - The Perron vector p of the connected M is positive, so it meets e_i,
+      and a bipartite spectrum is symmetric: -r has p with its signs
+      flipped on one side.  The two terms add on one side of Q at each n,
+      and no eigenvalue is larger in modulus, so the dimensions, between
+      2|b_n|_1 and (2 + max deg)|b_n|_1 as b_n >= 0, grow linearly when
+      r = 2 and exponentially when r > 2.
+    """
+    if not relations and quiver.is_connected and not has_oriented_cycle(quiver):
+        traces = coxeter_trivext_traces(quiver, steps, dim_cap)
+        base_dim = sum(trace.betti[0] for trace in traces) // 2
+        kind = classify_quiver(quiver).kind
+        sources = {a.source for a in quiver.arrows}
+        if kind == "finite":
+            estimates = [ComplexityEstimate.finite(1)] * len(traces)
+        elif not any(a.target in sources for a in quiver.arrows):
+            estimates = [ComplexityEstimate.finite(2) if kind == "affine"
+                         else ComplexityEstimate.infinite()] * len(traces)
+        else:
+            estimates = _orbit_verdicts(quiver)
+        return base_dim, traces, estimates
+    # loaded only here, so a job on the Coxeter route does not compile them
+    from .builders import GentlePresentation, gentle_algebra, path_algebra
+    from .resolution import resolve_simple_modules
+    from .trivext import trivial_extension
+
+    base = (path_algebra(quiver) if relations is None
+            else gentle_algebra(GentlePresentation(quiver, relations)))
+    traces = resolve_simple_modules(trivial_extension(base), steps, dim_cap)
+    estimates = []
+    for trace in traces:
+        try:
+            estimates.append(complexity_estimate(trace))
+        except ValueError as exc:  # too short to fit
+            estimates.append(ComplexityEstimate.inconclusive(str(exc)))
+    return base.dim, traces, estimates

@@ -212,7 +212,7 @@ def cmd_canonical(args) -> Report:
 
 def cmd_trivext(args) -> Report:
     from .quiver import quiver_from_data
-    from .resolution import combine_estimates, trivext_traces
+    from .betti import combine_estimates, trivext_traces
 
     document, digest = _read_input(args.file)
     try:

@@ -193,24 +193,27 @@ def classify_quiver(q: Quiver) -> QuiverType:
     return QuiverType("indefinite")
 
 
-def has_oriented_cycle(q: Quiver) -> bool:
+def topological_order(q: Quiver) -> list[int] | None:
+    """The vertex positions with the source of every arrow before its
+    target, or None when Q has an oriented cycle (Kahn's algorithm)."""
     index = q.vertex_index()
     n = len(q.vertices)
     pending = [0] * n
-    preds: list[list[int]] = [[] for _ in range(n)]
+    succs: list[list[int]] = [[] for _ in range(n)]
     for a in q.arrows:
-        pending[index[a.source]] += 1
-        preds[index[a.target]].append(index[a.source])
-    # Kahn's algorithm; leftovers mean an oriented cycle
-    queue = deque(i for i in range(n) if pending[i] == 0)
-    removed = 0
-    while queue:
-        removed += 1
-        for p in preds[queue.popleft()]:
-            pending[p] -= 1
-            if pending[p] == 0:
-                queue.append(p)
-    return removed != n
+        succs[index[a.source]].append(index[a.target])
+        pending[index[a.target]] += 1
+    order = [v for v in range(n) if not pending[v]]
+    for v in order:  # grows while it is walked
+        for t in succs[v]:
+            pending[t] -= 1
+            if not pending[t]:
+                order.append(t)
+    return order if len(order) == n else None
+
+
+def has_oriented_cycle(q: Quiver) -> bool:
+    return topological_order(q) is None
 
 
 def cartan_path_algebra(q: Quiver) -> RatMatrix:

@@ -55,39 +55,40 @@ prefix of its insertion order since an entry's maker is its column.  Its
 top finds the first kernel vector past those copies by the same search
 on leads, pops the earlier span back to the size it had before that
 vector, and picks its generators over the whole kernel by the final
-leads.  So the result and the state equal a step from scratch.  Every
-step keeps its generator list for the step two after.  It keeps its
-cover's and top's state too when it is the first of its parity or shares
-at least half of the earlier step's generators, and it resumes only from
-an earlier step that kept its state; so the step two after one that falls
-short runs from scratch, and the chain picks up again at the next step
-that shares half.
+leads.  So the result and the state equal a step from scratch.  A step
+keeps its cover's and top's state when it is the first of its parity or
+shares at least half of the earlier step's generators, and it resumes
+only from an earlier step that kept its state; so the step two after one
+that falls short runs from scratch, and the chain picks up again at the
+next step that shares half.  A step that keeps its state keeps its whole
+generator list for the step two after; one that does not keeps the first
+half of it and its length, all that the step two after reads.
 
-trivext_traces decides, once, how the trivext command gets every
-simple's trace and verdict over a presentation's trivial extension: the
-Koszul recurrence and Q's kind for a bipartite non-Dynkin kQ, the engine
-and "finite, degree 1" for a Dynkin kQ, the engine and fitted estimates
-for the rest; it states the theorems and their sources.  The recurrence
-and the engine stop by one helper, _betti_trace, so their traces, and
-the bytes the command prints from them, are equal.
+The trace records, _betti_trace's stop rules and the growth estimates
+live in the betti module, with trivext_traces, the trivext command's
+route, which reads T(kQ)'s traces off the Coxeter orbit and calls this
+engine only for a gentle or disconnected presentation and for a simple of
+kQ that it cannot certify as directing.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain, islice
 
-from .fitting import EXPONENTIAL_SLOPE_THRESHOLD, LOGLOG_RESIDUAL_THRESHOLD, fit_line
-from .quiver import Quiver, classify_quiver
+# the trace records and stop rules live in betti, which the trivext command
+# imports without this engine; these names stay bound here for callers of
+# the engine's module
+from .betti import (  # noqa: F401
+    ResolutionTrace,
+    _betti_trace,
+    combine_estimates,
+    complexity_estimate,
+)
 from .ratmat import UNTRACKED, RatMatrix, TrackedEchelon, plain
 from .record import Record
 from .scalgebra import SCAlgebra
-
-TRUNCATION_REASONS = ("steps-exhausted", "dimension-cap", "resolution-terminated")
-
-MIN_TRACE_LENGTH = 12
 
 
 class RepModule(Record):
@@ -126,55 +127,6 @@ class RepModule(Record):
                     raise ValueError(
                         f"action violates the multiplication table at pair ({i}, {j})"
                     )
-
-
-class ResolutionTrace(Record):
-    """Projective dimensions along a resolution plus the reason it stopped."""
-
-    betti: tuple[int, ...]
-    truncated_by: str
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "betti", tuple(int(d) for d in self.betti))
-        if not self.betti:
-            raise ValueError("resolution trace needs at least one entry")
-        if any(d < 0 for d in self.betti):
-            raise ValueError("projective dimensions are nonnegative")
-        if self.truncated_by not in TRUNCATION_REASONS:
-            raise ValueError(f"unknown truncation reason: {self.truncated_by!r}")
-        if self.truncated_by == "resolution-terminated" and self.betti[-1] != 0:
-            raise ValueError("a terminated trace ends with a zero projective")
-
-    def to_json_dict(self) -> dict:
-        return {"betti": list(self.betti), "truncated_by": self.truncated_by}
-
-
-class ComplexityEstimate(Record):
-    """Verdict on polynomial Betti growth: finite degree, infinite, or unclear."""
-
-    kind: str
-    degree: int | None = None
-    reason: str | None = None
-
-    @staticmethod
-    def finite(degree: int) -> "ComplexityEstimate":
-        return ComplexityEstimate("finite", degree=degree)
-
-    @staticmethod
-    def infinite() -> "ComplexityEstimate":
-        return ComplexityEstimate("infinite")
-
-    @staticmethod
-    def inconclusive(reason: str) -> "ComplexityEstimate":
-        return ComplexityEstimate("inconclusive", reason=reason)
-
-    def to_json_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.degree is not None:
-            out["degree"] = self.degree
-        if self.reason is not None:
-            out["reason"] = self.reason
-        return out
 
 
 def jacobson_radical(a: SCAlgebra) -> list[int]:
@@ -273,7 +225,10 @@ def _lead(vec: int | tuple) -> int:
 class _Step:
     """One syzygy step's cover and top, as the step two after it resumes them.
 
-    gens is the step's generator list.  copies is the number of leading
+    gens is the step's generator list, and size its length; once the cover
+    has read it, a step that is not logged keeps only its first
+    ceil(size/2) generators, which decide whether the step two after
+    shares half of them.  copies is the number of leading
     generators it resumes from earlier, the record of the step two before,
     or 0 with earlier None.  minimal_resolution passes the record to
     kernel_of_cover and top_generators.  A logged step also keeps what the
@@ -282,11 +237,12 @@ class _Step:
     kernel vector the top reads and once more after the last.
     """
 
-    __slots__ = ("earlier", "copies", "logged", "gens", "kernel", "echelon", "span", "seen",
-                 "sizes")
+    __slots__ = ("earlier", "copies", "logged", "gens", "size", "kernel", "echelon", "span",
+                 "seen", "sizes")
 
     def __init__(self, earlier: _Step | None, copies: int, logged: bool, gens: list):
         self.earlier, self.copies, self.logged, self.gens = earlier, copies, logged, gens
+        self.size = len(gens)
         self.kernel = self.echelon = self.span = self.seen = self.sizes = None
 
 
@@ -301,7 +257,7 @@ def _next_step(earlier: _Step | None, gens: list) -> _Step:
     if earlier is None:
         return _Step(None, 0, True, gens)
     copies = _shared_prefix(gens, earlier.gens)
-    logged = 2 * copies >= len(earlier.gens)
+    logged = 2 * copies >= earlier.size
     if not (earlier.logged and copies):
         return _Step(None, 0, logged, gens)
     return _Step(earlier, copies, logged, gens)
@@ -645,7 +601,8 @@ def minimal_resolution(
     exactness argument and the retention rule): _next_step decides it
     before the step, and its record is passed to kernel_of_cover and
     top_generators, so each step is still one call of each and the engine
-    holds only the algebra's tables.
+    holds only the algebra's tables.  A step that keeps no state is cut to
+    the first half of its generator list right after its cover.
     """
     if not 0 <= vertex < len(a.vertices):
         raise ValueError(f"no vertex at position {vertex}")
@@ -662,80 +619,12 @@ def minimal_resolution(
             step = _next_step(kept[0], gens)
             kept[:] = kept[1], step
             kernel, gens = engine.kernel_of_cover(gens, step), None
+            if not step.logged:
+                step.gens = step.gens[:(step.size + 1) // 2]
         gens, kernel = engine.top_generators(kernel, syzygy, step), None
         return sum(proj_dim[vertex_of[(g if type(g) is int else g[0]) % d]] for g in gens)
 
     return _betti_trace(proj_dim[vertex], advance, steps, dim_cap)
-
-
-def _betti_trace(first: int, advance, steps: int, dim_cap: int) -> ResolutionTrace:
-    """The trace of a simple's minimal resolution under the stop rules that
-    every route shares.
-
-    first is dim P_0, and advance(s) returns the dimension of the next
-    projective, the cover of the syzygy of dimension s that the last one
-    leaves.  The syzygy of P_n is dim P_n minus the dimension it covers,
-    the simple's 1 for P_0.  The trace stops with a zero appended when a
-    syzygy vanishes, after `steps` projectives, or when a syzygy would
-    exceed `dim_cap`, in that order, so advance is never called for a
-    syzygy that is not resolved.
-    """
-    if steps < 1:
-        raise ValueError("steps must be positive")
-    if dim_cap < 1:
-        raise ValueError("dimension cap must be positive")
-    betti: list[int] = []
-    dim, covered = first, 1
-    while True:
-        betti.append(dim)
-        syzygy = dim - covered
-        if syzygy == 0:
-            return ResolutionTrace((*betti, 0), "resolution-terminated")
-        if len(betti) >= steps:
-            return ResolutionTrace(tuple(betti), "steps-exhausted")
-        if syzygy > dim_cap:
-            return ResolutionTrace(tuple(betti), "dimension-cap")
-        dim, covered = advance(syzygy), syzygy
-
-
-def complexity_estimate(trace: ResolutionTrace) -> ComplexityEstimate:
-    """Growth class of a Betti trace: degree k means dim P_n = O(n^(k-1)).
-
-    A terminated resolution has degree 0 and a bounded tail degree 1;
-    otherwise the trailing half is fitted on log-log axes for a polynomial
-    degree and on semilog axes for exponential growth.  A capped trace is
-    screened for exponential growth first, since truncation is itself
-    evidence the dimensions were exploding.
-    """
-    if trace.truncated_by == "resolution-terminated":
-        return ComplexityEstimate.finite(0)
-    betti = trace.betti
-    if len(betti) < MIN_TRACE_LENGTH:
-        raise ValueError(
-            f"trace too short: need {MIN_TRACE_LENGTH} entries or termination"
-        )
-    count = max(2, len(betti) // 2)
-    start = max(1, len(betti) - count)
-    tail = betti[start:]
-    if max(tail) <= max(betti[:start]):
-        return ComplexityEstimate.finite(1)
-    if min(tail) <= 0:
-        return ComplexityEstimate.inconclusive("zero dimensions inside a growing tail")
-    positions = list(range(start, len(betti)))
-    logs = [math.log(d) for d in tail]
-    exp_slope, _, _ = fit_line([float(n) for n in positions], logs)
-    poly_slope, _, poly_residual = fit_line([math.log(n) for n in positions], logs)
-    exploding = exp_slope > EXPONENTIAL_SLOPE_THRESHOLD
-    if trace.truncated_by == "dimension-cap" and exploding:
-        return ComplexityEstimate.infinite()
-    if poly_residual < LOGLOG_RESIDUAL_THRESHOLD:
-        # a resolution that does not terminate has complexity at least 1
-        return ComplexityEstimate.finite(max(1, round(poly_slope) + 1))
-    if exploding:
-        return ComplexityEstimate.infinite()
-    return ComplexityEstimate.inconclusive(
-        "growth fits neither a polynomial nor an exponential shape"
-    )
 
 
 def simple_orbits(a: SCAlgebra) -> list[int]:
@@ -998,146 +887,3 @@ def resolve_simple_modules(
     orbits = simple_orbits(a)
     of_rep = {p: minimal_resolution(a, p, steps, dim_cap) for p in sorted(set(orbits))}
     return [of_rep[p] for p in orbits]
-
-
-def trivext_traces(
-    quiver: Quiver, relations: tuple | None, steps: int = 40, dim_cap: int = 100000
-) -> tuple[int, list[ResolutionTrace], list[ComplexityEstimate]]:
-    """dim A, and every simple's trace and complexity estimate over T(A), in
-    vertex order, where A is kQ when relations is None and the gentle
-    algebra of (Q, relations) otherwise.
-
-    The route is decided here, once.  A presentation with no relations,
-    None or empty, on a connected Q calls classify_quiver once, and:
-    - Q bipartite, no vertex both the source of one arrow and the target
-      of another, and not Dynkin: koszul_trivext_traces gives the traces
-      and Q's kind every verdict (below).  No algebra is built: no two
-      arrows compose, so dim kQ = |Q0| + |Q1|.
-    - Q Dynkin: the engine resolves the simples of T(kQ), and every
-      verdict is "finite, degree 1" (below).
-    Every other presentation runs the engine on T(A) and fits each trace
-    with complexity_estimate; a trace too short to fit is inconclusive,
-    with complexity_estimate's reason.
-
-    The bipartite verdicts come from the kind alone: "finite, degree 2"
-    for an affine Q, "infinite" for an indefinite one.  Why this is exact:
-    - 2T = 2I - M for the Tits form T and koszul_trivext_traces' edge
-      matrix M, so affine means that M's largest eigenvalue, its spectral
-      radius r as M >= 0, is 2; indefinite means r > 2.
-    - b_n = U_n(M/2) e_i, with U_n the Chebyshev polynomials of the second
-      kind.  On an eigenvector of M of eigenvalue x, U_n(x/2) is bounded
-      for |x| < 2, is (+-1)^n (n + 1) at x = +-2, and grows like m^n,
-      m + 1/m = |x|, for |x| > 2.
-    - The Perron vector p of the connected M is positive, so it meets e_i,
-      and a bipartite spectrum is symmetric: -r has p with its signs
-      flipped on one side.  The two terms add on one side of Q at each n,
-      and no eigenvalue is larger in modulus, so the dimensions, between
-      2|b_n|_1 and (2 + max deg)|b_n|_1 as b_n >= 0, grow linearly when
-      r = 2 and exponentially when r > 2.
-
-    The Dynkin verdict.  T(kQ) is representation-finite for a Dynkin
-    quiver Q in any orientation: Tachikawa, "Representations of trivial
-    extensions of hereditary algebras", LNM 832 (1980); Hughes and
-    Waschbusch, "Trivial extensions of tilted algebras", Proc. LMS 46
-    (1983).  T(kQ) is symmetric, so Omega permutes the finitely many
-    isoclasses of indecomposable non-projective modules, and every simple,
-    which is not projective since dim P_i >= 2, is Omega-periodic.
-    dim P_n is dim Omega^n S + dim Omega^(n+1) S, so the Betti numbers are
-    periodic and positive: bounded, and never terminating.
-    """
-    kind = None
-    if not relations and quiver.is_connected:
-        kind = classify_quiver(quiver).kind
-        sources = {a.source for a in quiver.arrows}
-        if kind != "finite" and not any(a.target in sources for a in quiver.arrows):
-            traces = koszul_trivext_traces(quiver, steps, dim_cap)
-            verdict = (ComplexityEstimate.finite(2) if kind == "affine"
-                       else ComplexityEstimate.infinite())
-            return len(quiver.vertices) + len(quiver.arrows), traces, [verdict] * len(traces)
-    # loaded only here, so a job on the Koszul route does not compile them
-    from .builders import GentlePresentation, gentle_algebra, path_algebra
-    from .trivext import trivial_extension
-
-    base = (path_algebra(quiver) if relations is None
-            else gentle_algebra(GentlePresentation(quiver, relations)))
-    traces = resolve_simple_modules(trivial_extension(base), steps, dim_cap)
-    if kind == "finite":
-        return base.dim, traces, [ComplexityEstimate.finite(1)] * len(traces)
-    estimates = []
-    for trace in traces:
-        try:
-            estimates.append(complexity_estimate(trace))
-        except ValueError as exc:  # too short to fit
-            estimates.append(ComplexityEstimate.inconclusive(str(exc)))
-    return base.dim, traces, estimates
-
-
-def koszul_trivext_traces(
-    q: Quiver, steps: int = 40, dim_cap: int = 100000
-) -> list[ResolutionTrace]:
-    """Every simple's trace over T(kQ), in vertex order, for a connected,
-    bipartite, non-Dynkin quiver Q; trivext_traces decides when Q is one.
-
-    The theorem.  Let k be a field and Q a finite connected bipartite
-    quiver whose underlying graph is not of Dynkin type A, D or E, and let
-    M be its symmetric edge-count matrix: M_ij arrows between i and j, in
-    either direction.  Grade T(kQ) = kQ + D(kQ) with the idempotents in
-    degree 0, the arrows and their duals in degree 1 and the duals of the
-    idempotents in degree 2 (not the BasisElement degrees).  Then T(kQ) is
-    Koszul and its Koszul dual, the Ext algebra of its simples, is the
-    preprojective algebra Pi(Q), whose matrix Hilbert series is
-    H(t) = ((1 + t^2) I - t M)^(-1): Martinez-Villa, "Applications of
-    Koszul algebras: the preprojective algebra", CMS Conf. Proc. 18
-    (1996); Brenner, Butler and King, "Periodic algebras which are almost
-    Koszul", Algebr. Represent. Theory 5 (2002); Etingof and Eu, "Koszulity
-    and the Hilbert series of preprojective algebras", Math. Res. Lett. 14
-    (2007).  So the minimal graded resolution of the simple S_i is linear,
-    and its n-th term is the sum over j of b_n[j] copies of P_j, where
-    b_n[j] = dim Ext^n(S_i, S_j) is entry j of the coefficient of t^n in
-    H(t) e_i.  A graded minimal resolution of a finite-dimensional graded
-    algebra is minimal as an ungraded one, since its graded radical is the
-    Jacobson radical, so these are the engine's Betti numbers over the
-    rationals.  Comparing coefficients in ((1 + t^2) I - t M) H(t) = I
-    gives b_0 = e_i and b_n = M b_(n-1) - b_(n-2), with b_(-1) = 0.
-    The projective P_j has the basis e_j, the arrows at j and the duals of
-    these, so dim P_j = 2 + deg j and dim P_n = sum_j b_n[j] (2 + deg j).
-
-    The dimensions go through _betti_trace, the engine's stop rules, so
-    every trace, and every byte the CLI prints from it, equals
-    resolve_simple_modules(T(kQ), steps, dim_cap).  On Dynkin quivers Pi(Q)
-    is finite-dimensional and not Koszul, and the recurrence is wrong.
-    """
-    pos = q.vertex_index()
-    n = len(q.vertices)
-    edges = [[0] * n for _ in range(n)]
-    for a in q.arrows:
-        s, t = pos[a.source], pos[a.target]
-        edges[s][t] += 1
-        edges[t][s] += 1
-    proj_dim = [2 + sum(row) for row in edges]
-
-    def trace(i: int) -> ResolutionTrace:
-        before, now = [0] * n, [int(p == i) for p in range(n)]
-
-        def advance(_syzygy: int) -> int:
-            nonlocal before, now
-            before, now = now, [sum(c * y for c, y in zip(row, now)) - x
-                                for row, x in zip(edges, before)]
-            return sum(x * d for x, d in zip(now, proj_dim))
-
-        return _betti_trace(proj_dim[i], advance, steps, dim_cap)
-
-    return [trace(i) for i in range(n)]
-
-
-def combine_estimates(estimates) -> ComplexityEstimate:
-    """Worst case of several estimates: infinite beats inconclusive beats finite."""
-    estimates = list(estimates)
-    for verdict in estimates:
-        if verdict.kind == "infinite":
-            return verdict
-    for verdict in estimates:
-        if verdict.kind == "inconclusive":
-            return verdict
-    degree = max((verdict.degree for verdict in estimates), default=0)
-    return ComplexityEstimate.finite(degree)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import bench_module
+from conftest import GENTLE_TWO_LOOP_DOC, bench_module
 from quiverlab import cli
 
 REPLAY = Path(__file__).resolve().parent.parent / "bench" / "replay.py"
@@ -33,19 +33,15 @@ def test_every_traced_layer_exists_and_is_callable(monkeypatch):
 KRONECKER3_DOC = json.dumps(
     {"vertices": [1, 2], "arrows": [{"id": f"a{i}", "from": 1, "to": 2} for i in range(3)]}
 )
-# 1 -> 2 -> 3 is not bipartite, so its trivext job runs the resolution engine
-A3_DOC = json.dumps(
-    {"vertices": [1, 2, 3], "arrows": [{"id": "a", "from": 1, "to": 2},
-                                       {"id": "b", "from": 2, "to": 3}]}
-)
 
 
 @pytest.mark.parametrize(
     "argv, layer",
     [
         (["entropy", "kron3.json", "--iterations", "12"], "cyclo.spectral_radius"),
-        (["trivext", "a3.json", "--steps", "12"], "resolution.resolve"),
-        # T(kron3) takes the Koszul recurrence, which classifies the quiver
+        # a gentle document is the one trivext input that runs the resolution engine
+        (["trivext", "gentle.json", "--steps", "12"], "resolution.resolve"),
+        # T(kron3) takes the Coxeter orbit, and its verdict classifies the quiver
         (["trivext", "kron3.json", "--steps", "12"], "quiver.classify"),
     ],
     ids=["entropy", "trivext", "trivext-koszul"],
@@ -54,7 +50,7 @@ def test_replay_runs_the_cli_and_times_its_layers(tmp_path, monkeypatch, capsys,
     # the commands import their layers when they run, so the replay must
     # still see its wrappers there
     (tmp_path / "kron3.json").write_text(KRONECKER3_DOC, encoding="utf-8")
-    (tmp_path / "a3.json").write_text(A3_DOC, encoding="utf-8")
+    (tmp_path / "gentle.json").write_text(GENTLE_TWO_LOOP_DOC, encoding="utf-8")
     replay = bench_module("replay")
     tracer = replay.Tracer()
     got = replay.run(tracer, [*argv, "--json"], tmp_path)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from quiverlab import cli, cyclo, quiver, resolution
+from quiverlab import betti, cli, cyclo, resolution
 from quiverlab.cli import main
 from quiverlab.quiver import cartan_path_algebra, coxeter_matrix, parse_quiver
 from quiverlab.ratmat import RatMatrix, TrackedEchelon
@@ -324,6 +324,14 @@ def test_trivext_refuses_a_presentation_that_is_not_gentle(tmp_path, capsys, doc
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+def test_trivext_refuses_a_plain_quiver_with_an_oriented_cycle(tmp_path, capsys):
+    # kQ is infinite-dimensional, so no Coxeter orbit is read and the path
+    # algebra builder refuses it, as it does with the engine
+    code, out, err = run(capsys, "trivext", write(tmp_path, "cycle.json", CYCLE_DOC))
+    assert (code, out) == (1, "")
+    assert err == "error: quiver has an oriented cycle; its path algebra is infinite-dimensional\n"
+
+
 @pytest.mark.parametrize("document", ["{oops", "[]", '{"vertices": ["a"], "arrows": [5]}'],
                          ids=["malformed", "not-an-object", "bad-arrow"])
 def test_trivext_refuses_a_quiver_as_parse_quiver_does(tmp_path, capsys, document):
@@ -402,17 +410,23 @@ def test_trivext_on_d20_is_periodic(tmp_path, capsys):
 
 
 def test_trivext_short_uncertified_trace_is_inconclusive(tmp_path, capsys):
-    # T(kE10), sink-centred, has no certified verdict, and 8 steps are too
-    # few to fit a growth shape
-    doc = json.dumps(bench_module("workloads").E10)
-    path = write(tmp_path, "e10.json", doc)
+    # T(gentle) has no certified verdict, and 8 steps are too few to fit a
+    # growth shape; T(kE10), sink-centred, reads every verdict off the
+    # Coxeter orbit, whatever the number of steps
+    path = write(tmp_path, "gentle.json", GENTLE_TWO_LOOP_DOC)
     code, out, err = run(capsys, "trivext", path, "--steps", "8", "--json")
     assert (code, err) == (0, "")
     result = json.loads(out)["result"]
     short = {"kind": "inconclusive",
              "reason": "trace too short: need 12 entries or termination"}
-    assert [s["estimate"] for s in result["simples"]] == [short] * 10
+    assert [s["estimate"] for s in result["simples"]] == [short] * 2
     assert result["global_estimate"] == short
+    path = write(tmp_path, "e10.json", json.dumps(bench_module("workloads").E10))
+    code, out, err = run(capsys, "trivext", path, "--steps", "8", "--json")
+    assert (code, err) == (0, "")
+    result = json.loads(out)["result"]
+    assert [s["estimate"] for s in result["simples"]] == [{"kind": "infinite"}] * 10
+    assert result["global_estimate"] == {"kind": "infinite"}
 
 
 def bipartite_a3_doc() -> str:
@@ -426,7 +440,7 @@ def bipartite_a3_doc() -> str:
     KRONECKER_DOC, bipartite_a3_doc(), path_doc(4), path_doc(12),
 ], ids=["kron2", "bipartite-A3-affine", "A4", "A12"])
 def test_trivext_reads_empty_relations_as_none(tmp_path, capsys, document):
-    # the Koszul and Dynkin routes read the presentation, not whether the
+    # the Coxeter route reads the presentation, not whether the
     # document lists its relations
     with_relations = json.dumps({**json.loads(document), "relations": []})
     results = []
@@ -464,7 +478,9 @@ def test_trivext_on_bipartite_e10_is_infinite(tmp_path, capsys):
 def test_commands_never_verify_and_certify_one_radical_per_trivext(
         tmp_path, capsys, monkeypatch):
     # builders and trivial_extension are right by construction; verify() is
-    # the tests' oracle, and each trivext job certifies its radical once
+    # the tests' oracle, and each trivext job that runs the engine certifies
+    # its radical once: the gentle one, and not T(kA3), whose traces come
+    # from the Coxeter orbit
     def refuse(self):
         raise AssertionError("SCAlgebra.verify ran on a command's path")
 
@@ -474,10 +490,10 @@ def test_commands_never_verify_and_certify_one_radical_per_trivext(
     monkeypatch.setattr(resolution, "jacobson_radical", lambda a: calls.append(a) or radical(a))
     a3 = write(tmp_path, "a3.json", json.dumps(bench_module("workloads").path_quiver(3)))
     gentle = write(tmp_path, "gentle.json", GENTLE_TWO_LOOP_DOC)
-    for path in (a3, gentle):
+    for path, radicals in ((a3, 0), (gentle, 1)):
         calls.clear()
         code, _, err = run(capsys, "trivext", path, "--steps", "12", "--json")
-        assert (code, err, len(calls)) == (0, "", 1), path
+        assert (code, err, len(calls)) == (0, "", radicals), path
     code, _, err = run(capsys, "canonical", "--weights", "2,3,7", "--json")
     assert (code, err) == (0, "")
 
@@ -612,12 +628,13 @@ def test_spectral_workload_keeps_its_bytes(tmp_path, capsys, monkeypatch):
 
 
 # (exit code, stderr, sha256 of the --json stdout) of each seed-1401 job of the
-# benchmark's trivext workloads, as the serial resolution loop wrote them; the
-# known defect stands as it is: E10 reads "finite, degree 3"
+# benchmark's trivext workloads, as the serial resolution loop wrote them;
+# trivext:E10 as the Coxeter orbit writes it, the same traces with every simple
+# "infinite" (it read "finite, degree 3" on 7 simples from the fit)
 TRIVEXT_OUTCOMES = {
     "trivext:A8": (0, "", "a5da500296bde7f36ad62bfd98ebc154c77547f0abafdf1013b9cf2aa6edefab"),
     "trivext:E8": (0, "", "257219b6f6c3d348ecf13c3ca397a73f4f64f689cf7e6e33b995c8adb575c1a3"),
-    "trivext:E10": (0, "", "c633fbaa966bb78daa2f1fd8ca07f3b27fb5311dcc33b4b4d8f25e153a8c6f56"),
+    "trivext:E10": (0, "", "603f759f33c1fee01312cca5b15f5851c99957c1e5e65e48d4d4e1c5a2b2e041"),
     "trivext:E6-affine": (
         0, "", "1ec3a9d7533e2a927c1f1b01d2b99e38392a3fc3790393944e5b5d9b3a03a49a"),
     "trivext:kron2": (0, "", "d56e02893ad35064f59eb13d767feafdf846cef86cbc6a9e61b3d40fc3080c5b"),
@@ -645,14 +662,13 @@ def test_each_trivext_job_classifies_its_quiver_at_most_once(tmp_path, capsys, m
     # one route decision per job: the gentle job has relations and is not
     # classified, every other bench base is classified once
     calls = []
-    classify = quiver.classify_quiver
+    classify = betti.classify_quiver
 
     def counted(q):
         calls.append(q)
         return classify(q)
 
-    monkeypatch.setattr(quiver, "classify_quiver", counted)
-    monkeypatch.setattr(resolution, "classify_quiver", counted)
+    monkeypatch.setattr(betti, "classify_quiver", counted)
     workloads = bench_module("workloads")
     monkeypatch.chdir(tmp_path)
     for name in ("trivext-wide", "trivext-deep"):

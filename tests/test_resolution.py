@@ -13,7 +13,9 @@ Frozen Betti sequences, worked by hand:
   the 100000 cap.
 """
 import errno
+import json
 import os
+import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -38,10 +40,11 @@ from quiverlab import (
     simple_modules,
     trivial_extension,
 )
+from quiverlab import betti
 from quiverlab import resolution as res_mod
 from quiverlab import trivext as trivext_mod
 from quiverlab.builders import GentlePresentation, gentle_algebra, parse_gentle
-from quiverlab.quiver import classify_quiver
+from quiverlab.quiver import cartan_path_algebra, classify_quiver, coxeter_matrix
 from quiverlab.ratmat import UNTRACKED, TrackedEchelon
 from quiverlab.record import FrozenInstanceError
 from quiverlab.serre import orbit_growth
@@ -229,7 +232,7 @@ def test_trivial_extension_kronecker3_exponential(growth_suite):
 
 
 def test_trivial_extension_kronecker4_capped_traces():
-    # the CLI job takes the Koszul recurrence, so no byte guard covers the
+    # the CLI job takes the Coxeter orbit, so no byte guard covers the
     # engine's steps here
     ta = trivial_extension(path_algebra(multi_kronecker(4)))
     expected = (6, 24, 90, 336, 1254, 4680, 17466, 65184, 243270)
@@ -241,8 +244,10 @@ def test_trivial_extension_kronecker4_capped_traces():
 
 
 # a bound on the traced peak of T(kron3)'s resolution at dim_cap 20000, in
-# bytes: 1.12 MB with every step's generator list kept for the step two
-# after (1.07 MB on CPython 3.10, 1.14 MB on 3.12 and 3.13); 0.94 MB
+# bytes: 1.03 MB with a step that keeps no state cut to the first half of
+# its generator list (CPython 3.11); 1.12 MB with every step's generator list
+# kept whole for the step two after (1.07 MB on CPython 3.10, 1.14 MB on 3.12
+# and 3.13); 0.94 MB
 # with a list kept only where the step's state is, the echelons reading
 # their one-term entries next to their rows, with no units set and no
 # hand-off of the cover's entries;
@@ -443,32 +448,50 @@ def gentle_presentation():
     return pres.quiver, pres.relations
 
 
-# (quiver and relations, bounds, the route trivext_traces takes): "koszul" the
-# recurrence, with no algebra built; "dynkin" the engine with "finite, degree
-# 1", where the recurrence goes negative within 40 steps; "fitted" the engine
-# with complexity_estimate's verdicts.  Every route's traces are the engine's.
-KOSZUL_CASES = {
-    "kron2-200-steps": (lambda: (multi_kronecker(2), None), {"steps": 200}, "koszul"),
-    "kron3": (lambda: (multi_kronecker(3), None), {}, "koszul"),
-    "kron4": (lambda: (multi_kronecker(4), None), {}, "koszul"),
-    "K23-capped": (lambda: (complete_bipartite(2, 3), None), {"dim_cap": 20000}, "koszul"),
-    "D4-affine": (lambda: (bipartite_star((1, 1, 1, 1)), None), {"steps": 40}, "koszul"),
-    "E6-affine": (lambda: (bipartite_star((2, 2, 2)), None), {"steps": 40}, "koszul"),
-    "E10": (lambda: (bipartite_star((1, 2, 6)), None), {"steps": 40}, "koszul"),
-    "T334": (lambda: (bipartite_star((2, 2, 3)), None), {"steps": 40}, "koszul"),
-    "kron3-1-step": (lambda: (multi_kronecker(3), None), {"steps": 1}, "koszul"),
-    "kron3-cap-1": (lambda: (multi_kronecker(3), None), {"dim_cap": 1}, "koszul"),
+# (quiver and relations, bounds, the route trivext_traces takes): "kind" the
+# Coxeter orbit with Q's kind for every verdict, "dynkin" the orbit with
+# "finite, degree 1", "orbit" the orbit with each simple's verdict from the
+# growth of its row of E, all with no algebra built; "fitted" the engine with
+# complexity_estimate's verdicts.  Every route's traces are the engine's.
+ROUTE_CASES = {
+    "kron2-200-steps": (lambda: (multi_kronecker(2), None), {"steps": 200}, "kind"),
+    "kron3": (lambda: (multi_kronecker(3), None), {}, "kind"),
+    "kron4": (lambda: (multi_kronecker(4), None), {}, "kind"),
+    "K23-capped": (lambda: (complete_bipartite(2, 3), None), {"dim_cap": 20000}, "kind"),
+    "D4-affine": (lambda: (bipartite_star((1, 1, 1, 1)), None), {"steps": 40}, "kind"),
+    "E6-affine": (lambda: (bipartite_star((2, 2, 2)), None), {"steps": 40}, "kind"),
+    "E10": (lambda: (bipartite_star((1, 2, 6)), None), {"steps": 40}, "kind"),
+    "T334": (lambda: (bipartite_star((2, 2, 3)), None), {"steps": 40}, "kind"),
+    "kron3-1-step": (lambda: (multi_kronecker(3), None), {"steps": 1}, "kind"),
+    "kron3-cap-1": (lambda: (multi_kronecker(3), None), {"dim_cap": 1}, "kind"),
     "D4": (lambda: (bipartite_star((1, 1, 1)), None), {}, "dynkin"),
     "E8": (lambda: (bipartite_star((1, 2, 4)), None), {}, "dynkin"),
     "A3": (lambda: (path_quiver(3), None), {}, "dynkin"),
-    "E10-sink-centred": (lambda: (star_quiver((1, 2, 6)), None), {}, "fitted"),
+    "E10-sink-centred": (lambda: (star_quiver((1, 2, 6)), None), {}, "orbit"),
     "gentle": (gentle_presentation, {}, "fitted"),
     "disconnected": (lambda: (two_kroneckers(), None), {}, "fitted"),
 }
 
 
-@pytest.mark.parametrize("presentation, bounds, route", KOSZUL_CASES.values(),
-                         ids=KOSZUL_CASES)
+def orbit_rule(q) -> list[ComplexityEstimate]:
+    """Each simple's verdict over T(kQ) by the orbit rule, from the rational
+    Cartan and Coxeter matrices of the quiver module: complexity 1 + the
+    polynomial degree of row i of E = C^(-T) under Phi^(-T), or infinite
+    when that orbit grows exponentially."""
+    cartan = cartan_path_algebra(q)
+    euler = cartan.inverse().T
+    lift = coxeter_matrix(cartan).inverse().T
+    lift = RatMatrix([[int(x) for x in row] for row in lift.entries()])
+    verdicts = []
+    for i in range(len(q.vertices)):
+        growth = orbit_growth(lift, [tuple(int(x) for x in euler.row(i))])
+        verdicts.append(ComplexityEstimate.infinite() if growth.kind == "exponential"
+                        else ComplexityEstimate.finite(growth.degree + 1))
+    return verdicts
+
+
+@pytest.mark.parametrize("presentation, bounds, route", ROUTE_CASES.values(),
+                         ids=ROUTE_CASES)
 def test_koszul_route_is_the_engine_where_its_theorem_applies(monkeypatch, presentation, bounds,
                                                               route):
     quiver, relations = presentation()
@@ -481,17 +504,106 @@ def test_koszul_route_is_the_engine_where_its_theorem_applies(monkeypatch, prese
     built = []
     monkeypatch.setattr(trivext_mod, "trivial_extension",
                         lambda a: built.append(a) or trivial_extension(a))
-    base_dim, traces, estimates = res_mod.trivext_traces(quiver, relations, **bounds)
+    base_dim, traces, estimates = betti.trivext_traces(quiver, relations, **bounds)
     assert (base_dim, traces) == (base.dim, engine)
-    assert len(built) == (route != "koszul")
+    assert len(built) == (route == "fitted")
     if route == "fitted":
         assert estimates == [complexity_estimate(trace) for trace in engine]
+    else:
+        # the kind and the Dynkin theorem agree with the orbit rule
+        assert estimates == orbit_rule(quiver)
+    if route == "kind":
+        kind = classify_quiver(quiver).kind
+        assert set(estimates) == {ComplexityEstimate.finite(2) if kind == "affine"
+                                  else ComplexityEstimate.infinite()}
     if route == "dynkin":
         assert estimates == [ComplexityEstimate.finite(1)] * len(engine)
-        # Pi(Q) of a Dynkin quiver is finite-dimensional, and the recurrence is wrong
-        assert all(min(trace.betti) > 0 for trace in engine)
-        with pytest.raises(ValueError, match="projective dimensions are nonnegative"):
-            res_mod.koszul_trivext_traces(quiver, **bounds)
+    if route == "orbit":
+        # the fit of the engine's traces read "finite, degree 3" on 7 of these 10
+        assert estimates == [ComplexityEstimate.infinite()] * len(engine)
+
+
+def random_acyclic_quiver(rng: random.Random, max_vertices: int):
+    """A connected acyclic quiver: a random tree on 2..max_vertices vertices
+    plus up to 3 extra arrows, parallel ones allowed, each arrow pointing
+    up a random order of the vertices."""
+    n = rng.randint(2, max_vertices)
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 3))]
+    rank = rng.sample(range(n), n)
+    return quiver_from_data({
+        "vertices": list(range(n)),
+        "arrows": [{"id": f"x{k}", "from": min(e, key=rank.__getitem__),
+                    "to": max(e, key=rank.__getitem__)} for k, e in enumerate(edges)],
+    })
+
+
+def test_coxeter_formula_is_the_engine_on_random_acyclic_quivers():
+    # per simple, on 60 seeded quivers of at most 7 vertices at 10 steps and
+    # a dimension cap that keeps the wild ones short: the formula on every
+    # simple, the regular ones included, where it is measured and not
+    # proved, and coxeter_trivext_traces, which sends the simples it cannot
+    # certify as directing to the engine
+    rng = random.Random(16)
+    routed = Counter()
+    for _ in range(60):
+        q = random_acyclic_quiver(rng, 7)
+        n = len(q.vertices)
+        ta = trivial_extension(path_algebra(q))
+        engine = [minimal_resolution(ta, p, 10, 2000) for p in range(n)]
+        cox = betti._Coxeter(q)
+        assert cox.traces(range(n), 10, 2000) == engine, q
+        assert betti.coxeter_trivext_traces(q, 10, 2000) == engine, q
+        routed.update(cox.directing(i, 10) for i in range(n))
+    assert routed[True] > 200 and routed[False] > 0, routed
+
+
+def trivext_bench_quivers() -> dict:
+    """Job id -> (quiver, steps) of every path-algebra job of the benchmark's
+    trivext workloads, at the job's steps."""
+    workloads = bench_module("workloads")
+    out = {}
+    for name in ("trivext-wide", "trivext-deep"):
+        files, jobs = workloads.build(name, 1401)
+        for job in jobs:
+            document = json.loads(files[job.argv[1]])
+            if "relations" not in document:
+                argv = job.argv
+                steps = int(argv[argv.index("--steps") + 1]) if "--steps" in argv else 40
+                out[job.id] = (quiver_from_data(document), steps)
+    return out
+
+
+BENCH_QUIVERS = trivext_bench_quivers()
+
+
+@pytest.mark.parametrize("quiver, steps", BENCH_QUIVERS.values(), ids=BENCH_QUIVERS)
+def test_coxeter_traces_are_the_engines_on_every_bench_base(quiver, steps):
+    engine = res_mod.resolve_simple_modules(trivial_extension(path_algebra(quiver)), steps)
+    assert betti.coxeter_trivext_traces(quiver, steps) == engine
+
+
+def test_regular_simples_of_a3_affine_take_the_engine(monkeypatch):
+    # A~3 oriented 0 -> 1 -> 2 -> 3 with 0 -> 3: the simples at 1 and 2 lie in
+    # a tube, so no walk from them leaves the positive cone, and the engine
+    # resolves them, and them alone, on T(kQ)
+    q = quiver_from_data({"vertices": [0, 1, 2, 3], "arrows": [
+        {"id": f"x{s}{t}", "from": s, "to": t} for s, t in ((0, 1), (1, 2), (2, 3), (0, 3))]})
+    ta = trivial_extension(path_algebra(q))
+    engine = [minimal_resolution(ta, p) for p in range(4)]
+    cox = betti._Coxeter(q)
+    assert [cox.directing(i, 400) for i in range(4)] == [True, False, False, True]
+    resolved = []
+    resolve = res_mod.minimal_resolution
+    monkeypatch.setattr(res_mod, "minimal_resolution",
+                        lambda a, p, *bounds: resolved.append(p) or resolve(a, p, *bounds))
+    assert betti.coxeter_trivext_traces(q) == engine
+    assert resolved == [1, 2]
+    # the formula gives the same traces there, as measured and not proved
+    assert cox.traces(range(4), 40, 100000) == engine
+    # and the regular simples have complexity 1, the others 2
+    _, _, estimates = betti.trivext_traces(q, None)
+    assert estimates == [ComplexityEstimate.finite(d) for d in (2, 1, 1, 2)]
 
 
 def trees(max_vertices: int):
@@ -544,7 +656,7 @@ def test_koszul_verdicts_are_the_orbit_growth_on_every_small_tree():
     for n, edges in trees(9):
         sizes[n] += 1
         q = bipartite_tree(n, edges)
-        _, _, estimates = res_mod.trivext_traces(q, None, steps=2)
+        _, _, estimates = betti.trivext_traces(q, None, steps=2)
         kind = classify_quiver(q).kind
         kinds[kind] += 1
         if kind == "finite":
@@ -561,6 +673,41 @@ def test_koszul_verdicts_are_the_orbit_growth_on_every_small_tree():
             assert estimates[i] == verdicts[growth.kind, growth.degree], (edges, i)
     assert list(sizes.values()) == [1, 1, 1, 2, 3, 6, 11, 23, 47]
     assert kinds == {"finite": 18, "affine": 8, "indefinite": 69}
+
+
+def seeded_tree(rng: random.Random, n: int, edges):
+    """The tree with each edge pointing one way or the other at random."""
+    flips = [rng.random() < 0.5 for _ in edges]
+    return quiver_from_data({
+        "vertices": [str(v) for v in range(n)],
+        "arrows": [{"id": f"x{u}.{v}", "from": str(v if flip else u), "to": str(u if flip else v)}
+                   for (u, v), flip in zip(edges, flips)],
+    })
+
+
+def test_every_small_tree_reads_its_verdicts_off_the_coxeter_orbit():
+    # every tree of at most 10 vertices, in its bipartite orientation and in
+    # one seeded orientation: each simple's verdict is the orbit rule's, and
+    # the global verdict is the orientation's own, as T(kQ) of two
+    # orientations of one tree are derived equivalent; a tree is Dynkin or
+    # affine exactly when every simple is finite
+    rng = random.Random(16)
+    kinds, affine_degree_one = Counter(), 0
+    for n, edges in trees(10):
+        overall = []
+        for q in (bipartite_tree(n, edges), seeded_tree(rng, n, edges)):
+            _, _, estimates = betti.trivext_traces(q, None, steps=2)
+            assert estimates == orbit_rule(q), (q, estimates)
+            overall.append(combine_estimates(estimates))
+        kind = classify_quiver(q).kind
+        kinds[kind] += 1
+        assert overall[0] == overall[1], edges
+        assert (overall[0].kind == "finite") == (kind != "indefinite"), edges
+        if kind == "affine":
+            affine_degree_one += ComplexityEstimate.finite(1) in estimates
+    assert kinds == {"finite": 20, "affine": 9, "indefinite": 172}
+    # some seeded orientations of an affine tree have simples of complexity 1
+    assert affine_degree_one > 0
 
 
 LOOP_CASES = [
