@@ -6,14 +6,14 @@ every route shares, so two routes that agree on the dimensions print the
 same bytes.  complexity_estimate fits a trace's growth, and
 combine_estimates takes the worst of several verdicts.
 
-trivext_traces decides, once, how the trivext command gets every simple's
-trace and verdict over T(A), the trivial extension of a presentation's
-algebra A.  A connected quiver with no relations takes the Coxeter orbit of
-kQ (coxeter_trivext_traces), which builds no algebra for a simple that is
-directing; every other presentation runs the syzygy engine of the
-resolution module on T(A) and fits each trace.  Only those routes import
-the engine, the builders and the trivial extension, so a path-algebra job
-whose simples are directing compiles none of them.
+trivext_traces sends a presentation down one of two routes.  A quiver with
+no relations and no oriented cycle, connected or not, takes the Coxeter
+orbit of kQ (coxeter_trivext_traces), which tests no simple of a Dynkin Q
+for directing and builds no algebra for a directing simple.  A gentle
+presentation with relations runs the resolution module's engine on T(A),
+resolve_simple_modules, and fits each trace with complexity_estimate; the
+two serve that route alone.  Only the engine's routes import the engine,
+the builders and the trivial extension.
 """
 
 from __future__ import annotations
@@ -274,9 +274,10 @@ class _Coxeter:
 
 def coxeter_trivext_traces(
     q: Quiver, steps: int = 40, dim_cap: int = 100000
-) -> list[ResolutionTrace]:
-    """Every simple's trace over T(kQ), in vertex order, for a connected
-    acyclic quiver Q, read off the Coxeter orbit in K_0(kQ).
+) -> tuple[list[ResolutionTrace], list[ComplexityEstimate]]:
+    """Every simple's trace and complexity estimate over T(kQ), in vertex
+    order, for an acyclic quiver Q, connected or not, read off the Coxeter
+    orbit in K_0(kQ) of one _Coxeter.
 
     The theorem.  kQ has finite global dimension, so D^b(kQ) is stmod of
     the repetitive algebra of kQ (Happel, Comment. Math. Helv. 62, 1987),
@@ -304,78 +305,19 @@ def coxeter_trivext_traces(
     dimensions go through _betti_trace, the engine's stop rules, so the
     bytes the command prints are the engine's.
 
-    The route of each simple.  S_i takes the formula when it is directing,
-    certified when Phi^k e_i or Phi^(-k) e_i leaves the positive cone for
-    some k <= steps: then tau^(-k+1) S_i is injective or tau^(k-1) S_i is
-    projective.  A sink or a source leaves at k = 1, and on a Dynkin quiver
-    every simple leaves.  Any other simple, regular so far as the walk
-    sees, is resolved by the engine on T(kQ), built once for them all.
-    """
-    cox = _Coxeter(q)
-    directing = [i for i in range(cox.n) if cox.directing(i, steps)]
-    traces = dict(zip(directing, cox.traces(directing, steps, dim_cap)))
-    regular = [i for i in range(cox.n) if i not in traces]
-    if regular:
-        # loaded only here, so a quiver whose simples are directing does not compile them
-        from .builders import path_algebra
-        from .resolution import minimal_resolution
-        from .trivext import trivial_extension
+    The route of each simple.  A connected Q is classified once, before
+    any walk.  On a Dynkin Q every simple is directing and takes the
+    formula with no test.  Elsewhere S_i takes it when certified directing:
+    Phi^k e_i or Phi^(-k) e_i leaves the positive cone for some k <= steps,
+    so tau^(-k+1) S_i is injective or tau^(k-1) S_i projective, at k = 1
+    for a sink or a source.  Any other simple, regular so far as the walk
+    sees, is resolved by minimal_resolution on T(kQ), built once for all.
 
-        ta = trivial_extension(path_algebra(q))
-        for i in regular:
-            traces[i] = minimal_resolution(ta, i, steps, dim_cap)
-    return [traces[i] for i in range(cox.n)]
-
-
-def _orbit_verdicts(q: Quiver) -> list[ComplexityEstimate]:
-    """Each simple's complexity over T(kQ) from the orbit of row i of E
-    under Phi^(-T), decided by serre.orbit_growth.
-
-    <e_i, Phi^(-k) e_j> is entry j of (Phi^(-T))^k E^T e_i.  dim Hom and
-    dim Ext^1 of coxeter_trivext_traces' terms are at least the positive
-    and the negative parts of it, and at most dim M_i and the sum of
-    dim M_t over the arrows i -> t, which grow as the orbit of Q's classes
-    does; so a bounded orbit gives complexity 1, one of polynomial degree
-    d gives 1 + d, and an exponential one gives infinite, with no purity
-    needed.
-    """
-    from .serre import orbit_growth  # loaded only for these verdicts
-
-    cox = _Coxeter(q)
-    # row j of Phi^(-T) is column j of Phi^(-1)
-    phi = RatMatrix([cox.inverse(cox.unit(j)) for j in range(cox.n)])
-    verdicts = []
-    for i in range(cox.n):
-        row = cox.unit(i)
-        for s, t in cox.arrows:
-            if s == i:
-                row[t] -= 1
-        growth = orbit_growth(phi, [tuple(row)])
-        verdicts.append(ComplexityEstimate.infinite() if growth.kind == "exponential"
-                        else ComplexityEstimate.finite(growth.degree + 1))
-    return verdicts
-
-
-def trivext_traces(
-    quiver: Quiver, relations: tuple | None, steps: int = 40, dim_cap: int = 100000
-) -> tuple[int, list[ResolutionTrace], list[ComplexityEstimate]]:
-    """dim A, and every simple's trace and complexity estimate over T(A), in
-    vertex order, where A is kQ when relations is None and the gentle
-    algebra of (Q, relations) otherwise.
-
-    The route is decided here, once.  A presentation with no relations,
-    None or empty, on a connected acyclic Q takes coxeter_trivext_traces
-    and calls classify_quiver once; dim kQ is half the sum of the
-    projectives P_0, as T(kQ) is their direct sum.  Its verdicts:
-    - Q Dynkin: every simple is "finite, degree 1" (below).
-    - Q bipartite, no vertex both the source of one arrow and the target
-      of another, and not Dynkin: Q's kind gives every verdict (below).
-    - any other Q: _orbit_verdicts, the growth of each row of E under
-      Phi^(-T), which loads serre only here.
-    Every other presentation runs the engine on T(A) and fits each trace
-    with complexity_estimate; a trace too short to fit is inconclusive,
-    with complexity_estimate's reason.  The builders refuse an oriented
-    cycle that no relation breaks, each with its own message.
+    The verdicts.  A Dynkin Q gives every simple "finite, degree 1"
+    (below).  A connected bipartite Q that is not Dynkin, with no vertex
+    both the source of one arrow and the target of another, gives every
+    verdict by its kind (below).  Any other Q, a disconnected one included,
+    takes _orbit_verdicts on the same _Coxeter, which loads serre only here.
 
     The Dynkin verdict.  T(kQ) is representation-finite for a Dynkin
     quiver Q in any orientation: Tachikawa, "Representations of trivial
@@ -408,26 +350,85 @@ def trivext_traces(
       2|b_n|_1 and (2 + max deg)|b_n|_1 as b_n >= 0, grow linearly when
       r = 2 and exponentially when r > 2.
     """
-    if not relations and quiver.is_connected and not has_oriented_cycle(quiver):
-        traces = coxeter_trivext_traces(quiver, steps, dim_cap)
-        base_dim = sum(trace.betti[0] for trace in traces) // 2
-        kind = classify_quiver(quiver).kind
-        sources = {a.source for a in quiver.arrows}
-        if kind == "finite":
-            estimates = [ComplexityEstimate.finite(1)] * len(traces)
-        elif not any(a.target in sources for a in quiver.arrows):
-            estimates = [ComplexityEstimate.finite(2) if kind == "affine"
-                         else ComplexityEstimate.infinite()] * len(traces)
-        else:
-            estimates = _orbit_verdicts(quiver)
-        return base_dim, traces, estimates
+    cox = _Coxeter(q)
+    n = cox.n
+    kind = classify_quiver(q).kind if q.is_connected else None
+    if kind == "finite":
+        return cox.traces(range(n), steps, dim_cap), [ComplexityEstimate.finite(1)] * n
+    directing = [i for i in range(n) if cox.directing(i, steps)]
+    traces = dict(zip(directing, cox.traces(directing, steps, dim_cap)))
+    regular = [i for i in range(n) if i not in traces]
+    if regular:
+        # loaded only here, so a quiver whose simples are directing does not compile them
+        from .builders import path_algebra
+        from .resolution import minimal_resolution
+        from .trivext import trivial_extension
+
+        ta = trivial_extension(path_algebra(q))
+        for i in regular:
+            traces[i] = minimal_resolution(ta, i, steps, dim_cap)
+    sources = {a.source for a in q.arrows}
+    if kind is not None and not any(a.target in sources for a in q.arrows):
+        estimates = [ComplexityEstimate.finite(2) if kind == "affine"
+                     else ComplexityEstimate.infinite()] * n
+    else:
+        estimates = _orbit_verdicts(cox)
+    return [traces[i] for i in range(n)], estimates
+
+
+def _orbit_verdicts(cox: _Coxeter) -> list[ComplexityEstimate]:
+    """Each simple's complexity over T(kQ) from the orbit of row i of E
+    under Phi^(-T), decided by serre.orbit_growth.
+
+    <e_i, Phi^(-k) e_j> is entry j of (Phi^(-T))^k E^T e_i.  dim Hom and
+    dim Ext^1 of coxeter_trivext_traces' terms are at least the positive
+    and the negative parts of it, and at most dim M_i and the sum of
+    dim M_t over the arrows i -> t, which grow as the orbit of Q's classes
+    does; so a bounded orbit gives complexity 1, one of polynomial degree
+    d gives 1 + d, and an exponential one gives infinite, with no purity
+    needed.
+    """
+    from .serre import orbit_growth  # loaded only for these verdicts
+
+    # row j of Phi^(-T) is column j of Phi^(-1)
+    phi = RatMatrix([cox.inverse(cox.unit(j)) for j in range(cox.n)])
+    verdicts = []
+    for i in range(cox.n):
+        row = cox.unit(i)
+        for s, t in cox.arrows:
+            if s == i:
+                row[t] -= 1
+        growth = orbit_growth(phi, [tuple(row)])
+        verdicts.append(ComplexityEstimate.infinite() if growth.kind == "exponential"
+                        else ComplexityEstimate.finite(growth.degree + 1))
+    return verdicts
+
+
+def trivext_traces(
+    quiver: Quiver, relations: tuple | None, steps: int = 40, dim_cap: int = 100000
+) -> tuple[int, list[ResolutionTrace], list[ComplexityEstimate]]:
+    """dim A, and every simple's trace and complexity estimate over T(A), in
+    vertex order, where A is kQ when relations is None and the gentle
+    algebra of (Q, relations) otherwise.
+
+    A presentation with no relations, None or empty, on an acyclic Q takes
+    coxeter_trivext_traces, and dim kQ is half the sum of the projectives
+    P_0, as T(kQ) is their direct sum; a plain Q with an oriented cycle goes
+    there too, and _Coxeter refuses it as path_algebra would.  Every other
+    presentation is gentle: resolve_simple_modules runs the engine on T(A)
+    and complexity_estimate fits each trace, and a trace too short to fit is
+    inconclusive, with its reason.  gentle_algebra refuses a cycle that no
+    relation breaks, "relations": [] included.
+    """
+    if relations is None or (not relations and not has_oriented_cycle(quiver)):
+        traces, estimates = coxeter_trivext_traces(quiver, steps, dim_cap)
+        return sum(trace.betti[0] for trace in traces) // 2, traces, estimates
     # loaded only here, so a job on the Coxeter route does not compile them
-    from .builders import GentlePresentation, gentle_algebra, path_algebra
+    from .builders import GentlePresentation, gentle_algebra
     from .resolution import resolve_simple_modules
     from .trivext import trivial_extension
 
-    base = (path_algebra(quiver) if relations is None
-            else gentle_algebra(GentlePresentation(quiver, relations)))
+    base = gentle_algebra(GentlePresentation(quiver, relations))
     traces = resolve_simple_modules(trivial_extension(base), steps, dim_cap)
     estimates = []
     for trace in traces:

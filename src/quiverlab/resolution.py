@@ -65,10 +65,9 @@ generator list for the step two after; one that does not keeps the first
 half of it and its length, all that the step two after reads.
 
 The trace records, _betti_trace's stop rules and the growth estimates
-live in the betti module, with trivext_traces, the trivext command's
-route, which reads T(kQ)'s traces off the Coxeter orbit and calls this
-engine only for a gentle or disconnected presentation and for a simple of
-kQ that it cannot certify as directing.
+live in the betti module, whose trivext_traces reads every relation-free
+T(kQ) off the Coxeter orbit and calls this engine only for a gentle
+presentation and for a simple of kQ that it cannot certify as directing.
 """
 
 from __future__ import annotations

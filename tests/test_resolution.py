@@ -44,6 +44,7 @@ from quiverlab import betti
 from quiverlab import resolution as res_mod
 from quiverlab import trivext as trivext_mod
 from quiverlab.builders import GentlePresentation, gentle_algebra, parse_gentle
+from quiverlab.cli import main
 from quiverlab.quiver import cartan_path_algebra, classify_quiver, coxeter_matrix
 from quiverlab.ratmat import UNTRACKED, TrackedEchelon
 from quiverlab.record import FrozenInstanceError
@@ -434,13 +435,41 @@ def test_covers_resume_the_generators_they_share(monkeypatch, build, vertex, ste
         assert counts == expected
 
 
+def disjoint_union(*quivers):
+    """The quivers side by side, the vertices and arrows of the k-th
+    prefixed with k."""
+    return quiver_from_data({
+        "vertices": [f"{k}.{v}" for k, q in enumerate(quivers) for v in q.vertices],
+        "arrows": [{"id": f"{k}.{a.id}", "from": f"{k}.{a.source}", "to": f"{k}.{a.target}"}
+                   for k, q in enumerate(quivers) for a in q.arrows],
+    })
+
+
 def two_kroneckers():
     """Two disjoint Kronecker quivers: bipartite and not Dynkin, but not connected."""
-    return quiver_from_data({
-        "vertices": [1, 2, 3, 4],
-        "arrows": [{"id": f"{x}{i}", "from": s, "to": t}
-                   for x, s, t in (("a", 1, 2), ("b", 3, 4)) for i in range(2)],
-    })
+    return disjoint_union(multi_kronecker(2), multi_kronecker(2))
+
+
+def routed(monkeypatch) -> Counter:
+    """The calls, by name, that a route makes from here on: the algebras
+    trivial_extension builds, the engine's resolve_simple_modules, the fits
+    of complexity_estimate, the _Coxeter objects built and classify_quiver."""
+    calls = Counter()
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, count)
+
+    for owner, name in ((trivext_mod, "trivial_extension"), (res_mod, "resolve_simple_modules"),
+                        (betti, "complexity_estimate"), (betti, "_Coxeter"),
+                        (betti, "classify_quiver")):
+        counted(owner, name)
+    return calls
 
 
 def gentle_presentation():
@@ -451,8 +480,9 @@ def gentle_presentation():
 # (quiver and relations, bounds, the route trivext_traces takes): "kind" the
 # Coxeter orbit with Q's kind for every verdict, "dynkin" the orbit with
 # "finite, degree 1", "orbit" the orbit with each simple's verdict from the
-# growth of its row of E, all with no algebra built; "fitted" the engine with
-# complexity_estimate's verdicts.  Every route's traces are the engine's.
+# growth of its row of E, a disconnected Q's included, all with no algebra
+# built; "fitted" the engine with complexity_estimate's verdicts, for a
+# gentle presentation only.  Every route's traces are the engine's.
 ROUTE_CASES = {
     "kron2-200-steps": (lambda: (multi_kronecker(2), None), {"steps": 200}, "kind"),
     "kron3": (lambda: (multi_kronecker(3), None), {}, "kind"),
@@ -469,7 +499,7 @@ ROUTE_CASES = {
     "A3": (lambda: (path_quiver(3), None), {}, "dynkin"),
     "E10-sink-centred": (lambda: (star_quiver((1, 2, 6)), None), {}, "orbit"),
     "gentle": (gentle_presentation, {}, "fitted"),
-    "disconnected": (lambda: (two_kroneckers(), None), {}, "fitted"),
+    "disconnected": (lambda: (two_kroneckers(), None), {}, "orbit"),
 }
 
 
@@ -501,13 +531,17 @@ def test_koszul_route_is_the_engine_where_its_theorem_applies(monkeypatch, prese
         base = gentle_algebra(GentlePresentation(quiver, relations))
     ta = trivial_extension(base)
     engine = [minimal_resolution(ta, p, **bounds) for p in range(len(ta.vertices))]
-    built = []
-    monkeypatch.setattr(trivext_mod, "trivial_extension",
-                        lambda a: built.append(a) or trivial_extension(a))
+    calls = routed(monkeypatch)
     base_dim, traces, estimates = betti.trivext_traces(quiver, relations, **bounds)
     assert (base_dim, traces) == (base.dim, engine)
-    assert len(built) == (route == "fitted")
-    if route == "fitted":
+    # a relation-free job builds one _Coxeter, classifies a connected Q once
+    # and neither resolves with the engine nor fits; the gentle one does both
+    fitted = route == "fitted"
+    assert calls["trivial_extension"] == calls["resolve_simple_modules"] == fitted
+    assert calls["complexity_estimate"] == (len(engine) if fitted else 0)
+    assert calls["_Coxeter"] == (not fitted)
+    assert calls["classify_quiver"] == (not fitted and quiver.is_connected)
+    if fitted:
         assert estimates == [complexity_estimate(trace) for trace in engine]
     else:
         # the kind and the Dynkin theorem agree with the orbit rule
@@ -518,9 +552,55 @@ def test_koszul_route_is_the_engine_where_its_theorem_applies(monkeypatch, prese
                                   else ComplexityEstimate.infinite()}
     if route == "dynkin":
         assert estimates == [ComplexityEstimate.finite(1)] * len(engine)
-    if route == "orbit":
-        # the fit of the engine's traces read "finite, degree 3" on 7 of these 10
+    if quiver == star_quiver((1, 2, 6)):
+        # sink-centred E10: the fit of the engine's traces read "finite,
+        # degree 3" on 7 of these 10
         assert estimates == [ComplexityEstimate.infinite()] * len(engine)
+
+
+DISCONNECTED = {
+    "kron2+kron2": two_kroneckers,
+    "A1+A1": lambda: disjoint_union(path_quiver(1), path_quiver(1)),
+    "A3+kron3": lambda: disjoint_union(path_quiver(3), multi_kronecker(3)),
+    "A1+E6-affine": lambda: disjoint_union(path_quiver(1), star_quiver((2, 2, 2))),
+}
+
+
+@pytest.mark.parametrize("steps", [2, 12, 40])
+@pytest.mark.parametrize("build", DISCONNECTED.values(), ids=DISCONNECTED)
+def test_disconnected_quivers_take_the_coxeter_route(monkeypatch, build, steps):
+    # a disconnected Q has no kind to read: its simples, all directing
+    # within two steps here, take the formula, and their verdicts the
+    # orbit rule, with no algebra built
+    q = build()
+    ta = trivial_extension(path_algebra(q))
+    engine = [minimal_resolution(ta, p, steps) for p in range(len(q.vertices))]
+    calls = routed(monkeypatch)
+    base_dim, traces, estimates = betti.trivext_traces(q, None, steps)
+    assert (2 * base_dim, traces, estimates) == (ta.dim, engine, orbit_rule(q))
+    assert calls == Counter({"_Coxeter": 1})
+
+
+@pytest.mark.parametrize("steps", [2, 4])
+@pytest.mark.parametrize("label", ["D40", "E8", "A8"])
+def test_dynkin_quivers_print_the_engines_traces_at_few_steps(monkeypatch, tmp_path, capsys,
+                                                              label, steps):
+    # every simple of a Dynkin Q is directing, so its kind certifies them all
+    # with no walk: a walk of `steps` steps misses 31 of D40's 40 simples at
+    # 4 steps, and 2 of E8's and 4 of A8's 8 at 2
+    workloads = bench_module("workloads")
+    document = {"D40": workloads.D40, "E8": workloads.E8, "A8": workloads.path_quiver(8)}[label]
+    q = quiver_from_data(document)
+    ta = trivial_extension(path_algebra(q))
+    engine = [minimal_resolution(ta, p, steps).to_json_dict() for p in range(len(q.vertices))]
+    path = tmp_path / f"{label}.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    calls = routed(monkeypatch)
+    assert main(["trivext", str(path), "--steps", str(steps), "--json"]) == 0
+    simples = json.loads(capsys.readouterr().out)["result"]["simples"]
+    assert [simple["trace"] for simple in simples] == engine
+    assert all(simple["estimate"] == {"kind": "finite", "degree": 1} for simple in simples)
+    assert calls == Counter({"_Coxeter": 1, "classify_quiver": 1})
 
 
 def random_acyclic_quiver(rng: random.Random, max_vertices: int):
@@ -553,7 +633,7 @@ def test_coxeter_formula_is_the_engine_on_random_acyclic_quivers():
         engine = [minimal_resolution(ta, p, 10, 2000) for p in range(n)]
         cox = betti._Coxeter(q)
         assert cox.traces(range(n), 10, 2000) == engine, q
-        assert betti.coxeter_trivext_traces(q, 10, 2000) == engine, q
+        assert betti.coxeter_trivext_traces(q, 10, 2000)[0] == engine, q
         routed.update(cox.directing(i, 10) for i in range(n))
     assert routed[True] > 200 and routed[False] > 0, routed
 
@@ -580,7 +660,7 @@ BENCH_QUIVERS = trivext_bench_quivers()
 @pytest.mark.parametrize("quiver, steps", BENCH_QUIVERS.values(), ids=BENCH_QUIVERS)
 def test_coxeter_traces_are_the_engines_on_every_bench_base(quiver, steps):
     engine = res_mod.resolve_simple_modules(trivial_extension(path_algebra(quiver)), steps)
-    assert betti.coxeter_trivext_traces(quiver, steps) == engine
+    assert betti.coxeter_trivext_traces(quiver, steps)[0] == engine
 
 
 def test_regular_simples_of_a3_affine_take_the_engine(monkeypatch):
@@ -597,7 +677,7 @@ def test_regular_simples_of_a3_affine_take_the_engine(monkeypatch):
     resolve = res_mod.minimal_resolution
     monkeypatch.setattr(res_mod, "minimal_resolution",
                         lambda a, p, *bounds: resolved.append(p) or resolve(a, p, *bounds))
-    assert betti.coxeter_trivext_traces(q) == engine
+    assert betti.coxeter_trivext_traces(q)[0] == engine
     assert resolved == [1, 2]
     # the formula gives the same traces there, as measured and not proved
     assert cox.traces(range(4), 40, 100000) == engine

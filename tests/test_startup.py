@@ -60,20 +60,6 @@ def fresh_python(args: list[str]) -> subprocess.CompletedProcess:
                           timeout=120)
 
 
-@pytest.mark.parametrize(
-    "argv, inputs, forbidden",
-    [
-        (["classify", "kron.json"], {"kron.json": KRONECKER_DOC},
-         NO_ALGEBRA | {"quiverlab.serre"}),
-        (["entropy", "kron.json", "--iterations", "12"], {"kron.json": KRONECKER_DOC},
-         NO_ALGEBRA),
-        (["check-coxeter", "phi.json"], {"phi.json": PHI_DOC}, NO_ALGEBRA),
-        (["canonical", "--weights", "2,3,5"], {}, NO_RESOLUTION),
-        (["trivext", "a2.json", "--steps", "12"], {"a2.json": A2_DOC},
-         NO_ALGEBRA | NO_SPECTRAL),
-    ],
-    ids=["classify", "entropy", "check-coxeter", "canonical", "trivext"],
-)
 def modules_loaded(tmp_path, argv, inputs) -> dict:
     """Run `quiverlab <argv> --json` in a fresh interpreter; the modules new
     after `import quiverlab.cli` ("import") and after `main` ("run")."""
