@@ -9,7 +9,8 @@ combine_estimates takes the worst of several verdicts.
 trivext_traces sends a presentation down one of two routes.  A quiver with
 no relations and no oriented cycle, connected or not, takes the Coxeter
 orbit of kQ (coxeter_trivext_traces), which tests no simple of a Dynkin Q
-for directing and builds no algebra for a directing simple.  A gentle
+for directing and builds no algebra for a directing simple; its walks
+step along the orbit with quiver.K0Arithmetic.  A gentle
 presentation with relations runs the resolution module's engine on T(A),
 resolve_simple_modules, and fits each trace with complexity_estimate; the
 two serve that route alone.  Only the engine's routes import the engine,
@@ -19,11 +20,14 @@ the builders and the trivial extension.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 from .fitting import EXPONENTIAL_SLOPE_THRESHOLD, LOGLOG_RESIDUAL_THRESHOLD, fit_line
-from .quiver import Quiver, classify_quiver, has_oriented_cycle, topological_order
-from .ratmat import RatMatrix
+from .quiver import K0Arithmetic, Quiver, classify_quiver, has_oriented_cycle
 from .record import Record
+
+if TYPE_CHECKING:
+    from .builders import GentlePresentation
 
 TRUNCATION_REASONS = ("steps-exhausted", "dimension-cap", "resolution-terminated")
 
@@ -162,114 +166,63 @@ def combine_estimates(estimates) -> ComplexityEstimate:
     return ComplexityEstimate.finite(degree)
 
 
-class _Coxeter:
-    """Integer Coxeter arithmetic of an acyclic quiver Q on K_0(kQ).
+def _orbit_traces(k0: K0Arithmetic, vertices, steps: int,
+                  dim_cap: int) -> list[ResolutionTrace]:
+    """The formula's trace of each simple in vertices, in their order
+    (see coxeter_trivext_traces)."""
+    n = k0.n
+    cartan = [k0.paths(k0.unit(i)) for i in range(n)]  # column i: dim P_i of kQ
+    proj = [sum(cartan[j]) + sum(col[j] for col in cartan) for j in range(n)]
+    classes = [k0.unit(j) for j in range(n)]
+    levels, signs = [0] * n, [1] * n  # 2k - s_k of each walk's next class, its sign
+    dims: list[list[int]] = []  # dims[m][i]: dim P_m of S_i's resolution, once settled
 
-    C is the Cartan matrix, C[t][s] the number of paths from s to t, so
-    C = (I - N)^(-1) for the arrow counts N[t][s] of s -> t; E = C^(-T) is
-    I minus the arrow counts s -> t, and <x, y> = x^T E y is the Euler form.
-    Every product is a pass over the arrows in a topological order, with no
-    matrix built.  A quiver with an oriented cycle raises ValueError.
-    """
+    def settle(m: int) -> list[int]:
+        while len(dims) < m + 2:
+            dims.append([0] * n)
+        for j, c in enumerate(classes):
+            level = levels[j]
+            while level <= m:
+                here, there, p = dims[level], dims[level + 1], proj[j]
+                for i, v in enumerate(k0.euler([abs(x) for x in c])):
+                    if v > 0:
+                        here[i] += p * v
+                    elif v < 0:
+                        there[i] -= p * v
+                c = k0.inverse(c)
+                if min(c) >= 0:
+                    sign = 1
+                elif max(c) <= 0:
+                    sign = -1
+                else:
+                    raise RuntimeError("a Coxeter orbit class is not sign-definite")
+                level += 1 + (sign == signs[j])
+                signs[j] = sign
+            classes[j], levels[j] = c, level
+        return dims[m]
 
-    def __init__(self, q: Quiver):
-        order = topological_order(q)
-        if order is None:
-            raise ValueError(
-                "quiver has an oriented cycle; its path algebra is infinite-dimensional")
-        self.n = len(order)
-        rank = {v: k for k, v in enumerate(order)}
-        pos = q.vertex_index()
-        # the arrows (s, t), by the place of s in the topological order
-        self.arrows = sorted(((pos[a.source], pos[a.target]) for a in q.arrows),
-                             key=lambda arrow: rank[arrow[0]])
+    def trace(i: int) -> ResolutionTrace:
+        m = 0
 
-    def unit(self, i: int) -> list[int]:
-        return [int(x == i) for x in range(self.n)]
+        def advance(_syzygy: int) -> int:
+            nonlocal m
+            m += 1
+            return settle(m)[i]
 
-    def paths(self, x: list[int]) -> list[int]:
-        """C x: y = x + N y, read source by source in topological order."""
-        y = list(x)
-        for s, t in self.arrows:
-            y[t] += y[s]
-        return y
+        return _betti_trace(proj[i], advance, steps, dim_cap)
 
-    def euler(self, x: list[int]) -> list[int]:
-        """E x."""
-        y = list(x)
-        for s, t in self.arrows:
-            y[s] -= x[t]
-        return y
+    return [trace(i) for i in vertices]
 
-    def inverse(self, c: list[int]) -> list[int]:
-        """Phi^(-1) c = -C E c, the class of tau^(-1)."""
-        return [-y for y in self.paths(self.euler(c))]
 
-    def forward(self, c: list[int]) -> list[int]:
-        """Phi c = -C^T (I - N) c, the class of tau: z = (I - N) c, then
-        y = z + N^T y, read in the reverse order."""
-        z = list(c)
-        for s, t in self.arrows:
-            z[t] -= c[s]
-        for s, t in reversed(self.arrows):
-            z[s] += z[t]
-        return [-y for y in z]
-
-    def traces(self, vertices, steps: int, dim_cap: int) -> list[ResolutionTrace]:
-        """The formula's trace of each simple in vertices, in their order
-        (see coxeter_trivext_traces)."""
-        n = self.n
-        cartan = [self.paths(self.unit(i)) for i in range(n)]  # column i: dim P_i of kQ
-        proj = [sum(cartan[j]) + sum(col[j] for col in cartan) for j in range(n)]
-        classes = [self.unit(j) for j in range(n)]
-        levels, signs = [0] * n, [1] * n  # 2k - s_k of each walk's next class, its sign
-        dims: list[list[int]] = []  # dims[m][i]: dim P_m of S_i's resolution, once settled
-
-        def settle(m: int) -> list[int]:
-            while len(dims) < m + 2:
-                dims.append([0] * n)
-            for j, c in enumerate(classes):
-                level = levels[j]
-                while level <= m:
-                    here, there, p = dims[level], dims[level + 1], proj[j]
-                    for i, v in enumerate(self.euler([abs(x) for x in c])):
-                        if v > 0:
-                            here[i] += p * v
-                        elif v < 0:
-                            there[i] -= p * v
-                    c = self.inverse(c)
-                    if min(c) >= 0:
-                        sign = 1
-                    elif max(c) <= 0:
-                        sign = -1
-                    else:
-                        raise RuntimeError("a Coxeter orbit class is not sign-definite")
-                    level += 1 + (sign == signs[j])
-                    signs[j] = sign
-                classes[j], levels[j] = c, level
-            return dims[m]
-
-        def trace(i: int) -> ResolutionTrace:
-            m = 0
-
-            def advance(_syzygy: int) -> int:
-                nonlocal m
-                m += 1
-                return settle(m)[i]
-
-            return _betti_trace(proj[i], advance, steps, dim_cap)
-
-        return [trace(i) for i in vertices]
-
-    def directing(self, i: int, bound: int) -> bool:
-        """Whether Phi^k e_i or Phi^(-k) e_i leaves the positive cone for
-        some 1 <= k <= bound; the two walks go step by step together."""
-        back = ahead = self.unit(i)
-        for _ in range(bound):
-            back, ahead = self.inverse(back), self.forward(ahead)
-            if min(back) < 0 or min(ahead) < 0:
-                return True
-        return False
+def _directing(k0: K0Arithmetic, i: int, bound: int) -> bool:
+    """Whether Phi^k e_i or Phi^(-k) e_i leaves the positive cone for
+    some 1 <= k <= bound; the two walks go step by step together."""
+    back = ahead = k0.unit(i)
+    for _ in range(bound):
+        back, ahead = k0.inverse(back), k0.forward(ahead)
+        if min(back) < 0 or min(ahead) < 0:
+            return True
+    return False
 
 
 def coxeter_trivext_traces(
@@ -277,7 +230,7 @@ def coxeter_trivext_traces(
 ) -> tuple[list[ResolutionTrace], list[ComplexityEstimate]]:
     """Every simple's trace and complexity estimate over T(kQ), in vertex
     order, for an acyclic quiver Q, connected or not, read off the Coxeter
-    orbit in K_0(kQ) of one _Coxeter.
+    orbit in K_0(kQ) of one K0Arithmetic.
 
     The theorem.  kQ has finite global dimension, so D^b(kQ) is stmod of
     the repetitive algebra of kQ (Happel, Comment. Math. Helv. 62, 1987),
@@ -317,7 +270,8 @@ def coxeter_trivext_traces(
     (below).  A connected bipartite Q that is not Dynkin, with no vertex
     both the source of one arrow and the target of another, gives every
     verdict by its kind (below).  Any other Q, a disconnected one included,
-    takes _orbit_verdicts on the same _Coxeter, which loads serre only here.
+    takes _orbit_verdicts on the same K0Arithmetic, which loads serre only
+    here.
 
     The Dynkin verdict.  T(kQ) is representation-finite for a Dynkin
     quiver Q in any orientation: Tachikawa, "Representations of trivial
@@ -350,13 +304,13 @@ def coxeter_trivext_traces(
       2|b_n|_1 and (2 + max deg)|b_n|_1 as b_n >= 0, grow linearly when
       r = 2 and exponentially when r > 2.
     """
-    cox = _Coxeter(q)
-    n = cox.n
+    k0 = K0Arithmetic(q)
+    n = k0.n
     kind = classify_quiver(q).kind if q.is_connected else None
     if kind == "finite":
-        return cox.traces(range(n), steps, dim_cap), [ComplexityEstimate.finite(1)] * n
-    directing = [i for i in range(n) if cox.directing(i, steps)]
-    traces = dict(zip(directing, cox.traces(directing, steps, dim_cap)))
+        return _orbit_traces(k0, range(n), steps, dim_cap), [ComplexityEstimate.finite(1)] * n
+    directing = [i for i in range(n) if _directing(k0, i, steps)]
+    traces = dict(zip(directing, _orbit_traces(k0, directing, steps, dim_cap)))
     regular = [i for i in range(n) if i not in traces]
     if regular:
         # loaded only here, so a quiver whose simples are directing does not compile them
@@ -372,11 +326,11 @@ def coxeter_trivext_traces(
         estimates = [ComplexityEstimate.finite(2) if kind == "affine"
                      else ComplexityEstimate.infinite()] * n
     else:
-        estimates = _orbit_verdicts(cox)
+        estimates = _orbit_verdicts(k0)
     return [traces[i] for i in range(n)], estimates
 
 
-def _orbit_verdicts(cox: _Coxeter) -> list[ComplexityEstimate]:
+def _orbit_verdicts(k0: K0Arithmetic) -> list[ComplexityEstimate]:
     """Each simple's complexity over T(kQ) from the orbit of row i of E
     under Phi^(-T), decided by serre.orbit_growth.
 
@@ -390,12 +344,11 @@ def _orbit_verdicts(cox: _Coxeter) -> list[ComplexityEstimate]:
     """
     from .serre import orbit_growth  # loaded only for these verdicts
 
-    # row j of Phi^(-T) is column j of Phi^(-1)
-    phi = RatMatrix([cox.inverse(cox.unit(j)) for j in range(cox.n)])
+    phi = k0.matrix(k0.inverse).T
     verdicts = []
-    for i in range(cox.n):
-        row = cox.unit(i)
-        for s, t in cox.arrows:
+    for i in range(k0.n):
+        row = k0.unit(i)
+        for s, t in k0.arrows:
             if s == i:
                 row[t] -= 1
         growth = orbit_growth(phi, [tuple(row)])
@@ -405,30 +358,31 @@ def _orbit_verdicts(cox: _Coxeter) -> list[ComplexityEstimate]:
 
 
 def trivext_traces(
-    quiver: Quiver, relations: tuple | None, steps: int = 40, dim_cap: int = 100000
+    presentation: Quiver | GentlePresentation, steps: int = 40, dim_cap: int = 100000
 ) -> tuple[int, list[ResolutionTrace], list[ComplexityEstimate]]:
     """dim A, and every simple's trace and complexity estimate over T(A), in
-    vertex order, where A is kQ when relations is None and the gentle
-    algebra of (Q, relations) otherwise.
+    vertex order, for A = kQ of a plain quiver Q or a gentle presentation's.
 
-    A presentation with no relations, None or empty, on an acyclic Q takes
+    A plain Q, or a presentation with no relations on an acyclic Q, takes
     coxeter_trivext_traces, and dim kQ is half the sum of the projectives
     P_0, as T(kQ) is their direct sum; a plain Q with an oriented cycle goes
-    there too, and _Coxeter refuses it as path_algebra would.  Every other
-    presentation is gentle: resolve_simple_modules runs the engine on T(A)
-    and complexity_estimate fits each trace, and a trace too short to fit is
-    inconclusive, with its reason.  gentle_algebra refuses a cycle that no
-    relation breaks, "relations": [] included.
+    there too, and K0Arithmetic refuses it as path_algebra would.  Every
+    other presentation is gentle: resolve_simple_modules runs the engine on
+    T(A) and complexity_estimate fits each trace, and a trace too short to
+    fit is inconclusive, with its reason.  gentle_algebra refuses a cycle
+    that no relation breaks, "relations": [] included.
     """
-    if relations is None or (not relations and not has_oriented_cycle(quiver)):
+    plain = isinstance(presentation, Quiver)
+    quiver = presentation if plain else presentation.quiver
+    if plain or not (presentation.relations or has_oriented_cycle(quiver)):
         traces, estimates = coxeter_trivext_traces(quiver, steps, dim_cap)
         return sum(trace.betti[0] for trace in traces) // 2, traces, estimates
     # loaded only here, so a job on the Coxeter route does not compile them
-    from .builders import GentlePresentation, gentle_algebra
+    from .builders import gentle_algebra
     from .resolution import resolve_simple_modules
     from .trivext import trivial_extension
 
-    base = gentle_algebra(GentlePresentation(quiver, relations))
+    base = gentle_algebra(presentation)
     traces = resolve_simple_modules(trivial_extension(base), steps, dim_cap)
     estimates = []
     for trace in traces:

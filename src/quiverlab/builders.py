@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .quiver import Arrow, Quiver, has_oriented_cycle, quiver_from_data
+from .quiver import Arrow, Quiver, acyclic_order, has_oriented_cycle, quiver_from_data
 from .ratmat import vector
 from .record import Record
 from .scalgebra import BasisElement, Element, SCAlgebra
@@ -92,8 +92,7 @@ def _monomial_algebra(q: Quiver, relations: set[tuple[str, str]],
 
 def path_algebra(q: Quiver) -> SCAlgebra:
     """Path algebra of an acyclic quiver; basis = all paths."""
-    if has_oriented_cycle(q):
-        raise ValueError("quiver has an oriented cycle; its path algebra is infinite-dimensional")
+    acyclic_order(q)  # refuses an oriented cycle
     return _monomial_algebra(q, set(), {})
 
 

@@ -111,13 +111,7 @@ def _profile_json(profile) -> dict:
 
 def cmd_classify(args) -> Report:
     from .cyclo import cyclotomic_profile
-    from .quiver import (
-        cartan_path_algebra,
-        classify_quiver,
-        coxeter_matrix,
-        has_oriented_cycle,
-        parse_quiver,
-    )
+    from .quiver import K0Arithmetic, classify_quiver, has_oriented_cycle, parse_quiver
 
     document, digest = _read_input(args.file)
     q = parse_quiver(document)
@@ -141,9 +135,9 @@ def cmd_classify(args) -> Report:
              "cyclotomic_profile": None}
         )
     else:
-        cartan = cartan_path_algebra(q)
-        phi = coxeter_matrix(cartan)
-        result["cartan_matrix"] = exact(_matrix_json(cartan))
+        k0 = K0Arithmetic(q)
+        phi = k0.matrix(k0.forward)
+        result["cartan_matrix"] = exact(_matrix_json(k0.matrix(k0.paths)))
         result["coxeter_matrix"] = exact(_matrix_json(phi))
         profile = cyclotomic_profile(phi)
         result["char_poly"] = _poly_json(profile.char_poly)
@@ -222,11 +216,11 @@ def cmd_trivext(args) -> Report:
     if isinstance(data, dict) and "relations" in data:
         from .builders import gentle_from_data
 
-        pres = gentle_from_data(data)
-        quiver, relations = pres.quiver, pres.relations
+        presentation = gentle_from_data(data)
+        quiver = presentation.quiver
     else:
-        quiver, relations = quiver_from_data(data), None
-    base_dim, traces, estimates = trivext_traces(quiver, relations, args.steps, args.dim_cap)
+        presentation = quiver = quiver_from_data(data)
+    base_dim, traces, estimates = trivext_traces(presentation, args.steps, args.dim_cap)
     overall = combine_estimates(estimates)
 
     warnings: list[str] = []

@@ -1,4 +1,5 @@
-"""Quiver data model, Tits form, and the finite/affine/indefinite trichotomy."""
+"""Quiver data model, Tits form, the finite/affine/indefinite trichotomy,
+and K0Arithmetic, the package's one arithmetic of K_0(kQ)."""
 from __future__ import annotations
 
 import json
@@ -216,24 +217,81 @@ def has_oriented_cycle(q: Quiver) -> bool:
     return topological_order(q) is None
 
 
+def acyclic_order(q: Quiver) -> list[int]:
+    """topological_order of Q; ValueError when kQ is infinite-dimensional."""
+    order = topological_order(q)
+    if order is None:
+        raise ValueError("quiver has an oriented cycle; its path algebra is infinite-dimensional")
+    return order
+
+
+class K0Arithmetic:
+    """Integer arithmetic of K_0(kQ) for an acyclic quiver Q.
+
+    C is the Cartan matrix, C[t][s] the number of paths from s to t, so
+    C = (I - N)^(-1) for the arrow counts N[t][s] of s -> t; E = C^(-T) is
+    I minus the arrow counts s -> t, <x, y> = x^T E y is the Euler form, and
+    Phi = -C^T C^(-1) is the Coxeter transformation, the class of tau.
+    Every product is a pass over the arrows in a topological order, and
+    matrix reads a matrix off one column by column; nothing is inverted.
+    """
+
+    def __init__(self, q: Quiver):
+        order = acyclic_order(q)
+        self.n = len(order)
+        rank = {v: k for k, v in enumerate(order)}
+        pos = q.vertex_index()
+        # the arrows (s, t), by the place of s in the topological order
+        self.arrows = sorted(((pos[a.source], pos[a.target]) for a in q.arrows),
+                             key=lambda arrow: rank[arrow[0]])
+
+    def unit(self, i: int) -> list[int]:
+        return [int(x == i) for x in range(self.n)]
+
+    def paths(self, x: list[int]) -> list[int]:
+        """C x: y = x + N y, read source by source in topological order."""
+        y = list(x)
+        for s, t in self.arrows:
+            y[t] += y[s]
+        return y
+
+    def euler(self, x: list[int]) -> list[int]:
+        """E x."""
+        y = list(x)
+        for s, t in self.arrows:
+            y[s] -= x[t]
+        return y
+
+    def inverse(self, c: list[int]) -> list[int]:
+        """Phi^(-1) c = -C E c, the class of tau^(-1)."""
+        return [-y for y in self.paths(self.euler(c))]
+
+    def forward(self, c: list[int]) -> list[int]:
+        """Phi c = -C^T (I - N) c, the class of tau: z = (I - N) c, then
+        y = z + N^T y, read in the reverse order."""
+        z = list(c)
+        for s, t in self.arrows:
+            z[t] -= c[s]
+        for s, t in reversed(self.arrows):
+            z[s] += z[t]
+        return [-y for y in z]
+
+    def matrix(self, apply) -> RatMatrix:
+        """The matrix of the map apply, C for paths, Phi for forward."""
+        return RatMatrix(zip(*(apply(self.unit(j)) for j in range(self.n))))
+
+
 def cartan_path_algebra(q: Quiver) -> RatMatrix:
     """Cartan matrix of the path algebra: C[j][i] = #paths from i to j.
 
     Column i is the dimension vector of the projective at vertex i.
     """
-    if has_oriented_cycle(q):
-        raise ValueError("quiver has an oriented cycle; its path algebra is infinite-dimensional")
-    index = q.vertex_index()
-    n = len(q.vertices)
-    steps = [[0] * n for _ in range(n)]
-    for a in q.arrows:
-        steps[index[a.target]][index[a.source]] += 1
-    # paths = I + N + N^2 + ... = (I - N)^{-1} for nilpotent N
-    return (RatMatrix.identity(n) - RatMatrix(steps)).inverse()
+    k0 = K0Arithmetic(q)
+    return k0.matrix(k0.paths)
 
 
 def coxeter_matrix(c: RatMatrix) -> RatMatrix:
-    """Coxeter transformation -C^T C^{-1} on column dimension vectors."""
+    """Coxeter transformation -C^T C^{-1} of any Cartan matrix, on column vectors."""
     if not c.is_square:
         raise ValueError("Cartan matrix must be square")
     return -(c.T * c.inverse())

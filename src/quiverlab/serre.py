@@ -15,13 +15,7 @@ from typing import TYPE_CHECKING
 
 from .cyclo import cyclotomic_profile, krylov_walk, spectral_radius
 from .intpoly import IntPolynomial, cyclotomic_factorization
-from .quiver import (
-    Quiver,
-    cartan_path_algebra,
-    classify_quiver,
-    coxeter_matrix,
-    has_oriented_cycle,
-)
+from .quiver import K0Arithmetic, Quiver, classify_quiver, has_oriented_cycle
 from .ratmat import RatMatrix, Vector, l1_norm, vector
 from .record import Record
 
@@ -197,7 +191,8 @@ def graded_path_verdict(q: Quiver) -> SerreVerdict:
     """
     quiver_type = classify_quiver(q)
     if quiver_type.kind == "finite":
-        profile = cyclotomic_profile(coxeter_matrix(cartan_path_algebra(q)))
+        k0 = K0Arithmetic(q)
+        profile = cyclotomic_profile(k0.matrix(k0.forward))
         return SerreVerdict.fractionally_calabi_yau(
             None,
             None,
@@ -341,24 +336,22 @@ def entropy_orbit(
 ) -> tuple[float, list[float], RatMatrix, list[Vector]]:
     """hereditary_entropy's (h0, trace) with the Coxeter matrix phi and the
     orbit behind them: the cogenerator vector v and its iterates phi^k v for
-    k = 1..iterations, all in int arithmetic.  The Coxeter polynomial's
-    first Krylov block continues from this orbit, so each iterate is
-    computed once, and orbit_growth reads that block's polynomial, so the
-    orbit is eliminated once.  h0 is exactly 0.0 when spectral_radius finds
+    k = 1..iterations, all in ints from K0Arithmetic, nothing inverted.  The
+    Coxeter polynomial's first Krylov block continues from this orbit, so
+    each iterate is computed once, and orbit_growth reads that block's
+    polynomial, so the orbit is eliminated once.  h0 is exactly 0.0 when spectral_radius finds
     the Coxeter polynomial cyclotomic."""
     if iterations < 1:
         raise ValueError("iterations must be positive")
     if not q.is_connected:
         raise ValueError("entropy needs a connected quiver")
-    cartan = cartan_path_algebra(q)
-    phi = coxeter_matrix(cartan)
-    cogenerator = vector(
-        sum(cartan.column(j)) for j in range(cartan.cols)
-    )
+    k0 = K0Arithmetic(q)
+    phi = k0.matrix(k0.forward)
+    cogenerator = tuple(sum(k0.paths(k0.unit(j))) for j in range(k0.n))
     orbit = [cogenerator]
     trace = []
     for k in range(1, iterations + 1):
-        orbit.append(phi.apply(orbit[-1]))
+        orbit.append(tuple(k0.forward(orbit[-1])))
         trace.append(_log_fraction(l1_norm(orbit[-1])) / k)
     h0 = math.log(spectral_radius(phi, orbit))
     return h0, trace, phi, orbit

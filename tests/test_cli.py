@@ -281,6 +281,22 @@ def test_trivext_decodes_a_gentle_document_once(tmp_path, capsys, monkeypatch):
     assert calls == [GENTLE_TWO_LOOP_DOC]
 
 
+def test_trivext_validates_a_gentle_document_once(tmp_path, capsys, monkeypatch):
+    # the presentation the CLI reads is the one the route resolves
+    from quiverlab.builders import GentlePresentation
+
+    checks = []
+    validate = GentlePresentation._post_init
+    monkeypatch.setattr(GentlePresentation, "_post_init",
+                        lambda self: checks.append(self) or validate(self))
+    empty = json.dumps({**json.loads(KRONECKER_DOC), "relations": []})
+    for name, document, count in (("gentle.json", GENTLE_TWO_LOOP_DOC, 1),
+                                  ("empty.json", empty, 1), ("plain.json", KRONECKER_DOC, 0)):
+        checks.clear()
+        code, _, _ = run(capsys, "trivext", write(tmp_path, name, document), "--steps", "12")
+        assert (code, len(checks)) == (0, count), name
+
+
 def gentle_doc(vertices, arrows, relations):
     return json.dumps({
         "vertices": vertices,
@@ -656,6 +672,33 @@ def test_trivext_workloads_keep_their_bytes(tmp_path, capsys, monkeypatch):
             code, out, err = run(capsys, *job.argv, "--json")
             outcomes[job.id] = (code, err, hashlib.sha256(out.encode()).hexdigest())
     assert outcomes == TRIVEXT_OUTCOMES
+
+
+def test_path_algebra_commands_invert_no_matrix(tmp_path, capsys, monkeypatch):
+    # classify, entropy and trivext read C, Phi and Phi^(-1) of kQ off
+    # K0Arithmetic: with RatMatrix.inverse refused, each relation-free bench
+    # job still prints its pinned bytes
+    def refuse(self):
+        raise AssertionError("RatMatrix.inverse on a path-algebra route")
+
+    monkeypatch.setattr(RatMatrix, "inverse", refuse)
+    workloads = bench_module("workloads")
+    monkeypatch.chdir(tmp_path)
+    pinned = {**SPECTRAL_STDOUT_SHA256, **{job: digest for job, (_, _, digest)
+                                           in TRIVEXT_OUTCOMES.items()}}
+    digests = {}
+    for name in workloads.WORKLOADS:
+        files, jobs = workloads.build(name, 1401)
+        workloads.write_inputs(files, tmp_path)
+        for job in jobs:
+            command, *rest = job.argv
+            if command in ("classify", "entropy", "trivext") and \
+                    "relations" not in json.loads(files[rest[0]]):
+                code, out, err = run(capsys, *job.argv, "--json")
+                assert (code, err) == (0, ""), job.id
+                digests[job.id] = hashlib.sha256(out.encode()).hexdigest()
+    assert len(digests) == 16
+    assert digests == {job: pinned[job] for job in digests}
 
 
 def test_each_trivext_job_classifies_its_quiver_at_most_once(tmp_path, capsys, monkeypatch):

@@ -5,6 +5,7 @@ The trichotomy expectations are the standard Dynkin/Euclidean tables; the
 definiteness tests behind them are exact.
 """
 import json
+import random
 
 import pytest
 
@@ -18,7 +19,9 @@ from quiverlab import (
     quiver_from_data,
     tits_matrix,
 )
-from conftest import matrix_columns, multi_kronecker, path_quiver, star_quiver
+from quiverlab.quiver import K0Arithmetic
+from quiverlab.serre import entropy_orbit
+from conftest import bench_module, matrix_columns, multi_kronecker, path_quiver, star_quiver
 
 
 def test_parse_minimal_document():
@@ -172,6 +175,81 @@ def test_cartan_path_algebra_rejects_cycle():
     loop = quiver_from_data({"vertices": [1], "arrows": [{"id": "l", "from": 1, "to": 1}]})
     with pytest.raises(ValueError):
         cartan_path_algebra(loop)
+
+
+def dense_k0(q):
+    """The dense oracle of K0Arithmetic: C = (I - N)^(-1) for the arrow
+    counts N[t][s] of s -> t, Phi = coxeter_matrix(C) and Phi^(-1), each by
+    RatMatrix.inverse."""
+    n, index = len(q.vertices), q.vertex_index()
+    steps = [[0] * n for _ in range(n)]
+    for a in q.arrows:
+        steps[index[a.target]][index[a.source]] += 1
+    cartan = (RatMatrix.identity(n) - RatMatrix(steps)).inverse()
+    phi = coxeter_matrix(cartan)
+    return cartan, phi, phi.inverse()
+
+
+def assert_k0_is_dense(q, iterations):
+    """C, E, Phi and Phi^(-1) of K0Arithmetic, and the Coxeter orbit of
+    entropy_orbit on a connected Q, equal the dense oracle's."""
+    cartan, phi, inverse = dense_k0(q)
+    k0 = K0Arithmetic(q)
+    assert cartan_path_algebra(q) == k0.matrix(k0.paths) == cartan
+    assert k0.matrix(k0.euler) == cartan.inverse().T
+    assert (k0.matrix(k0.forward), k0.matrix(k0.inverse)) == (phi, inverse)
+    if q.is_connected:
+        _, _, got, orbit = entropy_orbit(q, iterations)
+        expected = [tuple(sum(col) for col in matrix_columns(cartan))]
+        for _ in range(iterations):
+            expected.append(phi.apply(expected[-1]))
+        assert (got, orbit) == (phi, expected)
+
+
+def random_acyclic_quiver(rng: random.Random, max_vertices: int):
+    """An acyclic quiver on 1..max_vertices vertices with up to twice as
+    many arrows, each pointing up a random order of the vertices, so
+    parallel arrows and several components both come up."""
+    n = rng.randint(1, max_vertices)
+    rank = rng.sample(range(n), n)
+    pairs = [sorted(rng.sample(range(n), 2), key=rank.__getitem__)
+             for _ in range(rng.randint(0, 2 * n) if n > 1 else 0)]
+    return quiver_from_data({
+        "vertices": list(range(n)),
+        "arrows": [{"id": f"x{k}", "from": s, "to": t} for k, (s, t) in enumerate(pairs)],
+    })
+
+
+def test_k0_arithmetic_is_the_dense_oracle_on_random_acyclic_quivers():
+    rng = random.Random(43)
+    seen = {"disconnected": 0, "parallel": 0, "wild": 0}
+    for _ in range(80):
+        q = random_acyclic_quiver(rng, 8)
+        ends = [(a.source, a.target) for a in q.arrows]
+        seen["disconnected"] += not q.is_connected
+        seen["parallel"] += len(set(ends)) < len(ends)
+        seen["wild"] += q.is_connected and classify_quiver(q).kind == "indefinite"
+        assert_k0_is_dense(q, 20)
+    assert min(seen.values()) >= 10, seen
+
+
+def bench_quivers() -> dict:
+    """File name -> quiver of every relation-free quiver document of the
+    benchmark's workloads."""
+    workloads = bench_module("workloads")
+    out = {}
+    for name in workloads.WORKLOADS:
+        files, _ = workloads.build(name, 1401)
+        for label, text in files.items():
+            document = json.loads(text)
+            if isinstance(document, dict) and "relations" not in document:
+                out[label] = quiver_from_data(document)
+    return out
+
+
+@pytest.mark.parametrize("q", bench_quivers().values(), ids=bench_quivers())
+def test_k0_arithmetic_is_the_dense_oracle_on_every_bench_quiver(q):
+    assert_k0_is_dense(q, 60)
 
 
 def test_coxeter_matrix_values():

@@ -45,7 +45,7 @@ from quiverlab import resolution as res_mod
 from quiverlab import trivext as trivext_mod
 from quiverlab.builders import GentlePresentation, gentle_algebra, parse_gentle
 from quiverlab.cli import main
-from quiverlab.quiver import cartan_path_algebra, classify_quiver, coxeter_matrix
+from quiverlab.quiver import K0Arithmetic, cartan_path_algebra, classify_quiver, coxeter_matrix
 from quiverlab.ratmat import UNTRACKED, TrackedEchelon
 from quiverlab.record import FrozenInstanceError
 from quiverlab.serre import orbit_growth
@@ -453,22 +453,23 @@ def two_kroneckers():
 def routed(monkeypatch) -> Counter:
     """The calls, by name, that a route makes from here on: the algebras
     trivial_extension builds, the engine's resolve_simple_modules, the fits
-    of complexity_estimate, the _Coxeter objects built and classify_quiver."""
+    of complexity_estimate, the K0Arithmetic objects built, wherever they
+    are, and classify_quiver."""
     calls = Counter()
 
-    def counted(owner, name):
+    def counted(owner, name, key):
         original = getattr(owner, name)
 
         def count(*args, **kwargs):
-            calls[name] += 1
+            calls[key] += 1
             return original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, count)
 
     for owner, name in ((trivext_mod, "trivial_extension"), (res_mod, "resolve_simple_modules"),
-                        (betti, "complexity_estimate"), (betti, "_Coxeter"),
-                        (betti, "classify_quiver")):
-        counted(owner, name)
+                        (betti, "complexity_estimate"), (betti, "classify_quiver")):
+        counted(owner, name, name)
+    counted(K0Arithmetic, "__init__", "K0Arithmetic")
     return calls
 
 
@@ -526,20 +527,21 @@ def test_koszul_route_is_the_engine_where_its_theorem_applies(monkeypatch, prese
                                                               route):
     quiver, relations = presentation()
     if relations is None:
-        base = path_algebra(quiver)
+        pres, base = quiver, path_algebra(quiver)
     else:
-        base = gentle_algebra(GentlePresentation(quiver, relations))
+        pres = GentlePresentation(quiver, relations)
+        base = gentle_algebra(pres)
     ta = trivial_extension(base)
     engine = [minimal_resolution(ta, p, **bounds) for p in range(len(ta.vertices))]
     calls = routed(monkeypatch)
-    base_dim, traces, estimates = betti.trivext_traces(quiver, relations, **bounds)
+    base_dim, traces, estimates = betti.trivext_traces(pres, **bounds)
     assert (base_dim, traces) == (base.dim, engine)
-    # a relation-free job builds one _Coxeter, classifies a connected Q once
+    # a relation-free job builds one K0Arithmetic, classifies a connected Q once
     # and neither resolves with the engine nor fits; the gentle one does both
     fitted = route == "fitted"
     assert calls["trivial_extension"] == calls["resolve_simple_modules"] == fitted
     assert calls["complexity_estimate"] == (len(engine) if fitted else 0)
-    assert calls["_Coxeter"] == (not fitted)
+    assert calls["K0Arithmetic"] == (not fitted)
     assert calls["classify_quiver"] == (not fitted and quiver.is_connected)
     if fitted:
         assert estimates == [complexity_estimate(trace) for trace in engine]
@@ -575,10 +577,11 @@ def test_disconnected_quivers_take_the_coxeter_route(monkeypatch, build, steps):
     q = build()
     ta = trivial_extension(path_algebra(q))
     engine = [minimal_resolution(ta, p, steps) for p in range(len(q.vertices))]
+    verdicts = orbit_rule(q)
     calls = routed(monkeypatch)
-    base_dim, traces, estimates = betti.trivext_traces(q, None, steps)
-    assert (2 * base_dim, traces, estimates) == (ta.dim, engine, orbit_rule(q))
-    assert calls == Counter({"_Coxeter": 1})
+    base_dim, traces, estimates = betti.trivext_traces(q, steps)
+    assert (2 * base_dim, traces, estimates) == (ta.dim, engine, verdicts)
+    assert calls == Counter({"K0Arithmetic": 1})
 
 
 @pytest.mark.parametrize("steps", [2, 4])
@@ -600,7 +603,7 @@ def test_dynkin_quivers_print_the_engines_traces_at_few_steps(monkeypatch, tmp_p
     simples = json.loads(capsys.readouterr().out)["result"]["simples"]
     assert [simple["trace"] for simple in simples] == engine
     assert all(simple["estimate"] == {"kind": "finite", "degree": 1} for simple in simples)
-    assert calls == Counter({"_Coxeter": 1, "classify_quiver": 1})
+    assert calls == Counter({"K0Arithmetic": 1, "classify_quiver": 1})
 
 
 def random_acyclic_quiver(rng: random.Random, max_vertices: int):
@@ -631,10 +634,10 @@ def test_coxeter_formula_is_the_engine_on_random_acyclic_quivers():
         n = len(q.vertices)
         ta = trivial_extension(path_algebra(q))
         engine = [minimal_resolution(ta, p, 10, 2000) for p in range(n)]
-        cox = betti._Coxeter(q)
-        assert cox.traces(range(n), 10, 2000) == engine, q
+        k0 = K0Arithmetic(q)
+        assert betti._orbit_traces(k0, range(n), 10, 2000) == engine, q
         assert betti.coxeter_trivext_traces(q, 10, 2000)[0] == engine, q
-        routed.update(cox.directing(i, 10) for i in range(n))
+        routed.update(betti._directing(k0, i, 10) for i in range(n))
     assert routed[True] > 200 and routed[False] > 0, routed
 
 
@@ -671,8 +674,8 @@ def test_regular_simples_of_a3_affine_take_the_engine(monkeypatch):
         {"id": f"x{s}{t}", "from": s, "to": t} for s, t in ((0, 1), (1, 2), (2, 3), (0, 3))]})
     ta = trivial_extension(path_algebra(q))
     engine = [minimal_resolution(ta, p) for p in range(4)]
-    cox = betti._Coxeter(q)
-    assert [cox.directing(i, 400) for i in range(4)] == [True, False, False, True]
+    k0 = K0Arithmetic(q)
+    assert [betti._directing(k0, i, 400) for i in range(4)] == [True, False, False, True]
     resolved = []
     resolve = res_mod.minimal_resolution
     monkeypatch.setattr(res_mod, "minimal_resolution",
@@ -680,9 +683,9 @@ def test_regular_simples_of_a3_affine_take_the_engine(monkeypatch):
     assert betti.coxeter_trivext_traces(q)[0] == engine
     assert resolved == [1, 2]
     # the formula gives the same traces there, as measured and not proved
-    assert cox.traces(range(4), 40, 100000) == engine
+    assert betti._orbit_traces(k0, range(4), 40, 100000) == engine
     # and the regular simples have complexity 1, the others 2
-    _, _, estimates = betti.trivext_traces(q, None)
+    _, _, estimates = betti.trivext_traces(q)
     assert estimates == [ComplexityEstimate.finite(d) for d in (2, 1, 1, 2)]
 
 
@@ -736,7 +739,7 @@ def test_koszul_verdicts_are_the_orbit_growth_on_every_small_tree():
     for n, edges in trees(9):
         sizes[n] += 1
         q = bipartite_tree(n, edges)
-        _, _, estimates = betti.trivext_traces(q, None, steps=2)
+        _, _, estimates = betti.trivext_traces(q, steps=2)
         kind = classify_quiver(q).kind
         kinds[kind] += 1
         if kind == "finite":
@@ -776,7 +779,7 @@ def test_every_small_tree_reads_its_verdicts_off_the_coxeter_orbit():
     for n, edges in trees(10):
         overall = []
         for q in (bipartite_tree(n, edges), seeded_tree(rng, n, edges)):
-            _, _, estimates = betti.trivext_traces(q, None, steps=2)
+            _, _, estimates = betti.trivext_traces(q, steps=2)
             assert estimates == orbit_rule(q), (q, estimates)
             overall.append(combine_estimates(estimates))
         kind = classify_quiver(q).kind

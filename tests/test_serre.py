@@ -101,6 +101,18 @@ def test_verdict_finite_type_is_fractional_cy():
     assert "period 30" in v.reason
 
 
+def test_finite_type_verdict_inverts_no_matrix(monkeypatch):
+    # the Coxeter period comes from Phi read off K0Arithmetic
+    quivers = [path_quiver(2), star_quiver((1, 2, 4)), star_quiver((1, 1, 37))]
+    expected = [graded_path_verdict(q) for q in quivers]
+
+    def refuse(self):
+        raise AssertionError("RatMatrix.inverse on a path-algebra route")
+
+    monkeypatch.setattr(RatMatrix, "inverse", refuse)
+    assert [graded_path_verdict(q) for q in quivers] == expected
+
+
 def test_verdict_affine_trees():
     cases = [
         (star_quiver((1, 1, 1, 1)), 2, 2),  # four arms, canonical weights (2,2,2)
