@@ -8,9 +8,11 @@ combine_estimates takes the worst of several verdicts.
 
 trivext_traces sends a presentation down one of two routes.  A quiver with
 no relations and no oriented cycle, connected or not, takes the Coxeter
-orbit of kQ (coxeter_trivext_traces), which tests no simple of a Dynkin Q
-for directing and builds no algebra for a directing simple; its walks
-step along the orbit with quiver.K0Arithmetic.  A gentle
+orbit of kQ (coxeter_trivext_traces), which classifies each connected
+component once, tests no simple of a Dynkin component for directing,
+builds no algebra for a directing simple, and reads every verdict off the
+simple's component kind and defect; its walks step along the orbit with
+quiver.K0Arithmetic.  No verdict loads serre.  A gentle
 presentation with relations runs the resolution module's engine on T(A),
 resolve_simple_modules, and fits each trace with complexity_estimate; the
 two serve that route alone.  Only the engine's routes import the engine,
@@ -230,7 +232,7 @@ def coxeter_trivext_traces(
 ) -> tuple[list[ResolutionTrace], list[ComplexityEstimate]]:
     """Every simple's trace and complexity estimate over T(kQ), in vertex
     order, for an acyclic quiver Q, connected or not, read off the Coxeter
-    orbit in K_0(kQ) of one K0Arithmetic.
+    orbit in K_0(kQ) of one K0Arithmetic and the kind of each component.
 
     The theorem.  kQ has finite global dimension, so D^b(kQ) is stmod of
     the repetitive algebra of kQ (Happel, Comment. Math. Helv. 62, 1987),
@@ -258,58 +260,75 @@ def coxeter_trivext_traces(
     dimensions go through _betti_trace, the engine's stop rules, so the
     bytes the command prints are the engine's.
 
-    The route of each simple.  A connected Q is classified once, before
-    any walk.  On a Dynkin Q every simple is directing and takes the
-    formula with no test.  Elsewhere S_i takes it when certified directing:
-    Phi^k e_i or Phi^(-k) e_i leaves the positive cone for some k <= steps,
-    so tau^(-k+1) S_i is injective or tau^(k-1) S_i projective, at k = 1
-    for a sink or a source.  Any other simple, regular so far as the walk
-    sees, is resolved by minimal_resolution on T(kQ), built once for all.
+    The route of each simple.  Each connected component K of Q is
+    classified once, before any walk.  Every simple of a Dynkin K is
+    directing and takes the formula with no test.  Elsewhere S_i takes it
+    when certified directing: Phi^k e_i or Phi^(-k) e_i leaves the
+    positive cone for some k <= steps, so tau^(-k+1) S_i is injective or
+    tau^(k-1) S_i projective, at k = 1 for a sink or a source.  Any other
+    simple, regular so far as the walk sees, is resolved by
+    minimal_resolution on T(kQ), built once for all.
 
-    The verdicts.  A Dynkin Q gives every simple "finite, degree 1"
-    (below).  A connected bipartite Q that is not Dynkin, with no vertex
-    both the source of one arrow and the target of another, gives every
-    verdict by its kind (below).  Any other Q, a disconnected one included,
-    takes _orbit_verdicts on the same K0Arithmetic, which loads serre only
-    here.
+    The verdicts, one rule for the simples of each component K:
+    - K Dynkin: "finite, degree 1";
+    - K affine, with radical vector delta: "finite, degree 2" when the
+      defect d(e_i) = delta_i - sum of delta_s over the arrows s -> i is
+      nonzero, and "finite, degree 1" when it is 0, that is, when S_i is
+      regular;
+    - K wild: "infinite".
+    T(kQ) is the product of the T(kK), so a simple of K sees K alone.
 
-    The Dynkin verdict.  T(kQ) is representation-finite for a Dynkin
-    quiver Q in any orientation: Tachikawa, "Representations of trivial
-    extensions of hereditary algebras", LNM 832 (1980); Hughes and
-    Waschbusch, "Trivial extensions of tilted algebras", Proc. LMS 46
-    (1983).  T(kQ) is symmetric, so Omega permutes the finitely many
-    isoclasses of indecomposable non-projective modules, and every simple,
-    which is not projective since dim P_i >= 2, is Omega-periodic.
-    dim P_n is dim Omega^n S + dim Omega^(n+1) S, so the Betti numbers are
-    periodic and positive: bounded, and never terminating.
-
-    The bipartite verdicts come from the kind alone: "finite, degree 2"
-    for an affine Q, "infinite" for an indefinite one.  Why this is exact:
-    - over a bipartite Q, T(kQ) is Koszul with Koszul dual the
-      preprojective algebra (Martinez-Villa, CMS Conf. Proc. 18, 1996;
-      Brenner, Butler and King, Algebr. Represent. Theory 5, 2002; Etingof
-      and Eu, Math. Res. Lett. 14, 2007), so
-      b_n = M b_(n-1) - b_(n-2), b_0 = e_i, for M the symmetric edge-count
-      matrix; 2T = 2I - M for the Tits form T, so affine means that M's
-      largest eigenvalue, its spectral radius r as M >= 0, is 2, and
-      indefinite means r > 2.
-    - b_n = U_n(M/2) e_i, with U_n the Chebyshev polynomials of the second
-      kind.  On an eigenvector of M of eigenvalue x, U_n(x/2) is bounded
-      for |x| < 2, is (+-1)^n (n + 1) at x = +-2, and grows like m^n,
-      m + 1/m = |x|, for |x| > 2.
-    - The Perron vector p of the connected M is positive, so it meets e_i,
-      and a bipartite spectrum is symmetric: -r has p with its signs
-      flipped on one side.  The two terms add on one side of Q at each n,
-      and no eigenvalue is larger in modulus, so the dimensions, between
-      2|b_n|_1 and (2 + max deg)|b_n|_1 as b_n >= 0, grow linearly when
-      r = 2 and exponentially when r > 2.
+    Why.  T(kQ) is selfinjective and S_i is not projective, as
+    dim P_i >= 2, so its resolution never stops and its complexity is at
+    least 1.  dim Hom and dim Ext^1 of the terms above are at least the
+    positive and the negative parts of <e_i, c_k> = <Phi^k e_i, e_j>, as
+    Phi keeps the Euler form, and at most dim M_i and the sum of dim M_t
+    over the arrows i -> t.  The lower bounds, over all j, grow as
+    Phi^k e_i does, E being invertible over Z.  So the complexity is 1 +
+    the growth degree of Phi^k e_i where the upper bounds grow no faster,
+    and infinite where that orbit grows exponentially; no purity is
+    needed.
+    - Dynkin: Phi has finite order, so both bounds are bounded.  (T(kQ) is
+      representation-finite besides: Tachikawa, LNM 832, 1980; Hughes and
+      Waschbusch, Proc. LMS 46, 1983.)
+    - Affine: 2T is positive semidefinite with radical Z delta, so
+      <delta, x> = -<x, delta>, Phi delta = delta, and the defect
+      d = <delta, .> is Phi-invariant.  Dlab and Ringel, "Indecomposable
+      representations of graphs and algebras", Mem. AMS 173 (1976): there
+      are p >= 1 and an integer c != 0 with Phi^p x = x + c d(x) delta for
+      every x, and d(dim M) < 0 for M preprojective, > 0 for M
+      preinjective and = 0 for M regular.  So every orbit grows at most
+      linearly, the upper bounds too, and Phi^k e_i grows linearly exactly
+      when d(e_i) != 0.  When d(e_i) = 0, S_i is regular and Phi^k e_i
+      is periodic.  A tau^(-1)-orbit of D^b(kQ) stays in a tube, where it
+      is periodic, or ends among shifted preprojectives M, where
+      Hom(S_i, M) = 0, so the Ext^1 term is its lower bound; every term is
+      bounded: complexity 1.  A sink or a source has d(e_i) != 0, as its
+      simple is projective or injective.
+    - Wild: Phi^k e_i is, up to sign, the dimension vector of tau^k S_i,
+      an indecomposable of D^b(kQ), and it grows like rho^k, rho > 1 the
+      spectral radius of Phi: for regular modules by de la Pena and
+      Takane, "Spectral properties of Coxeter transformations and
+      applications", Arch. Math. 55 (1990), and for preprojective and
+      preinjective ones by Ringel, "The spectral radius of the Coxeter
+      transformations for a generalized Cartan matrix", Math. Ann. 300
+      (1994).  So the lower bound grows exponentially: infinite.
     """
     k0 = K0Arithmetic(q)
     n = k0.n
-    kind = classify_quiver(q).kind if q.is_connected else None
-    if kind == "finite":
-        return _orbit_traces(k0, range(n), steps, dim_cap), [ComplexityEstimate.finite(1)] * n
-    directing = [i for i in range(n) if _directing(k0, i, steps)]
+    kinds, delta = [""] * n, [0] * n
+    for part in q.components():
+        inside = {q.vertices[v] for v in part}
+        found = classify_quiver(Quiver(tuple(q.vertices[v] for v in part),
+                                       tuple(a for a in q.arrows if a.source in inside)))
+        for k, v in enumerate(part):
+            kinds[v] = found.kind
+            if found.radical_vector:
+                delta[v] = found.radical_vector[k]
+    defect = list(delta)
+    for s, t in k0.arrows:
+        defect[t] -= delta[s]
+    directing = [i for i in range(n) if kinds[i] == "finite" or _directing(k0, i, steps)]
     traces = dict(zip(directing, _orbit_traces(k0, directing, steps, dim_cap)))
     regular = [i for i in range(n) if i not in traces]
     if regular:
@@ -321,40 +340,9 @@ def coxeter_trivext_traces(
         ta = trivial_extension(path_algebra(q))
         for i in regular:
             traces[i] = minimal_resolution(ta, i, steps, dim_cap)
-    sources = {a.source for a in q.arrows}
-    if kind is not None and not any(a.target in sources for a in q.arrows):
-        estimates = [ComplexityEstimate.finite(2) if kind == "affine"
-                     else ComplexityEstimate.infinite()] * n
-    else:
-        estimates = _orbit_verdicts(k0)
+    estimates = [ComplexityEstimate.infinite() if kinds[i] == "indefinite"
+                 else ComplexityEstimate.finite(1 + (defect[i] != 0)) for i in range(n)]
     return [traces[i] for i in range(n)], estimates
-
-
-def _orbit_verdicts(k0: K0Arithmetic) -> list[ComplexityEstimate]:
-    """Each simple's complexity over T(kQ) from the orbit of row i of E
-    under Phi^(-T), decided by serre.orbit_growth.
-
-    <e_i, Phi^(-k) e_j> is entry j of (Phi^(-T))^k E^T e_i.  dim Hom and
-    dim Ext^1 of coxeter_trivext_traces' terms are at least the positive
-    and the negative parts of it, and at most dim M_i and the sum of
-    dim M_t over the arrows i -> t, which grow as the orbit of Q's classes
-    does; so a bounded orbit gives complexity 1, one of polynomial degree
-    d gives 1 + d, and an exponential one gives infinite, with no purity
-    needed.
-    """
-    from .serre import orbit_growth  # loaded only for these verdicts
-
-    phi = k0.matrix(k0.inverse).T
-    verdicts = []
-    for i in range(k0.n):
-        row = k0.unit(i)
-        for s, t in k0.arrows:
-            if s == i:
-                row[t] -= 1
-        growth = orbit_growth(phi, [tuple(row)])
-        verdicts.append(ComplexityEstimate.infinite() if growth.kind == "exponential"
-                        else ComplexityEstimate.finite(growth.degree + 1))
-    return verdicts
 
 
 def trivext_traces(

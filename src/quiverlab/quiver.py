@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from fractions import Fraction
 
 from .ratmat import RatMatrix
@@ -42,20 +41,27 @@ class Quiver(Record):
     def vertex_index(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self.vertices)}
 
+    def components(self) -> list[list[int]]:
+        """The vertex positions of each connected component, each list
+        increasing and the lists by their least position (union-find)."""
+        index = self.vertex_index()
+        root = list(range(len(self.vertices)))
+
+        def find(v: int) -> int:
+            while root[v] != v:
+                root[v] = v = root[root[v]]
+            return v
+
+        for a in self.arrows:
+            root[find(index[a.source])] = find(index[a.target])
+        parts: dict[int, list[int]] = {}
+        for v in range(len(root)):
+            parts.setdefault(find(v), []).append(v)
+        return list(parts.values())
+
     @property
     def is_connected(self) -> bool:
-        neighbours: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for a in self.arrows:
-            neighbours[a.source].add(a.target)
-            neighbours[a.target].add(a.source)
-        seen = {self.vertices[0]}
-        queue = deque(seen)
-        while queue:
-            for w in neighbours[queue.popleft()]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == len(self.vertices)
+        return len(self.components()) == 1
 
     def reversed(self) -> "Quiver":
         flipped = tuple(Arrow(a.id, a.target, a.source, a.degree) for a in self.arrows)

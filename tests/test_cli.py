@@ -743,6 +743,20 @@ def test_entropy_cyclic_fails_with_hint(tmp_path, capsys):
     assert "classify" in err
 
 
+def test_classify_and_entropy_refuse_a_disconnected_quiver(tmp_path, capsys):
+    # trivext takes a disconnected quiver component by component; these two
+    # name the connectedness they need
+    path = write(tmp_path, "a2+a1.json", json.dumps(
+        {"vertices": [1, 2, 3], "arrows": [{"id": "a", "from": 1, "to": 2}]}))
+    assert run(capsys, "classify", path) == (
+        1, "", "error: classification requires a connected quiver\n")
+    assert run(capsys, "entropy", path) == (1, "", "error: entropy needs a connected quiver\n")
+    code, out, _ = run(capsys, "trivext", path, "--json")
+    assert code == 0
+    assert [simple["estimate"] for simple in json.loads(out)["result"]["simples"]] == \
+        [{"kind": "finite", "degree": 1}] * 3
+
+
 # --- check-coxeter ------------------------------------------------------------------
 
 def test_check_coxeter_passes_gentle_matrix(tmp_path, capsys):

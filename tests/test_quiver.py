@@ -68,6 +68,15 @@ def test_connectivity_and_reversal():
     assert {(a.source, a.target) for a in r.arrows} == {("2", "1"), ("3", "2")}
     disconnected = quiver_from_data({"vertices": [1, 2], "arrows": []})
     assert not disconnected.is_connected
+    assert disconnected.components() == [[0], [1]]
+    # two paths and a loop, their vertices interleaved: each component's
+    # positions increase, and the components come by their least position
+    mixed = quiver_from_data({"vertices": ["a", "x", "b", "y", "c", "l"], "arrows": [
+        {"id": "1", "from": "c", "to": "b"}, {"id": "2", "from": "a", "to": "b"},
+        {"id": "3", "from": "y", "to": "x"}, {"id": "4", "from": "l", "to": "l"}]})
+    assert mixed.components() == [[0, 2, 4], [1, 3], [5]]
+    assert not mixed.is_connected
+    assert q.components() == [[0, 1, 2]]
 
 
 def test_tits_matrix_values():

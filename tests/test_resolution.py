@@ -16,6 +16,7 @@ import errno
 import json
 import os
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -478,29 +479,31 @@ def gentle_presentation():
     return pres.quiver, pres.relations
 
 
-# (quiver and relations, bounds, the route trivext_traces takes): "kind" the
-# Coxeter orbit with Q's kind for every verdict, "dynkin" the orbit with
-# "finite, degree 1", "orbit" the orbit with each simple's verdict from the
-# growth of its row of E, a disconnected Q's included, all with no algebra
-# built; "fitted" the engine with complexity_estimate's verdicts, for a
-# gentle presentation only.  Every route's traces are the engine's.
+# (quiver and relations, bounds, the route trivext_traces takes): the
+# Coxeter orbit with each simple's verdict read off the kind of its
+# component, with no algebra built, for "dynkin" ("finite, degree 1"),
+# "affine" (by the simple's defect, nonzero at every sink and source, so
+# "finite, degree 2" on these bipartite quivers), "wild" ("infinite") and
+# "components" (a disconnected Q, one component at a time); "fitted" the
+# engine with complexity_estimate's verdicts, for a gentle presentation
+# only.  Every route's traces are the engine's.
 ROUTE_CASES = {
-    "kron2-200-steps": (lambda: (multi_kronecker(2), None), {"steps": 200}, "kind"),
-    "kron3": (lambda: (multi_kronecker(3), None), {}, "kind"),
-    "kron4": (lambda: (multi_kronecker(4), None), {}, "kind"),
-    "K23-capped": (lambda: (complete_bipartite(2, 3), None), {"dim_cap": 20000}, "kind"),
-    "D4-affine": (lambda: (bipartite_star((1, 1, 1, 1)), None), {"steps": 40}, "kind"),
-    "E6-affine": (lambda: (bipartite_star((2, 2, 2)), None), {"steps": 40}, "kind"),
-    "E10": (lambda: (bipartite_star((1, 2, 6)), None), {"steps": 40}, "kind"),
-    "T334": (lambda: (bipartite_star((2, 2, 3)), None), {"steps": 40}, "kind"),
-    "kron3-1-step": (lambda: (multi_kronecker(3), None), {"steps": 1}, "kind"),
-    "kron3-cap-1": (lambda: (multi_kronecker(3), None), {"dim_cap": 1}, "kind"),
+    "kron2-200-steps": (lambda: (multi_kronecker(2), None), {"steps": 200}, "affine"),
+    "kron3": (lambda: (multi_kronecker(3), None), {}, "wild"),
+    "kron4": (lambda: (multi_kronecker(4), None), {}, "wild"),
+    "K23-capped": (lambda: (complete_bipartite(2, 3), None), {"dim_cap": 20000}, "wild"),
+    "D4-affine": (lambda: (bipartite_star((1, 1, 1, 1)), None), {"steps": 40}, "affine"),
+    "E6-affine": (lambda: (bipartite_star((2, 2, 2)), None), {"steps": 40}, "affine"),
+    "E10": (lambda: (bipartite_star((1, 2, 6)), None), {"steps": 40}, "wild"),
+    "T334": (lambda: (bipartite_star((2, 2, 3)), None), {"steps": 40}, "wild"),
+    "kron3-1-step": (lambda: (multi_kronecker(3), None), {"steps": 1}, "wild"),
+    "kron3-cap-1": (lambda: (multi_kronecker(3), None), {"dim_cap": 1}, "wild"),
     "D4": (lambda: (bipartite_star((1, 1, 1)), None), {}, "dynkin"),
     "E8": (lambda: (bipartite_star((1, 2, 4)), None), {}, "dynkin"),
     "A3": (lambda: (path_quiver(3), None), {}, "dynkin"),
-    "E10-sink-centred": (lambda: (star_quiver((1, 2, 6)), None), {}, "orbit"),
+    "E10-sink-centred": (lambda: (star_quiver((1, 2, 6)), None), {}, "wild"),
     "gentle": (gentle_presentation, {}, "fitted"),
-    "disconnected": (lambda: (two_kroneckers(), None), {}, "orbit"),
+    "disconnected": (lambda: (two_kroneckers(), None), {}, "components"),
 }
 
 
@@ -536,21 +539,22 @@ def test_koszul_route_is_the_engine_where_its_theorem_applies(monkeypatch, prese
     calls = routed(monkeypatch)
     base_dim, traces, estimates = betti.trivext_traces(pres, **bounds)
     assert (base_dim, traces) == (base.dim, engine)
-    # a relation-free job builds one K0Arithmetic, classifies a connected Q once
-    # and neither resolves with the engine nor fits; the gentle one does both
+    # a relation-free job builds one K0Arithmetic, classifies each component
+    # of Q once and neither resolves with the engine nor fits; the gentle one
+    # does both
     fitted = route == "fitted"
     assert calls["trivial_extension"] == calls["resolve_simple_modules"] == fitted
     assert calls["complexity_estimate"] == (len(engine) if fitted else 0)
     assert calls["K0Arithmetic"] == (not fitted)
-    assert calls["classify_quiver"] == (not fitted and quiver.is_connected)
+    assert calls["classify_quiver"] == (0 if fitted else len(quiver.components()))
     if fitted:
         assert estimates == [complexity_estimate(trace) for trace in engine]
     else:
-        # the kind and the Dynkin theorem agree with the orbit rule
+        # the rule of each component's kind agrees with the orbit rule
         assert estimates == orbit_rule(quiver)
-    if route == "kind":
-        kind = classify_quiver(quiver).kind
-        assert set(estimates) == {ComplexityEstimate.finite(2) if kind == "affine"
+    if route in ("affine", "wild"):
+        assert classify_quiver(quiver).kind == {"affine": "affine", "wild": "indefinite"}[route]
+        assert set(estimates) == {ComplexityEstimate.finite(2) if route == "affine"
                                   else ComplexityEstimate.infinite()}
     if route == "dynkin":
         assert estimates == [ComplexityEstimate.finite(1)] * len(engine)
@@ -571,9 +575,10 @@ DISCONNECTED = {
 @pytest.mark.parametrize("steps", [2, 12, 40])
 @pytest.mark.parametrize("build", DISCONNECTED.values(), ids=DISCONNECTED)
 def test_disconnected_quivers_take_the_coxeter_route(monkeypatch, build, steps):
-    # a disconnected Q has no kind to read: its simples, all directing
-    # within two steps here, take the formula, and their verdicts the
-    # orbit rule, with no algebra built
+    # each component of a disconnected Q is classified once: its simples,
+    # all directing within two steps here, take the formula, and their
+    # verdicts, the rule of their component's kind, are the orbit rule's,
+    # with no algebra built
     q = build()
     ta = trivial_extension(path_algebra(q))
     engine = [minimal_resolution(ta, p, steps) for p in range(len(q.vertices))]
@@ -581,29 +586,35 @@ def test_disconnected_quivers_take_the_coxeter_route(monkeypatch, build, steps):
     calls = routed(monkeypatch)
     base_dim, traces, estimates = betti.trivext_traces(q, steps)
     assert (2 * base_dim, traces, estimates) == (ta.dim, engine, verdicts)
-    assert calls == Counter({"K0Arithmetic": 1})
+    assert calls == Counter({"K0Arithmetic": 1, "classify_quiver": len(q.components())})
 
 
 @pytest.mark.parametrize("steps", [2, 4])
-@pytest.mark.parametrize("label", ["D40", "E8", "A8"])
+@pytest.mark.parametrize("label", ["D40", "E8", "A8", "D40+A1"])
 def test_dynkin_quivers_print_the_engines_traces_at_few_steps(monkeypatch, tmp_path, capsys,
                                                               label, steps):
-    # every simple of a Dynkin Q is directing, so its kind certifies them all
-    # with no walk: a walk of `steps` steps misses 31 of D40's 40 simples at
-    # 4 steps, and 2 of E8's and 4 of A8's 8 at 2
+    # every simple of a Dynkin component is directing, so its kind certifies
+    # them all with no walk: a walk of `steps` steps misses 31 of D40's 40
+    # simples at 4 steps, and 2 of E8's and 4 of A8's 8 at 2; D40 + A1 is
+    # classified one component at a time, and the command loads neither
+    # the engine's layers nor the spectral ones
     workloads = bench_module("workloads")
-    document = {"D40": workloads.D40, "E8": workloads.E8, "A8": workloads.path_quiver(8)}[label]
+    d40_a1 = {"vertices": [*workloads.D40["vertices"], "z"], "arrows": workloads.D40["arrows"]}
+    document = {"D40": workloads.D40, "E8": workloads.E8, "A8": workloads.path_quiver(8),
+                "D40+A1": d40_a1}[label]
     q = quiver_from_data(document)
     ta = trivial_extension(path_algebra(q))
     engine = [minimal_resolution(ta, p, steps).to_json_dict() for p in range(len(q.vertices))]
     path = tmp_path / f"{label}.json"
     path.write_text(json.dumps(document), encoding="utf-8")
     calls = routed(monkeypatch)
+    for name in ("resolution", "trivext", "builders", "serre", "cyclo", "intpoly"):
+        monkeypatch.setitem(sys.modules, f"quiverlab.{name}", None)  # importing it fails
     assert main(["trivext", str(path), "--steps", str(steps), "--json"]) == 0
     simples = json.loads(capsys.readouterr().out)["result"]["simples"]
     assert [simple["trace"] for simple in simples] == engine
     assert all(simple["estimate"] == {"kind": "finite", "degree": 1} for simple in simples)
-    assert calls == Counter({"K0Arithmetic": 1, "classify_quiver": 1})
+    assert calls == Counter({"K0Arithmetic": 1, "classify_quiver": len(q.components())})
 
 
 def random_acyclic_quiver(rng: random.Random, max_vertices: int):
@@ -639,6 +650,46 @@ def test_coxeter_formula_is_the_engine_on_random_acyclic_quivers():
         assert betti.coxeter_trivext_traces(q, 10, 2000)[0] == engine, q
         routed.update(betti._directing(k0, i, 10) for i in range(n))
     assert routed[True] > 200 and routed[False] > 0, routed
+
+
+def random_tree_or_cycle_quiver(rng: random.Random, max_vertices: int):
+    """A connected acyclic quiver on 2..max_vertices vertices, few of them
+    more often: a random tree or a cycle, half the time each, plus up to 4
+    extra arrows, fewer more often, parallel ones allowed, each arrow
+    pointing up a random order of the vertices.  A cycle with no extra
+    arrow is affine, A~(n-1)."""
+    n = rng.randint(2, rng.randint(2, max_vertices))
+    if rng.random() < 0.5:
+        edges = [(rng.randrange(v), v) for v in range(1, n)]
+    else:
+        edges = [(v - 1, v) for v in range(1, n)] + [(n - 1, 0)]
+    edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, rng.randint(0, 4)))]
+    rank = rng.sample(range(n), n)
+    return quiver_from_data({
+        "vertices": list(range(n)),
+        "arrows": [{"id": f"x{k}", "from": min(e, key=rank.__getitem__),
+                    "to": max(e, key=rank.__getitem__)} for k, e in enumerate(edges)],
+    })
+
+
+def test_component_kinds_give_the_orbit_rules_verdicts_on_random_quivers():
+    # 1,500 seeded connected quivers of at most 10 vertices and 200 disjoint
+    # unions of two of at most 5: each simple's verdict, read off its
+    # component's kind and defect, is the orbit rule's
+    rng = random.Random(44)
+    quivers = [random_tree_or_cycle_quiver(rng, 10) for _ in range(1500)]
+    quivers += [disjoint_union(random_tree_or_cycle_quiver(rng, 5),
+                               random_tree_or_cycle_quiver(rng, 5)) for _ in range(200)]
+    seen = Counter()
+    for q in quivers:
+        estimates = betti.coxeter_trivext_traces(q, 2)[1]
+        assert estimates == orbit_rule(q), q
+        kind = classify_quiver(q).kind if q.is_connected else "disconnected"
+        seen[kind] += 1
+        seen["affine with complexity 1"] += (kind == "affine"
+                                             and ComplexityEstimate.finite(1) in estimates)
+    assert seen["disconnected"] == 200, seen
+    assert seen["affine with complexity 1"] >= 100 and seen["indefinite"] >= 100, seen
 
 
 def trivext_bench_quivers() -> dict:

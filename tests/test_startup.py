@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import quiverlab
+from conftest import bench_module
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -27,6 +28,15 @@ KRONECKER_DOC = json.dumps(
 )
 A2_DOC = json.dumps({"vertices": [1, 2], "arrows": [{"id": "a", "from": 1, "to": 2}]})
 PHI_DOC = '[["-1", "2"], ["-2", "3"]]'
+
+# the bench's stars, every arrow toward the centre
+E10_DOC = json.dumps(bench_module("workloads").E10)
+E6_AFFINE_DOC = json.dumps(bench_module("workloads").E6_AFFINE)
+A3_KRON3_DOC = json.dumps(
+    {"vertices": [1, 2, 3, 4, 5], "arrows": [
+        {"id": "a", "from": 1, "to": 2}, {"id": "b", "from": 2, "to": 3},
+        *({"id": f"k{n}", "from": 4, "to": 5} for n in range(3))]}
+)
 
 # the modules new after start-up, once `import quiverlab.cli` is done and once
 # `main` has run; the report goes to stdout, the module lists to argv[1]
@@ -86,8 +96,15 @@ def modules_loaded(tmp_path, argv, inputs) -> dict:
         (["canonical", "--weights", "2,3,5"], {}, NO_RESOLUTION),
         (["trivext", "a2.json", "--steps", "12"], {"a2.json": A2_DOC},
          NO_ALGEBRA | NO_SPECTRAL),
+        # every verdict is read off the component's kind and defect, and
+        # every simple of these is directing
+        (["trivext", "e10.json"], {"e10.json": E10_DOC}, NO_ALGEBRA | NO_SPECTRAL),
+        (["trivext", "e6.json"], {"e6.json": E6_AFFINE_DOC}, NO_ALGEBRA | NO_SPECTRAL),
+        (["trivext", "a3-kron3.json"], {"a3-kron3.json": A3_KRON3_DOC},
+         NO_ALGEBRA | NO_SPECTRAL),
     ],
-    ids=["classify", "entropy", "check-coxeter", "canonical", "trivext"],
+    ids=["classify", "entropy", "check-coxeter", "canonical", "trivext", "trivext-E10",
+         "trivext-E6-affine", "trivext-A3+kron3"],
 )
 def test_command_loads_only_its_layers(tmp_path, argv, inputs, forbidden):
     seen = modules_loaded(tmp_path, argv, inputs)
