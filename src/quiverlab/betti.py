@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .fitting import EXPONENTIAL_SLOPE_THRESHOLD, LOGLOG_RESIDUAL_THRESHOLD, fit_line
 from .quiver import K0Arithmetic, Quiver, classify_quiver, has_oriented_cycle
 from .record import Record
 
@@ -124,6 +123,9 @@ def complexity_estimate(trace: ResolutionTrace) -> ComplexityEstimate:
     screened for exponential growth first, since truncation is itself
     evidence the dimensions were exploding.
     """
+    # loaded only here, so the Coxeter route, which fits nothing, does not compile it
+    from .fitting import EXPONENTIAL_SLOPE_THRESHOLD, LOGLOG_RESIDUAL_THRESHOLD, fit_line
+
     if trace.truncated_by == "resolution-terminated":
         return ComplexityEstimate.finite(0)
     betti = trace.betti

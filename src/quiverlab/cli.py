@@ -15,18 +15,22 @@ resolution traces, check reports) keep their own documented shapes.
 
 Each command imports the layers it uses inside its handler, so one run
 loads and compiles only those; the names are read from their submodules at
-call time.
+call time.  `fractions` is imported the same way, by the helpers that parse
+or print a rational, so `trivext` on a relation-free quiver runs on ints
+from parsing to rendering and loads neither `fractions` (nor the `decimal`
+and `numbers` it pulls in) nor `ratmat`.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .ratmat import RatMatrix
 
 try:  # the builtin module, without the OpenSSL bindings hashlib loads
@@ -67,6 +71,8 @@ def exact(value) -> dict:
 
 
 def exact_rational(value) -> dict:
+    from fractions import Fraction
+
     fr = Fraction(value)
     return {"exact": True, "value": str(fr)}
 
@@ -153,6 +159,8 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 
 
 def _parse_fraction_list(text: str, what: str) -> list[Fraction]:
+    from fractions import Fraction
+
     try:
         return [Fraction(part.strip()) for part in text.split(",") if part.strip() != ""]
     except (ValueError, ZeroDivisionError) as exc:
@@ -275,6 +283,8 @@ def cmd_entropy(args) -> Report:
 
 
 def _parse_matrix_file(document: str) -> RatMatrix:
+    from fractions import Fraction
+
     from .ratmat import RatMatrix
 
     try:

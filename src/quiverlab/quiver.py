@@ -1,13 +1,16 @@
 """Quiver data model, Tits form, the finite/affine/indefinite trichotomy,
-and K0Arithmetic, the package's one arithmetic of K_0(kQ)."""
+and K0Arithmetic, the package's one arithmetic of K_0(kQ), all in ints;
+ratmat is imported only by the functions that return a RatMatrix."""
 from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .ratmat import RatMatrix
 from .record import Record
+
+if TYPE_CHECKING:
+    from .ratmat import RatMatrix
 
 
 class Arrow(Record):
@@ -121,83 +124,87 @@ def quiver_from_data(data: object) -> Quiver:
     return Quiver(vertices, tuple(arrows))
 
 
+def _tits_rows(q: Quiver) -> list[list[int]]:
+    """The rows of 2T, as tits_matrix describes; a loop subtracts 1 twice."""
+    index = q.vertex_index()
+    n = len(q.vertices)
+    rows = [[0] * i + [2] + [0] * (n - i - 1) for i in range(n)]
+    for a in q.arrows:
+        i, j = index[a.source], index[a.target]
+        rows[i][j] -= 1
+        rows[j][i] -= 1
+    return rows
+
+
 def tits_matrix(q: Quiver) -> RatMatrix:
     """Doubled symmetric Tits matrix 2T, kept integral.
 
     Diagonal 2 - 2*#loops(v); off-diagonal -(#arrows between the pair,
     either direction). The quadratic form is q(x) = (1/2) x^T (2T) x.
     """
-    index = q.vertex_index()
-    n = len(q.vertices)
-    entries = [[0] * n for _ in range(n)]
-    for i in range(n):
-        entries[i][i] = 2
-    for a in q.arrows:
-        i, j = index[a.source], index[a.target]
-        if i == j:
-            entries[i][i] -= 2
-        else:
-            entries[i][j] -= 1
-            entries[j][i] -= 1
-    return RatMatrix(entries)
+    from .ratmat import RatMatrix
 
-
-def _definiteness(sym: RatMatrix) -> str:
-    """Positive "definite", "semidefinite" or "indefinite", decided by
-    exact Schur-complement elimination."""
-    work = [list(row) for row in sym.entries()]
-    active = list(range(sym.rows))
-    while active:
-        if any(work[i][i] < 0 for i in active):
-            return "indefinite"
-        pivot = next((i for i in active if work[i][i] > 0), None)
-        if pivot is None:
-            # zero diagonal throughout: PSD iff the whole block vanishes
-            if all(work[i][j] == 0 for i in active for j in active):
-                return "semidefinite"
-            return "indefinite"
-        d = work[pivot][pivot]
-        active.remove(pivot)
-        for i in active:
-            if work[i][pivot]:
-                f = Fraction(work[i][pivot], d)
-                for j in active:
-                    if work[pivot][j]:
-                        work[i][j] -= f * work[pivot][j]
-    return "definite"
-
-
-def _primitive_radical(kernel: list[list[int | Fraction]]) -> tuple[int, ...]:
-    if len(kernel) != 1:
-        raise RuntimeError("affine Tits kernel is not one-dimensional")
-    vec = kernel[0]
-    scale = math.lcm(*(x.denominator for x in vec))
-    ints = [int(x * scale) for x in vec]
-    g = math.gcd(*ints)
-    ints = [x // g for x in ints]
-    if sum(ints) < 0:
-        ints = [-x for x in ints]
-    if any(x < 0 for x in ints) or all(x == 0 for x in ints):
-        raise RuntimeError("affine radical vector is not positive")
-    return tuple(ints)
+    return RatMatrix(_tits_rows(q))
 
 
 def classify_quiver(q: Quiver) -> QuiverType:
     """Finite iff 2T is positive definite, affine iff semidefinite with kernel.
 
-    All definiteness tests are exact over the rationals; orientation and
-    arrow degrees play no role.
+    Decided in ints by one fraction-free symmetric elimination of the rows
+    of 2T.  Each step takes the first active vertex p with a positive
+    diagonal d as pivot, and replaces each active row i with a = 2T[i][p]
+    != 0 by (d*row_i - a*row_p) / gcd(d, a), divided again by its content
+    on the active columns: a positive multiple of its Schur-complement row,
+    so every diagonal keeps its sign.  A negative diagonal means indefinite,
+    and an active block with zero diagonal semidefinite when it vanishes.
+    The radical is read off the triangular pivot rows by back-substitution
+    in ints from the one free vertex.  Orientation and arrow degrees play
+    no role.
     """
     if not q.is_connected:
         raise ValueError("classification requires a connected quiver")
-    m = tits_matrix(q)
-    kind = _definiteness(m)
-    if kind == "definite":
+    rows = _tits_rows(q)
+    n = len(rows)
+    active, pivots = list(range(n)), []
+    while active:
+        if any(rows[i][i] < 0 for i in active):
+            return QuiverType("indefinite")
+        p = next((i for i in active if rows[i][i] > 0), None)
+        if p is None:
+            if any(rows[i][j] for i in active for j in active):
+                return QuiverType("indefinite")
+            break
+        row, d = rows[p], rows[p][p]
+        active.remove(p)
+        pivots.append(p)
+        support = [j for j in active if row[j]]
+        for i in support:
+            work = rows[i]
+            g = math.gcd(d, work[p])
+            scale, f = d // g, work[p] // g
+            if scale != 1:
+                for j in active:
+                    work[j] *= scale
+            for j in support:
+                work[j] -= f * row[j]
+            content = math.gcd(*(work[j] for j in active))
+            if content > 1:
+                for j in active:
+                    work[j] //= content
+    if not active:
         return QuiverType("finite")
-    if kind == "semidefinite":
-        radical = _primitive_radical([list(v) for v in m.kernel_basis()])
-        return QuiverType("affine", radical)
-    return QuiverType("indefinite")
+    if len(active) != 1:
+        raise RuntimeError("affine Tits kernel is not one-dimensional")
+    x = [int(v == active[0]) for v in range(n)]
+    for p in reversed(pivots):  # row p is stale only on earlier pivots, still 0 in x
+        s = sum(rows[p][j] * x[j] for j in range(n) if j != p)
+        scale = rows[p][p] // math.gcd(s, rows[p][p])
+        x = [v * scale for v in x]
+        x[p] = -s * scale // rows[p][p]
+    if any(v < 0 for v in x):
+        raise RuntimeError("affine radical vector is not positive")
+    g = math.gcd(*x)
+    return QuiverType("affine", tuple(v // g for v in x))
 
 
 def topological_order(q: Quiver) -> list[int] | None:
@@ -284,6 +291,8 @@ class K0Arithmetic:
 
     def matrix(self, apply) -> RatMatrix:
         """The matrix of the map apply, C for paths, Phi for forward."""
+        from .ratmat import RatMatrix
+
         return RatMatrix(zip(*(apply(self.unit(j)) for j in range(self.n))))
 
 

@@ -17,6 +17,9 @@ which re-checks through `SCAlgebra.multiply` every basis permutation that
 `simple_orbits` accepts.  `singleton_orbits` turns orbit sharing off, so
 that `resolve_simple_modules` resolves several representatives in its loop
 on symmetric algebras too, for the tests that need them.
+`rational_tits_type` is the Fraction classification that `classify_quiver`
+replaced with an integer elimination: Schur complements over Fraction, and
+the radical from `RatMatrix.kernel_basis`.
 """
 from __future__ import annotations
 
@@ -24,6 +27,7 @@ import functools
 import gc
 import importlib.util
 import json
+import math
 import os
 import random
 import sys
@@ -52,9 +56,11 @@ from quiverlab import (
     quiver_from_data,
     resolve_simple_modules,
     simple_modules,
+    tits_matrix,
     trivial_extension,
 )
 from quiverlab import resolution
+from quiverlab.quiver import QuiverType
 from quiverlab.ratmat import TrackedEchelon, vector
 
 
@@ -190,6 +196,50 @@ GENTLE_TWO_LOOP_DOC = json.dumps(
         "relations": [["b1", "b1"], ["b2", "b2"]],
     }
 )
+
+
+def rational_definiteness(sym: RatMatrix) -> str:
+    """Positive "definite", "semidefinite" or "indefinite": the oracle of
+    classify_quiver's integer elimination, by Schur complements over
+    Fraction."""
+    work = [list(row) for row in sym.entries()]
+    active = list(range(sym.rows))
+    while active:
+        if any(work[i][i] < 0 for i in active):
+            return "indefinite"
+        pivot = next((i for i in active if work[i][i] > 0), None)
+        if pivot is None:
+            # zero diagonal throughout: PSD iff the whole block vanishes
+            if all(work[i][j] == 0 for i in active for j in active):
+                return "semidefinite"
+            return "indefinite"
+        d = work[pivot][pivot]
+        active.remove(pivot)
+        for i in active:
+            if work[i][pivot]:
+                f = Fraction(work[i][pivot], d)
+                for j in active:
+                    if work[pivot][j]:
+                        work[i][j] -= f * work[pivot][j]
+    return "definite"
+
+
+def rational_tits_type(q) -> QuiverType:
+    """The type of connected Q from its RatMatrix Tits matrix: definiteness
+    by rational_definiteness, the radical from RatMatrix.kernel_basis,
+    scaled to the primitive vector with positive sum."""
+    m = tits_matrix(q)
+    kind = rational_definiteness(m)
+    if kind == "definite":
+        return QuiverType("finite")
+    if kind == "indefinite":
+        return QuiverType("indefinite")
+    (vec,) = m.kernel_basis()
+    fracs = [as_fraction(x) for x in vec]
+    scale = math.lcm(*(x.denominator for x in fracs))
+    ints = [int(x * scale) for x in fracs]
+    g = math.gcd(*ints) * (1 if sum(ints) > 0 else -1)
+    return QuiverType("affine", tuple(x // g for x in ints))
 
 
 def gentle_two_loop():

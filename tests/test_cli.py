@@ -830,6 +830,17 @@ def test_missing_required_flag_exits_with_usage():
     assert info.value.code == 2
 
 
+def test_readme_classify_transcript_is_the_cli_output(tmp_path, capsys):
+    # the Kronecker example under "Command line", its document written with a
+    # trailing newline, prints the transcript byte for byte, digest included
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    document = section.split("Example, the Kronecker quiver\n`", 1)[1].split("`", 1)[0]
+    transcript = section.split("$ quiverlab classify kron.json\n", 1)[1].split("```", 1)[0]
+    path = write(tmp_path, "kron.json", document + "\n")
+    assert run(capsys, "classify", path) == (0, transcript, "")
+
+
 def test_readme_usage_lists_the_parser():
     # the usage block under "Command line" names every subcommand once, each
     # with exactly its long options

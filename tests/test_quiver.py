@@ -21,7 +21,15 @@ from quiverlab import (
 )
 from quiverlab.quiver import K0Arithmetic
 from quiverlab.serre import entropy_orbit
-from conftest import bench_module, matrix_columns, multi_kronecker, path_quiver, star_quiver
+from conftest import (
+    bench_module,
+    matrix_columns,
+    multi_kronecker,
+    path_quiver,
+    rational_tits_type,
+    star_quiver,
+    wild3_quiver,
+)
 
 
 def test_parse_minimal_document():
@@ -148,6 +156,104 @@ def test_classify_requires_connected():
     q = quiver_from_data({"vertices": [1, 2], "arrows": []})
     with pytest.raises(ValueError):
         classify_quiver(q)
+
+
+def unlabelled_trees(max_vertices: int) -> list[list[list[tuple[int, int]]]]:
+    """Level n - 1 holds every tree on n vertices up to isomorphism, as its
+    edges (u, v) with u < v: each level grows the last one's trees by a
+    leaf at every vertex, and keeps one tree of each canonical code, the
+    least nested-bracket code of the tree rooted at one of its centres."""
+
+    def code(n: int, edges) -> str:
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        degree = [len(a) for a in adj]
+        layer, left = [v for v in range(n) if degree[v] <= 1], n
+        while left > 2:  # peel the leaves down to the one or two centres
+            left -= len(layer)
+            peeled = []
+            for v in layer:
+                for w in adj[v]:
+                    degree[w] -= 1
+                    if degree[w] == 1:
+                        peeled.append(w)
+            layer = peeled
+
+        def rooted(v: int, parent: int) -> str:
+            return "(" + "".join(sorted(rooted(w, v) for w in adj[v] if w != parent)) + ")"
+
+        return min(rooted(c, -1) for c in layer)
+
+    levels = [[[]]]
+    for n in range(2, max_vertices + 1):
+        grown = {}
+        for edges in levels[-1]:
+            for u in range(n - 1):
+                bigger = [*edges, (u, n - 1)]
+                grown.setdefault(code(n, bigger), bigger)
+        levels.append(list(grown.values()))
+    return levels
+
+
+def quiver_on(n: int, arrows):
+    return quiver_from_data({
+        "vertices": list(range(n)),
+        "arrows": [{"id": f"x{k}", "from": s, "to": t} for k, (s, t) in enumerate(arrows)],
+    })
+
+
+def test_classify_is_the_rational_oracle_on_every_tree_up_to_ten_vertices():
+    levels = unlabelled_trees(10)
+    assert [len(level) for level in levels] == [1, 1, 1, 2, 3, 6, 11, 23, 47, 106]
+    kinds = {"finite": 0, "affine": 0, "indefinite": 0}
+    for n, level in enumerate(levels, 1):
+        for edges in level:
+            q = quiver_on(n, edges)
+            found = classify_quiver(q)
+            assert found == rational_tits_type(q), edges
+            kinds[found.kind] += 1
+    # A_1..A_10, D_4..D_10, E_6..E_8; and D~_4..D~_9, E~_6, E~_7, E~_8
+    assert kinds == {"finite": 20, "affine": 9, "indefinite": 172}
+
+
+def random_connected_quiver(rng: random.Random, max_vertices: int):
+    """A random spanning tree on 1..max_vertices vertices, each edge oriented
+    at random, plus up to three arrows between any two vertices, loops
+    included."""
+    n = rng.randint(1, max_vertices)
+    arrows = []
+    for v in range(1, n):
+        u = rng.randrange(v)
+        arrows.append((u, v) if rng.random() < 0.5 else (v, u))
+    for _ in range(rng.choice((0, 0, 0, 1, 1, 2, 3))):
+        arrows.append((rng.randrange(n), rng.randrange(n)))
+    return quiver_on(n, arrows)
+
+
+def test_classify_is_the_rational_oracle_on_random_quivers():
+    rng = random.Random(4501)
+    seen = {"affine": 0, "loop": 0, "parallel": 0}
+    for _ in range(1200):
+        q = random_connected_quiver(rng, 10)
+        found = classify_quiver(q)
+        assert found == rational_tits_type(q), q
+        ends = [frozenset((a.source, a.target)) for a in q.arrows]
+        seen["affine"] += found.kind == "affine"
+        seen["loop"] += any(a.source == a.target for a in q.arrows)
+        seen["parallel"] += len(set(ends)) < len(ends)
+    assert min(seen.values()) >= 50, seen
+
+
+@pytest.mark.parametrize("q", [
+    path_quiver(60), star_quiver((1, 1, 37)), star_quiver((1, 1, 77)),
+    star_quiver((1, 2, 30)), star_quiver((1, 2, 6)), star_quiver((2, 2, 2)),
+    multi_kronecker(2), multi_kronecker(3), multi_kronecker(4), wild3_quiver(),
+], ids=["A60", "D40", "D80", "T(2,3,31)", "E10", "E6-affine", "kron2", "kron3", "kron4",
+        "wild3"])
+def test_classify_is_the_rational_oracle_on_named_quivers(q):
+    assert classify_quiver(q) == rational_tits_type(q)
 
 
 def test_has_oriented_cycle():

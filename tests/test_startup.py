@@ -58,6 +58,10 @@ with open(sys.argv[1], "w", encoding="utf-8") as out:
 NO_RESOLUTION = {"quiverlab.resolution", "quiverlab.trivext"}
 NO_ALGEBRA = NO_RESOLUTION | {"quiverlab.builders", "quiverlab.scalgebra"}
 NO_SPECTRAL = {"quiverlab.serre", "quiverlab.cyclo", "quiverlab.intpoly"}
+# trivext on a relation-free quiver runs on ints from parsing to rendering and
+# fits nothing; neither does a bare `import quiverlab.cli`
+NO_RATIONALS = {"fractions", "decimal", "numbers", "quiverlab.ratmat", "quiverlab.fitting"}
+RELATION_FREE = NO_ALGEBRA | NO_SPECTRAL | NO_RATIONALS
 # the input digest comes from the builtin sha256 module where the interpreter
 # has one; hashlib would load OpenSSL's bindings, _hashlib
 SHA256_BUILTIN = importlib.util.find_spec("_sha256") is not None
@@ -94,22 +98,23 @@ def modules_loaded(tmp_path, argv, inputs) -> dict:
          NO_ALGEBRA),
         (["check-coxeter", "phi.json"], {"phi.json": PHI_DOC}, NO_ALGEBRA),
         (["canonical", "--weights", "2,3,5"], {}, NO_RESOLUTION),
-        (["trivext", "a2.json", "--steps", "12"], {"a2.json": A2_DOC},
-         NO_ALGEBRA | NO_SPECTRAL),
+        (["trivext", "a2.json", "--steps", "12"], {"a2.json": A2_DOC}, RELATION_FREE),
         # every verdict is read off the component's kind and defect, and
         # every simple of these is directing
-        (["trivext", "e10.json"], {"e10.json": E10_DOC}, NO_ALGEBRA | NO_SPECTRAL),
-        (["trivext", "e6.json"], {"e6.json": E6_AFFINE_DOC}, NO_ALGEBRA | NO_SPECTRAL),
-        (["trivext", "a3-kron3.json"], {"a3-kron3.json": A3_KRON3_DOC},
-         NO_ALGEBRA | NO_SPECTRAL),
+        (["trivext", "e10.json"], {"e10.json": E10_DOC}, RELATION_FREE),
+        (["trivext", "e6.json"], {"e6.json": E6_AFFINE_DOC}, RELATION_FREE),
+        (["trivext", "a3-kron3.json"], {"a3-kron3.json": A3_KRON3_DOC}, RELATION_FREE),
+        (["trivext", "kron.json", "--steps", "12"], {"kron.json": KRONECKER_DOC},
+         RELATION_FREE),
     ],
     ids=["classify", "entropy", "check-coxeter", "canonical", "trivext", "trivext-E10",
-         "trivext-E6-affine", "trivext-A3+kron3"],
+         "trivext-E6-affine", "trivext-A3+kron3", "trivext-kron2"],
 )
 def test_command_loads_only_its_layers(tmp_path, argv, inputs, forbidden):
     seen = modules_loaded(tmp_path, argv, inputs)
     assert [m for m in seen["import"] if m.startswith("quiverlab")] == ["quiverlab",
                                                                         "quiverlab.cli"]
+    assert NO_RATIONALS.isdisjoint(seen["import"]), sorted(NO_RATIONALS & set(seen["import"]))
     assert forbidden.isdisjoint(seen["run"])
     assert "dataclasses" not in seen["run"]
     if SHA256_BUILTIN:
@@ -125,7 +130,7 @@ def test_trivext_on_a_koszul_base_loads_no_more_than_on_a2(tmp_path):
                           {"kron.json": KRONECKER_DOC})
     assert set(kron["run"]) <= set(a2["run"]), sorted(set(kron["run"]) - set(a2["run"]))
     for seen in (a2, kron):
-        assert (NO_ALGEBRA | NO_SPECTRAL).isdisjoint(seen["run"])
+        assert RELATION_FREE.isdisjoint(seen["run"])
 
 
 def test_input_digest_is_the_sha256_of_the_bytes():
