@@ -9,14 +9,13 @@ combine_estimates takes the worst of several verdicts.
 trivext_traces sends a presentation down one of two routes.  A quiver with
 no relations and no oriented cycle, connected or not, takes the Coxeter
 orbit of kQ (coxeter_trivext_traces), which classifies each connected
-component once, tests no simple of a Dynkin component for directing,
-builds no algebra for a directing simple, and reads every verdict off the
-simple's component kind and defect; its walks step along the orbit with
-quiver.K0Arithmetic.  No verdict loads serre.  A gentle
+component once, builds no algebra, reads every simple's trace off its
+orbit, walked with quiver.K0Arithmetic, and reads every verdict off the
+simple's component kind and defect.  No verdict loads serre.  A gentle
 presentation with relations runs the resolution module's engine on T(A),
 resolve_simple_modules, and fits each trace with complexity_estimate; the
-two serve that route alone.  Only the engine's routes import the engine,
-the builders and the trivial extension.
+two serve that route alone, and only it imports the engine, the builders
+and the trivial extension.
 """
 
 from __future__ import annotations
@@ -218,17 +217,6 @@ def _orbit_traces(k0: K0Arithmetic, vertices, steps: int,
     return [trace(i) for i in vertices]
 
 
-def _directing(k0: K0Arithmetic, i: int, bound: int) -> bool:
-    """Whether Phi^k e_i or Phi^(-k) e_i leaves the positive cone for
-    some 1 <= k <= bound; the two walks go step by step together."""
-    back = ahead = k0.unit(i)
-    for _ in range(bound):
-        back, ahead = k0.inverse(back), k0.forward(ahead)
-        if min(back) < 0 or min(ahead) < 0:
-            return True
-    return False
-
-
 def coxeter_trivext_traces(
     q: Quiver, steps: int = 40, dim_cap: int = 100000
 ) -> tuple[list[ResolutionTrace], list[ComplexityEstimate]]:
@@ -247,9 +235,9 @@ def coxeter_trivext_traces(
     module M of class |c_k|, c_k = Phi^(-k) e_j = (-1)^(s_k) dim M, and
     s_k rises by one exactly where the sign of c_k flips, as
     tau^(-1) I_x = P_x[1].  Only Hom, where m = 2k - s_k, and Ext^1, where
-    m = 2k - s_k + 1, count.  When S_i is directing, at most one of
-    Hom(S_i, M) and Ext^1(S_i, M) is nonzero, or S_i -> M -> tau S_i
-    would close a cycle through S_i, so they are max(0, <e_i, |c_k|>) and
+    m = 2k - s_k + 1, count.  At most one of Hom(S_i, M) and
+    Ext^1(S_i, M) is nonzero (purity, below), and <e_i, dim M> is their
+    difference, so they are max(0, <e_i, |c_k|>) and
     max(0, -<e_i, |c_k|>).  T(kQ)'s projective at j is P_j plus the
     injective I_j of kQ, of dimension p_j, the sum of column j and row j
     of C, and dim P_m = sum_j b_m[j] p_j.
@@ -258,18 +246,27 @@ def coxeter_trivext_traces(
     walk c_k holds at most one class; the walk of j is read once, level by
     level, as the traces need it, and each class adds p_j times the
     positive entries of E|c_k| to its level and the negative ones to the
-    next.  A class that is not sign-definite raises RuntimeError.  The
+    next.  A class that is not sign-definite raises RuntimeError; as kQ
+    is hereditary, none is, so the error checks a theorem.  The
     dimensions go through _betti_trace, the engine's stop rules, so the
     bytes the command prints are the engine's.
 
-    The route of each simple.  Each connected component K of Q is
-    classified once, before any walk.  Every simple of a Dynkin K is
-    directing and takes the formula with no test.  Elsewhere S_i takes it
-    when certified directing: Phi^k e_i or Phi^(-k) e_i leaves the
-    positive cone for some k <= steps, so tau^(-k+1) S_i is injective or
-    tau^(k-1) S_i projective, at k = 1 for a sink or a source.  Any other
-    simple, regular so far as the walk sees, is resolved by
-    minimal_resolution on T(kQ), built once for all.
+    Purity, for every simple.  tau^(-k) S_j is, up to shift, an
+    exceptional module M, because S_j is, Q having no loops, and
+    tau = S[-1] is an autoequivalence of D^b(kQ) (Happel, LMS LN 119,
+    1988).  Ext^1(M, M) = 0 makes the orbit of M open in Rep(Q, dim M)
+    (Voigt; Gabriel, LNM 488, 1975), so M is the general representation
+    of its dimension vector (Kac, Invent. Math. 56, 1980).  Ringel's exact
+    sequence (J. Algebra 41, 1976) reads
+        0 -> Hom(S_i, M) -> M_i -> sum over the arrows i -> t of M_t
+          -> Ext^1(S_i, M) -> 0,
+    and its middle map, the maps of the arrows out of i stacked, is
+    therefore a general matrix of maximal rank: Q has no loops, so its
+    blocks are independent matrices.  So Hom(S_i, M) or Ext^1(S_i, M) is
+    0.  The argument runs over the algebraic closure of the rationals,
+    and extending the field from the rationals to it changes no dimension
+    of Hom or Ext.  So every simple takes the formula, and no algebra is
+    built.
 
     The verdicts, one rule for the simples of each component K:
     - K Dynkin: "finite, degree 1";
@@ -330,21 +327,10 @@ def coxeter_trivext_traces(
     defect = list(delta)
     for s, t in k0.arrows:
         defect[t] -= delta[s]
-    directing = [i for i in range(n) if kinds[i] == "finite" or _directing(k0, i, steps)]
-    traces = dict(zip(directing, _orbit_traces(k0, directing, steps, dim_cap)))
-    regular = [i for i in range(n) if i not in traces]
-    if regular:
-        # loaded only here, so a quiver whose simples are directing does not compile them
-        from .builders import path_algebra
-        from .resolution import minimal_resolution
-        from .trivext import trivial_extension
-
-        ta = trivial_extension(path_algebra(q))
-        for i in regular:
-            traces[i] = minimal_resolution(ta, i, steps, dim_cap)
+    traces = _orbit_traces(k0, range(n), steps, dim_cap)
     estimates = [ComplexityEstimate.infinite() if kinds[i] == "indefinite"
                  else ComplexityEstimate.finite(1 + (defect[i] != 0)) for i in range(n)]
-    return [traces[i] for i in range(n)], estimates
+    return traces, estimates
 
 
 def trivext_traces(

@@ -67,7 +67,7 @@ half of it and its length, all that the step two after reads.
 The trace records, _betti_trace's stop rules and the growth estimates
 live in the betti module, whose trivext_traces reads every relation-free
 T(kQ) off the Coxeter orbit and calls this engine only for a gentle
-presentation and for a simple of kQ that it cannot certify as directing.
+presentation with relations.
 """
 
 from __future__ import annotations

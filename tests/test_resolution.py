@@ -49,7 +49,7 @@ from quiverlab.cli import main
 from quiverlab.quiver import K0Arithmetic, cartan_path_algebra, classify_quiver, coxeter_matrix
 from quiverlab.ratmat import UNTRACKED, TrackedEchelon
 from quiverlab.record import FrozenInstanceError
-from quiverlab.serre import orbit_growth
+from quiverlab.serre import graded_path_verdict, orbit_growth
 from conftest import (
     BUILDERS,
     GENTLE_TWO_LOOP_DOC,
@@ -575,10 +575,9 @@ DISCONNECTED = {
 @pytest.mark.parametrize("steps", [2, 12, 40])
 @pytest.mark.parametrize("build", DISCONNECTED.values(), ids=DISCONNECTED)
 def test_disconnected_quivers_take_the_coxeter_route(monkeypatch, build, steps):
-    # each component of a disconnected Q is classified once: its simples,
-    # all directing within two steps here, take the formula, and their
-    # verdicts, the rule of their component's kind, are the orbit rule's,
-    # with no algebra built
+    # each component of a disconnected Q is classified once: its simples
+    # take the formula, and their verdicts, the rule of their component's
+    # kind, are the orbit rule's, with no algebra built
     q = build()
     ta = trivial_extension(path_algebra(q))
     engine = [minimal_resolution(ta, p, steps) for p in range(len(q.vertices))]
@@ -593,9 +592,9 @@ def test_disconnected_quivers_take_the_coxeter_route(monkeypatch, build, steps):
 @pytest.mark.parametrize("label", ["D40", "E8", "A8", "D40+A1"])
 def test_dynkin_quivers_print_the_engines_traces_at_few_steps(monkeypatch, tmp_path, capsys,
                                                               label, steps):
-    # every simple of a Dynkin component is directing, so its kind certifies
-    # them all with no walk: a walk of `steps` steps misses 31 of D40's 40
-    # simples at 4 steps, and 2 of E8's and 4 of A8's 8 at 2; D40 + A1 is
+    # every simple takes the formula, even where a directing walk of
+    # `steps` steps would miss it: 31 of D40's 40 simples at 4 steps, and
+    # 2 of E8's and 4 of A8's 8 at 2; D40 + A1 is
     # classified one component at a time, and the command loads neither
     # the engine's layers nor the spectral ones
     workloads = bench_module("workloads")
@@ -635,11 +634,8 @@ def random_acyclic_quiver(rng: random.Random, max_vertices: int):
 def test_coxeter_formula_is_the_engine_on_random_acyclic_quivers():
     # per simple, on 60 seeded quivers of at most 7 vertices at 10 steps and
     # a dimension cap that keeps the wild ones short: the formula on every
-    # simple, the regular ones included, where it is measured and not
-    # proved, and coxeter_trivext_traces, which sends the simples it cannot
-    # certify as directing to the engine
+    # simple, and coxeter_trivext_traces, which takes it for every simple
     rng = random.Random(16)
-    routed = Counter()
     for _ in range(60):
         q = random_acyclic_quiver(rng, 7)
         n = len(q.vertices)
@@ -648,8 +644,6 @@ def test_coxeter_formula_is_the_engine_on_random_acyclic_quivers():
         k0 = K0Arithmetic(q)
         assert betti._orbit_traces(k0, range(n), 10, 2000) == engine, q
         assert betti.coxeter_trivext_traces(q, 10, 2000)[0] == engine, q
-        routed.update(betti._directing(k0, i, 10) for i in range(n))
-    assert routed[True] > 200 and routed[False] > 0, routed
 
 
 def random_tree_or_cycle_quiver(rng: random.Random, max_vertices: int):
@@ -717,27 +711,68 @@ def test_coxeter_traces_are_the_engines_on_every_bench_base(quiver, steps):
     assert betti.coxeter_trivext_traces(quiver, steps)[0] == engine
 
 
-def test_regular_simples_of_a3_affine_take_the_engine(monkeypatch):
+def directing(k0: K0Arithmetic, i: int, bound: int) -> bool:
+    """Whether Phi^k e_i or Phi^(-k) e_i leaves the positive cone for some
+    1 <= k <= bound, so that tau^(-k+1) S_i is injective or tau^(k-1) S_i
+    projective: S_i is then directing, and purity is classical for it."""
+    back = ahead = k0.unit(i)
+    for _ in range(bound):
+        back, ahead = k0.inverse(back), k0.forward(ahead)
+        if min(back) < 0 or min(ahead) < 0:
+            return True
+    return False
+
+
+def test_regular_simples_of_a3_affine_take_the_formula(monkeypatch):
     # A~3 oriented 0 -> 1 -> 2 -> 3 with 0 -> 3: the simples at 1 and 2 lie in
-    # a tube, so no walk from them leaves the positive cone, and the engine
-    # resolves them, and them alone, on T(kQ)
+    # a tube, so no walk from them leaves the positive cone, and still every
+    # simple takes the Coxeter-orbit formula and the engine never runs
     q = quiver_from_data({"vertices": [0, 1, 2, 3], "arrows": [
         {"id": f"x{s}{t}", "from": s, "to": t} for s, t in ((0, 1), (1, 2), (2, 3), (0, 3))]})
     ta = trivial_extension(path_algebra(q))
     engine = [minimal_resolution(ta, p) for p in range(4)]
     k0 = K0Arithmetic(q)
-    assert [betti._directing(k0, i, 400) for i in range(4)] == [True, False, False, True]
-    resolved = []
-    resolve = res_mod.minimal_resolution
-    monkeypatch.setattr(res_mod, "minimal_resolution",
-                        lambda a, p, *bounds: resolved.append(p) or resolve(a, p, *bounds))
+    assert [directing(k0, i, 400) for i in range(4)] == [True, False, False, True]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr(res_mod, "minimal_resolution", refuse)
     assert betti.coxeter_trivext_traces(q)[0] == engine
-    assert resolved == [1, 2]
-    # the formula gives the same traces there, as measured and not proved
-    assert betti._orbit_traces(k0, range(4), 40, 100000) == engine
     # and the regular simples have complexity 1, the others 2
     _, _, estimates = betti.trivext_traces(q)
     assert estimates == [ComplexityEstimate.finite(d) for d in (2, 1, 1, 2)]
+
+
+def test_coxeter_formula_is_the_engine_on_regular_simples():
+    # the simples that no walk of 20 steps certifies as directing, which
+    # purity alone puts on the formula, on seeded quivers of at most 8
+    # vertices until 200 are checked: the engine is the oracle, at 20 steps
+    # and a dimension cap that keeps the wild ones short
+    rng = random.Random(2026)
+    seen = Counter()
+    while sum(seen.values()) < 200:
+        q = random_tree_or_cycle_quiver(rng, 8)
+        k0 = K0Arithmetic(q)
+        regular = [i for i in range(k0.n) if not directing(k0, i, 20)]
+        if not regular:
+            continue
+        ta = trivial_extension(path_algebra(q))
+        traces = betti.coxeter_trivext_traces(q, 20, 2000)[0]
+        for i in regular:
+            assert traces[i] == minimal_resolution(ta, i, 20, 2000), (q, i)
+        seen[classify_quiver(q).kind] += len(regular)
+    assert seen["affine"] >= 50 and seen["indefinite"] >= 50, seen
+    assert "finite" not in seen
+
+
+def test_a_class_that_is_not_sign_definite_raises(monkeypatch):
+    # every class of a Coxeter orbit of an acyclic quiver is a shifted
+    # module's dimension vector, so the walk checks its sign at each step
+    k0 = K0Arithmetic(path_quiver(2))
+    monkeypatch.setattr(K0Arithmetic, "inverse", lambda self, c: [1, -1])
+    with pytest.raises(RuntimeError, match="a Coxeter orbit class is not sign-definite"):
+        betti._orbit_traces(k0, range(2), 5, 100)
 
 
 def trees(max_vertices: int):
@@ -819,6 +854,10 @@ def seeded_tree(rng: random.Random, n: int, edges):
     })
 
 
+# the verdicts of serre.graded_path_verdict that make kQ serre-cyclotomic
+SERRE_CYCLOTOMIC = {"serre-cyclotomic", "fractionally-calabi-yau"}
+
+
 def test_every_small_tree_reads_its_verdicts_off_the_coxeter_orbit():
     # every tree of at most 10 vertices, in its bipartite orientation and in
     # one seeded orientation: each simple's verdict is the orbit rule's, and
@@ -826,13 +865,18 @@ def test_every_small_tree_reads_its_verdicts_off_the_coxeter_orbit():
     # orientations of one tree are derived equivalent; a tree is Dynkin or
     # affine exactly when every simple is finite
     rng = random.Random(16)
-    kinds, affine_degree_one = Counter(), 0
+    kinds, cyclotomic, affine_degree_one = Counter(), Counter(), 0
     for n, edges in trees(10):
         overall = []
         for q in (bipartite_tree(n, edges), seeded_tree(rng, n, edges)):
             _, _, estimates = betti.trivext_traces(q, steps=2)
             assert estimates == orbit_rule(q), (q, estimates)
             overall.append(combine_estimates(estimates))
+            # the paper's last theorem: T(kQ) of a serre-cyclotomic kQ has
+            # finite global complexity, and here the converse holds too
+            serre_kind = graded_path_verdict(q).kind
+            assert (serre_kind in SERRE_CYCLOTOMIC) == (overall[-1].kind == "finite"), q
+            cyclotomic[serre_kind in SERRE_CYCLOTOMIC] += 1
         kind = classify_quiver(q).kind
         kinds[kind] += 1
         assert overall[0] == overall[1], edges
@@ -840,6 +884,7 @@ def test_every_small_tree_reads_its_verdicts_off_the_coxeter_orbit():
         if kind == "affine":
             affine_degree_one += ComplexityEstimate.finite(1) in estimates
     assert kinds == {"finite": 20, "affine": 9, "indefinite": 172}
+    assert cyclotomic == {True: 58, False: 344}
     # some seeded orientations of an affine tree have simples of complexity 1
     assert affine_degree_one > 0
 

@@ -32,6 +32,19 @@ PHI_DOC = '[["-1", "2"], ["-2", "3"]]'
 # the bench's stars, every arrow toward the centre
 E10_DOC = json.dumps(bench_module("workloads").E10)
 E6_AFFINE_DOC = json.dumps(bench_module("workloads").E6_AFFINE)
+# A~3 oriented 0 -> 1 -> 2 -> 3 with 0 -> 3, and a wild 8-cycle with two
+# chords: no walk certifies the simples at 1 and 2 of the first, or at 0, 2
+# and 5 of the second, as directing
+A3_AFFINE_DOC = json.dumps(
+    {"vertices": [0, 1, 2, 3], "arrows": [
+        {"id": f"x{s}{t}", "from": s, "to": t} for s, t in ((0, 1), (1, 2), (2, 3), (0, 3))]}
+)
+CYCLE8_DOC = json.dumps(
+    {"vertices": list(range(8)), "arrows": [
+        {"id": f"x{s}{t}", "from": s, "to": t}
+        for s, t in ((0, 1), (2, 1), (2, 3), (4, 3), (4, 5), (5, 6), (7, 6), (7, 0), (5, 2),
+                     (7, 1))]}
+)
 A3_KRON3_DOC = json.dumps(
     {"vertices": [1, 2, 3, 4, 5], "arrows": [
         {"id": "a", "from": 1, "to": 2}, {"id": "b", "from": 2, "to": 3},
@@ -53,8 +66,8 @@ with open(sys.argv[1], "w", encoding="utf-8") as out:
 """
 
 # what each command must not load: no spectral command resolves, only
-# canonical builds an algebra, and trivext on a quiver whose simples are
-# directing reads them off the Coxeter orbit, with neither
+# canonical builds an algebra, and trivext on a relation-free acyclic quiver
+# reads every simple off the Coxeter orbit, with neither
 NO_RESOLUTION = {"quiverlab.resolution", "quiverlab.trivext"}
 NO_ALGEBRA = NO_RESOLUTION | {"quiverlab.builders", "quiverlab.scalgebra"}
 NO_SPECTRAL = {"quiverlab.serre", "quiverlab.cyclo", "quiverlab.intpoly"}
@@ -99,16 +112,19 @@ def modules_loaded(tmp_path, argv, inputs) -> dict:
         (["check-coxeter", "phi.json"], {"phi.json": PHI_DOC}, NO_ALGEBRA),
         (["canonical", "--weights", "2,3,5"], {}, NO_RESOLUTION),
         (["trivext", "a2.json", "--steps", "12"], {"a2.json": A2_DOC}, RELATION_FREE),
-        # every verdict is read off the component's kind and defect, and
-        # every simple of these is directing
+        # every trace is read off the Coxeter orbit and every verdict off the
+        # component's kind and defect, the regular simples' too
         (["trivext", "e10.json"], {"e10.json": E10_DOC}, RELATION_FREE),
         (["trivext", "e6.json"], {"e6.json": E6_AFFINE_DOC}, RELATION_FREE),
         (["trivext", "a3-kron3.json"], {"a3-kron3.json": A3_KRON3_DOC}, RELATION_FREE),
         (["trivext", "kron.json", "--steps", "12"], {"kron.json": KRONECKER_DOC},
          RELATION_FREE),
+        (["trivext", "a3.json"], {"a3.json": A3_AFFINE_DOC}, RELATION_FREE),
+        (["trivext", "cycle8.json"], {"cycle8.json": CYCLE8_DOC}, RELATION_FREE),
     ],
     ids=["classify", "entropy", "check-coxeter", "canonical", "trivext", "trivext-E10",
-         "trivext-E6-affine", "trivext-A3+kron3", "trivext-kron2"],
+         "trivext-E6-affine", "trivext-A3+kron3", "trivext-kron2", "trivext-A3-affine",
+         "trivext-8-cycle"],
 )
 def test_command_loads_only_its_layers(tmp_path, argv, inputs, forbidden):
     seen = modules_loaded(tmp_path, argv, inputs)
