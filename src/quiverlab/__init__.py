@@ -19,8 +19,8 @@ _EXPORTS = {
         "betti",
     ),
     **dict.fromkeys(
-        ("CanonicalSpec", "GentlePresentation", "canonical_algebra", "gentle_algebra",
-         "parse_canonical_spec", "parse_gentle", "path_algebra"),
+        ("GentlePresentation", "canonical_algebra", "gentle_algebra", "parse_gentle",
+         "path_algebra"),
         "builders",
     ),
     **dict.fromkeys(
@@ -42,9 +42,9 @@ _EXPORTS = {
     ),
     **dict.fromkeys(("BasisElement", "Element", "SCAlgebra", "cartan_matrix"), "scalgebra"),
     **dict.fromkeys(
-        ("CoxeterReport", "EntropyLine", "GrowthEstimate", "SerreVerdict", "canonical_verdict",
-         "coxeter_necessary_check", "entropy_line", "graded_path_verdict", "growth_degree",
-         "hereditary_entropy", "verify_k_shadow"),
+        ("CanonicalSpec", "CoxeterReport", "EntropyLine", "GrowthEstimate", "SerreVerdict",
+         "canonical_verdict", "coxeter_necessary_check", "entropy_line", "graded_path_verdict",
+         "growth_degree", "hereditary_entropy", "parse_canonical_spec", "verify_k_shadow"),
         "serre",
     ),
     "trivial_extension": "trivext",

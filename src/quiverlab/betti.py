@@ -169,10 +169,9 @@ def combine_estimates(estimates) -> ComplexityEstimate:
     return ComplexityEstimate.finite(degree)
 
 
-def _orbit_traces(k0: K0Arithmetic, vertices, steps: int,
-                  dim_cap: int) -> list[ResolutionTrace]:
-    """The formula's trace of each simple in vertices, in their order
-    (see coxeter_trivext_traces)."""
+def _orbit_traces(k0: K0Arithmetic, steps: int, dim_cap: int) -> list[ResolutionTrace]:
+    """The formula's trace of every simple, in vertex order (see
+    coxeter_trivext_traces)."""
     n = k0.n
     cartan = [k0.paths(k0.unit(i)) for i in range(n)]  # column i: dim P_i of kQ
     proj = [sum(cartan[j]) + sum(col[j] for col in cartan) for j in range(n)]
@@ -214,7 +213,7 @@ def _orbit_traces(k0: K0Arithmetic, vertices, steps: int,
 
         return _betti_trace(proj[i], advance, steps, dim_cap)
 
-    return [trace(i) for i in vertices]
+    return [trace(i) for i in range(n)]
 
 
 def coxeter_trivext_traces(
@@ -325,9 +324,9 @@ def coxeter_trivext_traces(
             if found.radical_vector:
                 delta[v] = found.radical_vector[k]
     defect = list(delta)
-    for s, t in k0.arrows:
-        defect[t] -= delta[s]
-    traces = _orbit_traces(k0, range(n), steps, dim_cap)
+    for s, t, w in k0.edges:
+        defect[t] -= w * delta[s]
+    traces = _orbit_traces(k0, steps, dim_cap)
     estimates = [ComplexityEstimate.infinite() if kinds[i] == "indefinite"
                  else ComplexityEstimate.finite(1 + (defect[i] != 0)) for i in range(n)]
     return traces, estimates

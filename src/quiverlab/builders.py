@@ -21,11 +21,14 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .quiver import Arrow, Quiver, acyclic_order, has_oriented_cycle, quiver_from_data
-from .ratmat import vector
 from .record import Record
 from .scalgebra import BasisElement, Element, SCAlgebra
+
+if TYPE_CHECKING:
+    from .serre import CanonicalSpec
 
 Chain = tuple[str, ...]
 """A path as its arrow ids in application order; () stands for a trivial path."""
@@ -171,42 +174,6 @@ def gentle_from_data(data: object) -> GentlePresentation:
             raise ValueError(f"relation must be a pair of arrow ids, got {entry!r}")
         relations.append((str(entry[0]), str(entry[1])))
     return GentlePresentation(q, tuple(relations))
-
-
-class CanonicalSpec(Record):
-    """Weight sequence p_1..p_t with scalars for the arms beyond the second.
-
-    The first two arms carry the implicit normalization; lambdas[i] belongs
-    to arm i+3 and must be nonzero, all pairwise distinct.
-    """
-
-    weights: tuple[int, ...]
-    lambdas: tuple[int | Fraction, ...] = ()
-
-    def __post_init__(self) -> None:
-        if len(self.weights) < 2:
-            raise ValueError("at least two weights are required")
-        if any(not isinstance(p, int) or p < 1 for p in self.weights):
-            raise ValueError("weights must be positive integers")
-        object.__setattr__(self, "lambdas", vector(self.lambdas))
-        if len(self.lambdas) != len(self.weights) - 2:
-            raise ValueError("need exactly one lambda per arm beyond the second")
-        if any(x == 0 for x in self.lambdas):
-            raise ValueError("lambdas must be nonzero")
-        if len(set(self.lambdas)) != len(self.lambdas):
-            raise ValueError("lambdas must be pairwise distinct")
-
-
-def parse_canonical_spec(document: str) -> CanonicalSpec:
-    try:
-        data = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed canonical spec: {exc}") from exc
-    if not isinstance(data, dict) or "weights" not in data:
-        raise ValueError("canonical spec must be a JSON object with a 'weights' list")
-    weights = tuple(data["weights"])
-    lambdas = tuple(data.get("lambdas", ()))
-    return CanonicalSpec(weights, lambdas)
 
 
 def canonical_algebra(spec: CanonicalSpec) -> SCAlgebra:

@@ -168,10 +168,8 @@ def _parse_fraction_list(text: str, what: str) -> list[Fraction]:
 
 
 def cmd_canonical(args) -> Report:
-    from .builders import CanonicalSpec, canonical_algebra
-    from .quiver import coxeter_matrix
-    from .scalgebra import cartan_matrix
-    from .serre import canonical_verdict, coxeter_necessary_check, entropy_line
+    from .quiver import K0Arithmetic
+    from .serre import CanonicalSpec, canonical_verdict, coxeter_necessary_check, entropy_line
 
     weights = _parse_int_list(args.weights, "--weights")
     if args.lambdas is not None:
@@ -188,8 +186,8 @@ def cmd_canonical(args) -> Report:
 
     delta, p, verdict = canonical_verdict(spec)
     line = entropy_line(verdict)
-    algebra = canonical_algebra(spec)
-    phi = coxeter_matrix(cartan_matrix(algebra))
+    k0 = K0Arithmetic.canonical(spec.weights)
+    phi = k0.matrix(k0.forward)
     check = coxeter_necessary_check(phi, l_max=2, n_max=p)
 
     warnings: list[str] = []
@@ -206,7 +204,8 @@ def cmd_canonical(args) -> Report:
         "verdict": verdict.to_json_dict(),
         "entropy_slope": exact_rational(line.slope),
         "poly_entropy_bound": exact(line.poly_entropy_bound),
-        "algebra_dim": exact(algebra.dim),
+        # dim A is the sum of the entries of its Cartan matrix
+        "algebra_dim": exact(sum(sum(k0.paths(k0.unit(j))) for j in range(k0.n))),
         "coxeter_check": check.to_json_dict(),
     }
     return Report("canonical", digest, result, warnings)

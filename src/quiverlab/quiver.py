@@ -1,6 +1,7 @@
 """Quiver data model, Tits form, the finite/affine/indefinite trichotomy,
-and K0Arithmetic, the package's one arithmetic of K_0(kQ), all in ints;
-ratmat is imported only by the functions that return a RatMatrix."""
+and K0Arithmetic, the package's one arithmetic of K_0, for a path algebra
+kQ and for a canonical algebra read off its weights, all in ints; ratmat
+is imported only by the functions that return a RatMatrix."""
 from __future__ import annotations
 
 import json
@@ -239,40 +240,70 @@ def acyclic_order(q: Quiver) -> list[int]:
 
 
 class K0Arithmetic:
-    """Integer arithmetic of K_0(kQ) for an acyclic quiver Q.
+    """Integer arithmetic of K_0(A), for A = kQ of an acyclic quiver Q or
+    the canonical algebra of a weight sequence (canonical).
 
-    C is the Cartan matrix, C[t][s] the number of paths from s to t, so
-    C = (I - N)^(-1) for the arrow counts N[t][s] of s -> t; E = C^(-T) is
-    I minus the arrow counts s -> t, <x, y> = x^T E y is the Euler form, and
+    A is given by weighted edges (s, t, w), sorted by the place of s in a
+    topological order, with C^(-1) = I - W for W[t][s] = w; C is the
+    Cartan matrix, C[t][s] = dim e_t A e_s, the weighted count of the paths
+    from s to t.  For kQ, w counts the arrows s -> t, parallel ones merged.
+    E = C^(-T) = I - W^T, <x, y> = x^T E y is the Euler form, and
     Phi = -C^T C^(-1) is the Coxeter transformation, the class of tau.
-    Every product is a pass over the arrows in a topological order, and
-    matrix reads a matrix off one column by column; nothing is inverted.
+    Every product is a pass over the edges, and matrix reads a matrix off
+    one column by column; nothing is inverted.
     """
 
     def __init__(self, q: Quiver):
         order = acyclic_order(q)
-        self.n = len(order)
         rank = {v: k for k, v in enumerate(order)}
         pos = q.vertex_index()
-        # the arrows (s, t), by the place of s in the topological order
-        self.arrows = sorted(((pos[a.source], pos[a.target]) for a in q.arrows),
-                             key=lambda arrow: rank[arrow[0]])
+        counts: dict[tuple[int, int], int] = {}
+        for a in q.arrows:
+            edge = pos[a.source], pos[a.target]
+            counts[edge] = counts.get(edge, 0) + 1
+        self.n = len(order)
+        self.edges = sorted(((s, t, w) for (s, t), w in counts.items()),
+                            key=lambda edge: rank[edge[0]])
+
+    @classmethod
+    def canonical(cls, weights: tuple[int, ...]) -> K0Arithmetic:
+        """K_0 of the canonical algebra of weights p_1..p_t, in the vertex
+        order of builders.canonical_algebra: 0, the stops of each arm in
+        turn, inf, itself a topological order.
+
+        Each arm's arrows are edges of weight 1.  The t - 2 relations cut
+        the t full paths 0 -> inf down to a plane, so one more edge 0 -> inf
+        of weight 2 - t, left out when t = 2, makes C[inf][0] = 2: C^(-1) is
+        I - N for the arrow counts N with t - 2 added at (inf, 0) (Ringel,
+        LNM 1099, 1984).  The scalars lambda do not enter.
+        """
+        n = 2 + sum(p - 1 for p in weights)
+        edges, stop = [], 1
+        for p in weights:
+            stops = [0, *range(stop, stop + p - 1), n - 1]
+            edges.extend((s, t, 1) for s, t in zip(stops, stops[1:]))
+            stop += p - 1
+        if len(weights) != 2:
+            edges.append((0, n - 1, 2 - len(weights)))
+        k0 = cls.__new__(cls)
+        k0.n, k0.edges = n, sorted(edges)
+        return k0
 
     def unit(self, i: int) -> list[int]:
         return [int(x == i) for x in range(self.n)]
 
     def paths(self, x: list[int]) -> list[int]:
-        """C x: y = x + N y, read source by source in topological order."""
+        """C x: y = x + W y, read source by source in topological order."""
         y = list(x)
-        for s, t in self.arrows:
-            y[t] += y[s]
+        for s, t, w in self.edges:
+            y[t] += w * y[s]
         return y
 
     def euler(self, x: list[int]) -> list[int]:
         """E x."""
         y = list(x)
-        for s, t in self.arrows:
-            y[s] -= x[t]
+        for s, t, w in self.edges:
+            y[s] -= w * x[t]
         return y
 
     def inverse(self, c: list[int]) -> list[int]:
@@ -280,13 +311,13 @@ class K0Arithmetic:
         return [-y for y in self.paths(self.euler(c))]
 
     def forward(self, c: list[int]) -> list[int]:
-        """Phi c = -C^T (I - N) c, the class of tau: z = (I - N) c, then
-        y = z + N^T y, read in the reverse order."""
+        """Phi c = -C^T (I - W) c, the class of tau: z = (I - W) c, then
+        y = z + W^T y, read in the reverse order."""
         z = list(c)
-        for s, t in self.arrows:
-            z[t] -= c[s]
-        for s, t in reversed(self.arrows):
-            z[s] += z[t]
+        for s, t, w in self.edges:
+            z[t] -= w * c[s]
+        for s, t, w in reversed(self.edges):
+            z[s] += w * z[t]
         return [-y for y in z]
 
     def matrix(self, apply) -> RatMatrix:

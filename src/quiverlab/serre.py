@@ -1,26 +1,24 @@
 """Serre-cyclotomicity classifiers and entropy computations.
 
 Three independent routes to a verdict: the weight-based delta rule for
-canonical algebras, the quiver-type rule for graded path algebras, and an
-exact necessary condition on the Coxeter matrix.  Entropy helpers turn a
-verdict into its predicted entropy line, follow the Coxeter orbit of the
-cogenerator, and decide orbit growth exactly from a local minimal polynomial.
+canonical algebras, read off a CanonicalSpec, the quiver-type rule for
+graded path algebras, and an exact necessary condition on the Coxeter
+matrix.  Entropy helpers turn a verdict into its predicted entropy line,
+follow the Coxeter orbit of the cogenerator, and decide orbit growth
+exactly from a local minimal polynomial.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .cyclo import cyclotomic_profile, krylov_walk, spectral_radius
 from .intpoly import IntPolynomial, cyclotomic_factorization
 from .quiver import K0Arithmetic, Quiver, classify_quiver, has_oriented_cycle
 from .ratmat import RatMatrix, Vector, l1_norm, vector
 from .record import Record
-
-if TYPE_CHECKING:
-    from .builders import CanonicalSpec
 
 VERDICT_KINDS = (
     "serre-cyclotomic",
@@ -113,6 +111,52 @@ class CoxeterReport(Record):
             "l": self.l,
             "note": self.note,
         }
+
+
+class CanonicalSpec(Record):
+    """Weight sequence p_1..p_t with scalars for the arms beyond the second.
+
+    The first two arms carry the implicit normalization; lambdas[i] belongs
+    to arm i+3 and must be nonzero, all pairwise distinct.  Bad input
+    raises ValueError, a bool included: True is no weight or lambda.
+    """
+
+    weights: tuple[int, ...]
+    lambdas: tuple[int | Fraction, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.weights, tuple) or not isinstance(self.lambdas, tuple):
+            raise ValueError("weights and lambdas must be tuples")
+        if len(self.weights) < 2:
+            raise ValueError("at least two weights are required")
+        if any(not isinstance(p, int) or isinstance(p, bool) or p < 1 for p in self.weights):
+            raise ValueError("weights must be positive integers")
+        if any(isinstance(x, bool) for x in self.lambdas):
+            raise ValueError("lambdas must be rationals")
+        try:
+            object.__setattr__(self, "lambdas", vector(self.lambdas))
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise ValueError("lambdas must be rationals") from exc
+        if len(self.lambdas) != len(self.weights) - 2:
+            raise ValueError("need exactly one lambda per arm beyond the second")
+        if any(x == 0 for x in self.lambdas):
+            raise ValueError("lambdas must be nonzero")
+        if len(set(self.lambdas)) != len(self.lambdas):
+            raise ValueError("lambdas must be pairwise distinct")
+
+
+def parse_canonical_spec(document: str) -> CanonicalSpec:
+    """The spec of a JSON object {"weights": [...], "lambdas": [...]}, lambdas optional."""
+    try:
+        data = json.loads(document)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed canonical spec: {exc}") from exc
+    if not isinstance(data, dict) or "weights" not in data:
+        raise ValueError("canonical spec must be a JSON object with a 'weights' list")
+    weights, lambdas = data["weights"], data.get("lambdas", [])
+    if not isinstance(weights, list) or not isinstance(lambdas, list):
+        raise ValueError("canonical spec 'weights' and 'lambdas' must be lists")
+    return CanonicalSpec(tuple(weights), tuple(lambdas))
 
 
 def canonical_verdict(spec: CanonicalSpec) -> tuple[int, int, SerreVerdict]:

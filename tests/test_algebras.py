@@ -138,6 +138,9 @@ def test_canonical_spec_validation():
         CanonicalSpec((2, 2, 2, 2), (1, 1))
     with pytest.raises(ValueError):
         CanonicalSpec((2, 2, 2), (0,))
+    for weights, lambdas in ((5, ()), ((2, 3, 5), 3), ((True, 3), ()), ((2, 2, 2), (True,))):
+        with pytest.raises(ValueError):
+            CanonicalSpec(weights, lambdas)
     spec = CanonicalSpec((2, 3, 5), (1,))
     assert spec.lambdas == (Fraction(1),)
 
@@ -151,6 +154,19 @@ def test_parse_canonical_spec_document():
         parse_canonical_spec('{"lambdas": [1]}')
     with pytest.raises(ValueError):
         parse_canonical_spec("[1, 2]")
+    # a rational lambda may be written as a string
+    spec = parse_canonical_spec('{"weights": [2, 3, 5], "lambdas": ["5/2"]}')
+    assert spec.lambdas == (Fraction(5, 2),)
+    # neither field may be a scalar, and a JSON boolean is no weight or lambda,
+    # as quiver_from_data refuses it as an arrow degree
+    for document in ('{"weights": 5}', '{"weights": [2, 3, 5], "lambdas": 3}',
+                     '{"weights": [true, 3]}', '{"weights": [2, 3.0]}',
+                     '{"weights": [2, 3, 5], "lambdas": [true]}',
+                     '{"weights": [2, 3, 5], "lambdas": [null]}',
+                     '{"weights": [2, 3, 5], "lambdas": ["1/0"]}',
+                     '{"weights": [2, 3, 5], "lambdas": [Infinity]}'):
+        with pytest.raises(ValueError):
+            parse_canonical_spec(document)
 
 
 def test_canonical_dimensions():

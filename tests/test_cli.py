@@ -676,8 +676,9 @@ def test_trivext_workloads_keep_their_bytes(tmp_path, capsys, monkeypatch):
 
 def test_path_algebra_commands_invert_no_matrix(tmp_path, capsys, monkeypatch):
     # classify, entropy and trivext read C, Phi and Phi^(-1) of kQ off
-    # K0Arithmetic: with RatMatrix.inverse refused, each relation-free bench
-    # job still prints its pinned bytes
+    # K0Arithmetic, and canonical reads C and Phi of its algebra off the
+    # weights: with RatMatrix.inverse refused, each relation-free bench job
+    # and each canonical one still prints its pinned bytes
     def refuse(self):
         raise AssertionError("RatMatrix.inverse on a path-algebra route")
 
@@ -692,12 +693,12 @@ def test_path_algebra_commands_invert_no_matrix(tmp_path, capsys, monkeypatch):
         workloads.write_inputs(files, tmp_path)
         for job in jobs:
             command, *rest = job.argv
-            if command in ("classify", "entropy", "trivext") and \
-                    "relations" not in json.loads(files[rest[0]]):
+            if command == "canonical" or (command in ("classify", "entropy", "trivext") and
+                                          "relations" not in json.loads(files[rest[0]])):
                 code, out, err = run(capsys, *job.argv, "--json")
                 assert (code, err) == (0, ""), job.id
                 digests[job.id] = hashlib.sha256(out.encode()).hexdigest()
-    assert len(digests) == 16
+    assert len(digests) == 18
     assert digests == {job: pinned[job] for job in digests}
 
 
@@ -839,6 +840,15 @@ def test_readme_classify_transcript_is_the_cli_output(tmp_path, capsys):
     transcript = section.split("$ quiverlab classify kron.json\n", 1)[1].split("```", 1)[0]
     path = write(tmp_path, "kron.json", document + "\n")
     assert run(capsys, "classify", path) == (0, transcript, "")
+
+
+def test_readme_canonical_transcript_is_the_cli_output(capsys):
+    # the canonical example under "Command line" prints its transcript byte
+    # for byte, the digest of the normalized weights and lambdas included
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    transcript = section.split("$ quiverlab canonical --weights 2,3,6\n", 1)[1].split("```", 1)[0]
+    assert run(capsys, "canonical", "--weights", "2,3,6") == (0, transcript, "")
 
 
 def test_readme_usage_lists_the_parser():

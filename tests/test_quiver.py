@@ -6,11 +6,16 @@ definiteness tests behind them are exact.
 """
 import json
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from quiverlab import (
+    CanonicalSpec,
     RatMatrix,
+    canonical_algebra,
+    cartan_matrix,
     cartan_path_algebra,
     classify_quiver,
     coxeter_matrix,
@@ -365,6 +370,34 @@ def bench_quivers() -> dict:
 @pytest.mark.parametrize("q", bench_quivers().values(), ids=bench_quivers())
 def test_k0_arithmetic_is_the_dense_oracle_on_every_bench_quiver(q):
     assert_k0_is_dense(q, 60)
+
+
+def test_k0_arithmetic_of_a_canonical_algebra_is_its_builder():
+    # C, E, Phi and Phi^(-1) read off the weights alone, and dim Lambda as the
+    # sum of C's entries, equal the builder's Cartan matrix, the dense
+    # inverses and Coxeter matrix of it, and the builder's dimension, on
+    # seeded weight types of 2-5 arms and weights 1-5 with lambdas drawn
+    # away from the default 1, 2, ...
+    rng = random.Random(47)
+    scalars = sorted({Fraction(k, d) for k in range(-4, 5) if k for d in (1, 2, 3)})
+    types, seen = set(), Counter()
+    for _ in range(130):
+        weights = tuple(rng.randint(1, 5) for _ in range(rng.randint(2, 5)))
+        lambdas = tuple(rng.sample(scalars, len(weights) - 2))
+        types.add(weights)
+        seen[f"{len(weights)} arms"] += 1
+        seen["weight-one arm"] += 1 in weights
+        seen["other lambdas"] += lambdas != tuple(range(1, len(weights) - 1))
+        algebra = canonical_algebra(CanonicalSpec(weights, lambdas))
+        cartan = cartan_matrix(algebra)
+        phi = coxeter_matrix(cartan)
+        k0 = K0Arithmetic.canonical(weights)
+        assert k0.matrix(k0.paths) == cartan, weights
+        assert k0.matrix(k0.euler) == cartan.inverse().T, weights
+        assert (k0.matrix(k0.forward), k0.matrix(k0.inverse)) == (phi, phi.inverse()), weights
+        assert sum(sum(k0.paths(k0.unit(j))) for j in range(k0.n)) == algebra.dim, weights
+    assert len(types) >= 100, len(types)
+    assert min(seen.values()) >= 10, seen
 
 
 def test_coxeter_matrix_values():

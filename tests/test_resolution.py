@@ -642,7 +642,7 @@ def test_coxeter_formula_is_the_engine_on_random_acyclic_quivers():
         ta = trivial_extension(path_algebra(q))
         engine = [minimal_resolution(ta, p, 10, 2000) for p in range(n)]
         k0 = K0Arithmetic(q)
-        assert betti._orbit_traces(k0, range(n), 10, 2000) == engine, q
+        assert betti._orbit_traces(k0, 10, 2000) == engine, q
         assert betti.coxeter_trivext_traces(q, 10, 2000)[0] == engine, q
 
 
@@ -772,7 +772,7 @@ def test_a_class_that_is_not_sign_definite_raises(monkeypatch):
     k0 = K0Arithmetic(path_quiver(2))
     monkeypatch.setattr(K0Arithmetic, "inverse", lambda self, c: [1, -1])
     with pytest.raises(RuntimeError, match="a Coxeter orbit class is not sign-definite"):
-        betti._orbit_traces(k0, range(2), 5, 100)
+        betti._orbit_traces(k0, 5, 100)
 
 
 def trees(max_vertices: int):

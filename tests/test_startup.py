@@ -65,9 +65,9 @@ with open(sys.argv[1], "w", encoding="utf-8") as out:
     json.dump({"status": status, "import": imported, "run": ran}, out)
 """
 
-# what each command must not load: no spectral command resolves, only
-# canonical builds an algebra, and trivext on a relation-free acyclic quiver
-# reads every simple off the Coxeter orbit, with neither
+# what each command must not load: no spectral command builds an algebra or
+# resolves, canonical reads K_0 off its weights, and trivext on a
+# relation-free acyclic quiver reads every simple off the Coxeter orbit
 NO_RESOLUTION = {"quiverlab.resolution", "quiverlab.trivext"}
 NO_ALGEBRA = NO_RESOLUTION | {"quiverlab.builders", "quiverlab.scalgebra"}
 NO_SPECTRAL = {"quiverlab.serre", "quiverlab.cyclo", "quiverlab.intpoly"}
@@ -110,7 +110,7 @@ def modules_loaded(tmp_path, argv, inputs) -> dict:
         (["entropy", "kron.json", "--iterations", "12"], {"kron.json": KRONECKER_DOC},
          NO_ALGEBRA),
         (["check-coxeter", "phi.json"], {"phi.json": PHI_DOC}, NO_ALGEBRA),
-        (["canonical", "--weights", "2,3,5"], {}, NO_RESOLUTION),
+        (["canonical", "--weights", "2,3,5"], {}, NO_ALGEBRA),
         (["trivext", "a2.json", "--steps", "12"], {"a2.json": A2_DOC}, RELATION_FREE),
         # every trace is read off the Coxeter orbit and every verdict off the
         # component's kind and defect, the regular simples' too
