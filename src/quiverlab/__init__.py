@@ -34,7 +34,8 @@ _EXPORTS = {
          "tits_matrix"),
         "quiver",
     ),
-    **dict.fromkeys(("RatMatrix", "Vector", "l1_norm", "vector"), "ratmat"),
+    "RatMatrix": "ratmat",
+    **dict.fromkeys(("Vector", "l1_norm", "vector"), "echelon"),
     **dict.fromkeys(
         ("RepModule", "jacobson_radical", "minimal_resolution", "resolve_simple_modules",
          "simple_modules"),

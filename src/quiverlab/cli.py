@@ -16,9 +16,12 @@ resolution traces, check reports) keep their own documented shapes.
 Each command imports the layers it uses inside its handler, so one run
 loads and compiles only those; the names are read from their submodules at
 call time.  `fractions` is imported the same way, by the helpers that parse
-or print a rational, so `trivext` on a relation-free quiver runs on ints
-from parsing to rendering and loads neither `fractions` (nor the `decimal`
-and `numbers` it pulls in) nor `ratmat`.
+or print a rational that is not an int, so `classify` on an acyclic quiver,
+`entropy` on one with a cyclotomic Coxeter polynomial, `canonical` on its
+default lambdas and `trivext` on a relation-free quiver run on ints from
+parsing to rendering, and load neither `fractions` (nor the `decimal` and
+`numbers` it pulls in) nor `ratmat`; only `check-coxeter` parses its matrix
+into a RatMatrix.
 """
 from __future__ import annotations
 
@@ -71,6 +74,8 @@ def exact(value) -> dict:
 
 
 def exact_rational(value) -> dict:
+    if type(value) is int:
+        return {"exact": True, "value": str(value)}
     from fractions import Fraction
 
     fr = Fraction(value)
@@ -85,8 +90,8 @@ def approximate(value, tol: float) -> dict:
     return {"exact": False, "value": fixed, "tol": _fixed(tol)}
 
 
-def _matrix_json(m: RatMatrix) -> list[list[str]]:
-    return [[str(x) for x in row] for row in m.entries()]
+def _matrix_json(rows) -> list[list[str]]:
+    return [[str(x) for x in row] for row in rows]
 
 
 def _poly_json(p) -> dict:
@@ -117,7 +122,8 @@ def _profile_json(profile) -> dict:
 
 def cmd_classify(args) -> Report:
     from .cyclo import cyclotomic_profile
-    from .quiver import K0Arithmetic, classify_quiver, has_oriented_cycle, parse_quiver
+    from .quiver import (CoxeterMap, K0Arithmetic, classify_quiver, has_oriented_cycle,
+                         parse_quiver)
 
     document, digest = _read_input(args.file)
     q = parse_quiver(document)
@@ -142,10 +148,9 @@ def cmd_classify(args) -> Report:
         )
     else:
         k0 = K0Arithmetic(q)
-        phi = k0.matrix(k0.forward)
-        result["cartan_matrix"] = exact(_matrix_json(k0.matrix(k0.paths)))
-        result["coxeter_matrix"] = exact(_matrix_json(phi))
-        profile = cyclotomic_profile(phi)
+        result["cartan_matrix"] = exact(_matrix_json(k0.rows(k0.paths)))
+        result["coxeter_matrix"] = exact(_matrix_json(k0.rows(k0.forward)))
+        profile = cyclotomic_profile(CoxeterMap(k0))
         result["char_poly"] = _poly_json(profile.char_poly)
         result["cyclotomic_profile"] = _profile_json(profile)
     return Report("classify", digest, result, warnings)
@@ -168,7 +173,7 @@ def _parse_fraction_list(text: str, what: str) -> list[Fraction]:
 
 
 def cmd_canonical(args) -> Report:
-    from .quiver import K0Arithmetic
+    from .quiver import CoxeterMap, K0Arithmetic
     from .serre import CanonicalSpec, canonical_verdict, coxeter_necessary_check, entropy_line
 
     weights = _parse_int_list(args.weights, "--weights")
@@ -187,8 +192,7 @@ def cmd_canonical(args) -> Report:
     delta, p, verdict = canonical_verdict(spec)
     line = entropy_line(verdict)
     k0 = K0Arithmetic.canonical(spec.weights)
-    phi = k0.matrix(k0.forward)
-    check = coxeter_necessary_check(phi, l_max=2, n_max=p)
+    check = coxeter_necessary_check(CoxeterMap(k0), l_max=2, n_max=p)
 
     warnings: list[str] = []
     if check.passed is None:

@@ -1,6 +1,7 @@
 """Quiver data model, Tits form, the finite/affine/indefinite trichotomy,
 and K0Arithmetic, the package's one arithmetic of K_0, for a path algebra
-kQ and for a canonical algebra read off its weights, all in ints; ratmat
+kQ and for a canonical algebra read off its weights, all in ints, with
+CoxeterMap, its Coxeter transformation as a linear map for cyclo; ratmat
 is imported only by the functions that return a RatMatrix."""
 from __future__ import annotations
 
@@ -320,11 +321,36 @@ class K0Arithmetic:
             z[s] += w * z[t]
         return [-y for y in z]
 
+    def rows(self, apply) -> list[tuple[int, ...]]:
+        """The rows of the matrix of the map apply, C for paths, Phi for
+        forward, in ints: its columns are the images of the unit vectors."""
+        return list(zip(*(apply(self.unit(j)) for j in range(self.n))))
+
     def matrix(self, apply) -> RatMatrix:
-        """The matrix of the map apply, C for paths, Phi for forward."""
+        """rows(apply) as a RatMatrix."""
         from .ratmat import RatMatrix
 
-        return RatMatrix(zip(*(apply(self.unit(j)) for j in range(self.n))))
+        return RatMatrix(self.rows(apply))
+
+
+class CoxeterMap:
+    """Phi of a K0Arithmetic as the linear map cyclo walks: rows, is_square
+    and apply, each apply one forward pass in ints, so no matrix is built.
+    It hashes by identity, so cyclo's last Krylov walk is kept for this
+    object."""
+
+    __slots__ = ("k0",)
+    is_square = True
+
+    def __init__(self, k0: K0Arithmetic):
+        self.k0 = k0
+
+    @property
+    def rows(self) -> int:
+        return self.k0.n
+
+    def apply(self, vec) -> tuple[int, ...]:
+        return tuple(self.k0.forward(vec))
 
 
 def cartan_path_algebra(q: Quiver) -> RatMatrix:

@@ -5,20 +5,28 @@ canonical algebras, read off a CanonicalSpec, the quiver-type rule for
 graded path algebras, and an exact necessary condition on the Coxeter
 matrix.  Entropy helpers turn a verdict into its predicted entropy line,
 follow the Coxeter orbit of the cogenerator, and decide orbit growth
-exactly from a local minimal polynomial.
+exactly from a local minimal polynomial.  The Coxeter transformation of a
+quiver is K0Arithmetic's CoxeterMap, so these routes run in ints;
+`fractions` is imported only for a slope m/n that is not an integer, and
+ratmat only by verify_k_shadow.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .cyclo import cyclotomic_profile, krylov_walk, spectral_radius
+from .echelon import Vector, l1_norm, vector
 from .intpoly import IntPolynomial, cyclotomic_factorization
-from .quiver import K0Arithmetic, Quiver, classify_quiver, has_oriented_cycle
-from .ratmat import RatMatrix, Vector, l1_norm, vector
+from .quiver import CoxeterMap, K0Arithmetic, Quiver, classify_quiver, has_oriented_cycle
 from .record import Record
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .ratmat import RatMatrix
 
 VERDICT_KINDS = (
     "serre-cyclotomic",
@@ -83,9 +91,10 @@ class SerreVerdict(Record):
 
 
 class EntropyLine(Record):
-    """Slope of the entropy line t -> (m/n)t plus the polynomial bound l-1."""
+    """Slope of the entropy line t -> (m/n)t plus the polynomial bound l-1;
+    the slope is an int when n divides m."""
 
-    slope: Fraction
+    slope: int | Fraction
     poly_entropy_bound: int
 
 
@@ -235,8 +244,7 @@ def graded_path_verdict(q: Quiver) -> SerreVerdict:
     """
     quiver_type = classify_quiver(q)
     if quiver_type.kind == "finite":
-        k0 = K0Arithmetic(q)
-        profile = cyclotomic_profile(k0.matrix(k0.forward))
+        profile = cyclotomic_profile(CoxeterMap(K0Arithmetic(q)))
         return SerreVerdict.fractionally_calabi_yau(
             None,
             None,
@@ -284,13 +292,12 @@ def graded_path_verdict(q: Quiver) -> SerreVerdict:
 NECESSITY_NOTE = "necessary condition only; passing does not certify cyclotomicity"
 
 
-def coxeter_necessary_check(
-    phi: RatMatrix, l_max: int = 6, n_max: int = 60
-) -> CoxeterReport:
+def coxeter_necessary_check(phi, l_max: int = 6, n_max: int = 60) -> CoxeterReport:
     """Exact check that some (phi^(2n) - 1)^l vanishes within the bounds.
 
-    The minimal witness pair comes from the cyclotomic factor structure and
-    is verified by exact matrix arithmetic before being reported.
+    phi is a RatMatrix or a CoxeterMap.  The minimal witness pair comes from
+    the cyclotomic factor structure and is certified by cyclotomic_profile
+    before being reported.
     """
     if l_max < 1 or n_max < 1:
         raise ValueError("witness bounds must be positive")
@@ -337,6 +344,8 @@ def verify_k_shadow(psi: RatMatrix, l: int, m: int, n: int) -> bool:
         raise ValueError("the nilpotency exponent l is at least 1")
     if n == 0:
         raise ValueError("the power exponent n is nonzero")
+    from .ratmat import RatMatrix
+
     power = psi ** n
     if m % 2:
         power = -power
@@ -349,6 +358,10 @@ def entropy_line(verdict: SerreVerdict) -> EntropyLine:
         raise ValueError("verdict carries no exponents (m, n)")
     if verdict.l is None:
         raise ValueError("verdict carries no nilpotency exponent l")
+    if verdict.m % verdict.n == 0:
+        return EntropyLine(verdict.m // verdict.n, verdict.l - 1)
+    from fractions import Fraction
+
     return EntropyLine(Fraction(verdict.m, verdict.n), verdict.l - 1)
 
 
@@ -377,25 +390,26 @@ def hereditary_entropy(
 
 def entropy_orbit(
     q: Quiver, iterations: int
-) -> tuple[float, list[float], RatMatrix, list[Vector]]:
-    """hereditary_entropy's (h0, trace) with the Coxeter matrix phi and the
+) -> tuple[float, list[float], CoxeterMap, list[Vector]]:
+    """hereditary_entropy's (h0, trace) with the Coxeter map phi and the
     orbit behind them: the cogenerator vector v and its iterates phi^k v for
-    k = 1..iterations, all in ints from K0Arithmetic, nothing inverted.  The
-    Coxeter polynomial's first Krylov block continues from this orbit, so
-    each iterate is computed once, and orbit_growth reads that block's
-    polynomial, so the orbit is eliminated once.  h0 is exactly 0.0 when spectral_radius finds
-    the Coxeter polynomial cyclotomic."""
+    k = 1..iterations, all in ints from K0Arithmetic, nothing inverted and
+    no matrix built.  The Coxeter polynomial's first Krylov block continues
+    from this orbit, so each iterate is computed once, and orbit_growth
+    reads that block's polynomial, so the orbit is eliminated once.  h0 is
+    exactly 0.0 when spectral_radius finds the Coxeter polynomial
+    cyclotomic."""
     if iterations < 1:
         raise ValueError("iterations must be positive")
     if not q.is_connected:
         raise ValueError("entropy needs a connected quiver")
     k0 = K0Arithmetic(q)
-    phi = k0.matrix(k0.forward)
+    phi = CoxeterMap(k0)
     cogenerator = tuple(sum(k0.paths(k0.unit(j))) for j in range(k0.n))
     orbit = [cogenerator]
     trace = []
     for k in range(1, iterations + 1):
-        orbit.append(tuple(k0.forward(orbit[-1])))
+        orbit.append(phi.apply(orbit[-1]))
         trace.append(_log_fraction(l1_norm(orbit[-1])) / k)
     h0 = math.log(spectral_radius(phi, orbit))
     return h0, trace, phi, orbit
@@ -442,12 +456,13 @@ def growth_degree(phi: RatMatrix, v, steps: int = 60) -> GrowthEstimate:
     return orbit_growth(phi, [vector(v)])
 
 
-def orbit_growth(phi: RatMatrix, orbit: list[Vector]) -> GrowthEstimate:
-    """growth_degree's decision for an integral phi, given the leading
-    iterates v, phi v, ..., phi^j v of the orbit; phi is applied only past
-    the last one.  The local minimal polynomial is the first block of the
-    Krylov walk seeded with the orbit, which spectral_radius has already
-    made when it was given the same orbit."""
+def orbit_growth(phi, orbit: list[Vector]) -> GrowthEstimate:
+    """growth_degree's decision for an integral phi, a RatMatrix or a
+    CoxeterMap, given the leading iterates v, phi v, ..., phi^j v of the
+    orbit; phi is applied only past the last one.  The local minimal
+    polynomial is the first block of the Krylov walk seeded with the orbit,
+    which spectral_radius has already made when it was given the same
+    orbit."""
     local = krylov_walk(phi, tuple(map(tuple, orbit)))[0][1]
     t = next(k for k, c in enumerate(local.coeffs) if c)
     orders = cyclotomic_factorization(IntPolynomial(local.coeffs[t:]))

@@ -19,7 +19,13 @@ that `resolve_simple_modules` resolves several representatives in its loop
 on symmetric algebras too, for the tests that need them.
 `rational_tits_type` is the Fraction classification that `classify_quiver`
 replaced with an integer elimination: Schur complements over Fraction, and
-the radical from `RatMatrix.kernel_basis`.
+the radical from `RatMatrix.kernel_basis`.  The cyclotomic layer's oracles
+live here too: `dense_witness`, the matrix powers M^L and (M^(2n) - I)^l
+that `cyclotomic_profile` replaced with a polynomial certificate;
+`recursive_cyclotomic`, Phi_d by exact division of x^d - 1; and
+`trial_division_factorization`, the factorization by dividing by every
+recursive Phi_d that fits.  `unlabelled_trees` lists every tree up to a
+size, for the classification and the profile alike.
 """
 from __future__ import annotations
 
@@ -60,6 +66,7 @@ from quiverlab import (
     trivial_extension,
 )
 from quiverlab import resolution
+from quiverlab.intpoly import IntPolynomial, euler_phi
 from quiverlab.quiver import QuiverType
 from quiverlab.ratmat import TrackedEchelon, vector
 
@@ -182,6 +189,52 @@ def complete_bipartite(m: int, n: int):
     return quiver_from_data({
         "vertices": sources + sinks,
         "arrows": [{"id": f"{s}{t}", "from": s, "to": t} for s in sources for t in sinks],
+    })
+
+
+def unlabelled_trees(max_vertices: int) -> list[list[list[tuple[int, int]]]]:
+    """Level n - 1 holds every tree on n vertices up to isomorphism, as its
+    edges (u, v) with u < v: each level grows the last one's trees by a
+    leaf at every vertex, and keeps one tree of each canonical code, the
+    least nested-bracket code of the tree rooted at one of its centres."""
+
+    def code(n: int, edges) -> str:
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        degree = [len(a) for a in adj]
+        layer, left = [v for v in range(n) if degree[v] <= 1], n
+        while left > 2:  # peel the leaves down to the one or two centres
+            left -= len(layer)
+            peeled = []
+            for v in layer:
+                for w in adj[v]:
+                    degree[w] -= 1
+                    if degree[w] == 1:
+                        peeled.append(w)
+            layer = peeled
+
+        def rooted(v: int, parent: int) -> str:
+            return "(" + "".join(sorted(rooted(w, v) for w in adj[v] if w != parent)) + ")"
+
+        return min(rooted(c, -1) for c in layer)
+
+    levels = [[[]]]
+    for n in range(2, max_vertices + 1):
+        grown = {}
+        for edges in levels[-1]:
+            for u in range(n - 1):
+                bigger = [*edges, (u, n - 1)]
+                grown.setdefault(code(n, bigger), bigger)
+        levels.append(list(grown.values()))
+    return levels
+
+
+def quiver_on(n: int, arrows):
+    return quiver_from_data({
+        "vertices": list(range(n)),
+        "arrows": [{"id": f"x{k}", "from": s, "to": t} for k, (s, t) in enumerate(arrows)],
     })
 
 
@@ -438,6 +491,76 @@ def check_profile_is_a_conjugation_invariant():
         assert base.is_cyclotomic
         u = random_unimodular(rng, m.rows)
         assert cyclotomic_profile(u * m * u.inverse()) == base
+
+
+# --- the dense and recursive oracles of the cyclotomic layer --------------------
+
+def dense_witness(m: RatMatrix, profile) -> tuple[bool, bool, bool]:
+    """The matrix-power check cyclotomic_profile made before it certified
+    its witness by polynomials: from one power M^L, whether
+    (M^(2n) - I)^l = 0, whether (M^(2n) - I)^(l - 1) != 0, so that l is
+    least for this n, and whether M^L = I."""
+    n_wit, l_wit = profile.witness
+    big_l = math.lcm(*(d for d, _ in profile.orders))
+    assert 2 * n_wit == (big_l if big_l % 2 == 0 else 2 * big_l)
+    power_l = m ** big_l
+    power = power_l if big_l % 2 == 0 else power_l * power_l
+    shifted = power - RatMatrix.identity(m.rows)
+    least = l_wit == 1 or not (shifted ** (l_wit - 1)).is_zero()
+    return (shifted ** l_wit).is_zero(), least, power_l.is_identity()
+
+
+def assert_profile_is_the_dense_oracle(m: RatMatrix, profile) -> None:
+    """A cyclotomic profile's witness holds and is least in l, and M^L = I
+    exactly when the profile calls M periodic, with L its period."""
+    assert profile.is_cyclotomic
+    holds, least, identity = dense_witness(m, profile)
+    assert holds and least
+    assert identity == profile.periodic
+    assert profile.period == (math.lcm(*(d for d, _ in profile.orders)) if identity else None)
+
+
+@functools.cache
+def recursive_cyclotomic(d: int):
+    """Phi_d by its recursive definition: x^d - 1 divided exactly by Phi_e
+    for every proper divisor e of d."""
+    p = IntPolynomial([-1] + [0] * (d - 1) + [1])
+    for e in range(1, d):
+        if d % e == 0:
+            p = p // recursive_cyclotomic(e)
+    return p
+
+
+def trial_division_factorization(p):
+    """The cyclotomic factorization by trial division, kept as the oracle:
+    divide by the recursive Phi_d for every d whose totient can still fit,
+    up to d = 2 deg^2, as phi(d) >= sqrt(d / 2)."""
+    if p.is_zero or not p.is_monic:
+        raise ValueError("cyclotomic factorization expects a monic polynomial")
+    if not p.is_integral:
+        return None
+    if p.evaluate(1) < 0 or (-1) ** p.degree * p.evaluate(-1) < 0:
+        return None
+    found = []
+    d = 0
+    while p.degree > 0:
+        d += 1
+        degree = p.degree
+        if d > 2 * degree * degree:
+            return None
+        if euler_phi(d) > degree:
+            continue
+        phi_d = recursive_cyclotomic(d)
+        mult = 0
+        while True:
+            quotient, remainder = divmod(p, phi_d)
+            if not remainder.is_zero:
+                break
+            p = quotient
+            mult += 1
+        if mult:
+            found.append((d, mult))
+    return tuple(found)
 
 
 # --- the symmetric form of a trivial extension, an oracle for its table ---------

@@ -12,7 +12,7 @@ import pytest
 
 from quiverlab import betti, cli, cyclo, resolution
 from quiverlab.cli import main
-from quiverlab.quiver import cartan_path_algebra, coxeter_matrix, parse_quiver
+from quiverlab.quiver import K0Arithmetic, cartan_path_algebra, coxeter_matrix, parse_quiver
 from quiverlab.ratmat import RatMatrix, TrackedEchelon
 from quiverlab.scalgebra import SCAlgebra
 from conftest import GENTLE_TWO_LOOP_DOC, bench_module, path_quiver
@@ -563,15 +563,17 @@ def test_entropy_long_period_dynkin_is_exactly_bounded(tmp_path, capsys):
 
 
 def test_entropy_walks_the_coxeter_orbit_once(tmp_path, capsys, monkeypatch):
-    # the growth decision reuses the trace's 60 iterates of Phi(A60)
+    # the trace's 60 iterates of Phi(A60) are the Coxeter map's forward
+    # passes, and the Krylov walk behind the radius and the growth decision
+    # continues from them: every pass of the command is counted
     calls = []
-    apply = RatMatrix.apply
+    forward = K0Arithmetic.forward
 
     def counted(self, vec):
         calls.append(1)
-        return apply(self, vec)
+        return forward(self, vec)
 
-    monkeypatch.setattr(RatMatrix, "apply", counted)
+    monkeypatch.setattr(K0Arithmetic, "forward", counted)
     path = write(tmp_path, "a60.json", path_doc(60))
     code, out, _ = run(capsys, "entropy", path, "--iterations", "60", "--json")
     assert code == 0

@@ -4,6 +4,8 @@ spectral radius.
 Profiles are frozen from hand computations: the A2 Coxeter matrix has order
 three; the Kronecker one is unipotent with nilpotency degree two.
 """
+import itertools
+import json
 import math
 import random
 from decimal import Decimal, localcontext
@@ -12,7 +14,6 @@ from fractions import Fraction
 import pytest
 
 from quiverlab.cyclo import (
-    _cauchy_bound,
     _krylov_blocks,
     char_poly,
     cyclotomic_profile,
@@ -21,17 +22,23 @@ from quiverlab.cyclo import (
     spectral_radius,
 )
 from quiverlab import cyclo
-from quiverlab.intpoly import IntPolynomial
-from quiverlab.quiver import cartan_path_algebra, coxeter_matrix
+from quiverlab.intpoly import IntPolynomial, cyclotomic_factorization, cyclotomic_poly
+from quiverlab.quiver import (CoxeterMap, K0Arithmetic, cartan_path_algebra, classify_quiver,
+                              coxeter_matrix, parse_quiver)
+from quiverlab.radius import _cauchy_bound
 from quiverlab.ratmat import RatMatrix
 from conftest import (
+    assert_profile_is_the_dense_oracle,
+    bench_module,
     companion_matrix,
     eval_matrix,
     from_columns,
     multi_kronecker,
+    quiver_on,
     random_unimodular,
     solve,
     star_quiver,
+    unlabelled_trees,
 )
 
 
@@ -275,6 +282,122 @@ def test_witness_identity_holds():
         n, l = prof.witness
         eye = RatMatrix.identity(m.rows)
         assert ((m ** (2 * n)) - eye) ** l == RatMatrix.zeros(m.rows, m.rows)
+
+
+def map_profile(k0: K0Arithmetic):
+    """The profile of K0Arithmetic's Coxeter map, which must be its dense
+    matrix's, checked against the dense witness oracle when cyclotomic."""
+    profile = cyclotomic_profile(CoxeterMap(k0))
+    matrix = k0.matrix(k0.forward)
+    assert cyclotomic_profile(matrix) == profile
+    if profile.is_cyclotomic:
+        assert_profile_is_the_dense_oracle(matrix, profile)
+    return profile
+
+
+def _spectral_inputs():
+    """(job id, K0Arithmetic or RatMatrix) for each job of the bench's
+    spectral workload."""
+    workloads = bench_module("workloads")
+    files, jobs = workloads.build("spectral", 1401)
+    for job in jobs:
+        command, *rest = job.argv
+        if command == "canonical":
+            yield job.id, K0Arithmetic.canonical(tuple(map(int, rest[1].split(","))))
+        elif command == "check-coxeter":
+            rows = json.loads(files[rest[0]])
+            yield job.id, RatMatrix([[Fraction(x) for x in row] for row in rows])
+        else:
+            yield job.id, K0Arithmetic(parse_quiver(files[rest[0]]))
+
+
+def test_witness_certificate_is_the_dense_oracle_on_the_spectral_bench_inputs():
+    cyclotomic = []
+    for label, source in _spectral_inputs():
+        if isinstance(source, RatMatrix):
+            profile = cyclotomic_profile(source)
+            assert_profile_is_the_dense_oracle(source, profile)
+        else:
+            profile = map_profile(source)
+        if profile.is_cyclotomic:
+            cyclotomic.append(label)
+    assert cyclotomic == ["classify:A60", "classify:D40", "entropy:A60", "entropy:D40",
+                          "check-coxeter:D24", "canonical:2,3,7", "canonical:5,6,7"]
+
+
+def _bipartite(n: int, edges) -> list[tuple[int, int]]:
+    """The tree's edges oriented from the vertices at even distance from 0."""
+    depth, adjacent = {0: 0}, {v: [] for v in range(n)}
+    for u, v in edges:
+        adjacent[u].append(v)
+        adjacent[v].append(u)
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v in adjacent[u]:
+            if v not in depth:
+                depth[v] = depth[u] + 1
+                stack.append(v)
+    return [(u, v) if depth[u] % 2 == 0 else (v, u) for u, v in edges]
+
+
+def test_witness_certificate_is_the_dense_oracle_on_every_tree_up_to_ten_vertices():
+    # a tree's Coxeter polynomial is cyclotomic exactly for Dynkin and
+    # Euclidean trees, in every orientation
+    cyclotomic = 0
+    for n, level in enumerate(unlabelled_trees(10), 1):
+        for edges in level:
+            for arrows in (edges, _bipartite(n, edges)):
+                q = quiver_on(n, arrows)
+                profile = map_profile(K0Arithmetic(q))
+                assert profile.is_cyclotomic == (classify_quiver(q).kind != "indefinite"), edges
+                cyclotomic += profile.is_cyclotomic
+    assert cyclotomic == 2 * (20 + 9)
+
+
+def test_witness_certificate_is_the_dense_oracle_on_canonical_weight_types():
+    # the Coxeter polynomial of a canonical algebra, (x - 1)^2 prod (x^p - 1) / (x - 1),
+    # is cyclotomic for every weight type
+    types = [w for k in (2, 3, 4) for w in itertools.combinations_with_replacement(range(1, 7), k)]
+    assert len(types) >= 100
+    for weights in types:
+        assert map_profile(K0Arithmetic.canonical(weights)).is_cyclotomic, weights
+
+
+def test_witness_certificate_is_the_dense_oracle_on_conjugates_of_phi_d24():
+    workloads = bench_module("workloads")
+    phi = workloads.coxeter_of_tree(workloads.D24)
+    profiles = set()
+    for seed in range(50):
+        m = RatMatrix(workloads.conjugate(phi, random.Random(seed)))
+        profile = cyclotomic_profile(m)
+        assert_profile_is_the_dense_oracle(m, profile)
+        profiles.add(profile)
+    assert len(profiles) == 1 and profiles.pop().witness == (23, 1)
+
+
+def test_a_minimal_polynomial_short_of_one_factor_fails_the_witness(monkeypatch):
+    # mu(M) v = 0 on every block's start vector is the certificate: drop any
+    # one cyclotomic factor from mu and it must fail
+    workloads = bench_module("workloads")
+    d24 = RatMatrix(workloads.conjugate(workloads.coxeter_of_tree(workloads.D24),
+                                        random.Random(7)))
+    maps = [CoxeterMap(K0Arithmetic(q)) for q in (
+        parse_quiver(json.dumps(workloads.path_quiver(60))), parse_quiver(json.dumps(workloads.D40)),
+        multi_kronecker(2), star_quiver((2, 2, 2)))]
+    maps += [CoxeterMap(K0Arithmetic.canonical(w)) for w in ((2, 3, 7), (5, 6, 7))]
+    dropped = 0
+    for m in [*maps, d24, PHI_A2, PHI_KRONECKER]:
+        mu = min_poly(m)
+        for d, _ in cyclotomic_factorization(mu):
+            short = mu // cyclotomic_poly(d)
+            monkeypatch.setattr(cyclo, "min_poly", lambda _, short=short: short)
+            with pytest.raises(RuntimeError, match="(witness|period) verification failed"):
+                cyclotomic_profile(m)
+            monkeypatch.undo()
+            dropped += 1
+        assert cyclotomic_profile(m).witness is not None
+    assert dropped >= 20
 
 
 def test_spectral_radius_exact_one_for_cyclotomic():

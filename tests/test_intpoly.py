@@ -3,6 +3,7 @@
 Cyclotomic polynomials and totients are checked against the standard
 closed forms for small indices.
 """
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,12 @@ from quiverlab.intpoly import (
     euler_phi,
 )
 
-from conftest import companion_matrix, eval_matrix
+from conftest import (
+    companion_matrix,
+    eval_matrix,
+    recursive_cyclotomic,
+    trial_division_factorization,
+)
 
 X = IntPolynomial.x()
 ONE = IntPolynomial.one()
@@ -142,6 +148,57 @@ def test_cyclotomic_factorization_tables():
     assert cyclotomic_factorization(lehmer) is None
     with pytest.raises(ValueError):
         cyclotomic_factorization(poly(1, 2))
+
+
+def test_binomial_cyclotomic_is_the_recursive_definition():
+    for d in range(1, 1001):
+        assert cyclotomic_poly(d) == recursive_cyclotomic(d), d
+
+
+def test_factorization_is_trial_division_on_seeded_products():
+    # monic products of cyclotomic polynomials, half of them times a monic
+    # factor of degree 1 to 4 that is mostly not cyclotomic
+    rng = random.Random(4848)
+    orders = [d for d in range(1, 61) if euler_phi(d) <= 16]
+    outcomes = {True: 0, False: 0}
+    for trial in range(600):
+        p = ONE
+        for _ in range(rng.randint(1, 5)):
+            p = p * cyclotomic_poly(rng.choice(orders)) ** rng.randint(1, 3)
+        if trial % 2:
+            p = p * poly(*(rng.randint(-3, 3) for _ in range(rng.randint(1, 4))), 1)
+        found = cyclotomic_factorization(p)
+        assert found == trial_division_factorization(p), p
+        outcomes[found is not None] += 1
+    assert outcomes[True] >= 300 and outcomes[False] >= 150
+
+
+def test_factorization_is_trial_division_on_binomials_plus_three():
+    # x^n + 3 has every root of modulus 3^(1/n) > 1
+    for n in range(1, 101):
+        p = poly(3, *[0] * (n - 1), 1)
+        assert cyclotomic_factorization(p) is None
+        assert trial_division_factorization(p) is None
+
+
+def test_gcd_of_monic_integral_polynomials_stays_in_ints():
+    phi1, phi2, phi3 = cyclotomic_poly(1), cyclotomic_poly(2), cyclotomic_poly(3)
+    a, b = phi1 ** 2 * phi3 * poly(5, 0, 1), phi1 * phi2 * phi3 ** 2
+    assert a.gcd(b) == phi1 * phi3 and a.gcd(b).is_integral
+    assert a.lcm(b) == phi1 ** 2 * phi2 * phi3 ** 2 * poly(5, 0, 1)
+    assert a.lcm(b).is_integral
+    # between integral polynomials that are not monic, the gcd is still monic
+    assert poly(2, 4, 2).gcd(poly(3, 3)) == poly(1, 1)
+    assert poly(2, 3).gcd(poly(4, 6)) == poly(Fraction(2, 3), 1)
+    # halving one side sends the gcd down the Euclidean route over Fraction
+    rng = random.Random(2718)
+    for _ in range(200):
+        common = poly(*(rng.randint(-4, 4) for _ in range(rng.randint(0, 3))), rng.randint(1, 3))
+        a, b = (common * poly(*(rng.randint(-4, 4) for _ in range(rng.randint(1, 4))))
+                for _ in range(2))
+        if a.is_zero or b.is_zero:
+            continue
+        assert a.gcd(b) == (a * Fraction(1, 2)).gcd(b), (a, b)
 
 
 def test_eval_matrix_on_companion_block():

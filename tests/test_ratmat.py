@@ -188,6 +188,30 @@ def test_tracked_echelon_reports_relations():
     assert len(echelon.pivots) == 3
 
 
+def test_untrack_leaves_relations_on_later_inputs():
+    # w = u/2 + v + x: tracked, the relation names u, v and x; after
+    # untrack, only x, the one input inserted since, and in ints
+    rows = [({0: 2, 1: 4}, "u"), ({1: 3, 2: -1}, "v")]
+    tracked, untracked = TrackedEchelon(), TrackedEchelon()
+    for echelon in (tracked, untracked):
+        for vec, name in rows:
+            assert echelon.insert(dict(vec), {name: 1}) is None
+    untracked.untrack()
+    assert all(expr is None for _, expr in untracked.pivots.values())
+    for echelon in (tracked, untracked):
+        assert echelon.insert({0: 1, 2: 3}, {"x": 1}) is None
+    w = {0: 2, 1: 5, 2: 2}
+    assert tracked.insert(dict(w), {"w": 1}) == {"w": 1, "x": -1, "u": Fraction(-1, 2), "v": -1}
+    assert untracked.insert(dict(w), {"w": 1}) == {"w": 1, "x": -1}
+    # a one-term row loses its expression too, and reduces as a unit
+    untracked = TrackedEchelon()
+    untracked.insert({3: 5}, {"z": 1})
+    untracked.untrack()
+    assert untracked.pivots == {3: UNTRACKED}
+    assert untracked.insert({3: 2, 1: 1}, {"t": 1}) is None
+    assert untracked.insert({3: 7, 1: 3}, {"s": 1}) == {"s": 1, "t": -3}
+
+
 def test_tracked_echelon_keys_rows_by_their_lead():
     echelon = TrackedEchelon()
     assert echelon.insert({0: 3, 1: -1}, {"u": 1}) is None

@@ -45,6 +45,11 @@ CYCLE8_DOC = json.dumps(
         for s, t in ((0, 1), (2, 1), (2, 3), (4, 3), (4, 5), (5, 6), (7, 6), (7, 0), (5, 2),
                      (7, 1))]}
 )
+# linearly oriented A_n, 1 -> 2 -> ... -> n
+A60_DOC = json.dumps(bench_module("workloads").path_quiver(60))
+A30_DOC = json.dumps(bench_module("workloads").path_quiver(30))
+# several Krylov blocks after the orbit's, whose relations stay in ints
+D40_DOC = json.dumps(bench_module("workloads").D40)
 A3_KRON3_DOC = json.dumps(
     {"vertices": [1, 2, 3, 4, 5], "arrows": [
         {"id": "a", "from": 1, "to": 2}, {"id": "b", "from": 2, "to": 3},
@@ -75,6 +80,10 @@ NO_SPECTRAL = {"quiverlab.serre", "quiverlab.cyclo", "quiverlab.intpoly"}
 # fits nothing; neither does a bare `import quiverlab.cli`
 NO_RATIONALS = {"fractions", "decimal", "numbers", "quiverlab.ratmat", "quiverlab.fitting"}
 RELATION_FREE = NO_ALGEBRA | NO_SPECTRAL | NO_RATIONALS
+# classify and entropy walk K0Arithmetic's Coxeter map in ints, and canonical
+# on its default lambdas too: a cyclotomic Coxeter polynomial needs no
+# enclosure, and an integral slope prints without a Fraction
+SPECTRAL_IN_INTS = NO_ALGEBRA | NO_RATIONALS
 # the input digest comes from the builtin sha256 module where the interpreter
 # has one; hashlib would load OpenSSL's bindings, _hashlib
 SHA256_BUILTIN = importlib.util.find_spec("_sha256") is not None
@@ -106,11 +115,15 @@ def modules_loaded(tmp_path, argv, inputs) -> dict:
     "argv, inputs, forbidden",
     [
         (["classify", "kron.json"], {"kron.json": KRONECKER_DOC},
-         NO_ALGEBRA | {"quiverlab.serre"}),
+         SPECTRAL_IN_INTS | {"quiverlab.serre"}),
+        (["classify", "a60.json"], {"a60.json": A60_DOC}, SPECTRAL_IN_INTS | {"quiverlab.serre"}),
         (["entropy", "kron.json", "--iterations", "12"], {"kron.json": KRONECKER_DOC},
-         NO_ALGEBRA),
+         SPECTRAL_IN_INTS),
+        (["entropy", "a30.json"], {"a30.json": A30_DOC}, SPECTRAL_IN_INTS),
+        (["entropy", "d40.json"], {"d40.json": D40_DOC}, SPECTRAL_IN_INTS),
         (["check-coxeter", "phi.json"], {"phi.json": PHI_DOC}, NO_ALGEBRA),
-        (["canonical", "--weights", "2,3,5"], {}, NO_ALGEBRA),
+        (["canonical", "--weights", "2,3,5"], {}, SPECTRAL_IN_INTS),
+        (["canonical", "--weights", "2,3,7"], {}, SPECTRAL_IN_INTS),
         (["trivext", "a2.json", "--steps", "12"], {"a2.json": A2_DOC}, RELATION_FREE),
         # every trace is read off the Coxeter orbit and every verdict off the
         # component's kind and defect, the regular simples' too
@@ -122,9 +135,9 @@ def modules_loaded(tmp_path, argv, inputs) -> dict:
         (["trivext", "a3.json"], {"a3.json": A3_AFFINE_DOC}, RELATION_FREE),
         (["trivext", "cycle8.json"], {"cycle8.json": CYCLE8_DOC}, RELATION_FREE),
     ],
-    ids=["classify", "entropy", "check-coxeter", "canonical", "trivext", "trivext-E10",
-         "trivext-E6-affine", "trivext-A3+kron3", "trivext-kron2", "trivext-A3-affine",
-         "trivext-8-cycle"],
+    ids=["classify", "classify-A60", "entropy", "entropy-A30", "entropy-D40", "check-coxeter",
+         "canonical", "canonical-2,3,7", "trivext", "trivext-E10", "trivext-E6-affine",
+         "trivext-A3+kron3", "trivext-kron2", "trivext-A3-affine", "trivext-8-cycle"],
 )
 def test_command_loads_only_its_layers(tmp_path, argv, inputs, forbidden):
     seen = modules_loaded(tmp_path, argv, inputs)
@@ -194,8 +207,10 @@ import quiverlab
 loaded = lambda: sorted(m for m in sys.modules if m.startswith("quiverlab"))
 assert loaded() == ["quiverlab"], loaded()
 assert "SerreVerdict" in dir(quiverlab)
+quiverlab.vector
+assert loaded() == ["quiverlab", "quiverlab.echelon"], loaded()
 quiverlab.RatMatrix
-assert loaded() == ["quiverlab", "quiverlab.ratmat"], loaded()
+assert loaded() == ["quiverlab", "quiverlab.echelon", "quiverlab.ratmat"], loaded()
 from quiverlab import serre
 assert serre is sys.modules["quiverlab.serre"]
 assert "quiverlab.resolution" not in sys.modules
