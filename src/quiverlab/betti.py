@@ -51,9 +51,6 @@ class ResolutionTrace(Record):
         if self.truncated_by == "resolution-terminated" and self.betti[-1] != 0:
             raise ValueError("a terminated trace ends with a zero projective")
 
-    def to_json_dict(self) -> dict:
-        return {"betti": list(self.betti), "truncated_by": self.truncated_by}
-
 
 class ComplexityEstimate(Record):
     """Verdict on polynomial Betti growth: finite degree, infinite, or unclear."""
@@ -61,6 +58,7 @@ class ComplexityEstimate(Record):
     kind: str
     degree: int | None = None
     reason: str | None = None
+    _json_drops_none = True
 
     @staticmethod
     def finite(degree: int) -> "ComplexityEstimate":
@@ -73,14 +71,6 @@ class ComplexityEstimate(Record):
     @staticmethod
     def inconclusive(reason: str) -> "ComplexityEstimate":
         return ComplexityEstimate("inconclusive", reason=reason)
-
-    def to_json_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.degree is not None:
-            out["degree"] = self.degree
-        if self.reason is not None:
-            out["reason"] = self.reason
-        return out
 
 
 def _betti_trace(first: int, advance, steps: int, dim_cap: int) -> ResolutionTrace:

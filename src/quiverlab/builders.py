@@ -19,12 +19,11 @@ precondition in _monomial_algebra.
 """
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .quiver import Arrow, Quiver, acyclic_order, has_oriented_cycle, quiver_from_data
-from .record import Record
+from .record import Record, read_json
 from .scalgebra import BasisElement, Element, SCAlgebra
 
 if TYPE_CHECKING:
@@ -155,11 +154,7 @@ def gentle_algebra(pres: GentlePresentation) -> SCAlgebra:
 
 def parse_gentle(document: str) -> GentlePresentation:
     """Parse a quiver JSON document with an optional "relations" list."""
-    try:
-        data = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed gentle document: {exc}") from exc
-    return gentle_from_data(data)
+    return gentle_from_data(read_json(document, "gentle document"))
 
 
 def gentle_from_data(data: object) -> GentlePresentation:

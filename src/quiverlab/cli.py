@@ -1,17 +1,19 @@
 """Command line front end.
 
 Five subcommands cover the library surface: classify, canonical, trivext,
-entropy, and check-coxeter.  Every run produces a Report carrying the
-command name, a sha256 digest of the input, the structured result, and any
-warnings.  The default rendering is a plain-text table; --json switches to
-a canonical JSON document (sorted keys, floats rounded to twelve
-significant digits) so identical inputs produce identical bytes.
+entropy, and check-coxeter.  Every run produces a report, a plain dict
+built by _report, carrying the command name, a sha256 digest of the input,
+the structured result, and any warnings.  The default rendering is a
+plain-text table; --json switches to a canonical JSON document (sorted
+keys, floats rounded to twelve significant digits) so identical inputs
+produce identical bytes.
 
 Numeric fields computed by the commands are wrapped in an exactness
 envelope: {"exact": true, "value": ...} for integer and rational data
 (rationals rendered as "p/q" strings) and {"exact": false, "value": ...,
 "tol": ...} for tolerance-bounded floats.  Nested domain objects (verdicts,
-resolution traces, check reports) keep their own documented shapes.
+resolution traces, check reports) are records, and print as their
+Record.to_json_dict.  Every JSON input is decoded by record.read_json.
 
 Each command imports the layers it uses inside its handler, so one run
 loads and compiles only those; the names are read from their submodules at
@@ -46,22 +48,9 @@ TRACE_TOL = 1e-9
 H0_TOL = 1e-4
 
 
-class Report:
-    """One command invocation: inputs digested, results structured."""
-
-    def __init__(self, command: str, input_digest: str, result: dict, warnings: list[str]):
-        self.command = command
-        self.input_digest = input_digest
-        self.result = result
-        self.warnings = warnings
-
-    def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "input_digest": self.input_digest,
-            "result": self.result,
-            "warnings": list(self.warnings),
-        }
+def _report(command: str, input_digest: str, result: dict, warnings: list[str]) -> dict:
+    """One command invocation, as --json prints it: inputs digested, results structured."""
+    return dict(command=command, input_digest=input_digest, result=result, warnings=warnings)
 
 
 def _fixed(x: float) -> float:
@@ -74,12 +63,11 @@ def exact(value) -> dict:
 
 
 def exact_rational(value) -> dict:
-    if type(value) is int:
-        return {"exact": True, "value": str(value)}
-    from fractions import Fraction
+    if type(value) is not int:
+        from fractions import Fraction
 
-    fr = Fraction(value)
-    return {"exact": True, "value": str(fr)}
+        value = Fraction(value)
+    return exact(str(value))
 
 
 def approximate(value, tol: float) -> dict:
@@ -120,7 +108,7 @@ def _profile_json(profile) -> dict:
     }
 
 
-def cmd_classify(args) -> Report:
+def cmd_classify(args) -> dict:
     from .cyclo import cyclotomic_profile
     from .quiver import (CoxeterMap, K0Arithmetic, classify_quiver, has_oriented_cycle,
                          parse_quiver)
@@ -153,7 +141,7 @@ def cmd_classify(args) -> Report:
         profile = cyclotomic_profile(CoxeterMap(k0))
         result["char_poly"] = _poly_json(profile.char_poly)
         result["cyclotomic_profile"] = _profile_json(profile)
-    return Report("classify", digest, result, warnings)
+    return _report("classify", digest, result, warnings)
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -172,22 +160,20 @@ def _parse_fraction_list(text: str, what: str) -> list[Fraction]:
         raise ValueError(f"{what} must be a comma-separated list of rationals") from exc
 
 
-def cmd_canonical(args) -> Report:
+def cmd_canonical(args) -> dict:
     from .quiver import CoxeterMap, K0Arithmetic
-    from .serre import CanonicalSpec, canonical_verdict, coxeter_necessary_check, entropy_line
+    from .serre import (CanonicalSpec, canonical_verdict, coxeter_necessary_check,
+                        default_lambdas, entropy_line)
 
     weights = _parse_int_list(args.weights, "--weights")
     if args.lambdas is not None:
         lambdas = _parse_fraction_list(args.lambdas, "--lambdas")
     else:
-        lambdas = list(range(1, max(len(weights) - 2, 0) + 1))
+        lambdas = default_lambdas(len(weights))
     spec = CanonicalSpec(tuple(weights), tuple(lambdas))
-    payload = json.dumps(
-        {"lambdas": [str(x) for x in spec.lambdas], "weights": list(spec.weights)},
-        sort_keys=True,
-        separators=(",", ":"),
-    ).encode("utf-8")
-    digest = _digest_bytes(payload)
+    lambdas_text = [str(x) for x in spec.lambdas]
+    payload = {"lambdas": lambdas_text, "weights": list(spec.weights)}
+    digest = _digest_bytes(json.dumps(payload, sort_keys=True, separators=(",", ":")).encode())
 
     delta, p, verdict = canonical_verdict(spec)
     line = entropy_line(verdict)
@@ -202,7 +188,7 @@ def cmd_canonical(args) -> Report:
 
     result = {
         "weights": exact(list(spec.weights)),
-        "lambdas": exact([str(x) for x in spec.lambdas]),
+        "lambdas": exact(lambdas_text),
         "delta": exact(delta),
         "p": exact(p),
         "verdict": verdict.to_json_dict(),
@@ -212,18 +198,16 @@ def cmd_canonical(args) -> Report:
         "algebra_dim": exact(sum(sum(k0.paths(k0.unit(j))) for j in range(k0.n))),
         "coxeter_check": check.to_json_dict(),
     }
-    return Report("canonical", digest, result, warnings)
+    return _report("canonical", digest, result, warnings)
 
 
-def cmd_trivext(args) -> Report:
+def cmd_trivext(args) -> dict:
     from .quiver import quiver_from_data
     from .betti import combine_estimates, trivext_traces
+    from .record import read_json
 
     document, digest = _read_input(args.file)
-    try:
-        data = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed quiver document: {exc}") from exc
+    data = read_json(document, "quiver document")
     if isinstance(data, dict) and "relations" in data:
         from .builders import gentle_from_data
 
@@ -243,13 +227,8 @@ def cmd_trivext(args) -> Report:
                 f"({args.dim_cap}); syzygies beyond step {len(trace.betti) - 1} "
                 "were not computed"
             )
-        simples.append(
-            {
-                "vertex": str(vert),
-                "trace": trace.to_json_dict(),
-                "estimate": estimate.to_json_dict(),
-            }
-        )
+        simples.append({"vertex": str(vert), "trace": trace.to_json_dict(),
+                        "estimate": estimate.to_json_dict()})
     result = {
         "base_dim": exact(base_dim),
         "extension_dim": exact(2 * base_dim),  # T(A) = A + DA
@@ -258,10 +237,10 @@ def cmd_trivext(args) -> Report:
         "simples": simples,
         "global_estimate": overall.to_json_dict(),
     }
-    return Report("trivext", digest, result, warnings)
+    return _report("trivext", digest, result, warnings)
 
 
-def cmd_entropy(args) -> Report:
+def cmd_entropy(args) -> dict:
     from .quiver import has_oriented_cycle, parse_quiver
     from .serre import entropy_orbit, orbit_growth
 
@@ -282,18 +261,16 @@ def cmd_entropy(args) -> Report:
         "trace": approximate(trace, TRACE_TOL),
         "growth": orbit_growth(phi, orbit).to_json_dict(),
     }
-    return Report("entropy", digest, result, [])
+    return _report("entropy", digest, result, [])
 
 
 def _parse_matrix_file(document: str) -> RatMatrix:
     from fractions import Fraction
 
     from .ratmat import RatMatrix
+    from .record import read_json
 
-    try:
-        data = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed matrix document: {exc}") from exc
+    data = read_json(document, "matrix document")
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise ValueError("matrix file must be a JSON array of arrays of rational strings")
     rows = []
@@ -310,7 +287,7 @@ def _parse_matrix_file(document: str) -> RatMatrix:
     return RatMatrix(rows)
 
 
-def cmd_check_coxeter(args) -> Report:
+def cmd_check_coxeter(args) -> dict:
     from .serre import coxeter_necessary_check
 
     document, digest = _read_input(args.file)
@@ -325,7 +302,7 @@ def cmd_check_coxeter(args) -> Report:
         "n_max": exact(args.n_max),
         "report": report.to_json_dict(),
     }
-    return Report("check-coxeter", digest, result, warnings)
+    return _report("check-coxeter", digest, result, warnings)
 
 
 def _render_matrix(rows: list[list[str]], pad: str, out: list[str]) -> None:
@@ -381,20 +358,20 @@ def _render_value(label: str, value, indent: int, out: list[str]) -> None:
     out.append(f"{pad}{label}: {_scalar_text(value)}")
 
 
-def render_table(report: Report) -> str:
-    out = [f"command: {report.command}", f"input sha256: {report.input_digest}"]
-    for key, value in report.result.items():
+def render_table(report: dict) -> str:
+    out = [f"command: {report['command']}", f"input sha256: {report['input_digest']}"]
+    for key, value in report["result"].items():
         _render_value(key, value, 0, out)
-    if report.warnings:
+    if report["warnings"]:
         out.append("warnings:")
-        out.extend(f"  - {w}" for w in report.warnings)
+        out.extend(f"  - {w}" for w in report["warnings"])
     else:
         out.append("warnings: (none)")
     return "\n".join(out)
 
 
-def render_json(report: Report) -> str:
-    return json.dumps(report.to_json_dict(), sort_keys=True, indent=2)
+def render_json(report: dict) -> str:
+    return json.dumps(report, sort_keys=True, indent=2)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -7,7 +7,7 @@ and tops of the resolution engine and the Krylov blocks behind the
 characteristic and minimal polynomials stay in ints when their inputs are
 integral.  `fractions` is imported only where a denominator can appear: by
 plain on an input that is neither an int nor a Fraction, and by insert when
-a relation's scale does not divide it exactly.  ratmat re-exports every name.
+a relation's scale does not divide it exactly.
 """
 from __future__ import annotations
 

@@ -5,11 +5,10 @@ CoxeterMap, its Coxeter transformation as a linear map for cyclo; ratmat
 is imported only by the functions that return a RatMatrix."""
 from __future__ import annotations
 
-import json
 import math
 from typing import TYPE_CHECKING
 
-from .record import Record
+from .record import Record, read_json
 
 if TYPE_CHECKING:
     from .ratmat import RatMatrix
@@ -96,11 +95,7 @@ def _ident(value: object) -> str:
 
 def parse_quiver(document: str) -> Quiver:
     """Parse the JSON quiver format; arrow degrees default to 0."""
-    try:
-        data = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed quiver document: {exc}") from exc
-    return quiver_from_data(data)
+    return quiver_from_data(read_json(document, "quiver document"))
 
 
 def quiver_from_data(data: object) -> Quiver:

@@ -9,16 +9,15 @@ One dense Gauss-Jordan loop gives rref, and through it rank, kernels and
 inverses, its rows and pivots, and det the signed product of its pivots.
 A RatMatrix is one of the linear maps cyclo walks; the spectral commands
 on a quiver or a weight sequence hand cyclo K0Arithmetic's Coxeter map
-instead, and never load this module.  The sparse echelon and the plain form live in echelon, and are
-re-exported here.
+instead, and never load this module.  The sparse echelon and the plain
+form live in echelon.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-# re-exported, so every earlier import from ratmat keeps working
-from .echelon import UNTRACKED, TrackedEchelon, Vector, l1_norm, plain, vector  # noqa: F401
+from .echelon import Vector, plain
 
 
 class RatMatrix:

@@ -7,12 +7,19 @@ its fields, prints as ``Name(field=value, ...)``, and refuses assignment
 and deletion.  An optional ``__post_init__`` runs after the fields are set;
 it may validate them, or normalize one with ``object.__setattr__``.
 
+``to_json_dict()`` is a record's one JSON form: its fields in declaration
+order, a tuple as a list, and no ``None`` field in a class that sets
+``_json_drops_none``.  ``read_json`` decodes every JSON document the
+package reads.
+
 This is the part of a frozen ``dataclasses.dataclass`` the package uses,
 written without ``dataclasses``: importing that module pulls in ``inspect``
 and its dependencies, and each decorated class generates its methods with
 ``exec``.  Both are paid again by every short command-line process.
 """
 from __future__ import annotations
+
+import json
 
 
 class FrozenInstanceError(AttributeError):
@@ -28,6 +35,7 @@ class Record:
     _fields: tuple[str, ...] = ()
     _defaults: tuple = ()
     _post_init = None
+    _json_drops_none = False
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -67,6 +75,14 @@ class Record:
     def _values(self) -> tuple:
         return tuple(map(self.__dict__.__getitem__, self._fields))
 
+    def to_json_dict(self) -> dict:
+        """The fields in declaration order, each tuple as a list."""
+        return {
+            field: list(value) if isinstance(value, tuple) else value
+            for field, value in zip(self._fields, self._values())
+            if value is not None or not self._json_drops_none
+        }
+
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
             return self._values() == other._values()
@@ -85,3 +101,12 @@ class Record:
 
     def __delattr__(self, name: str) -> None:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def read_json(document: str, what: str):
+    """The decoded JSON document; a malformed one raises ValueError naming
+    what it should have been."""
+    try:
+        return json.loads(document)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed {what}: {exc}") from exc

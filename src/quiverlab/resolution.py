@@ -85,7 +85,8 @@ from .betti import (  # noqa: F401
     combine_estimates,
     complexity_estimate,
 )
-from .ratmat import UNTRACKED, RatMatrix, TrackedEchelon, plain
+from .echelon import UNTRACKED, TrackedEchelon, plain
+from .ratmat import RatMatrix
 from .record import Record
 from .scalgebra import SCAlgebra
 

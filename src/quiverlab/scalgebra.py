@@ -2,7 +2,7 @@
 multiplication table over the rationals.
 
 Elements are sparse dicts {basis index: coefficient}, each coefficient in
-the plain exact form of `ratmat.plain`: an int when integral, a Fraction
+the plain exact form of `echelon.plain`: an int when integral, a Fraction
 otherwise.  Path, gentle and trivial-extension algebras therefore multiply
 in Python ints.  The product x*y is read right to left: y acts first, so
 nonzero products require the source vertex of x to equal the target vertex
@@ -13,7 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .ratmat import RatMatrix, plain
+from .echelon import plain
+from .ratmat import RatMatrix
 from .record import Record
 
 Element = dict[int, int | Fraction]

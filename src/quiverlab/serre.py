@@ -13,7 +13,6 @@ ratmat only by verify_k_shadow.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import TYPE_CHECKING
 
@@ -21,7 +20,7 @@ from .cyclo import cyclotomic_profile, krylov_walk, spectral_radius
 from .echelon import Vector, l1_norm, vector
 from .intpoly import IntPolynomial, cyclotomic_factorization
 from .quiver import CoxeterMap, K0Arithmetic, Quiver, classify_quiver, has_oriented_cycle
-from .record import Record
+from .record import Record, read_json
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -80,15 +79,6 @@ class SerreVerdict(Record):
     def has_exponents(self) -> bool:
         return self.m is not None and self.n is not None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "l": self.l,
-            "m": self.m,
-            "n": self.n,
-            "reason": self.reason,
-        }
-
 
 class EntropyLine(Record):
     """Slope of the entropy line t -> (m/n)t plus the polynomial bound l-1;
@@ -111,15 +101,6 @@ class CoxeterReport(Record):
     n: int | None
     l: int | None
     note: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "cyclotomic": self.cyclotomic,
-            "passed": self.passed,
-            "n": self.n,
-            "l": self.l,
-            "note": self.note,
-        }
 
 
 class CanonicalSpec(Record):
@@ -154,17 +135,22 @@ class CanonicalSpec(Record):
             raise ValueError("lambdas must be pairwise distinct")
 
 
+def default_lambdas(t: int) -> tuple[int, ...]:
+    """The lambdas of a spec of t weights that gives none: 1, 2, ..., t-2."""
+    return tuple(range(1, t - 1))
+
+
 def parse_canonical_spec(document: str) -> CanonicalSpec:
-    """The spec of a JSON object {"weights": [...], "lambdas": [...]}, lambdas optional."""
-    try:
-        data = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed canonical spec: {exc}") from exc
+    """The spec of a JSON object {"weights": [...], "lambdas": [...]}; without
+    lambdas, the spec takes default_lambdas."""
+    data = read_json(document, "canonical spec")
     if not isinstance(data, dict) or "weights" not in data:
         raise ValueError("canonical spec must be a JSON object with a 'weights' list")
     weights, lambdas = data["weights"], data.get("lambdas", [])
     if not isinstance(weights, list) or not isinstance(lambdas, list):
         raise ValueError("canonical spec 'weights' and 'lambdas' must be lists")
+    if "lambdas" not in data:
+        lambdas = default_lambdas(len(weights))
     return CanonicalSpec(tuple(weights), tuple(lambdas))
 
 
@@ -420,6 +406,7 @@ class GrowthEstimate(Record):
 
     kind: str
     degree: int | None = None
+    _json_drops_none = True
 
     @staticmethod
     def polynomial(degree: int) -> "GrowthEstimate":
@@ -428,12 +415,6 @@ class GrowthEstimate(Record):
     @staticmethod
     def exponential() -> "GrowthEstimate":
         return GrowthEstimate("exponential")
-
-    def to_json_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.degree is not None:
-            out["degree"] = self.degree
-        return out
 
 
 MIN_GROWTH_STEPS = 12

@@ -66,9 +66,9 @@ from quiverlab import (
     trivial_extension,
 )
 from quiverlab import resolution
+from quiverlab.echelon import TrackedEchelon, vector
 from quiverlab.intpoly import IntPolynomial, euler_phi
 from quiverlab.quiver import QuiverType
-from quiverlab.ratmat import TrackedEchelon, vector
 
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"

@@ -12,9 +12,11 @@ import pytest
 
 from quiverlab import betti, cli, cyclo, resolution
 from quiverlab.cli import main
+from quiverlab.echelon import TrackedEchelon
 from quiverlab.quiver import K0Arithmetic, cartan_path_algebra, coxeter_matrix, parse_quiver
-from quiverlab.ratmat import RatMatrix, TrackedEchelon
+from quiverlab.ratmat import RatMatrix
 from quiverlab.scalgebra import SCAlgebra
+from quiverlab.serre import CanonicalSpec, parse_canonical_spec
 from conftest import GENTLE_TWO_LOOP_DOC, bench_module, path_quiver
 
 
@@ -198,6 +200,18 @@ def test_canonical_default_lambdas(capsys):
     doc = json.loads(out)
     assert doc["result"]["lambdas"]["value"] == ["1", "2"]
     assert doc["result"]["verdict"]["kind"] == "fractionally-calabi-yau"
+
+
+@pytest.mark.parametrize("weights, lambdas", [((2, 3, 7), (1,)), ((2, 3, 7, 5), (1, 2))])
+def test_a_json_spec_without_lambdas_gets_the_cli_default(capsys, weights, lambdas):
+    assert parse_canonical_spec(json.dumps({"weights": list(weights)})) == CanonicalSpec(
+        weights, lambdas)
+    code, out, _ = run(capsys, "canonical", "--weights", ",".join(map(str, weights)), "--json")
+    assert code == 0
+    assert json.loads(out)["result"]["lambdas"]["value"] == [str(x) for x in lambdas]
+    # an explicit list is taken as it is: an empty one is short
+    with pytest.raises(ValueError, match="one lambda per arm"):
+        parse_canonical_spec(json.dumps({"weights": list(weights), "lambdas": []}))
 
 
 def test_canonical_explicit_lambdas(capsys):

@@ -23,7 +23,8 @@ from quiverlab import (
     trivial_extension,
 )
 from quiverlab.cyclo import _krylov_blocks, krylov_chain
-from quiverlab.ratmat import UNTRACKED, RatMatrix, TrackedEchelon, l1_norm, vector
+from quiverlab.echelon import UNTRACKED, TrackedEchelon, l1_norm, vector
+from quiverlab.ratmat import RatMatrix
 from quiverlab.resolution import _FlatResolver
 from conftest import (
     as_fraction,

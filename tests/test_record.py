@@ -10,14 +10,16 @@ from quiverlab import (
     BasisElement,
     CanonicalSpec,
     ComplexityEstimate,
+    CoxeterReport,
     CycloProfile,
+    GrowthEstimate,
     IntPolynomial,
     Quiver,
     QuiverType,
     ResolutionTrace,
     SerreVerdict,
 )
-from quiverlab.record import FrozenInstanceError, Record
+from quiverlab.record import FrozenInstanceError, Record, read_json
 
 
 def test_equality_and_hash_follow_type_and_fields():
@@ -104,3 +106,58 @@ def test_a_record_takes_its_fields_from_its_annotations():
     match Point(3, 4):
         case Point(x, y):
             assert (x, y) == (3, 4)
+
+
+# every record a report prints, with its JSON form as (key, value) pairs:
+# render_table prints the keys in this order, and a tuple field is a list
+JSON_SHAPES = [
+    (ResolutionTrace((3, 2, 2), "steps-exhausted"),
+     [("betti", [3, 2, 2]), ("truncated_by", "steps-exhausted")]),
+    (ComplexityEstimate.finite(2), [("kind", "finite"), ("degree", 2)]),
+    (ComplexityEstimate.infinite(), [("kind", "infinite")]),
+    (ComplexityEstimate.inconclusive("trace too short"),
+     [("kind", "inconclusive"), ("reason", "trace too short")]),
+    (GrowthEstimate.polynomial(0), [("kind", "polynomial"), ("degree", 0)]),
+    (GrowthEstimate.exponential(), [("kind", "exponential")]),
+    (SerreVerdict.unknown("no rule applies"),
+     [("kind", "unknown"), ("l", None), ("m", None), ("n", None), ("reason", "no rule applies")]),
+    (CoxeterReport(True, True, 2, 1, "witness found"),
+     [("cyclotomic", True), ("passed", True), ("n", 2), ("l", 1), ("note", "witness found")]),
+    (CoxeterReport(False, False, None, None, "not cyclotomic"),
+     [("cyclotomic", False), ("passed", False), ("n", None), ("l", None),
+      ("note", "not cyclotomic")]),
+    (CoxeterReport(True, None, 90, 1, "outside the bounds"),
+     [("cyclotomic", True), ("passed", None), ("n", 90), ("l", 1),
+      ("note", "outside the bounds")]),
+]
+
+
+@pytest.mark.parametrize("record, shape", JSON_SHAPES,
+                         ids=[type(r).__name__ for r, _ in JSON_SHAPES])
+def test_json_form_keeps_field_order_and_lists(record, shape):
+    assert list(record.to_json_dict().items()) == shape
+
+
+def test_json_form_drops_none_only_when_the_class_asks():
+    class Keeps(Record):
+        a: int | None
+        b: tuple = ()
+
+    class Drops(Record):
+        a: int | None
+        b: tuple = ()
+        _json_drops_none = True
+
+    assert Keeps(None, (1, (2,))).to_json_dict() == {"a": None, "b": [1, (2,)]}
+    assert Drops(None).to_json_dict() == {"b": []}
+    assert Drops(0).to_json_dict() == {"a": 0, "b": []}
+
+
+def test_read_json_names_what_was_malformed():
+    assert read_json('{"weights": [2, 3]}', "canonical spec") == {"weights": [2, 3]}
+    with pytest.raises(ValueError) as caught:
+        read_json("{", "quiver document")
+    assert str(caught.value) == (
+        "malformed quiver document: Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1)"
+    )

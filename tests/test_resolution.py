@@ -46,8 +46,8 @@ from quiverlab import resolution as res_mod
 from quiverlab import trivext as trivext_mod
 from quiverlab.builders import GentlePresentation, gentle_algebra, parse_gentle
 from quiverlab.cli import main
+from quiverlab.echelon import UNTRACKED, TrackedEchelon
 from quiverlab.quiver import K0Arithmetic, cartan_path_algebra, classify_quiver, coxeter_matrix
-from quiverlab.ratmat import UNTRACKED, TrackedEchelon
 from quiverlab.record import FrozenInstanceError
 from quiverlab.serre import graded_path_verdict, orbit_growth
 from conftest import (

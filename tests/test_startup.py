@@ -50,6 +50,8 @@ A60_DOC = json.dumps(bench_module("workloads").path_quiver(60))
 A30_DOC = json.dumps(bench_module("workloads").path_quiver(30))
 # several Krylov blocks after the orbit's, whose relations stay in ints
 D40_DOC = json.dumps(bench_module("workloads").D40)
+# the gentle two-loop algebra: relations, so trivext resolves with the engine
+GENTLE_DOC = json.dumps(bench_module("workloads").GENTLE_TWO_LOOP)
 A3_KRON3_DOC = json.dumps(
     {"vertices": [1, 2, 3, 4, 5], "arrows": [
         {"id": "a", "from": 1, "to": 2}, {"id": "b", "from": 2, "to": 3},
@@ -72,7 +74,9 @@ with open(sys.argv[1], "w", encoding="utf-8") as out:
 
 # what each command must not load: no spectral command builds an algebra or
 # resolves, canonical reads K_0 off its weights, and trivext on a
-# relation-free acyclic quiver reads every simple off the Coxeter orbit
+# relation-free acyclic quiver reads every simple off the Coxeter orbit; with
+# relations it builds and resolves, but fits its traces without the spectral
+# layers
 NO_RESOLUTION = {"quiverlab.resolution", "quiverlab.trivext"}
 NO_ALGEBRA = NO_RESOLUTION | {"quiverlab.builders", "quiverlab.scalgebra"}
 NO_SPECTRAL = {"quiverlab.serre", "quiverlab.cyclo", "quiverlab.intpoly"}
@@ -80,6 +84,7 @@ NO_SPECTRAL = {"quiverlab.serre", "quiverlab.cyclo", "quiverlab.intpoly"}
 # fits nothing; neither does a bare `import quiverlab.cli`
 NO_RATIONALS = {"fractions", "decimal", "numbers", "quiverlab.ratmat", "quiverlab.fitting"}
 RELATION_FREE = NO_ALGEBRA | NO_SPECTRAL | NO_RATIONALS
+GENTLE = NO_SPECTRAL | {"quiverlab.radius"}
 # classify and entropy walk K0Arithmetic's Coxeter map in ints, and canonical
 # on its default lambdas too: a cyclotomic Coxeter polynomial needs no
 # enclosure, and an integral slope prints without a Fraction
@@ -134,10 +139,12 @@ def modules_loaded(tmp_path, argv, inputs) -> dict:
          RELATION_FREE),
         (["trivext", "a3.json"], {"a3.json": A3_AFFINE_DOC}, RELATION_FREE),
         (["trivext", "cycle8.json"], {"cycle8.json": CYCLE8_DOC}, RELATION_FREE),
+        (["trivext", "gentle.json", "--steps", "200"], {"gentle.json": GENTLE_DOC}, GENTLE),
     ],
     ids=["classify", "classify-A60", "entropy", "entropy-A30", "entropy-D40", "check-coxeter",
          "canonical", "canonical-2,3,7", "trivext", "trivext-E10", "trivext-E6-affine",
-         "trivext-A3+kron3", "trivext-kron2", "trivext-A3-affine", "trivext-8-cycle"],
+         "trivext-A3+kron3", "trivext-kron2", "trivext-A3-affine", "trivext-8-cycle",
+         "trivext-gentle"],
 )
 def test_command_loads_only_its_layers(tmp_path, argv, inputs, forbidden):
     seen = modules_loaded(tmp_path, argv, inputs)
