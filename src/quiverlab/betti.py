@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .quiver import K0Arithmetic, Quiver, classify_quiver, has_oriented_cycle
+from .quiver import K0Arithmetic, Quiver, classify_components, has_oriented_cycle
 from .record import Record
 
 if TYPE_CHECKING:
@@ -305,10 +305,7 @@ def coxeter_trivext_traces(
     k0 = K0Arithmetic(q)
     n = k0.n
     kinds, delta = [""] * n, [0] * n
-    for part in q.components():
-        inside = {q.vertices[v] for v in part}
-        found = classify_quiver(Quiver(tuple(q.vertices[v] for v in part),
-                                       tuple(a for a in q.arrows if a.source in inside)))
+    for part, found in classify_components(q):
         for k, v in enumerate(part):
             kinds[v] = found.kind
             if found.radical_vector:

@@ -19,7 +19,7 @@ Each command imports the layers it uses inside its handler, so one run
 loads and compiles only those; the names are read from their submodules at
 call time.  `fractions` is imported the same way, by the helpers that parse
 or print a rational that is not an int, so `classify` on an acyclic quiver,
-`entropy` on one with a cyclotomic Coxeter polynomial, `canonical` on its
+`entropy` on one with no wild component, `canonical` on its
 default lambdas and `trivext` on a relation-free quiver run on ints from
 parsing to rendering, and load neither `fractions` (nor the `decimal` and
 `numbers` it pulls in) nor `ratmat`; only `check-coxeter` parses its matrix
@@ -242,7 +242,7 @@ def cmd_trivext(args) -> dict:
 
 def cmd_entropy(args) -> dict:
     from .quiver import has_oriented_cycle, parse_quiver
-    from .serre import entropy_orbit, orbit_growth
+    from .serre import entropy_and_growth
 
     document, digest = _read_input(args.file)
     q = parse_quiver(document)
@@ -251,15 +251,15 @@ def cmd_entropy(args) -> dict:
             "quiver has an oriented cycle, so the entropy iteration does not "
             "apply; the classify command still accepts cyclic quivers"
         )
-    h0, trace, phi, orbit = entropy_orbit(q, args.iterations)
+    h0, trace, growth = entropy_and_growth(q, args.iterations)
 
-    # exact: spectral_radius returns exactly 1.0 for a cyclotomic Coxeter polynomial
+    # exact: h0 is 0.0 exactly when no component is wild
     h0_field = exact_rational(0) if h0 == 0.0 else approximate(h0, H0_TOL)
     result = {
         "h0": h0_field,
         "iterations": exact(args.iterations),
         "trace": approximate(trace, TRACE_TOL),
-        "growth": orbit_growth(phi, orbit).to_json_dict(),
+        "growth": growth.to_json_dict(),
     }
     return _report("entropy", digest, result, [])
 

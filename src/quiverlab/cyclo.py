@@ -7,15 +7,15 @@ is what every command on a quiver or a weight sequence hands in.  A map is
 called cyclotomic here when its characteristic polynomial is a product of
 cyclotomic polynomials; all eigenvalues are then roots of unity and powers
 of the map are unipotent up to a bounded nilpotency degree.  Both
-polynomials come from one walk of Krylov blocks on a TrackedEchelon,
-without division for integral maps: the characteristic polynomial is the
-product of the blocks' polynomials, the minimal polynomial mu the lcm of
-their start vectors' local ones.  The profile's witness and period are
-certified without a matrix power: mu(M) is applied to each block's start
-vector, and the blocks span the space, so mu(M) = 0; then mu's exact
-factorization divides the witness polynomial.  The spectral radius is 1
-for a cyclotomic characteristic polynomial; any other goes to radius, the
-certified root enclosure, which is loaded only then.
+polynomials come from one walk of Krylov blocks from the unit vectors on a
+TrackedEchelon, without division for integral maps: the characteristic
+polynomial is the product of the blocks' polynomials, the minimal
+polynomial mu the lcm of their start vectors' local ones.  The profile's
+witness and period are certified without a matrix power: mu(M) is applied
+to each block's start vector, and the blocks span the space, so
+mu(M) = 0; then mu's exact factorization divides the witness polynomial.
+The spectral radius is 1 for a cyclotomic characteristic polynomial; any
+other goes to radius, the certified root enclosure, loaded only then.
 """
 from __future__ import annotations
 
@@ -59,23 +59,19 @@ def krylov_chain(m, orbit: Sequence) -> tuple[IntPolynomial, TrackedEchelon]:
     return _krylov_block(chain, m, orbit, 0)[1], chain
 
 
-def _krylov_blocks(m, orbit: Sequence = ()):
+def _krylov_blocks(m):
     """Yield (block, q) for a Krylov decomposition of the space under M.
 
-    One echelon grows the span W of the blocks so far.  Each start vector v,
-    orbit[0] first and then the unit vectors, that lies outside W opens a
-    block v, ..., M^(deg q) v, where q is the monic polynomial of least
-    degree with q(M) v in W.  W + block is M-invariant, M is block
-    triangular on the Krylov basis, and the q multiply to the
-    characteristic polynomial (Keller-Gehrig 1985).  The orbit's block comes
-    first even when v = 0, so its q is always v's local minimal polynomial.
-    Before each later block the echelon drops its expressions, so a relation
-    names the block's own vectors alone: q, in ints for an integral map.
+    One echelon grows the span W of the blocks so far.  Each unit vector v
+    that lies outside W opens a block v, ..., M^(deg q) v, where q is the
+    monic polynomial of least degree with q(M) v in W.  W + block is
+    M-invariant, M is block triangular on the Krylov basis, and the q
+    multiply to the characteristic polynomial (Keller-Gehrig 1985).  Before
+    each block the echelon drops its expressions, so a relation names the
+    block's own vectors alone: q, in ints for an integral map.
     """
     n = m.rows
     span = TrackedEchelon()
-    if orbit:
-        yield _krylov_block(span, m, orbit, 0)
     for s in range(n):
         offset = span.rank()
         if offset == n:
@@ -87,26 +83,19 @@ def _krylov_blocks(m, orbit: Sequence = ()):
 
 
 @functools.lru_cache(maxsize=1)
-def krylov_walk(m, orbit: tuple) -> tuple[tuple[tuple, IntPolynomial], ...]:
-    """The blocks of _krylov_blocks(m, orbit), each block a tuple of vectors;
-    orbit is a tuple of tuples.
-
-    The last walk is kept, keyed by the value of (m, orbit): the
-    characteristic and minimal polynomials of one matrix, or the
-    characteristic polynomial and the growth decision of one orbit, then
-    eliminate the space once.  Blocks and polynomials are immutable.
-    """
-    return tuple((tuple(block), q) for block, q in _krylov_blocks(m, orbit))
+def krylov_walk(m) -> tuple[tuple[tuple, IntPolynomial], ...]:
+    """The blocks of _krylov_blocks(m), each an immutable tuple of vectors
+    with its polynomial.  The last walk is kept, keyed by the map, so the
+    characteristic and minimal polynomials of one map eliminate it once."""
+    return tuple((tuple(block), q) for block, q in _krylov_blocks(m))
 
 
-def char_poly(m, orbit: Sequence = ()) -> IntPolynomial:
+def char_poly(m) -> IntPolynomial:
     """Monic characteristic polynomial det(xI - M), the product of the
-    polynomials of the Krylov blocks; orbit optionally holds v, Mv, ... for
-    the first block to reuse."""
+    polynomials of the Krylov blocks."""
     if not m.is_square:
         raise ValueError("characteristic polynomial requires a square matrix")
-    walk = krylov_walk(m, tuple(map(tuple, orbit)))
-    return math.prod((q for _, q in walk), start=IntPolynomial.one())
+    return math.prod((q for _, q in krylov_walk(m)), start=IntPolynomial.one())
 
 
 def min_poly(m) -> IntPolynomial:
@@ -121,7 +110,7 @@ def min_poly(m) -> IntPolynomial:
         raise ValueError("minimal polynomial requires a square matrix")
     n = m.rows
     result = IntPolynomial.one()
-    for index, (block, q) in enumerate(krylov_walk(m, ())):
+    for index, (block, q) in enumerate(krylov_walk(m)):
         # the first block starts from W = 0, so its q is already local
         result = result.lcm(krylov_chain(m, block)[0] if index else q)
         if result.degree == n:
@@ -187,7 +176,7 @@ def cyclotomic_profile(m) -> CycloProfile:
     # polynomial by mu = prod Phi_d^mult, which holds by the choice of L, n
     # and l: every d divides L, and L divides 2n; no mult exceeds l; and a
     # periodic M has every mult 1, so mu divides x^L - 1
-    if not _annihilates(m, mu, krylov_walk(m, ())):
+    if not _annihilates(m, mu, krylov_walk(m)):
         claim = "period" if periodic else "witness"
         raise RuntimeError(f"{claim} verification failed; inconsistent exact arithmetic")
     big_l = math.lcm(*(d for d, _ in orders))
@@ -197,7 +186,7 @@ def cyclotomic_profile(m) -> CycloProfile:
     return CycloProfile(True, orders, periodic, period, (n_wit, l_wit), cp)
 
 
-def spectral_radius(m, orbit: Sequence = ()) -> float:
+def spectral_radius(m) -> float:
     """Largest eigenvalue modulus, from a certified enclosure.
 
     Exactly 1.0 whenever the characteristic polynomial is a product of
@@ -205,12 +194,11 @@ def spectral_radius(m, orbit: Sequence = ()) -> float:
     factor x^t, goes to radius.root_radius, imported only then, which
     returns the midpoint of an enclosure at most 2^-60 of the radius wide,
     as close as a float can resolve.  ArithmeticError when it finds no
-    certificate, as for two conjugate pairs on the top circle.  orbit is
-    passed on to char_poly.
+    certificate, as for two conjugate pairs on the top circle.
     """
     if not m.is_square:
         raise ValueError("spectral radius requires a square matrix")
-    p = char_poly(m, orbit)
+    p = char_poly(m)
     # strip zero eigenvalues; they never carry the radius unless all are zero
     coeffs = list(p.coeffs)
     while coeffs and not coeffs[0]:

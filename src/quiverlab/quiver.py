@@ -204,6 +204,18 @@ def classify_quiver(q: Quiver) -> QuiverType:
     return QuiverType("affine", tuple(v // g for v in x))
 
 
+def classify_components(q: Quiver) -> list[tuple[list[int], QuiverType]]:
+    """Each component's positions, as components gives them, with the type
+    classify_quiver finds for the sub-quiver they span, in their order."""
+    found = []
+    for part in q.components():
+        inside = {q.vertices[v] for v in part}
+        sub = Quiver(tuple(q.vertices[v] for v in part),
+                     tuple(a for a in q.arrows if a.source in inside))
+        found.append((part, classify_quiver(sub)))
+    return found
+
+
 def topological_order(q: Quiver) -> list[int] | None:
     """The vertex positions with the source of every arrow before its
     target, or None when Q has an oriented cycle (Kahn's algorithm)."""

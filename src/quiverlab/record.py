@@ -8,9 +8,10 @@ and deletion.  An optional ``__post_init__`` runs after the fields are set;
 it may validate them, or normalize one with ``object.__setattr__``.
 
 ``to_json_dict()`` is a record's one JSON form: its fields in declaration
-order, a tuple as a list, and no ``None`` field in a class that sets
-``_json_drops_none``.  ``read_json`` decodes every JSON document the
-package reads.
+order, a tuple as a list, a rational that is not an int, in a field or a
+tuple's entry, as its ``"p/q"`` string, and no ``None`` field in a class
+that sets ``_json_drops_none``.  ``read_json`` decodes every JSON document
+the package reads.
 
 This is the part of a frozen ``dataclasses.dataclass`` the package uses,
 written without ``dataclasses``: importing that module pulls in ``inspect``
@@ -27,6 +28,12 @@ class FrozenInstanceError(AttributeError):
 
 
 _MISSING = object()
+
+
+def _json_value(value):
+    """value, or as its "p/q" string a rational that is not an int: a
+    Fraction, known by its denominator without loading fractions."""
+    return value if isinstance(value, int) or not hasattr(value, "denominator") else str(value)
 
 
 class Record:
@@ -78,7 +85,8 @@ class Record:
     def to_json_dict(self) -> dict:
         """The fields in declaration order, each tuple as a list."""
         return {
-            field: list(value) if isinstance(value, tuple) else value
+            field: list(map(_json_value, value)) if isinstance(value, tuple)
+            else _json_value(value)
             for field, value in zip(self._fields, self._values())
             if value is not None or not self._json_drops_none
         }

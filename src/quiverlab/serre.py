@@ -4,10 +4,12 @@ Three independent routes to a verdict: the weight-based delta rule for
 canonical algebras, read off a CanonicalSpec, the quiver-type rule for
 graded path algebras, and an exact necessary condition on the Coxeter
 matrix.  Entropy helpers turn a verdict into its predicted entropy line,
-follow the Coxeter orbit of the cogenerator, and decide orbit growth
-exactly from a local minimal polynomial.  The Coxeter transformation of a
-quiver is K0Arithmetic's CoxeterMap, so these routes run in ints;
-`fractions` is imported only for a slope m/n that is not an integer, and
+read a hereditary kQ's entropy and cogenerator growth off the kinds of Q's
+components, and decide any orbit's growth exactly from a local minimal
+polynomial (growth_degree, the kind rule's test oracle).  The Coxeter
+transformation of a quiver is K0Arithmetic's CoxeterMap, so these routes
+run in ints; cyclo and intpoly are imported only by the functions that
+need them, `fractions` only for a slope m/n that is not an integer, and
 ratmat only by verify_k_shadow.
 """
 
@@ -16,10 +18,9 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .cyclo import cyclotomic_profile, krylov_walk, spectral_radius
-from .echelon import Vector, l1_norm, vector
-from .intpoly import IntPolynomial, cyclotomic_factorization
-from .quiver import CoxeterMap, K0Arithmetic, Quiver, classify_quiver, has_oriented_cycle
+from .echelon import l1_norm, vector
+from .quiver import (CoxeterMap, K0Arithmetic, Quiver, classify_components, classify_quiver,
+                     has_oriented_cycle)
 from .record import Record, read_json
 
 if TYPE_CHECKING:
@@ -230,6 +231,8 @@ def graded_path_verdict(q: Quiver) -> SerreVerdict:
     """
     quiver_type = classify_quiver(q)
     if quiver_type.kind == "finite":
+        from .cyclo import cyclotomic_profile
+
         profile = cyclotomic_profile(CoxeterMap(K0Arithmetic(q)))
         return SerreVerdict.fractionally_calabi_yau(
             None,
@@ -287,6 +290,8 @@ def coxeter_necessary_check(phi, l_max: int = 6, n_max: int = 60) -> CoxeterRepo
     """
     if l_max < 1 or n_max < 1:
         raise ValueError("witness bounds must be positive")
+    from .cyclo import cyclotomic_profile
+
     profile = cyclotomic_profile(phi)
     if not profile.is_cyclotomic:
         return CoxeterReport(
@@ -351,56 +356,6 @@ def entropy_line(verdict: SerreVerdict) -> EntropyLine:
     return EntropyLine(Fraction(verdict.m, verdict.n), verdict.l - 1)
 
 
-def _log_fraction(value: int | Fraction) -> float:
-    # math.log on the int parts keeps huge iterates out of float range
-    return math.log(value.numerator) - math.log(value.denominator)
-
-
-def hereditary_entropy(
-    q: Quiver, iterations: int = 60, tol: float = 1e-4
-) -> tuple[float, list[float]]:
-    """Entropy of an acyclic connected quiver plus its empirical trace.
-
-    The closed form is log of the Coxeter spectral radius.  The trace entry
-    at k is (1/k) log of the l1 norm of phi^k applied to the dimension
-    vector of the injective cogenerator (the column sums of the Cartan
-    matrix); the iteration is exact and only the logarithms are floats.
-    h0 comes from a certified enclosure far narrower than any tol a float
-    resolves, so tol is only checked to be finite and positive.
-    """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tolerance must be finite and positive")
-    h0, trace, _, _ = entropy_orbit(q, iterations)
-    return h0, trace
-
-
-def entropy_orbit(
-    q: Quiver, iterations: int
-) -> tuple[float, list[float], CoxeterMap, list[Vector]]:
-    """hereditary_entropy's (h0, trace) with the Coxeter map phi and the
-    orbit behind them: the cogenerator vector v and its iterates phi^k v for
-    k = 1..iterations, all in ints from K0Arithmetic, nothing inverted and
-    no matrix built.  The Coxeter polynomial's first Krylov block continues
-    from this orbit, so each iterate is computed once, and orbit_growth
-    reads that block's polynomial, so the orbit is eliminated once.  h0 is
-    exactly 0.0 when spectral_radius finds the Coxeter polynomial
-    cyclotomic."""
-    if iterations < 1:
-        raise ValueError("iterations must be positive")
-    if not q.is_connected:
-        raise ValueError("entropy needs a connected quiver")
-    k0 = K0Arithmetic(q)
-    phi = CoxeterMap(k0)
-    cogenerator = tuple(sum(k0.paths(k0.unit(j))) for j in range(k0.n))
-    orbit = [cogenerator]
-    trace = []
-    for k in range(1, iterations + 1):
-        orbit.append(phi.apply(orbit[-1]))
-        trace.append(_log_fraction(l1_norm(orbit[-1])) / k)
-    h0 = math.log(spectral_radius(phi, orbit))
-    return h0, trace, phi, orbit
-
-
 class GrowthEstimate(Record):
     """Growth class of an iterated norm sequence."""
 
@@ -434,19 +389,57 @@ def growth_degree(phi: RatMatrix, v, steps: int = 60) -> GrowthEstimate:
         raise ValueError(f"need at least {MIN_GROWTH_STEPS} steps")
     if any(x.denominator != 1 for row in phi.entries() for x in row):
         raise ValueError("growth degree needs an integral matrix")
-    return orbit_growth(phi, [vector(v)])
+    from .cyclo import krylov_chain
+    from .intpoly import IntPolynomial, cyclotomic_factorization
 
-
-def orbit_growth(phi, orbit: list[Vector]) -> GrowthEstimate:
-    """growth_degree's decision for an integral phi, a RatMatrix or a
-    CoxeterMap, given the leading iterates v, phi v, ..., phi^j v of the
-    orbit; phi is applied only past the last one.  The local minimal
-    polynomial is the first block of the Krylov walk seeded with the orbit,
-    which spectral_radius has already made when it was given the same
-    orbit."""
-    local = krylov_walk(phi, tuple(map(tuple, orbit)))[0][1]
+    local = krylov_chain(phi, [vector(v)])[0]
     t = next(k for k, c in enumerate(local.coeffs) if c)
     orders = cyclotomic_factorization(IntPolynomial(local.coeffs[t:]))
     if orders is None:
         return GrowthEstimate.exponential()
     return GrowthEstimate.polynomial(max((mult for _, mult in orders), default=1) - 1)
+
+
+def hereditary_entropy(q: Quiver, iterations: int = 60,
+                       tol: float = 1e-4) -> tuple[float, list[float]]:
+    """(h0, trace) of entropy_and_growth; h0 is exact or certified, so tol
+    is only checked to be finite and positive."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tolerance must be finite and positive")
+    return entropy_and_growth(q, iterations)[:2]
+
+
+def entropy_and_growth(q: Quiver, iterations: int) -> tuple[float, list[float], GrowthEstimate]:
+    """Entropy h0, empirical trace and orbit growth of an acyclic quiver Q.
+
+    The trace entry at k is (1/k) log |Phi^k v|_1 for v the dimension vector
+    of the injective cogenerator (the Cartan matrix's column sums), walked
+    with K0Arithmetic.forward in ints.  h0 = log rho(Phi), the entropy of
+    the Serre functor of D^b(kQ) (Dimitrov, Haiden, Katzarkov, Kontsevich,
+    Contemp. Math. 621, 2014), and the growth of |Phi^k v| are read off
+    each component's kind, with no Krylov walk:
+    - Dynkin: Phi has finite order: h0 = 0.0, polynomial(0).
+    - Affine: Phi^p x = x + c d(x) delta with c != 0, and the defect d is
+      positive on the preinjective v (Dlab and Ringel, Mem. AMS 173, 1976),
+      so rho = 1 and the orbit grows linearly: 0.0, polynomial(1).
+    - Wild: rho > 1, and preinjective orbits grow like rho^k (Ringel, Math.
+      Ann. 300, 1994): log rho, with rho from cyclo.spectral_radius walked
+      from the unit vectors, and exponential().
+    Phi of a disconnected Q is block diagonal, so rho is the largest of the
+    components' and the worst kind decides.  cyclo, intpoly and radius are
+    loaded only for a wild component.
+    """
+    if iterations < 1:
+        raise ValueError("iterations must be positive")
+    k0 = K0Arithmetic(q)
+    iterate = [sum(k0.paths(k0.unit(j))) for j in range(k0.n)]
+    trace = []
+    for k in range(1, iterations + 1):
+        iterate = k0.forward(iterate)
+        trace.append(math.log(l1_norm(iterate)) / k)  # math.log takes an int of any size
+    kinds = {found.kind for _, found in classify_components(q)}
+    if "indefinite" in kinds:
+        from .cyclo import spectral_radius
+
+        return math.log(spectral_radius(CoxeterMap(k0))), trace, GrowthEstimate.exponential()
+    return 0.0, trace, GrowthEstimate.polynomial(int("affine" in kinds))

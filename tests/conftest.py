@@ -25,7 +25,9 @@ that `cyclotomic_profile` replaced with a polynomial certificate;
 `recursive_cyclotomic`, Phi_d by exact division of x^d - 1; and
 `trial_division_factorization`, the factorization by dividing by every
 recursive Phi_d that fits.  `unlabelled_trees` lists every tree up to a
-size, for the classification and the profile alike.
+size, for the classification and the profile alike, and the seeded
+random quivers and `disjoint_union` feed the oracle tests of the Coxeter
+route and of entropy's kind rule.
 """
 from __future__ import annotations
 
@@ -235,6 +237,51 @@ def quiver_on(n: int, arrows):
     return quiver_from_data({
         "vertices": list(range(n)),
         "arrows": [{"id": f"x{k}", "from": s, "to": t} for k, (s, t) in enumerate(arrows)],
+    })
+
+
+def disjoint_union(*quivers):
+    """The quivers side by side, the vertices and arrows of the k-th
+    prefixed with k."""
+    return quiver_from_data({
+        "vertices": [f"{k}.{v}" for k, q in enumerate(quivers) for v in q.vertices],
+        "arrows": [{"id": f"{k}.{a.id}", "from": f"{k}.{a.source}", "to": f"{k}.{a.target}"}
+                   for k, q in enumerate(quivers) for a in q.arrows],
+    })
+
+
+def random_acyclic_quiver(rng: random.Random, max_vertices: int):
+    """A connected acyclic quiver: a random tree on 2..max_vertices vertices
+    plus up to 3 extra arrows, parallel ones allowed, each arrow pointing
+    up a random order of the vertices."""
+    n = rng.randint(2, max_vertices)
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 3))]
+    rank = rng.sample(range(n), n)
+    return quiver_from_data({
+        "vertices": list(range(n)),
+        "arrows": [{"id": f"x{k}", "from": min(e, key=rank.__getitem__),
+                    "to": max(e, key=rank.__getitem__)} for k, e in enumerate(edges)],
+    })
+
+
+def random_tree_or_cycle_quiver(rng: random.Random, max_vertices: int):
+    """A connected acyclic quiver on 2..max_vertices vertices, few of them
+    more often: a random tree or a cycle, half the time each, plus up to 4
+    extra arrows, fewer more often, parallel ones allowed, each arrow
+    pointing up a random order of the vertices.  A cycle with no extra
+    arrow is affine, A~(n-1)."""
+    n = rng.randint(2, rng.randint(2, max_vertices))
+    if rng.random() < 0.5:
+        edges = [(rng.randrange(v), v) for v in range(1, n)]
+    else:
+        edges = [(v - 1, v) for v in range(1, n)] + [(n - 1, 0)]
+    edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, rng.randint(0, 4)))]
+    rank = rng.sample(range(n), n)
+    return quiver_from_data({
+        "vertices": list(range(n)),
+        "arrows": [{"id": f"x{k}", "from": min(e, key=rank.__getitem__),
+                    "to": max(e, key=rank.__getitem__)} for k, e in enumerate(edges)],
     })
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from quiverlab import betti, cli, cyclo, resolution
+from quiverlab import cli, cyclo, quiver, resolution
 from quiverlab.cli import main
 from quiverlab.echelon import TrackedEchelon
 from quiverlab.quiver import K0Arithmetic, cartan_path_algebra, coxeter_matrix, parse_quiver
@@ -578,8 +578,8 @@ def test_entropy_long_period_dynkin_is_exactly_bounded(tmp_path, capsys):
 
 def test_entropy_walks_the_coxeter_orbit_once(tmp_path, capsys, monkeypatch):
     # the trace's 60 iterates of Phi(A60) are the Coxeter map's forward
-    # passes, and the Krylov walk behind the radius and the growth decision
-    # continues from them: every pass of the command is counted
+    # passes, and a Dynkin quiver's h0 and growth are read off its kind, so
+    # they are the command's only passes
     calls = []
     forward = K0Arithmetic.forward
 
@@ -592,14 +592,15 @@ def test_entropy_walks_the_coxeter_orbit_once(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "entropy", path, "--iterations", "60", "--json")
     assert code == 0
     assert json.loads(out)["result"]["growth"] == {"kind": "polynomial", "degree": 0}
-    assert len(calls) <= 61
+    assert len(calls) == 60
 
 
-@pytest.mark.parametrize("label", ["D40", "T2_3_31"])
-def test_entropy_eliminates_the_coxeter_orbit_once(label, tmp_path, capsys, monkeypatch):
-    # the characteristic polynomial's first Krylov block is the orbit of the
-    # cogenerator, and its polynomial is the one the growth decision reads:
-    # every insert of one walk either enlarges the span or closes a block
+@pytest.mark.parametrize("label", ["D40", "E6_AFFINE", "T2_3_31"])
+def test_entropy_eliminates_only_on_a_wild_quiver(label, tmp_path, capsys, monkeypatch):
+    # a Dynkin or affine quiver's h0 and growth are read off its kind, so
+    # entropy inserts nothing into any echelon; a wild one's radius comes
+    # from one Krylov walk of the Coxeter map from the unit vectors, and
+    # every insert of it either enlarges the span or closes a block
     doc = getattr(bench_module("workloads"), label)
     path = write(tmp_path, f"{label}.json", json.dumps(doc))
     cyclo.krylov_walk.cache_clear()
@@ -614,7 +615,10 @@ def test_entropy_eliminates_the_coxeter_orbit_once(label, tmp_path, capsys, monk
     monkeypatch.setattr(TrackedEchelon, "insert", counted)
     code, out, _ = run(capsys, "entropy", path, "--json")
     assert code == 0
-    assert sum(enlarged) == len(doc["vertices"])
+    if label == "T2_3_31":
+        assert sum(enlarged) == len(doc["vertices"])
+    else:
+        assert enlarged == []
 
 
 # sha256 of the --json stdout of each seed-1401 job of the benchmark's
@@ -722,13 +726,13 @@ def test_each_trivext_job_classifies_its_quiver_at_most_once(tmp_path, capsys, m
     # one route decision per job: the gentle job has relations and is not
     # classified, every other bench base is classified once
     calls = []
-    classify = betti.classify_quiver
+    classify = quiver.classify_quiver
 
     def counted(q):
         calls.append(q)
         return classify(q)
 
-    monkeypatch.setattr(betti, "classify_quiver", counted)
+    monkeypatch.setattr(quiver, "classify_quiver", counted)
     workloads = bench_module("workloads")
     monkeypatch.chdir(tmp_path)
     for name in ("trivext-wide", "trivext-deep"):
@@ -760,18 +764,46 @@ def test_entropy_cyclic_fails_with_hint(tmp_path, capsys):
     assert "classify" in err
 
 
-def test_classify_and_entropy_refuse_a_disconnected_quiver(tmp_path, capsys):
-    # trivext takes a disconnected quiver component by component; these two
-    # name the connectedness they need
+def test_classify_refuses_and_entropy_answers_a_disconnected_quiver(tmp_path, capsys):
+    # trivext and entropy take a disconnected quiver component by component;
+    # classify names the connectedness it needs
     path = write(tmp_path, "a2+a1.json", json.dumps(
         {"vertices": [1, 2, 3], "arrows": [{"id": "a", "from": 1, "to": 2}]}))
     assert run(capsys, "classify", path) == (
         1, "", "error: classification requires a connected quiver\n")
-    assert run(capsys, "entropy", path) == (1, "", "error: entropy needs a connected quiver\n")
+    code, out, err = run(capsys, "entropy", path, "--json")
+    assert (code, err) == (0, "")
+    result = json.loads(out)["result"]
+    assert result["h0"] == {"exact": True, "value": "0"}
+    assert result["growth"] == {"kind": "polynomial", "degree": 0}
     code, out, _ = run(capsys, "trivext", path, "--json")
     assert code == 0
     assert [simple["estimate"] for simple in json.loads(out)["result"]["simples"]] == \
         [{"kind": "finite", "degree": 1}] * 3
+
+
+def test_entropy_of_a_disconnected_quiver_is_its_worst_components(tmp_path, capsys):
+    # A3 + kron3 takes kron3's h0, log((7 + sqrt 45) / 2), and its
+    # exponential growth; D40 + A1 is Dynkin throughout
+    kron3 = {"vertices": ["k1", "k2"],
+             "arrows": [{"id": f"k{n}", "from": "k1", "to": "k2"} for n in range(3)]}
+    a3 = json.loads(path_doc(3))
+    d40 = bench_module("workloads").D40
+    a3_kron3 = {"vertices": [*a3["vertices"], *kron3["vertices"]],
+                "arrows": [*a3["arrows"], *kron3["arrows"]]}
+    d40_a1 = {"vertices": [*d40["vertices"], "z"], "arrows": d40["arrows"]}
+    path = write(tmp_path, "a3+kron3.json", json.dumps(a3_kron3))
+    code, out, _ = run(capsys, "entropy", path, "--json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["h0"]["value"] == float(f"{math.log((7 + math.sqrt(45)) / 2):.12g}")
+    assert result["growth"] == {"kind": "exponential"}
+    path = write(tmp_path, "d40+a1.json", json.dumps(d40_a1))
+    code, out, _ = run(capsys, "entropy", path, "--json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["h0"] == {"exact": True, "value": "0"}
+    assert result["growth"] == {"kind": "polynomial", "degree": 0}
 
 
 # --- check-coxeter ------------------------------------------------------------------

@@ -5,6 +5,7 @@ The trichotomy expectations are the standard Dynkin/Euclidean tables; the
 definiteness tests behind them are exact.
 """
 import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -24,8 +25,8 @@ from quiverlab import (
     quiver_from_data,
     tits_matrix,
 )
-from quiverlab.quiver import K0Arithmetic
-from quiverlab.serre import entropy_orbit
+from quiverlab.quiver import CoxeterMap, K0Arithmetic
+from quiverlab.serre import entropy_and_growth
 from conftest import (
     bench_module,
     matrix_columns,
@@ -267,19 +268,23 @@ def dense_k0(q):
 
 
 def assert_k0_is_dense(q, iterations):
-    """C, E, Phi and Phi^(-1) of K0Arithmetic, and the Coxeter orbit of
-    entropy_orbit on a connected Q, equal the dense oracle's."""
+    """C, E, Phi and Phi^(-1) of K0Arithmetic, and the Coxeter orbit of the
+    cogenerator walked with K0Arithmetic.forward, equal the dense oracle's,
+    and entropy's trace is read off that orbit."""
     cartan, phi, inverse = dense_k0(q)
     k0 = K0Arithmetic(q)
     assert cartan_path_algebra(q) == k0.matrix(k0.paths) == cartan
     assert k0.matrix(k0.euler) == cartan.inverse().T
     assert (k0.matrix(k0.forward), k0.matrix(k0.inverse)) == (phi, inverse)
-    if q.is_connected:
-        _, _, got, orbit = entropy_orbit(q, iterations)
-        expected = [tuple(sum(col) for col in matrix_columns(cartan))]
-        for _ in range(iterations):
-            expected.append(phi.apply(expected[-1]))
-        assert (k0.matrix(got.apply), orbit) == (phi, expected)
+    assert k0.matrix(CoxeterMap(k0).apply) == phi
+    orbit = [[sum(k0.paths(k0.unit(j))) for j in range(k0.n)]]
+    expected = [tuple(sum(col) for col in matrix_columns(cartan))]
+    for _ in range(iterations):
+        orbit.append(k0.forward(orbit[-1]))
+        expected.append(phi.apply(expected[-1]))
+    assert list(map(tuple, orbit)) == expected
+    trace = [math.log(sum(map(abs, v))) / k for k, v in enumerate(expected) if k]
+    assert entropy_and_growth(q, iterations)[1] == trace
 
 
 def random_acyclic_quiver(rng: random.Random, max_vertices: int):

@@ -1,6 +1,7 @@
 """The value classes behave as frozen records: equality and hash by type and
 fields, the documented repr, no assignment, defaults, and validation on
 construction."""
+import json
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from quiverlab import (
     ComplexityEstimate,
     CoxeterReport,
     CycloProfile,
+    EntropyLine,
     GrowthEstimate,
     IntPolynomial,
     Quiver,
@@ -151,6 +153,19 @@ def test_json_form_drops_none_only_when_the_class_asks():
     assert Keeps(None, (1, (2,))).to_json_dict() == {"a": None, "b": [1, (2,)]}
     assert Drops(None).to_json_dict() == {"b": []}
     assert Drops(0).to_json_dict() == {"a": 0, "b": []}
+
+
+def test_json_form_writes_a_rational_that_is_not_an_int_as_p_over_q():
+    # a plain field and the entries of a tuple field; json accepts both, and
+    # ints, bools and floats pass through
+    slope = EntropyLine(Fraction(1, 2), 0).to_json_dict()
+    assert slope == {"slope": "1/2", "poly_entropy_bound": 0}
+    spec = CanonicalSpec((2, 3, 7, 5), (Fraction(5, 2), 3)).to_json_dict()
+    assert spec == {"weights": [2, 3, 7, 5], "lambdas": ["5/2", 3]}
+    assert json.dumps(slope) == '{"slope": "1/2", "poly_entropy_bound": 0}'
+    assert json.dumps(spec) == '{"weights": [2, 3, 7, 5], "lambdas": ["5/2", 3]}'
+    assert EntropyLine(2, 1).to_json_dict() == {"slope": 2, "poly_entropy_bound": 1}
+    assert CoxeterReport(True, False, 1, 1, "x").to_json_dict()["passed"] is False
 
 
 def test_read_json_names_what_was_malformed():

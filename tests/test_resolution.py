@@ -42,6 +42,7 @@ from quiverlab import (
     trivial_extension,
 )
 from quiverlab import betti
+from quiverlab import quiver as quiver_mod
 from quiverlab import resolution as res_mod
 from quiverlab import trivext as trivext_mod
 from quiverlab.builders import GentlePresentation, gentle_algebra, parse_gentle
@@ -49,7 +50,7 @@ from quiverlab.cli import main
 from quiverlab.echelon import UNTRACKED, TrackedEchelon
 from quiverlab.quiver import K0Arithmetic, cartan_path_algebra, classify_quiver, coxeter_matrix
 from quiverlab.record import FrozenInstanceError
-from quiverlab.serre import graded_path_verdict, orbit_growth
+from quiverlab.serre import graded_path_verdict, growth_degree
 from conftest import (
     BUILDERS,
     GENTLE_TWO_LOOP_DOC,
@@ -63,6 +64,7 @@ from conftest import (
     cover_data,
     dense_trace,
     dim_vector,
+    disjoint_union,
     engine_kernels,
     gentle_two_loop,
     global_complexity_estimate,
@@ -74,6 +76,8 @@ from conftest import (
     path_quiver,
     projective_cover,
     radical_vectors,
+    random_acyclic_quiver,
+    random_tree_or_cycle_quiver,
     sparse_vector,
     star_quiver,
     trace_form_radical,
@@ -436,16 +440,6 @@ def test_covers_resume_the_generators_they_share(monkeypatch, build, vertex, ste
         assert counts == expected
 
 
-def disjoint_union(*quivers):
-    """The quivers side by side, the vertices and arrows of the k-th
-    prefixed with k."""
-    return quiver_from_data({
-        "vertices": [f"{k}.{v}" for k, q in enumerate(quivers) for v in q.vertices],
-        "arrows": [{"id": f"{k}.{a.id}", "from": f"{k}.{a.source}", "to": f"{k}.{a.target}"}
-                   for k, q in enumerate(quivers) for a in q.arrows],
-    })
-
-
 def two_kroneckers():
     """Two disjoint Kronecker quivers: bipartite and not Dynkin, but not connected."""
     return disjoint_union(multi_kronecker(2), multi_kronecker(2))
@@ -455,7 +449,7 @@ def routed(monkeypatch) -> Counter:
     """The calls, by name, that a route makes from here on: the algebras
     trivial_extension builds, the engine's resolve_simple_modules, the fits
     of complexity_estimate, the K0Arithmetic objects built, wherever they
-    are, and classify_quiver."""
+    are, and classify_quiver, where quiver.classify_components calls it."""
     calls = Counter()
 
     def counted(owner, name, key):
@@ -468,7 +462,7 @@ def routed(monkeypatch) -> Counter:
         monkeypatch.setattr(owner, name, count)
 
     for owner, name in ((trivext_mod, "trivial_extension"), (res_mod, "resolve_simple_modules"),
-                        (betti, "complexity_estimate"), (betti, "classify_quiver")):
+                        (betti, "complexity_estimate"), (quiver_mod, "classify_quiver")):
         counted(owner, name, name)
     counted(K0Arithmetic, "__init__", "K0Arithmetic")
     return calls
@@ -518,7 +512,7 @@ def orbit_rule(q) -> list[ComplexityEstimate]:
     lift = RatMatrix([[int(x) for x in row] for row in lift.entries()])
     verdicts = []
     for i in range(len(q.vertices)):
-        growth = orbit_growth(lift, [tuple(int(x) for x in euler.row(i))])
+        growth = growth_degree(lift, euler.row(i))
         verdicts.append(ComplexityEstimate.infinite() if growth.kind == "exponential"
                         else ComplexityEstimate.finite(growth.degree + 1))
     return verdicts
@@ -616,21 +610,6 @@ def test_dynkin_quivers_print_the_engines_traces_at_few_steps(monkeypatch, tmp_p
     assert calls == Counter({"K0Arithmetic": 1, "classify_quiver": len(q.components())})
 
 
-def random_acyclic_quiver(rng: random.Random, max_vertices: int):
-    """A connected acyclic quiver: a random tree on 2..max_vertices vertices
-    plus up to 3 extra arrows, parallel ones allowed, each arrow pointing
-    up a random order of the vertices."""
-    n = rng.randint(2, max_vertices)
-    edges = [(rng.randrange(v), v) for v in range(1, n)]
-    edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 3))]
-    rank = rng.sample(range(n), n)
-    return quiver_from_data({
-        "vertices": list(range(n)),
-        "arrows": [{"id": f"x{k}", "from": min(e, key=rank.__getitem__),
-                    "to": max(e, key=rank.__getitem__)} for k, e in enumerate(edges)],
-    })
-
-
 def test_coxeter_formula_is_the_engine_on_random_acyclic_quivers():
     # per simple, on 60 seeded quivers of at most 7 vertices at 10 steps and
     # a dimension cap that keeps the wild ones short: the formula on every
@@ -644,26 +623,6 @@ def test_coxeter_formula_is_the_engine_on_random_acyclic_quivers():
         k0 = K0Arithmetic(q)
         assert betti._orbit_traces(k0, 10, 2000) == engine, q
         assert betti.coxeter_trivext_traces(q, 10, 2000)[0] == engine, q
-
-
-def random_tree_or_cycle_quiver(rng: random.Random, max_vertices: int):
-    """A connected acyclic quiver on 2..max_vertices vertices, few of them
-    more often: a random tree or a cycle, half the time each, plus up to 4
-    extra arrows, fewer more often, parallel ones allowed, each arrow
-    pointing up a random order of the vertices.  A cycle with no extra
-    arrow is affine, A~(n-1)."""
-    n = rng.randint(2, rng.randint(2, max_vertices))
-    if rng.random() < 0.5:
-        edges = [(rng.randrange(v), v) for v in range(1, n)]
-    else:
-        edges = [(v - 1, v) for v in range(1, n)] + [(n - 1, 0)]
-    edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, rng.randint(0, 4)))]
-    rank = rng.sample(range(n), n)
-    return quiver_from_data({
-        "vertices": list(range(n)),
-        "arrows": [{"id": f"x{k}", "from": min(e, key=rank.__getitem__),
-                    "to": max(e, key=rank.__getitem__)} for k, e in enumerate(edges)],
-    })
 
 
 def test_component_kinds_give_the_orbit_rules_verdicts_on_random_quivers():
@@ -818,7 +777,7 @@ def bipartite_tree(n: int, edges):
 def test_koszul_verdicts_are_the_orbit_growth_on_every_small_tree():
     # every tree of at most 9 vertices that is not Dynkin, bipartite: each
     # simple's verdict is the growth of the orbit (b_n, b_(n-1)) = L^n (e_i, 0),
-    # L = [[M, -I], [I, 0]], read exactly by serre.orbit_growth
+    # L = [[M, -I], [I, 0]], read exactly by serre.growth_degree
     verdicts = {("polynomial", 1): ComplexityEstimate.finite(2),
                 ("exponential", None): ComplexityEstimate.infinite()}
     sizes, kinds = Counter(), Counter()
@@ -838,7 +797,7 @@ def test_koszul_verdicts_are_the_orbit_growth_on_every_small_tree():
             block[u][v] = block[v][u] = 1
         lift = RatMatrix(block)
         for i in range(n):
-            growth = orbit_growth(lift, [tuple(int(k == i) for k in range(2 * n))])
+            growth = growth_degree(lift, [int(k == i) for k in range(2 * n)])
             assert estimates[i] == verdicts[growth.kind, growth.degree], (edges, i)
     assert list(sizes.values()) == [1, 1, 1, 2, 3, 6, 11, 23, 47]
     assert kinds == {"finite": 18, "affine": 8, "indefinite": 69}

@@ -5,12 +5,14 @@ the 3-arrow Kronecker spectral radius is (7 + sqrt(45))/2.
 """
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from quiverlab import (
     CanonicalSpec,
+    GrowthEstimate,
     RatMatrix,
     canonical_algebra,
     canonical_verdict,
@@ -29,8 +31,22 @@ from quiverlab import (
     vector,
     verify_k_shadow,
 )
-from quiverlab.serre import SerreVerdict, entropy_orbit, orbit_growth
-from conftest import multi_kronecker, path_quiver, serre_entropy, star_quiver, wild3_quiver
+from quiverlab.cyclo import spectral_radius
+from quiverlab.quiver import CoxeterMap, K0Arithmetic
+from quiverlab.serre import SerreVerdict, entropy_and_growth
+from conftest import (
+    bench_module,
+    disjoint_union,
+    multi_kronecker,
+    path_quiver,
+    quiver_on,
+    random_acyclic_quiver,
+    random_tree_or_cycle_quiver,
+    serre_entropy,
+    star_quiver,
+    unlabelled_trees,
+    wild3_quiver,
+)
 
 
 PHI_A2 = RatMatrix([[0, -1], [1, -1]])
@@ -347,9 +363,6 @@ def test_hereditary_entropy_validation():
         hereditary_entropy(path_quiver(2), iterations=0)
     with pytest.raises(ValueError):
         hereditary_entropy(path_quiver(2), tol=0.0)
-    disconnected = quiver_from_data({"vertices": [1, 2], "arrows": []})
-    with pytest.raises(ValueError):
-        hereditary_entropy(disconnected)
     loop = quiver_from_data({"vertices": [1], "arrows": [{"id": "l", "from": 1, "to": 1}]})
     with pytest.raises(ValueError):
         hereditary_entropy(loop)
@@ -426,22 +439,72 @@ def test_growth_degree_strips_the_nilpotent_part():
 
 @pytest.mark.parametrize("iterations", [1, 12, 60])
 def test_shared_orbit_growth_agrees_with_growth_degree(iterations):
-    # the entropy orbit's iterates seed the Krylov chain; with one iterate the
-    # chain has to continue past it
+    # the growth read off the kind is the exact decision on the orbit whose
+    # norms make the trace, whatever the number of iterates
     quivers = [path_quiver(n) for n in range(2, 13)]  # A2-A12
     quivers += [star_quiver((1, 1, n - 3)) for n in range(4, 9)]  # D4-D8
     quivers += [star_quiver((1, 2, k)) for k in (2, 3, 4)]  # E6-E8
     quivers += [multi_kronecker(k) for k in (2, 3, 4)]
     quivers += [wild3_quiver(), star_quiver((1, 2, 6))]  # wild3, T(2,3,7)
     for q in quivers:
-        _, trace, phi, orbit = entropy_orbit(q, iterations)
-        # phi is the Coxeter map; its dense matrix is the oracle
-        matrix = phi.k0.matrix(phi.k0.forward)
-        assert len(orbit) == len(trace) + 1 == iterations + 1
-        assert orbit[-1] == (matrix ** iterations).apply(orbit[0])
-        assert orbit_growth(phi, orbit) == growth_degree(matrix, orbit[0])
-        # the Coxeter polynomial's first Krylov block starts on the same orbit
-        assert char_poly(phi, orbit) == char_poly(matrix)
+        _, trace, growth = entropy_and_growth(q, iterations)
+        # the Coxeter map's dense matrix is the oracle
+        matrix, v = cogenerator_orbit(q)
+        assert len(trace) == iterations
+        assert trace[-1] == math.log(sum(map(abs, (matrix ** iterations).apply(v)))) / iterations
+        assert growth == growth_degree(matrix, v)
+        assert char_poly(CoxeterMap(K0Arithmetic(q))) == char_poly(matrix)
+
+
+def kind_rule_oracle(q, iterations: int) -> tuple[float, list[float], GrowthEstimate]:
+    """entropy_and_growth of Q by the Krylov route on the dense Coxeter
+    matrix: log of its radius, the trace of the cogenerator's orbit, and
+    the orbit's growth_degree."""
+    matrix, v = cogenerator_orbit(q)
+    trace, image = [], v
+    for k in range(1, iterations + 1):
+        image = matrix.apply(image)
+        trace.append(math.log(int(sum(map(abs, image)))) / k)
+    return math.log(spectral_radius(matrix)), trace, growth_degree(matrix, v)
+
+
+def test_entropy_by_kind_is_the_krylov_oracle_on_random_quivers_and_trees():
+    # 520 seeded connected quivers of at most 10 vertices, and every tree of
+    # at most 10 vertices, each edge u -> v for u < v and reversed: h0, to
+    # the float, the trace and the growth equal the dense Krylov route's
+    rng = random.Random(51)
+    quivers = [random_tree_or_cycle_quiver(rng, 10) for _ in range(360)]
+    quivers += [random_acyclic_quiver(rng, 9) for _ in range(160)]
+    for n, level in enumerate(unlabelled_trees(10), 1):
+        for edges in level:
+            quivers += [quiver_on(n, edges), quiver_on(n, [(v, u) for u, v in edges])]
+    kinds = Counter()
+    for q in quivers:
+        assert entropy_and_growth(q, 12) == kind_rule_oracle(q, 12), q
+        kinds[classify_quiver(q).kind] += 1
+    assert len(quivers) == 520 + 2 * 201
+    assert min(kinds.values()) >= 100, kinds
+
+
+def test_entropy_of_a_disjoint_union_is_its_worst_components():
+    # growth: the dense growth_degree of the whole quiver's cogenerator;
+    # h0: the largest of the components', to the 12 digits --json prints
+    workloads = bench_module("workloads")
+    pairs = [(path_quiver(3), multi_kronecker(3)),
+             (quiver_from_data(workloads.D40), path_quiver(1))]
+    rng = random.Random(24)
+    pairs += [(random_tree_or_cycle_quiver(rng, 5), random_tree_or_cycle_quiver(rng, 5))
+              for _ in range(200)]
+    growths = Counter()
+    for parts in pairs:
+        q = disjoint_union(*parts)
+        assert not q.is_connected
+        h0, trace, growth = entropy_and_growth(q, 12)
+        assert growth == growth_degree(*cogenerator_orbit(q)), q
+        assert f"{h0:.12g}" == f"{max(entropy_and_growth(p, 12)[0] for p in parts):.12g}", q
+        assert len(trace) == 12
+        growths[growth] += 1
+    assert len(growths) == 3 and min(growths.values()) >= 5, growths
 
 
 def test_growth_degree_refuses_a_non_integral_matrix():

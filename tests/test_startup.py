@@ -48,7 +48,7 @@ CYCLE8_DOC = json.dumps(
 # linearly oriented A_n, 1 -> 2 -> ... -> n
 A60_DOC = json.dumps(bench_module("workloads").path_quiver(60))
 A30_DOC = json.dumps(bench_module("workloads").path_quiver(30))
-# several Krylov blocks after the orbit's, whose relations stay in ints
+# the Dynkin star D40, with arms of 1, 1 and 37 vertices
 D40_DOC = json.dumps(bench_module("workloads").D40)
 # the gentle two-loop algebra: relations, so trivext resolves with the engine
 GENTLE_DOC = json.dumps(bench_module("workloads").GENTLE_TWO_LOOP)
@@ -89,6 +89,10 @@ GENTLE = NO_SPECTRAL | {"quiverlab.radius"}
 # on its default lambdas too: a cyclotomic Coxeter polynomial needs no
 # enclosure, and an integral slope prints without a Fraction
 SPECTRAL_IN_INTS = NO_ALGEBRA | NO_RATIONALS
+# entropy reads h0 and the growth off the quiver's kind, so with no wild
+# component it loads none of the Krylov walk, the polynomials and the
+# enclosure
+ENTROPY_BY_KIND = SPECTRAL_IN_INTS | {"quiverlab.cyclo", "quiverlab.intpoly", "quiverlab.radius"}
 # the input digest comes from the builtin sha256 module where the interpreter
 # has one; hashlib would load OpenSSL's bindings, _hashlib
 SHA256_BUILTIN = importlib.util.find_spec("_sha256") is not None
@@ -123,9 +127,10 @@ def modules_loaded(tmp_path, argv, inputs) -> dict:
          SPECTRAL_IN_INTS | {"quiverlab.serre"}),
         (["classify", "a60.json"], {"a60.json": A60_DOC}, SPECTRAL_IN_INTS | {"quiverlab.serre"}),
         (["entropy", "kron.json", "--iterations", "12"], {"kron.json": KRONECKER_DOC},
-         SPECTRAL_IN_INTS),
-        (["entropy", "a30.json"], {"a30.json": A30_DOC}, SPECTRAL_IN_INTS),
-        (["entropy", "d40.json"], {"d40.json": D40_DOC}, SPECTRAL_IN_INTS),
+         ENTROPY_BY_KIND),
+        (["entropy", "a30.json"], {"a30.json": A30_DOC}, ENTROPY_BY_KIND),
+        (["entropy", "d40.json"], {"d40.json": D40_DOC}, ENTROPY_BY_KIND),
+        (["entropy", "e6.json"], {"e6.json": E6_AFFINE_DOC}, ENTROPY_BY_KIND),
         (["check-coxeter", "phi.json"], {"phi.json": PHI_DOC}, NO_ALGEBRA),
         (["canonical", "--weights", "2,3,5"], {}, SPECTRAL_IN_INTS),
         (["canonical", "--weights", "2,3,7"], {}, SPECTRAL_IN_INTS),
@@ -141,10 +146,10 @@ def modules_loaded(tmp_path, argv, inputs) -> dict:
         (["trivext", "cycle8.json"], {"cycle8.json": CYCLE8_DOC}, RELATION_FREE),
         (["trivext", "gentle.json", "--steps", "200"], {"gentle.json": GENTLE_DOC}, GENTLE),
     ],
-    ids=["classify", "classify-A60", "entropy", "entropy-A30", "entropy-D40", "check-coxeter",
-         "canonical", "canonical-2,3,7", "trivext", "trivext-E10", "trivext-E6-affine",
-         "trivext-A3+kron3", "trivext-kron2", "trivext-A3-affine", "trivext-8-cycle",
-         "trivext-gentle"],
+    ids=["classify", "classify-A60", "entropy", "entropy-A30", "entropy-D40", "entropy-E6-affine",
+         "check-coxeter", "canonical", "canonical-2,3,7", "trivext", "trivext-E10",
+         "trivext-E6-affine", "trivext-A3+kron3", "trivext-kron2", "trivext-A3-affine",
+         "trivext-8-cycle", "trivext-gentle"],
 )
 def test_command_loads_only_its_layers(tmp_path, argv, inputs, forbidden):
     seen = modules_loaded(tmp_path, argv, inputs)
