@@ -12,10 +12,11 @@ orbit of kQ (coxeter_trivext_traces), which classifies each connected
 component once, builds no algebra, reads every simple's trace off its
 orbit, walked with quiver.K0Arithmetic, and reads every verdict off the
 simple's component kind and defect.  No verdict loads serre.  A gentle
-presentation with relations runs the resolution module's engine on T(A),
-resolve_simple_modules, and fits each trace with complexity_estimate; the
-two serve that route alone, and only it imports the engine, the builders
-and the trivial extension.
+presentation with relations reads every simple's trace off string modules
+over T(A), trivext.string_traces, and fits each trace with
+complexity_estimate; the two serve that route alone, and only it imports
+the builders and the trivial extension.  No route runs the resolution
+engine, which the tests keep as the oracle of both.
 """
 
 from __future__ import annotations
@@ -329,10 +330,11 @@ def trivext_traces(
     coxeter_trivext_traces, and dim kQ is half the sum of the projectives
     P_0, as T(kQ) is their direct sum; a plain Q with an oriented cycle goes
     there too, and K0Arithmetic refuses it as path_algebra would.  Every
-    other presentation is gentle: resolve_simple_modules runs the engine on
-    T(A) and complexity_estimate fits each trace, and a trace too short to
-    fit is inconclusive, with its reason.  gentle_algebra refuses a cycle
-    that no relation breaks, "relations": [] included.
+    other presentation is gentle: string_traces reads every trace off
+    string modules over T(A) and complexity_estimate fits each one, and a
+    trace too short to fit is inconclusive, with its reason.
+    gentle_algebra refuses a cycle that no relation breaks, "relations":
+    [] included.
     """
     plain = isinstance(presentation, Quiver)
     quiver = presentation if plain else presentation.quiver
@@ -341,11 +343,10 @@ def trivext_traces(
         return sum(trace.betti[0] for trace in traces) // 2, traces, estimates
     # loaded only here, so a job on the Coxeter route does not compile them
     from .builders import gentle_algebra
-    from .resolution import resolve_simple_modules
-    from .trivext import trivial_extension
+    from .trivext import string_traces, trivial_extension
 
     base = gentle_algebra(presentation)
-    traces = resolve_simple_modules(trivial_extension(base), steps, dim_cap)
+    traces = string_traces(trivial_extension(base), steps, dim_cap)
     estimates = []
     for trace in traces:
         try:

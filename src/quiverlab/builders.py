@@ -153,8 +153,12 @@ def gentle_algebra(pres: GentlePresentation) -> SCAlgebra:
 
 
 def parse_gentle(document: str) -> GentlePresentation:
-    """Parse a quiver JSON document with an optional "relations" list."""
-    return gentle_from_data(read_json(document, "gentle document"))
+    """Parse a quiver JSON document with an optional "relations" list.
+
+    A malformed one is a "malformed quiver document", as trivext, which
+    cannot tell a gentle document apart before decoding it, calls it.
+    """
+    return gentle_from_data(read_json(document, "quiver document"))
 
 
 def gentle_from_data(data: object) -> GentlePresentation:

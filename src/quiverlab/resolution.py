@@ -8,22 +8,6 @@ basis, idempotents plus paths.  jacobson_radical proves it in one pass
 over the table, once per algebra, and refuses any other basis with a
 ValueError.
 
-Simples that an automorphism of the algebra exchanges have the same trace.
-An automorphism sigma that permutes the basis and the idempotents twists
-modules: M becomes M with a acting as sigma(a).  Twisting is an exact
-autoequivalence that keeps dimensions and carries projectives to
-projectives and the simple at v to the simple at sigma(v), so it carries
-one minimal resolution to the other with the same Betti trace.
-simple_orbits finds such automorphisms: colour refinement on the quiver
-prunes the vertex pairs, a greedy search proposes a basis permutation for
-each pair left, and a permutation counts only once _is_automorphism
-certifies it from the products by the idempotents and the arrows, which
-generate the algebra; a failed search leaves vertices apart, which is
-always safe.  resolve_simple_modules resolves one simple per orbit, its
-representative, and copies its trace to the rest of the orbit.  The
-representatives resolve in one loop in the calling process, in vertex
-order, so the lowest failing representative raises its own error.
-
 One sparse engine, _FlatResolver, resolves the simples in flat
 coordinates copy*dim + basis_index.  A syzygy vector is a unit, one
 coordinate with coefficient 1 that travels as a bare int, or a flat tuple
@@ -65,9 +49,11 @@ generator list for the step two after; one that does not keeps the first
 half of it and its length, all that the step two after reads.
 
 The trace records, _betti_trace's stop rules and the growth estimates
-live in the betti module, whose trivext_traces reads every relation-free
-T(kQ) off the Coxeter orbit and calls this engine only for a gentle
-presentation with relations.
+live in the betti module.  No command calls this engine: trivext reads
+every relation-free T(kQ) off the Coxeter orbit and every T(gentle) off
+string modules (trivext.string_traces).  The engine is the public
+resolution of any algebra on an adapted basis, and the oracle the tests
+check both routes against.
 """
 
 from __future__ import annotations
@@ -293,10 +279,8 @@ class _FlatResolver:
         self.dim = d
         idem = self.idem = set(a.idempotents)
         pos = {v: p for p, v in enumerate(a.vertices)}
-        # the vertex positions of each basis element's source and target
-        self.ends = [(pos[b.source], pos[b.target]) for b in a.basis]
         # the vertex of each basis element's target, None at the idempotents
-        self.vertex_of = [None if m in idem else t for m, (_, t) in enumerate(self.ends)]
+        self.vertex_of = [None if m in idem else pos[b.target] for m, b in enumerate(a.basis)]
         src_coords = _source_coords(a)
         self.proj_dim = [len(block) for block in src_coords]
         self.rad_coords = [[m for m in block if m not in idem] for block in src_coords]
@@ -627,263 +611,13 @@ def minimal_resolution(
     return _betti_trace(proj_dim[vertex], advance, steps, dim_cap)
 
 
-def simple_orbits(a: SCAlgebra) -> list[int]:
-    """For each vertex position, the lowest position that a certified
-    automorphism of a carries it to; the simples of one orbit have the same
-    trace (see the module docstring).
-
-    The automorphisms sought permute the basis: pi with mult[(pi i, pi j)]
-    equal to mult[(i, j)] with each k renamed pi k, for every key.  The
-    search is a shortcut, never a premise: colour refinement on the quiver
-    (the vertices and the arrows of _setup(a)) prunes the vertex pairs,
-    each pair left is tried by one greedy search (_OrbitSearch.pair), and
-    only a permutation that _is_automorphism certifies merges orbits, in a
-    union-find.  A failed or incomplete search leaves vertices apart, which
-    only costs their resolutions.
-    """
-    engine = _setup(a)
-    classes, arrow_colour = _colour_classes(a, engine)
-    parent = list(range(len(a.vertices)))
-
-    def find(p: int) -> int:
-        while parent[p] != p:
-            parent[p] = p = parent[parent[p]]
-        return p
-
-    if classes:
-        search = _OrbitSearch(a, engine, arrow_colour)
-        for members in classes:
-            while len(members) > 1:
-                u = members[0]
-                for v in members[1:]:
-                    if find(v) == find(u):
-                        continue
-                    pi = search.pair(u, v)
-                    if pi is None:
-                        continue
-                    for p, e in enumerate(a.idempotents):
-                        ru, rv = find(p), find(search.position[pi[e]])
-                        parent[max(ru, rv)] = min(ru, rv)
-                members = [v for v in members[1:] if find(v) != find(u)]
-    return [find(p) for p in range(len(parent))]
-
-
-def _colour_classes(a: SCAlgebra, engine: _FlatResolver) -> tuple[list[list[int]], dict]:
-    """The classes of two or more vertex positions that colour refinement
-    on the quiver leaves together, in order of their lowest member, and
-    each arrow's final colour.
-
-    The first colours count what every basis automorphism keeps: a
-    vertex's basis elements by source and by target, and an arrow's nonzero
-    products with a radical element on its left.  Each round signs every
-    vertex by its colour and the multiset of (arrow colour, 0 leaving or 1
-    entering, colour of the other end) of its arrows, and colours it by its
-    signature, until a round splits no class.
-    """
-    n = len(a.vertices)
-    into = [0] * n  # the basis elements by target
-    for _, t in engine.ends:
-        into[t] += 1
-    first: dict = {}
-    colour = [first.setdefault(c, len(first)) for c in zip(engine.proj_dim, into)]
-    if len(first) == n:
-        return [], {}
-    ends = [engine.ends[b] for b in engine.arrows]
-    base = [len(engine.left[b]) for b in engine.arrows]
-    # each arrow at a vertex: (its first colour, 0 leaving or 1 entering, its other end)
-    near: list[list[tuple]] = [[] for _ in range(n)]
-    for b, (s, t) in zip(base, ends):
-        near[s].append((b, 0, t))
-        near[t].append((b, 1, s))
-    count = len(first)
-    while True:
-        signs: dict = {}
-        refined = [
-            signs.setdefault((colour[p], *sorted([(b, d, colour[q]) for b, d, q in near[p]])),
-                             len(signs))
-            for p in range(n)
-        ]
-        if len(signs) == count:
-            break
-        colour, count = refined, len(signs)
-    classes: dict = {}  # colour -> its members, in increasing order
-    for p, c in enumerate(colour):
-        classes.setdefault(c, []).append(p)
-    arrow_colour = {
-        arrow: (b, colour[s], colour[t]) for arrow, b, (s, t) in zip(engine.arrows, base, ends)
-    }
-    return [m for m in classes.values() if len(m) > 1], arrow_colour
-
-
-class _OrbitSearch:
-    """Greedy search for a basis automorphism that moves one vertex to another.
-
-    pair(u, v) maps e_u to e_v and walks the quiver from u: each unmapped
-    arrow at a vertex already mapped goes to the first unmapped arrow of
-    its colour whose ends can be mapped to, or already are, the images of
-    its own.  Every assignment propagates through the products b * x,
-    b an arrow: once both factors are mapped, b*x = c*b_k requires
-    pi(b)*pi(x) = c*b_l, which maps k to l, and b*x = 0 requires
-    pi(b)*pi(x) = 0.  A choice that contradicts the map is undone from the
-    log and the next candidate tried; an arrow with no candidate left fails
-    the pair, and so does a walk that leaves a basis element unmapped.  The
-    search only proposes: a complete map counts once _is_automorphism
-    certifies it.
-    """
-
-    def __init__(self, a: SCAlgebra, engine: _FlatResolver, arrow_colour: dict):
-        self.alg = a
-        self.position = {e: p for p, e in enumerate(a.idempotents)}
-        self.ends, self.left, self.arrows_at = engine.ends, engine.left, engine.arrows_at
-        self.arrow_colour = arrow_colour
-        self.by_colour: dict = {}
-        self.touching: list[list[int]] = [[] for _ in a.vertices]
-        by_target: list[list[int]] = [[] for _ in a.vertices]
-        for m, (_, t) in enumerate(self.ends):
-            by_target[t].append(m)
-        self.right = {}  # each arrow b: the j with b*b_j nonzero
-        for b in engine.arrows:
-            self.by_colour.setdefault(arrow_colour[b], []).append(b)
-            s, t = self.ends[b]
-            self.touching[s].append(b)
-            if t != s:
-                self.touching[t].append(b)
-            self.right[b] = [j for j in by_target[s] if b in self.left[j]]
-
-    def pair(self, u: int, v: int) -> list[int] | None:
-        """A certified automorphism that maps vertex u to vertex v, or None."""
-        a = self.alg
-        idem, position, ends = a.idempotents, self.position, self.ends
-        left, arrows_at, right = self.left, self.arrows_at, self.right
-        pi: list = [None] * a.dim
-        inv: list = [None] * a.dim
-        log: list[int] = []  # the elements mapped, in order, for undoing
-        pending: list[int] = []  # mapped elements whose products are unread
-        reached: list[int] = []  # the vertices mapped, in order
-
-        def assign(x: int, y: int) -> bool:
-            if pi[x] is not None:
-                return pi[x] == y
-            if inv[y] is not None:
-                return False
-            pi[x], inv[y] = y, x
-            log.append(x)
-            if x in position:
-                reached.append(position[x])
-            else:
-                pending.append(x)
-            return True
-
-        def match(row, image) -> bool:
-            """b*x against pi(b)*pi(x), as rows of (k, c) terms or None."""
-            if row is None or image is None:
-                return row is image
-            if len(row) != len(image):
-                return False
-            if len(row) > 1:
-                return True  # left to the certificate
-            ((k, c),), ((l, e),) = row, image
-            return c == e and assign(k, l)
-
-        def propagate() -> bool:
-            while pending:
-                x = pending.pop()
-                y = pi[x]
-                lx, ly = left[x], left[y]
-                # the arrows at x's target: the ends of a mapped arrow map
-                # with it, so the images are the mapped arrows at y's target
-                for b in arrows_at[ends[x][1]]:
-                    if pi[b] is not None and not match(lx.get(b), ly.get(pi[b])):
-                        return False
-                if x in right:  # x an arrow: x * b_j against pi(x) * pi(b_j)
-                    mapped = 0
-                    for j in right[x]:
-                        if pi[j] is not None:
-                            mapped += 1
-                            if not match(left[j][x], left[pi[j]].get(y)):
-                                return False
-                    if mapped != sum(inv[j] is not None for j in right.get(y, ())):
-                        return False
-            return True
-
-        assign(idem[u], idem[v])
-        for p in reached:  # grows while it is walked
-            for b in self.touching[p]:
-                if pi[b] is not None:
-                    continue
-                for image in self.by_colour[self.arrow_colour[b]]:
-                    if inv[image] is not None:
-                        continue
-                    mark = len(log), len(reached)
-                    (s, t), (s2, t2) = ends[b], ends[image]
-                    if (assign(idem[s], idem[s2]) and assign(idem[t], idem[t2])
-                            and assign(b, image) and propagate()):
-                        break
-                    for x in log[mark[0]:]:
-                        inv[pi[x]] = pi[x] = None
-                    del log[mark[0]:], reached[mark[1]:]
-                    pending.clear()
-                else:
-                    return None
-        if len(log) != a.dim or not _is_automorphism(a, pi):
-            return None
-        return pi
-
-
-def _is_automorphism(a: SCAlgebra, pi: list) -> bool:
-    """Whether the basis permutation pi is an automorphism of a.
-
-    The certificate: (1) pi permutes the basis; (2) it maps the
-    idempotents onto the idempotents, which permutes the vertices by some
-    phi; (3) it moves the ends of every basis element by phi; (4) for each
-    arrow b of _setup(a) and each b_j that ends where b starts,
-    mult[(pi b, pi j)] is mult[(b, j)] with each k renamed pi k, absent
-    products included.  No other product is read.
-
-    Why that suffices: in an SCAlgebra, e_v*b_j is b_j when b_j ends at v
-    and 0 otherwise, and only composable pairs multiply to nonzero, so (2)
-    and (3) make sigma, the linear map that extends pi, keep every product
-    by an idempotent on the left and every product of a pair that does not
-    compose; (4) keeps the others by an arrow.  So sigma(g*y) =
-    sigma(g)*sigma(y) for every idempotent and arrow g.  These generate a:
-    jacobson_radical shows that the non-idempotents span a nilpotent ideal,
-    and the arrows span it modulo its square.  As a is associative, sigma
-    keeps every product.
-    """
-    engine = _setup(a)
-    if sorted(pi) != list(range(a.dim)):
-        return False
-    position = {e: p for p, e in enumerate(a.idempotents)}
-    # phi, with None where pi moves e_v off the idempotents: no end is None
-    vertex = [position.get(pi[e]) for e in a.idempotents]
-    ends = engine.ends
-    if [ends[p] for p in pi] != [(vertex[s], vertex[t]) for s, t in ends]:
-        return False
-    left, arrows_at = engine.left, engine.arrows_at
-    for j, (_, t) in enumerate(ends):
-        row, image = left[j], left[pi[j]]
-        for b in arrows_at[t]:
-            if dict(image.get(pi[b], ())) != {pi[k]: c for k, c in row.get(b, ())}:
-                return False
-    return True
-
-
 def resolve_simple_modules(
     a: SCAlgebra, steps: int = 40, dim_cap: int = 100000
 ) -> list[ResolutionTrace]:
     """Resolution trace of every simple module, in vertex order.
 
     The radical certificate and the engine are computed once and shared
-    by all the resolutions.  Simples in one orbit of
-    simple_orbits have the same trace: the orbits come from basis
-    permutations that _is_automorphism certifies as automorphisms, and
-    twisting by one is an exact autoequivalence that keeps dimensions and
-    projectives and carries one simple's minimal resolution to the
-    other's.  So only each orbit's lowest vertex, its representative, is
-    resolved, one after another in vertex order, and every orbit mate gets
-    its trace.  The lowest failing representative is the first to fail,
-    so its own error propagates.
+    by all the resolutions, which run one after another in vertex order in
+    the calling process, so the lowest failing simple raises its own error.
     """
-    orbits = simple_orbits(a)
-    of_rep = {p: minimal_resolution(a, p, steps, dim_cap) for p in sorted(set(orbits))}
-    return [of_rep[p] for p in orbits]
+    return [minimal_resolution(a, p, steps, dim_cap) for p in range(len(a.vertices))]

@@ -12,11 +12,7 @@ the matrix helpers that only tests call.  The trace-form radical lives
 here too, with its nilpotent-ideal check: it works on any basis, and is the oracle
 for the one-pass certificate behind `jacobson_radical`.  So do the
 symmetric pairing of a trivial extension and its associativity scan, the
-oracle for `trivial_extension`'s dual action, and `automorphism_oracle`,
-which re-checks through `SCAlgebra.multiply` every basis permutation that
-`simple_orbits` accepts.  `singleton_orbits` turns orbit sharing off, so
-that `resolve_simple_modules` resolves several representatives in its loop
-on symmetric algebras too, for the tests that need them.
+oracle for `trivial_extension`'s dual action.
 `rational_tits_type` is the Fraction classification that `classify_quiver`
 replaced with an integer elimination: Schur complements over Fraction, and
 the radical from `RatMatrix.kernel_basis`.  The cyclotomic layer's oracles
@@ -27,7 +23,8 @@ that `cyclotomic_profile` replaced with a polynomial certificate;
 recursive Phi_d that fits.  `unlabelled_trees` lists every tree up to a
 size, for the classification and the profile alike, and the seeded
 random quivers and `disjoint_union` feed the oracle tests of the Coxeter
-route and of entropy's kind rule.
+route and of entropy's kind rule, and the seeded random gentle
+presentations those of the string route.
 """
 from __future__ import annotations
 
@@ -46,6 +43,7 @@ import pytest
 
 from quiverlab import (
     CanonicalSpec,
+    GentlePresentation,
     RatMatrix,
     RepModule,
     ResolutionTrace,
@@ -67,7 +65,6 @@ from quiverlab import (
     tits_matrix,
     trivial_extension,
 )
-from quiverlab import resolution
 from quiverlab.echelon import TrackedEchelon, vector
 from quiverlab.intpoly import IntPolynomial, euler_phi
 from quiverlab.quiver import QuiverType
@@ -263,6 +260,38 @@ def random_acyclic_quiver(rng: random.Random, max_vertices: int):
         "arrows": [{"id": f"x{k}", "from": min(e, key=rank.__getitem__),
                     "to": max(e, key=rank.__getitem__)} for k, e in enumerate(edges)],
     })
+
+
+def random_gentle_presentation(rng: random.Random, max_vertices: int, max_arrows: int):
+    """A gentle presentation on 1..max_vertices vertices: up to max_arrows
+    random arrows, loops included, each kept while its ends have fewer than
+    two arrows out and in, and at each vertex the relations the gentle
+    axioms leave a choice of, chosen at random.  Vertices may be isolated,
+    and the presentation may be infinite-dimensional, which gentle_algebra
+    refuses."""
+    n = rng.randint(1, max_vertices)
+    outs, ins, arrows = [0] * n, [0] * n, []
+    for k in range(rng.randint(0, max_arrows)):
+        s, t = rng.randrange(n), rng.randrange(n)
+        if outs[s] < 2 and ins[t] < 2:
+            outs[s] += 1
+            ins[t] += 1
+            arrows.append((f"x{k}", s, t))
+    relations = []
+    for v in range(n):
+        into = [a for a, _, t in arrows if t == v]
+        out = [a for a, s, _ in arrows if s == v]
+        rng.shuffle(out)
+        if len(into) == 2 and len(out) == 2:
+            relations += [(into[0], out[0]), (into[1], out[1])]
+        elif len(into) + len(out) == 3:
+            relations.append((rng.choice(into), rng.choice(out)))
+        elif len(into) == len(out) == 1 and rng.random() < 0.6:
+            relations.append((into[0], out[0]))
+    return GentlePresentation(quiver_from_data({
+        "vertices": list(range(n)),
+        "arrows": [{"id": a, "from": s, "to": t} for a, s, t in arrows],
+    }), tuple(relations))
 
 
 def random_tree_or_cycle_quiver(rng: random.Random, max_vertices: int):
@@ -1022,65 +1051,3 @@ def walk_and_check_minimality(a, steps: int) -> int:
                 break
             current = submodule_on_kernel(a, proj, kernel)
     return checked
-
-
-def no_orbits(monkeypatch) -> None:
-    """Make every simple its own orbit, so that `resolve_simple_modules`
-    resolves every simple, as over an algebra without vertex symmetry."""
-    monkeypatch.setattr(resolution, "simple_orbits", lambda a: list(range(len(a.vertices))))
-
-
-@pytest.fixture
-def singleton_orbits(monkeypatch):
-    """`no_orbits` for a whole test that needs several representatives on
-    algebras whose simples share one orbit, such as T(kA4) and T(kron2)."""
-    no_orbits(monkeypatch)
-
-
-def automorphism_oracle(a, pi) -> bool:
-    """Whether the basis permutation pi is an algebra automorphism of a,
-    from `SCAlgebra.multiply` on basis elements.
-
-    pi must permute the basis and the idempotents and move each element's
-    ends by the vertex map it induces; then b_pi(i) * b_pi(j) must be pi
-    of b_i * b_j for every composable pair.  A pair that does not compose
-    multiplies to zero on both sides, since the table holds composable
-    products only, which is asserted first.
-    """
-    basis = a.basis
-    if sorted(pi) != list(range(a.dim)):
-        return False
-    if sorted(pi[e] for e in a.idempotents) != sorted(a.idempotents):
-        return False
-    assert all(basis[i].source == basis[j].target for i, j in a.mult)
-    vertex = {basis[e].source: basis[pi[e]].source for e in a.idempotents}
-    for m, b in enumerate(basis):
-        if (basis[pi[m]].source, basis[pi[m]].target) != (vertex[b.source], vertex[b.target]):
-            return False
-    ending = {v: [j for j, b in enumerate(basis) if b.target == v] for v in a.vertices}
-    for i, b in enumerate(basis):
-        for j in ending[b.source]:
-            image = {pi[k]: c for k, c in a.multiply({i: 1}, {j: 1}).items()}
-            if a.multiply({pi[i]: 1}, {pi[j]: 1}) != image:
-                return False
-    return True
-
-
-@pytest.fixture
-def certified_automorphisms(monkeypatch) -> dict:
-    """Wrap `resolution._is_automorphism`: every permutation it accepts is
-    re-checked by `automorphism_oracle` and logged under "accepted", and
-    every one it refuses is counted under "refused"."""
-    log = {"accepted": [], "refused": 0}
-    certify = resolution._is_automorphism
-
-    def checking(a, pi):
-        if not certify(a, pi):
-            log["refused"] += 1
-            return False
-        assert automorphism_oracle(a, pi), "the certificate accepted a non-automorphism"
-        log["accepted"].append(list(pi))
-        return True
-
-    monkeypatch.setattr(resolution, "_is_automorphism", checking)
-    return log

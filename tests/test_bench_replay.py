@@ -39,8 +39,9 @@ KRONECKER3_DOC = json.dumps(
     "argv, layer",
     [
         (["entropy", "kron3.json", "--iterations", "12"], "cyclo.spectral_radius"),
-        # a gentle document is the one trivext input that runs the resolution engine
-        (["trivext", "gentle.json", "--steps", "12"], "resolution.resolve"),
+        # a gentle document is the one trivext input that builds T(A), which
+        # the string route walks
+        (["trivext", "gentle.json", "--steps", "12"], "trivext.extend"),
         # T(kron3) takes the Coxeter orbit, and its verdict classifies the quiver
         (["trivext", "kron3.json", "--steps", "12"], "quiver.classify"),
     ],

@@ -72,7 +72,6 @@ from conftest import (
     inverted_simples,
     is_engine_vector,
     multi_kronecker,
-    no_orbits,
     path_quiver,
     projective_cover,
     radical_vectors,
@@ -447,9 +446,10 @@ def two_kroneckers():
 
 def routed(monkeypatch) -> Counter:
     """The calls, by name, that a route makes from here on: the algebras
-    trivial_extension builds, the engine's resolve_simple_modules, the fits
-    of complexity_estimate, the K0Arithmetic objects built, wherever they
-    are, and classify_quiver, where quiver.classify_components calls it."""
+    trivial_extension builds, the string route's string_traces, the
+    engine's resolve_simple_modules, the fits of complexity_estimate, the
+    K0Arithmetic objects built, wherever they are, and classify_quiver,
+    where quiver.classify_components calls it."""
     calls = Counter()
 
     def counted(owner, name, key):
@@ -461,8 +461,9 @@ def routed(monkeypatch) -> Counter:
 
         monkeypatch.setattr(owner, name, count)
 
-    for owner, name in ((trivext_mod, "trivial_extension"), (res_mod, "resolve_simple_modules"),
-                        (betti, "complexity_estimate"), (quiver_mod, "classify_quiver")):
+    for owner, name in ((trivext_mod, "trivial_extension"), (trivext_mod, "string_traces"),
+                        (res_mod, "resolve_simple_modules"), (betti, "complexity_estimate"),
+                        (quiver_mod, "classify_quiver")):
         counted(owner, name, name)
     counted(K0Arithmetic, "__init__", "K0Arithmetic")
     return calls
@@ -479,8 +480,8 @@ def gentle_presentation():
 # "affine" (by the simple's defect, nonzero at every sink and source, so
 # "finite, degree 2" on these bipartite quivers), "wild" ("infinite") and
 # "components" (a disconnected Q, one component at a time); "fitted" the
-# engine with complexity_estimate's verdicts, for a gentle presentation
-# only.  Every route's traces are the engine's.
+# string route with complexity_estimate's verdicts, for a gentle
+# presentation only.  Every route's traces are the engine's.
 ROUTE_CASES = {
     "kron2-200-steps": (lambda: (multi_kronecker(2), None), {"steps": 200}, "affine"),
     "kron3": (lambda: (multi_kronecker(3), None), {}, "wild"),
@@ -534,10 +535,11 @@ def test_koszul_route_is_the_engine_where_its_theorem_applies(monkeypatch, prese
     base_dim, traces, estimates = betti.trivext_traces(pres, **bounds)
     assert (base_dim, traces) == (base.dim, engine)
     # a relation-free job builds one K0Arithmetic, classifies each component
-    # of Q once and neither resolves with the engine nor fits; the gentle one
-    # does both
+    # of Q once and neither walks strings nor fits; the gentle one does
+    # both, and no route resolves with the engine
     fitted = route == "fitted"
-    assert calls["trivial_extension"] == calls["resolve_simple_modules"] == fitted
+    assert calls["trivial_extension"] == calls["string_traces"] == fitted
+    assert calls["resolve_simple_modules"] == 0
     assert calls["complexity_estimate"] == (len(engine) if fitted else 0)
     assert calls["K0Arithmetic"] == (not fitted)
     assert calls["classify_quiver"] == (0 if fitted else len(quiver.components()))
@@ -1609,9 +1611,8 @@ def count_engine_builds(monkeypatch) -> list:
     return builds
 
 
-@pytest.mark.usefixtures("singleton_orbits")
 def test_resolve_simple_modules_builds_one_engine(monkeypatch):
-    # the four representatives share it
+    # the four simples share it
     ta = trivial_extension(path_algebra(path_quiver(4)))
     builds = count_engine_builds(monkeypatch)
     res_mod.resolve_simple_modules(ta, steps=8)
@@ -1652,8 +1653,7 @@ SERIAL_CASES = (
          for source, name, extend in SERIAL_CASES],
 )
 def test_parallel_resolution_equals_serial(source, name, extend):
-    # orbit mates take their representative's trace, which must be the
-    # trace of their own resolution
+    # every simple's trace in one call is the trace of its own resolution
     if source == "builders":
         a = BUILDERS[name]()
     else:
@@ -1676,7 +1676,6 @@ REFUSALS = {
 }
 
 
-@pytest.mark.usefixtures("singleton_orbits")
 @pytest.mark.parametrize("kind", list(REFUSALS.values()), ids=list(REFUSALS))
 @pytest.mark.parametrize("refused", [(0, 1), (1, 2), (2, 3)])
 def test_parallel_resolution_raises_the_lowest_refusal(monkeypatch, refused, kind):
@@ -1718,130 +1717,15 @@ def test_an_interrupt_propagates(monkeypatch):
         res_mod.resolve_simple_modules(ta, steps=8)
 
 
-# --- orbits of simples ------------------------------------------------------
-
 def workload_algebra(doc, extend: bool = True):
     """The path algebra of a quiver document of the benchmark, extended."""
     a = path_algebra(quiver_from_data(doc))
     return trivial_extension(a) if extend else a
 
 
-ORBIT_CASES = {
-    "T(kron2)": (lambda w: workload_algebra(w.kronecker(2)), "one"),
-    "T(kron3)": (lambda w: workload_algebra(w.kronecker(3)), "one"),
-    "T(kron4)": (lambda w: workload_algebra(w.kronecker(4)), "one"),
-    "T(gentle)": (lambda w: trivial_extension(gentle_two_loop()), "one"),
-    "T(kA3)": (lambda w: workload_algebra(w.path_quiver(3)), "one"),
-    "T(kA8)": (lambda w: workload_algebra(w.path_quiver(8)), "one"),
-    "T(kA30)": (lambda w: workload_algebra(w.path_quiver(30)), "one"),
-    # vertices c, 0.1, 0.2, 1.1, 1.2, 2.1, 2.2: the arms rotate
-    "T(kE6-affine)": (lambda w: workload_algebra(w.E6_AFFINE), [0, 1, 2, 1, 2, 1, 2]),
-    "T(kE8)": (lambda w: workload_algebra(w.E8), "singletons"),
-    "T(kE10)": (lambda w: workload_algebra(w.E10), "singletons"),
-    "kron2": (lambda w: workload_algebra(w.kronecker(2), extend=False), "singletons"),
-    "kron3": (lambda w: workload_algebra(w.kronecker(3), extend=False), "singletons"),
-    "kron4": (lambda w: workload_algebra(w.kronecker(4), extend=False), "singletons"),
-}
-
-
-@pytest.mark.parametrize("name", list(ORBIT_CASES))
-def test_simple_orbits_are_the_ones_theory_gives(certified_automorphisms, name):
-    # T(kA_n) is the symmetric Nakayama algebra on a cyclic quiver, which
-    # rotates; T of a Kronecker quiver swaps its vertices, and so does T of
-    # the gentle two-loop algebra; a base Kronecker quiver has a source and
-    # a sink, and E8 and E10 have arms of three lengths
-    build, expected = ORBIT_CASES[name]
-    a = build(bench_module("workloads"))
-    n = len(a.vertices)
-    if expected == "one":
-        want = [0] * n
-    elif expected == "singletons":
-        want = list(range(n))
-    else:
-        want = expected
-    assert res_mod.simple_orbits(a) == want
-    assert bool(certified_automorphisms["accepted"]) == (want != list(range(n)))
-
-
-def full_rounds(a, engine):
-    """Colour refinement that signs every vertex in every round, from the
-    same first colours as `resolution._colour_classes`: the vertex classes
-    of two or more, in order of their lowest member, and the arrows grouped
-    by final colour."""
-    n = len(a.vertices)
-    into = [0] * n
-    for _, t in engine.ends:
-        into[t] += 1
-    colour = list(zip(engine.proj_dim, into))
-    near: list[list[tuple]] = [[] for _ in range(n)]
-    for b in engine.arrows:
-        s, t = engine.ends[b]
-        near[s].append((len(engine.left[b]), 0, t))
-        near[t].append((len(engine.left[b]), 1, s))
-    while True:
-        ids: dict = {}
-        refined = [
-            ids.setdefault((colour[p], *sorted((k, d, colour[q]) for k, d, q in near[p])),
-                           len(ids))
-            for p in range(n)
-        ]
-        if len(ids) == len(set(colour)):
-            break
-        colour = refined
-    members: dict = {}
-    for p, c in enumerate(colour):
-        members.setdefault(c, []).append(p)
-    arrows: dict = {}
-    for b in engine.arrows:
-        s, t = engine.ends[b]
-        arrows.setdefault((len(engine.left[b]), colour[s], colour[t]), []).append(b)
-    return [m for m in members.values() if len(m) > 1], sorted(arrows.values())
-
-
-REFINEMENT_CASES = {
-    **{name: build for name, (build, _) in ORBIT_CASES.items()},
-    "T(kD40)": lambda w: workload_algebra(w.D40),
-}
-
-
-@pytest.mark.parametrize("name", list(REFINEMENT_CASES))
-def test_colour_classes_are_those_of_full_rounds(name):
-    # signing only the classes that can still split ends in the partition,
-    # of the vertices and of the arrows, that signing every vertex gives
-    a = REFINEMENT_CASES[name](bench_module("workloads"))
-    engine = res_mod._setup(a)
-    classes, arrow_colour = res_mod._colour_classes(a, engine)
-    want_classes, want_arrows = full_rounds(a, engine)
-    assert classes == want_classes
-    if classes:
-        by_colour: dict = {}
-        for b, c in arrow_colour.items():
-            by_colour.setdefault(c, []).append(b)
-        assert sorted(by_colour.values()) == want_arrows
-
-
-def test_d40_joins_its_short_arms_after_one_pair_search(monkeypatch, certified_automorphisms):
-    # colour refinement tells every vertex of T(kD40) apart but the ends of
-    # the two arms of length one, so one pair is searched, and it swaps them
-    a = workload_algebra(bench_module("workloads").D40)
-    assert a.vertices[:3] == ("c", "0.1", "1.1")
-    pairs = []
-    pair = res_mod._OrbitSearch.pair
-
-    def counting(self, u, v):
-        pairs.append((u, v))
-        return pair(self, u, v)
-
-    monkeypatch.setattr(res_mod._OrbitSearch, "pair", counting)
-    assert res_mod.simple_orbits(a) == [0, 1, 1, *range(3, 40)]
-    assert pairs == [(1, 2)]
-    assert len(certified_automorphisms["accepted"]) == 1
-
-
-def test_only_representatives_resolve_and_raise(monkeypatch):
-    # T(kE6-affine) has the orbits {c}, {0.1, 1.1, 2.1} and {0.2, 1.2, 2.2}:
-    # a refusal at an orbit mate is never met, and the lowest failing
-    # representative raises its own error
+def test_the_lowest_failing_simple_raises_its_own_error(monkeypatch):
+    # the simples resolve one after another in vertex order: a refusal
+    # raises at once, and of several the lowest vertex's is met first
     ta = workload_algebra(bench_module("workloads").E6_AFFINE)
     resolve = res_mod.minimal_resolution
     refused = set()
@@ -1852,19 +1736,21 @@ def test_only_representatives_resolve_and_raise(monkeypatch):
         return resolve(a, vertex, steps, dim_cap)
 
     monkeypatch.setattr(res_mod, "minimal_resolution", refusing)
-    refused.update({"1.1", "2.2"})
     assert res_mod.resolve_simple_modules(ta, steps=6) == [
         resolve(ta, p, 6) for p in range(len(ta.vertices))]
-    refused.update({"0.2", "0.1"})
-    with pytest.raises(ValueError) as caught:
-        res_mod.resolve_simple_modules(ta, steps=6)
-    assert caught.value.args == ("refused 0.1",)
+    for chosen, first in (({"2.2"}, "2.2"), ({"1.1", "2.2", "0.2"}, "0.2"),
+                          ({"c", "2.1"}, "c")):
+        refused.clear()
+        refused.update(chosen)
+        with pytest.raises(ValueError) as caught:
+            res_mod.resolve_simple_modules(ta, steps=6)
+        assert caught.value.args == (f"refused {first}",)
 
 
 @pytest.mark.parametrize("name", ["E8", "E6_AFFINE"])
 def test_representatives_resolve_in_the_calling_process(monkeypatch, name):
-    # T(kE8) has eight orbits of simples and T(kE6-affine) three, so both
-    # resolve several representatives; none may fork to do it
+    # every simple of T(kE8) and of T(kE6-affine) resolves; none may fork
+    # to do it
     ta = workload_algebra(getattr(bench_module("workloads"), name))
     expected = [minimal_resolution(ta, p, 10) for p in range(len(ta.vertices))]
 
@@ -1873,81 +1759,6 @@ def test_representatives_resolve_in_the_calling_process(monkeypatch, name):
 
     monkeypatch.setattr(os, "fork", refusing)
     assert res_mod.resolve_simple_modules(ta, steps=10) == expected
-
-
-@pytest.mark.parametrize("weights, lambdas", [((2, 2, 2, 2), (1, 2)), ((3, 3, 3), (1,))])
-def test_a_candidate_the_table_refuses_merges_nothing(certified_automorphisms, weights,
-                                                       lambdas):
-    # the arms of a canonical algebra look alike on its quiver, and its
-    # one-term products do not tell them apart, but the rewritten arms
-    # 2 - lambda_i * arm 1 do: a candidate reaches the certificate, which
-    # refuses it
-    a = canonical_algebra(CanonicalSpec(weights, lambdas))
-    assert res_mod.simple_orbits(a) == list(range(len(a.vertices)))
-    assert certified_automorphisms["refused"] >= 1
-    assert certified_automorphisms["accepted"] == []
-
-
-def table_algebra(vertices, elements, products) -> SCAlgebra:
-    """A verified SCAlgebra with an idempotent per vertex, then the given
-    (label, source, target) elements, and the given products besides the
-    unit laws."""
-    basis = [BasisElement(f"e{v}", v, v) for v in vertices]
-    basis += [BasisElement(*element) for element in elements]
-    mult = {}
-    for m, b in enumerate(basis):
-        mult[(vertices.index(b.target), m)] = {m: 1}
-        mult[(m, vertices.index(b.source))] = {m: 1}
-    a = SCAlgebra(tuple(vertices), tuple(basis), tuple(range(len(vertices))),
-                  {**mult, **products})
-    a.verify()
-    return a
-
-
-def test_the_certificate_checks_each_of_its_conditions(certified_automorphisms):
-    certify = res_mod._is_automorphism
-    # two loops with zero products: [0, 1, 1] keeps every product by an
-    # arrow but is no permutation, and [1, 0, 2] moves e off the idempotents
-    loops = table_algebra(["o"], [("x", "o", "o"), ("y", "o", "o")], {})
-    assert certify(loops, [0, 2, 1])
-    assert not certify(loops, [0, 1, 1])
-    assert not certify(loops, [1, 0, 2])
-    # the arrows of 2 <- 1 -> 3 leave one vertex: swapping them keeps every
-    # product by an arrow, but not e2 * a = a, since c ends at 3
-    fork = path_algebra(quiver_from_data({"vertices": ["1", "2", "3"], "arrows": [
-        {"id": "a", "from": "1", "to": "2"}, {"id": "c", "from": "1", "to": "3"}]}))
-    swap = list(range(fork.dim))
-    swap[index_of(fork, "a")], swap[index_of(fork, "c")] = index_of(fork, "c"), index_of(fork, "a")
-    assert not certify(fork, swap)
-    # u*u = v + w, u*v = u*w = t/2 and w*u = t, so the arrows are u and v:
-    # swapping v and w keeps every nonzero product by an arrow but sends
-    # v*u = 0 to w*u = t
-    uv = table_algebra(["o"], [(x, "o", "o") for x in "uvwt"], {
-        (1, 1): {2: 1, 3: 1}, (1, 2): {4: Fraction(1, 2)}, (1, 3): {4: Fraction(1, 2)},
-        (3, 1): {4: 1}})
-    assert res_mod._setup(uv).arrows == [1, 2]
-    assert not certify(uv, [0, 1, 3, 2, 4])
-    # the vertex swap of T(kron2), and the same with the images of its two
-    # arrows exchanged, which breaks a0 * a0^* = e2^*
-    ta = trivial_extension(path_algebra(multi_kronecker(2)))
-    assert res_mod.simple_orbits(ta) == [0, 0]
-    swap = certified_automorphisms["accepted"][-1]
-    a0, a1 = index_of(ta, "a0"), index_of(ta, "a1")
-    broken = list(swap)
-    broken[a0], broken[a1] = swap[a1], swap[a0]
-    assert not res_mod._is_automorphism(ta, broken)
-
-
-def test_a_second_extension_resolves_alike_with_and_without_orbits(monkeypatch):
-    tta = trivial_extension(trivial_extension(path_algebra(path_quiver(2))))
-    tta.verify()
-    assert [b.label for b in tta.basis][6:] == [
-        "e1^**", "e2^**", "a1^**", "e1^*^**", "e2^*^**", "a1^*^**"]
-    assert res_mod.simple_orbits(tta) == [0, 0]
-    shared = res_mod.resolve_simple_modules(tta, steps=8)
-    assert shared == [minimal_resolution(tta, p, 8) for p in range(len(tta.vertices))]
-    no_orbits(monkeypatch)
-    assert res_mod.resolve_simple_modules(tta, steps=8) == shared
 
 
 # --- input validation -----------------------------------------------------

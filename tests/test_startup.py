@@ -50,7 +50,7 @@ A60_DOC = json.dumps(bench_module("workloads").path_quiver(60))
 A30_DOC = json.dumps(bench_module("workloads").path_quiver(30))
 # the Dynkin star D40, with arms of 1, 1 and 37 vertices
 D40_DOC = json.dumps(bench_module("workloads").D40)
-# the gentle two-loop algebra: relations, so trivext resolves with the engine
+# the gentle two-loop algebra: relations, so trivext walks strings over T(A)
 GENTLE_DOC = json.dumps(bench_module("workloads").GENTLE_TWO_LOOP)
 A3_KRON3_DOC = json.dumps(
     {"vertices": [1, 2, 3, 4, 5], "arrows": [
@@ -75,8 +75,8 @@ with open(sys.argv[1], "w", encoding="utf-8") as out:
 # what each command must not load: no spectral command builds an algebra or
 # resolves, canonical reads K_0 off its weights, and trivext on a
 # relation-free acyclic quiver reads every simple off the Coxeter orbit; with
-# relations it builds and resolves, but fits its traces without the spectral
-# layers
+# relations it builds T(A) and reads every simple off strings, with neither
+# the resolution engine nor the spectral layers
 NO_RESOLUTION = {"quiverlab.resolution", "quiverlab.trivext"}
 NO_ALGEBRA = NO_RESOLUTION | {"quiverlab.builders", "quiverlab.scalgebra"}
 NO_SPECTRAL = {"quiverlab.serre", "quiverlab.cyclo", "quiverlab.intpoly"}
@@ -84,7 +84,7 @@ NO_SPECTRAL = {"quiverlab.serre", "quiverlab.cyclo", "quiverlab.intpoly"}
 # fits nothing; neither does a bare `import quiverlab.cli`
 NO_RATIONALS = {"fractions", "decimal", "numbers", "quiverlab.ratmat", "quiverlab.fitting"}
 RELATION_FREE = NO_ALGEBRA | NO_SPECTRAL | NO_RATIONALS
-GENTLE = NO_SPECTRAL | {"quiverlab.radius"}
+GENTLE = NO_SPECTRAL | {"quiverlab.radius", "quiverlab.resolution"}
 # classify and entropy walk K0Arithmetic's Coxeter map in ints, and canonical
 # on its default lambdas too: a cyclotomic Coxeter polynomial needs no
 # enclosure, and an integral slope prints without a Fraction
