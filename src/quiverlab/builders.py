@@ -19,7 +19,6 @@ precondition in _monomial_algebra.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .quiver import Arrow, Quiver, acyclic_order, has_oriented_cycle, quiver_from_data
@@ -27,6 +26,8 @@ from .record import Record, read_json
 from .scalgebra import BasisElement, Element, SCAlgebra
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .serre import CanonicalSpec
 
 Chain = tuple[str, ...]

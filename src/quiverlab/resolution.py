@@ -1,4 +1,5 @@
-"""Minimal projective resolutions and Betti-growth complexity estimates.
+"""Minimal projective resolutions of simple modules by one sparse syzygy
+engine.
 
 Modules over a structure-constant algebra are dense rational matrix
 representations.  Resolutions need a basis adapted to the radical: the
@@ -11,42 +12,20 @@ ValueError.
 One sparse engine, _FlatResolver, resolves the simples in flat
 coordinates copy*dim + basis_index.  A syzygy vector is a unit, one
 coordinate with coefficient 1 that travels as a bare int, or a flat tuple
-(lead, c_lead, x1, c1, ...) that starts with its largest coordinate, its
+(x0, c0, x1, c1, ...) that starts with its largest coordinate x0, its
 lead; a dict of two terms holds three times the memory of that tuple.  A
 step's generators are a bare list of such vectors, each at the target
 vertex of its lead.  The simple at v starts from rad P_v, its first
 kernel, as units; every later kernel comes from kernel_of_cover, which
 eliminates only the radical columns of its cover, and every top from
 top_generators, which keeps the kernel vectors whose leads are not leads
-of rad*K.  Most rows and images have one term, and those skip the
-echelon's general reduction.  The step loop drops each input once it is
-read, so the old kernel is gone before the next is built unless a kept
-step (below) holds it.  The engine's tables depend on the algebra only and
-are built once per algebra in a process.  The dense modules,
-simple_modules and RepModule, serve the test suite's projective cover,
-the oracle the engine is checked against; no resolution reads them.
-
-A step resumes from the step two before.  A trivial extension is
-symmetric, so tau is Omega^2 over it (Auslander, Reiten and Smalo, ch.
-IV), and a step's generator list often begins with much of the list two
-steps before: 19,306 of the 19,899 generators fed to the covers of
-T(gentle) over 200 steps.  Cover and top read their lists in order and
-are deterministic, so what either returns and holds after a prefix
-depends on that prefix alone.  A step that shares its first c generators
-starts its cover at copy c, with the earlier kernel's vectors below copy
-c and the earlier echelon cut back to the entries those copies made, a
-prefix of its insertion order since an entry's maker is its column.  Its
-top finds the first kernel vector past those copies by the same search
-on leads, pops the earlier span back to the size it had before that
-vector, and picks its generators over the whole kernel by the final
-leads.  So the result and the state equal a step from scratch.  A step
-keeps its cover's and top's state when it is the first of its parity or
-shares at least half of the earlier step's generators, and it resumes
-only from an earlier step that kept its state; so the step two after one
-that falls short runs from scratch, and the chain picks up again at the
-next step that shares half.  A step that keeps its state keeps its whole
-generator list for the step two after; one that does not keeps the first
-half of it and its length, all that the step two after reads.
+of rad*K.  Each step is one cover and one top, and hands the next step
+nothing but its generators or its kernel; the step loop drops each input
+once it is read, so the old kernel is gone before the next is built.  The
+engine's tables depend on the algebra only and are built once per algebra
+in a process.  The dense modules, simple_modules and RepModule, serve the
+test suite's projective cover, the oracle the engine is checked against;
+no resolution reads them.
 
 The trace records, _betti_trace's stop rules and the growth estimates
 live in the betti module.  No command calls this engine: trivext reads
@@ -58,20 +37,19 @@ check both routes against.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 
-# the trace records and stop rules live in betti, which the trivext command
-# imports without this engine; these names stay bound here for callers of
-# the engine's module
+# the trace records and stop rules live in betti; the two estimates stay
+# bound here for the resolution.estimate wrappers of bench/replay.py, which
+# patch them on this module
 from .betti import (  # noqa: F401
     ResolutionTrace,
     _betti_trace,
     combine_estimates,
     complexity_estimate,
 )
-from .echelon import UNTRACKED, TrackedEchelon, plain
+from .echelon import TrackedEchelon, plain
 from .ratmat import RatMatrix
 from .record import Record
 from .scalgebra import SCAlgebra
@@ -198,57 +176,6 @@ def _source_coords(a: SCAlgebra) -> list[list[int]]:
     return out
 
 
-def _shared_prefix(a: list, b: list) -> int:
-    """The length of the longest common prefix of a and b."""
-    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
-
-
-def _lead(vec: int | tuple) -> int:
-    """A syzygy vector's lead: a unit's coordinate, a tuple's first entry."""
-    return vec if type(vec) is int else vec[0]
-
-
-class _Step:
-    """One syzygy step's cover and top, as the step two after it resumes them.
-
-    gens is the step's generator list, and size its length; once the cover
-    has read it, a step that is not logged keeps only its first
-    ceil(size/2) generators, which decide whether the step two after
-    shares half of them.  copies is the number of leading
-    generators it resumes from earlier, the record of the step two before,
-    or 0 with earlier None.  minimal_resolution passes the record to
-    kernel_of_cover and top_generators.  A logged step also keeps what the
-    step two after it resumes from: its cover's kernel and echelon, and its
-    top's span, its seen leads, and sizes, the span's size before each
-    kernel vector the top reads and once more after the last.
-    """
-
-    __slots__ = ("earlier", "copies", "logged", "gens", "size", "kernel", "echelon", "span",
-                 "seen", "sizes")
-
-    def __init__(self, earlier: _Step | None, copies: int, logged: bool, gens: list):
-        self.earlier, self.copies, self.logged, self.gens = earlier, copies, logged, gens
-        self.size = len(gens)
-        self.kernel = self.echelon = self.span = self.seen = self.sizes = None
-
-
-def _next_step(earlier: _Step | None, gens: list) -> _Step:
-    """The record of a cover of gens after earlier, the step two before, if
-    any.
-
-    The step resumes from the generators it shares with earlier when
-    earlier is logged.  It is logged when earlier is None, the first step
-    of its parity, or when it shares at least half of earlier's generators.
-    """
-    if earlier is None:
-        return _Step(None, 0, True, gens)
-    copies = _shared_prefix(gens, earlier.gens)
-    logged = 2 * copies >= earlier.size
-    if not (earlier.logged and copies):
-        return _Step(None, 0, logged, gens)
-    return _Step(earlier, copies, logged, gens)
-
-
 class _FlatResolver:
     """Sparse syzygy engine over flat coordinates copy*dim + basis_index.
 
@@ -262,15 +189,13 @@ class _FlatResolver:
     one lookup of each lead in it.  Syzygy vectors take the forms of the
     module docstring.  Covers are eliminated on their radical columns only
     (see kernel_of_cover), so the tables hold the products by
-    non-idempotent elements alone.  Each image is summed
-    from the table rows of a generator's terms, with no dict of images.
-    An image of one term, the common case, is settled without the
-    echelon's reduction where the coordinate is free or holds a one-term
-    entry, which the cover keeps as (c, column) and the top as UNTRACKED;
-    the other cases fall back to TrackedEchelon.insert or add.  The tables
-    depend on the algebra only; _setup builds them once per algebra, and
-    the state of a step that resumes travels in the _Step record passed to
-    kernel_of_cover and top_generators.
+    non-idempotent elements alone.  Each image is summed from the table
+    rows of a vector's terms, with no dict of images.  A cover image of one
+    term, the common case, is settled without the echelon's reduction where
+    the coordinate is free or holds a one-term entry, which the cover keeps
+    as (c, column); the cover's other images go to TrackedEchelon.insert,
+    and every arrow image of a top to add.  The tables depend on the
+    algebra only; _setup builds them once per algebra.
     """
 
     def __init__(self, a: SCAlgebra):
@@ -293,18 +218,13 @@ class _FlatResolver:
                 if j not in idem:
                     rad2.add(dict(row))
         self.arrows = [m for m in range(d) if m not in idem and rad2.add({m: 1})]
-        arrows = set(self.arrows)
         self.left = left
         # the arrows leaving each vertex, the only ones that move a vector there
         self.arrows_at = [[] for _ in a.vertices]
         for b in self.arrows:
             self.arrows_at[pos[a.basis[b].source]].append(b)
-        # the rows of arrow*b_m: the one-term ones as their (k, c) term, the others
-        arrow_rows = [[row for b, row in rows.items() if b in arrows] for rows in left]
-        self.arrow_terms = [[r[0] for r in rows if len(r) == 1] for rows in arrow_rows]
-        self.arrow_rows = [[r for r in rows if len(r) > 1] for rows in arrow_rows]
 
-    def kernel_of_cover(self, gens, step: _Step | None = None) -> list[int | tuple]:
+    def kernel_of_cover(self, gens) -> list[int | tuple]:
         """Kernel basis of the cover sending copy i's basis element m to b_m * gen_i.
 
         The terms (shift, rows, c) of a syzygy vector, one (shift, left[n],
@@ -337,31 +257,12 @@ class _FlatResolver:
         u, -c/d) is written directly; it is the one insert() would return.
         Every other image goes to insert(), which never stores a one-term
         row with a one-term expression here.
-        When step resumes, the loop starts at its copy, from the earlier
-        kernel and echelon cut back to it; when it is logged, the state is
-        left on it (see _Step).
         """
         d = self.dim
-        if step is not None and step.copies:
-            earlier = step.earlier
-            start, echelon = step.copies, earlier.echelon
-            bound = start * d
-            pivots = echelon.pivots
-            # entries are made in increasing column, so the ones copies
-            # below start made are a prefix of pivots: pop the rest
-            while pivots:
-                k, held = pivots.popitem()
-                expr = held[1]
-                if (expr if type(expr) is int else max(expr)) < bound:
-                    pivots[k] = held
-                    break
-            kernel = earlier.kernel[:bisect_left(earlier.kernel, bound, key=_lead)]
-        else:
-            start, echelon, kernel = 0, TrackedEchelon(), []
+        echelon, kernel = TrackedEchelon(), []
         pivots = echelon.pivots
         left, vertex_of, rad_coords = self.left, self.vertex_of, self.rad_coords
-        for copy in range(start, len(gens)):
-            gen = gens[copy]
+        for copy, gen in enumerate(gens):
             base = copy * d
             if type(gen) is int:
                 n = gen % d
@@ -408,18 +309,14 @@ class _FlatResolver:
                 relation = echelon.insert(image, {column: 1})
                 if relation is not None:
                     kernel.append(tuple(chain.from_iterable(relation.items())))
-        if step is not None and step.logged:
-            step.kernel, step.echelon = kernel, echelon
         return kernel
 
-    def top_generators(
-        self, kernel: list[int | tuple], syzygy: int, step: _Step | None = None
-    ) -> list[int | tuple]:
+    def top_generators(self, kernel: list[int | tuple], syzygy: int) -> list[int | tuple]:
         """Minimal generators of the span K of kernel vectors.
 
         kernel must hold syzygy vectors in lead form, units as their int
-        coordinate and the others as flat tuples (lead, c_lead, x1, c1,
-        ...) that start with their largest coordinate, their lead: each
+        coordinate and the others as flat tuples (x0, c0, x1, c1, ...)
+        that start with their largest coordinate x0, their lead: each
         sits at the target vertex of its lead, and no two share a lead.
         One pass reads each vector's lead and vertex once, a unit's lead
         being its coordinate and a tuple's its first entry, and refuses, as
@@ -431,67 +328,29 @@ class _FlatResolver:
         as they came, ints and tuples alike; a generator's vertex is the
         target of its lead.
         Arrow images stay vertex-homogeneous, so one echelon keyed by leads
-        serves every vertex, and only its leads are read.  A unit's arrow
-        images are its arrow rows shifted to its copy; a tuple's image under
-        each arrow at its vertex is summed from its terms' rows, as in
-        kernel_of_cover.  The echelon keeps a one-term image at a free
-        coordinate as UNTRACKED, as add() would, and the reduction of a
-        longer image drops such a coordinate; a one-term image at a
-        coordinate that holds UNTRACKED is dependent and skipped, and one
-        at a longer row goes to add().  The leads of rad*K are the
-        keys of the span's pivots.
-        When step resumes, the pass starts at the first vector past its
-        shared copies, found by bisection on the leads, which increase in
-        every kernel of kernel_of_cover, from the earlier span popped back
-        to its size before that vector; when it is logged, the state is
-        left on it (see _Step).
+        serves every vertex, and only its leads are read.  A vector's image
+        under each arrow at its vertex is summed from its terms' rows, as
+        in kernel_of_cover, a unit being one term with coefficient 1, and
+        goes to add(), which keeps a one-term image as UNTRACKED.  The
+        leads of rad*K are the keys of the span's pivots.
         """
         if len(kernel) != syzygy:
             raise RuntimeError("syzygy dimension mismatch")
         d = self.dim
-        earlier = step.earlier if step is not None else None
-        if earlier is not None:
-            span, seen, sizes = earlier.span, earlier.seen, earlier.sizes
-            bound = step.copies * d
-            # the vectors of the shared copies lead the kernel, as earlier's did
-            start = bisect_left(kernel, bound, key=_lead)
-            while len(span.pivots) > sizes[start]:
-                span.pivots.popitem()
-            del seen[bound:], sizes[start:]
-            step.earlier = None
-        else:
-            span, start, seen, sizes = TrackedEchelon(), 0, bytearray(), []
-        if step is None or not step.logged:
-            sizes = None
-        pivots = span.pivots
+        span, seen = TrackedEchelon(), bytearray()
         vertex_of, left, arrows_at = self.vertex_of, self.left, self.arrows_at
-        arrow_terms, arrow_rows = self.arrow_terms, self.arrow_rows
-        for vec in islice(kernel, start, None):
-            if sizes is not None:
-                sizes.append(len(pivots))
-            unit = type(vec) is int
-            lead = vec if unit else vec[0]
+        for vec in kernel:
+            if type(vec) is int:
+                vec = (vec, 1)
+            lead = vec[0]
             if lead >= len(seen):
                 seen.extend(bytes(lead + 1 - len(seen)))
             elif seen[lead]:
                 raise RuntimeError("two syzygy relations share a leading coordinate")
             seen[lead] = 1
-            m = lead % d
-            v = vertex_of[m]
+            v = vertex_of[lead % d]
             if v is None:
                 raise RuntimeError("resolution step is not minimal")
-            if unit:
-                base = lead - m
-                for k, c in arrow_terms[m]:
-                    key = base + k
-                    held = pivots.get(key)
-                    if held is None:
-                        pivots[key] = UNTRACKED  # as add() stores it
-                    elif held is not UNTRACKED:
-                        span.add({key: c})
-                for row in arrow_rows[m]:
-                    span.add({base + k: c for k, c in row})
-                continue
             terms = []
             it = iter(vec)
             for coord, c in zip(it, it):
@@ -522,20 +381,9 @@ class _FlatResolver:
                             image[key] = s
                         else:
                             del image[key]
-                if not image:
-                    continue
-                if len(image) == 1:
-                    (key,) = image
-                    held = pivots.get(key)
-                    if held is None:
-                        pivots[key] = UNTRACKED  # as add() stores it
-                        continue
-                    if held is UNTRACKED:
-                        continue
-                span.add(image)
-        if sizes is not None:
-            sizes.append(len(pivots))
-            step.span, step.seen, step.sizes = span, seen, sizes
+                if image:
+                    span.add(image)
+        pivots = span.pivots
         gens = [vec for vec in kernel if (vec if type(vec) is int else vec[0]) not in pivots]
         if len(gens) + span.rank() != len(kernel):
             raise RuntimeError("arrow images leave the syzygy")
@@ -577,16 +425,7 @@ def minimal_resolution(
     bare syzygy vectors, and each one's projective is read at the target
     vertex of its lead.  Each step drops its input, the generators and
     then the kernel, as soon as it is read, so the deepest step, which
-    sets the peak memory, never holds the step before's kernel unless a
-    logged step holds it (see below).
-
-    Each cover after the first two resumes from the step of its parity two
-    before, over their shared generators (the module docstring gives the
-    exactness argument and the retention rule): _next_step decides it
-    before the step, and its record is passed to kernel_of_cover and
-    top_generators, so each step is still one call of each and the engine
-    holds only the algebra's tables.  A step that keeps no state is cut to
-    the first half of its generator list right after its cover.
+    sets the peak memory, never holds the step before's kernel.
     """
     if not 0 <= vertex < len(a.vertices):
         raise ValueError(f"no vertex at position {vertex}")
@@ -594,18 +433,12 @@ def minimal_resolution(
     d, vertex_of, proj_dim = engine.dim, engine.vertex_of, engine.proj_dim
     kernel = engine.rad_coords[vertex]  # the simple's first kernel: rad P_v, as units
     gens = None
-    kept: list = [None, None]  # the records of the last two covers, the older first
 
     def advance(syzygy: int) -> int:
         nonlocal kernel, gens
-        step = None
         if kernel is None:
-            step = _next_step(kept[0], gens)
-            kept[:] = kept[1], step
-            kernel, gens = engine.kernel_of_cover(gens, step), None
-            if not step.logged:
-                step.gens = step.gens[:(step.size + 1) // 2]
-        gens, kernel = engine.top_generators(kernel, syzygy, step), None
+            kernel, gens = engine.kernel_of_cover(gens), None
+        gens, kernel = engine.top_generators(kernel, syzygy), None
         return sum(proj_dim[vertex_of[(g if type(g) is int else g[0]) % d]] for g in gens)
 
     return _betti_trace(proj_dim[vertex], advance, steps, dim_cap)

@@ -10,14 +10,17 @@ of y.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .echelon import plain
-from .ratmat import RatMatrix
 from .record import Record
 
-Element = dict[int, int | Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .ratmat import RatMatrix
+
+Element = dict[int, "int | Fraction"]
 """Sparse algebra element: basis index to a nonzero plain exact coefficient."""
 
 
@@ -170,6 +173,8 @@ class SCAlgebra:
 
 def cartan_matrix(a: SCAlgebra) -> RatMatrix:
     """C[j][i] = number of basis elements from vertex i to vertex j."""
+    from .ratmat import RatMatrix
+
     index = {v: k for k, v in enumerate(a.vertices)}
     n = len(a.vertices)
     counts = [[0] * n for _ in range(n)]

@@ -1003,15 +1003,13 @@ def is_engine_vector(vec) -> bool:
 def engine_kernels(engine, vertex: int, steps: int, tops: list | None = None):
     """Yield the kernels of the engine's first `steps` syzygy steps on the
     simple at vertex position `vertex`, made as minimal_resolution makes
-    them but each step from scratch, each vector as a sparse dict: the
-    first is rad P_v, the engine's rad_coords as units, and each later one
-    comes from kernel_of_cover.
+    them, each vector as a sparse dict: the first is rad P_v, the engine's
+    rad_coords as units, and each later one comes from kernel_of_cover.
     Each kernel is checked to hold units as ints and other vectors as
     lead-first tuples of two or more nonzero terms, yielded, then read by
     top_generators, which refuses it unless it is a minimal basis in lead
     form of the syzygy's dimension; the generators it returns are appended
-    to `tops`, when given, as the engine returns them.  No step is passed
-    to the engine, so none resumes and none is logged."""
+    to `tops`, when given, as the engine returns them."""
     kernel = engine.rad_coords[vertex]
     dim = engine.proj_dim[vertex]
     covered = 1

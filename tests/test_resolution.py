@@ -47,7 +47,7 @@ from quiverlab import resolution as res_mod
 from quiverlab import trivext as trivext_mod
 from quiverlab.builders import GentlePresentation, gentle_algebra, parse_gentle
 from quiverlab.cli import main
-from quiverlab.echelon import UNTRACKED, TrackedEchelon
+from quiverlab.echelon import TrackedEchelon
 from quiverlab.quiver import K0Arithmetic, cartan_path_algebra, classify_quiver, coxeter_matrix
 from quiverlab.record import FrozenInstanceError
 from quiverlab.serre import graded_path_verdict, growth_degree
@@ -249,18 +249,14 @@ def test_trivial_extension_kronecker4_capped_traces():
 
 
 # a bound on the traced peak of T(kron3)'s resolution at dim_cap 20000, in
-# bytes: 1.03 MB with a step that keeps no state cut to the first half of
-# its generator list (CPython 3.11); 1.12 MB with every step's generator list
-# kept whole for the step two after (1.07 MB on CPython 3.10, 1.14 MB on 3.12
-# and 3.13); 0.94 MB
-# with a list kept only where the step's state is, the echelons reading
-# their one-term entries next to their rows, with no units set and no
-# hand-off of the cover's entries;
-# 1.0 MB with the other vectors as lead-first tuples, one-term cover
-# rows as (c, column) entries and bare generator lists; 1.3 MB when every
-# one-term cover row is an (image, expression) dict pair; 2.0 MB when the
-# vectors were dicts too and the generators (vertex, vector) pairs; 4.2 MB
-# when every unit was a one-key dict too (CPython 3.11)
+# bytes: 0.90 MB with each step one cover and one top that keep nothing for
+# a later step (CPython 3.11).  The cover's one-term (c, column) entries,
+# and the two-term relation it writes where a one-term image meets one,
+# hold the peak under the bound: with every image sent through insert() as
+# an (image, expression) dict pair it is 1.31 MB.  The kernel vectors as
+# lead-first tuples and units as bare ints keep it there too: 2.0 MB when
+# the vectors were dicts and the generators (vertex, vector) pairs, 4.2 MB
+# when every unit was a one-key dict too
 KRON3_TRACED_PEAK = 1_200_000
 # T(kron3)'s trace at dim_cap 20000
 KRON3_BETTI = (5, 15, 40, 105, 275, 720, 1885, 4935, 12920, 33825)
@@ -278,165 +274,6 @@ def test_deep_resolution_keeps_a_small_traced_peak():
     assert trace.betti == KRON3_BETTI
     assert trace.truncated_by == "dimension-cap"
     assert peak < KRON3_TRACED_PEAK, peak
-
-
-def resumed_copies(monkeypatch) -> list:
-    """Patch the cover to log, for each call, the generators it resumed
-    from the step two before and the generators it was given; returns the
-    log of (resumed, given) pairs."""
-    log = []
-    cover = res_mod._FlatResolver.kernel_of_cover
-
-    def counting(self, gens, step=None):
-        log.append((step.copies if step is not None else 0, len(gens)))
-        return cover(self, gens, step)
-
-    monkeypatch.setattr(res_mod._FlatResolver, "kernel_of_cover", counting)
-    return log
-
-
-# (algebra, steps, whether some step resumes) whose minimal_resolution steps
-# must equal steps from scratch: every builder's trivial extension,
-# T(T(kron2)), some of whose steps resume from a step two before whose
-# cover met a longer image at or after the shared copies, so the resume
-# cuts back past it, and T(gentle) at the bench's 200 steps
-RESUME_CASES = {
-    **{f"T({name})": (lambda build=build: trivial_extension(build()), 12,
-                      name in ("kron2", "kron3", "gentle"))
-       for name, build in BUILDERS.items()},
-    "T(T(kron2))": (lambda: trivial_extension(trivial_extension(
-        path_algebra(multi_kronecker(2)))), 12, True),
-    "T(gentle)-200-steps": (lambda: trivial_extension(gentle_two_loop()), 200, True),
-}
-
-
-@pytest.mark.parametrize("build, steps, resumes", RESUME_CASES.values(), ids=RESUME_CASES)
-def test_resumed_steps_equal_steps_from_scratch(monkeypatch, build, steps, resumes):
-    # a step that resumes from the step two before must return the kernel
-    # and the generators that the same step makes from scratch
-    a = build()
-    engine = res_mod._setup(a)
-    kernels, tops = [], []
-    top = res_mod._FlatResolver.top_generators
-
-    def recording(self, kernel, syzygy, step=None):
-        kernels.append([sparse_vector(vec) for vec in kernel])
-        gens = top(self, kernel, syzygy, step)
-        tops.append(gens)
-        return gens
-
-    resumed = 0
-    for vertex in range(len(a.vertices)):
-        kernels.clear()
-        tops.clear()
-        with monkeypatch.context() as patch:
-            patch.setattr(res_mod._FlatResolver, "top_generators", recording)
-            log = resumed_copies(patch)
-            minimal_resolution(a, vertex, steps, dim_cap=5000)
-        resumed += sum(r for r, _ in log)
-        expected_tops: list = []
-        assert list(engine_kernels(engine, vertex, len(kernels), expected_tops)) == kernels
-        assert expected_tops == tops
-    assert bool(resumed) == resumes
-
-
-def test_a_resumed_cover_and_top_equal_the_ones_from_scratch():
-    # a step resumes from a logged step whose generators share a prefix
-    # with its own, and must give the kernel, the generators and the state
-    # left for the step two after that a logged step from scratch gives.
-    # For each step's generator list G whose cover meets its first image
-    # of two or more terms at copy h, G resumes from G[:h], whose echelon
-    # holds one-term entries alone, and from G[:h + 1], whose echelon
-    # holds rows too; G[:h] resumes from G[:h + 1], cut back past that
-    # longer image; and G[:k], k half of G rounded up, resumes from the
-    # whole of G, whose state beyond copy k must be dropped.
-    reached = {"one-term entries": 0, "past a longer image": 0,
-               "back before a longer image": 0, "shorter": 0}
-
-    def run(engine, gens, step):
-        kernel = engine.kernel_of_cover(gens, step)
-        return kernel, engine.top_generators(kernel, len(kernel), step)
-
-    def state(step):
-        return (step.gens, step.kernel, list(step.echelon.pivots.items()),
-                list(step.span.pivots.items()), bytes(step.seen).rstrip(b"\0"), step.sizes)
-
-    def resumed(engine, before, gens, kind):
-        earlier = res_mod._next_step(None, before)
-        run(engine, before, earlier)
-        step = res_mod._next_step(earlier, gens)
-        scratch = res_mod._next_step(None, gens)
-        out = run(engine, gens, scratch)
-        assert (step.copies, step.logged) == (min(len(before), len(gens)), True)
-        assert run(engine, gens, step) == out
-        assert state(step) == state(scratch)
-        reached[kind] += 1
-
-    def first_longer_image(engine, gens):
-        """The first copy whose cover has an image of two or more terms."""
-        for copy, gen in enumerate(gens):
-            gen = sparse_vector(gen)
-            v = engine.vertex_of[max(gen) % engine.dim]
-            if any(len(image) > 1 for _, image in table_images(engine, gen, engine.rad_coords[v])):
-                return copy
-        return None
-
-    for a in (trivial_extension(canonical_237()),
-              trivial_extension(trivial_extension(path_algebra(multi_kronecker(2))))):
-        engine = res_mod._setup(a)
-        for vertex in range(len(a.vertices)):
-            tops: list = []
-            for _ in engine_kernels(engine, vertex, 6, tops):
-                pass
-            for gens in tops:
-                h, k = first_longer_image(engine, gens), (len(gens) + 1) // 2
-                resumed(engine, gens, gens[:k], "shorter")
-                if h:
-                    resumed(engine, gens[:h], gens, "one-term entries")
-                    resumed(engine, gens[:h + 1], gens[:h], "back before a longer image")
-                if h is not None and h + 1 < len(gens):
-                    resumed(engine, gens[:h + 1], gens, "past a longer image")
-    assert all(reached.values()), reached
-
-
-# (algebra, vertex or None for every vertex, steps): the generators its covers
-# resume from the step two before, and the generators they are given
-RESUME_COUNTS = {
-    "T(gentle)-200-steps": (lambda: trivial_extension(gentle_two_loop()), 0, 200,
-                            (19306, 19899)),
-    # the second simple's chain falls short at one step and picks up again
-    "T(gentle)-200-steps-second-simple": (lambda: trivial_extension(gentle_two_loop()), 1, 200,
-                                          (19205, 19899)),
-    "T(E10)-sink-centred": (lambda: trivial_extension(path_algebra(star_quiver((1, 2, 6)))),
-                            None, 40, 0),
-    "T(E8)-sink-centred": (lambda: trivial_extension(path_algebra(star_quiver((1, 2, 4)))),
-                           None, 40, 0),
-    "T(E6-affine)-sink-centred": (
-        lambda: trivial_extension(path_algebra(star_quiver((2, 2, 2)))), None, 40, 0),
-    "T(A8)": (lambda: trivial_extension(path_algebra(path_quiver(8))), None, 40, 0),
-    # a resume may cut a cover back past its first longer image
-    "T(T(kron2))": (lambda: trivial_extension(trivial_extension(
-        path_algebra(multi_kronecker(2)))), None, 12, (6, 570)),
-}
-
-
-@pytest.mark.parametrize("build, vertex, steps, expected", RESUME_COUNTS.values(),
-                         ids=RESUME_COUNTS)
-def test_covers_resume_the_generators_they_share(monkeypatch, build, vertex, steps, expected):
-    # T(gentle)'s steps share most of their generators with the step two
-    # before, the second simple's after one step that falls short; the
-    # sink-centred stars and A8 share none, so no cover resumes;
-    # T(T(kron2)) resumes a few, some of them from a cover that met a
-    # longer image at a shared copy
-    a = build()
-    resumed = resumed_copies(monkeypatch)
-    for p in range(len(a.vertices)) if vertex is None else [vertex]:
-        minimal_resolution(a, p, steps)
-    counts = (sum(r for r, _ in resumed), sum(n for _, n in resumed))
-    if expected == 0:
-        assert counts[0] == 0 and counts[1] > 0
-    else:
-        assert counts == expected
 
 
 def two_kroneckers():
@@ -900,49 +737,28 @@ def test_dense_and_sparse_engines_agree(monkeypatch):
     # the general branch is checked against the oracle too: vectors of
     # three or more coordinates, and one-coordinate vectors whose table
     # rows have two terms; and the summed images of vectors of two or more
-    # coordinates: a cover image that cancels to zero, an arrow image that
-    # cancels to zero, and a one-term arrow image at a coordinate where an
-    # earlier vector's one-term image already holds a row (T(canonical-237));
-    # and the fallbacks of the one-term paths, read off the engine's own
-    # echelons: a one-term cover image at a coordinate whose row or
-    # expression is longer, which goes to insert; a longer arrow image
-    # whose reduction drops a one-term lead; and a one-term arrow image at
-    # a coordinate that holds a longer row (each first reached by T(kẼ6))
+    # coordinates: a cover image that cancels to zero and an arrow image
+    # that cancels to zero; and the fallback of the cover's one-term path,
+    # read off the engine's own echelon: a one-term cover image at a
+    # coordinate whose row or expression is longer, which goes to insert
     reached = {
         "long vectors": 0,
         "two-term rows": 0,
         "cover cancels": 0,
         "top cancels": 0,
-        "top one-term on one-term": 0,
         "cover one-term on a longer row or expression": 0,
-        "top longer image through one-term leads": 0,
-        "top one-term on a longer row": 0,
         # both forms of kernel vector reach the oracle comparison
         "int unit vectors": 0,
         "multi-term tuples": 0,
     }
     top, cover = res_mod._FlatResolver.top_generators, res_mod._FlatResolver.kernel_of_cover
-    phase = [None]
-
-    class Hits(dict):
-        """Pivots that count the lookups that find an UNTRACKED entry."""
-
-        hits = 0
-
-        def get(self, key, default=None):
-            held = dict.get(self, key, default)
-            self.hits += held is UNTRACKED
-            return held
 
     class Probe(TrackedEchelon):
         __slots__ = ()
 
-        def __init__(self):
-            super().__init__()
-            self.pivots = Hits()
-
+        # only the cover inserts; the top and the engine's setup add
         def insert(self, vec, expr):
-            if phase[0] == "cover" and len(vec) == 1:
+            if len(vec) == 1:
                 (k,) = vec
                 held = self.pivots.get(k)
                 # the cover keeps the other one-term images out of insert
@@ -951,23 +767,7 @@ def test_dense_and_sparse_engines_agree(monkeypatch):
                 reached["cover one-term on a longer row or expression"] += 1
             return super().insert(vec, expr)
 
-        def add(self, vec):
-            if phase[0] != "top":
-                return super().add(vec)
-            if len(vec) == 1:
-                (k,) = vec
-                held = self.pivots.get(k)
-                # the top keeps the other one-term images out of add
-                assert held is not None and held is not UNTRACKED and len(held[0]) > 1
-                reached["top one-term on a longer row"] += 1
-                return super().add(vec)
-            hits = self.pivots.hits
-            grew = super().add(vec)
-            reached["top longer image through one-term leads"] += self.pivots.hits > hits
-            return grew
-
-    def recording(self, kernel, syzygy, step=None):
-        earlier: set = set()
+    def recording(self, kernel, syzygy):
         for vec in kernel:
             if type(vec) is int:
                 reached["int unit vectors"] += 1
@@ -980,33 +780,19 @@ def test_dense_and_sparse_engines_agree(monkeypatch):
                 (coord,) = vec
                 rows = self.left[coord % self.dim].values()
                 reached["two-term rows"] += any(len(row) == 2 for row in rows)
-            one_terms = set()
             for summed, image in table_images(self, vec, self.arrows):
                 if len(vec) >= 2 and summed and not image:
                     reached["top cancels"] += 1
-                if len(image) == 1:
-                    if len(vec) >= 2 and not earlier.isdisjoint(image):
-                        reached["top one-term on one-term"] += 1
-                    one_terms.update(image)
-            earlier |= one_terms
-        phase[0] = "top"
-        try:
-            return top(self, kernel, syzygy, step)
-        finally:
-            phase[0] = None
+        return top(self, kernel, syzygy)
 
-    def covering(self, gens, step=None):
+    def covering(self, gens):
         for gen in gens:
             gen = sparse_vector(gen)
             v = self.vertex_of[max(gen) % self.dim]
             if len(gen) >= 2:
                 for summed, image in table_images(self, gen, self.rad_coords[v]):
                     reached["cover cancels"] += summed and not image
-        phase[0] = "cover"
-        try:
-            return cover(self, gens, step)
-        finally:
-            phase[0] = None
+        return cover(self, gens)
 
     monkeypatch.setattr(res_mod._FlatResolver, "top_generators", recording)
     monkeypatch.setattr(res_mod._FlatResolver, "kernel_of_cover", covering)
@@ -1056,13 +842,12 @@ def test_cover_relations_are_the_ones_insert_returns(monkeypatch):
             reached["longer image on entries"] += entries and len(vec) > 1
             return super().insert(vec, expr)
 
-    def comparing(self, gens, step=None):
+    def comparing(self, gens):
         made.clear()
         with monkeypatch.context() as patch:
             patch.setattr(res_mod, "TrackedEchelon", Entries)
-            kernel = cover(self, gens, step)
-        # a resumed cover goes on with the earlier step's echelon
-        echelon = made[-1] if made else step.earlier.echelon
+            kernel = cover(self, gens)
+        (echelon,) = made
         # a one-term image at a free coordinate is kept as its (c, column)
         # entry, so no row is one-term with a one-term expression
         for row, expr in echelon.pivots.values():
@@ -1253,9 +1038,9 @@ def eliminated_columns(monkeypatch) -> list:
 
     kernel_of_cover = res_mod._FlatResolver.kernel_of_cover
 
-    def logged(self, gens, step=None):
+    def logged(self, gens):
         echelons.clear()
-        kernel = kernel_of_cover(self, gens, step)
+        kernel = kernel_of_cover(self, gens)
         for echelon in echelons:
             columns.extend(expr if type(expr) is int else max(expr)
                            for _, expr in echelon.pivots.values())
@@ -1294,9 +1079,9 @@ def test_first_kernel_is_the_dense_cover_kernel(monkeypatch, name, extend):
         # is rad P_v, read off the engine's rad_coords
         kernels = []
 
-        def recording(self, kernel, syzygy, step=None):
+        def recording(self, kernel, syzygy):
             kernels.append(kernel)
-            return top(self, kernel, syzygy, step)
+            return top(self, kernel, syzygy)
 
         cover, verts = cover_data(a, simple, rad)
         expected = flat_kernel(a, verts, cover.kernel_basis())
@@ -1678,7 +1463,7 @@ REFUSALS = {
 
 @pytest.mark.parametrize("kind", list(REFUSALS.values()), ids=list(REFUSALS))
 @pytest.mark.parametrize("refused", [(0, 1), (1, 2), (2, 3)])
-def test_parallel_resolution_raises_the_lowest_refusal(monkeypatch, refused, kind):
+def test_resolve_simple_modules_raises_the_lowest_refusal(monkeypatch, refused, kind):
     ta = trivial_extension(path_algebra(path_quiver(4)))
     chosen = [ta.vertices[i] for i in refused]
     top = res_mod._FlatResolver.top_generators
@@ -1691,10 +1476,10 @@ def test_parallel_resolution_raises_the_lowest_refusal(monkeypatch, refused, kin
         current[0] = a.vertices[vertex]
         return resolve(a, vertex, *args)
 
-    def refusing(self, kernel, syzygy, step=None):
+    def refusing(self, kernel, syzygy):
         if current[0] in chosen:
             raise kind(f"refused {current[0]}")
-        return top(self, kernel, syzygy, step)
+        return top(self, kernel, syzygy)
 
     monkeypatch.setattr(res_mod, "minimal_resolution", starting)
     monkeypatch.setattr(res_mod._FlatResolver, "top_generators", refusing)
@@ -1709,7 +1494,7 @@ def test_parallel_resolution_raises_the_lowest_refusal(monkeypatch, refused, kin
 def test_an_interrupt_propagates(monkeypatch):
     ta = trivial_extension(path_algebra(multi_kronecker(2)))
 
-    def interrupted(self, kernel, syzygy, step=None):
+    def interrupted(self, kernel, syzygy):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(res_mod._FlatResolver, "top_generators", interrupted)
@@ -1748,7 +1533,7 @@ def test_the_lowest_failing_simple_raises_its_own_error(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["E8", "E6_AFFINE"])
-def test_representatives_resolve_in_the_calling_process(monkeypatch, name):
+def test_every_simple_resolves_in_the_calling_process(monkeypatch, name):
     # every simple of T(kE8) and of T(kE6-affine) resolves; none may fork
     # to do it
     ta = workload_algebra(getattr(bench_module("workloads"), name))

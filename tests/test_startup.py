@@ -75,8 +75,8 @@ with open(sys.argv[1], "w", encoding="utf-8") as out:
 # what each command must not load: no spectral command builds an algebra or
 # resolves, canonical reads K_0 off its weights, and trivext on a
 # relation-free acyclic quiver reads every simple off the Coxeter orbit; with
-# relations it builds T(A) and reads every simple off strings, with neither
-# the resolution engine nor the spectral layers
+# relations it builds T(A) and reads every simple off strings in ints, with
+# neither the resolution engine, the spectral layers nor rationals
 NO_RESOLUTION = {"quiverlab.resolution", "quiverlab.trivext"}
 NO_ALGEBRA = NO_RESOLUTION | {"quiverlab.builders", "quiverlab.scalgebra"}
 NO_SPECTRAL = {"quiverlab.serre", "quiverlab.cyclo", "quiverlab.intpoly"}
@@ -84,7 +84,10 @@ NO_SPECTRAL = {"quiverlab.serre", "quiverlab.cyclo", "quiverlab.intpoly"}
 # fits nothing; neither does a bare `import quiverlab.cli`
 NO_RATIONALS = {"fractions", "decimal", "numbers", "quiverlab.ratmat", "quiverlab.fitting"}
 RELATION_FREE = NO_ALGEBRA | NO_SPECTRAL | NO_RATIONALS
-GENTLE = NO_SPECTRAL | {"quiverlab.radius", "quiverlab.resolution"}
+# the string route fits the growth of its traces, so of NO_RATIONALS it loads
+# quiverlab.fitting alone
+GENTLE = NO_SPECTRAL | NO_RATIONALS - {"quiverlab.fitting"} | {"quiverlab.radius",
+                                                              "quiverlab.resolution"}
 # classify and entropy walk K0Arithmetic's Coxeter map in ints, and canonical
 # on its default lambdas too: a cyclotomic Coxeter polynomial needs no
 # enclosure, and an integral slope prints without a Fraction
