@@ -60,13 +60,10 @@ class TrackedEchelon:
     pivots maps each lead to its entry, in the order the entries were made;
     there are as many as the rank.  An entry is a row (vec, expr), both
     dicts or expr None, or a one-term entry: (c, u) for the row c*e_lead
-    made by input u, whose expression is {u: 1}, or UNTRACKED for a
-    one-term row with no expression, which is how the reduction stores
-    every such row.  A caller may store (c, u) for a one-term input at a
-    free coordinate, which insert() would store as ({lead: c}, {u: 1});
-    the reduction reads an entry as the row it stands for.  Popping
-    entries off pivots back to an earlier count restores the echelon that
-    count held.
+    whose expression is exactly {u: 1}, or UNTRACKED for a one-term row
+    with no expression.  The reduction stores every such row in its
+    one-term form and reads an entry as the row it stands for; no other
+    module reads or writes the entries.
     """
 
     __slots__ = ("pivots",)
@@ -79,8 +76,10 @@ class TrackedEchelon:
 
         The returned relation has coefficient 1 on the inserted expression
         and is supported on earlier independent inputs; its values are in
-        plain form.  Consumes both arguments: vec and expr are mutated in
-        place and may be stored as a pivot row, so callers pass fresh dicts.
+        plain form.  A vector kept as c*e_k with the expression {u: 1} is
+        stored as the entry (c, u).  Consumes both arguments: vec and expr
+        are mutated in place and may be stored as a pivot row, so callers
+        pass fresh dicts.
         """
         scale = self._reduce(vec, expr)
         if scale is None:
@@ -104,9 +103,10 @@ class TrackedEchelon:
         """The reduction behind insert and add, expr reduced alongside vec
         unless it is None.
 
-        Stores vec (with expr), or UNTRACKED for a one-term vec with no
-        expr, and returns None when it is independent of the rows;
-        otherwise returns the factor the ints were scaled by.
+        Stores vec, and returns None, when it is independent of the rows:
+        a one-term c*e_k as (c, u) when expr is exactly {u: 1} and as
+        UNTRACKED when expr is None, any other vec as (vec, expr).
+        Otherwise returns the factor the ints were scaled by.
         """
         pivots = self.pivots
         scale = 1
@@ -114,7 +114,12 @@ class TrackedEchelon:
             lead = max(vec)
             row = pivots.get(lead)
             if row is None:
-                pivots[lead] = (vec, expr) if expr is not None or len(vec) > 1 else UNTRACKED
+                if len(vec) == 1 and expr is None:
+                    pivots[lead] = UNTRACKED
+                elif len(vec) == 1 and len(expr) == 1 and 1 in expr.values():
+                    pivots[lead] = (vec[lead], *expr)
+                else:
+                    pivots[lead] = (vec, expr)
                 return None
             pvec, pexpr = row
             one = type(pvec) is not dict

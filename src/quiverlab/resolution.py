@@ -17,15 +17,17 @@ lead; a dict of two terms holds three times the memory of that tuple.  A
 step's generators are a bare list of such vectors, each at the target
 vertex of its lead.  The simple at v starts from rad P_v, its first
 kernel, as units; every later kernel comes from kernel_of_cover, which
-eliminates only the radical columns of its cover, and every top from
-top_generators, which keeps the kernel vectors whose leads are not leads
-of rad*K.  Each step is one cover and one top, and hands the next step
-nothing but its generators or its kernel; the step loop drops each input
-once it is read, so the old kernel is gone before the next is built.  The
-engine's tables depend on the algebra only and are built once per algebra
-in a process.  The dense modules, simple_modules and RepModule, serve the
-test suite's projective cover, the oracle the engine is checked against;
-no resolution reads them.
+eliminates only the radical columns of its cover, each nonzero image
+through TrackedEchelon.insert, and every top from top_generators, which
+keeps the kernel vectors whose leads are not leads of rad*K.  Both read a
+vector's images off the tables by one walk, _images.  Each step is one
+cover and one top, and hands the next step nothing but its generators or
+its kernel; the step loop drops each input once it is read, so the old
+kernel is gone before the next is built.  The engine's tables depend on
+the algebra only and are built once per algebra in a process.  The dense
+modules, simple_modules and RepModule, serve the test suite's projective
+cover, the oracle the engine is checked against; no resolution reads
+them.
 
 The trace records, _betti_trace's stop rules and the growth estimates
 live in the betti module.  No command calls this engine: trivext reads
@@ -37,7 +39,6 @@ check both routes against.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 
 # the trace records and stop rules live in betti; the two estimates stay
@@ -49,7 +50,7 @@ from .betti import (  # noqa: F401
     combine_estimates,
     complexity_estimate,
 )
-from .echelon import TrackedEchelon, plain
+from .echelon import TrackedEchelon
 from .ratmat import RatMatrix
 from .record import Record
 from .scalgebra import SCAlgebra
@@ -176,6 +177,36 @@ def _source_coords(a: SCAlgebra) -> list[list[int]]:
     return out
 
 
+def _images(terms, elements):
+    """(m, b_m * vec) for each basis element m in elements, None or {} for 0.
+
+    terms are a syzygy vector's (shift, rows, c), one (shift, left[n], c)
+    per coordinate c * b_n, a unit's one term with c = 1.  An image is the
+    first contributing term's row of b_m, shifted and scaled, plus the
+    other terms' rows, a coefficient that cancels dropped; it is summed
+    from the table rows alone, with no dict of images.
+    """
+    for m in elements:
+        image = None
+        for shift, rows, c in terms:
+            row = rows.get(m)
+            if row is None:
+                continue
+            if image is None:
+                image = {}
+                for k, coeff in row:
+                    image[shift + k] = coeff * c
+                continue
+            for k, coeff in row:
+                key = shift + k
+                s = image.get(key, 0) + coeff * c
+                if s:
+                    image[key] = s
+                else:
+                    del image[key]
+        yield m, image
+
+
 class _FlatResolver:
     """Sparse syzygy engine over flat coordinates copy*dim + basis_index.
 
@@ -189,13 +220,11 @@ class _FlatResolver:
     one lookup of each lead in it.  Syzygy vectors take the forms of the
     module docstring.  Covers are eliminated on their radical columns only
     (see kernel_of_cover), so the tables hold the products by
-    non-idempotent elements alone.  Each image is summed from the table
-    rows of a vector's terms, with no dict of images.  A cover image of one
-    term, the common case, is settled without the echelon's reduction where
-    the coordinate is free or holds a one-term entry, which the cover keeps
-    as (c, column); the cover's other images go to TrackedEchelon.insert,
-    and every arrow image of a top to add.  The tables depend on the
-    algebra only; _setup builds them once per algebra.
+    non-idempotent elements alone.  Cover and top take a vector's images
+    from _images; every nonzero cover image goes to TrackedEchelon.insert,
+    and every arrow image of a top to add.  How the echelon stores its rows
+    is its own business.  The tables depend on the algebra only; _setup
+    builds them once per algebra.
     """
 
     def __init__(self, a: SCAlgebra):
@@ -227,11 +256,7 @@ class _FlatResolver:
     def kernel_of_cover(self, gens) -> list[int | tuple]:
         """Kernel basis of the cover sending copy i's basis element m to b_m * gen_i.
 
-        The terms (shift, rows, c) of a syzygy vector, one (shift, left[n],
-        c) per coordinate c * b_n, are built once, a unit's one term with
-        c = 1.  A generator's image under each radical b_m is the first
-        term's row of b_m, shifted and scaled, plus the other terms' rows,
-        a coefficient that cancels dropped.
+        A generator's image under each radical b_m comes from _images.
         Only these radical columns are eliminated.  The generators are
         independent modulo rad K, where K is the module covered, and every
         radical column b_m * gen lies in rad K, so reducing a relation
@@ -241,26 +266,18 @@ class _FlatResolver:
         among the earlier independent columns, so leaving the generator
         columns out changes no relation and saves their rows.
         A zero image gives its column as a unit relation, an int; the
-        others go into one echelon keyed by leads.  Images at different
-        vertices lie in independent summands, so a relation never takes in
-        another vertex's images and each one sits at one vertex.  Columns
-        come in increasing flat coordinate, so a relation's lead is the
-        column whose image produced it.  The relation of a dependent image
-        is the RREF kernel vector of its column, of two or more terms, as a
+        others go to insert() on one echelon keyed by leads, each with its
+        column as expression.  Images at different vertices lie in
+        independent summands, so a relation never takes in another
+        vertex's images and each one sits at one vertex.  Columns come in
+        increasing flat coordinate, so a relation's lead is the column
+        whose image produced it.  The relation of a dependent image is the
+        RREF kernel vector of its column, of two or more terms, as a
         nonzero image depends on earlier ones only; it is returned as a
         tuple with that column first.
-        A one-term image c * e_k at a free coordinate is kept as the
-        one-term entry k -> (c, column) in the echelon's pivots, which the
-        echelon reads as the row ({k: c}, {column: 1}) that insert() would
-        store.  One at a coordinate that holds such an entry, d * e_k from
-        column u, is c/d times the image of u, so its relation (column, 1,
-        u, -c/d) is written directly; it is the one insert() would return.
-        Every other image goes to insert(), which never stores a one-term
-        row with a one-term expression here.
         """
         d = self.dim
         echelon, kernel = TrackedEchelon(), []
-        pivots = echelon.pivots
         left, vertex_of, rad_coords = self.left, self.vertex_of, self.rad_coords
         for copy, gen in enumerate(gens):
             base = copy * d
@@ -271,42 +288,11 @@ class _FlatResolver:
                 n = gen[0] % d
                 it = iter(gen)
                 terms = [(coord - coord % d, left[coord % d], c) for coord, c in zip(it, it)]
-            for m in rad_coords[vertex_of[n]]:
-                column = base + m
-                image = None
-                for shift, rows, c in terms:
-                    row = rows.get(m)
-                    if row is None:
-                        continue
-                    if image is None:
-                        image = {}
-                        for k, coeff in row:
-                            image[shift + k] = coeff * c
-                        continue
-                    for k, coeff in row:
-                        key = shift + k
-                        s = image.get(key, 0) + coeff * c
-                        if s:
-                            image[key] = s
-                        else:
-                            del image[key]
+            for m, image in _images(terms, rad_coords[vertex_of[n]]):
                 if not image:
-                    kernel.append(column)
+                    kernel.append(base + m)
                     continue
-                if len(image) == 1:
-                    ((k, c),) = image.items()
-                    held = pivots.get(k)
-                    if held is None:
-                        pivots[k] = (c, column)  # the one-term entry of c*e_k
-                        continue
-                    plead, u = held
-                    if type(plead) is not dict:
-                        if plead == 1 and type(c) is int:
-                            kernel.append((column, 1, u, -c))
-                        else:
-                            kernel.append((column, 1, u, plain(Fraction(-c, plead))))
-                        continue
-                relation = echelon.insert(image, {column: 1})
+                relation = echelon.insert(image, {base + m: 1})
                 if relation is not None:
                     kernel.append(tuple(chain.from_iterable(relation.items())))
         return kernel
@@ -329,10 +315,8 @@ class _FlatResolver:
         target of its lead.
         Arrow images stay vertex-homogeneous, so one echelon keyed by leads
         serves every vertex, and only its leads are read.  A vector's image
-        under each arrow at its vertex is summed from its terms' rows, as
-        in kernel_of_cover, a unit being one term with coefficient 1, and
-        goes to add(), which keeps a one-term image as UNTRACKED.  The
-        leads of rad*K are the keys of the span's pivots.
+        under each arrow at its vertex comes from _images and goes to
+        add().  The leads of rad*K are the keys of the span's pivots.
         """
         if len(kernel) != syzygy:
             raise RuntimeError("syzygy dimension mismatch")
@@ -363,24 +347,7 @@ class _FlatResolver:
                 if coord > lead:
                     raise RuntimeError("syzygy relation does not lead with its largest coordinate")
                 terms.append((coord - n, left[n], c))
-            for b in arrows_at[v]:
-                image = None
-                for shift, rows, c in terms:
-                    row = rows.get(b)
-                    if row is None:
-                        continue
-                    if image is None:
-                        image = {}
-                        for k, coeff in row:
-                            image[shift + k] = coeff * c
-                        continue
-                    for k, coeff in row:
-                        key = shift + k
-                        s = image.get(key, 0) + coeff * c
-                        if s:
-                            image[key] = s
-                        else:
-                            del image[key]
+            for _, image in _images(terms, arrows_at[v]):
                 if image:
                     span.add(image)
         pivots = span.pivots

@@ -249,14 +249,14 @@ def test_trivial_extension_kronecker4_capped_traces():
 
 
 # a bound on the traced peak of T(kron3)'s resolution at dim_cap 20000, in
-# bytes: 0.90 MB with each step one cover and one top that keep nothing for
-# a later step (CPython 3.11).  The cover's one-term (c, column) entries,
-# and the two-term relation it writes where a one-term image meets one,
-# hold the peak under the bound: with every image sent through insert() as
-# an (image, expression) dict pair it is 1.31 MB.  The kernel vectors as
-# lead-first tuples and units as bare ints keep it there too: 2.0 MB when
-# the vectors were dicts and the generators (vertex, vector) pairs, 4.2 MB
-# when every unit was a one-key dict too
+# bytes: 0.99 MB with each step one cover and one top that keep nothing for
+# a later step (CPython 3.11).  insert() keeps a one-term cover image as
+# its (c, column) entry, which holds the peak under the bound: stored as an
+# (image, expression) dict pair it is 1.37 MB.  The kernel vectors as
+# lead-first tuples and units as bare ints keep it there too: 1.43 MB with
+# every unit a (coordinate, 1) tuple, 2.0 MB when the vectors were dicts
+# and the generators (vertex, vector) pairs, 4.2 MB when every unit was a
+# one-key dict too
 KRON3_TRACED_PEAK = 1_200_000
 # T(kron3)'s trace at dim_cap 20000
 KRON3_BETTI = (5, 15, 40, 105, 275, 720, 1885, 4935, 12920, 33825)
@@ -738,14 +738,17 @@ def test_dense_and_sparse_engines_agree(monkeypatch):
     # three or more coordinates, and one-coordinate vectors whose table
     # rows have two terms; and the summed images of vectors of two or more
     # coordinates: a cover image that cancels to zero and an arrow image
-    # that cancels to zero; and the fallback of the cover's one-term path,
-    # read off the engine's own echelon: a one-term cover image at a
-    # coordinate whose row or expression is longer, which goes to insert
+    # that cancels to zero; and the three ways insert() takes a one-term
+    # cover image, read off the engine's own echelon: at a free lead, where
+    # it is stored as (c, column), on a one-term entry (c, u), and on a row
+    # whose vector or expression is longer
     reached = {
         "long vectors": 0,
         "two-term rows": 0,
         "cover cancels": 0,
         "top cancels": 0,
+        "cover one-term at a free lead": 0,
+        "cover one-term on a (c, u) entry": 0,
         "cover one-term on a longer row or expression": 0,
         # both forms of kernel vector reach the oracle comparison
         "int unit vectors": 0,
@@ -758,14 +761,22 @@ def test_dense_and_sparse_engines_agree(monkeypatch):
 
         # only the cover inserts; the top and the engine's setup add
         def insert(self, vec, expr):
-            if len(vec) == 1:
-                (k,) = vec
-                held = self.pivots.get(k)
-                # the cover keeps the other one-term images out of insert
-                assert held is not None and type(held[0]) is dict
+            if len(vec) != 1:
+                return super().insert(vec, expr)
+            ((k, c),) = vec.items()
+            (column,) = expr
+            held = self.pivots.get(k)
+            relation = super().insert(vec, expr)
+            if held is None:
+                assert relation is None and self.pivots[k] == (c, column)
+                reached["cover one-term at a free lead"] += 1
+            elif type(held[0]) is not dict:
+                assert held[1] is not None
+                reached["cover one-term on a (c, u) entry"] += 1
+            else:
                 assert len(held[0]) > 1 or len(held[1]) > 1
                 reached["cover one-term on a longer row or expression"] += 1
-            return super().insert(vec, expr)
+            return relation
 
     def recording(self, kernel, syzygy):
         for vec in kernel:
@@ -805,12 +816,12 @@ def test_dense_and_sparse_engines_agree(monkeypatch):
 
 
 def test_cover_relations_are_the_ones_insert_returns(monkeypatch):
-    # the cover's one-term path writes a relation without the echelon, and
-    # keeps its one-term rows as (c, column) entries that the echelon's
-    # reduction reads next to its rows, so every kernel is checked, value
-    # and type, against the relations that TrackedEchelon.insert returns on
-    # the images multiplied out from the table; the Betti numbers alone
-    # would not see a wrong sign or an entry the reduction misread
+    # insert() keeps the cover's one-term rows as (c, column) entries that
+    # its reduction reads next to its rows, so every kernel is checked,
+    # value and type, against the relations of an echelon that stores each
+    # one-term row as the dict pair ({k: c}, {column: 1}), on the images
+    # multiplied out from the table; the Betti numbers alone would not see
+    # a wrong sign or an entry the reduction misread
     algebras = [
         trivial_extension(path_algebra(multi_kronecker(2))),
         trivial_extension(gentle_two_loop()),
@@ -829,6 +840,19 @@ def test_cover_relations_are_the_ones_insert_returns(monkeypatch):
     }
 
     made = []
+
+    class DictRows(TrackedEchelon):
+        """Stores every one-term row with its expression as a dict pair."""
+
+        __slots__ = ()
+
+        def insert(self, vec, expr):
+            relation = super().insert(vec, expr)
+            if relation is None:
+                lead, (c, u) = next(reversed(self.pivots.items()))
+                if type(c) is not dict and u is not None:
+                    self.pivots[lead] = ({lead: c}, {u: 1})
+            return relation
 
     class Entries(TrackedEchelon):
         __slots__ = ()
@@ -852,7 +876,7 @@ def test_cover_relations_are_the_ones_insert_returns(monkeypatch):
         # entry, so no row is one-term with a one-term expression
         for row, expr in echelon.pivots.values():
             assert type(row) is not dict or len(row) > 1 or len(expr) > 1
-        echelon = TrackedEchelon()
+        echelon = DictRows()
         expected = []
         for copy, gen in enumerate(gens):
             gen = sparse_vector(gen)
@@ -873,6 +897,7 @@ def test_cover_relations_are_the_ones_insert_returns(monkeypatch):
                 relation = echelon.insert(image, {column: 1}) if image else column
                 if relation is not None:
                     expected.append(relation)
+        assert all(type(row) is dict for row, _ in echelon.pivots.values())
         # an int unit for a zero image, a lead-first tuple for the others
         assert all(is_engine_vector(r) for r in kernel)
         assert [type(r) for r in kernel] == [int if type(r) is int else tuple for r in expected]
@@ -1017,8 +1042,8 @@ def test_syzygy_relations_are_in_lead_form(monkeypatch, name, extend):
 
 def eliminated_columns(monkeypatch) -> list:
     """Patch the cover kernel to log each column b_m * gen it eliminates,
-    one with a nonzero image, whether the image went through
-    `TrackedEchelon.insert` or the cover's one-term path; returns the log.
+    one with a nonzero image, which goes through `TrackedEchelon.insert`;
+    returns the log.
 
     Columns are decided in increasing order, each either kept in the
     cover's echelon, as a row with the column as its expression's largest
@@ -1437,7 +1462,7 @@ SERIAL_CASES = (
          else f"{source}-{name}-{'trivext' if extend else 'base'}"
          for source, name, extend in SERIAL_CASES],
 )
-def test_parallel_resolution_equals_serial(source, name, extend):
+def test_resolve_simple_modules_is_each_simples_own_resolution(source, name, extend):
     # every simple's trace in one call is the trace of its own resolution
     if source == "builders":
         a = BUILDERS[name]()
